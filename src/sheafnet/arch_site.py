@@ -19,6 +19,7 @@ determined" stages of a forward pass.
 from dataclasses import dataclass, field
 
 from .errors import ArchitectureError, BoundExceeded, PosetError
+from .unionfind import UnionFind
 
 import json
 import os
@@ -599,20 +600,8 @@ def classify_vertices(poset):
 
 
 def _is_forest(vertices, edges):
-    parent = {v: v for v in vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for s, d in edges:
-        rs, rd = find(s), find(d)
-        if rs == rd:
-            return False
-        parent[rs] = rd
-    return True
+    uf = UnionFind(vertices)
+    return all(uf.union(s, d) for s, d in edges)
 
 
 # ---------------------------------------------------------------------------
@@ -658,22 +647,9 @@ def loop_rank(g):
     """First Betti number |E| - |V| + #components of the underlying
     undirected graph."""
     edges = g.arrows if isinstance(g, ForkGraph) else g.edges
-    vertices = g.vertices
-    parent = {v: v for v in vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    comps = len(vertices)
-    for s, d in edges:
-        rs, rd = find(s), find(d)
-        if rs != rd:
-            parent[rs] = rd
-            comps -= 1
-    return len(edges) - len(vertices) + comps
+    uf = UnionFind(g.vertices)
+    # |V| - #components is the number of edges that merge two components
+    return len(edges) - sum(uf.union(s, d) for s, d in edges)
 
 
 def site_report(g):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .errors import BoundExceeded, LanguageError
-from .groupoids import close_permutation_group, group_action_orbits
+from .groupoids import _orbits, close_permutation_group
 from .seminfo import BooleanLanguage
 
 DEFAULT_STATE_BOUND = 10**6
@@ -197,8 +197,13 @@ class CarnapOrbitReport:
 
 
 def orbit_report(lang, group=None):
+    """Orbits of the states with stabilizer orders and structural types.
+
+    The group is closed once: a given ``group`` (else one built here) is
+    reused, and each stabilizer is counted over its listed elements.
+    """
     group = group or build_symmetry_group(lang)
-    base = group_action_orbits(group.generators, lang.states)
+    base = _orbits(group.generators, lang.states, list(group.elements.values()))
     orbits = []
     for members, stab in base.orbits:
         labels = {state_type(lang, s) for s in members}

@@ -48,6 +48,7 @@ from .dynamics import (
 )
 from .errors import SheafnetError
 from .groupoids import (
+    FiniteGroupoid,
     GroupoidFunctor,
     StackOverPoset,
     check_adjunction_and_section,
@@ -66,6 +67,7 @@ from .seminfo import (
     localized_precision,
     mutual_information,
 )
+from .unionfind import UnionFind
 from .verify import run_all
 
 
@@ -118,23 +120,11 @@ def _load_presheaf(doc):
 def _simple_component_groupoid(doc):
     """Pair groupoid per generated component, with plain object names."""
     objects = [str(o) for o in doc["objects"]]
-    parent = {o: o for o in objects}
-
-    def find(o):
-        while parent[o] != o:
-            parent[o] = parent[parent[o]]
-            o = parent[o]
-        return o
-
+    uf = UnionFind(objects)
     for gen in doc.get("generators", []):
-        a, b = find(str(gen["src"])), find(str(gen["dst"]))
-        if a != b:
-            parent[a] = b
-    comps = {}
-    for o in objects:
-        comps.setdefault(find(o), []).append(o)
+        uf.union(str(gen["src"]), str(gen["dst"]))
     morphisms, src, dst, inv, ident, comp_table = [], {}, {}, {}, {}, {}
-    for members in comps.values():
+    for members in uf.groups():
         for a in members:
             for b in members:
                 m = (a, b)
@@ -146,8 +136,6 @@ def _simple_component_groupoid(doc):
             for b in members:
                 for c in members:
                     comp_table[((b, c), (a, b))] = (a, c)
-    from .groupoids import FiniteGroupoid
-
     return FiniteGroupoid(tuple(objects), tuple(morphisms), src, dst,
                           comp_table, inv, ident)
 
@@ -289,7 +277,11 @@ def cmd_info(args):
 
 
 def cmd_carnap(args):
-    counts = [int(c) for c in args.attributes.split(",") if c]
+    try:
+        counts = [int(c) for c in args.attributes.split(",") if c]
+    except ValueError:
+        raise SheafnetError(
+            f"--attributes must be comma-separated integers, got {args.attributes!r}") from None
     lang = build_language(args.subjects, counts)
     group = build_symmetry_group(lang)
     report = orbit_report(lang, group)

@@ -19,8 +19,11 @@ onto the product at every confluence.
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 
+import numpy as np
+
 from .errors import BoundExceeded, GroupoidError
 from .presheaf import Presheaf
+from .unionfind import UnionFind
 
 DEFAULT_MORPHISM_BOUND = 200
 DEFAULT_GROUP_BOUND = 10_000
@@ -86,23 +89,11 @@ class FiniteGroupoid:
 
     def components(self):
         """Partition of the objects under "there exists a morphism"."""
-        parent = {o: o for o in self.objects}
-
-        def find(o):
-            while parent[o] != o:
-                parent[o] = parent[parent[o]]
-                o = parent[o]
-            return o
-
+        uf = UnionFind(self.objects)
         for f in self.morphisms:
-            a, b = find(self.src[f]), find(self.dst[f])
-            if a != b:
-                parent[a] = b
-        groups = {}
-        for o in self.objects:
-            groups.setdefault(find(o), []).append(o)
+            uf.union(self.src[f], self.dst[f])
         return tuple(tuple(sorted(g, key=str)) for g in
-                     sorted(groups.values(), key=lambda c: str(min(c, key=str))))
+                     sorted(uf.groups(), key=lambda c: str(min(c, key=str))))
 
     def component_of(self, obj):
         for comp in self.components():
@@ -148,54 +139,77 @@ def group_as_groupoid(generators, bound=DEFAULT_MORPHISM_BOUND):
     ``generators``: dict name -> permutation dict on a common finite set.
     """
     elements = close_permutation_group(generators, bound)
+    name_of = {p: k for k, p in elements.items()}
     obj = "*"
     morphisms = tuple(sorted(elements))
     src = {m: obj for m in morphisms}
     dst = {m: obj for m in morphisms}
-    comp = {(g, f): _compose_key(elements, g, f) for g in morphisms for f in morphisms}
-    ident_key = min(k for k, p in elements.items() if all(a == b for a, b in p))
+    # elements list (x, image) pairs in one domain order, so g after f is
+    # found by mapping the images of f through g
+    image = {m: dict(p) for m, p in elements.items()}
+    comp = {(g, f): name_of[tuple((x, image[g][y]) for x, y in elements[f])]
+            for g in morphisms for f in morphisms}
     inv = {}
     for m in morphisms:
-        pm = dict(elements[m])
-        target = {v: k for k, v in pm.items()}
-        inv[m] = next(k for k, p in elements.items() if dict(p) == target)
-    return FiniteGroupoid((obj,), morphisms, src, dst, comp, inv, {obj: ident_key})
+        back = {y: x for x, y in elements[m]}
+        inv[m] = name_of[tuple((x, back[x]) for x, _ in elements[m])]
+    return FiniteGroupoid((obj,), morphisms, src, dst, comp, inv, {obj: "e"})
 
 
-def _compose_key(elements, g, f):
-    pg, pf = dict(elements[g]), dict(elements[f])
-    gf = tuple(sorted((x, pg[pf[x]]) for x in pf))
-    return next(k for k, p in elements.items() if p == gf)
-
-
-def close_permutation_group(generators, bound=DEFAULT_GROUP_BOUND):
-    """All group elements as canonical tuples, keyed by a deterministic name."""
-    domain = None
-    gens = {}
+def _index_generators(generators):
+    """The common domain, sorted by ``str``, and every generator as an
+    index array ``p`` with ``domain[p[i]]`` the image of ``domain[i]``."""
+    domain = pos = None
+    gens = []
     for name, p in generators.items():
         p = dict(p)
         if domain is None:
             domain = sorted(p, key=str)
-        if sorted(p, key=str) != domain or sorted(p.values(), key=str) != domain:
+            pos = {x: i for i, x in enumerate(domain)}
+        foreign = p.keys() != pos.keys()
+        images = [] if foreign else [pos.get(p[x], -1) for x in domain]
+        if foreign or -1 in images or len(set(images)) != len(domain):
             raise GroupoidError(f"generator {name!r} is not a bijection of the domain")
-        gens[name] = tuple(sorted(p.items(), key=lambda kv: str(kv[0])))
-    ident = tuple(sorted(((x, x) for x in domain), key=lambda kv: str(kv[0])))
-    found = {ident: "e"}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            pd = dict(p)
-            for name, q in gens.items():
-                qd = dict(q)
-                comp = tuple(sorted(((x, qd[pd[x]]) for x in pd), key=lambda kv: str(kv[0])))
-                if comp not in found:
-                    found[comp] = f"g{len(found)}"
-                    nxt.append(comp)
-                    if len(found) > bound:
-                        raise BoundExceeded(f"group closure exceeds bound {bound}")
-        frontier = nxt
-    return {name: perm for perm, name in found.items()}
+        gens.append(images)
+    if domain is None:
+        raise GroupoidError("a permutation group needs at least one generator")
+    dtype = np.min_scalar_type(max(len(domain) - 1, 0))
+    return domain, [np.array(g, dtype=dtype) for g in gens]
+
+
+def close_permutation_group(generators, bound=DEFAULT_GROUP_BOUND):
+    """All group elements, keyed by a deterministic name.
+
+    Internally a permutation is an index array over the domain (sorted by
+    ``str``): the product "p, then q" is ``q[p]`` and a new element is one
+    hash lookup of its bytes.  Elements are named in breadth-first order from
+    the identity ``"e"`` (``g1``, ``g2``, ...), multiplying each frontier
+    element by every generator in turn.  The result maps each name to a tuple
+    of ``(x, image)`` pairs in domain order.
+    """
+    domain, gens = _index_generators(generators)
+    n = len(domain)
+    ident = np.arange(n, dtype=gens[0].dtype)
+    width = ident.nbytes
+    found = {ident.tobytes(): "e"}
+    frontier = ident[None, :]
+    while len(frontier):
+        # row r * len(gens) + j is frontier element r times generator j
+        products = np.stack([q[frontier] for q in gens], axis=1).reshape(
+            len(frontier) * len(gens), n)
+        raw = products.tobytes()
+        new = []
+        for row in range(len(products)):
+            key = raw[row * width:(row + 1) * width]
+            if key not in found:
+                found[key] = f"g{len(found)}"
+                new.append(row)
+                if len(found) > bound:
+                    raise BoundExceeded(f"group closure exceeds bound {bound}")
+        frontier = products[new]
+    perms = np.frombuffer(b"".join(found), dtype=ident.dtype).reshape(len(found), n).tolist()
+    return {name: tuple(zip(domain, map(domain.__getitem__, p)))
+            for name, p in zip(found.values(), perms)}
 
 
 def disjoint_union(g1, g2, tags=("L", "R")):
@@ -566,8 +580,14 @@ def group_action_orbits(generators, points, bound=DEFAULT_GROUP_BOUND):
            sorted(map(str, p.values())) != sorted(map(str, points)):
             raise GroupoidError(f"generator {name!r} is not a bijection of the point set")
     elements = close_permutation_group(generators, bound)
+    return _orbits(generators, points, [dict(p) for p in elements.values()])
+
+
+def _orbits(generators, points, elements):
+    """Orbits of ``points`` under ``generators``, each with the order of the
+    stabilizer of its representative counted over ``elements`` (every group
+    element, as a dict point -> point)."""
     order = len(elements)
-    perms = [dict(p) for p in elements.values()]
     seen, orbits = set(), []
     for x in points:
         if x in seen:
@@ -583,7 +603,7 @@ def group_action_orbits(generators, points, bound=DEFAULT_GROUP_BOUND):
                     frontier.append(z)
         seen |= orbit
         rep = min(orbit, key=str)
-        stab = sum(1 for p in perms if p[rep] == rep)
+        stab = sum(1 for p in elements if p[rep] == rep)
         if len(orbit) * stab != order:
             raise GroupoidError("orbit-stabilizer identity failed; generators inconsistent")
         orbits.append((tuple(sorted(orbit, key=str)), stab))

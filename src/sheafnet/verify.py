@@ -96,7 +96,7 @@ class CriterionResult:
 
 
 def _result(number, name, passed, detail, start):
-    return CriterionResult(number, name, bool(passed), detail, time.time() - start)
+    return CriterionResult(number, name, bool(passed), detail, time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +196,7 @@ def _pointwise_sup_levels(depths, n, tlev, qlev):
 
 def criterion_01(seed=0):
     """Pointwise Heyting implication equals the sup-oracle on random posets."""
-    start = time.time()
+    start = time.perf_counter()
     rng = random.Random(seed)
     pairs = 0
     for _ in range(50):
@@ -209,7 +209,7 @@ def criterion_01(seed=0):
                     return _result(1, "heyting oracle equivalence", False,
                                    f"mismatch on poset {poset.elements}", start)
                 pairs += 1
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     return _result(1, "heyting oracle equivalence", elapsed < 5.0,
                    f"50 posets, {pairs} open pairs, exact; "
                    f"runtime {'<' if elapsed < 5 else '>='}5s", start)
@@ -222,7 +222,7 @@ def criterion_02(seed=0):
     kernels within a fixed pair budget; the remaining largest lattices get
     seeded samples (the stated all-pairs literal sweep is
     runtime-infeasible; the coverage is printed)."""
-    start = time.time()
+    start = time.perf_counter()
     rng = random.Random(seed)
     shapes = _chain_shapes(4, 5)
     exhaustive_small = vector_pairs = sampled_oracle = kernel_checked = 0
@@ -281,7 +281,7 @@ def criterion_02(seed=0):
                 return _result(2, "chain implication lemma", False,
                                f"kernel mismatch on {shape}", start)
             vector_pairs += tlev.shape[0]
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     return _result(2, "chain implication lemma", elapsed < 30.0,
                    f"{len(shapes)} shapes; {exhaustive_small} pairs vs literal sup-scan, "
                    f"{vector_pairs} pairs via validated kernels, "
@@ -293,7 +293,7 @@ def criterion_03(seed=0):
     """psi_delta with dyadic weights: strictly increasing (holds) and concave
     for all propositions (fails: the underlying concavity claim is false;
     the minimal counterexample is reported)."""
-    start = time.time()
+    start = time.perf_counter()
     shapes = _chain_shapes(3, 4)
     increasing_pairs = 0
     concave_triples = 0
@@ -364,7 +364,7 @@ def criterion_03(seed=0):
 
 def criterion_04(seed=0):
     """Cocycle identity for both CBH precisions over random triples."""
-    start = time.time()
+    start = time.perf_counter()
     rng = random.Random(seed)
     lang = BooleanLanguage([f"s{i}" for i in range(16)])
     states = list(lang.states)
@@ -394,7 +394,7 @@ def criterion_04(seed=0):
 
 def criterion_05(seed=0):
     """Mutual information symmetry/nonnegativity and the divergence analog."""
-    start = time.time()
+    start = time.perf_counter()
     rng = random.Random(seed)
     lang = BooleanLanguage([f"s{i}" for i in range(8)])
     psi = cbh_precision(lang)
@@ -426,7 +426,7 @@ def criterion_05(seed=0):
 def criterion_06(seed=0):
     """The three-subject two-binary-attribute language: counts, orbits,
     stabilizers, simples."""
-    start = time.time()
+    start = time.perf_counter()
     lang = build_language(3, [2, 2])
     group = build_symmetry_group(lang)
     report = orbit_report(lang, group)
@@ -442,7 +442,7 @@ def criterion_06(seed=0):
         "self-dual": self_duality_holds(lang, simples) is True,
         "single orbit": simples_form_single_orbit(lang, group, simples),
     }
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     ok = all(checks.values()) and elapsed < 10.0
     return _result(6, "Carnap language L^2_3", ok,
                    ", ".join(f"{k}:{'ok' if v else 'FAIL'}" for k, v in checks.items()),
@@ -452,7 +452,7 @@ def criterion_06(seed=0):
 def criterion_07(seed=0):
     """Content values on 64 states; the simple-proposition content is
     enumerated and the literature figure is reported, not asserted."""
-    start = time.time()
+    start = time.perf_counter()
     lang = build_language(3, [2, 2])
     blang = lang.to_boolean_language()
     e0 = lang.states[0]
@@ -470,7 +470,7 @@ def criterion_07(seed=0):
 
 def criterion_08(seed=0):
     """Path-sum gradients vs reverse mode (1e-12) and central differences (1e-6)."""
-    start = time.time()
+    start = time.perf_counter()
     rng = random.Random(seed)
     worst_rev = worst_fd = 0.0
     for _ in range(100):
@@ -514,7 +514,7 @@ def _random_layered_architecture(rng, max_layers=10, max_width=2):
 def criterion_09(seed=0):
     """|H0| equals the product of the input-layer cardinalities for random
     standard feed-forward sheaves."""
-    start = time.time()
+    start = time.perf_counter()
     rng = random.Random(seed)
     done = 0
     while done < 100:
@@ -522,9 +522,10 @@ def criterion_09(seed=0):
         fg = fork_surgery(g)
         poset = build_poset(fg)
         carriers = {}
-        tangs = set(fg.tangs())
+        tangs = fg.tangs()
+        tang_set = set(tangs)
         for v in poset.elements:
-            if v not in tangs:
+            if v not in tang_set:
                 carriers[v] = tuple(f"{v}:{k}" for k in range(rng.randint(1, 4)))
         edge_maps = {}
         for s, d in fg.arrows:
@@ -550,7 +551,7 @@ def criterion_09(seed=0):
 
 def criterion_10(seed=0):
     """Poset construction and extremal classification on random DAGs."""
-    start = time.time()
+    start = time.perf_counter()
     rng = random.Random(seed)
     for _ in range(100):
         g = _random_dag(rng, rng.randint(2, 12))
@@ -564,15 +565,15 @@ def criterion_10(seed=0):
 
 
 def criterion_11(seed=0):
+    start = time.perf_counter()
     lstm = loop_rank(fixture_graph("lstm"))
     gru = loop_rank(fixture_graph("gru"))
-    start = time.time()
     return _result(11, "loop ranks", lstm == 3 and gru == 5,
                    f"lstm={lstm} (want 3), gru={gru} (want 5)", start)
 
 
 def criterion_12(seed=0):
-    start = time.time()
+    start = time.perf_counter()
     rng = random.Random(seed)
     for m in range(1, 9):
         for n in range(1, 9):
@@ -588,7 +589,7 @@ def criterion_12(seed=0):
 
 
 def criterion_13(seed=0):
-    start = time.time()
+    start = time.perf_counter()
     rng = random.Random(seed)
     worst_residual = 0.0
     for _ in range(10000):
@@ -609,7 +610,7 @@ def criterion_13(seed=0):
 
 
 def criterion_14(seed=0):
-    start = time.time()
+    start = time.perf_counter()
     report = braid_relation_check(default_braid_rep())
     ok = report.relation_holds and report.center_kind == "minus_identity"
     return _result(14, "braid relation", ok,
@@ -620,7 +621,7 @@ def criterion_14(seed=0):
 def criterion_15(seed=0):
     """Adjunction/section checks for groupoid transports and the fibrancy
     fixtures for the three basic poset shapes."""
-    start = time.time()
+    start = time.perf_counter()
     rng = random.Random(seed)
     # exhaustive adjunction over random component maps, <= 6 components
     for _ in range(25):
@@ -674,7 +675,7 @@ def criterion_15(seed=0):
 def criterion_16(seed=0):
     """Conditioning is a monoid action: Boolean |E|<=5 and opens of the
     two-chain, exhaustively."""
-    start = time.time()
+    start = time.perf_counter()
     lang = BooleanLanguage([f"s{i}" for i in range(5)])
     alg = BooleanAlgebra(lang)
     subs = list(alg.elements())

@@ -22,7 +22,10 @@ psi_delta is concave when Q is asserted at full depth (Q_k = Q_0 & E_k);
 tests/test_chains.py verifies that exhaustively on small chains.
 """
 
+import os
 import re
+import subprocess
+import sys
 from itertools import combinations_with_replacement
 from math import prod
 
@@ -113,3 +116,30 @@ def test_criterion(criterion):
         _check_criterion_03_refutation(result)
     else:
         assert result.passed, result.detail
+
+
+# Prints a digest of every sheaf criterion 9 builds (carriers, edge maps and
+# handle maps, in sorted order).
+_CRITERION_09_DIGEST = """
+import hashlib
+from sheafnet import verify
+built = []
+make = verify.standard_feedforward_presheaf
+def spy(fg, carriers, edge_maps, handle_maps):
+    built.append(repr([sorted(carriers.items())] + [
+        sorted((k, sorted(v.items())) for k, v in maps.items())
+        for maps in (edge_maps, handle_maps)]))
+    return make(fg, carriers, edge_maps, handle_maps)
+verify.standard_feedforward_presheaf = spy
+assert verify.criterion_09(0).passed
+print(hashlib.sha256("".join(built).encode()).hexdigest())
+"""
+
+
+def test_criterion_09_instances_do_not_depend_on_hash_seed():
+    digests = set()
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(sys.path))
+        digests.add(subprocess.run([sys.executable, "-c", _CRITERION_09_DIGEST], env=env,
+                                   capture_output=True, text=True, check=True).stdout)
+    assert len(digests) == 1

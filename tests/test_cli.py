@@ -131,6 +131,13 @@ def test_carnap_report(capsys):
     assert report["proposition_count"] == str(2 ** 64)
 
 
+def test_carnap_non_integer_attributes_exit_2(capsys):
+    code, out, err = run(capsys, "carnap", "--subjects", "3", "--attributes", "x")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "'x'" in err
+
+
 def test_dyn_cell_and_param_count(capsys):
     code, out, _ = run(capsys, "dyn", "--cell", "mgu2", "--m", "3", "--n", "2",
                        "--steps", "2", "--seed", "5")

@@ -1,14 +1,17 @@
+import math
 import random
 
 import pytest
 
 from sheafnet.arch_site import FinitePoset
-from sheafnet.errors import GroupoidError
+from sheafnet.carnap import build_language, build_symmetry_group, symmetry_generators
+from sheafnet.errors import BoundExceeded, GroupoidError
 from sheafnet.groupoids import (
     GroupoidFunctor,
     StackOverPoset,
     check_adjunction_and_section,
     check_fibrant_injective,
+    close_permutation_group,
     connected_components,
     constant_functor,
     discrete_groupoid,
@@ -316,3 +319,143 @@ def test_orbit_sizes_sum_and_orbit_stabilizer_identity():
 def test_generator_must_be_bijection():
     with pytest.raises(GroupoidError):
         group_action_orbits({"bad": {0: 0, 1: 0}}, [0, 1])
+
+
+# -- group closure against the sort-based reference ------------------------------
+
+def reference_close_permutation_group(generators, bound=10_000):
+    """The closure as first written: every permutation a tuple of (x, image)
+    pairs sorted by str, re-sorted after every product."""
+    domain = None
+    gens = {}
+    for name, p in generators.items():
+        p = dict(p)
+        if domain is None:
+            domain = sorted(p, key=str)
+        if sorted(p, key=str) != domain or sorted(p.values(), key=str) != domain:
+            raise GroupoidError(f"generator {name!r} is not a bijection of the domain")
+        gens[name] = tuple(sorted(p.items(), key=lambda kv: str(kv[0])))
+    ident = tuple(sorted(((x, x) for x in domain), key=lambda kv: str(kv[0])))
+    found = {ident: "e"}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            pd = dict(p)
+            for name, q in gens.items():
+                qd = dict(q)
+                comp = tuple(sorted(((x, qd[pd[x]]) for x in pd), key=lambda kv: str(kv[0])))
+                if comp not in found:
+                    found[comp] = f"g{len(found)}"
+                    nxt.append(comp)
+                    if len(found) > bound:
+                        raise BoundExceeded(f"group closure exceeds bound {bound}")
+        frontier = nxt
+    return {name: perm for perm, name in found.items()}
+
+
+def reference_group_tables(generators):
+    """Composition, inverse and identity of group_as_groupoid, each product
+    found by a linear scan over the reference closure."""
+    elements = reference_close_permutation_group(generators)
+
+    def compose(g, f):
+        pg, pf = dict(elements[g]), dict(elements[f])
+        gf = tuple(sorted((x, pg[pf[x]]) for x in pf))
+        return next(k for k, p in elements.items() if p == gf)
+
+    morphisms = tuple(sorted(elements))
+    comp = {(g, f): compose(g, f) for g in morphisms for f in morphisms}
+    inv = {}
+    for m in morphisms:
+        target = {v: k for k, v in dict(elements[m]).items()}
+        inv[m] = next(k for k, p in elements.items() if dict(p) == target)
+    ident = min(k for k, p in elements.items() if all(a == b for a, b in p))
+    return morphisms, comp, inv, ident
+
+
+def closure_outcome(close, generators, bound):
+    try:
+        return close(generators, bound)
+    except (BoundExceeded, GroupoidError) as exc:
+        return type(exc)
+
+
+DOMAINS = {
+    "int": list(range(7)),
+    "str": [f"s{i}" for i in range(6)],
+    "mixed": [0, "a", 3, "b", 12, "z"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DOMAINS))
+def test_closure_matches_reference_on_random_generators(kind):
+    rng = random.Random(sorted(DOMAINS).index(kind))
+    domain = DOMAINS[kind]
+    for _ in range(25):
+        gens = {}
+        for k in range(rng.randint(1, 3)):
+            images = domain[:]
+            rng.shuffle(images)
+            gens[f"q{k}"] = dict(zip(domain, images))
+        if rng.random() < 0.1:      # a non-bijection
+            gens["bad"] = dict(zip(domain, domain[:1] * len(domain)))
+        bound = rng.choice([60, 10_000])
+        want = closure_outcome(reference_close_permutation_group, gens, bound)
+        got = closure_outcome(close_permutation_group, gens, bound)
+        assert got == want
+        if isinstance(want, dict):
+            assert list(got) == list(want)      # names in breadth-first order
+
+
+BENCHMARK_LANGUAGES = [(3, (2, 2)), (2, (2, 2, 2)), (3, (3, 2)), (4, (2, 2)), (3, (2, 2, 2))]
+
+
+@pytest.mark.parametrize("subjects,counts", BENCHMARK_LANGUAGES,
+                         ids=[f"{s}x{','.join(map(str, c))}" for s, c in BENCHMARK_LANGUAGES])
+def test_closure_matches_reference_on_benchmark_languages(subjects, counts):
+    gens = symmetry_generators(build_language(subjects, counts))
+    want = reference_close_permutation_group(gens)
+    got = close_permutation_group(gens)
+    assert got == want and list(got) == list(want)
+
+
+@pytest.mark.parametrize("generators", [
+    {"r": cyclic_perm([0, 1, 2])},
+    {"r": cyclic_perm(["a", "b", "c", "d"])},
+    {"s": {0: 1, 1: 0, 2: 2}, "t": {0: 0, 1: 2, 2: 1}},
+], ids=["C3", "C4", "S3"])
+def test_group_as_groupoid_tables_match_reference(generators):
+    g = group_as_groupoid(generators)
+    morphisms, comp, inv, ident = reference_group_tables(generators)
+    assert g.morphisms == morphisms
+    assert g.comp == comp
+    assert g.inv == inv
+    assert g.ident == {"*": ident}
+
+
+def test_group_as_groupoid_where_str_and_natural_order_differ():
+    g = group_as_groupoid({"r": cyclic_perm(list(range(11)))})    # "10" sorts before "2"
+    assert len(g.morphisms) == 11
+    g.validate()
+
+
+def closed_form_order(subjects, counts):
+    """s! * prod(c!) * prod(run!) over runs of adjacent equal arities."""
+    order = math.factorial(subjects) * math.prod(math.factorial(c) for c in counts)
+    run = 1
+    for a, b in zip(counts, counts[1:] + [None]):
+        if a == b:
+            run += 1
+        else:
+            order *= math.factorial(run)
+            run = 1
+    return order
+
+
+@pytest.mark.parametrize("subjects,counts,order", [
+    (3, [2, 2], 48), (2, [2, 2, 2], 96), (3, [3, 2], 72), (4, [2, 2], 192),
+    (3, [2, 2, 2], 288), (1, [2, 3], 12)])
+def test_symmetry_group_order_closed_form(subjects, counts, order):
+    group = build_symmetry_group(build_language(subjects, counts))
+    assert group.order == len(group.elements) == closed_form_order(subjects, counts) == order
