@@ -7,8 +7,8 @@ cocycle identity chains conditionings together.
 
 import random
 
+from sheafnet.heyting import OpenAlgebra
 from sheafnet.seminfo import (
-    BooleanAlgebra,
     BooleanLanguage,
     ambiguity,
     cbh_precision,
@@ -21,7 +21,7 @@ from sheafnet.seminfo import (
 )
 
 lang = BooleanLanguage(["00", "01", "10", "11"])
-alg = BooleanAlgebra(lang)
+alg = OpenAlgebra.discrete(lang.states)
 psi = cbh_precision(lang)
 
 t = frozenset({"00", "01"})

@@ -3,7 +3,10 @@
 A chain object is a nested family E_n <= ... <= E_1 <= E_0 of finite sets,
 i.e. a presheaf on the total order 0 -> 1 -> ... -> n whose restriction
 maps are inclusions.  Its subobjects are the nested families T with
-T_k <= E_k, ordered levelwise.  The implication U = (Q => T) satisfies the
+T_k <= E_k, i.e. the opens of the poset of elements of that presheaf, and
+they are handled as bit masks over it (`ChainObject.mask_of` and
+`levels_of` convert); the generic calculus of `heyting` and its supremum
+oracle apply unchanged.  The implication U = (Q => T) satisfies the
 inductive formulas
 
     U_0 = T_0 or (E_0 - Q_0),      U_k = U_{k-1} and (T_k or (E_k - Q_k)),
@@ -20,11 +23,10 @@ at depth 1 with Q = ({x}, {}) gives a double difference of -0.5).
 """
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 
 from .arch_site import FinitePoset
-from .errors import BoundExceeded, LanguageError, PresheafError
-from .presheaf import Presheaf, Subobject
+from .errors import LanguageError, PresheafError
+from .presheaf import Presheaf
 
 
 @dataclass(frozen=True)
@@ -55,111 +57,66 @@ class ChainObject:
                 d = k
         return d
 
+    def _level_points(self):
+        """Each level's points, deepest first: E_k is a prefix of E_{k-1}."""
+        order = sorted(self.levels[0], key=lambda x: (-self.depth(x), str(x)))
+        return [tuple(x for x in order if x in level) for level in self.levels]
+
     def as_presheaf(self):
+        """The presheaf on 0 <= ... <= n.  Its poset of elements lists level
+        0, then level 1, ..., each deepest first, so in a mask over it a
+        point's bit at level k sits |E_{k-1}| places above its bit at k-1."""
         poset = FinitePoset.chain(self.n)
-        carriers = {k: tuple(sorted(self.levels[k], key=str)) for k in range(self.n + 1)}
+        carriers = dict(enumerate(self._level_points()))
         maps = {(k, k + 1): {s: s for s in carriers[k + 1]} for k in range(self.n)}
         return Presheaf(poset, carriers, maps)
 
-
-@dataclass(frozen=True)
-class ChainSub:
-    """A subobject T_0 >= ... >= T_n of a chain object."""
-
-    levels: tuple
-
-    @staticmethod
-    def of(chain, *levels):
+    def mask_of(self, *levels):
+        """The mask of the subobject T_0 >= ... >= T_n."""
         levels = tuple(frozenset(l) for l in levels)
-        if len(levels) != chain.n + 1:
-            raise PresheafError(f"expected {chain.n + 1} levels, got {len(levels)}")
-        for k, (t, e) in enumerate(zip(levels, chain.levels)):
-            if not t <= e:
+        if len(levels) != self.n + 1:
+            raise PresheafError(f"expected {self.n + 1} levels, got {len(levels)}")
+        mask = offset = 0
+        for k, (t, points) in enumerate(zip(levels, self._level_points())):
+            if not t <= self.levels[k]:
                 raise PresheafError(f"T_{k} is not a subset of E_{k}")
-            if k and not levels[k] <= levels[k - 1]:
+            if k and not t <= levels[k - 1]:
                 raise PresheafError(f"T_{k} is not included in T_{k - 1}")
-        return ChainSub(levels)
+            mask |= sum(1 << (offset + j) for j, x in enumerate(points) if x in t)
+            offset += len(points)
+        return mask
 
-    def leq(self, other):
-        return all(a <= b for a, b in zip(self.levels, other.levels))
-
-    def meet(self, other):
-        return ChainSub(tuple(a & b for a, b in zip(self.levels, other.levels)))
-
-    def join(self, other):
-        return ChainSub(tuple(a | b for a, b in zip(self.levels, other.levels)))
-
-    def as_subobject(self, presheaf):
-        return Subobject.of(presheaf, {k: self.levels[k] for k in range(len(self.levels))})
+    def levels_of(self, mask):
+        """The levels T_0, ..., T_n of a subobject mask."""
+        out, offset = [], 0
+        for points in self._level_points():
+            out.append(frozenset(x for j, x in enumerate(points) if mask >> (offset + j) & 1))
+            offset += len(points)
+        return tuple(out)
 
 
-def chain_top(chain):
-    return ChainSub(chain.levels)
-
-
-def chain_bottom(chain):
-    return ChainSub(tuple(frozenset() for _ in chain.levels))
+def _running_intersection(chain, layer):
+    """U_0 = L_0, U_k = U_{k-1} and L_k, for per-level sets L_k given as one
+    mask; U_{k-1} reaches level k by a shift (see `ChainObject.as_presheaf`).
+    Masks may be Python ints or numpy uint64 arrays."""
+    sizes = [len(level) for level in chain.levels]
+    out = acc = layer & ((1 << sizes[0]) - 1)
+    offset = 0
+    for k in range(1, len(sizes)):
+        acc = (((acc >> offset) & ((1 << sizes[k]) - 1)) << (offset + sizes[k - 1])) & layer
+        offset += sizes[k - 1]
+        out = out | acc
+    return out
 
 
 def chain_implication(chain, t, q):
-    """U = (Q => T) by the inductive level formulas."""
-    _check_member(chain, t, "t")
-    _check_member(chain, q, "q")
-    levels = []
-    acc = None
-    for k in range(chain.n + 1):
-        layer = t.levels[k] | (chain.levels[k] - q.levels[k])
-        acc = layer if acc is None else (acc & layer)
-        levels.append(acc)
-    return ChainSub(tuple(levels))
+    """U = (Q => T) by the inductive level formulas, on subobject masks."""
+    return _running_intersection(chain, t | ~q)
 
 
 def chain_negation(chain, q):
     """The running intersection of the level complements."""
-    _check_member(chain, q, "q")
-    levels = []
-    acc = None
-    for k in range(chain.n + 1):
-        comp = chain.levels[k] - q.levels[k]
-        acc = comp if acc is None else (acc & comp)
-        levels.append(acc)
-    return ChainSub(tuple(levels))
-
-
-def _check_member(chain, sub, name):
-    if len(sub.levels) != chain.n + 1:
-        raise PresheafError(f"{name} has {len(sub.levels)} levels, chain has {chain.n + 1}")
-    for k, (s, e) in enumerate(zip(sub.levels, chain.levels)):
-        if not s <= e:
-            raise PresheafError(f"{name} is not a subobject of the chain at level {k}")
-
-
-def all_chain_subs(chain, bound=200_000):
-    """Every subobject; each point contributes an independent level choice."""
-    points = sorted(chain.levels[0], key=str)
-    choices = [chain.depth(x) + 2 for x in points]
-    total = 1
-    for c in choices:
-        total *= c
-    if total > bound:
-        raise BoundExceeded(f"{total} subobjects exceeds bound {bound}")
-    out = []
-    for combo in iproduct(*(range(c) for c in choices)):
-        levels = []
-        for k in range(chain.n + 1):
-            levels.append(frozenset(
-                x for x, lev in zip(points, combo) if lev - 1 >= k))
-        out.append(ChainSub(tuple(levels)))
-    return out
-
-
-def chain_oracle_implies(chain, t, q, bound=200_000):
-    """Literal supremum: the join of every V with V /\\ Q <= T."""
-    acc = chain_bottom(chain)
-    for v in all_chain_subs(chain, bound):
-        if v.meet(q).leq(t):
-            acc = acc.join(v)
-    return acc
+    return _running_intersection(chain, ~q)
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +148,12 @@ class DeltaSequence:
         return DeltaSequence(tuple(2.0 ** -k for k in range(n + 1)))
 
 
-def psi_delta(t, delta, mu=None):
-    """sum_k delta_k * mu(T_k); mu defaults to the counting measure."""
-    if len(delta.values) != len(t.levels):
+def psi_delta(chain, t, delta, mu=None):
+    """sum_k delta_k * mu(T_k) for a subobject mask; mu defaults to the
+    counting measure."""
+    if len(delta.values) != chain.n + 1:
         raise LanguageError("delta length does not match the chain height")
     total = 0.0
-    for d, level in zip(delta.values, t.levels):
+    for d, level in zip(delta.values, chain.levels_of(t)):
         total += d * (len(level) if mu is None else sum(mu[x] for x in level))
     return total

@@ -1,11 +1,11 @@
 """Command-line entry point.
 
 Subcommands: site, sections, cats-manifold, heyting, stack, info, carnap,
-dyn, verify.  Global flags: --seed, --out, --format, --bound (the
-SHEAFNET_BOUND environment variable overrides the default enumeration
-bound).  Exit codes: 0 success, 1 check failure, 2 input error.  Reports
-are stable-ordered (sorted JSON keys, fixed row order) so identical
-configurations diff byte-identically.
+dyn, verify.  Global flags: --seed, --out, --bound (the SHEAFNET_BOUND
+environment variable overrides the default enumeration bound).  Reports are
+JSON, except the CSV table of `dyn cusp`.  Exit codes: 0 success, 1 check
+failure, 2 input error.  Reports are stable-ordered (sorted JSON keys, fixed
+row order) so identical configurations diff byte-identically.
 """
 
 import argparse
@@ -46,7 +46,7 @@ from .dynamics import (
     lstm_step,
     mgu2_step,
 )
-from .errors import SheafnetError
+from .errors import GroupoidError, SheafnetError
 from .groupoids import (
     FiniteGroupoid,
     GroupoidFunctor,
@@ -56,7 +56,6 @@ from .groupoids import (
 )
 from .presheaf import Presheaf, cats_manifold, sections
 from .seminfo import (
-    BooleanAlgebra,
     BooleanLanguage,
     ambiguity,
     cbh_precision,
@@ -75,17 +74,12 @@ from .verify import run_all
 # IO helpers
 # ---------------------------------------------------------------------------
 
-def emit_report(data, fmt="json", out=None):
-    """Bit-stable JSON (sorted keys) or CSV with a header row."""
-    if fmt == "json":
-        text = json.dumps(data, sort_keys=True, indent=2, default=str) + "\n"
-    elif fmt == "csv":
-        header, rows = data
-        lines = [",".join(header)]
-        lines += [",".join(str(x) for x in row) for row in rows]
-        text = "\n".join(lines) + "\n"
-    else:
-        raise SheafnetError(f"unsupported format {fmt!r}")
+def emit_report(data, out=None):
+    """Bit-stable JSON (sorted keys)."""
+    _write(json.dumps(data, sort_keys=True, indent=2, default=str) + "\n", out)
+
+
+def _write(text, out):
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -96,9 +90,12 @@ def emit_report(data, fmt="json", out=None):
 def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise SheafnetError(f"cannot read {path!r}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SheafnetError(f"{path!r} must hold a JSON object, not {type(doc).__name__}")
+    return doc
 
 
 def _load_poset(doc):
@@ -120,9 +117,12 @@ def _load_presheaf(doc):
 def _simple_component_groupoid(doc):
     """Pair groupoid per generated component, with plain object names."""
     objects = [str(o) for o in doc["objects"]]
-    uf = UnionFind(objects)
+    known, uf = set(objects), UnionFind(objects)
     for gen in doc.get("generators", []):
-        uf.union(str(gen["src"]), str(gen["dst"]))
+        ends = (str(gen["src"]), str(gen["dst"]))
+        if not known.issuperset(ends):
+            raise GroupoidError(f"generator {ends} names an object missing from 'objects'")
+        uf.union(*ends)
     morphisms, src, dst, inv, ident, comp_table = [], {}, {}, {}, {}, {}
     for members in uf.groups():
         for a in members:
@@ -150,7 +150,7 @@ def _states(text):
 
 def cmd_site(args):
     g = load_architecture(args.infile)
-    emit_report(site_report(g), args.format, args.out)
+    emit_report(site_report(g), args.out)
     return 0
 
 
@@ -161,7 +161,7 @@ def cmd_sections(args):
         "count": len(secs),
         "sections": [{str(k): str(v) for k, v in s.items()} for s in secs][:args.limit],
     }
-    emit_report(report, args.format, args.out)
+    emit_report(report, args.out)
     return 0
 
 
@@ -174,7 +174,7 @@ def cmd_cats_manifold(args):
         "count": len(hits),
         "sections": [{str(k): str(v) for k, v in s.items()} for s in hits][:args.limit],
     }
-    emit_report(report, args.format, args.out)
+    emit_report(report, args.out)
     return 0
 
 
@@ -183,7 +183,7 @@ def cmd_heyting(args):
         poset = build_poset(fork_surgery(load_architecture(args.arch)))
     else:
         poset = _load_poset(_load_json(args.infile))
-    emit_report(hey.implication_table(poset, bound=args.bound), args.format, args.out)
+    emit_report(hey.implication_table(poset, bound=args.bound), args.out)
     return 0
 
 
@@ -204,7 +204,7 @@ def cmd_stack(args):
                 glue[(x, y)] = GroupoidFunctor.of(fibers[y], fibers[x], f_omap, f_mmap)
             diagram = StackOverPoset(poset, fibers, glue)
         report = check_fibrant_injective(diagram)
-        emit_report(report.as_dict(), args.format, args.out)
+        emit_report(report.as_dict(), args.out)
         return 0 if report.fibrant else 1
     # adjunction
     src = _simple_component_groupoid(doc["source"])
@@ -219,7 +219,7 @@ def cmd_stack(args):
         "surjective_on_components": report.surjective_on_components,
         "section_ok": report.section_ok,
         "failures": [str(f) for f in report.failures],
-    }, args.format, args.out)
+    }, args.out)
     return 0 if report.ok else 1
 
 
@@ -227,7 +227,7 @@ def cmd_info(args):
     doc = _load_json(args.infile)
     lang = BooleanLanguage([str(s) for s in doc["states"]],
                            doc.get("measure"))
-    alg = BooleanAlgebra(lang)
+    alg = hey.OpenAlgebra.discrete(lang.states)
     theory = _states(args.theory) if args.theory else alg.top
     q = _states(args.q) if args.q else alg.top
     q2 = _states(args.q2) if args.q2 else alg.top
@@ -271,7 +271,7 @@ def cmd_info(args):
     if args.delta:
         delta = DeltaSequence.of([float(x) for x in args.delta.split(",")])
         report["delta"] = {"values": list(delta.values), "dominated": True}
-    emit_report(report, args.format, args.out)
+    emit_report(report, args.out)
     ok = report["checks"]["cocycle"]["ok"] and report["checks"]["concavity"]["ok"]
     return 0 if ok else 1
 
@@ -299,7 +299,7 @@ def cmd_carnap(args):
             "content": simple_content_report(lang),
         },
     }
-    emit_report(out, args.format, args.out)
+    emit_report(out, args.out)
     return 0
 
 
@@ -337,7 +337,8 @@ def cmd_dyn(args):
     rng = random.Random(args.seed)
     if args.dyn_cmd == "cusp":
         rows = cusp_scan(grid=args.grid)
-        emit_report((("u", "v", "delta", "root_count"), rows), "csv", args.out)
+        lines = [("u", "v", "delta", "root_count")] + rows
+        _write("".join(",".join(str(x) for x in row) + "\n" for row in lines), args.out)
         return 0
     if args.dyn_cmd == "gradcheck":
         g = load_architecture(args.arch)
@@ -352,7 +353,7 @@ def cmd_dyn(args):
             "saturated_nodes": list(res.saturated),
             "ok": vs_rev <= 1e-12 and vs_fd <= 1e-6,
         }
-        emit_report(report, args.format, args.out)
+        emit_report(report, args.out)
         return 0 if report["ok"] else 1
     # cell trajectory
     m, n = args.m, args.n
@@ -379,7 +380,7 @@ def cmd_dyn(args):
         "parameter_count_formula": PARAM_COUNTS[args.cell](m, n),
         "trajectory": rows,
     }
-    emit_report(report, args.format, args.out)
+    emit_report(report, args.out)
     return 0
 
 
@@ -396,7 +397,7 @@ def cmd_verify(args):
         "passed": sum(1 for r in results if r.passed),
         "failed": sum(1 for r in results if not r.passed),
     }
-    emit_report(report, args.format, args.out)
+    emit_report(report, args.out)
     return 0 if report["failed"] == 0 else 1
 
 
@@ -408,7 +409,6 @@ def make_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default=None)
-    common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--bound", type=int, default=None)
     common.add_argument("--tolerance", type=float, default=1e-12)
 

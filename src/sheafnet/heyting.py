@@ -1,16 +1,25 @@
 """Heyting algebra of the lower Alexandrov opens of a finite poset.
 
+This is the library's one Heyting calculus.  A subobject of a presheaf F
+is an open of its poset of elements (`presheaf.elements_poset`), a chain
+subobject is one of its chain object's presheaf, and a Boolean proposition
+is an open of the discrete poset on its states, where every subset is open.
+
 Meet and join are intersection and union.  The implication Q => T is the
 largest open whose meet with Q lies below T; pointwise it is
 
     x in (Q => T)  iff  for all y <= x: y in Q implies y in T,
 
-and `oracle_implies` recomputes it as the literal union of all qualifying
-opens, which is the definition.  Negation is Q => bottom.  All operations
-have bit-mask twins (suffix ``_mask``) used by the exhaustive harnesses.
+that is, the complement of the up-closure of Q - T.  `oracle_implies_mask`
+recomputes it as the literal union of all qualifying opens, which is the
+definition; it is the only brute-force supremum oracle.  Negation is
+Q => bottom.  The operations have bit-mask twins (suffix ``_mask``) used by
+the exhaustive harnesses; `implies_mask` also evaluates elementwise on numpy
+uint64 arrays of masks.  `OpenAlgebra` holds the same operations on
+frozensets for the semantic-information measures.
 """
 
-from .arch_site import is_open, open_masks
+from .arch_site import FinitePoset, is_open, lower_open_sets, open_masks
 from .errors import PosetError
 
 
@@ -25,10 +34,12 @@ def top_mask(poset):
 
 
 def implies_mask(poset, q, t):
-    out = 0
-    for i in range(len(poset.elements)):
-        if poset._down[i] & q & ~t == 0:
-            out |= 1 << i
+    """Q => T on masks: clear the up-set of every element of Q - T.  The
+    masks may be Python ints or numpy uint64 arrays (evaluated elementwise)."""
+    bad = q & ~t
+    out = top_mask(poset)
+    for i, up in enumerate(poset._up):
+        out = out & ~(((bad >> i) & 1) * up)
     return out
 
 
@@ -44,22 +55,6 @@ def oracle_implies_mask(poset, q, t, opens=None):
         if v & q & ~t == 0:
             out |= v
     return out
-
-
-def meet(poset, a, b):
-    _require_open(poset, a, "a")
-    _require_open(poset, b, "b")
-    return frozenset(a & b)
-
-
-def join(poset, a, b):
-    _require_open(poset, a, "a")
-    _require_open(poset, b, "b")
-    return frozenset(a | b)
-
-
-def leq(poset, a, b):
-    return _require_open(poset, a, "a") & ~_require_open(poset, b, "b") == 0
 
 
 def implies(poset, q, t):
@@ -88,3 +83,59 @@ def implication_table(poset, bound=None):
         label(q): {label(t): label(implies_mask(poset, q, t)) for t in opens}
         for q in opens
     }
+
+
+class OpenAlgebra:
+    """The opens of a finite poset as frozensets of its elements.
+
+    Every argument is checked to be an open.  The operations work on the
+    sets directly (no round trip through masks), since conditioning runs
+    once per call in the semantic-information measures."""
+
+    def __init__(self, poset):
+        self.poset = poset
+        self.top = frozenset(poset.elements)
+        self.bottom = frozenset()
+        # strict down- and up-sets, kept only where they are not empty
+        strict = lambda masks: {x: poset.set_of(masks[i] & ~(1 << i))
+                                for i, x in enumerate(poset.elements) if masks[i] != 1 << i}
+        self._below, self._above = strict(poset._down), strict(poset._up)
+        self._nonminimal, self._nonmaximal = frozenset(self._below), frozenset(self._above)
+
+    @staticmethod
+    def discrete(states):
+        """The Boolean algebra of all subsets of ``states``."""
+        return OpenAlgebra(FinitePoset(states, ()))
+
+    def check(self, t):
+        t = frozenset(t)
+        if not t <= self.top:
+            raise PosetError(f"{sorted(map(str, t - self.top))} are not elements of the poset")
+        for x in t & self._nonminimal:
+            if not self._below[x] <= t:
+                raise PosetError(f"{sorted(map(str, t))} is not downward closed")
+        return t
+
+    def meet(self, a, b):
+        return self.check(a) & self.check(b)
+
+    def join(self, a, b):
+        return self.check(a) | self.check(b)
+
+    def leq(self, a, b):
+        return self.check(a) <= self.check(b)
+
+    def implies(self, q, t):
+        """Q => T as the complement of the up-closure of Q - T."""
+        bad = self.check(q) - self.check(t)
+        out = self.top - bad
+        for x in bad & self._nonmaximal:
+            out -= self._above[x]
+        return out
+
+    def neg(self, q):
+        return self.implies(q, self.bottom)
+
+    def elements(self, bound=None):
+        """Every open, in increasing mask order."""
+        return iter(lower_open_sets(self.poset, bound))

@@ -9,9 +9,9 @@ the full fork site, putting the product of the tip carriers on each star;
 `cats_manifold` restricts the section set by a predicate on the output
 layers via the terminal-fork extension of the site.
 
-Subobjects (stable families of subsets) form a Heyting algebra; the
-implication is pointwise and `subobject_oracle_implies` recomputes it as a
-literal supremum for cross-checking.
+A subobject (a stable family of subsets) is an open of the poset of
+elements `elements_poset(F)`, so subobjects are computed with the one
+Heyting calculus of `heyting` and checked against its one supremum oracle.
 """
 
 from dataclasses import dataclass
@@ -155,6 +155,18 @@ class SectionSet:
 
 def sections(presheaf, bound=DEFAULT_SECTION_BOUND):
     return presheaf.sections(bound)
+
+
+def elements_poset(presheaf):
+    """The poset of elements of F: the pairs (x, s) with s in F(x), where
+    (y, r) <= (x, s) iff y <= x and r = s|y.  Its opens are exactly the
+    subobjects of F.  Elements are listed poset element by poset element,
+    each one's states in carrier order."""
+    poset = presheaf.poset
+    elements = [(x, s) for x in poset.elements for s in presheaf.carriers[x]]
+    relations = [((y, presheaf.restrict(y, x, s)), (x, s))
+                 for y, x in poset.covering() for s in presheaf.carriers[x]]
+    return FinitePoset(elements, relations)
 
 
 def constant_presheaf(poset, states):
@@ -328,130 +340,3 @@ def cats_manifold(presheaf, out_predicate, bound=DEFAULT_SECTION_BOUND):
     kept = [{x: s[x] for x in poset.elements} for s in secs]
     kept.sort(key=lambda s: tuple(str(s[x]) for x in poset.elements))
     return SectionSet(tuple(poset.elements), tuple(kept))
-
-
-# ---------------------------------------------------------------------------
-# Subobjects
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Subobject:
-    """A stable family of subsets Y(x) of the carriers of a presheaf."""
-
-    parts: tuple  # tuple of frozensets, aligned with poset.elements
-
-    @staticmethod
-    def of(presheaf, parts):
-        poset = presheaf.poset
-        fixed = []
-        for x in poset.elements:
-            part = frozenset(parts.get(x, ()))
-            bad = part - set(presheaf.carriers[x])
-            if bad:
-                raise PresheafError(f"subobject at {x!r} has foreign states {sorted(map(str, bad))}")
-            fixed.append(part)
-        sub = Subobject(tuple(fixed))
-        sub.validate(presheaf)
-        return sub
-
-    def validate(self, presheaf):
-        poset = presheaf.poset
-        idx = poset.index
-        for x, y in poset.covering():
-            for s in self.parts[idx[y]]:
-                if presheaf.restrict(x, y, s) not in self.parts[idx[x]]:
-                    raise PresheafError(
-                        f"subobject not stable: restriction of {s!r} from {y!r} "
-                        f"leaves the part at {x!r}")
-        return self
-
-    def part(self, presheaf, x):
-        return self.parts[presheaf.poset.index[x]]
-
-
-def subobject_top(presheaf):
-    return Subobject(tuple(frozenset(presheaf.carriers[x]) for x in presheaf.poset.elements))
-
-
-def subobject_bottom(presheaf):
-    return Subobject(tuple(frozenset() for _ in presheaf.poset.elements))
-
-
-def subobject_leq(a, b):
-    return all(x <= y for x, y in zip(a.parts, b.parts))
-
-
-def subobject_meet(a, b):
-    return Subobject(tuple(x & y for x, y in zip(a.parts, b.parts)))
-
-
-def subobject_join(a, b):
-    return Subobject(tuple(x | y for x, y in zip(a.parts, b.parts)))
-
-
-def subobject_implies(presheaf, q, t):
-    """(Q => T)(x) = states of F(x) all of whose restrictions obey Q -> T."""
-    poset = presheaf.poset
-    idx = poset.index
-    parts = []
-    for x in poset.elements:
-        keep = []
-        for s in presheaf.carriers[x]:
-            ok = True
-            for y in poset.elements:
-                if not poset.leq(y, x):
-                    continue
-                r = presheaf.restrict(y, x, s)
-                if r in q.parts[idx[y]] and r not in t.parts[idx[y]]:
-                    ok = False
-                    break
-            if ok:
-                keep.append(s)
-        parts.append(frozenset(keep))
-    return Subobject(tuple(parts)).validate(presheaf)
-
-
-def subobject_neg(presheaf, q):
-    return subobject_implies(presheaf, q, subobject_bottom(presheaf))
-
-
-def all_subobjects(presheaf, bound=200_000):
-    """Every stable family, by backtracking down a linear extension."""
-    poset = presheaf.poset
-    idx = poset.index
-    space = 1
-    for x in poset.elements:
-        space *= 2 ** len(presheaf.carriers[x])
-    if space > bound:
-        raise BoundExceeded(f"subobject space {space} exceeds bound {bound}")
-    order = list(reversed(poset.linear_extension()))  # maximal first
-    out = []
-
-    def extend(i, parts):
-        if i == len(order):
-            full = [parts[x] for x in poset.elements]
-            out.append(Subobject(tuple(full)))
-            return
-        x = order[i]
-        forced = set()
-        for y in order[:i]:
-            if poset.leq(x, y):
-                forced |= {presheaf.restrict(x, y, s) for s in parts[y]}
-        free = [s for s in presheaf.carriers[x] if s not in forced]
-        for mask in range(2 ** len(free)):
-            extra = {s for k, s in enumerate(free) if (mask >> k) & 1}
-            parts[x] = frozenset(forced | extra)
-            extend(i + 1, parts)
-        del parts[x]
-
-    extend(0, {})
-    return out
-
-
-def subobject_oracle_implies(presheaf, q, t, bound=200_000):
-    """Q => T as the literal union of all V with V /\\ Q <= T."""
-    acc = subobject_bottom(presheaf)
-    for v in all_subobjects(presheaf, bound):
-        if subobject_leq(subobject_meet(v, q), t):
-            acc = subobject_join(acc, v)
-    return acc

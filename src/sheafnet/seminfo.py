@@ -1,9 +1,13 @@
 """Semantic information measures over Boolean and Heyting languages.
 
-A theory is represented by the conjunction of its axioms: a truth set in
-the Boolean case, an open or a chain subobject in the Heyting cases.
-Conditioning is the implication T|Q = (Q => T); it is a monoid action,
-(T|Q)|R = T|(Q and R), and always weakens: T <= T|Q.
+A theory is represented by the conjunction of its axioms, an open of a
+finite poset in one algebra, `heyting.OpenAlgebra`: a truth set is an open
+of the discrete poset on the states (every subset), an open of a site is
+itself, and a chain subobject is an open of the chain's poset of elements
+(as is any presheaf subobject); `heyting.oracle_implies_mask` is the one
+supremum oracle behind all three.  Conditioning is the implication
+T|Q = (Q => T); it is a monoid action, (T|Q)|R = T|(Q and R), and always
+weakens: T <= T|Q.
 
 Precision functions psi grade theories (increasing, ideally concave);
 the ambiguity of S against a counterexample Q is phi^Q(S) = psi(S|Q) -
@@ -18,15 +22,16 @@ two infinities raises InfinityArithmetic instead of returning NaN.
 import math
 from dataclasses import dataclass
 
-from . import heyting as hey
-from .chains import chain_bottom, chain_implication, chain_top, psi_delta
+from .chains import psi_delta
 from .errors import InfinityArithmetic, LanguageError
+from .heyting import OpenAlgebra
+from .presheaf import elements_poset
 
 NEG_INF = float("-inf")
 
 
 # ---------------------------------------------------------------------------
-# Languages and algebras
+# Languages and conditioning
 # ---------------------------------------------------------------------------
 
 class BooleanLanguage:
@@ -49,107 +54,6 @@ class BooleanLanguage:
 
     def m(self, subset):
         return sum(self.measure[s] for s in subset)
-
-
-class BooleanAlgebra:
-    """Propositions and theories as frozen truth sets of a language."""
-
-    def __init__(self, lang):
-        self.lang = lang
-        self.top = frozenset(lang.states)
-        self.bottom = frozenset()
-
-    def check(self, t):
-        t = frozenset(t)
-        if not t <= self.top:
-            raise LanguageError("foreign states in proposition")
-        return t
-
-    def meet(self, a, b):
-        return self.check(a) & self.check(b)
-
-    def join(self, a, b):
-        return self.check(a) | self.check(b)
-
-    def leq(self, a, b):
-        return self.check(a) <= self.check(b)
-
-    def implies(self, q, t):
-        return self.check(t) | (self.top - self.check(q))
-
-    def neg(self, q):
-        return self.top - self.check(q)
-
-    def elements(self):
-        states = list(self.lang.states)
-        for mask in range(2 ** len(states)):
-            yield frozenset(s for i, s in enumerate(states) if (mask >> i) & 1)
-
-
-class OpenSetAlgebra:
-    """The Heyting algebra of lower opens of a finite poset."""
-
-    def __init__(self, poset):
-        self.poset = poset
-        self.top = frozenset(poset.elements)
-        self.bottom = frozenset()
-
-    def check(self, t):
-        t = frozenset(t)
-        hey._require_open(self.poset, t, "argument")
-        return t
-
-    def meet(self, a, b):
-        return hey.meet(self.poset, a, b)
-
-    def join(self, a, b):
-        return hey.join(self.poset, a, b)
-
-    def leq(self, a, b):
-        return hey.leq(self.poset, a, b)
-
-    def implies(self, q, t):
-        return hey.implies(self.poset, q, t)
-
-    def neg(self, q):
-        return hey.neg(self.poset, q)
-
-    def elements(self):
-        from .arch_site import lower_open_sets
-
-        return iter(lower_open_sets(self.poset))
-
-
-class ChainAlgebra:
-    """Subobjects of an injective chain object."""
-
-    def __init__(self, chain):
-        self.chain = chain
-        self.top = chain_top(chain)
-        self.bottom = chain_bottom(chain)
-
-    def check(self, t):
-        return t
-
-    def meet(self, a, b):
-        return a.meet(b)
-
-    def join(self, a, b):
-        return a.join(b)
-
-    def leq(self, a, b):
-        return a.leq(b)
-
-    def implies(self, q, t):
-        return chain_implication(self.chain, t, q)
-
-    def neg(self, q):
-        return chain_implication(self.chain, self.bottom, q)
-
-    def elements(self):
-        from .chains import all_chain_subs
-
-        return iter(all_chain_subs(self.chain))
 
 
 def condition(algebra, t, q):
@@ -203,26 +107,26 @@ class PrecisionFunction:
 
 
 def cbh_precision(lang):
-    alg = BooleanAlgebra(lang)
+    alg = OpenAlgebra.discrete(lang.states)
     return PrecisionFunction(lambda t: psi_cbh(lang, t), alg, "psi_cbh")
 
 
 def localized_precision(lang, p):
-    alg = BooleanAlgebra(lang)
+    alg = OpenAlgebra.discrete(lang.states)
     return PrecisionFunction(lambda t: psi_localized(lang, p, t), alg, f"psi_{p!r}")
 
 
 def delta_precision(chain, delta, mu=None):
     """psi_delta on chain subobjects: increasing; concave only against
     full-depth propositions (a counterexample lives in the test suite)."""
-    alg = ChainAlgebra(chain)
-    return PrecisionFunction(lambda t: psi_delta(t, delta, mu), alg,
-                             "psi_delta", increasing=True, concave=False)
+    alg = OpenAlgebra(elements_poset(chain.as_presheaf()))
+    return PrecisionFunction(lambda t: psi_delta(chain, alg.poset.mask_of(t), delta, mu),
+                             alg, "psi_delta", increasing=True, concave=False)
 
 
 def cardinality_precision(poset):
     """Raw open-set cardinality: increasing but in general not concave."""
-    alg = OpenSetAlgebra(poset)
+    alg = OpenAlgebra(poset)
     return PrecisionFunction(lambda t: float(len(t)), alg, "cardinality",
                              increasing=True, concave=False)
 

@@ -34,15 +34,7 @@ from .carnap import (
     simple_propositions,
     simples_form_single_orbit,
 )
-from .chains import (
-    ChainObject,
-    ChainSub,
-    DeltaSequence,
-    all_chain_subs,
-    chain_implication,
-    chain_oracle_implies,
-    psi_delta,
-)
+from .chains import ChainObject, DeltaSequence, chain_implication, psi_delta
 from .data import fixture_graph
 from .dynamics import (
     CubicCellParams,
@@ -68,9 +60,8 @@ from .groupoids import (
     check_fibrant_injective,
     discrete_groupoid,
 )
-from .presheaf import Presheaf, sections, standard_feedforward_presheaf
+from .presheaf import Presheaf, elements_poset, sections, standard_feedforward_presheaf
 from .seminfo import (
-    BooleanAlgebra,
     BooleanLanguage,
     ambiguity,
     cbh_precision,
@@ -145,51 +136,6 @@ def _chain_of_shape(shape):
     return ChainObject.of(*[set(points[:s]) for s in shape])
 
 
-def _levels_matrix(chain, subs):
-    points = sorted(chain.levels[0], key=str)
-    mat = np.full((len(subs), len(points)), -1, dtype=np.int8)
-    for i, sub in enumerate(subs):
-        for j, x in enumerate(points):
-            lev = -1
-            for k, part in enumerate(sub.levels):
-                if x in part:
-                    lev = k
-            mat[i, j] = lev
-    depths = np.array([chain.depth(x) for x in points], dtype=np.int8)
-    return points, depths, mat
-
-
-def _sub_from_levels(chain, points, levels):
-    parts = []
-    for k in range(chain.n + 1):
-        parts.append(frozenset(x for x, lev in zip(points, levels) if lev >= k))
-    return ChainSub(tuple(parts))
-
-
-def _implication_levels(depths, n, tlev, qlev):
-    """Vectorized inductive formula on level arrays (pairs stacked in axis 0):
-    U_k = U_{k-1} and (T_k or not Q_k), evaluated pointwise per level."""
-    alive = np.ones(tlev.shape, dtype=bool)
-    out = np.full(tlev.shape, -1, dtype=np.int8)
-    for k in range(n + 1):
-        exists = depths[None, :] >= k
-        layer = (tlev >= k) | (qlev < k)
-        alive = alive & layer & exists
-        out = np.where(alive, k, out)
-    return out
-
-
-def _pointwise_sup_levels(depths, n, tlev, qlev):
-    """Independent oracle: per point, enumerate every candidate level v and
-    keep the largest with min(v, q) <= t (the lattice is a product of
-    per-point level chains, so the qualifying supremum factorizes)."""
-    best = np.full(tlev.shape, -1, dtype=np.int8)
-    for v in range(-1, n + 1):
-        ok = (depths[None, :] >= v) & (np.minimum(v, qlev) <= tlev)
-        best = np.where(ok, v, best)
-    return best
-
-
 # ---------------------------------------------------------------------------
 # Criteria
 # ---------------------------------------------------------------------------
@@ -201,7 +147,7 @@ def criterion_01(seed=0):
     pairs = 0
     for _ in range(50):
         poset = _random_poset(rng, rng.randint(3, 8))
-        opens = open_masks(poset)
+        opens = open_masks(poset, bound=8)
         for q in opens:
             for t in opens:
                 if hey.implies_mask(poset, q, t) != \
@@ -216,12 +162,15 @@ def criterion_01(seed=0):
 
 
 def criterion_02(seed=0):
-    """chain_implication against enumeration oracles on all injective chain
-    shapes n<=4, |E0|<=5.  All pairs run through the literal sup-scan where
-    the lattice is small, and through the sample-validated vectorized
-    kernels within a fixed pair budget; the remaining largest lattices get
-    seeded samples (the stated all-pairs literal sweep is
-    runtime-infeasible; the coverage is printed)."""
+    """chain_implication against the generic calculus on all injective chain
+    shapes n<=4, |E0|<=5, over the opens of each chain's poset of elements
+    (at most 25 elements).  All pairs run through the literal sup-scan where
+    the lattice is small; otherwise the inductive formula and the pointwise
+    `implies_mask` are evaluated on uint64 mask arrays (both validated
+    against single-pair evaluations on seeded samples) for all pairs within
+    a fixed pair budget, and on seeded samples beyond it (the stated
+    all-pairs literal sweep is runtime-infeasible; the coverage is
+    printed)."""
     start = time.perf_counter()
     rng = random.Random(seed)
     shapes = _chain_shapes(4, 5)
@@ -229,58 +178,55 @@ def criterion_02(seed=0):
     vector_budget = 20_000_000
     for shape in shapes:
         chain = _chain_of_shape(shape)
-        subs = all_chain_subs(chain)
-        n_subs = len(subs)
+        poset = elements_poset(chain.as_presheaf())
+        opens = open_masks(poset, bound=25)
+        n_subs = len(opens)
         if n_subs <= 32:
-            for t in subs:
-                for q in subs:
-                    u = chain_implication(chain, t, q)
-                    if u.levels != chain_oracle_implies(chain, t, q).levels:
+            for t in opens:
+                for q in opens:
+                    if chain_implication(chain, t, q) != \
+                            hey.oracle_implies_mask(poset, q, t, opens):
                         return _result(2, "chain implication lemma", False,
                                        f"formula vs sup-scan mismatch on {shape}", start)
                     exhaustive_small += 1
             continue
-        points, depths, mat = _levels_matrix(chain, subs)
-        # validate the kernels against the reference functions on samples
-        for _ in range(30):
-            ti, qi = rng.randrange(n_subs), rng.randrange(n_subs)
-            t, q = subs[ti], subs[qi]
-            u = chain_implication(chain, t, q)
-            ker = _sub_from_levels(chain, points, _implication_levels(
-                depths, chain.n, mat[ti][None, :], mat[qi][None, :])[0])
-            sup = _sub_from_levels(chain, points, _pointwise_sup_levels(
-                depths, chain.n, mat[ti][None, :], mat[qi][None, :])[0])
-            if u.levels != ker.levels or u.levels != sup.levels:
+        masks = np.array(opens, dtype=np.uint64)
+        # validate the batched evaluations against single pairs on samples
+        samples = [(rng.randrange(n_subs), rng.randrange(n_subs)) for _ in range(30)]
+        ti, qi = (np.array(i) for i in zip(*samples))
+        batched = chain_implication(chain, masks[ti], masks[qi])
+        generic = hey.implies_mask(poset, masks[qi], masks[ti])
+        for (t, q), ker, gen in zip(samples, batched.tolist(), generic.tolist()):
+            u = chain_implication(chain, opens[t], opens[q])
+            if not u == ker == gen == hey.implies_mask(poset, opens[q], opens[t]):
                 return _result(2, "chain implication lemma", False,
                                f"kernel disagrees with chain_implication on {shape}", start)
             kernel_checked += 1
             if n_subs <= 1500 and sampled_oracle < 1500:
-                if u.levels != chain_oracle_implies(chain, t, q).levels:
+                if u != hey.oracle_implies_mask(poset, opens[q], opens[t], opens):
                     return _result(2, "chain implication lemma", False,
                                    f"formula vs literal sup-scan mismatch on {shape}", start)
                 sampled_oracle += 1
-        # all pairs through the vectorized kernels, within the global budget
+        # all pairs through the batched evaluations, within the global budget
         todo = n_subs * n_subs
         if vector_pairs + todo > vector_budget:
             idx = np.array([rng.randrange(n_subs) for _ in range(4000)])
             jdx = np.array([rng.randrange(n_subs) for _ in range(4000)])
-            got = _implication_levels(depths, chain.n, mat[idx], mat[jdx])
-            want = _pointwise_sup_levels(depths, chain.n, mat[idx], mat[jdx])
+            got = chain_implication(chain, masks[idx], masks[jdx])
+            want = hey.implies_mask(poset, masks[jdx], masks[idx])
             if not np.array_equal(got, want):
                 return _result(2, "chain implication lemma", False,
                                f"kernel mismatch on sampled pairs of {shape}", start)
             continue
-        chunk = max(1, 4_000_000 // n_subs)
+        chunk = max(1, 1_000_000 // n_subs)
         for lo in range(0, n_subs, chunk):
-            rows = mat[lo:lo + chunk]
-            tlev = np.repeat(rows, n_subs, axis=0)
-            qlev = np.tile(mat, (rows.shape[0], 1))
-            got = _implication_levels(depths, chain.n, tlev, qlev)
-            want = _pointwise_sup_levels(depths, chain.n, tlev, qlev)
+            t = masks[lo:lo + chunk, None]
+            got = chain_implication(chain, t, masks)
+            want = hey.implies_mask(poset, masks, t)
             if not np.array_equal(got, want):
                 return _result(2, "chain implication lemma", False,
                                f"kernel mismatch on {shape}", start)
-            vector_pairs += tlev.shape[0]
+            vector_pairs += got.size
     elapsed = time.perf_counter() - start
     return _result(2, "chain implication lemma", elapsed < 30.0,
                    f"{len(shapes)} shapes; {exhaustive_small} pairs vs literal sup-scan, "
@@ -302,43 +248,31 @@ def criterion_03(seed=0):
     for shape in shapes:
         chain = _chain_of_shape(shape)
         delta = DeltaSequence.dyadic(chain.n)
-        subs = all_chain_subs(chain)
+        poset = elements_poset(chain.as_presheaf())
+        subs = open_masks(poset, bound=16)
         n_subs = len(subs)
-        points, depths, mat = _levels_matrix(chain, subs)
-        weights = np.array([[delta.values[k] if k <= depths[j] else 0.0
-                             for k in range(chain.n + 1)]
-                            for j in range(len(points))])
-        cum = np.concatenate([np.zeros((len(points), 1)),
-                              np.cumsum(weights, axis=1)], axis=1)
-        psi_vec = np.array([cum[np.arange(len(points)), mat[i] + 1].sum()
-                            for i in range(n_subs)])
+        masks = np.array(subs, dtype=np.uint64)
+        # psi of a mask: the element (k, x) of the poset of elements weighs delta_k
+        weights = [delta.values[k] for k, _ in poset.elements]
+        psi_of = lambda m: sum(w * ((m >> i) & 1) for i, w in enumerate(weights))
+        psi_vec = psi_of(masks)
         # reference checks of the vectorized psi on samples
         rng = random.Random(seed)
         for _ in range(20):
             i = rng.randrange(n_subs)
-            if abs(psi_vec[i] - psi_delta(subs[i], delta)) > 0.0:
+            if abs(psi_vec[i] - psi_delta(chain, subs[i], delta)) > 0.0:
                 return _result(3, "psi_delta increasing and concave", False,
                                f"vectorized psi disagrees on {shape}", start)
-        leq = np.ones((n_subs, n_subs), dtype=bool)
-        for j in range(len(points)):
-            leq &= mat[:, None, j] <= mat[None, :, j]
-        ia, ib = np.nonzero(leq)
-        strict = psi_vec[ia] < psi_vec[ib]
-        eq = np.array([subs[a].levels == subs[b].levels for a, b in
-                       zip(ia.tolist(), ib.tolist())])
-        if not np.all(strict | eq):
+        ia, ib = np.nonzero((masks[:, None] & ~masks[None, :]) == 0)
+        if not np.all((psi_vec[ia] < psi_vec[ib]) | (ia == ib)):
             return _result(3, "psi_delta increasing and concave", False,
                            f"strict increase fails on {shape}", start)
         increasing_pairs += len(ia)
-        # psi(T|Q) matrix through the (sample-validated) vectorized formula
-        psi_tq = np.empty((n_subs, n_subs))
-        for qi in range(n_subs):
-            qlev = np.repeat(mat[qi][None, :], n_subs, axis=0)
-            ulev = _implication_levels(depths, chain.n, mat, qlev)
-            psi_tq[:, qi] = cum[np.arange(len(points)), ulev + 1].sum(axis=1)
+        # psi(T|Q) matrix (rows T, columns Q) through the batched formula
+        psi_tq = psi_of(chain_implication(chain, masks[:, None], masks[None, :]))
         for _ in range(10):
             ti, qi = rng.randrange(n_subs), rng.randrange(n_subs)
-            ref = psi_delta(chain_implication(chain, subs[ti], subs[qi]), delta)
+            ref = psi_delta(chain, chain_implication(chain, subs[ti], subs[qi]), delta)
             if abs(psi_tq[ti, qi] - ref) > 0.0:
                 return _result(3, "psi_delta increasing and concave", False,
                                f"conditioned psi disagrees on {shape}", start)
@@ -350,8 +284,9 @@ def criterion_03(seed=0):
             violations += int(bad.sum())
             if first_witness is None:
                 r, c = np.argwhere(bad)[0]
-                first_witness = (shape, subs[ia[r]].levels, subs[ib[r]].levels,
-                                 subs[c].levels, float(diff[r, c]))
+                first_witness = (shape, chain.levels_of(subs[ia[r]]),
+                                 chain.levels_of(subs[ib[r]]), chain.levels_of(subs[c]),
+                                 float(diff[r, c]))
     detail = (f"strict increase: {increasing_pairs} pairs OK; concavity: "
               f"{concave_triples} triples, {violations} violations")
     if first_witness:
@@ -677,8 +612,8 @@ def criterion_16(seed=0):
     two-chain, exhaustively."""
     start = time.perf_counter()
     lang = BooleanLanguage([f"s{i}" for i in range(5)])
-    alg = BooleanAlgebra(lang)
-    subs = list(alg.elements())
+    alg = hey.OpenAlgebra.discrete(lang.states)
+    subs = list(alg.elements(bound=5))
     for t in subs:
         if condition(alg, t, alg.top) != t:
             return _result(16, "conditioning monoid action", False, "unit fails", start)
@@ -688,10 +623,8 @@ def criterion_16(seed=0):
                 if condition(alg, tq, r) != condition(alg, t, alg.meet(q, r)):
                     return _result(16, "conditioning monoid action", False,
                                    "Boolean associativity fails", start)
-    from .seminfo import OpenSetAlgebra
-
-    halg = OpenSetAlgebra(FinitePoset.chain(1))
-    opens = list(halg.elements())
+    halg = hey.OpenAlgebra(FinitePoset.chain(1))
+    opens = list(halg.elements(bound=2))
     for t in opens:
         for q in opens:
             tq = condition(halg, t, q)

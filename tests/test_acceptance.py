@@ -31,17 +31,11 @@ from math import prod
 
 import pytest
 
+from sheafnet import heyting as hey
 from sheafnet import verify
-from sheafnet.chains import (
-    ChainObject,
-    ChainSub,
-    DeltaSequence,
-    chain_bottom,
-    chain_implication,
-    chain_oracle_implies,
-    chain_top,
-    psi_delta,
-)
+from sheafnet.arch_site import open_masks
+from sheafnet.chains import ChainObject, DeltaSequence, chain_implication, psi_delta
+from sheafnet.presheaf import elements_poset
 
 # Criterion 3 sweeps every chain of height n <= 3 with 1 <= |E_0| <= 4.
 SWEEP_MAX_N = 3
@@ -76,23 +70,28 @@ def _minimal_counterexample():
     """E_0 = E_1 = {p0}, Q = ({p0}, {}), T = {} and T' = ({p0}, {}).
 
     Q => T is the bottom and Q => T' the top, so with delta = (1, 1/2) the
-    double difference is (0 - 0) - (1.5 - 1) = -0.5.  Returns the witness
-    text criterion 3 prints for it.
+    double difference is (0 - 0) - (1.5 - 1) = -0.5.  The subobjects are
+    opens of the poset of elements of E.  Returns the witness text
+    criterion 3 prints for it.
     """
     e = ChainObject.of({"p0"}, {"p0"})
     d = DeltaSequence.dyadic(e.n)
-    q = ChainSub.of(e, {"p0"}, set())
-    t = chain_bottom(e)
-    t2 = ChainSub.of(e, {"p0"}, set())
-    for impl in (chain_implication, chain_oracle_implies):
-        assert impl(e, t, q) == chain_bottom(e)
-        assert impl(e, t2, q) == chain_top(e)
-        dd = (psi_delta(impl(e, t, q), d) - psi_delta(t, d)
-              - psi_delta(impl(e, t2, q), d) + psi_delta(t2, d))
+    poset = elements_poset(e.as_presheaf())
+    opens = open_masks(poset)
+    bottom, top = 0, hey.top_mask(poset)
+    q = e.mask_of({"p0"}, set())
+    t = bottom
+    t2 = e.mask_of({"p0"}, set())
+    oracle = lambda e, t, q: hey.oracle_implies_mask(poset, q, t, opens)
+    for impl in (chain_implication, oracle):
+        assert impl(e, t, q) == bottom
+        assert impl(e, t2, q) == top
+        dd = (psi_delta(e, impl(e, t, q), d) - psi_delta(e, t, d)
+              - psi_delta(e, impl(e, t2, q), d) + psi_delta(e, t2, d))
         assert dd == -0.5
     shape = tuple(len(level) for level in e.levels)
-    return (f"first counterexample shape={shape} T={t.levels} T'={t2.levels} "
-            f"Q={q.levels} double-difference={dd}")
+    return (f"first counterexample shape={shape} T={e.levels_of(t)} T'={e.levels_of(t2)} "
+            f"Q={e.levels_of(q)} double-difference={dd}")
 
 
 def _check_criterion_03_refutation(result):
@@ -143,3 +142,13 @@ def test_criterion_09_instances_do_not_depend_on_hash_seed():
         digests.add(subprocess.run([sys.executable, "-c", _CRITERION_09_DIGEST], env=env,
                                    capture_output=True, text=True, check=True).stdout)
     assert len(digests) == 1
+
+
+_CRITERION_01_DETAIL = "from sheafnet import verify; print(verify.criterion_01(0).detail)"
+
+
+def test_criterion_01_does_not_depend_on_enumeration_bound():
+    env = dict(os.environ, SHEAFNET_BOUND="5", PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", _CRITERION_01_DETAIL], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == verify.criterion_01(0).detail + "\n"

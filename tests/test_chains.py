@@ -1,21 +1,34 @@
 import random
 
+import numpy as np
 import pytest
 
+from sheafnet import heyting as hey
+from sheafnet.arch_site import open_masks
 from sheafnet.chains import (
     ChainObject,
-    ChainSub,
     DeltaSequence,
-    all_chain_subs,
-    chain_bottom,
     chain_implication,
     chain_negation,
-    chain_oracle_implies,
-    chain_top,
     psi_delta,
 )
 from sheafnet.errors import LanguageError, PresheafError
-from sheafnet.presheaf import subobject_implies
+from sheafnet.presheaf import elements_poset
+
+
+def subs_of(e):
+    """Every subobject of a chain: the opens of its poset of elements."""
+    return open_masks(elements_poset(e.as_presheaf()))
+
+
+def oracle(e, t, q):
+    """Literal supremum of every V with V /\\ Q <= T."""
+    poset = elements_poset(e.as_presheaf())
+    return hey.oracle_implies_mask(poset, q, t, open_masks(poset))
+
+
+def top_of(e):
+    return e.mask_of(*e.levels)
 
 
 def test_chain_object_validation():
@@ -27,42 +40,42 @@ def test_chain_object_validation():
 
 def test_boolean_case_is_classical_formula():
     e = ChainObject.of({1, 2, 3, 4})
-    t = ChainSub.of(e, {1})
-    q = ChainSub.of(e, {1, 2})
+    t = e.mask_of({1})
+    q = e.mask_of({1, 2})
     u = chain_implication(e, t, q)
-    assert u.levels == (frozenset({1, 3, 4}),)  # T or not Q
+    assert e.levels_of(u) == (frozenset({1, 3, 4}),)  # T or not Q
 
 
 def test_implication_trivial_cases():
     e = ChainObject.of({"x", "y"}, {"x"})
-    bot, top = chain_bottom(e), chain_top(e)
-    assert chain_implication(e, top, bot).levels == top.levels  # Q = bot -> top
-    for t in all_chain_subs(e):
-        assert chain_implication(e, t, bot).levels == top.levels
-        assert chain_implication(e, t, t).levels == top.levels
+    bot, top = 0, top_of(e)
+    assert chain_implication(e, top, bot) == top  # Q = bot -> top
+    for t in subs_of(e):
+        assert chain_implication(e, t, bot) == top
+        assert chain_implication(e, t, t) == top
 
 
 def test_singleton_example_matches_oracle():
     e = ChainObject.of({"x", "y"}, {"x"})
-    t = ChainSub.of(e, {"x"}, set())
-    q = ChainSub.of(e, {"x"}, {"x"})
+    t = e.mask_of({"x"}, set())
+    q = e.mask_of({"x"}, {"x"})
     u = chain_implication(e, t, q)
-    assert u.levels == chain_oracle_implies(e, t, q).levels
-    assert u.levels == (frozenset({"x", "y"}), frozenset())
+    assert u == oracle(e, t, q)
+    assert e.levels_of(u) == (frozenset({"x", "y"}), frozenset())
 
 
 def test_negation_formula_and_equivalences():
     rng = random.Random(4)
     e = ChainObject.of({0, 1, 2}, {0, 1}, {0})
-    subs = all_chain_subs(e)
-    bot = chain_bottom(e)
+    subs = subs_of(e)
+    bot = 0
     for q in subs:
         neg = chain_negation(e, q)
         # displayed formula: level k is the intersection of the complements
         expect = []
         acc = None
         for k in range(e.n + 1):
-            comp = e.levels[k] - q.levels[k]
+            comp = e.levels[k] - e.levels_of(q)[k]
             acc = comp if acc is None else acc & comp
             expect.append(comp)
         running = []
@@ -70,10 +83,10 @@ def test_negation_formula_and_equivalences():
         for comp in expect:
             inter = comp if inter is None else inter & comp
             running.append(inter)
-        assert neg.levels == tuple(running)
-        assert neg.levels == chain_implication(e, bot, q).levels
-    assert chain_negation(e, chain_top(e)).levels == bot.levels
-    assert chain_negation(e, bot).levels == chain_top(e).levels
+        assert e.levels_of(neg) == tuple(running)
+        assert neg == chain_implication(e, bot, q)
+    assert chain_negation(e, top_of(e)) == bot
+    assert chain_negation(e, bot) == top_of(e)
 
 
 def test_implication_equals_oracle_exhaustive_small_chains():
@@ -82,21 +95,37 @@ def test_implication_equals_oracle_exhaustive_small_chains():
         points = [f"p{i}" for i in range(shape[0])]
         levels = [set(points[: s]) for s in shape]
         e = ChainObject.of(*levels)
-        subs = all_chain_subs(e)
+        subs = subs_of(e)
         for t in subs:
             for q in subs:
-                assert chain_implication(e, t, q).levels == \
-                    chain_oracle_implies(e, t, q).levels
+                assert chain_implication(e, t, q) == oracle(e, t, q)
 
 
 def test_implication_agrees_with_generic_presheaf_calculus():
     e = ChainObject.of({0, 1, 2}, {0, 1}, {0})
-    p = e.as_presheaf()
-    for t in all_chain_subs(e):
-        for q in all_chain_subs(e):
+    poset = elements_poset(e.as_presheaf())
+    for t in subs_of(e):
+        for q in subs_of(e):
             u = chain_implication(e, t, q)
-            generic = subobject_implies(p, q.as_subobject(p), t.as_subobject(p))
-            assert u.as_subobject(p).parts == generic.parts
+            generic = hey.implies_mask(poset, q, t)
+            assert u == generic
+
+
+def test_batched_formulas_match_single_pairs_and_generic_calculus():
+    # depth order (d, c, a/b) differs from str order, so the level shifts
+    # only line up if the presheaf lists deepest points first
+    e = ChainObject.of({"a", "b", "c", "d"}, {"c", "d"}, {"d"})
+    poset = elements_poset(e.as_presheaf())
+    subs = subs_of(e)
+    masks = np.array(subs, dtype=np.uint64)
+    batched = chain_implication(e, masks[:, None], masks[None, :])
+    generic = hey.implies_mask(poset, masks[None, :], masks[:, None])
+    assert batched.dtype == np.uint64 and np.array_equal(batched, generic)
+    assert chain_negation(e, masks).tolist() == [chain_negation(e, q) for q in subs]
+    for i, t in enumerate(subs):
+        for j, q in enumerate(subs):
+            assert int(batched[i, j]) == chain_implication(e, t, q) == \
+                hey.implies_mask(poset, q, t)
 
 
 # -- delta sequences and psi ----------------------------------------------------
@@ -113,20 +142,20 @@ def test_delta_validation():
 def test_psi_delta_examples():
     e = ChainObject.of({"x", "y"}, {"x"})
     d = DeltaSequence.of([1.0, 0.5])
-    assert psi_delta(chain_bottom(e), d) == 0.0
-    assert psi_delta(chain_top(e), d) == 2.5
+    assert psi_delta(e, 0, d) == 0.0
+    assert psi_delta(e, top_of(e), d) == 2.5
     mu = {"x": 2.0, "y": 1.0}
-    assert psi_delta(chain_top(e), d, mu) == 3.0 + 1.0
+    assert psi_delta(e, top_of(e), d, mu) == 3.0 + 1.0
 
 
 def test_psi_delta_strictly_increasing():
     e = ChainObject.of({0, 1}, {0})
     d = DeltaSequence.dyadic(e.n)
-    subs = all_chain_subs(e)
+    subs = subs_of(e)
     for t in subs:
         for t2 in subs:
-            if t.leq(t2) and t.levels != t2.levels:
-                assert psi_delta(t, d) < psi_delta(t2, d)
+            if t & ~t2 == 0 and t != t2:
+                assert psi_delta(e, t, d) < psi_delta(e, t2, d)
 
 
 def test_psi_delta_concavity_fails_in_general():
@@ -135,12 +164,12 @@ def test_psi_delta_concavity_fails_in_general():
     down the chain.  Verified against the literal sup-oracle too."""
     e = ChainObject.of({0, 1}, {0})
     d = DeltaSequence.dyadic(1)
-    q = ChainSub.of(e, {0}, set())        # asserted at level 0 only
-    t = chain_bottom(e)
-    t2 = ChainSub.of(e, {0}, set())
-    for impl in (chain_implication, chain_oracle_implies):
-        dd = (psi_delta(impl(e, t, q), d) - psi_delta(t, d)
-              - psi_delta(impl(e, t2, q), d) + psi_delta(t2, d))
+    q = e.mask_of({0}, set())        # asserted at level 0 only
+    t = 0
+    t2 = e.mask_of({0}, set())
+    for impl in (chain_implication, oracle):
+        dd = (psi_delta(e, impl(e, t, q), d) - psi_delta(e, t, d)
+              - psi_delta(e, impl(e, t2, q), d) + psi_delta(e, t2, d))
         assert dd == -0.5
 
 
@@ -152,13 +181,15 @@ def test_psi_delta_concave_for_full_depth_propositions():
         pts = [f"p{i}" for i in range(shape[0])]
         e = ChainObject.of(*[set(pts[:s]) for s in shape])
         d = DeltaSequence.dyadic(e.n)
-        subs = all_chain_subs(e)
+        subs = subs_of(e)
         cyl = [q for q in subs
-               if all(q.levels[k] == q.levels[0] & e.levels[k] for k in range(e.n + 1))]
+               if all(e.levels_of(q)[k] == e.levels_of(q)[0] & e.levels[k]
+                      for k in range(e.n + 1))]
         for q in cyl:
             for t in subs:
                 for t2 in subs:
-                    if t.leq(t2):
-                        dd = (psi_delta(chain_implication(e, t, q), d) - psi_delta(t, d)
-                              - psi_delta(chain_implication(e, t2, q), d) + psi_delta(t2, d))
+                    if t & ~t2 == 0:
+                        dd = (psi_delta(e, chain_implication(e, t, q), d) - psi_delta(e, t, d)
+                              - psi_delta(e, chain_implication(e, t2, q), d)
+                              + psi_delta(e, t2, d))
                         assert dd >= 0.0

@@ -92,6 +92,19 @@ def test_stack_adjunction(capsys, tmp_path):
     assert report["adjunction_ok"] and report["section_ok"]
 
 
+def test_stack_adjunction_unknown_generator_object_exit_2(capsys, tmp_path):
+    doc = {
+        "source": {"objects": ["a"], "generators": [{"src": "a", "dst": "zz"}]},
+        "target": {"objects": ["z"], "generators": []},
+        "object_map": {"a": "z"},
+    }
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "stack", "adjunction", "--in", str(path))
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "'zz'" in err
+
+
 def test_stack_check_fibrant_sets(capsys, tmp_path):
     doc = {
         "poset": {"elements": ["0", "1"], "leq": [["0", "1"]]},
@@ -118,6 +131,15 @@ def test_info_report(capsys, tmp_path):
     assert report["checks"]["cocycle"]["ok"]
     assert report["checks"]["concavity"]["ok"]
     assert report["delta"]["dominated"]
+
+
+@pytest.mark.parametrize("command", ["sections", "info"])
+def test_top_level_list_document_exit_2(capsys, tmp_path, command):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps(["00", "01"]))
+    code, out, err = run(capsys, command, "--in", str(path))
+    assert code == 2
+    assert out == "" and err.startswith("error:")
 
 
 def test_carnap_report(capsys):
@@ -168,6 +190,13 @@ def test_dyn_cusp_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "u,v,delta,root_count"
     assert len(lines) == 17
+
+
+def test_format_option_is_rejected_by_the_parser(capsys, datadir):
+    with pytest.raises(SystemExit) as exc:
+        main(["site", "--in", str(datadir / "chain.json"), "--format", "csv"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
 
 
 def test_out_file(capsys, datadir, tmp_path):

@@ -3,25 +3,18 @@ from itertools import product as iproduct
 
 import pytest
 
-from sheafnet.arch_site import FinitePoset, SiteGraph, build_poset, fork_surgery
+from sheafnet import heyting as hey
+from sheafnet.arch_site import FinitePoset, SiteGraph, build_poset, fork_surgery, open_masks
 from sheafnet.data import fixture_graph
-from sheafnet.errors import BoundExceeded, PresheafError
+from sheafnet.errors import BoundExceeded, PosetError, PresheafError
 from sheafnet.presheaf import (
     Presheaf,
-    Subobject,
-    all_subobjects,
     cats_manifold,
     constant_presheaf,
+    elements_poset,
     sections,
     sheafify_at_forks,
     standard_feedforward_presheaf,
-    subobject_bottom,
-    subobject_implies,
-    subobject_leq,
-    subobject_meet,
-    subobject_neg,
-    subobject_oracle_implies,
-    subobject_top,
 )
 
 
@@ -269,10 +262,11 @@ def test_subobject_stability_enforced():
     rng = random.Random(2)
     poset = FinitePoset.chain(1)
     p = Presheaf(poset, {0: ("x", "y"), 1: ("s",)}, {(0, 1): {"s": "x"}})
-    with pytest.raises(PresheafError):
-        Subobject.of(p, {1: {"s"}, 0: set()})
-    sub = Subobject.of(p, {1: {"s"}, 0: {"x"}})
-    assert sub.part(p, 0) == frozenset({"x"})
+    alg = hey.OpenAlgebra(elements_poset(p))
+    with pytest.raises(PosetError):
+        alg.check({(1, "s")})
+    sub = alg.check({(1, "s"), (0, "x")})
+    assert frozenset(s for x, s in sub if x == 0) == frozenset({"x"})
 
 
 def diamond_presheaf(rng):
@@ -284,25 +278,47 @@ def test_subobject_lattice_heyting_laws():
     rng = random.Random(12)
     cases = [small_presheaf(rng) for _ in range(5)] + [diamond_presheaf(rng)]
     for p in cases:
-        subs = all_subobjects(p)
-        top, bot = subobject_top(p), subobject_bottom(p)
+        poset = elements_poset(p)
+        subs = open_masks(poset)
+        top, bot = hey.top_mask(poset), 0
+        leq = lambda a, b: a & ~b == 0
         pairs = [(q, t) for q in subs for t in subs]
         if len(pairs) > 900:
             pairs = rng.sample(pairs, 900)
         for q in subs:
-            assert subobject_leq(bot, q) and subobject_leq(q, top)
-            nq = subobject_neg(p, q)
-            assert subobject_meet(q, nq).parts == bot.parts or subobject_leq(
-                subobject_meet(q, nq), bot)
+            assert leq(bot, q) and leq(q, top)
+            nq = hey.neg_mask(poset, q)
+            assert q & nq == bot or leq(q & nq, bot)
         for q, t in pairs:
-            im = subobject_implies(p, q, t)
-            assert im.parts == subobject_oracle_implies(p, q, t).parts
+            im = hey.implies_mask(poset, q, t)
+            assert im == hey.oracle_implies_mask(poset, q, t, subs)
             for v in subs:
-                assert subobject_leq(v, im) == subobject_leq(subobject_meet(v, q), t)
+                assert leq(v, im) == leq(v & q, t)
 
 
 def test_all_subobjects_count_two_chain():
     poset = FinitePoset.chain(1)
     p = Presheaf(poset, {0: ("x",), 1: ("s",)}, {(0, 1): {"s": "x"}})
     # parts: level sets {s in?, x in?} with stability: s in => x in: 3 options... plus none
-    assert len(all_subobjects(p)) == 3
+    assert len(open_masks(elements_poset(p))) == 3
+
+
+def test_opens_of_elements_poset_are_the_stable_families():
+    """Independent of the poset of elements: among all 2^N subsets of the
+    pairs (x, s), keep those closed under every restriction F(x) -> F(y)."""
+    rng = random.Random(21)
+    cases = [chain_presheaf([rng.randint(1, 3) for _ in range(rng.randint(1, 4))], rng)
+             for _ in range(8)]
+    cases += [fork_fixture(random.Random(seed), tip_sizes=(2, 1), handle_size=1)[1]
+              for seed in range(2)]
+    for p in cases:
+        pairs = [(x, s) for x in p.poset.elements for s in p.carriers[x]]
+        assert len(pairs) <= 12
+        stable = set()
+        for bits in range(1 << len(pairs)):
+            sub = {pair for k, pair in enumerate(pairs) if bits >> k & 1}
+            if all((y, p.restrict(y, x, s)) in sub for x, s in sub
+                   for y in p.poset.elements if p.poset.leq(y, x)):
+                stable.add(frozenset(sub))
+        poset = elements_poset(p)
+        assert {poset.set_of(m) for m in open_masks(poset)} == stable

@@ -4,12 +4,11 @@ import random
 import pytest
 
 from sheafnet.arch_site import FinitePoset
-from sheafnet.chains import ChainObject, DeltaSequence, all_chain_subs
+from sheafnet.chains import ChainObject, DeltaSequence
 from sheafnet.errors import InfinityArithmetic, LanguageError
+from sheafnet.heyting import OpenAlgebra
 from sheafnet.seminfo import (
-    BooleanAlgebra,
     BooleanLanguage,
-    OpenSetAlgebra,
     ambiguity,
     cardinality_precision,
     cbh_precision,
@@ -38,20 +37,20 @@ def lang_of(n):
 
 
 def subsets(lang):
-    return list(BooleanAlgebra(lang).elements())
+    return list(OpenAlgebra.discrete(lang.states).elements())
 
 
 # -- conditioning -------------------------------------------------------------
 
 def test_condition_boolean_example():
     lang = BooleanLanguage([1, 2, 3, 4])
-    alg = BooleanAlgebra(lang)
+    alg = OpenAlgebra.discrete(lang.states)
     assert condition(alg, frozenset({1}), frozenset({1, 2})) == frozenset({1, 3, 4})
 
 
 def test_condition_trivial_cases():
     lang = lang_of(3)
-    alg = BooleanAlgebra(lang)
+    alg = OpenAlgebra.discrete(lang.states)
     t = frozenset({"s0"})
     assert condition(alg, t, alg.top) == t
     assert condition(alg, alg.top, frozenset({"s1"})) == alg.top
@@ -59,7 +58,7 @@ def test_condition_trivial_cases():
 
 def test_condition_monoid_action_boolean_exhaustive():
     lang = lang_of(4)
-    alg = BooleanAlgebra(lang)
+    alg = OpenAlgebra.discrete(lang.states)
     subs = subsets(lang)
     for t in subs:
         for q in subs:
@@ -70,7 +69,7 @@ def test_condition_monoid_action_boolean_exhaustive():
 
 
 def test_condition_monoid_action_heyting_two_chain():
-    alg = OpenSetAlgebra(FinitePoset.chain(1))
+    alg = OpenAlgebra(FinitePoset.chain(1))
     opens = list(alg.elements())
     for t in opens:
         for q in opens:
@@ -220,7 +219,7 @@ def test_delta_precision_concavity_reported_negative():
     e = ChainObject.of({0, 1}, {0})
     psi = delta_precision(e, DeltaSequence.dyadic(1))
     alg = psi.algebra
-    subs = all_chain_subs(e)
+    subs = list(alg.elements())
     domain = [(q, t, t2) for q in subs for t in subs for t2 in subs if alg.leq(t, t2)]
     report = check_concavity(psi, domain)
     assert report.minimum == -0.5  # the frozen counterexample
@@ -293,7 +292,7 @@ def test_independence_failures_and_overlap():
 
 def test_conditioning_preserves_exclusion_boolean_exhaustive():
     lang = lang_of(5)
-    alg = BooleanAlgebra(lang)
+    alg = OpenAlgebra.discrete(lang.states)
     for p in subsets(lang):
         notp = alg.neg(p)
         qs = [q for q in subsets(lang) if alg.leq(p, q)]
@@ -304,7 +303,7 @@ def test_conditioning_preserves_exclusion_boolean_exhaustive():
 
 
 def test_conditioning_preserves_exclusion_heyting_two_chain():
-    alg = OpenSetAlgebra(FinitePoset.chain(1))
+    alg = OpenAlgebra(FinitePoset.chain(1))
     opens = list(alg.elements())
     for p in opens:
         notp = alg.neg(p)
@@ -318,7 +317,7 @@ def test_conditioning_preserves_exclusion_heyting_two_chain():
 
 def test_exclusion_precondition_reported():
     lang = lang_of(3)
-    alg = BooleanAlgebra(lang)
+    alg = OpenAlgebra.discrete(lang.states)
     p = frozenset({"s0"})
     with pytest.raises(LanguageError):
         conditioning_preserves_exclusion(alg, frozenset({"s0"}), p, alg.top)
