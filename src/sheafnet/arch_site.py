@@ -483,15 +483,52 @@ class FinitePoset:
                     out.append((self.elements[i], self.elements[j]))
         return tuple(out)
 
-    def lower_covers(self, y):
-        j = self.index[y]
-        out = []
-        for i in range(len(self.elements)):
-            if i != j and (self._up[i] >> j) & 1:
-                between = self._up[i] & self._down[j] & ~(1 << i) & ~(1 << j)
-                if between == 0:
-                    out.append(self.elements[i])
-        return tuple(out)
+    def lower_covers(self):
+        """Each element's lower covers, in element order."""
+        covers = {y: [] for y in self.elements}
+        for x, y in self.covering():
+            covers[y].append(x)
+        return covers
+
+    def extend_covering(self, data, check, identity, compose, error, noun, clash):
+        """Check ``data``, keyed by exactly the covering pairs, and extend it
+        to every x <= y.  A missing pair (named as a ``noun``) or an extra
+        one raises ``error``; ``check(pair, datum)`` validates one entry and
+        returns what is kept of it.  The composite for x <= y is
+        ``compose(lower, step)`` for ``step`` kept on a cover z < y and
+        ``lower`` the composite for x <= z (``identity(x)`` when x = z); it
+        must not depend on z, else ``error(clash.format(x=x, y=y))``.
+        Returns the kept data and the composites, keyed by (x, y)."""
+        covering = self.covering()
+        for pair in covering:
+            if pair not in data:
+                raise error(f"missing {noun} for covering pair {pair!r}")
+        known = set(covering)
+        kept = {}
+        for pair, datum in data.items():
+            if pair not in known:
+                raise error(f"{pair!r} is not a covering pair")
+            kept[pair] = check(pair, datum)
+        covers = self.lower_covers()
+        full = {(x, x): identity(x) for x in self.elements}
+        for y in self.linear_extension():
+            j = self.index[y]
+            steps = [(z, self._down[self.index[z]], kept[(z, y)]) for z in covers[y]]
+            below = self._down[j] & ~(1 << j)
+            while below:
+                i = (below & -below).bit_length() - 1
+                below &= below - 1
+                x = self.elements[i]
+                composite = None
+                for z, down, step in steps:
+                    if (down >> i) & 1:
+                        path = compose(full[(x, z)], step)
+                        if composite is None:
+                            composite = path
+                        elif path != composite:
+                            raise error(clash.format(x=x, y=y))
+                full[(x, y)] = composite
+        return kept, full
 
     def linear_extension(self):
         """Elements ordered so that smaller elements come first."""

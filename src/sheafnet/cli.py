@@ -53,6 +53,7 @@ from .groupoids import (
     StackOverPoset,
     check_adjunction_and_section,
     check_fibrant_injective,
+    pair_groupoid,
 )
 from .presheaf import Presheaf, cats_manifold, sections
 from .seminfo import (
@@ -123,21 +124,11 @@ def _simple_component_groupoid(doc):
         if not known.issuperset(ends):
             raise GroupoidError(f"generator {ends} names an object missing from 'objects'")
         uf.union(*ends)
-    morphisms, src, dst, inv, ident, comp_table = [], {}, {}, {}, {}, {}
-    for members in uf.groups():
-        for a in members:
-            for b in members:
-                m = (a, b)
-                morphisms.append(m)
-                src[m], dst[m], inv[m] = a, b, (b, a)
-                if a == b:
-                    ident[a] = m
-        for a in members:
-            for b in members:
-                for c in members:
-                    comp_table[((b, c), (a, b))] = (a, c)
-    return FiniteGroupoid(tuple(objects), tuple(morphisms), src, dst,
-                          comp_table, inv, ident)
+    # the components are disjoint, so their pair groupoids merge untagged
+    parts = [pair_groupoid(members) for members in uf.groups()]
+    tables = [{k: v for g in parts for k, v in getattr(g, name).items()}
+              for name in ("src", "dst", "comp", "inv", "ident")]
+    return FiniteGroupoid(tuple(objects), sum((g.morphisms for g in parts), ()), *tables)
 
 
 def _states(text):
@@ -228,10 +219,10 @@ def cmd_info(args):
     lang = BooleanLanguage([str(s) for s in doc["states"]],
                            doc.get("measure"))
     alg = hey.OpenAlgebra.discrete(lang.states)
-    theory = _states(args.theory) if args.theory else alg.top
-    q = _states(args.q) if args.q else alg.top
-    q2 = _states(args.q2) if args.q2 else alg.top
-    p = _states(args.p) if args.p else frozenset()
+    theory = alg.check(_states(args.theory)) if args.theory else alg.top
+    q = alg.check(_states(args.q)) if args.q else alg.top
+    q2 = alg.check(_states(args.q2)) if args.q2 else alg.top
+    p = alg.check(_states(args.p)) if args.p else frozenset()
     psi = localized_precision(lang, p) if p else cbh_precision(lang)
     rng = random.Random(args.seed)
     states = list(lang.states)
@@ -405,6 +396,16 @@ def cmd_verify(args):
 # Parser
 # ---------------------------------------------------------------------------
 
+def _int_at_least(low):
+    """An argparse type for integers >= ``low``."""
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
 def make_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
@@ -464,11 +465,11 @@ def make_parser():
     p.add_argument("dyn_cmd", nargs="?", default="cell",
                    choices=("cell", "gradcheck", "cusp"))
     p.add_argument("--cell", choices=tuple(CELLS), default="lstm")
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--steps", type=int, default=3)
+    p.add_argument("--m", type=_int_at_least(1), default=2)
+    p.add_argument("--n", type=_int_at_least(1), default=2)
+    p.add_argument("--steps", type=_int_at_least(0), default=3)
     p.add_argument("--arch", default=None)
-    p.add_argument("--grid", type=int, default=100)
+    p.add_argument("--grid", type=_int_at_least(2), default=100)
     p.set_defaults(fn=cmd_dyn)
 
     p = add_parser("verify", help="run the acceptance suite")

@@ -10,10 +10,11 @@ both checks run exhaustively.  Transport on general subobject algebras
 Omega^X is out of scope here; the component level is where the flow
 statements are finitely checkable.
 
+A `StackOverPoset` is closed like a presheaf, by `FinitePoset.extend_covering`.
 `check_fibrant_injective` tests diagrams of sets or of groupoids over a
-network poset for fibrancy in the injective sense: surjectivity (or the
-isofibration condition) along single covering arrows, joint surjectivity
-onto the product at every confluence.
+network poset for fibrancy in the injective sense, in one walk over the
+lower covers: surjectivity (or the isofibration condition) along single
+covering arrows, joint surjectivity onto the product at every confluence.
 """
 
 from dataclasses import dataclass, field
@@ -422,6 +423,13 @@ def is_multifibration(functors):
 # Stacks over posets and the fibrancy checker
 # ---------------------------------------------------------------------------
 
+def _compose_maps(lower, f):
+    """The (object_map, morphism_map) of ``lower`` after the functor ``f``."""
+    objects, morphisms = lower
+    return ({o: objects[f.object_map[o]] for o in f.source.objects},
+            {m: morphisms[f.morphism_map[m]] for m in f.source.morphisms})
+
+
 class StackOverPoset:
     """A contravariant assignment of groupoids to poset elements: a fiber per
     element, a gluing functor fiber(y) -> fiber(x) per covering pair x < y."""
@@ -429,48 +437,23 @@ class StackOverPoset:
     def __init__(self, poset, fibers, glue):
         self.poset = poset
         self.fibers = dict(fibers)
-        self.glue = {}
-        covering = poset.covering()
-        for pair in covering:
-            if pair not in glue:
-                raise GroupoidError(f"missing gluing functor for covering pair {pair!r}")
-        for pair, f in glue.items():
-            if pair not in covering:
-                raise GroupoidError(f"{pair!r} is not a covering pair")
-            x, y = pair
-            if f.source != self.fibers[y] or f.target != self.fibers[x]:
-                raise GroupoidError(f"gluing functor for {pair!r} has wrong endpoints")
-            self.glue[pair] = f
-        self._check_composites()
+        self.glue, full = poset.extend_covering(
+            glue, self._checked_glue,
+            identity=lambda x: ({o: o for o in self.fibers[x].objects},
+                                {m: m for m in self.fibers[x].morphisms}),
+            compose=_compose_maps,
+            error=GroupoidError, noun="gluing functor",
+            clash="gluing functors do not compose functorially between {x!r} and {y!r}")
+        # compared as (object_map, morphism_map) pairs above: functor
+        # equality ignores both maps
+        self._full = {(x, y): GroupoidFunctor.of(self.fibers[y], self.fibers[x], *maps)
+                      for (x, y), maps in full.items()}
 
-    def _check_composites(self):
-        poset = self.poset
-        full = {}
-        for x in poset.elements:
-            full[(x, x)] = identity_functor(self.fibers[x])
-        order = poset.linear_extension()
-        pos = {e: i for i, e in enumerate(order)}
-        pairs = sorted(((x, y) for x in poset.elements for y in poset.elements
-                        if x != y and poset.leq(x, y)),
-                       key=lambda p: pos[p[1]] - pos[p[0]])
-        for x, y in pairs:
-            candidate = None
-            for z in poset.lower_covers(y):
-                if not poset.leq(x, z):
-                    continue
-                step = self.glue[(z, y)]
-                lower = full[(x, z)]
-                omap = {o: lower.object_map[step.object_map[o]]
-                        for o in self.fibers[y].objects}
-                mmap = {m: lower.morphism_map[step.morphism_map[m]]
-                        for m in self.fibers[y].morphisms}
-                if candidate is None:
-                    candidate = (omap, mmap)
-                elif candidate != (omap, mmap):
-                    raise GroupoidError(
-                        f"gluing functors do not compose functorially between {x!r} and {y!r}")
-            full[(x, y)] = GroupoidFunctor.of(self.fibers[y], self.fibers[x], *candidate)
-        self._full = full
+    def _checked_glue(self, pair, f):
+        x, y = pair
+        if f.source != self.fibers[y] or f.target != self.fibers[x]:
+            raise GroupoidError(f"gluing functor for {pair!r} has wrong endpoints")
+        return f
 
     def restriction(self, x, y):
         return self._full[(x, y)]
@@ -495,57 +478,52 @@ def check_fibrant_injective(diagram):
     surjective, resp. a fibration.  Verdicts are reported per element.
     """
     if isinstance(diagram, Presheaf):
-        return _check_fibrant_sets(diagram)
-    if isinstance(diagram, StackOverPoset):
-        return _check_fibrant_stack(diagram)
-    raise GroupoidError("diagram must be a Presheaf or a StackOverPoset")
-
-
-def _check_fibrant_sets(p):
-    poset = p.poset
-    verdicts = {}
-    fibrant = True
+        arrow, confluence = _surjective, _onto_product
+    elif isinstance(diagram, StackOverPoset):
+        arrow, confluence = _isofibration, _multifibration
+    else:
+        raise GroupoidError("diagram must be a Presheaf or a StackOverPoset")
+    sets, poset = isinstance(diagram, Presheaf), diagram.poset
+    covers, verdicts = poset.lower_covers(), {}
     for y in poset.elements:
-        preds = poset.lower_covers(y)
-        entry = {"confluence": len(preds) >= 2, "nonempty": len(p.carriers[y]) > 0}
-        if not preds:
-            entry["ok"] = True
-        elif len(preds) == 1:
-            x = preds[0]
-            image = {p.restrict(x, y, s) for s in p.carriers[y]}
-            entry["ok"] = image == set(p.carriers[x])
-            entry["why"] = "restriction surjective" if entry["ok"] else \
-                f"restriction to {x!r} misses {sorted(map(str, set(p.carriers[x]) - image))}"
-        else:
-            image = {tuple(p.restrict(x, y, s) for x in preds) for s in p.carriers[y]}
-            target = set(iproduct(*(p.carriers[x] for x in preds)))
-            entry["ok"] = image == target
-            entry["why"] = "onto the product" if entry["ok"] else \
-                f"misses {len(target - image)} tuples of the product"
-        fibrant = fibrant and entry["ok"]
-        verdicts[y] = entry
-    return FibrancyReport(fibrant, verdicts)
-
-
-def _check_fibrant_stack(stack):
-    poset = stack.poset
-    verdicts = {}
-    fibrant = True
-    for y in poset.elements:
-        preds = poset.lower_covers(y)
+        preds = covers[y]
         entry = {"confluence": len(preds) >= 2}
+        if sets:
+            entry["nonempty"] = len(diagram.carriers[y]) > 0
         if not preds:
             entry["ok"] = True
-        elif len(preds) == 1:
-            entry["ok"] = is_fibration(stack.glue[(preds[0], y)])
-            entry["why"] = "isofibration" if entry["ok"] else "lift missing"
         else:
-            entry["ok"] = is_multifibration([stack.glue[(x, y)] for x in preds])
-            entry["why"] = "multi-fibration onto the product" if entry["ok"] else \
-                "pairing into the product is not a fibration"
-        fibrant = fibrant and entry["ok"]
+            test = arrow if len(preds) == 1 else confluence
+            entry["ok"], entry["why"] = test(diagram, preds, y)
         verdicts[y] = entry
-    return FibrancyReport(fibrant, verdicts)
+    return FibrancyReport(all(e["ok"] for e in verdicts.values()), verdicts)
+
+
+def _surjective(p, preds, y):
+    x = preds[0]
+    image = {p.restrict(x, y, s) for s in p.carriers[y]}
+    ok = image == set(p.carriers[x])
+    return ok, "restriction surjective" if ok else \
+        f"restriction to {x!r} misses {sorted(map(str, set(p.carriers[x]) - image))}"
+
+
+def _onto_product(p, preds, y):
+    image = {tuple(p.restrict(x, y, s) for x in preds) for s in p.carriers[y]}
+    target = set(iproduct(*(p.carriers[x] for x in preds)))
+    ok = image == target
+    return ok, "onto the product" if ok else \
+        f"misses {len(target - image)} tuples of the product"
+
+
+def _isofibration(stack, preds, y):
+    ok = is_fibration(stack.glue[(preds[0], y)])
+    return ok, "isofibration" if ok else "lift missing"
+
+
+def _multifibration(stack, preds, y):
+    ok = is_multifibration([stack.glue[(x, y)] for x in preds])
+    return ok, "multi-fibration onto the product" if ok else \
+        "pairing into the product is not a fibration"
 
 
 # ---------------------------------------------------------------------------

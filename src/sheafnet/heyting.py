@@ -24,6 +24,9 @@ from .errors import PosetError
 
 
 def _require_open(poset, subset, name):
+    foreign = [x for x in subset if x not in poset.index]
+    if foreign:
+        raise PosetError(f"{sorted(map(str, foreign))} are not elements of the poset")
     if not is_open(poset, subset):
         raise PosetError(f"{name} = {sorted(map(str, subset))} is not downward closed")
     return poset.mask_of(subset)

@@ -2,7 +2,8 @@
 
 A presheaf assigns a finite carrier to every poset element and a
 restriction map F(y) -> F(x) to every covering pair x < y; composites along
-order paths must agree (validated at construction).  Global sections (the
+order paths must agree (built and checked at construction by
+`FinitePoset.extend_covering`, as for groupoid stacks).  Global sections (the
 limit H0) are enumerated exactly by backtracking over the maximal
 elements.  `sheafify_at_forks` extends a presheaf on the star-free poset to
 the full fork site, putting the product of the tip carriers on each star;
@@ -33,54 +34,25 @@ class Presheaf:
         for x, states in self.carriers.items():
             if len(set(states)) != len(states):
                 raise PresheafError(f"carrier at {x!r} has repeated states")
-        self.maps = {}
-        covering = poset.covering()
-        for pair in covering:
-            if pair not in maps:
-                raise PresheafError(f"missing restriction map for covering pair {pair!r}")
-        for pair, m in maps.items():
-            if pair not in covering:
-                raise PresheafError(f"{pair!r} is not a covering pair")
-            x, y = pair
-            m = dict(m)
-            missing = set(self.carriers[y]) - set(m)
-            if missing:
-                raise PresheafError(f"map {pair!r} undefined on {sorted(map(str, missing))}")
-            bad = set(m.values()) - set(self.carriers[x])
-            if bad:
-                raise PresheafError(f"map {pair!r} lands outside F({x!r})")
-            self.maps[pair] = m
-        self._restrictions = self._close()
+        self.maps, self._restrictions = poset.extend_covering(
+            maps, self._checked_map,
+            identity=lambda x: {s: s for s in self.carriers[x]},
+            compose=lambda lower, step: {s: lower[t] for s, t in step.items()},
+            error=PresheafError, noun="restriction map",
+            clash="functoriality failure between {x!r} and {y!r}: "
+                  "two order paths compose to different maps")
 
-    def _close(self):
-        """Full restriction maps for every x <= y, checking functoriality."""
-        poset = self.poset
-        full = {}
-        for x in poset.elements:
-            full[(x, x)] = {s: s for s in self.carriers[x]}
-        # walk pairs in increasing order-distance so composites are ready
-        order = poset.linear_extension()
-        pos = {e: i for i, e in enumerate(order)}
-        pairs = sorted(
-            ((x, y) for x in poset.elements for y in poset.elements
-             if x != y and poset.leq(x, y)),
-            key=lambda p: pos[p[1]] - pos[p[0]])
-        for x, y in pairs:
-            candidate = None
-            for z in poset.lower_covers(y):
-                if not poset.leq(x, z):
-                    continue
-                step = self.maps[(z, y)]
-                lower = full[(x, z)]
-                composed = {s: lower[step[s]] for s in self.carriers[y]}
-                if candidate is None:
-                    candidate = composed
-                elif candidate != composed:
-                    raise PresheafError(
-                        f"functoriality failure between {x!r} and {y!r}: "
-                        "two order paths compose to different maps")
-            full[(x, y)] = candidate
-        return full
+    def _checked_map(self, pair, m):
+        """The map of a covering pair x < y, on F(y) in carrier order."""
+        x, y = pair
+        m = dict(m)
+        missing = set(self.carriers[y]) - set(m)
+        if missing:
+            raise PresheafError(f"map {pair!r} undefined on {sorted(map(str, missing))}")
+        bad = set(m.values()) - set(self.carriers[x])
+        if bad:
+            raise PresheafError(f"map {pair!r} lands outside F({x!r})")
+        return {s: m[s] for s in self.carriers[y]}
 
     def restrict(self, x, y, state):
         """Image of ``state`` in F(x) along x <= y."""

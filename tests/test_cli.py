@@ -118,6 +118,38 @@ def test_stack_check_fibrant_sets(capsys, tmp_path):
     assert json.loads(out)["fibrant"] is False
 
 
+def groupoid_stack_doc(poset, fibers, glue):
+    return {"poset": poset,
+            "fibers": {x: {"objects": objs, "generators": [{"src": a, "dst": b} for a, b in gens]}
+                       for x, (objs, gens) in fibers.items()},
+            "glue": glue}
+
+
+@pytest.mark.parametrize("doc, want", [
+    # a confluence whose pairing into the product is bijective on objects
+    (groupoid_stack_doc({"elements": ["l", "r", "t"], "leq": [["l", "t"], ["r", "t"]]},
+                        {"t": (["a", "b"], [("a", "b")]), "l": (["p"], []),
+                         "r": (["u", "v"], [("v", "u")])},
+                        {"l<=t": {"a": "p", "b": "p"}, "r<=t": {"a": "u", "b": "v"}}),
+     {"fibrant": True, "verdicts": {
+         "l": {"confluence": False, "ok": True}, "r": {"confluence": False, "ok": True},
+         "t": {"confluence": True, "ok": True, "why": "multi-fibration onto the product"}}}),
+    # the arrow p -> q below has no lift: a and b are not connected
+    (groupoid_stack_doc({"elements": ["0", "1"], "leq": [["0", "1"]]},
+                        {"1": (["a", "b"], []), "0": (["p", "q"], [("p", "q")])},
+                        {"0<=1": {"a": "p", "b": "q"}}),
+     {"fibrant": False, "verdicts": {
+         "0": {"confluence": False, "ok": True},
+         "1": {"confluence": False, "ok": False, "why": "lift missing"}}}),
+], ids=["fibrant", "not-fibrant"])
+def test_stack_check_fibrant_groupoids(capsys, tmp_path, doc, want):
+    path = tmp_path / "stack.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "stack", "check-fibrant", "--in", str(path))
+    assert code == (0 if want["fibrant"] else 1)
+    assert json.loads(out) == want
+
+
 def test_info_report(capsys, tmp_path):
     lang = {"states": ["00", "01", "10", "11"]}
     path = tmp_path / "lang.json"
@@ -131,6 +163,15 @@ def test_info_report(capsys, tmp_path):
     assert report["checks"]["cocycle"]["ok"]
     assert report["checks"]["concavity"]["ok"]
     assert report["delta"]["dominated"]
+
+
+@pytest.mark.parametrize("flag", ["--theory", "--q", "--q2", "--p"])
+def test_info_state_outside_language_exit_2(capsys, tmp_path, flag):
+    path = tmp_path / "lang.json"
+    path.write_text(json.dumps({"states": ["00", "01", "10", "11"]}))
+    code, out, err = run(capsys, "info", "--in", str(path), flag, "00,zz")
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "'zz'" in err
 
 
 @pytest.mark.parametrize("command", ["sections", "info"])
@@ -190,6 +231,21 @@ def test_dyn_cusp_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "u,v,delta,root_count"
     assert len(lines) == 17
+
+
+@pytest.mark.parametrize("argv", [
+    ["dyn", "cusp", "--grid", "1"],
+    ["dyn", "cusp", "--grid", "-1"],
+    ["dyn", "--m", "0"],
+    ["dyn", "--n", "0"],
+    ["dyn", "--steps", "-1"],
+])
+def test_dyn_out_of_range_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must be at least" in captured.err
 
 
 def test_format_option_is_rejected_by_the_parser(capsys, datadir):

@@ -286,6 +286,46 @@ def test_stack_fibrancy_groupoid_case():
     assert not check_fibrant_injective(down).fibrant  # nontrivial loop has no lift
 
 
+def test_stack_rejects_missing_gluing_functor():
+    g = discrete_groupoid(["*"])
+    with pytest.raises(GroupoidError, match="missing gluing functor for covering pair"):
+        StackOverPoset(FinitePoset.chain(1), {0: g, 1: g}, {})
+
+
+def test_stack_rejects_functor_on_non_covering_pair():
+    g = discrete_groupoid(["*"])
+    ident = identity_functor(g)
+    glue = {(0, 1): ident, (1, 2): ident, (0, 2): ident}
+    with pytest.raises(GroupoidError, match=r"\(0, 2\) is not a covering pair"):
+        StackOverPoset(FinitePoset.chain(2), {0: g, 1: g, 2: g}, glue)
+
+
+def test_stack_rejects_functor_with_wrong_endpoints():
+    small, big = discrete_groupoid(["*"]), pair_groupoid(["a", "b"])
+    # fiber(1) -> fiber(0) is required; this one runs fiber(0) -> fiber(1)
+    backwards = constant_functor(small, big, "a")
+    with pytest.raises(GroupoidError, match="has wrong endpoints"):
+        StackOverPoset(FinitePoset.chain(1), {0: small, 1: big}, {(0, 1): backwards})
+
+
+def test_stack_functoriality_clash_on_diamond():
+    # two cover paths 0 < 1 < 3 and 0 < 2 < 3 sending t to different objects
+    poset = FinitePoset([0, 1, 2, 3], [(0, 1), (0, 2), (1, 3), (2, 3)])
+    fibers = {0: discrete_groupoid(["x", "y"]), 1: discrete_groupoid(["u"]),
+              2: discrete_groupoid(["v"]), 3: discrete_groupoid(["t"])}
+
+    def glue(y, x, obj):
+        return constant_functor(fibers[y], fibers[x], obj)
+
+    agreeing = {(0, 1): glue(1, 0, "x"), (0, 2): glue(2, 0, "x"),
+                (1, 3): glue(3, 1, "u"), (2, 3): glue(3, 2, "v")}
+    stack = StackOverPoset(poset, fibers, agreeing)
+    assert stack.restriction(0, 3).object_map == {"t": "x"}
+    clashing = {**agreeing, (0, 2): glue(2, 0, "y")}
+    with pytest.raises(GroupoidError, match="between 0 and 3"):
+        StackOverPoset(poset, fibers, clashing)
+
+
 # -- orbits ---------------------------------------------------------------------
 
 def test_trivial_group_singleton_orbits():

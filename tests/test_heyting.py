@@ -41,6 +41,20 @@ def test_rejects_non_open_argument():
         hey.implies(p, frozenset({1}), frozenset())
 
 
+@pytest.mark.parametrize("call", [
+    lambda p: hey.implies(p, frozenset({5}), frozenset()),
+    lambda p: hey.implies(p, frozenset(), frozenset({5})),
+    lambda p: hey.neg(p, frozenset({5})),
+    lambda p: hey.oracle_implies(p, frozenset({0}), frozenset({"x"})),
+], ids=["implies-q", "implies-t", "neg", "oracle_implies"])
+def test_rejects_foreign_elements_like_open_algebra(call):
+    p = FinitePoset.chain(1)
+    with pytest.raises(PosetError, match="are not elements of the poset"):
+        call(p)
+    with pytest.raises(PosetError, match="are not elements of the poset"):
+        hey.OpenAlgebra(p).check({5})
+
+
 def test_vacuous_and_equal_cases():
     p = FinitePoset.chain(2)
     top = frozenset(p.elements)
