@@ -55,7 +55,7 @@ from .groupoids import (
     check_fibrant_injective,
     pair_groupoid,
 )
-from .presheaf import Presheaf, cats_manifold, sections
+from .presheaf import DEFAULT_SECTION_BOUND, Presheaf, cats_manifold, sections
 from .seminfo import (
     BooleanLanguage,
     ambiguity,
@@ -108,11 +108,28 @@ def _load_poset(doc):
 def _load_presheaf(doc):
     poset = _load_poset(doc["poset"])
     carriers = {x: tuple(doc["carriers"][str(x)]) for x in poset.elements}
-    maps = {}
-    for key, m in doc.get("maps", {}).items():
-        x, y = key.split("<=")
-        maps[(x, y)] = dict(m)
+    maps = {_covering_pair(key, poset.elements): dict(m)
+            for key, m in doc.get("maps", {}).items()}
     return Presheaf(poset, carriers, maps)
+
+
+def _covering_pair(key, elements):
+    """The pair (x, y) of ``elements`` named by a "x<=y" key."""
+    pair = tuple(key.split("<="))
+    if len(pair) != 2 or not set(pair) <= set(elements):
+        raise SheafnetError(f"key {key!r} must name two poset elements as 'x<=y'")
+    return pair
+
+
+def _component_functor(source, target, table, what):
+    """The functor of component groupoids sending each object ``o`` to
+    ``table[str(o)]``, and each morphism to the one between its ends' images."""
+    missing = sorted(str(o) for o in source.objects if str(o) not in table)
+    if missing:
+        raise SheafnetError(f"{what} leaves out objects {missing}")
+    omap = {o: str(table[str(o)]) for o in source.objects}
+    return GroupoidFunctor.of(source, target, omap,
+                              {(a, b): (omap[a], omap[b]) for a, b in source.morphisms})
 
 
 def _simple_component_groupoid(doc):
@@ -147,25 +164,24 @@ def cmd_site(args):
 
 def cmd_sections(args):
     p = _load_presheaf(_load_json(args.infile))
-    secs = sections(p, bound=args.bound or 10**6)
-    report = {
-        "count": len(secs),
-        "sections": [{str(k): str(v) for k, v in s.items()} for s in secs][:args.limit],
-    }
-    emit_report(report, args.out)
-    return 0
+    return _emit_sections(sections(p, _section_bound(args)), args)
 
 
 def cmd_cats_manifold(args):
     p = _load_presheaf(_load_json(args.infile))
-    pred_doc = _load_json(args.predicate)
-    predicate = {k: list(v) for k, v in pred_doc.items()}
-    hits = cats_manifold(p, predicate)
-    report = {
-        "count": len(hits),
-        "sections": [{str(k): str(v) for k, v in s.items()} for s in hits][:args.limit],
-    }
-    emit_report(report, args.out)
+    predicate = {k: list(v) for k, v in _load_json(args.predicate).items()}
+    return _emit_sections(cats_manifold(p, predicate, _section_bound(args)), args)
+
+
+def _section_bound(args):
+    return DEFAULT_SECTION_BOUND if args.bound is None else args.bound
+
+
+def _emit_sections(secs, args):
+    """The count and the first ``--limit`` sections, states as strings."""
+    emit_report({"count": len(secs),
+                 "sections": [{str(k): str(v) for k, v in s.items()} for s in secs][:args.limit]},
+                args.out)
     return 0
 
 
@@ -189,10 +205,9 @@ def cmd_stack(args):
                       for x in poset.elements}
             glue = {}
             for key, omap in doc["glue"].items():
-                x, y = key.split("<=")
-                f_omap = {o: omap[str(o)] for o in fibers[y].objects}
-                f_mmap = {(a, b): (f_omap[a], f_omap[b]) for a, b in fibers[y].morphisms}
-                glue[(x, y)] = GroupoidFunctor.of(fibers[y], fibers[x], f_omap, f_mmap)
+                x, y = _covering_pair(key, fibers)
+                glue[(x, y)] = _component_functor(fibers[y], fibers[x], omap,
+                                                  f"glue object map {key!r}")
             diagram = StackOverPoset(poset, fibers, glue)
         report = check_fibrant_injective(diagram)
         emit_report(report.as_dict(), args.out)
@@ -200,17 +215,9 @@ def cmd_stack(args):
     # adjunction
     src = _simple_component_groupoid(doc["source"])
     dst = _simple_component_groupoid(doc["target"])
-    omap = {o: str(doc["object_map"][str(o)]) for o in src.objects}
-    mmap = {(a, b): (omap[a], omap[b]) for a, b in src.morphisms}
-    f = GroupoidFunctor.of(src, dst, omap, mmap)
-    report = check_adjunction_and_section(f)
-    emit_report({
-        "adjunction_ok": report.adjunction_ok,
-        "unit_ok": report.unit_ok,
-        "surjective_on_components": report.surjective_on_components,
-        "section_ok": report.section_ok,
-        "failures": [str(f) for f in report.failures],
-    }, args.out)
+    report = check_adjunction_and_section(
+        _component_functor(src, dst, doc["object_map"], "object_map"))
+    emit_report(dict(vars(report), failures=[str(f) for f in report.failures]), args.out)
     return 0 if report.ok else 1
 
 

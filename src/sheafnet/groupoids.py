@@ -2,13 +2,13 @@
 
 The subobject classifier of a finite groupoid (at the level of subobjects
 of the terminal object) is the Boolean algebra of subsets of its set of
-connected components.  A functor F: G' -> G transports component sets
-forward by image (`lambda_transport`) and backward by preimage
-(`tau_transport`); the two are adjoint, the backward transport is a
-section of the forward one exactly when F is surjective on components, and
-both checks run exhaustively.  Transport on general subobject algebras
-Omega^X is out of scope here; the component level is where the flow
-statements are finitely checkable.
+connected components, computed once per groupoid.  A functor F: G' -> G
+moves component sets by one image/preimage pair of bit masks along its map
+pi0(G') -> pi0(G): forward by image (`lambda_transport`), backward by
+preimage (`tau_transport`).  The two are adjoint, the backward transport is
+a section of the forward one exactly when F is surjective on components,
+and both checks run exhaustively.  Transport on general subobject algebras
+Omega^X is out of scope; the component level is finitely checkable.
 
 A `StackOverPoset` is closed like a presheaf, by `FinitePoset.extend_covering`.
 `check_fibrant_injective` tests diagrams of sets or of groupoids over a
@@ -18,6 +18,7 @@ covering arrows, joint surjectivity onto the product at every confluence.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product as iproduct
 
 import numpy as np
@@ -89,18 +90,16 @@ class FiniteGroupoid:
     # -- components ---------------------------------------------------------
 
     def components(self):
-        """Partition of the objects under "there exists a morphism"."""
+        """Partition of the objects under "there exists a morphism", built once."""
+        return self._components
+
+    @cached_property
+    def _components(self):
         uf = UnionFind(self.objects)
         for f in self.morphisms:
             uf.union(self.src[f], self.dst[f])
         return tuple(tuple(sorted(g, key=str)) for g in
                      sorted(uf.groups(), key=lambda c: str(min(c, key=str))))
-
-    def component_of(self, obj):
-        for comp in self.components():
-            if obj in comp:
-                return comp
-        raise GroupoidError(f"unknown object {obj!r}")
 
 
 def connected_components(g):
@@ -284,8 +283,11 @@ class GroupoidFunctor:
                 raise GroupoidError(f"functor breaks composition at ({g!r}, {f!r})")
         return self
 
-    def component_image(self, comp):
-        return self.target.component_of(self.object_map[comp[0]])
+    @cached_property
+    def pi0(self):
+        """The map on components, as the index of each source component's image."""
+        index = {o: i for i, comp in enumerate(self.target.components()) for o in comp}
+        return tuple(index[self.object_map[comp[0]]] for comp in self.source.components())
 
 
 def identity_functor(g):
@@ -304,23 +306,38 @@ def constant_functor(source, target, obj):
 # Logic transport on component algebras
 # ---------------------------------------------------------------------------
 
+def _image(m, mask):
+    """Image of the subset ``mask`` of range(len(m)) under i -> m[i], as a mask."""
+    return sum(1 << j for j in {j for i, j in enumerate(m) if mask >> i & 1})
+
+
+def _preimage(m, mask):
+    """Preimage of the subset ``mask`` under i -> m[i], as a mask."""
+    return sum(1 << i for i, j in enumerate(m) if mask >> j & 1)
+
+
+def _members(components, mask):
+    return tuple(c for i, c in enumerate(components) if mask >> i & 1)
+
+
+def _transport(move, functor, domain, codomain, comps, name):
+    """The components of ``codomain`` that ``move`` sends ``comps`` to."""
+    bit = {c: 1 << i for i, c in enumerate(domain.components())}
+    comps = frozenset(comps)
+    if not comps <= bit.keys():
+        raise GroupoidError(f"unknown component in {name}")
+    mask = move(functor.pi0, sum(bit[c] for c in comps))
+    return frozenset(_members(codomain.components(), mask))
+
+
 def lambda_transport(functor, comps):
     """Feed-forward transport: the image of a component set."""
-    comps = frozenset(comps)
-    known = set(functor.source.components())
-    if not comps <= known:
-        raise GroupoidError("unknown component in lambda_transport")
-    return frozenset(functor.component_image(c) for c in comps)
+    return _transport(_image, functor, functor.source, functor.target, comps, "lambda_transport")
 
 
 def tau_transport(functor, comps):
     """Feedback transport: the saturated preimage of a component set."""
-    comps = frozenset(comps)
-    known = set(functor.target.components())
-    if not comps <= known:
-        raise GroupoidError("unknown component in tau_transport")
-    return frozenset(c for c in functor.source.components()
-                     if functor.component_image(c) in comps)
+    return _transport(_preimage, functor, functor.target, functor.source, comps, "tau_transport")
 
 
 @dataclass(frozen=True)
@@ -337,40 +354,35 @@ class AdjunctionReport:
             (self.section_ok or not self.surjective_on_components)
 
 
-def powerset(items):
-    items = list(items)
-    for mask in range(2 ** len(items)):
-        yield frozenset(x for i, x in enumerate(items) if (mask >> i) & 1)
-
-
 def check_adjunction_and_section(functor, component_bound=8):
     """Exhaustively verify lambda -| tau, the unit, and whether the forward
     transport retracts the backward one (it must iff the functor is
-    surjective on components)."""
+    surjective on components), over all bit masks of components.  The first
+    eight failures are kept, with components in ``components()`` order."""
     src_comps = functor.source.components()
     dst_comps = functor.target.components()
     if len(src_comps) > component_bound or len(dst_comps) > component_bound:
         raise BoundExceeded("too many components for the exhaustive check")
+    m = functor.pi0
+    lam = [_image(m, p) for p in range(1 << len(src_comps))]
+    tau = [_preimage(m, q) for q in range(1 << len(dst_comps))]
     failures = []
     adj = unit = True
-    for p in powerset(src_comps):
-        lam = lambda_transport(functor, p)
-        if not p <= tau_transport(functor, lam):
+    for p, lp in enumerate(lam):
+        if p & ~tau[lp]:
             unit = False
-            failures.append(("unit", p))
-        for q in powerset(dst_comps):
-            left = lam <= q
-            right = p <= tau_transport(functor, q)
-            if left != right:
+            failures.append(("unit", _members(src_comps, p)))
+        for q, tq in enumerate(tau):
+            if (lp & ~q == 0) != (p & ~tq == 0):
                 adj = False
-                failures.append(("adjunction", p, q))
-    image = {functor.component_image(c) for c in src_comps}
-    surjective = image == set(dst_comps)
+                failures.append(("adjunction", _members(src_comps, p),
+                                 _members(dst_comps, q)))
+    surjective = lam[-1] == len(tau) - 1      # the image of every component is all of them
     section = True
-    for q in powerset(dst_comps):
-        if lambda_transport(functor, tau_transport(functor, q)) != q:
+    for q, tq in enumerate(tau):
+        if lam[tq] != q:
             section = False
-            failures.append(("section", q))
+            failures.append(("section", _members(dst_comps, q)))
     return AdjunctionReport(adj, unit, surjective, section, tuple(failures[:8]))
 
 

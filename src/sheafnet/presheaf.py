@@ -6,9 +6,11 @@ order paths must agree (built and checked at construction by
 `FinitePoset.extend_covering`, as for groupoid stacks).  Global sections (the
 limit H0) are enumerated exactly by backtracking over the maximal
 elements.  `sheafify_at_forks` extends a presheaf on the star-free poset to
-the full fork site, putting the product of the tip carriers on each star;
-`cats_manifold` restricts the section set by a predicate on the output
-layers via the terminal-fork extension of the site.
+the full fork site, putting the product of the tip carriers on each star.
+A cat's manifold is the preimage of an output predicate along the
+projection H0 -> prod F(outputs): `cats_manifold` keeps the sections whose
+output states are accepted.  The paper's construction, sections of the site
+extended by a terminal fork, is the reference the tests check it against.
 
 A subobject (a stable family of subsets) is an open of the poset of
 elements `elements_poset(F)`, so subobjects are computed with the one
@@ -266,49 +268,21 @@ def cats_manifold(presheaf, out_predicate, bound=DEFAULT_SECTION_BOUND):
     """Sections whose output components satisfy a predicate.
 
     ``out_predicate`` maps output elements to the accepted subset of their
-    carrier; omitted outputs accept everything.  Implemented by extending
-    the site with a terminal fork (product of the outputs, a two-state
-    truth layer and a singleton forcing "true") and enumerating the
-    sections of the extended presheaf.
+    carrier; omitted outputs accept everything.  The result is the preimage
+    of the accepted output tuples along the projection of ``sections(bound)``
+    onto the outputs, which the paper builds as the sections of the site
+    extended by a terminal fork.
     """
     outputs = _output_elements(presheaf)
     for el in out_predicate:
         if el not in outputs:
             raise PresheafError(f"predicate on non-output element {el!r}")
-    accepted = {el: frozenset(out_predicate.get(el, presheaf.carriers[el]))
-                for el in outputs}
-    for el, acc in accepted.items():
+    accepted = [frozenset(out_predicate.get(el, presheaf.carriers[el])) for el in outputs]
+    for el, acc in zip(outputs, accepted):
         bad = acc - set(presheaf.carriers[el])
         if bad:
             raise PresheafError(f"predicate states {sorted(map(str, bad))} not in F({el!r})")
-
-    poset = presheaf.poset
-    b, wb, w1 = "__B", "__wb", "__w1"
-    rel = [(x, y) for x in poset.elements for y in poset.elements
-           if x != y and poset.leq(x, y)]
-    rel += [(o, b) for o in outputs]
-    rel += [(wb, b), (wb, w1)]
-    big = FinitePoset(list(poset.elements) + [b, wb, w1], rel)
-    carriers = {x: presheaf.carriers[x] for x in poset.elements}
-    carriers[b] = tuple(iproduct(*(presheaf.carriers[o] for o in outputs)))
-    carriers[wb] = (False, True)
-    carriers[w1] = ("*",)
-    maps = {}
-    for x, y in big.covering():
-        if y == b:
-            if x == wb:
-                maps[(x, y)] = {
-                    tup: all(s in accepted[o] for o, s in zip(outputs, tup))
-                    for tup in carriers[b]}
-            else:
-                pos = outputs.index(x)
-                maps[(x, y)] = {tup: tup[pos] for tup in carriers[b]}
-        elif y == w1:
-            maps[(x, y)] = {"*": True}
-        else:
-            maps[(x, y)] = presheaf.restriction_map(x, y)
-    extended = Presheaf(big, carriers, maps)
-    secs = extended.sections(bound)
-    kept = [{x: s[x] for x in poset.elements} for s in secs]
-    kept.sort(key=lambda s: tuple(str(s[x]) for x in poset.elements))
-    return SectionSet(tuple(poset.elements), tuple(kept))
+    secs = presheaf.sections(bound)
+    kept = tuple(s for s, image in zip(secs, secs.project(outputs))
+                 if all(v in acc for v, acc in zip(image, accepted)))
+    return SectionSet(secs.elements, kept)

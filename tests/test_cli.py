@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -68,6 +70,38 @@ def test_sections_and_cats_manifold(capsys, tmp_path):
     assert json.loads(out)["count"] == 2
 
 
+CHAIN_PRESHEAF = {
+    "poset": {"elements": ["0", "1"], "leq": [["0", "1"]]},
+    "carriers": {"0": ["a", "b"], "1": ["u", "v"]},
+    "maps": {"0<=1": {"u": "a", "v": "b"}},
+}
+
+
+@pytest.mark.parametrize("command", ["sections", "cats-manifold"])
+def test_bound_zero_exit_2(capsys, tmp_path, command):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(CHAIN_PRESHEAF))
+    pred = tmp_path / "pred.json"
+    pred.write_text("{}")
+    argv = [command, "--in", str(path)]
+    if command == "cats-manifold":
+        argv += ["--predicate", str(pred)]
+    code, out, err = run(capsys, *argv, "--bound", "0")
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "more than 0 candidates" in err
+    code, out, _ = run(capsys, *argv, "--bound", "2")
+    assert code == 0 and json.loads(out)["count"] == 2
+
+
+@pytest.mark.parametrize("command", [["sections"], ["stack", "check-fibrant"]])
+def test_maps_key_without_leq_exit_2(capsys, tmp_path, command):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(dict(CHAIN_PRESHEAF, maps={"01": {"u": "a", "v": "b"}})))
+    code, out, err = run(capsys, *command, "--in", str(path))
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "'01'" in err
+
+
 def test_heyting_table_two_chain(capsys, tmp_path):
     poset = tmp_path / "poset.json"
     poset.write_text(json.dumps({"elements": ["0", "1"], "leq": [["0", "1"]]}))
@@ -90,6 +124,38 @@ def test_stack_adjunction(capsys, tmp_path):
     assert code == 0
     report = json.loads(out)
     assert report["adjunction_ok"] and report["section_ok"]
+
+
+def test_stack_adjunction_partial_object_map_exit_2(capsys, tmp_path):
+    doc = {
+        "source": {"objects": ["x", "y"], "generators": []},
+        "target": {"objects": ["z"], "generators": []},
+        "object_map": {"x": "z"},
+    }
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "stack", "adjunction", "--in", str(path))
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "['y']" in err
+
+
+def test_stack_adjunction_failures_do_not_depend_on_hash_seed(tmp_path):
+    doc = {
+        "source": {"objects": ["x"], "generators": []},
+        "target": {"objects": ["u", "v", "w"], "generators": []},
+        "object_map": {"x": "u"},
+    }
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(doc))
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-m", "sheafnet.cli", "stack", "adjunction",
+                               "--in", str(path)], env=env, capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["failures"][0] == "('section', (('v',),))"
 
 
 def test_stack_adjunction_unknown_generator_object_exit_2(capsys, tmp_path):
@@ -148,6 +214,27 @@ def test_stack_check_fibrant_groupoids(capsys, tmp_path, doc, want):
     code, out, _ = run(capsys, "stack", "check-fibrant", "--in", str(path))
     assert code == (0 if want["fibrant"] else 1)
     assert json.loads(out) == want
+
+
+GLUE_STACK = groupoid_stack_doc({"elements": ["0", "1"], "leq": [["0", "1"]]},
+                                {"1": (["a", "b"], []), "0": (["p"], [])},
+                                {"0<=1": {"a": "p", "b": "p"}})
+
+
+@pytest.mark.parametrize("glue, message", [
+    ({"01": {"a": "p", "b": "p"}}, "'01'"),
+    ({"0<=1": {}}, "['a', 'b']"),
+    ({"0<=1": {"a": "p"}}, "['b']"),
+    ({"0<=2": {"a": "p", "b": "p"}}, "'0<=2'"),
+], ids=["key-without-leq", "empty-object-map", "partial-object-map", "foreign-element"])
+def test_stack_check_fibrant_bad_glue_exit_2(capsys, tmp_path, glue, message):
+    path = tmp_path / "stack.json"
+    path.write_text(json.dumps(dict(GLUE_STACK, glue=glue)))
+    code, out, err = run(capsys, "stack", "check-fibrant", "--in", str(path))
+    assert code == 2
+    assert out == "" and err.startswith("error:") and message in err
+    path.write_text(json.dumps(GLUE_STACK))
+    assert run(capsys, "stack", "check-fibrant", "--in", str(path))[0] == 0
 
 
 def test_info_report(capsys, tmp_path):

@@ -1,12 +1,15 @@
+import dataclasses
 import math
 import random
 
 import pytest
 
+from sheafnet import groupoids
 from sheafnet.arch_site import FinitePoset
 from sheafnet.carnap import build_language, build_symmetry_group, symmetry_generators
 from sheafnet.errors import BoundExceeded, GroupoidError
 from sheafnet.groupoids import (
+    AdjunctionReport,
     GroupoidFunctor,
     StackOverPoset,
     check_adjunction_and_section,
@@ -23,11 +26,11 @@ from sheafnet.groupoids import (
     is_multifibration,
     lambda_transport,
     pair_groupoid,
-    powerset,
     product_groupoid,
     tau_transport,
 )
 from sheafnet.presheaf import Presheaf
+from sheafnet.unionfind import UnionFind
 
 
 def cyclic_perm(points):
@@ -79,6 +82,12 @@ def test_components_match_reachability_oracle():
 
 
 # -- transports --------------------------------------------------------------
+
+def powerset(items):
+    items = list(items)
+    for mask in range(2 ** len(items)):
+        yield frozenset(x for i, x in enumerate(items) if (mask >> i) & 1)
+
 
 def two_over_one_functor():
     src = discrete_groupoid(["x", "y"])
@@ -160,6 +169,139 @@ def test_lambda_meet_preserved_for_component_injective_functors():
         for q in powerset(comps):
             assert lambda_transport(f, p & q) == \
                 lambda_transport(f, p) & lambda_transport(f, q)
+
+
+# -- reference transport on frozensets of components ---------------------------
+
+def reference_component_image(functor, comp):
+    obj = functor.object_map[comp[0]]
+    return next(c for c in connected_components(functor.target) if obj in c)
+
+
+def reference_lambda_transport(functor, comps):
+    comps = frozenset(comps)
+    known = set(connected_components(functor.source))
+    if not comps <= known:
+        raise GroupoidError("unknown component in lambda_transport")
+    return frozenset(reference_component_image(functor, c) for c in comps)
+
+
+def reference_tau_transport(functor, comps):
+    comps = frozenset(comps)
+    known = set(connected_components(functor.target))
+    if not comps <= known:
+        raise GroupoidError("unknown component in tau_transport")
+    return frozenset(c for c in connected_components(functor.source)
+                     if reference_component_image(functor, c) in comps)
+
+
+def reference_check_adjunction_and_section(functor, component_bound=8):
+    """Every pair of component sets as frozensets; failures hold frozensets."""
+    lam, tau = reference_lambda_transport, reference_tau_transport
+    src_comps = connected_components(functor.source)
+    dst_comps = connected_components(functor.target)
+    if len(src_comps) > component_bound or len(dst_comps) > component_bound:
+        raise BoundExceeded("too many components for the exhaustive check")
+    failures = []
+    adj = unit = True
+    for p in powerset(src_comps):
+        lp = lam(functor, p)
+        if not p <= tau(functor, lp):
+            unit = False
+            failures.append(("unit", p))
+        for q in powerset(dst_comps):
+            if (lp <= q) != (p <= tau(functor, q)):
+                adj = False
+                failures.append(("adjunction", p, q))
+    image = {reference_component_image(functor, c) for c in src_comps}
+    surjective = image == set(dst_comps)
+    section = True
+    for q in powerset(dst_comps):
+        if lam(functor, tau(functor, q)) != q:
+            section = False
+            failures.append(("section", q))
+    return AdjunctionReport(adj, unit, surjective, section, tuple(failures[:8]))
+
+
+def random_component_groupoid(rng, name, max_components):
+    """Pair groupoids of one to three objects, joined by disjoint unions."""
+    pieces = [pair_groupoid([f"{name}{k}_{i}" for i in range(rng.randint(1, 3))])
+              for k in range(rng.randint(1, max_components))]
+    g = pieces[0]
+    for k, piece in enumerate(pieces[1:]):
+        g = disjoint_union(g, piece, tags=(f"L{k}", f"R{k}"))
+    return g
+
+
+def random_functor(rng, max_components=5):
+    """Each source component goes into one random target component, its
+    objects onto random objects there."""
+    src = random_component_groupoid(rng, "s", max_components)
+    dst = random_component_groupoid(rng, "d", max_components)
+    targets = connected_components(dst)
+    omap = {}
+    for comp in connected_components(src):
+        into = rng.choice(targets)
+        omap.update({o: rng.choice(into) for o in comp})
+    mmap = {m: dst.hom(omap[src.src[m]], omap[src.dst[m]])[0] for m in src.morphisms}
+    return GroupoidFunctor.of(src, dst, omap, mmap)
+
+
+def test_transports_match_frozenset_reference_on_random_functors():
+    rng = random.Random(31)
+    surjective = set()
+    for _ in range(40):
+        f = random_functor(rng)
+        report = check_adjunction_and_section(f)
+        failures = tuple((kind, *map(frozenset, subsets)) for kind, *subsets in report.failures)
+        assert dataclasses.replace(report, failures=failures) == \
+            reference_check_adjunction_and_section(f)
+        surjective.add(report.surjective_on_components)
+        for p in powerset(connected_components(f.source)):
+            assert lambda_transport(f, p) == reference_lambda_transport(f, p)
+        for q in powerset(connected_components(f.target)):
+            assert tau_transport(f, q) == reference_tau_transport(f, q)
+    assert surjective == {True, False}
+
+
+def test_failures_list_components_in_components_order():
+    src = discrete_groupoid(["x"])
+    dst = discrete_groupoid(["w", "v", "u"])
+    f = GroupoidFunctor.of(src, dst, {"x": "u"}, {("id", "x"): ("id", "u")})
+    failures = check_adjunction_and_section(f).failures
+    assert failures[:3] == (("section", (("v",),)), ("section", (("u",), ("v",))),
+                            ("section", (("w",),)))
+    assert len(failures) == 6
+
+
+def test_transports_reject_unknown_components():
+    f = two_over_one_functor()
+    with pytest.raises(GroupoidError, match="lambda_transport"):
+        lambda_transport(f, {("z",)})
+    with pytest.raises(GroupoidError, match="tau_transport"):
+        tau_transport(f, {("x",)})
+
+
+def test_components_computed_once_per_groupoid(monkeypatch):
+    built = []
+
+    def counting_union_find(objects):
+        built.append(objects)
+        return UnionFind(objects)
+
+    monkeypatch.setattr(groupoids, "UnionFind", counting_union_find)
+    f = random_functor(random.Random(2))
+    for _ in range(3):
+        check_adjunction_and_section(f)
+        lambda_transport(f, connected_components(f.source))
+        tau_transport(f, connected_components(f.target))
+    assert len(built) == 2
+
+
+def test_adjunction_check_bound():
+    f = random_functor(random.Random(0))
+    with pytest.raises(BoundExceeded):
+        check_adjunction_and_section(f, component_bound=0)
 
 
 # -- fibrations ---------------------------------------------------------------

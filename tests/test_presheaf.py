@@ -9,6 +9,8 @@ from sheafnet.data import fixture_graph
 from sheafnet.errors import BoundExceeded, PosetError, PresheafError
 from sheafnet.presheaf import (
     Presheaf,
+    SectionSet,
+    _output_elements,
     cats_manifold,
     constant_presheaf,
     elements_poset,
@@ -211,6 +213,53 @@ def test_sheafify_constant_presheaf_diagonal():
 
 # -- cat's manifolds ------------------------------------------------------------
 
+def terminal_fork_cats_manifold(presheaf, out_predicate, bound=10**6):
+    """Reference: the cat's manifold as the sections of the site extended by
+    a terminal fork (product of the outputs, a two-state truth layer and a
+    singleton forcing "true"), the construction of the paper."""
+    outputs = _output_elements(presheaf)
+    for el in out_predicate:
+        if el not in outputs:
+            raise PresheafError(f"predicate on non-output element {el!r}")
+    accepted = {el: frozenset(out_predicate.get(el, presheaf.carriers[el]))
+                for el in outputs}
+    for el, acc in accepted.items():
+        bad = acc - set(presheaf.carriers[el])
+        if bad:
+            raise PresheafError(f"predicate states {sorted(map(str, bad))} not in F({el!r})")
+
+    poset = presheaf.poset
+    b, wb, w1 = "__B", "__wb", "__w1"
+    rel = [(x, y) for x in poset.elements for y in poset.elements
+           if x != y and poset.leq(x, y)]
+    rel += [(o, b) for o in outputs]
+    rel += [(wb, b), (wb, w1)]
+    big = FinitePoset(list(poset.elements) + [b, wb, w1], rel)
+    carriers = {x: presheaf.carriers[x] for x in poset.elements}
+    carriers[b] = tuple(iproduct(*(presheaf.carriers[o] for o in outputs)))
+    carriers[wb] = (False, True)
+    carriers[w1] = ("*",)
+    maps = {}
+    for x, y in big.covering():
+        if y == b:
+            if x == wb:
+                maps[(x, y)] = {
+                    tup: all(s in accepted[o] for o, s in zip(outputs, tup))
+                    for tup in carriers[b]}
+            else:
+                pos = outputs.index(x)
+                maps[(x, y)] = {tup: tup[pos] for tup in carriers[b]}
+        elif y == w1:
+            maps[(x, y)] = {"*": True}
+        else:
+            maps[(x, y)] = presheaf.restriction_map(x, y)
+    extended = Presheaf(big, carriers, maps)
+    secs = extended.sections(bound)
+    kept = [{x: s[x] for x in poset.elements} for s in secs]
+    kept.sort(key=lambda s: tuple(str(s[x]) for x in poset.elements))
+    return SectionSet(tuple(poset.elements), tuple(kept))
+
+
 def test_cats_manifold_top_and_bottom():
     fg, p = fork_fixture()
     full = sections(p)
@@ -231,21 +280,104 @@ def test_cats_manifold_matches_filter_oracle():
         assert all(s in list(sections(p)) for s in got)
 
 
+def random_predicate(p, rng):
+    """Each output left out, or given a random (possibly empty) accepted set."""
+    pred = {}
+    for el in _output_elements(p):
+        if rng.random() < 0.8:
+            states = p.carriers[el]
+            pred[el] = rng.sample(states, rng.randint(0, len(states)))
+    return pred
+
+
+def two_output_presheaf(rng):
+    """Random presheaf on l < t > r, whose outputs are the minimal l and r."""
+    poset = FinitePoset(["l", "r", "t"], [("l", "t"), ("r", "t")])
+    carriers = {x: tuple(f"{x}{k}" for k in range(rng.randint(1, 3))) for x in poset.elements}
+    maps = {(x, "t"): {s: rng.choice(carriers[x]) for s in carriers["t"]} for x in ("l", "r")}
+    return Presheaf(poset, carriers, maps)
+
+
+def test_cats_manifold_matches_terminal_fork_reference():
+    rng = random.Random(23)
+    # the fixtures of test_cats_manifold_matches_filter_oracle, with its predicate
+    fixtures = [fork_fixture(rng, tip_sizes=(rng.randint(1, 3), rng.randint(1, 3)),
+                             handle_size=2)[1] for _ in range(8)]
+    checks = [(p, {"b": ["o0"]}) for p in fixtures]
+    cases = fixtures + [fork_fixture()[1], xor_presheaf(), diamond_presheaf(rng)]
+    cases += [fork_fixture(rng, tip_sizes=(rng.randint(1, 3), rng.randint(1, 3)),
+                           handle_size=rng.randint(1, 3))[1] for _ in range(10)]
+    cases += [two_output_presheaf(rng) for _ in range(10)]
+    for p in cases:
+        checks += [(p, {})] + [(p, random_predicate(p, rng)) for _ in range(4)]
+    for p, pred in checks:
+        assert cats_manifold(p, pred) == terminal_fork_cats_manifold(p, pred)
+
+
+def string_labelled(p):
+    """``p`` on the strings of its poset elements."""
+    covering = p.poset.covering()
+    poset = FinitePoset([str(x) for x in p.poset.elements],
+                        [(str(x), str(y)) for x, y in covering])
+    return Presheaf(poset, {str(x): c for x, c in p.carriers.items()},
+                    {(str(x), str(y)): p.restriction_map(x, y) for x, y in covering})
+
+
+def test_cats_manifold_on_integer_elements_matches_the_reference():
+    """The reference adds string elements to the poset, which fails to order
+    them among integer ones, so it runs on the same presheaf with string
+    elements."""
+    rng = random.Random(4)
+    cases = [chain_presheaf([rng.randint(1, 3) for _ in range(rng.randint(1, 4))], rng)
+             for _ in range(10)]
+    cases += [small_presheaf(rng) for _ in range(5)]
+    cases.append(Presheaf(FinitePoset.chain(1), {0: (), 1: ()}, {(0, 1): {}}))
+    for p in cases:
+        for pred in [{}] + [random_predicate(p, rng) for _ in range(4)]:
+            got = cats_manifold(p, pred)
+            expect = terminal_fork_cats_manifold(
+                string_labelled(p), {str(x): acc for x, acc in pred.items()})
+            assert [{str(x): v for x, v in s.items()} for s in got] == list(expect)
+
+
+def test_cats_manifold_rejects_foreign_states_like_the_reference():
+    fg, p = fork_fixture()
+    for manifold in (cats_manifold, terminal_fork_cats_manifold):
+        with pytest.raises(PresheafError, match=r"predicate states \['zz'\] not in F\('b'\)"):
+            manifold(p, {"b": ["o0", "zz"]})
+
+
+def test_cats_manifold_bound_is_the_section_bound():
+    fg, p = fork_fixture()
+    for bound in range(20):      # the search needs 14 candidates
+        try:
+            expect = sections(p, bound)
+        except BoundExceeded:
+            with pytest.raises(BoundExceeded):
+                cats_manifold(p, {}, bound=bound)
+        else:
+            assert cats_manifold(p, {}, bound=bound) == expect
+
+
 def test_cats_manifold_rejects_non_output_predicate():
     fg, p = fork_fixture()
     with pytest.raises(PresheafError):
         cats_manifold(p, {"a1": ["a0"]})
 
 
-def test_cats_manifold_xor_preimage():
-    """Two binary inputs, output = XOR; predicate output=1 picks the odd pairs."""
+def xor_presheaf():
+    """Two binary inputs and output w = XOR of them."""
     g = SiteGraph.build(["u", "v", "w"], [("u", "w"), ("v", "w")])
     fg = fork_surgery(g)
     tang = fg.tangs()[0]
-    tips = fg.tips_of(tang)
     carriers = {"u": (0, 1), "v": (0, 1), "w": (0, 1)}
     handle_maps = {tang: {t: (t[0] ^ t[1]) for t in iproduct((0, 1), (0, 1))}}
-    p = standard_feedforward_presheaf(fg, carriers, {}, handle_maps)
+    return standard_feedforward_presheaf(fg, carriers, {}, handle_maps)
+
+
+def test_cats_manifold_xor_preimage():
+    """Predicate output=1 picks the odd input pairs."""
+    p = xor_presheaf()
     hits = cats_manifold(p, {"w": [1]})
     assert len(hits) == 2
     assert sorted((s["u"], s["v"]) for s in hits) == [(0, 1), (1, 0)]
