@@ -17,6 +17,8 @@ determined" stages of a forward pass.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 from .errors import ArchitectureError, BoundExceeded, PosetError
 from .unionfind import UnionFind
@@ -393,7 +395,15 @@ def _validate_fork_graph(fg):
 # ---------------------------------------------------------------------------
 
 class FinitePoset:
-    """A finite poset with O(1) order queries via cached down-set bit masks."""
+    """A finite poset with O(1) order queries via cached down-set bit masks.
+
+    A poset does not change after ``__init__``, so it also keeps what is
+    derived from its order, each computed on first use and held immutable:
+    its open masks (a tuple, handed out by `open_masks`, which still checks
+    the enumeration bound on every call), `covering()` (a tuple of pairs),
+    `lower_covers()` (a read-only mapping to tuples) and
+    `linear_extension()` (a tuple).
+    """
 
     def __init__(self, elements, relations, fork_graph=None):
         """``relations`` is an iterable of pairs (x, y) meaning x <= y; the
@@ -470,6 +480,10 @@ class FinitePoset:
 
     def covering(self):
         """Transitive reduction as a tuple of (lower, upper) pairs."""
+        return self._covering
+
+    @cached_property
+    def _covering(self):
         out = []
         n = len(self.elements)
         for i in range(n):
@@ -484,11 +498,16 @@ class FinitePoset:
         return tuple(out)
 
     def lower_covers(self):
-        """Each element's lower covers, in element order."""
+        """Each element's lower covers as a tuple, in element order, in a
+        read-only mapping."""
+        return self._lower_covers
+
+    @cached_property
+    def _lower_covers(self):
         covers = {y: [] for y in self.elements}
         for x, y in self.covering():
             covers[y].append(x)
-        return covers
+        return MappingProxyType({y: tuple(xs) for y, xs in covers.items()})
 
     def extend_covering(self, data, check, identity, compose, error, noun, clash):
         """Check ``data``, keyed by exactly the covering pairs, and extend it
@@ -531,8 +550,25 @@ class FinitePoset:
         return kept, full
 
     def linear_extension(self):
-        """Elements ordered so that smaller elements come first."""
-        return tuple(sorted(self.elements, key=lambda x: (bin(self.down_mask(x)).count("1"), x)))
+        """Elements ordered so that smaller elements come first: by the size
+        of their down-set, ties by position in ``elements`` (elements are
+        never compared with each other)."""
+        return self._linear_extension
+
+    @cached_property
+    def _linear_extension(self):
+        # sorted() is stable, so ties keep their order in `elements`
+        return tuple(sorted(self.elements, key=lambda x: self.down_mask(x).bit_count()))
+
+    @cached_property
+    def _open_masks(self):
+        """Every open as a bit mask, smallest first (see `open_masks`)."""
+        opens = [0]
+        for x in self.linear_extension():
+            i = self.index[x]
+            need = self._down[i] & ~(1 << i)
+            opens += [m | (1 << i) for m in opens if m & need == need]
+        return tuple(sorted(opens))
 
     def as_dict(self):
         leq = [[x, y] for x in self.elements for y in self.elements if x != y and self.leq(x, y)]
@@ -646,16 +682,15 @@ def _is_forest(vertices, edges):
 # ---------------------------------------------------------------------------
 
 def open_masks(poset, bound=None):
-    """All downward-closed subsets as bit masks, smallest mask first."""
+    """All downward-closed subsets as bit masks, smallest mask first, as a
+    tuple.  The enumeration bound (``bound``, else ``SHEAFNET_BOUND``, else
+    the default) is checked on every call; the poset enumerates its opens on
+    the first call that passes it and returns the same tuple after that."""
     n = len(poset.elements)
-    if n > enumeration_bound(bound):
-        raise BoundExceeded(f"{n} elements exceeds enumeration bound {enumeration_bound(bound)}")
-    order = sorted(range(n), key=lambda i: bin(poset._down[i]).count("1"))
-    opens = [0]
-    for i in order:
-        need = poset._down[i] & ~(1 << i)
-        opens += [m | (1 << i) for m in opens if m & need == need]
-    return sorted(opens)
+    limit = enumeration_bound(bound)
+    if n > limit:
+        raise BoundExceeded(f"{n} elements exceeds enumeration bound {limit}")
+    return poset._open_masks
 
 
 def lower_open_sets(poset, bound=None):

@@ -99,15 +99,24 @@ def _load_json(path):
     return doc
 
 
+def _field(doc, key, what="document"):
+    """``doc[key]``; a missing key is an input error naming it."""
+    if not isinstance(doc, dict):
+        raise SheafnetError(f"{what} must be a JSON object")
+    if key not in doc:
+        raise SheafnetError(f"{what} has no {key!r}")
+    return doc[key]
+
+
 def _load_poset(doc):
-    if "elements" not in doc:
-        raise SheafnetError("poset document needs 'elements' and 'leq'")
+    _field(doc, "elements", "poset")
     return FinitePoset.from_dict(doc)
 
 
 def _load_presheaf(doc):
-    poset = _load_poset(doc["poset"])
-    carriers = {x: tuple(doc["carriers"][str(x)]) for x in poset.elements}
+    poset = _load_poset(_field(doc, "poset"))
+    table = _field(doc, "carriers")
+    carriers = {x: tuple(_field(table, str(x), "'carriers'")) for x in poset.elements}
     maps = {_covering_pair(key, poset.elements): dict(m)
             for key, m in doc.get("maps", {}).items()}
     return Presheaf(poset, carriers, maps)
@@ -134,7 +143,7 @@ def _component_functor(source, target, table, what):
 
 def _simple_component_groupoid(doc):
     """Pair groupoid per generated component, with plain object names."""
-    objects = [str(o) for o in doc["objects"]]
+    objects = [str(o) for o in _field(doc, "objects", "groupoid")]
     known, uf = set(objects), UnionFind(objects)
     for gen in doc.get("generators", []):
         ends = (str(gen["src"]), str(gen["dst"]))
@@ -200,11 +209,12 @@ def cmd_stack(args):
         if "carriers" in doc:
             diagram = _load_presheaf(doc)
         else:
-            poset = _load_poset(doc["poset"])
-            fibers = {x: _simple_component_groupoid(doc["fibers"][str(x)])
+            poset = _load_poset(_field(doc, "poset"))
+            table = _field(doc, "fibers")
+            fibers = {x: _simple_component_groupoid(_field(table, str(x), "'fibers'"))
                       for x in poset.elements}
             glue = {}
-            for key, omap in doc["glue"].items():
+            for key, omap in _field(doc, "glue").items():
                 x, y = _covering_pair(key, fibers)
                 glue[(x, y)] = _component_functor(fibers[y], fibers[x], omap,
                                                   f"glue object map {key!r}")
@@ -213,17 +223,17 @@ def cmd_stack(args):
         emit_report(report.as_dict(), args.out)
         return 0 if report.fibrant else 1
     # adjunction
-    src = _simple_component_groupoid(doc["source"])
-    dst = _simple_component_groupoid(doc["target"])
+    src = _simple_component_groupoid(_field(doc, "source"))
+    dst = _simple_component_groupoid(_field(doc, "target"))
     report = check_adjunction_and_section(
-        _component_functor(src, dst, doc["object_map"], "object_map"))
+        _component_functor(src, dst, _field(doc, "object_map"), "object_map"))
     emit_report(dict(vars(report), failures=[str(f) for f in report.failures]), args.out)
     return 0 if report.ok else 1
 
 
 def cmd_info(args):
     doc = _load_json(args.infile)
-    lang = BooleanLanguage([str(s) for s in doc["states"]],
+    lang = BooleanLanguage([str(s) for s in _field(doc, "states")],
                            doc.get("measure"))
     alg = hey.OpenAlgebra.discrete(lang.states)
     theory = alg.check(_states(args.theory)) if args.theory else alg.top

@@ -19,8 +19,8 @@ uint64 arrays of masks.  `OpenAlgebra` holds the same operations on
 frozensets for the semantic-information measures.
 """
 
-from .arch_site import FinitePoset, is_open, lower_open_sets, open_masks
-from .errors import PosetError
+from .arch_site import FinitePoset, enumeration_bound, is_open, lower_open_sets, open_masks
+from .errors import BoundExceeded, PosetError
 
 
 def _require_open(poset, subset, name):
@@ -79,8 +79,14 @@ def oracle_implies(poset, q, t, bound=None):
 
 
 def implication_table(poset, bound=None):
-    """The full opens x opens implication matrix, for reports."""
+    """The full opens x opens implication matrix, for reports.  The
+    enumeration bound limits its entries too: more than 2**bound raises
+    `BoundExceeded` before any row is built."""
     opens = open_masks(poset, bound)
+    limit = enumeration_bound(bound)
+    if len(opens) ** 2 > 1 << limit:
+        raise BoundExceeded(f"{len(opens)} opens make a table of {len(opens) ** 2} "
+                            f"implications, more than 2^{limit}")
     label = lambda m: ",".join(sorted(str(e) for e in poset.set_of(m))) or "{}"
     return {
         label(q): {label(t): label(implies_mask(poset, q, t)) for t in opens}

@@ -235,6 +235,11 @@ def criterion_02(seed=0):
                    f"{kernel_checked} kernel validations; exact", start)
 
 
+# (T, T', Q) triples per block of criterion 3's concavity sweep, which keeps
+# its temporaries at a few MB whatever the shape
+_TRIPLE_BLOCK = 1 << 20
+
+
 def criterion_03(seed=0):
     """psi_delta with dyadic weights: strictly increasing (holds) and concave
     for all propositions (fails: the underlying concavity claim is false;
@@ -276,17 +281,22 @@ def criterion_03(seed=0):
             if abs(psi_tq[ti, qi] - ref) > 0.0:
                 return _result(3, "psi_delta increasing and concave", False,
                                f"conditioned psi disagrees on {shape}", start)
-        diff = psi_tq[ia, :] - psi_vec[ia][:, None] \
-            - psi_tq[ib, :] + psi_vec[ib][:, None]
-        concave_triples += diff.size
-        bad = diff < 0.0
-        if np.any(bad):
-            violations += int(bad.sum())
-            if first_witness is None:
-                r, c = np.argwhere(bad)[0]
-                first_witness = (shape, chain.levels_of(subs[ia[r]]),
-                                 chain.levels_of(subs[ib[r]]), chain.levels_of(subs[c]),
-                                 float(diff[r, c]))
+        # the double differences over (T <= T', Q), in blocks of pair rows
+        # taken in order, so the first block with a violation holds the
+        # row-major first witness
+        rows = max(1, _TRIPLE_BLOCK // n_subs)
+        for lo in range(0, len(ia), rows):
+            a, b = ia[lo:lo + rows], ib[lo:lo + rows]
+            diff = psi_tq[a, :] - psi_vec[a][:, None] - psi_tq[b, :] + psi_vec[b][:, None]
+            concave_triples += diff.size
+            bad = diff < 0.0
+            if np.any(bad):
+                violations += int(bad.sum())
+                if first_witness is None:
+                    r, c = np.argwhere(bad)[0]
+                    first_witness = (shape, chain.levels_of(subs[a[r]]),
+                                     chain.levels_of(subs[b[r]]), chain.levels_of(subs[c]),
+                                     float(diff[r, c]))
     detail = (f"strict increase: {increasing_pairs} pairs OK; concavity: "
               f"{concave_triples} triples, {violations} violations")
     if first_witness:

@@ -152,3 +152,20 @@ def test_criterion_01_does_not_depend_on_enumeration_bound():
     out = subprocess.run([sys.executable, "-c", _CRITERION_01_DETAIL], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out == verify.criterion_01(0).detail + "\n"
+
+
+# Prints the peak resident set size of a process that ran criterion 3, in MB
+# (Linux reports ru_maxrss in KiB).
+_CRITERION_03_PEAK = """
+import resource
+from sheafnet import verify
+verify.criterion_03(0)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+
+
+def test_criterion_03_runs_in_bounded_memory():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", _CRITERION_03_PEAK], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert float(out) < 200.0

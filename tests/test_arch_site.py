@@ -5,6 +5,7 @@ from itertools import chain, combinations
 import pytest
 
 from sheafnet.arch_site import (
+    FinitePoset,
     SiteGraph,
     basis,
     build_poset,
@@ -13,6 +14,7 @@ from sheafnet.arch_site import (
     fork_surgery,
     loop_rank,
     lower_open_sets,
+    open_masks,
     parse_architecture,
     site_report,
 )
@@ -268,6 +270,84 @@ def test_opens_bound_exceeded():
     poset = FinitePoset(range(25), [])
     with pytest.raises(BoundExceeded):
         lower_open_sets(poset, bound=20)
+
+
+def random_relations(rng, n):
+    """Pairs i < j of 0..n-1, each kept with probability 0.35."""
+    return [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.35]
+
+
+def test_open_masks_repeat_call_returns_the_same_tuple():
+    poset = build_poset(fork_surgery(fixture_graph("diamond")))
+    first = open_masks(poset)
+    assert isinstance(first, tuple) and len(first) == 12
+    assert open_masks(poset) is first
+    assert open_masks(poset, bound=20) is first
+
+
+def test_open_masks_checks_the_bound_after_caching(monkeypatch):
+    from sheafnet.errors import BoundExceeded
+
+    poset = build_poset(fork_surgery(fixture_graph("diamond")))
+    assert len(open_masks(poset)) == 12
+    with pytest.raises(BoundExceeded):
+        open_masks(poset, bound=2)
+    monkeypatch.setenv("SHEAFNET_BOUND", "2")
+    with pytest.raises(BoundExceeded):
+        open_masks(poset)
+    with pytest.raises(BoundExceeded):
+        lower_open_sets(poset)
+    assert len(open_masks(poset, bound=20)) == 12
+
+
+def test_cached_opens_match_bruteforce_on_random_posets():
+    rng = random.Random(11)
+    for _ in range(20):
+        n = rng.randint(0, 8)
+        poset = FinitePoset(range(n), random_relations(rng, n))
+        want = downward_closed_oracle(poset)
+        for _ in range(2):      # the first call fills the cache, the second reads it
+            got = sorted((poset.set_of(m) for m in open_masks(poset)),
+                         key=lambda s: (len(s), sorted(map(str, s))))
+            assert got == want
+
+
+def _covering_oracle(poset):
+    """x < y with nothing strictly between, from order queries alone."""
+    els = poset.elements
+    return {(x, y) for x in els for y in els if x != y and poset.leq(x, y)
+            and not any(z not in (x, y) and poset.leq(x, z) and poset.leq(z, y) for z in els)}
+
+
+def test_cached_structure_matches_fresh_computation_and_is_read_only():
+    rng = random.Random(5)
+    for _ in range(20):
+        n = rng.randint(1, 8)
+        relations = random_relations(rng, n)
+        poset = FinitePoset(range(n), relations)
+        covering, covers, linear = (poset.covering(), poset.lower_covers(),
+                                    poset.linear_extension())
+        assert poset.covering() is covering and poset.lower_covers() is covers
+        assert poset.linear_extension() is linear
+        fresh = FinitePoset(range(n), relations)
+        assert covering == fresh.covering() and set(covering) == _covering_oracle(poset)
+        assert dict(covers) == dict(fresh.lower_covers())
+        assert all(covers[y] == tuple(x for x, z in covering if z == y) for y in poset.elements)
+        assert linear == fresh.linear_extension()
+        assert sorted(linear) == list(range(n))
+        rank = {x: k for k, x in enumerate(linear)}
+        assert all(rank[x] < rank[y] for x, y in covering)
+        assert isinstance(covering, tuple) and isinstance(linear, tuple)
+        assert all(isinstance(xs, tuple) for xs in covers.values())
+        with pytest.raises(TypeError):
+            covers[0] = ()
+        with pytest.raises(TypeError):
+            del covers[0]
+
+
+def test_linear_extension_never_compares_elements():
+    poset = FinitePoset([0, "a", 1.5, ("t",)], [("a", 0)])
+    assert poset.linear_extension() == ("a", 1.5, ("t",), 0)
 
 
 # -- loop rank ----------------------------------------------------------------

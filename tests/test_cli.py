@@ -112,6 +112,62 @@ def test_heyting_table_two_chain(capsys, tmp_path):
     assert table["0,1"]["0"] == "0"
 
 
+def test_heyting_table_beyond_the_bound_exit_2(capsys, tmp_path, monkeypatch):
+    """mgu2 has 20 elements, within the bound, but 6,592 opens: its table
+    would hold 43M entries, more than 2^20."""
+    (tmp_path / "mgu2.json").write_text(fixture_text("mgu2"))
+    code, out, err = run(capsys, "heyting", "--arch", str(tmp_path / "mgu2.json"))
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "6592 opens" in err
+    # the two-chain's 3 x 3 table passes --bound 4 (16 entries), not --bound 3
+    poset = tmp_path / "poset.json"
+    poset.write_text(json.dumps({"elements": ["0", "1"], "leq": [["0", "1"]]}))
+    assert run(capsys, "heyting", "--in", str(poset), "--bound", "4")[0] == 0
+    assert run(capsys, "heyting", "--in", str(poset), "--bound", "3")[0] == 2
+    monkeypatch.setenv("SHEAFNET_BOUND", "3")
+    assert run(capsys, "heyting", "--in", str(poset))[0] == 2
+
+
+def test_sections_on_mixed_number_and_string_elements(capsys, tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"poset": {"elements": [0, "a"], "leq": []},
+                                "carriers": {"0": ["x", "y"], "a": ["z"]}}))
+    code, out, _ = run(capsys, "sections", "--in", str(path))
+    assert code == 0
+    assert json.loads(out) == {"count": 2, "sections": [{"0": "x", "a": "z"},
+                                                        {"0": "y", "a": "z"}]}
+
+
+@pytest.mark.parametrize("command, doc, key", [
+    (["sections"], {"carriers": {}}, "'poset'"),
+    (["sections"], {"poset": 5, "carriers": {}}, "poset must be a JSON object"),
+    (["sections"], {"poset": {"leq": []}, "carriers": {}}, "'elements'"),
+    (["sections"], {"poset": {"elements": ["a"], "leq": []}}, "'carriers'"),
+    (["sections"], {"poset": {"elements": ["a", "b"], "leq": []}, "carriers": {"a": ["s"]}},
+     "'b'"),
+    (["cats-manifold"], {"carriers": {}}, "'poset'"),
+    (["cats-manifold"], {"poset": {"elements": ["a", "b"], "leq": []},
+                         "carriers": {"a": ["s"]}}, "'b'"),
+    (["stack", "adjunction"], {"source": {"objects": ["x"]}, "target": {"objects": ["z"]}},
+     "'object_map'"),
+    (["stack", "adjunction"], {"target": {"objects": ["z"]}, "object_map": {"x": "z"}},
+     "'source'"),
+    (["stack", "adjunction"], {"source": {"objects": ["x"]}, "object_map": {"x": "z"}},
+     "'target'"),
+    (["info"], {"measure": [1.0]}, "'states'"),
+])
+def test_missing_key_exit_2(capsys, tmp_path, command, doc, key):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = [*command, "--in", str(path)]
+    if command == ["cats-manifold"]:
+        (tmp_path / "pred.json").write_text("{}")
+        argv += ["--predicate", str(tmp_path / "pred.json")]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error:") and key in err
+
+
 def test_stack_adjunction(capsys, tmp_path):
     doc = {
         "source": {"objects": ["x", "y"], "generators": []},
