@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 
+import numpy as np
+
 from .errors import ArchitectureError, BoundExceeded, PosetError
 from .unionfind import UnionFind
 
@@ -401,8 +403,9 @@ class FinitePoset:
     derived from its order, each computed on first use and held immutable:
     its open masks (a tuple, handed out by `open_masks`, which still checks
     the enumeration bound on every call), `covering()` (a tuple of pairs),
-    `lower_covers()` (a read-only mapping to tuples) and
-    `linear_extension()` (a tuple).
+    `lower_covers()` (a read-only mapping to tuples),
+    `linear_extension()` (a tuple) and, for the batched
+    `heyting.implies_mask`, its up-closure tables per byte of a mask.
     """
 
     def __init__(self, elements, relations, fork_graph=None):
@@ -569,6 +572,16 @@ class FinitePoset:
             need = self._down[i] & ~(1 << i)
             opens += [m | (1 << i) for m in opens if m & need == need]
         return tuple(sorted(opens))
+
+    @cached_property
+    def _up_byte_tables(self):
+        """A (bytes, 256) uint64 array: entry b of row k is the union of the
+        up-sets of the elements 8k + j over the bits j of b, so the up-closure
+        of a mask is the union of its bytes' entries.  Built with numpy on
+        first use; masks (and so the poset) fit in 64 bits."""
+        up = np.array(self._up + [0] * (-len(self._up) % 8), dtype=np.uint64).reshape(-1, 8)
+        bits = (np.arange(256, dtype=np.uint64)[:, None] >> np.arange(8, dtype=np.uint64)) & 1
+        return np.bitwise_or.reduce(bits * up[:, None, :], axis=2)
 
     def as_dict(self):
         leq = [[x, y] for x in self.elements for y in self.elements if x != y and self.leq(x, y)]

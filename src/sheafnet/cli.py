@@ -109,7 +109,18 @@ def _field(doc, key, what="document"):
 
 
 def _load_poset(doc):
-    _field(doc, "elements", "poset")
+    """The poset of a document.  Its elements are JSON strings or numbers,
+    named in the document by their ``str``, so the names must differ."""
+    elements = _field(doc, "elements", "poset")
+    scalars = lambda xs: all(isinstance(x, (str, int, float)) for x in xs)
+    if not isinstance(elements, list) or not scalars(elements):
+        raise SheafnetError("poset 'elements' must be a list of strings or numbers")
+    leq = doc.get("leq", [])
+    if not isinstance(leq, list) or \
+            not all(isinstance(p, list) and len(p) == 2 and scalars(p) for p in leq):
+        raise SheafnetError("poset 'leq' must be a list of [x, y] pairs of elements")
+    if len(set(map(str, elements))) != len(elements):
+        raise SheafnetError("poset elements must have distinct names")
     return FinitePoset.from_dict(doc)
 
 
@@ -117,17 +128,18 @@ def _load_presheaf(doc):
     poset = _load_poset(_field(doc, "poset"))
     table = _field(doc, "carriers")
     carriers = {x: tuple(_field(table, str(x), "'carriers'")) for x in poset.elements}
-    maps = {_covering_pair(key, poset.elements): dict(m)
-            for key, m in doc.get("maps", {}).items()}
+    maps = {_covering_pair(key, poset): dict(m) for key, m in doc.get("maps", {}).items()}
     return Presheaf(poset, carriers, maps)
 
 
-def _covering_pair(key, elements):
-    """The pair (x, y) of ``elements`` named by a "x<=y" key."""
-    pair = tuple(key.split("<="))
-    if len(pair) != 2 or not set(pair) <= set(elements):
+def _covering_pair(key, poset):
+    """The pair (x, y) of poset elements named by a "x<=y" key, each element
+    named by its ``str`` (as in `_load_poset`)."""
+    names = {str(x): x for x in poset.elements}
+    pair = key.split("<=")
+    if len(pair) != 2 or not set(pair) <= names.keys():
         raise SheafnetError(f"key {key!r} must name two poset elements as 'x<=y'")
-    return pair
+    return tuple(names[s] for s in pair)
 
 
 def _component_functor(source, target, table, what):
@@ -215,7 +227,7 @@ def cmd_stack(args):
                       for x in poset.elements}
             glue = {}
             for key, omap in _field(doc, "glue").items():
-                x, y = _covering_pair(key, fibers)
+                x, y = _covering_pair(key, poset)
                 glue[(x, y)] = _component_functor(fibers[y], fibers[x], omap,
                                                   f"glue object map {key!r}")
             diagram = StackOverPoset(poset, fibers, glue)
@@ -233,8 +245,11 @@ def cmd_stack(args):
 
 def cmd_info(args):
     doc = _load_json(args.infile)
-    lang = BooleanLanguage([str(s) for s in _field(doc, "states")],
-                           doc.get("measure"))
+    states = [str(s) for s in _field(doc, "states")]
+    measure = doc.get("measure")
+    if measure is not None and not isinstance(measure, dict):
+        raise SheafnetError("'measure' must be a JSON object of state weights")
+    lang = BooleanLanguage(states, measure)
     alg = hey.OpenAlgebra.discrete(lang.states)
     theory = alg.check(_states(args.theory)) if args.theory else alg.top
     q = alg.check(_states(args.q)) if args.q else alg.top
@@ -277,7 +292,12 @@ def cmd_info(args):
         },
     }
     if args.delta:
-        delta = DeltaSequence.of([float(x) for x in args.delta.split(",")])
+        try:
+            values = [float(x) for x in args.delta.split(",")]
+        except ValueError:
+            raise SheafnetError(
+                f"--delta must be comma-separated numbers, got {args.delta!r}") from None
+        delta = DeltaSequence.of(values)
         report["delta"] = {"values": list(delta.values), "dominated": True}
     emit_report(report, args.out)
     ok = report["checks"]["cocycle"]["ok"] and report["checks"]["concavity"]["ok"]

@@ -7,6 +7,9 @@ is the fork semantics.  The gradient of the loss with respect to a node's
 weight block is the sum over all directed paths from that node to the
 output of the chain-rule Jacobian product; `backprop_paths` computes it
 literally and `reverse_mode` / `finite_difference` are the cross-checks.
+`finite_difference` re-evaluates only the perturbed weight's node and its
+descendants, from one base forward pass, so its result is bit-identical to
+re-running the whole network for every perturbation.
 
 Memory cells (LSTM, GRU, MGU2, cubic) are implemented from their update
 formulas with explicit weight matrices and no biases, so the parameter
@@ -103,19 +106,25 @@ class WeightedNetwork:
                 if v.shape != (n.dim,):
                     raise ArchitectureError(f"input {name!r} has wrong dimension")
                 acts[name] = v
-            elif n.op == "affine":
-                z = n.weight @ self._concat(n, acts)
-                if n.bias is not None:
-                    z = z + n.bias
-                pre[name] = z
-                acts[name] = ACTIVATIONS[n.activation][0](z)
-            elif n.op == "hadamard":
-                a, b = (acts[p] for p in n.parents)
-                acts[name] = a * b
             else:
-                a, b = (acts[p] for p in n.parents)
-                acts[name] = a + b
+                self._evaluate(n, acts, pre)
         return acts, pre
+
+    def _evaluate(self, n, acts, pre):
+        """Set the activation (and, if affine, the pre-activation) of the
+        non-input node ``n`` from its parents' activations in ``acts``."""
+        if n.op == "affine":
+            z = n.weight @ self._concat(n, acts)
+            if n.bias is not None:
+                z = z + n.bias
+            pre[n.name] = z
+            acts[n.name] = ACTIVATIONS[n.activation][0](z)
+        elif n.op == "hadamard":
+            a, b = (acts[p] for p in n.parents)
+            acts[n.name] = a * b
+        else:
+            a, b = (acts[p] for p in n.parents)
+            acts[n.name] = a + b
 
     def join_value(self, name, acts):
         """The tuple of parent activations consumed by a node."""
@@ -218,32 +227,43 @@ class WeightedNetwork:
         return grads
 
     def finite_difference(self, inputs, loss, h=1e-5):
-        """Central differences on every affine weight entry."""
+        """Central differences on every affine weight entry.  After one base
+        forward pass, each perturbation re-evaluates only the perturbed node
+        and its descendants, in `order`; every other activation is the base
+        array itself, so the result is bit-identical to re-running
+        `feedforward` per perturbation."""
+        acts, _ = self.feedforward(inputs)
+
+        def central(below, array, idx):
+            values = []
+            keep = array[idx]
+            for shifted in (keep + h, keep - h):
+                array[idx] = shifted
+                a = dict(acts)
+                for node in below:
+                    self._evaluate(node, a, {})
+                values.append(loss.value(a[self.output]))
+            array[idx] = keep
+            return (values[0] - values[1]) / (2 * h)
+
         grads = {}
-        for name in self.order:
+        for pos, name in enumerate(self.order):
             n = self.nodes[name]
             if n.op != "affine":
                 continue
+            below, seen = [n], {name}
+            for later in self.order[pos + 1:]:
+                if seen.intersection(self.nodes[later].parents):
+                    below.append(self.nodes[later])
+                    seen.add(later)
             gw = np.zeros_like(n.weight)
             for idx in np.ndindex(*n.weight.shape):
-                keep = n.weight[idx]
-                n.weight[idx] = keep + h
-                up = loss.value(self.feedforward(inputs)[0][self.output])
-                n.weight[idx] = keep - h
-                down = loss.value(self.feedforward(inputs)[0][self.output])
-                n.weight[idx] = keep
-                gw[idx] = (up - down) / (2 * h)
+                gw[idx] = central(below, n.weight, idx)
             gb = None
             if n.bias is not None:
                 gb = np.zeros_like(n.bias)
-                for i in range(n.bias.shape[0]):
-                    keep = n.bias[i]
-                    n.bias[i] = keep + h
-                    up = loss.value(self.feedforward(inputs)[0][self.output])
-                    n.bias[i] = keep - h
-                    down = loss.value(self.feedforward(inputs)[0][self.output])
-                    n.bias[i] = keep
-                    gb[i] = (up - down) / (2 * h)
+                for idx in np.ndindex(*n.bias.shape):
+                    gb[idx] = central(below, n.bias, idx)
             grads[name] = (gw, gb)
         return grads
 

@@ -20,6 +20,7 @@ two infinities raises InfinityArithmetic instead of returning NaN.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .chains import psi_delta
@@ -47,6 +48,8 @@ class BooleanLanguage:
         missing = set(self.states) - set(measure)
         if missing:
             raise LanguageError(f"measure missing on {sorted(map(str, missing))}")
+        if not all(isinstance(measure[s], numbers.Real) for s in self.states):
+            raise LanguageError("measure values must be numbers")
         if any(measure[s] <= 0 for s in self.states):
             raise LanguageError("measure must be strictly positive")
         self.measure = {s: float(measure[s]) for s in self.states}

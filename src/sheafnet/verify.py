@@ -136,6 +136,33 @@ def _chain_of_shape(shape):
     return ChainObject.of(*[set(points[:s]) for s in shape])
 
 
+def _randranges(rng, n, count):
+    """``[rng.randrange(n) for _ in range(count)]`` as an array, drawn in bulk:
+    the same integers, and ``rng`` is left in the same state.
+
+    `random.Random` draws each ``randrange(n)`` as the top k = n.bit_length()
+    bits of one 32-bit word, rejected until below n, and ``getrandbits(32 m)``
+    returns the next m words, the first in the lowest bits.  So the words are
+    drawn in bulk and filtered by the same rule; then the state is restored
+    and advanced by exactly the number of words used."""
+    k = n.bit_length()
+    if k > 32:
+        return np.array([rng.randrange(n) for _ in range(count)])
+    state = rng.getstate()
+    picks, used = [np.zeros(0, dtype=np.intp)], 0
+    while count:
+        m = 2 * count + 64      # at least half the words are accepted
+        words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), dtype="<u4")
+        r = (words >> (32 - k)).astype(np.intp)
+        kept = np.flatnonzero(r < n)[:count]
+        picks.append(r[kept])
+        used += int(kept[-1]) + 1 if len(kept) == count else m
+        count -= len(kept)
+    rng.setstate(state)
+    rng.getrandbits(32 * used)
+    return np.concatenate(picks)
+
+
 # ---------------------------------------------------------------------------
 # Criteria
 # ---------------------------------------------------------------------------
@@ -210,8 +237,8 @@ def criterion_02(seed=0):
         # all pairs through the batched evaluations, within the global budget
         todo = n_subs * n_subs
         if vector_pairs + todo > vector_budget:
-            idx = np.array([rng.randrange(n_subs) for _ in range(4000)])
-            jdx = np.array([rng.randrange(n_subs) for _ in range(4000)])
+            idx = _randranges(rng, n_subs, 4000)
+            jdx = _randranges(rng, n_subs, 4000)
             got = chain_implication(chain, masks[idx], masks[jdx])
             want = hey.implies_mask(poset, masks[jdx], masks[idx])
             if not np.array_equal(got, want):

@@ -23,6 +23,7 @@ tests/test_chains.py verifies that exhaustively on small chains.
 """
 
 import os
+import random
 import re
 import subprocess
 import sys
@@ -169,3 +170,14 @@ def test_criterion_03_runs_in_bounded_memory():
     out = subprocess.run([sys.executable, "-c", _CRITERION_03_PEAK], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert float(out) < 200.0
+
+
+@pytest.mark.parametrize("count", [1, 4000])
+@pytest.mark.parametrize("n", [1, 2, 3, 33, 64, 4096, 4097, 2 ** 20, 3 * 10 ** 6])
+def test_randranges_equals_one_by_one_randrange(n, count):
+    """Criterion 2's bulk draws: the same integers as ``randrange`` one at a
+    time, and the generator left where those calls leave it."""
+    one, bulk = random.Random(f"{n}:{count}"), random.Random(f"{n}:{count}")
+    want = [one.randrange(n) for _ in range(count)]
+    assert verify._randranges(bulk, n, count).tolist() == want
+    assert bulk.random() == one.random()

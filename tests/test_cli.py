@@ -138,6 +138,41 @@ def test_sections_on_mixed_number_and_string_elements(capsys, tmp_path):
                                                         {"0": "y", "a": "z"}]}
 
 
+def test_numeric_elements_name_restrictions(capsys, tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"poset": {"elements": [0, 1], "leq": [[0, 1]]},
+                                "carriers": {"0": ["x"], "1": ["z"]},
+                                "maps": {"0<=1": {"z": "x"}}}))
+    code, out, _ = run(capsys, "sections", "--in", str(path))
+    assert code == 0 and json.loads(out)["count"] == 1
+
+
+@pytest.mark.parametrize("command", [["sections"], ["stack", "check-fibrant"], ["heyting"]])
+def test_elements_with_the_same_name_exit_2(capsys, tmp_path, command):
+    poset = {"elements": [1, "1"], "leq": []}
+    doc = poset if command == ["heyting"] else {"poset": poset, "carriers": {"1": ["x"]}}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *command, "--in", str(path))
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "distinct names" in err
+
+
+@pytest.mark.parametrize("poset, message", [
+    ({"elements": [["a"], ["b"]], "leq": [[["a"], ["b"]]]}, "strings or numbers"),
+    ({"elements": ["a", "b"], "leq": [[["a"], "b"]]}, "'leq'"),
+    ({"elements": ["a", "b"], "leq": [["a", "b", "a"]]}, "'leq'"),
+], ids=["list-elements", "list-in-leq", "leq-triple"])
+@pytest.mark.parametrize("command", [["sections"], ["heyting"]])
+def test_unhashable_or_malformed_elements_exit_2(capsys, tmp_path, command, poset, message):
+    doc = poset if command == ["heyting"] else {"poset": poset, "carriers": {}}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *command, "--in", str(path))
+    assert code == 2
+    assert out == "" and err.startswith("error:") and message in err
+
+
 @pytest.mark.parametrize("command, doc, key", [
     (["sections"], {"carriers": {}}, "'poset'"),
     (["sections"], {"poset": 5, "carriers": {}}, "poset must be a JSON object"),
@@ -293,6 +328,12 @@ def test_stack_check_fibrant_bad_glue_exit_2(capsys, tmp_path, glue, message):
     assert run(capsys, "stack", "check-fibrant", "--in", str(path))[0] == 0
 
 
+def test_numeric_elements_name_glue(capsys, tmp_path):
+    path = tmp_path / "stack.json"
+    path.write_text(json.dumps(dict(GLUE_STACK, poset={"elements": [0, 1], "leq": [[0, 1]]})))
+    assert run(capsys, "stack", "check-fibrant", "--in", str(path))[0] == 0
+
+
 def test_info_report(capsys, tmp_path):
     lang = {"states": ["00", "01", "10", "11"]}
     path = tmp_path / "lang.json"
@@ -315,6 +356,26 @@ def test_info_state_outside_language_exit_2(capsys, tmp_path, flag):
     code, out, err = run(capsys, "info", "--in", str(path), flag, "00,zz")
     assert code == 2
     assert out == "" and err.startswith("error:") and "'zz'" in err
+
+
+def test_info_non_numeric_delta_exit_2(capsys, tmp_path):
+    path = tmp_path / "lang.json"
+    path.write_text(json.dumps({"states": ["00", "01"]}))
+    code, out, err = run(capsys, "info", "--in", str(path), "--delta", "1,x")
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "'1,x'" in err
+
+
+@pytest.mark.parametrize("measure, message", [
+    ({"00": 1, "01": "x"}, "must be numbers"),
+    ([1.0, 2.0], "JSON object"),
+], ids=["non-numeric-value", "list"])
+def test_info_malformed_measure_exit_2(capsys, tmp_path, measure, message):
+    path = tmp_path / "lang.json"
+    path.write_text(json.dumps({"states": ["00", "01"], "measure": measure}))
+    code, out, err = run(capsys, "info", "--in", str(path))
+    assert code == 2
+    assert out == "" and err.startswith("error:") and message in err
 
 
 @pytest.mark.parametrize("command", ["sections", "info"])

@@ -124,6 +124,70 @@ def test_gradients_match_reverse_and_fd_on_random_networks():
         assert vs_fd <= 1e-6
 
 
+def full_forward_differences(net, inputs, loss, h=1e-5):
+    """The reference for `finite_difference`: central differences that
+    re-run the whole network for every perturbed weight and bias entry."""
+    grads = {}
+    for name in net.order:
+        n = net.nodes[name]
+        if n.op != "affine":
+            continue
+        blocks = [None, None]
+        for b, array in enumerate((n.weight, n.bias)):
+            if array is None:
+                continue
+            g = blocks[b] = np.zeros_like(array)
+            for idx in np.ndindex(*array.shape):
+                keep = array[idx]
+                array[idx] = keep + h
+                up = loss.value(net.feedforward(inputs)[0][net.output])
+                array[idx] = keep - h
+                down = loss.value(net.feedforward(inputs)[0][net.output])
+                array[idx] = keep
+                g[idx] = (up - down) / (2 * h)
+        grads[name] = tuple(blocks)
+    return grads
+
+
+def assert_same_bits(got, want):
+    assert got.keys() == want.keys()
+    for name, blocks in want.items():
+        for mine, ref in zip(got[name], blocks):
+            assert (mine is None and ref is None) or mine.tobytes() == ref.tobytes()
+
+
+def test_finite_difference_is_bit_identical_to_full_forward_on_criterion_08_networks():
+    rng = random.Random(0)     # criterion 8 draws its 100 networks like this
+    for _ in range(100):
+        net = random_fork_network(rng, max_layers=6, max_units=4)
+        inputs = {name: [rng.uniform(-1, 1) for _ in range(net.nodes[name].dim)]
+                  for name in net.inputs}
+        assert_same_bits(net.finite_difference(inputs, SumLoss()),
+                         full_forward_differences(net, inputs, SumLoss()))
+
+
+def test_finite_difference_is_bit_identical_with_bias_hadamard_and_hadsum():
+    """Branches ``cand`` and ``side`` are not descendants of ``gate``; the
+    perturbed weight reaches the output through a product and a sum."""
+    rng = random.Random(11)
+    mat = lambda rows, cols: np.array([[rng.uniform(-1, 1) for _ in range(cols)]
+                                       for _ in range(rows)])
+    vec = lambda rows: np.array([rng.uniform(-1, 1) for _ in range(rows)])
+    net = WeightedNetwork([
+        Node("x", "input", 2),
+        Node("gate", "affine", 2, ("x",), "sigmoid", weight=mat(2, 2), bias=vec(2)),
+        Node("cand", "affine", 2, ("x",), "tanh", weight=mat(2, 2)),
+        Node("prod", "hadamard", 2, ("gate", "cand")),
+        Node("mix", "hadsum", 2, ("prod", "cand")),
+        Node("side", "affine", 3, ("x",), "tanh", weight=mat(3, 2), bias=vec(3)),
+        Node("out", "affine", 2, ("mix", "side"), "identity", weight=mat(2, 5), bias=vec(2)),
+    ])
+    inputs = {"x": [0.3, -0.6]}
+    for loss in (SumLoss(), QuadraticLoss([0.2, -0.1])):
+        assert_same_bits(net.finite_difference(inputs, loss),
+                         full_forward_differences(net, inputs, loss))
+
+
 def test_hadamard_gate_composition_gradcheck():
     """One LSTM-style gate block: out = sum(sigmoid(Wx) . tanh(Ux)), with the
     product as an explicit two-input node."""

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from sheafnet import heyting as hey
@@ -71,6 +72,25 @@ def test_pointwise_equals_oracle_exhaustive_small():
         for q in opens:
             for t in opens:
                 assert hey.implies_mask(p, q, t) == hey.oracle_implies_mask(p, q, t, opens)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 25])
+def test_batched_implies_mask_matches_scalar_path_and_oracle(n):
+    """The uint64 path reads the up-closure from one table per byte; sizes
+    on both sides of each byte boundary cover the last, partial byte."""
+    rng = random.Random(n)
+    p = random_poset(rng, n)
+    opens = open_masks(p, bound=25)
+    qs = rng.sample(opens, min(16, len(opens)))
+    q, t = np.array(qs, dtype=np.uint64)[:, None], np.array(opens, dtype=np.uint64)
+    got = hey.implies_mask(p, q, t)
+    assert got.dtype == np.uint64 and got.shape == (len(qs), len(opens))
+    assert np.array_equal(hey.implies_mask(p, t, q), np.array(
+        [[hey.implies_mask(p, tm, qm) for tm in opens] for qm in qs], dtype=np.uint64))
+    for i, qm in enumerate(qs):
+        for j, tm in enumerate(opens):
+            assert int(got[i, j]) == hey.implies_mask(p, qm, tm) == \
+                hey.oracle_implies_mask(p, qm, tm, opens)
 
 
 def test_heyting_adjunction_and_lattice_laws():
