@@ -44,8 +44,10 @@ def implies_mask(poset, q, t):
     """Q => T on masks: clear the up-set of every element of Q - T.  The
     masks may be Python ints, or numpy uint64 arrays evaluated elementwise
     (with broadcasting); on arrays the up-closure of Q - T is the union of
-    one per-byte table entry for each byte of the mask."""
-    bad = q & ~t
+    one per-byte table entry for each byte of the mask.  T is complemented
+    within the top mask, so a Python-int T stays non-negative and mixes with
+    uint64 arrays."""
+    bad = q & (top_mask(poset) ^ t)
     if not isinstance(bad, np.ndarray):
         out = top_mask(poset)
         for i, up in enumerate(poset._up):

@@ -36,7 +36,9 @@ NEG_INF = float("-inf")
 # ---------------------------------------------------------------------------
 
 class BooleanLanguage:
-    """A finite set of elementary states with a strictly positive measure."""
+    """A finite set of elementary states with a strictly positive, finite
+    measure.  Measures of sets are `math.fsum`s, correctly rounded and so
+    independent of the order in which a frozenset yields its states."""
 
     def __init__(self, states, measure=None):
         self.states = tuple(states)
@@ -50,13 +52,19 @@ class BooleanLanguage:
             raise LanguageError(f"measure missing on {sorted(map(str, missing))}")
         if not all(isinstance(measure[s], numbers.Real) for s in self.states):
             raise LanguageError("measure values must be numbers")
+        if not all(math.isfinite(measure[s]) for s in self.states):
+            raise LanguageError("measure values must be finite")
         if any(measure[s] <= 0 for s in self.states):
             raise LanguageError("measure must be strictly positive")
         self.measure = {s: float(measure[s]) for s in self.states}
-        self.total = sum(self.measure.values())
+        try:
+            self.total = math.fsum(self.measure.values())
+        except OverflowError:
+            raise LanguageError("the total measure must be finite") from None
 
     def m(self, subset):
-        return sum(self.measure[s] for s in subset)
+        # the empty set keeps the int 0 of `sum`, which reports print as 0
+        return math.fsum(self.measure[s] for s in subset) or 0
 
 
 def condition(algebra, t, q):

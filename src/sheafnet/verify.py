@@ -188,6 +188,17 @@ def criterion_01(seed=0):
                    f"runtime {'<' if elapsed < 5 else '>='}5s", start)
 
 
+# Work per block of the two exhaustive lattice sweeps: (T, Q) pairs per chunk
+# of criterion 2's kernels and (T, T', Q) triples per block of criterion 3's
+# concavity sweep.  Both sweeps are bound by memory traffic, not arithmetic;
+# at these sizes a block's uint64 or float64 temporaries take at most 512 KB
+# and stay in a core's L2 cache, where larger blocks stream through main
+# memory and raise the peak RSS.  Blocks are taken in order, so the pairs,
+# counts and first witness do not depend on the size.
+_PAIR_BLOCK = 1 << 16
+_TRIPLE_BLOCK = 1 << 15
+
+
 def criterion_02(seed=0):
     """chain_implication against the generic calculus on all injective chain
     shapes n<=4, |E0|<=5, over the opens of each chain's poset of elements
@@ -245,7 +256,7 @@ def criterion_02(seed=0):
                 return _result(2, "chain implication lemma", False,
                                f"kernel mismatch on sampled pairs of {shape}", start)
             continue
-        chunk = max(1, 1_000_000 // n_subs)
+        chunk = max(1, _PAIR_BLOCK // n_subs)
         for lo in range(0, n_subs, chunk):
             t = masks[lo:lo + chunk, None]
             got = chain_implication(chain, t, masks)
@@ -260,11 +271,6 @@ def criterion_02(seed=0):
                    f"{vector_pairs} pairs via validated kernels, "
                    f"{sampled_oracle} sampled sup-scans, "
                    f"{kernel_checked} kernel validations; exact", start)
-
-
-# (T, T', Q) triples per block of criterion 3's concavity sweep, which keeps
-# its temporaries at a few MB whatever the shape
-_TRIPLE_BLOCK = 1 << 20
 
 
 def criterion_03(seed=0):
@@ -308,22 +314,27 @@ def criterion_03(seed=0):
             if abs(psi_tq[ti, qi] - ref) > 0.0:
                 return _result(3, "psi_delta increasing and concave", False,
                                f"conditioned psi disagrees on {shape}", start)
-        # the double differences over (T <= T', Q), in blocks of pair rows
-        # taken in order, so the first block with a violation holds the
-        # row-major first witness
+        # Concavity over (T <= T', Q) asks phi^Q(T) >= phi^Q(T') for the
+        # ambiguity phi^Q(T) = psi(T|Q) - psi(T).  With delta_k = 2^-k, k <= 3,
+        # and at most 4 states per level, every psi is a multiple of 1/8
+        # below 8, so these differences are exact in float64 and comparing
+        # two rows of `amb` decides the sign of the double difference exactly.
+        # Pair rows go in blocks taken in order, so the first block with a
+        # violation holds the row-major first witness.
+        amb = psi_tq - psi_vec[:, None]
         rows = max(1, _TRIPLE_BLOCK // n_subs)
         for lo in range(0, len(ia), rows):
             a, b = ia[lo:lo + rows], ib[lo:lo + rows]
-            diff = psi_tq[a, :] - psi_vec[a][:, None] - psi_tq[b, :] + psi_vec[b][:, None]
-            concave_triples += diff.size
-            bad = diff < 0.0
-            if np.any(bad):
-                violations += int(bad.sum())
-                if first_witness is None:
-                    r, c = np.argwhere(bad)[0]
-                    first_witness = (shape, chain.levels_of(subs[a[r]]),
-                                     chain.levels_of(subs[b[r]]), chain.levels_of(subs[c]),
-                                     float(diff[r, c]))
+            bad = amb[a] < amb[b]
+            concave_triples += bad.size
+            found = np.count_nonzero(bad)
+            violations += found
+            if found and first_witness is None:
+                r, c = np.argwhere(bad)[0]
+                t, t2 = a[r], b[r]
+                value = psi_tq[t, c] - psi_vec[t] - psi_tq[t2, c] + psi_vec[t2]
+                first_witness = (shape, chain.levels_of(subs[t]), chain.levels_of(subs[t2]),
+                                 chain.levels_of(subs[c]), float(value))
     detail = (f"strict increase: {increasing_pairs} pairs OK; concavity: "
               f"{concave_triples} triples, {violations} violations")
     if first_witness:

@@ -13,6 +13,10 @@ criterion that passed would be a bug.  The test asserts that
 * the sweep covered every shape (n <= 3, 1 <= |E_0| <= 4): the pair and
   triple counts it reports equal closed forms derived here, so a shortened
   sweep fails the test;
+* every triple is decided: the violation count is 18,587,660, the number of
+  triples whose four-term double difference psi(T|Q) - psi(T) - psi(T'|Q) +
+  psi(T') is negative, so a block that drops or repeats triples fails the
+  test;
 * the first counterexample it prints is the minimal one (one point at depth
   1, Q asserted at level 0 only, double difference -0.5), rebuilt here from
   hand-made levels and recomputed through both the inductive implication
@@ -41,6 +45,7 @@ from sheafnet.presheaf import elements_poset
 # Criterion 3 sweeps every chain of height n <= 3 with 1 <= |E_0| <= 4.
 SWEEP_MAX_N = 3
 SWEEP_MAX_E0 = 4
+SWEEP_VIOLATIONS = 18_587_660
 
 CRITERION_03_DETAIL = re.compile(
     r"strict increase: (\d+) pairs OK; concavity: (\d+) triples, "
@@ -103,7 +108,7 @@ def _check_criterion_03_refutation(result):
     assert match, result.detail
     pairs, triples, violations, witness = match.groups()
     assert (int(pairs), int(triples)) == _sweep_counts()
-    assert 0 < int(violations) < int(triples)
+    assert int(violations) == SWEEP_VIOLATIONS
     assert witness == _minimal_counterexample()
 
 
@@ -155,21 +160,32 @@ def test_criterion_01_does_not_depend_on_enumeration_bound():
     assert out == verify.criterion_01(0).detail + "\n"
 
 
-# Prints the peak resident set size of a process that ran criterion 3, in MB
-# (Linux reports ru_maxrss in KiB).
-_CRITERION_03_PEAK = """
-import resource
+# Prints the peak resident set size, in MB, of a process that ran one
+# criterion: the high-water mark of its own address space (Linux VmHWM, in
+# KiB).  Not ru_maxrss, which Linux carries across exec from the process
+# that forked, so that it reads at least the test runner's own peak.
+_CRITERION_PEAK = """
 from sheafnet import verify
-verify.criterion_03(0)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+verify.criterion_{:02d}(0)
+with open("/proc/self/status") as status:
+    print(next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024)
 """
 
 
-def test_criterion_03_runs_in_bounded_memory():
+def _criterion_peak_mb(number):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", _CRITERION_03_PEAK], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    assert float(out) < 200.0
+    return float(subprocess.run([sys.executable, "-c", _CRITERION_PEAK.format(number)],
+                                env=env, capture_output=True, text=True, check=True).stdout)
+
+
+def test_criterion_02_runs_in_bounded_memory():
+    """The all-pairs kernels run in chunks of 2^16 pairs; importing the
+    library alone takes about 30 MB."""
+    assert _criterion_peak_mb(2) < 64.0
+
+
+def test_criterion_03_runs_in_bounded_memory():
+    assert _criterion_peak_mb(3) < 200.0
 
 
 @pytest.mark.parametrize("count", [1, 4000])

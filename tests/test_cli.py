@@ -369,13 +369,32 @@ def test_info_non_numeric_delta_exit_2(capsys, tmp_path):
 @pytest.mark.parametrize("measure, message", [
     ({"00": 1, "01": "x"}, "must be numbers"),
     ([1.0, 2.0], "JSON object"),
-], ids=["non-numeric-value", "list"])
+    ({"00": 1, "01": float("nan")}, "must be finite"),
+    ({"00": 1, "01": float("inf")}, "must be finite"),
+    ({"00": 1e308, "01": 1e308}, "must be finite"),
+], ids=["non-numeric-value", "list", "nan", "infinity", "overflowing-total"])
 def test_info_malformed_measure_exit_2(capsys, tmp_path, measure, message):
     path = tmp_path / "lang.json"
     path.write_text(json.dumps({"states": ["00", "01"], "measure": measure}))
     code, out, err = run(capsys, "info", "--in", str(path))
     assert code == 2
     assert out == "" and err.startswith("error:") and message in err
+
+
+def test_info_does_not_depend_on_hash_seed(tmp_path):
+    """Measures of sets are summed independently of frozenset order."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"states": ["a", "b", "c", "d", "e", "f"], "measure": {
+        "a": 0.1, "b": 0.2, "c": 0.3, "d": 0.7, "e": 1.3, "f": 0.11}}))
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-m", "sheafnet.cli", "info", "--in", str(path),
+                               "--theory", "a,b,c,d", "--q", "a,b,e", "--q2", "c,d,f"],
+                              env=env, capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("command", ["sections", "info"])

@@ -93,6 +93,21 @@ def test_batched_implies_mask_matches_scalar_path_and_oracle(n):
                 hey.oracle_implies_mask(p, qm, tm, opens)
 
 
+@pytest.mark.parametrize("n", [1, 3, 9, 25])
+def test_negation_and_int_implication_on_uint64_arrays(n):
+    """A Python-int T, such as the bottom 0 of `neg_mask`, against uint64
+    arrays gives the scalar results element by element."""
+    rng = random.Random(n)
+    p = random_poset(rng, n)
+    opens = open_masks(p, bound=25)
+    masks = np.array(opens, dtype=np.uint64)
+    for t in rng.sample(opens, min(4, len(opens))) + [0]:
+        got = hey.implies_mask(p, masks, t)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [hey.implies_mask(p, q, t) for q in opens]
+    assert hey.neg_mask(p, masks).tolist() == [hey.neg_mask(p, q) for q in opens]
+
+
 def test_heyting_adjunction_and_lattice_laws():
     rng = random.Random(5)
     for _ in range(8):
