@@ -405,7 +405,8 @@ class FinitePoset:
     the enumeration bound on every call), `covering()` (a tuple of pairs),
     `lower_covers()` (a read-only mapping to tuples),
     `linear_extension()` (a tuple) and, for the batched
-    `heyting.implies_mask`, its up-closure tables per byte of a mask.
+    `heyting.implies_mask`, its up-closure tables per byte of a mask, in
+    its `mask_dtype`.
     """
 
     def __init__(self, elements, relations, fork_graph=None):
@@ -573,14 +574,21 @@ class FinitePoset:
             opens += [m | (1 << i) for m in opens if m & need == need]
         return tuple(sorted(opens))
 
+    @property
+    def mask_dtype(self):
+        """The numpy dtype of this poset's mask arrays: uint32 up to 32
+        elements, else uint64."""
+        return np.dtype(np.uint32 if len(self.elements) <= 32 else np.uint64)
+
     @cached_property
     def _up_byte_tables(self):
-        """A (bytes, 256) uint64 array: entry b of row k is the union of the
-        up-sets of the elements 8k + j over the bits j of b, so the up-closure
-        of a mask is the union of its bytes' entries.  Built with numpy on
-        first use; masks (and so the poset) fit in 64 bits."""
-        up = np.array(self._up + [0] * (-len(self._up) % 8), dtype=np.uint64).reshape(-1, 8)
-        bits = (np.arange(256, dtype=np.uint64)[:, None] >> np.arange(8, dtype=np.uint64)) & 1
+        """A (bytes, 256) array of `mask_dtype`: entry b of row k is the union
+        of the up-sets of the elements 8k + j over the bits j of b, so the
+        up-closure of a mask is the union of its bytes' entries.  Built with
+        numpy on first use; masks (and so the poset) fit in 64 bits."""
+        dtype = self.mask_dtype
+        up = np.array(self._up + [0] * (-len(self._up) % 8), dtype=dtype).reshape(-1, 8)
+        bits = (np.arange(256, dtype=dtype)[:, None] >> np.arange(8, dtype=dtype)) & 1
         return np.bitwise_or.reduce(bits * up[:, None, :], axis=2)
 
     def as_dict(self):

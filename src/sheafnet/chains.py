@@ -24,6 +24,8 @@ at depth 1 with Q = ({x}, {}) gives a double difference of -0.5).
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .arch_site import FinitePoset
 from .errors import LanguageError, PresheafError
 from .presheaf import Presheaf
@@ -97,15 +99,20 @@ class ChainObject:
 
 def _running_intersection(chain, layer):
     """U_0 = L_0, U_k = U_{k-1} and L_k, for per-level sets L_k given as one
-    mask; U_{k-1} reaches level k by a shift (see `ChainObject.as_presheaf`).
-    Masks may be Python ints or numpy uint64 arrays."""
+    mask; U_{k-1} reaches level k by a shift (see `ChainObject.as_presheaf`)
+    and is cut to level k's window.  Masks may be Python or numpy integers,
+    or numpy arrays of unsigned masks, whose dtype the result keeps; an
+    array is copied once and each level is then four in-place passes."""
     sizes = [len(level) for level in chain.levels]
-    out = acc = layer & ((1 << sizes[0]) - 1)
+    out = layer & ((1 << sizes[0]) - 1)
+    acc = out.copy() if isinstance(out, np.ndarray) else out
     offset = 0
     for k in range(1, len(sizes)):
-        acc = (((acc >> offset) & ((1 << sizes[k]) - 1)) << (offset + sizes[k - 1])) & layer
+        acc <<= sizes[k - 1]
+        acc &= layer
         offset += sizes[k - 1]
-        out = out | acc
+        acc &= ((1 << sizes[k]) - 1) << offset
+        out |= acc
     return out
 
 

@@ -14,11 +14,13 @@ that is, the complement of the up-closure of Q - T.  `oracle_implies_mask`
 recomputes it as the literal union of all qualifying opens, which is the
 definition; it is the only brute-force supremum oracle.  Negation is
 Q => bottom.  The operations have bit-mask twins (suffix ``_mask``) used by
-the exhaustive harnesses; `implies_mask` also evaluates elementwise on numpy
-uint64 arrays of masks, where it reads the up-closure of Q - T one byte at a
-time from the poset's 256-entry tables (a table lookup per byte instead of
-a pass per element).  `OpenAlgebra` holds the same operations on frozensets
-for the semantic-information measures.
+the exhaustive harnesses; `implies_mask` and `oracle_implies_mask` also
+evaluate elementwise on numpy arrays of masks, in the poset's `mask_dtype`
+(uint32 up to 32 elements, else uint64) or any wider unsigned dtype.  There
+`implies_mask` reads the up-closure of Q - T one byte at a time from the
+poset's 256-entry tables (a table lookup per byte instead of a pass per
+element).  `OpenAlgebra` holds the same operations on frozensets for the
+semantic-information measures.
 """
 
 import numpy as np
@@ -42,24 +44,31 @@ def top_mask(poset):
 
 def implies_mask(poset, q, t):
     """Q => T on masks: clear the up-set of every element of Q - T.  The
-    masks may be Python ints, or numpy uint64 arrays evaluated elementwise
-    (with broadcasting); on arrays the up-closure of Q - T is the union of
-    one per-byte table entry for each byte of the mask.  T is complemented
-    within the top mask, so a Python-int T stays non-negative and mixes with
-    uint64 arrays."""
-    bad = q & (top_mask(poset) ^ t)
+    masks may be Python or numpy integers, visiting only the elements of
+    Q - T, or numpy arrays of unsigned masks evaluated elementwise (with
+    broadcasting) and returned in their dtype; on arrays the up-closure of
+    Q - T is the union of one per-byte table entry for each byte of the
+    mask.  T is complemented within the top mask, so a Python-int T stays
+    non-negative and mixes with mask arrays."""
+    top = top_mask(poset)
+    bad = q & (top ^ t)
     if not isinstance(bad, np.ndarray):
-        out = top_mask(poset)
-        for i, up in enumerate(poset._up):
-            out = out & ~(((bad >> i) & 1) * up)
+        bad, out = int(bad), top
+        while bad:
+            up = poset._up[(bad & -bad).bit_length() - 1]
+            out &= ~up
+            bad &= ~up
         return out
-    up, byte = np.zeros_like(bad), np.empty_like(bad)
-    for k, table in enumerate(poset._up_byte_tables):
-        np.right_shift(bad, 8 * k, out=byte)
-        np.bitwise_and(byte, 0xFF, out=byte)
-        up |= table[byte]
+    # byte k of each mask, least significant first, as a strided uint8 view
+    byte = np.asarray(bad, bad.dtype.newbyteorder("<"), order="C")
+    byte = byte.view(np.uint8).reshape(bad.shape + (bad.itemsize,))
+    tables = poset._up_byte_tables.astype(bad.dtype, copy=False)
+    up = np.take(tables[0], byte[..., 0])
+    entry = np.empty_like(up)
+    for k in range(1, len(tables)):
+        up |= np.take(tables[k], byte[..., k], out=entry)
     np.invert(up, out=up)
-    up &= top_mask(poset)
+    up &= top
     return up
 
 
@@ -68,8 +77,15 @@ def neg_mask(poset, q):
 
 
 def oracle_implies_mask(poset, q, t, opens=None):
+    """Q => T as the union of every open V with V /\\ Q <= T.  On numpy
+    arrays of masks (broadcast against each other) the opens lie along one
+    more, last axis, and the result keeps the dtype of Q - T."""
     if opens is None:
         opens = open_masks(poset)
+    if isinstance(q, np.ndarray) or isinstance(t, np.ndarray):
+        bad = (q & (top_mask(poset) ^ t))[..., None]
+        v = np.array(opens, dtype=bad.dtype)
+        return np.bitwise_or.reduce(np.where(v & bad == 0, v, 0), axis=-1)
     out = 0
     for v in opens:
         if v & q & ~t == 0:

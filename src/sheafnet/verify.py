@@ -191,10 +191,11 @@ def criterion_01(seed=0):
 # Work per block of the two exhaustive lattice sweeps: (T, Q) pairs per chunk
 # of criterion 2's kernels and (T, T', Q) triples per block of criterion 3's
 # concavity sweep.  Both sweeps are bound by memory traffic, not arithmetic;
-# at these sizes a block's uint64 or float64 temporaries take at most 512 KB
-# and stay in a core's L2 cache, where larger blocks stream through main
-# memory and raise the peak RSS.  Blocks are taken in order, so the pairs,
-# counts and first witness do not depend on the size.
+# at these sizes each temporary of a block (uint32 masks, since every chain
+# poset here has at most 25 elements, or int8 ambiguities) takes at most
+# 256 KB and stays in a core's L2 cache, where larger blocks stream through
+# main memory and raise the peak RSS.  Blocks are taken in order, so the
+# pairs, counts and first witness do not depend on the size.
 _PAIR_BLOCK = 1 << 16
 _TRIPLE_BLOCK = 1 << 15
 
@@ -202,13 +203,14 @@ _TRIPLE_BLOCK = 1 << 15
 def criterion_02(seed=0):
     """chain_implication against the generic calculus on all injective chain
     shapes n<=4, |E0|<=5, over the opens of each chain's poset of elements
-    (at most 25 elements).  All pairs run through the literal sup-scan where
-    the lattice is small; otherwise the inductive formula and the pointwise
-    `implies_mask` are evaluated on uint64 mask arrays (both validated
-    against single-pair evaluations on seeded samples) for all pairs within
-    a fixed pair budget, and on seeded samples beyond it (the stated
-    all-pairs literal sweep is runtime-infeasible; the coverage is
-    printed)."""
+    (at most 25 elements).  All mask arrays are in the poset's `mask_dtype`,
+    uint32 here.  Where the lattice is small, all pairs run through the
+    literal sup-scan, one array scan over every open per shape; otherwise
+    the inductive formula and the pointwise `implies_mask` are evaluated on
+    mask arrays (both validated against single-pair evaluations on seeded
+    samples) for all pairs within a fixed pair budget, and on seeded samples
+    beyond it (the stated all-pairs literal sweep is runtime-infeasible; the
+    coverage is printed)."""
     start = time.perf_counter()
     rng = random.Random(seed)
     shapes = _chain_shapes(4, 5)
@@ -219,16 +221,15 @@ def criterion_02(seed=0):
         poset = elements_poset(chain.as_presheaf())
         opens = open_masks(poset, bound=25)
         n_subs = len(opens)
+        masks = np.array(opens, dtype=poset.mask_dtype)
         if n_subs <= 32:
-            for t in opens:
-                for q in opens:
-                    if chain_implication(chain, t, q) != \
-                            hey.oracle_implies_mask(poset, q, t, opens):
-                        return _result(2, "chain implication lemma", False,
-                                       f"formula vs sup-scan mismatch on {shape}", start)
-                    exhaustive_small += 1
+            t, q = masks[:, None], masks[None, :]
+            if not np.array_equal(chain_implication(chain, t, q),
+                                  hey.oracle_implies_mask(poset, q, t, opens)):
+                return _result(2, "chain implication lemma", False,
+                               f"formula vs sup-scan mismatch on {shape}", start)
+            exhaustive_small += n_subs * n_subs
             continue
-        masks = np.array(opens, dtype=np.uint64)
         # validate the batched evaluations against single pairs on samples
         samples = [(rng.randrange(n_subs), rng.randrange(n_subs)) for _ in range(30)]
         ti, qi = (np.array(i) for i in zip(*samples))
@@ -289,16 +290,19 @@ def criterion_03(seed=0):
         poset = elements_poset(chain.as_presheaf())
         subs = open_masks(poset, bound=16)
         n_subs = len(subs)
-        masks = np.array(subs, dtype=np.uint64)
-        # psi of a mask: the element (k, x) of the poset of elements weighs delta_k
-        weights = [delta.values[k] for k, _ in poset.elements]
-        psi_of = lambda m: sum(w * ((m >> i) & 1) for i, w in enumerate(weights))
-        psi_vec = psi_of(masks)
+        masks = np.array(subs, dtype=poset.mask_dtype)
+        # psi of a mask in eighths: the element (k, x) of the poset of
+        # elements weighs 8 delta_k = 2^(3-k), k <= 3, and each level has at
+        # most 4 states, so 8 psi is an integer below 64, exact in int8
+        eighths = [int(8 * delta.values[k]) for k, _ in poset.elements]
+        psi8_of = lambda m: sum(w * ((m >> i) & 1).astype(np.int8)
+                                for i, w in enumerate(eighths))
+        psi_vec = psi8_of(masks)
         # reference checks of the vectorized psi on samples
         rng = random.Random(seed)
         for _ in range(20):
             i = rng.randrange(n_subs)
-            if abs(psi_vec[i] - psi_delta(chain, subs[i], delta)) > 0.0:
+            if psi_vec[i] / 8 != psi_delta(chain, subs[i], delta):
                 return _result(3, "psi_delta increasing and concave", False,
                                f"vectorized psi disagrees on {shape}", start)
         ia, ib = np.nonzero((masks[:, None] & ~masks[None, :]) == 0)
@@ -307,18 +311,18 @@ def criterion_03(seed=0):
                            f"strict increase fails on {shape}", start)
         increasing_pairs += len(ia)
         # psi(T|Q) matrix (rows T, columns Q) through the batched formula
-        psi_tq = psi_of(chain_implication(chain, masks[:, None], masks[None, :]))
+        psi_tq = psi8_of(chain_implication(chain, masks[:, None], masks[None, :]))
         for _ in range(10):
             ti, qi = rng.randrange(n_subs), rng.randrange(n_subs)
             ref = psi_delta(chain, chain_implication(chain, subs[ti], subs[qi]), delta)
-            if abs(psi_tq[ti, qi] - ref) > 0.0:
+            if psi_tq[ti, qi] / 8 != ref:
                 return _result(3, "psi_delta increasing and concave", False,
                                f"conditioned psi disagrees on {shape}", start)
         # Concavity over (T <= T', Q) asks phi^Q(T) >= phi^Q(T') for the
-        # ambiguity phi^Q(T) = psi(T|Q) - psi(T).  With delta_k = 2^-k, k <= 3,
-        # and at most 4 states per level, every psi is a multiple of 1/8
-        # below 8, so these differences are exact in float64 and comparing
-        # two rows of `amb` decides the sign of the double difference exactly.
+        # ambiguity phi^Q(T) = psi(T|Q) - psi(T).  In eighths it is an integer
+        # of absolute value below 64, so the int8 differences are exact and
+        # comparing two rows of `amb` decides the sign of the double
+        # difference exactly.
         # Pair rows go in blocks taken in order, so the first block with a
         # violation holds the row-major first witness.
         amb = psi_tq - psi_vec[:, None]
@@ -332,9 +336,9 @@ def criterion_03(seed=0):
             if found and first_witness is None:
                 r, c = np.argwhere(bad)[0]
                 t, t2 = a[r], b[r]
-                value = psi_tq[t, c] - psi_vec[t] - psi_tq[t2, c] + psi_vec[t2]
+                value = (int(amb[t, c]) - int(amb[t2, c])) / 8
                 first_witness = (shape, chain.levels_of(subs[t]), chain.levels_of(subs[t2]),
-                                 chain.levels_of(subs[c]), float(value))
+                                 chain.levels_of(subs[c]), value)
     detail = (f"strict increase: {increasing_pairs} pairs OK; concavity: "
               f"{concave_triples} triples, {violations} violations")
     if first_witness:

@@ -34,6 +34,7 @@ import sys
 from itertools import combinations_with_replacement
 from math import prod
 
+import numpy as np
 import pytest
 
 from sheafnet import heyting as hey
@@ -121,6 +122,24 @@ def test_criterion(criterion):
         _check_criterion_03_refutation(result)
     else:
         assert result.passed, result.detail
+
+
+def test_array_sup_scan_equals_scalar_oracle_on_small_lattices():
+    """Criterion 2's literal sup-scan of the shapes with at most 32 opens,
+    one array scan per shape, against the scalar oracle pair by pair."""
+    pairs = 0
+    for shape in verify._chain_shapes(4, 5):
+        poset = elements_poset(verify._chain_of_shape(shape).as_presheaf())
+        opens = open_masks(poset, bound=25)
+        if len(opens) > 32:
+            continue
+        masks = np.array(opens, dtype=poset.mask_dtype)
+        got = hey.oracle_implies_mask(poset, masks[None, :], masks[:, None], opens)
+        assert got.dtype == poset.mask_dtype
+        assert got.tolist() == [[hey.oracle_implies_mask(poset, q, t, opens) for q in opens]
+                                for t in opens]
+        pairs += got.size
+    assert pairs == 32402
 
 
 # Prints a digest of every sheaf criterion 9 builds (carriers, edge maps and

@@ -128,6 +128,35 @@ def test_batched_formulas_match_single_pairs_and_generic_calculus():
                 hey.implies_mask(poset, q, t)
 
 
+@pytest.mark.parametrize("shape", [(8, 8, 8, 8), (9, 8, 8, 8)], ids=["32", "33"])
+def test_batched_formulas_at_the_width_boundary(shape):
+    """Posets of elements with 32 and 33 elements: uint32 arrays (where they
+    fit) and uint64 arrays give the scalar results in their own dtype, and
+    the in-place level recursion leaves the arguments as they were."""
+    rng = random.Random(len(shape) + sum(shape))
+    points = [f"p{i}" for i in range(shape[0])]
+    e = ChainObject.of(*[set(points[:s]) for s in shape])
+    poset = elements_poset(e.as_presheaf())
+    assert len(poset.elements) == sum(shape)
+    subs = []
+    for _ in range(24):
+        mask = 0
+        for x in rng.sample(poset.elements, rng.randint(0, 4)):
+            mask |= poset.down_mask(x)
+        subs.append(mask)
+    want = [[chain_implication(e, t, q) for q in subs] for t in subs]
+    assert want == [[hey.implies_mask(poset, q, t) for q in subs] for t in subs]
+    for dtype in {poset.mask_dtype, np.dtype(np.uint64)}:
+        masks = np.array(subs, dtype=dtype)
+        t, q = masks[:, None].copy(), masks[None, :].copy()
+        got = chain_implication(e, t, q)
+        assert got.dtype == dtype and got.tolist() == want
+        assert np.array_equal(t[:, 0], masks) and np.array_equal(q[0], masks)
+        neg = chain_negation(e, masks)
+        assert neg.dtype == dtype and neg.tolist() == [chain_negation(e, m) for m in subs]
+        assert np.array_equal(masks, subs)
+
+
 # -- delta sequences and psi ----------------------------------------------------
 
 def test_delta_validation():

@@ -8,13 +8,24 @@ from sheafnet.arch_site import FinitePoset, open_masks
 from sheafnet.errors import PosetError
 
 
-def random_poset(rng, n):
+def random_poset(rng, n, density=0.4):
     rel = []
     for i in range(n):
         for j in range(i + 1, n):
-            if rng.random() < 0.4:
+            if rng.random() < density:
                 rel.append((i, j))
     return FinitePoset(range(n), rel)
+
+
+def random_opens(rng, poset, count):
+    """Unions of up to four down-sets: opens, without enumerating them all."""
+    opens = []
+    for _ in range(count):
+        mask = 0
+        for x in rng.sample(poset.elements, rng.randint(0, 4)):
+            mask |= poset.down_mask(x)
+        opens.append(mask)
+    return opens
 
 
 def test_two_chain_identity_case():
@@ -106,6 +117,43 @@ def test_negation_and_int_implication_on_uint64_arrays(n):
         assert got.dtype == np.uint64
         assert got.tolist() == [hey.implies_mask(p, q, t) for q in opens]
     assert hey.neg_mask(p, masks).tolist() == [hey.neg_mask(p, q) for q in opens]
+
+
+def test_scalar_implies_mask_takes_numpy_integers():
+    """The scalar path visits the set bits of Q - T; numpy integer scalars
+    are converted to Python ints first (they have no ``bit_length``)."""
+    p = FinitePoset.chain(2)
+    assert hey.implies_mask(p, np.uint64(3), np.uint64(1)) == hey.implies_mask(p, 3, 1) == 1
+    assert hey.implies_mask(p, np.uint32(7), np.int64(0)) == hey.neg_mask(p, 7) == 0
+    assert hey.neg_mask(p, np.uint64(0)) == hey.top_mask(p)
+
+
+@pytest.mark.parametrize("n, dtype", [(32, np.uint32), (33, np.uint64)])
+def test_mask_dtype_at_the_width_boundary(n, dtype):
+    p = random_poset(random.Random(n), n, 0.1)
+    assert p.mask_dtype == dtype
+    assert p._up_byte_tables.dtype == dtype and p._up_byte_tables.shape == (-(-n // 8), 256)
+    with pytest.raises(AttributeError):
+        p.mask_dtype = np.uint64
+
+
+@pytest.mark.parametrize("n", [32, 33])
+def test_mask_arrays_at_the_width_boundary(n):
+    """uint32 arrays (where the poset allows them) and uint64 arrays give the
+    scalar results, each in its own dtype."""
+    rng = random.Random(n)
+    p = random_poset(rng, n, 0.1)
+    qs, ts = random_opens(rng, p, 12), random_opens(rng, p, 16) + [0, hey.top_mask(p)]
+    want = [[hey.implies_mask(p, q, t) for t in ts] for q in qs]
+    algebra = hey.OpenAlgebra(p)
+    assert [[p.set_of(u) for u in row] for row in want] == \
+        [[algebra.implies(p.set_of(q), p.set_of(t)) for t in ts] for q in qs]
+    for dtype in {p.mask_dtype, np.dtype(np.uint64)}:
+        q, t = np.array(qs, dtype=dtype), np.array(ts, dtype=dtype)
+        got = hey.implies_mask(p, q[:, None], t)
+        assert got.dtype == dtype and got.tolist() == want
+        neg = hey.neg_mask(p, q)
+        assert neg.dtype == dtype and neg.tolist() == [hey.neg_mask(p, m) for m in qs]
 
 
 def test_heyting_adjunction_and_lattice_laws():
