@@ -102,9 +102,6 @@ class SiteGraph:
     def predecessors(self, v):
         return tuple(s for s, d in self.edges if d == v)
 
-    def in_degree(self, v):
-        return sum(1 for _, d in self.edges if d == v)
-
     def out_degree(self, v):
         return sum(1 for s, _ in self.edges if s == v)
 
@@ -403,7 +400,8 @@ class FinitePoset:
     derived from its order, each computed on first use and held immutable:
     its open masks (a tuple, handed out by `open_masks`, which still checks
     the enumeration bound on every call), `covering()` (a tuple of pairs),
-    `lower_covers()` (a read-only mapping to tuples),
+    `lower_covers()` (a read-only mapping to tuples), `strict_sets()`
+    (read-only mappings to frozensets, for `heyting.OpenAlgebra`),
     `linear_extension()` (a tuple) and, for the batched
     `heyting.implies_mask`, its up-closure tables per byte of a mask, in
     its `mask_dtype`.
@@ -512,6 +510,18 @@ class FinitePoset:
         for x, y in self.covering():
             covers[y].append(x)
         return MappingProxyType({y: tuple(xs) for y, xs in covers.items()})
+
+    def strict_sets(self):
+        """Each element's strict down-set and up-set as frozensets, in two
+        read-only mappings ``(below, above)`` that leave out the empty ones."""
+        return self._strict_sets
+
+    @cached_property
+    def _strict_sets(self):
+        def strict(masks):
+            return MappingProxyType({x: self.set_of(masks[i] & ~(1 << i))
+                                     for i, x in enumerate(self.elements) if masks[i] != 1 << i})
+        return strict(self._down), strict(self._up)
 
     def extend_covering(self, data, check, identity, compose, error, noun, clash):
         """Check ``data``, keyed by exactly the covering pairs, and extend it
@@ -722,14 +732,6 @@ def lower_open_sets(poset, bound=None):
 def basis(poset, x):
     """U_x = {y : y <= x}; unbounded, works for any poset size."""
     return poset.down_set(x)
-
-
-def is_open(poset, subset):
-    m = poset.mask_of(subset)
-    down = 0
-    for x in subset:
-        down |= poset.down_mask(x)
-    return down == m
 
 
 # ---------------------------------------------------------------------------

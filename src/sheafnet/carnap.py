@@ -99,9 +99,6 @@ class SymmetryGroup:
     order: int
     elements: dict             # name -> state permutation dict
 
-    def generator_perms(self):
-        return dict(self.generators)
-
 
 def symmetry_generators(lang):
     """Named permutations of the state set: adjacent subject swaps, value

@@ -369,6 +369,8 @@ def cmd_dyn(args):
         _write("".join(",".join(str(x) for x in row) + "\n" for row in lines), args.out)
         return 0
     if args.dyn_cmd == "gradcheck":
+        if args.arch is None:
+            raise SheafnetError("dyn gradcheck needs --arch, an architecture file")
         g = load_architecture(args.arch)
         net = _network_from_architecture(g, rng)
         inputs = {name: [rng.uniform(-1, 1) for _ in range(net.nodes[name].dim)]
@@ -475,8 +477,9 @@ def make_parser():
     p.set_defaults(fn=cmd_cats_manifold)
 
     p = add_parser("heyting", help="implication table of the open-set algebra")
-    p.add_argument("--in", dest="infile")
-    p.add_argument("--arch", help="derive the poset from an architecture file")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--in", dest="infile")
+    source.add_argument("--arch", help="derive the poset from an architecture file")
     p.set_defaults(fn=cmd_heyting)
 
     p = add_parser("stack", help="stack checks over a poset")

@@ -45,13 +45,6 @@ class FiniteGroupoid:
     inv: dict = field(compare=False)
     ident: dict = field(compare=False)  # object -> identity morphism id
 
-    @staticmethod
-    def from_tables(objects, src, dst, comp, inv, ident):
-        g = FiniteGroupoid(tuple(objects), tuple(src), dict(src), dict(dst),
-                           dict(comp), dict(inv), dict(ident))
-        g.validate()
-        return g
-
     def validate(self):
         for o in self.objects:
             e = self.ident.get(o)

@@ -19,23 +19,22 @@ evaluate elementwise on numpy arrays of masks, in the poset's `mask_dtype`
 (uint32 up to 32 elements, else uint64) or any wider unsigned dtype.  There
 `implies_mask` reads the up-closure of Q - T one byte at a time from the
 poset's 256-entry tables (a table lookup per byte instead of a pass per
-element).  `OpenAlgebra` holds the same operations on frozensets for the
-semantic-information measures.
+element).
+
+Each representation has one engine, and each serves its own traffic.
+Masks serve the bulk sweeps: the acceptance harnesses evaluate millions of
+pairs as ints or arrays and never leave masks.  Frozensets serve per-call
+work, such as conditioning in the semantic-information measures and the
+module-level `implies`, `neg` and `oracle_implies`: `OpenAlgebra` evaluates
+Q => T with a few C-level set operations, which costs less than turning
+each argument into a mask and back (a Python loop over its elements).  The
+tests check the two engines against each other and against the oracle.
 """
 
 import numpy as np
 
-from .arch_site import FinitePoset, enumeration_bound, is_open, lower_open_sets, open_masks
+from .arch_site import FinitePoset, enumeration_bound, lower_open_sets, open_masks
 from .errors import BoundExceeded, PosetError
-
-
-def _require_open(poset, subset, name):
-    foreign = [x for x in subset if x not in poset.index]
-    if foreign:
-        raise PosetError(f"{sorted(map(str, foreign))} are not elements of the poset")
-    if not is_open(poset, subset):
-        raise PosetError(f"{name} = {sorted(map(str, subset))} is not downward closed")
-    return poset.mask_of(subset)
 
 
 def top_mask(poset):
@@ -94,20 +93,18 @@ def oracle_implies_mask(poset, q, t, opens=None):
 
 
 def implies(poset, q, t):
-    """Q => T on opens, by the pointwise formula."""
-    qm = _require_open(poset, q, "q")
-    tm = _require_open(poset, t, "t")
-    return poset.set_of(implies_mask(poset, qm, tm))
+    """Q => T on opens, by `OpenAlgebra`'s set formula."""
+    return OpenAlgebra(poset).implies(q, t)
 
 
 def neg(poset, q):
-    return implies(poset, q, frozenset())
+    return OpenAlgebra(poset).neg(q)
 
 
 def oracle_implies(poset, q, t, bound=None):
     """Q => T recomputed as the union of every open V with V /\\ Q <= T."""
-    qm = _require_open(poset, q, "q")
-    tm = _require_open(poset, t, "t")
+    alg = OpenAlgebra(poset)
+    qm, tm = poset.mask_of(alg.check(q)), poset.mask_of(alg.check(t))
     return poset.set_of(oracle_implies_mask(poset, qm, tm, open_masks(poset, bound)))
 
 
@@ -128,20 +125,20 @@ def implication_table(poset, bound=None):
 
 
 class OpenAlgebra:
-    """The opens of a finite poset as frozensets of its elements.
+    """The opens of a finite poset as frozensets of its elements: the
+    frozenset engine, for per-call work (see the module docstring).
 
     Every argument is checked to be an open.  The operations work on the
-    sets directly (no round trip through masks), since conditioning runs
-    once per call in the semantic-information measures."""
+    sets directly, through the poset's `strict_sets()`, with no round trip
+    through masks: one call costs a few C-level set operations, where a
+    conversion to a mask and back runs a Python loop."""
 
     def __init__(self, poset):
         self.poset = poset
         self.top = frozenset(poset.elements)
         self.bottom = frozenset()
-        # strict down- and up-sets, kept only where they are not empty
-        strict = lambda masks: {x: poset.set_of(masks[i] & ~(1 << i))
-                                for i, x in enumerate(poset.elements) if masks[i] != 1 << i}
-        self._below, self._above = strict(poset._down), strict(poset._up)
+        self._below, self._above = poset.strict_sets()
+        # intersecting with a frozenset is faster than with a keys view
         self._nonminimal, self._nonmaximal = frozenset(self._below), frozenset(self._above)
 
     @staticmethod

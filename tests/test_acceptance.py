@@ -48,6 +48,14 @@ SWEEP_MAX_N = 3
 SWEEP_MAX_E0 = 4
 SWEEP_VIOLATIONS = 18_587_660
 
+# The exact seed-0 details of the semantic-information criteria, so that a
+# change in their sample counts or in their results shows here.
+SEED_0_DETAILS = {
+    4: "10000 triples, max residual 4.44e-16",
+    5: "symmetry exact=True, min I=0.00e+00, D(S;S)=0.0, min D=0.00e+00",
+    16: "Boolean: 32^3 triples; two-chain opens: 3^3; exact",
+}
+
 CRITERION_03_DETAIL = re.compile(
     r"strict increase: (\d+) pairs OK; concavity: (\d+) triples, "
     r"(\d+) violations; (first counterexample .*)")
@@ -122,6 +130,8 @@ def test_criterion(criterion):
         _check_criterion_03_refutation(result)
     else:
         assert result.passed, result.detail
+    if result.number in SEED_0_DETAILS:
+        assert result.detail == SEED_0_DETAILS[result.number]
 
 
 def test_array_sup_scan_equals_scalar_oracle_on_small_lattices():

@@ -327,11 +327,18 @@ def test_cached_structure_matches_fresh_computation_and_is_read_only():
         poset = FinitePoset(range(n), relations)
         covering, covers, linear = (poset.covering(), poset.lower_covers(),
                                     poset.linear_extension())
+        strict = poset.strict_sets()
         assert poset.covering() is covering and poset.lower_covers() is covers
-        assert poset.linear_extension() is linear
+        assert poset.linear_extension() is linear and poset.strict_sets() is strict
         fresh = FinitePoset(range(n), relations)
         assert covering == fresh.covering() and set(covering) == _covering_oracle(poset)
         assert dict(covers) == dict(fresh.lower_covers())
+        below = {y: frozenset(x for x in poset.elements if x != y and poset.leq(x, y))
+                 for y in poset.elements}
+        above = {x: frozenset(y for y in poset.elements if y != x and poset.leq(x, y))
+                 for x in poset.elements}
+        assert [dict(m) for m in strict] == [{x: s for x, s in brute.items() if s}
+                                             for brute in (below, above)]
         assert all(covers[y] == tuple(x for x, z in covering if z == y) for y in poset.elements)
         assert linear == fresh.linear_extension()
         assert sorted(linear) == list(range(n))
@@ -343,6 +350,9 @@ def test_cached_structure_matches_fresh_computation_and_is_read_only():
             covers[0] = ()
         with pytest.raises(TypeError):
             del covers[0]
+        for mapping in strict:
+            with pytest.raises(TypeError):
+                mapping[0] = frozenset()
 
 
 def test_linear_extension_never_compares_elements():

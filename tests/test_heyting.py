@@ -54,17 +54,24 @@ def test_rejects_non_open_argument():
 
 
 @pytest.mark.parametrize("call", [
-    lambda p: hey.implies(p, frozenset({5}), frozenset()),
-    lambda p: hey.implies(p, frozenset(), frozenset({5})),
-    lambda p: hey.neg(p, frozenset({5})),
-    lambda p: hey.oracle_implies(p, frozenset({0}), frozenset({"x"})),
+    lambda p, bad: hey.implies(p, bad, frozenset()),
+    lambda p, bad: hey.implies(p, frozenset(), bad),
+    lambda p, bad: hey.neg(p, bad),
+    lambda p, bad: hey.oracle_implies(p, frozenset({0}), bad),
 ], ids=["implies-q", "implies-t", "neg", "oracle_implies"])
 def test_rejects_foreign_elements_like_open_algebra(call):
+    """Foreign elements and non-open sets raise the one text of
+    `OpenAlgebra.check`."""
     p = FinitePoset.chain(1)
-    with pytest.raises(PosetError, match="are not elements of the poset"):
-        call(p)
-    with pytest.raises(PosetError, match="are not elements of the poset"):
-        hey.OpenAlgebra(p).check({5})
+    for bad, text in (({5}, "['5'] are not elements of the poset"),
+                      ({"x"}, "['x'] are not elements of the poset"),
+                      ({1}, "['1'] is not downward closed")):
+        with pytest.raises(PosetError) as error:
+            call(p, frozenset(bad))
+        assert str(error.value) == text
+        with pytest.raises(PosetError) as error:
+            hey.OpenAlgebra(p).check(bad)
+        assert str(error.value) == text
 
 
 def test_vacuous_and_equal_cases():
@@ -76,13 +83,18 @@ def test_vacuous_and_equal_cases():
 
 
 def test_pointwise_equals_oracle_exhaustive_small():
+    """The mask engine, the frozenset engine and the oracle agree on every
+    pair of opens."""
     rng = random.Random(11)
     for _ in range(12):
         p = random_poset(rng, rng.randint(2, 6))
         opens = open_masks(p)
         for q in opens:
             for t in opens:
-                assert hey.implies_mask(p, q, t) == hey.oracle_implies_mask(p, q, t, opens)
+                mask = hey.implies_mask(p, q, t)
+                assert mask == hey.oracle_implies_mask(p, q, t, opens)
+                qs, ts = p.set_of(q), p.set_of(t)
+                assert hey.implies(p, qs, ts) == p.set_of(mask) == hey.oracle_implies(p, qs, ts)
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 25])

@@ -16,6 +16,7 @@ from sheafnet.seminfo import (
     check_concavity,
     check_increasing,
     check_independence,
+    concavity_defect,
     condition,
     conditioning_preserves_exclusion,
     content,
@@ -145,10 +146,23 @@ def test_ambiguity_nonnegative_and_maximal_at_p():
 
 
 def test_ambiguity_infinity_guard():
+    """Each measure refuses inf - inf with its own message, and only that:
+    one infinite side is a legal infinite value."""
     lang = lang_of(3)
     psi = cbh_precision(lang)
-    with pytest.raises(InfinityArithmetic):
-        ambiguity(psi, frozenset(), psi.algebra.top)
+    bottom, top = frozenset(), psi.algebra.top
+    for call, text in ((lambda: ambiguity(psi, bottom, top),
+                        "difference of two infinite precisions"),
+                       (lambda: mutual_information(psi, bottom, top, top),
+                        "mutual information mixes infinities"),
+                       (lambda: kl_divergence(psi, top, bottom, bottom),
+                        "divergence mixes infinities"),
+                       (lambda: concavity_defect(psi, top, bottom, bottom),
+                        "concavity defect mixes infinities")):
+        with pytest.raises(InfinityArithmetic) as error:
+            call()
+        assert str(error.value) == text
+    assert ambiguity(psi, bottom, frozenset({"s0"})) == math.inf
 
 
 def test_cocycle_identity_random_triples():
@@ -160,6 +174,9 @@ def test_cocycle_identity_random_triples():
                for _ in range(500)]
     report = check_cocycle(psi, triples)
     assert report.passed(1e-12)
+    # read once from a generator; a triple with inf - inf is skipped, not counted
+    bottom = (frozenset(), psi.algebra.top, psi.algebra.top)
+    assert check_cocycle(psi, (x for x in triples + [bottom])) == report
 
 
 def test_cocycle_idempotent_substitution():
