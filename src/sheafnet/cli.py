@@ -207,7 +207,7 @@ def _emit_sections(secs, args):
 
 
 def cmd_heyting(args):
-    if args.arch:
+    if args.arch is not None:
         poset = build_poset(fork_surgery(load_architecture(args.arch)))
     else:
         poset = _load_poset(_load_json(args.infile))

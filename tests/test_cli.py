@@ -486,12 +486,15 @@ def test_out_file(capsys, datadir, tmp_path):
     assert json.loads(target.read_text())["loop_rank"] == 0
 
 
-@pytest.mark.parametrize("argv", [["heyting", "--seed", "0"], ["dyn", "gradcheck"]],
-                         ids=["heyting-without-input", "gradcheck-without-arch"])
-def test_missing_input_exits_2_without_traceback(argv):
+@pytest.mark.parametrize("argv, says", [
+    (["heyting", "--seed", "0"], "--in"),
+    (["dyn", "gradcheck"], "--arch"),
+    (["heyting", "--arch", ""], "No such file or directory: ''"),
+], ids=["heyting-without-input", "gradcheck-without-arch", "heyting-empty-arch"])
+def test_missing_input_exits_2_without_traceback(argv, says):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run([sys.executable, "-m", "sheafnet.cli", *argv], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 2 and proc.stdout == ""
     assert "Traceback" not in proc.stderr
-    assert ("--in" if argv[0] == "heyting" else "--arch") in proc.stderr
+    assert says in proc.stderr

@@ -16,8 +16,8 @@ Usage, from the root of a checkout:
     python3 tools/abtime.py verify.criterion_04 --base HEAD~1
     python3 tools/abtime.py verify.criterion_04 --base HEAD --change HEAD   # A/A
 
-``--args`` is a JSON list of positional arguments (default ``[0]``, the
-seed of a criterion).  The last line of standard output is one JSON object
+The callable is called with no arguments (a criterion then runs at its
+default seed, 0).  The last line of standard output is one JSON object
 with every number reported.
 """
 
@@ -47,13 +47,9 @@ def parse_args(argv=None):
     p.add_argument("--change", default=None,
                    help="git revision of side B (default: the working tree)")
     p.add_argument("--pairs", type=int, default=20)
-    p.add_argument("--args", default="[0]", help="JSON list of positional arguments")
     args = p.parse_args(argv)
     if args.pairs < 2:
         p.error("--pairs must be at least 2")
-    args.args = json.loads(args.args)
-    if not isinstance(args.args, list):
-        p.error("--args must be a JSON list")
     return args
 
 
@@ -86,10 +82,10 @@ def resolve(package, dotted):
         raise SystemExit(f"no callable {dotted!r} in the package: {exc}") from None
 
 
-def timed(fn, args):
+def timed(fn):
     gc.collect()
     start = perf_counter()
-    fn(*args)
+    fn()
     return perf_counter() - start
 
 
@@ -110,24 +106,24 @@ def main(argv=None):
             load(f"sheafnet_ab_{side}", src)
             sides[side] = resolve(f"sheafnet_ab_{side}", args.callable)
         for fn in sides.values():             # warm-up: imports, first-use caches
-            fn(*args.args)
+            fn()
         times = {"base": [], "change": []}
         for i in range(args.pairs):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for side in order:
-                times[side].append(timed(sides[side], args.args))
+                times[side].append(timed(sides[side]))
     ratios = [c / b for b, c in zip(times["base"], times["change"])]
     low, high = bootstrap_median(ratios, random.Random(0))
     q1, _, q3 = statistics.quantiles(ratios, n=4)
     result = {
-        "callable": args.callable, "args": args.args, "pairs": args.pairs,
+        "callable": args.callable, "pairs": args.pairs,
         "base": args.base, "change": args.change or "working tree",
         "base_median_s": statistics.median(times["base"]),
         "change_median_s": statistics.median(times["change"]),
         "median_ratio": statistics.median(ratios), "ratio_ci95": [low, high],
         "ratio_iqr": q3 - q1, "change_faster_in_pairs": sum(r < 1 for r in ratios),
     }
-    print(f"{args.callable}({', '.join(map(repr, args.args))}), {args.pairs} pairs: "
+    print(f"{args.callable}(), {args.pairs} pairs: "
           f"base {result['base_median_s']:.4f} s, change {result['change_median_s']:.4f} s "
           f"(medians)")
     print(f"paired ratio change/base: median {result['median_ratio']:.3f}, "
