@@ -108,16 +108,26 @@ def _field(doc, key, what="document"):
     return doc[key]
 
 
+def _scalars(xs):
+    """Are all of ``xs`` JSON strings or numbers?"""
+    return all(isinstance(x, (str, int, float)) for x in xs)
+
+
+def _scalar_list(value, what):
+    """``value`` if it is a JSON list of strings or numbers, else an input
+    error naming ``what``."""
+    if not isinstance(value, list) or not _scalars(value):
+        raise SheafnetError(f"{what} must be a list of strings or numbers")
+    return value
+
+
 def _load_poset(doc):
     """The poset of a document.  Its elements are JSON strings or numbers,
     named in the document by their ``str``, so the names must differ."""
-    elements = _field(doc, "elements", "poset")
-    scalars = lambda xs: all(isinstance(x, (str, int, float)) for x in xs)
-    if not isinstance(elements, list) or not scalars(elements):
-        raise SheafnetError("poset 'elements' must be a list of strings or numbers")
+    elements = _scalar_list(_field(doc, "elements", "poset"), "poset 'elements'")
     leq = doc.get("leq", [])
     if not isinstance(leq, list) or \
-            not all(isinstance(p, list) and len(p) == 2 and scalars(p) for p in leq):
+            not all(isinstance(p, list) and len(p) == 2 and _scalars(p) for p in leq):
         raise SheafnetError("poset 'leq' must be a list of [x, y] pairs of elements")
     if len(set(map(str, elements))) != len(elements):
         raise SheafnetError("poset elements must have distinct names")
@@ -127,9 +137,14 @@ def _load_poset(doc):
 def _load_presheaf(doc):
     poset = _load_poset(_field(doc, "poset"))
     table = _field(doc, "carriers")
-    carriers = {x: tuple(_field(table, str(x), "'carriers'")) for x in poset.elements}
-    maps = {_covering_pair(key, poset): dict(m) for key, m in doc.get("maps", {}).items()}
-    return Presheaf(poset, carriers, maps)
+    carriers = {x: _scalar_list(_field(table, str(x), "'carriers'"), f"carrier {str(x)!r}")
+                for x in poset.elements}
+    maps = doc.get("maps", {})
+    if not isinstance(maps, dict) or not all(
+            isinstance(m, dict) and _scalars(m.values()) for m in maps.values()):
+        raise SheafnetError("'maps' must send each 'x<=y' key to an object "
+                            "of states (strings or numbers)")
+    return Presheaf(poset, carriers, {_covering_pair(key, poset): m for key, m in maps.items()})
 
 
 def _covering_pair(key, poset):
@@ -190,7 +205,8 @@ def cmd_sections(args):
 
 def cmd_cats_manifold(args):
     p = _load_presheaf(_load_json(args.infile))
-    predicate = {k: list(v) for k, v in _load_json(args.predicate).items()}
+    predicate = {k: _scalar_list(v, f"predicate on {k!r}")
+                 for k, v in _load_json(args.predicate).items()}
     return _emit_sections(cats_manifold(p, predicate, _section_bound(args)), args)
 
 
@@ -245,7 +261,7 @@ def cmd_stack(args):
 
 def cmd_info(args):
     doc = _load_json(args.infile)
-    states = [str(s) for s in _field(doc, "states")]
+    states = [str(s) for s in _scalar_list(_field(doc, "states"), "'states'")]
     measure = doc.get("measure")
     if measure is not None and not isinstance(measure, dict):
         raise SheafnetError("'measure' must be a JSON object of state weights")

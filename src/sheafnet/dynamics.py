@@ -7,9 +7,13 @@ is the fork semantics.  The gradient of the loss with respect to a node's
 weight block is the sum over all directed paths from that node to the
 output of the chain-rule Jacobian product; `backprop_paths` computes it
 literally and `reverse_mode` / `finite_difference` are the cross-checks.
-`finite_difference` re-evaluates only the perturbed weight's node and its
-descendants, from one base forward pass, so its result is bit-identical to
-re-running the whole network for every perturbation.
+`finite_difference` stacks the perturbed copies of a weight block along a
+leading axis, in blocks of at most `FD_ROW_BLOCK` rows, and evaluates the
+perturbed node and its descendants once per block from one base forward
+pass.  Each row is bit-identical to re-running the whole network with that
+perturbation: numpy's stacked matmul makes the same per-item BLAS call as
+the unstacked product when each item has the unstacked operand's strides,
+and the other operations work element by element.
 
 Memory cells (LSTM, GRU, MGU2, cubic) are implemented from their update
 formulas with explicit weight matrices and no biases, so the parameter
@@ -26,6 +30,10 @@ import numpy as np
 from .errors import ArchitectureError, NondifferentiablePoint
 
 SATURATION_THRESHOLD = 4.0
+
+# Most perturbed copies that `WeightedNetwork.finite_difference` evaluates
+# together (two per weight entry, an even number).
+FD_ROW_BLOCK = 128
 
 
 # ---------------------------------------------------------------------------
@@ -106,25 +114,19 @@ class WeightedNetwork:
                 if v.shape != (n.dim,):
                     raise ArchitectureError(f"input {name!r} has wrong dimension")
                 acts[name] = v
+            elif n.op == "affine":
+                z = n.weight @ self._concat(n, acts)
+                if n.bias is not None:
+                    z = z + n.bias
+                pre[name] = z
+                acts[name] = ACTIVATIONS[n.activation][0](z)
+            elif n.op == "hadamard":
+                a, b = (acts[p] for p in n.parents)
+                acts[name] = a * b
             else:
-                self._evaluate(n, acts, pre)
+                a, b = (acts[p] for p in n.parents)
+                acts[name] = a + b
         return acts, pre
-
-    def _evaluate(self, n, acts, pre):
-        """Set the activation (and, if affine, the pre-activation) of the
-        non-input node ``n`` from its parents' activations in ``acts``."""
-        if n.op == "affine":
-            z = n.weight @ self._concat(n, acts)
-            if n.bias is not None:
-                z = z + n.bias
-            pre[n.name] = z
-            acts[n.name] = ACTIVATIONS[n.activation][0](z)
-        elif n.op == "hadamard":
-            a, b = (acts[p] for p in n.parents)
-            acts[n.name] = a * b
-        else:
-            a, b = (acts[p] for p in n.parents)
-            acts[n.name] = a + b
 
     def join_value(self, name, acts):
         """The tuple of parent activations consumed by a node."""
@@ -227,25 +229,26 @@ class WeightedNetwork:
         return grads
 
     def finite_difference(self, inputs, loss, h=1e-5):
-        """Central differences on every affine weight entry.  After one base
-        forward pass, each perturbation re-evaluates only the perturbed node
-        and its descendants, in `order`; every other activation is the base
-        array itself, so the result is bit-identical to re-running
-        `feedforward` per perturbation."""
+        """Central differences on every affine weight and bias entry, from one
+        base forward pass and batched re-evaluation.
+
+        Each entry gives two rows: the weight (or bias) with that entry moved
+        by +h, and by -h.  A block of at most `FD_ROW_BLOCK` rows stacks
+        these copies along a leading axis and evaluates the perturbed node
+        and its descendants once for the whole block, then calls
+        ``loss.value`` once per row; every other node keeps its base
+        activation.  So memory grows with the block times the largest weight,
+        not with the square of the parameter count.
+
+        Each row is bit-identical to re-running `feedforward` on the
+        perturbed network.  A stacked ``np.matmul`` makes the same per-item
+        BLAS call as ``W @ x`` when each item has the strides of the unstacked
+        operands: the joins built here are C-ordered, and the copies of a
+        weight keep its C or Fortran order (a weight with any other strides,
+        such as a strided slice, is copied in C order, and its rows may then
+        differ in the last bits).  Activations, bias addition and the
+        Hadamard product and sum work element by element."""
         acts, _ = self.feedforward(inputs)
-
-        def central(below, array, idx):
-            values = []
-            keep = array[idx]
-            for shifted in (keep + h, keep - h):
-                array[idx] = shifted
-                a = dict(acts)
-                for node in below:
-                    self._evaluate(node, a, {})
-                values.append(loss.value(a[self.output]))
-            array[idx] = keep
-            return (values[0] - values[1]) / (2 * h)
-
         grads = {}
         for pos, name in enumerate(self.order):
             n = self.nodes[name]
@@ -256,16 +259,75 @@ class WeightedNetwork:
                 if seen.intersection(self.nodes[later].parents):
                     below.append(self.nodes[later])
                     seen.add(later)
-            gw = np.zeros_like(n.weight)
-            for idx in np.ndindex(*n.weight.shape):
-                gw[idx] = central(below, n.weight, idx)
-            gb = None
-            if n.bias is not None:
-                gb = np.zeros_like(n.bias)
-                for idx in np.ndindex(*n.bias.shape):
-                    gb[idx] = central(below, n.bias, idx)
-            grads[name] = (gw, gb)
+            blocks = []
+            for field in ("weight", "bias"):
+                array = getattr(n, field)
+                if array is None:
+                    blocks.append(None)
+                    continue
+                diffs = np.empty(array.size)
+                for start in range(0, array.size, FD_ROW_BLOCK // 2):
+                    stop = min(start + FD_ROW_BLOCK // 2, array.size)
+                    stack = _copies(array, 2 * (stop - start))
+                    # row 2k moves entry start + k (in C order) by +h, row 2k + 1 by -h
+                    idx = np.unravel_index(np.arange(start, stop), array.shape)
+                    k = np.arange(stop - start)
+                    stack[(2 * k,) + idx] = array[idx] + h
+                    stack[(2 * k + 1,) + idx] = array[idx] - h
+                    out = self._rows_forward(below, acts, field, stack)
+                    values = np.array([loss.value(y) for y in out])
+                    diffs[start:stop] = (values[0::2] - values[1::2]) / (2 * h)
+                block = np.zeros_like(array)
+                block[...] = diffs.reshape(array.shape)
+                blocks.append(block)
+            grads[name] = tuple(blocks)
         return grads
+
+    def _rows_forward(self, below, acts, field, stack):
+        """The output activation, one row per copy in ``stack``, of the
+        network in which the first node of ``below`` takes that copy as its
+        ``field`` ("weight" or "bias").  ``below`` is that node and its
+        descendants, in `order`; every other node keeps its activation in
+        ``acts``."""
+        rows = {}
+        for i, n in enumerate(below):
+            parents = [rows.get(p, acts[p]) for p in n.parents]
+            if n.op == "affine":
+                weight, bias = n.weight, n.bias
+                if i == 0:
+                    weight, bias = (stack, bias) if field == "weight" else (weight, stack)
+                    x = np.concatenate(parents)
+                else:
+                    # a C-ordered join of batched and base parents: np.concatenate
+                    # of broadcast views comes out F-ordered when a batched
+                    # parent has dimension 1, and matmul then skips BLAS
+                    x = np.empty((len(stack), weight.shape[1]))
+                    offset = 0
+                    for value in parents:
+                        x[:, offset:offset + value.shape[-1]] = value
+                        offset += value.shape[-1]
+                z = np.matmul(weight, x[..., None])[..., 0]
+                if bias is not None:
+                    z = z + bias
+                rows[n.name] = ACTIVATIONS[n.activation][0](z)
+            elif n.op == "hadamard":
+                rows[n.name] = parents[0] * parents[1]
+            else:
+                rows[n.name] = parents[0] + parents[1]
+        return rows[self.output]
+
+
+def _copies(array, count):
+    """``count`` copies of ``array`` along a new leading axis.  Each copy of a
+    Fortran-ordered matrix is Fortran-ordered too, so that numpy's matmul
+    passes it to BLAS as it passes ``array``; anything else is copied in C
+    order."""
+    if array.ndim == 2 and array.flags.f_contiguous and not array.flags.c_contiguous:
+        stack = np.empty((count,) + array.shape[::-1]).transpose(0, 2, 1)
+    else:
+        stack = np.empty((count,) + array.shape)
+    stack[:] = array
+    return stack
 
 
 @dataclass(frozen=True)

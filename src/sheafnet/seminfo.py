@@ -64,7 +64,7 @@ class BooleanLanguage:
 
     def m(self, subset):
         # the empty set keeps the int 0 of `sum`, which reports print as 0
-        return math.fsum(self.measure[s] for s in subset) or 0
+        return math.fsum(map(self.measure.__getitem__, subset)) or 0
 
 
 def condition(algebra, t, q):
@@ -90,17 +90,7 @@ def psi_cbh(lang, t):
 
 def psi_localized(lang, p, t):
     """psi_P(T) = ln(m(T) / m(not P)); defined for theories excluding P."""
-    p = frozenset(p)
-    t = frozenset(t)
-    if not p:
-        return psi_cbh(lang, t)
-    if t & p:
-        raise LanguageError("theory does not exclude the localizing proposition")
-    denom = lang.m(set(lang.states) - p)
-    if denom == 0:
-        raise LanguageError("not P has measure zero; localization undefined")
-    mt = lang.m(t)
-    return NEG_INF if mt == 0 else math.log(mt / denom)
+    return localized_precision(lang, p)(t)
 
 
 @dataclass
@@ -120,8 +110,25 @@ def cbh_precision(lang):
 
 
 def localized_precision(lang, p):
+    """psi_P as a precision.  m(not P) is summed once, when it is built, so a
+    P that names every state raises LanguageError here, before any theory is
+    graded."""
     alg = OpenAlgebra.discrete(lang.states)
-    return PrecisionFunction(lambda t: psi_localized(lang, p, t), alg)
+    p = frozenset(p)
+    if not p:
+        return PrecisionFunction(lambda t: psi_cbh(lang, t), alg)
+    denom = lang.m(set(lang.states) - p)
+    if denom == 0:
+        raise LanguageError("not P has measure zero; localization undefined")
+
+    def psi(t):
+        t = frozenset(t)
+        if t & p:
+            raise LanguageError("theory does not exclude the localizing proposition")
+        mt = lang.m(t)
+        return NEG_INF if mt == 0 else math.log(mt / denom)
+
+    return PrecisionFunction(psi, alg)
 
 
 def delta_precision(chain, delta, mu=None):
@@ -141,6 +148,9 @@ def cardinality_precision(poset):
 # Derived quantities
 # ---------------------------------------------------------------------------
 
+_AMBIGUITY_INF = "difference of two infinite precisions"
+
+
 def _diff(pos, neg, what):
     """pos - neg on extended reals; inf - inf raises InfinityArithmetic(what)."""
     if math.isinf(pos) and math.isinf(neg):
@@ -151,7 +161,7 @@ def _diff(pos, neg, what):
 def ambiguity(psi, s, q):
     """phi^Q(S) = psi(S|Q) - psi(S); nonnegative for increasing psi."""
     alg = psi.algebra
-    return _diff(psi(condition(alg, s, q)), psi(s), "difference of two infinite precisions")
+    return _diff(psi(condition(alg, s, q)), psi(s), _AMBIGUITY_INF)
 
 
 def mutual_information(psi, t, q1, q2):
@@ -195,14 +205,25 @@ class CocycleReport:
 def check_cocycle(psi, triples):
     """The largest residual of phi^{Q and R}(S) = phi^Q(S) + phi^R(S|Q) over
     the (S, Q, R) triples, read once (a generator will do).  A triple where
-    either side would subtract two infinities is skipped, not counted."""
+    either side would subtract two infinities is skipped, not counted.
+
+    Each triple evaluates psi(S|Q and R), psi(S), psi(S|Q) and psi((S|Q)|R)
+    once each, in that order, and three implications, where the three
+    `ambiguity` calls would take six and four.  The differences are formed
+    from these values with the same guards and float operations, in the same
+    order, so the report is theirs bit for bit."""
     alg = psi.algebra
     worst = 0.0
     n = 0
     for s, q, r in triples:
         try:
-            lhs = ambiguity(psi, s, alg.meet(q, r))
-            rhs = ambiguity(psi, s, q) + ambiguity(psi, condition(alg, s, q), r)
+            psi_s_qr = psi(condition(alg, s, alg.meet(q, r)))
+            psi_s = psi(s)
+            lhs = _diff(psi_s_qr, psi_s, _AMBIGUITY_INF)
+            s_q = condition(alg, s, q)
+            psi_s_q = psi(s_q)
+            rhs = _diff(psi_s_q, psi_s, _AMBIGUITY_INF) + \
+                _diff(psi(condition(alg, s_q, r)), psi_s_q, _AMBIGUITY_INF)
         except InfinityArithmetic:
             continue
         n += 1

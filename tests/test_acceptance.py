@@ -26,6 +26,7 @@ psi_delta is concave when Q is asserted at full depth (Q_k = Q_0 & E_k);
 tests/test_chains.py verifies that exhaustively on small chains.
 """
 
+import hashlib
 import os
 import random
 import re
@@ -42,6 +43,7 @@ from sheafnet import verify
 from sheafnet.arch_site import open_masks
 from sheafnet.chains import ChainObject, DeltaSequence, chain_implication, psi_delta
 from sheafnet.presheaf import elements_poset
+from sheafnet.seminfo import InfinityArithmetic, ambiguity, condition
 
 # Criterion 3 sweeps every chain of height n <= 3 with 1 <= |E_0| <= 4.
 SWEEP_MAX_N = 3
@@ -152,6 +154,50 @@ def test_array_sup_scan_equals_scalar_oracle_on_small_lattices():
     assert pairs == 32402
 
 
+# sha256 of criterion 4's seed-0 (S, Q, R) triples, 5,000 per precision in
+# the order drawn, each written as its three sorted lists of state names.  Its
+# detail line only counts the triples, so this is what shows a change in the
+# draws.
+CRITERION_04_TRIPLES_SHA256 = "5c4b08bfb3ab078d3399b9dddb6bde72bf0e0084ccf37550a4cd45c587f5b1a5"
+
+
+def _three_ambiguity_cocycle(psi, triples):
+    """Samples and largest residual of phi^{Q and R}(S) = phi^Q(S) +
+    phi^R(S|Q), each phi one `ambiguity` call: the oracle of `check_cocycle`,
+    which evaluates each precision once per triple."""
+    alg = psi.algebra
+    worst, n = 0.0, 0
+    for s, q, r in triples:
+        try:
+            lhs = ambiguity(psi, s, alg.meet(q, r))
+            rhs = ambiguity(psi, s, q) + ambiguity(psi, condition(alg, s, q), r)
+        except InfinityArithmetic:
+            continue
+        n += 1
+        worst = max(worst, abs(lhs - rhs))
+    return n, worst
+
+
+def test_criterion_04_draws_and_residuals(monkeypatch):
+    checked = []
+    check_cocycle = verify.check_cocycle
+
+    def spy(psi, triples):
+        triples = list(triples)
+        checked.append((psi, triples, check_cocycle(psi, triples)))
+        return checked[-1][2]
+
+    monkeypatch.setattr(verify, "check_cocycle", spy)
+    assert verify.criterion_04(0).detail == SEED_0_DETAILS[4]
+    text = "\n".join(";".join(",".join(sorted(part)) for part in triple)
+                     for _, triples, _ in checked for triple in triples)
+    assert [len(triples) for _, triples, _ in checked] == [5000, 5000]
+    assert hashlib.sha256(text.encode()).hexdigest() == CRITERION_04_TRIPLES_SHA256
+    for psi, triples, report in checked:
+        samples, worst = _three_ambiguity_cocycle(psi, triples)
+        assert (report.samples, report.max_residual.hex()) == (samples, worst.hex())
+
+
 # Prints a digest of every sheaf criterion 9 builds (carriers, edge maps and
 # handle maps, in sorted order).
 _CRITERION_09_DIGEST = """
@@ -189,22 +235,24 @@ def test_criterion_01_does_not_depend_on_enumeration_bound():
     assert out == verify.criterion_01(0).detail + "\n"
 
 
-# Prints the peak resident set size, in MB, of a process that ran one
-# criterion: the high-water mark of its own address space (Linux VmHWM, in
-# KiB).  Not ru_maxrss, which Linux carries across exec from the process
-# that forked, so that it reads at least the test runner's own peak.
-_CRITERION_PEAK = """
-from sheafnet import verify
-verify.criterion_{:02d}(0)
+# Prints the peak resident set size, in MB, of a process that ran some code
+# first: the high-water mark of its own address space (Linux VmHWM, in KiB).
+# Not ru_maxrss, which Linux carries across exec from the process that
+# forked, so that it reads at least the test runner's own peak.
+_PRINT_PEAK = """
 with open("/proc/self/status") as status:
     print(next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024)
 """
 
 
-def _criterion_peak_mb(number):
+def _peak_mb(code):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    return float(subprocess.run([sys.executable, "-c", _CRITERION_PEAK.format(number)],
+    return float(subprocess.run([sys.executable, "-c", code + _PRINT_PEAK],
                                 env=env, capture_output=True, text=True, check=True).stdout)
+
+
+def _criterion_peak_mb(number):
+    return _peak_mb(f"from sheafnet import verify\nverify.criterion_{number:02d}(0)\n")
 
 
 def test_criterion_02_runs_in_bounded_memory():
@@ -215,6 +263,30 @@ def test_criterion_02_runs_in_bounded_memory():
 
 def test_criterion_03_runs_in_bounded_memory():
     assert _criterion_peak_mb(3) < 200.0
+
+
+# Finite differences of a network with 10,060 parameters (40 -> 100 -> 60 -> 1).
+# Stacking every perturbed copy of its 60 x 100 weight at once would take
+# 2 * 6,000 copies of 6,000 entries, about 576 MB.
+_FINITE_DIFFERENCE_10K = """
+import numpy as np
+from sheafnet.dynamics import Node, SumLoss, WeightedNetwork
+rng = np.random.default_rng(0)
+net = WeightedNetwork([
+    Node("x", "input", 40),
+    Node("h", "affine", 100, ("x",), "tanh", weight=rng.uniform(-0.2, 0.2, (100, 40))),
+    Node("g", "affine", 60, ("h",), "tanh", weight=rng.uniform(-0.2, 0.2, (60, 100))),
+    Node("y", "affine", 1, ("g",), "identity", weight=rng.uniform(-0.2, 0.2, (1, 60))),
+])
+grads = net.finite_difference({"x": rng.uniform(-1, 1, 40)}, SumLoss())
+assert sum(g.size for g, _ in grads.values()) == 10060
+"""
+
+
+def test_finite_difference_runs_in_bounded_memory():
+    """The perturbed copies are evaluated in blocks of at most
+    `FD_ROW_BLOCK` rows; importing the library alone takes about 30 MB."""
+    assert _peak_mb(_FINITE_DIFFERENCE_10K) < 64.0
 
 
 @pytest.mark.parametrize("count", [1, 4000])

@@ -381,6 +381,47 @@ def test_info_malformed_measure_exit_2(capsys, tmp_path, measure, message):
     assert out == "" and err.startswith("error:") and message in err
 
 
+def test_info_p_naming_every_state_exit_2(capsys, tmp_path):
+    path = tmp_path / "lang.json"
+    path.write_text(json.dumps({"states": ["a", "b"]}))
+    code, out, err = run(capsys, "info", "--in", str(path), "--p", "a,b")
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "not P has measure zero" in err
+
+
+_TWO = {"elements": ["a", "b"], "leq": [["a", "b"]]}
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("sections", {"poset": _TWO, "carriers": {"a": [["x"]], "b": ["y"]},
+                  "maps": {"a<=b": {"y": ["x"]}}}, "carrier 'a'"),
+    ("sections", {"poset": _TWO, "carriers": {"a": None, "b": ["y"]}}, "carrier 'a'"),
+    ("sections", {"poset": _TWO, "carriers": {"a": ["x"], "b": ["y"]},
+                  "maps": {"a<=b": {"y": {"k": "x"}}}}, "'maps'"),
+    ("sections", {"poset": _TWO, "carriers": {"a": ["x"], "b": ["y"]}, "maps": "a"}, "'maps'"),
+    ("sections", {"poset": _TWO, "carriers": {"a": ["x"], "b": ["y"]},
+                  "maps": {"a<=b": "a"}}, "'maps'"),
+    ("info", {"states": 1.5}, "'states'"),
+], ids=["list-state", "null-carrier", "object-image", "string-maps", "string-map", "float-states"])
+def test_malformed_document_values_exit_2(capsys, tmp_path, command, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, "--in", str(path))
+    assert code == 2
+    assert out == "" and err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("predicate", [{"a": 1.5}, {"a": [["x"]]}], ids=["number", "list-state"])
+def test_cats_manifold_malformed_predicate_exit_2(capsys, tmp_path, predicate):
+    (tmp_path / "doc.json").write_text(json.dumps(
+        {"poset": {"elements": ["a"], "leq": []}, "carriers": {"a": ["x"]}}))
+    (tmp_path / "pred.json").write_text(json.dumps(predicate))
+    code, out, err = run(capsys, "cats-manifold", "--in", str(tmp_path / "doc.json"),
+                         "--predicate", str(tmp_path / "pred.json"))
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "predicate on 'a'" in err
+
+
 def test_info_does_not_depend_on_hash_seed(tmp_path):
     """Measures of sets are summed independently of frozenset order."""
     path = tmp_path / "m.json"

@@ -188,6 +188,66 @@ def test_finite_difference_is_bit_identical_with_bias_hadamard_and_hadsum():
                          full_forward_differences(net, inputs, loss))
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("loss", ["sum", "quadratic"])
+def test_finite_difference_is_bit_identical_on_larger_random_networks(loss, order):
+    """Wider and deeper than criterion 8's networks: blocks of several
+    parents, several rows of output and joins of perturbed and unperturbed
+    branches; with weights in C order, and in Fortran order (as ``M.T`` of a
+    C-ordered ``M`` is)."""
+    rng = random.Random(f"batched {loss}")
+    for _ in range(30):
+        net = random_fork_network(rng, max_layers=8, max_units=6)
+        for node in net.nodes.values():
+            if node.weight is not None:
+                node.weight = np.asarray(node.weight, order=order)
+        inputs = {name: [rng.uniform(-1, 1) for _ in range(net.nodes[name].dim)]
+                  for name in net.inputs}
+        f = SumLoss() if loss == "sum" else \
+            QuadraticLoss([rng.uniform(-1, 1) for _ in range(net.nodes[net.output].dim)])
+        assert_same_bits(net.finite_difference(inputs, f),
+                         full_forward_differences(net, inputs, f))
+
+
+def test_finite_difference_join_of_perturbed_and_base_parents():
+    """``join`` reads the perturbed ``hid`` and the unperturbed ``side`` and
+    ``x`` through one weight.  Its batched input joins a block of rows with
+    base vectors; with ``hid`` of dimension 1, ``np.concatenate`` of
+    broadcast views would lay it out in Fortran order, which numpy's matmul
+    does not pass to BLAS.  With ``join`` of dimension 1 the unbatched
+    product is a BLAS dot, and the loop numpy runs instead rounds
+    differently."""
+    rng = random.Random(3)
+    mat = lambda rows, cols: np.array([[rng.uniform(-1, 1) for _ in range(cols)]
+                                       for _ in range(rows)])
+    net = WeightedNetwork([
+        Node("x", "input", 9),
+        Node("hid", "affine", 1, ("x",), "tanh", weight=mat(1, 9)),
+        Node("side", "affine", 15, ("x",), "sigmoid", weight=mat(15, 9)),
+        Node("join", "affine", 1, ("side", "hid", "x"), "tanh", weight=mat(1, 25)),
+        Node("out", "affine", 3, ("join",), "identity", weight=mat(3, 1)),
+    ])
+    inputs = {"x": [rng.uniform(-1, 1) for _ in range(9)]}
+    for loss in (SumLoss(), QuadraticLoss([0.1, -0.2, 0.3])):
+        assert_same_bits(net.finite_difference(inputs, loss),
+                         full_forward_differences(net, inputs, loss))
+
+
+def test_finite_difference_without_affine_nodes_is_empty():
+    net = WeightedNetwork([
+        Node("a", "input", 2),
+        Node("b", "input", 2),
+        Node("prod", "hadamard", 2, ("a", "b")),
+        Node("out", "hadsum", 2, ("prod", "a")),
+    ])
+    assert net.finite_difference({"a": [1.0, 2.0], "b": [0.5, -1.0]}, SumLoss()) == {}
+
+
+def test_finite_difference_checks_input_dimension():
+    with pytest.raises(ArchitectureError, match="wrong dimension"):
+        identity_chain().finite_difference({"x": [1.0, 2.0, 3.0]}, SumLoss())
+
+
 def test_hadamard_gate_composition_gradcheck():
     """One LSTM-style gate block: out = sum(sigmoid(Wx) . tanh(Ux)), with the
     product as an explicit two-input node."""

@@ -2,10 +2,11 @@
 
 Both trees are loaded into one process as separately named packages, so
 that they share the interpreter, the heap and the machine state, and one
-named callable of each is timed alternately for N pairs.  The order swaps
-in every pair: pair 0 runs the base first, pair 1 the change first, and so
-on.  The report gives each side's median time, the median of the paired
-ratios change/base, and a bootstrap 95 % interval of that median.
+named callable of each is timed alternately for N pairs, with the cyclic
+garbage collector off during each timed call.  The order swaps in every
+pair: pair 0 runs the base first, pair 1 the change first, and so on.  The
+report gives each side's median time, the median of the paired ratios
+change/base, and a bootstrap 95 % interval of that median.
 
 A side is a git revision, unpacked with ``git archive`` into a temporary
 directory, or the working tree when no revision is given.  Stdlib only.
@@ -83,10 +84,17 @@ def resolve(package, dotted):
 
 
 def timed(fn):
+    """Seconds one call of ``fn`` takes, with the cyclic garbage collector
+    off during the call, so that a collection set off by the other side's
+    garbage does not land in this side's time."""
     gc.collect()
-    start = perf_counter()
-    fn()
-    return perf_counter() - start
+    gc.disable()
+    try:
+        start = perf_counter()
+        fn()
+        return perf_counter() - start
+    finally:
+        gc.enable()
 
 
 def bootstrap_median(values, rng, resamples=BOOTSTRAP_RESAMPLES):
