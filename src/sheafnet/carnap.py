@@ -8,6 +8,13 @@ permutations, and exchanges of attributes with equal arity; it acts on the
 states, and the uniform measure is invariant, so contents and precision
 are constant along orbits.
 
+The symmetry path runs on state indices.  A state's index is its value
+digits read in mixed radix, so each generator's image is computed by index
+arithmetic on one digit array of all states, and becomes a dict once.
+The group is closed once, and its elements are used as they come.  The
+search over simple propositions moves index sets through the generators'
+index arrays.
+
 For three subjects and two binary attributes the group has order 48
 (subject permutations times the dihedral symmetry of the value square),
 the 64 states split into orbits of sizes 4/24/12/24, and the twelve
@@ -15,11 +22,13 @@ simple propositions "subject s has value v" are self-dual under negation
 and form a single orbit.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product as iproduct
 
+import numpy as np
+
 from .errors import BoundExceeded, LanguageError
-from .groupoids import _orbits, close_permutation_group
+from .groupoids import DEFAULT_GROUP_BOUND, _orbits, close_permutation_group
 from .seminfo import BooleanLanguage
 
 DEFAULT_STATE_BOUND = 10**6
@@ -78,68 +87,98 @@ def build_language(n_subjects, value_counts, bound=DEFAULT_STATE_BOUND):
 # Symmetry group
 # ---------------------------------------------------------------------------
 
-def _apply(lang, subject_perm, attr_perm, value_perms, state):
-    """Image of a state under (subject perm, attribute perm, value perms)."""
-    n = len(lang.subjects)
-    out = []
-    for s in range(n):
-        src = state[subject_perm[s]]
-        vals = []
-        for a in range(len(lang.attributes)):
-            v = src[attr_perm[a]]
-            vals.append(value_perms[a][v])
-        out.append(tuple(vals))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class SymmetryGroup:
     language: CarnapLanguage
-    generators: dict
+    generators: dict           # name -> state permutation dict
     order: int
     elements: dict             # name -> state permutation dict
+    generator_indices: dict = field(compare=False)  # name -> index array over states
+
+
+def _state_digits(lang):
+    """The states as one (|E|, subjects, attributes) array of value digits,
+    with the mixed-radix weight of each digit: ``states[i]`` has index
+    ``i = sum(digits[i] * weights)``, the last attribute of the last subject
+    varying fastest."""
+    counts = [c for _, c in lang.attributes]
+    n, k = len(lang.subjects), len(counts)
+    index = np.arange(len(lang.states))
+    digits = np.empty((len(index), n, k), dtype=np.min_scalar_type(max(counts) - 1))
+    weights = np.empty((n, k), dtype=np.int64)
+    weight = 1
+    for s in reversed(range(n)):
+        for a in reversed(range(k)):
+            index, digits[:, s, a] = np.divmod(index, counts[a])
+            weights[s, a] = weight
+            weight *= counts[a]
+    return digits, weights
+
+
+def _generator_indices(lang):
+    """Named generators as index arrays ``g`` over the states, ``states[g[i]]``
+    the image of ``states[i]``: adjacent subject swaps, value swaps per
+    attribute, and adjacent equal-arity attribute exchanges.
+
+    The image of a state takes its digit at (subject ``s``, attribute ``a``)
+    from (``subject_perm[s]``, ``attr_perm[a]``) of the state, and a flip
+    then swaps two values of one attribute; the image's index is the
+    weighted sum of its digits.
+    """
+    digits, weights = _state_digits(lang)
+    n, k = len(lang.subjects), len(lang.attributes)
+    flat_weights = weights.ravel()
+
+    def image(subject_perm=range(n), attr_perm=range(k), flip=None):
+        moved = digits[:, list(subject_perm)][:, :, list(attr_perm)]
+        if flip is not None:
+            a, v = flip
+            column = moved[:, :, a]
+            low, high = column == v, column == v + 1
+            column[low], column[high] = v + 1, v
+        return moved.reshape(len(moved), -1) @ flat_weights
+
+    def swapped(i, size):
+        perm = list(range(size))
+        perm[i], perm[i + 1] = i + 1, i
+        return perm
+
+    gens = {}
+    for i in range(n - 1):
+        gens[f"swap_{lang.subjects[i]}{lang.subjects[i + 1]}"] = image(subject_perm=swapped(i, n))
+    for a, (name, count) in enumerate(lang.attributes):
+        for v in range(count - 1):
+            gens[f"flip_{name}{v + 1}{v + 2}"] = image(flip=(a, v))
+    for a in range(k - 1):
+        if lang.attributes[a][1] == lang.attributes[a + 1][1]:
+            gens[f"exch_{lang.attributes[a][0]}{lang.attributes[a + 1][0]}"] = \
+                image(attr_perm=swapped(a, k))
+    return gens
+
+
+def _as_dicts(lang, indices):
+    """Each index array as the state permutation dict it stands for."""
+    states = lang.states
+    return {name: dict(zip(states, map(states.__getitem__, g.tolist())))
+            for name, g in indices.items()}
 
 
 def symmetry_generators(lang):
     """Named permutations of the state set: adjacent subject swaps, value
-    swaps per attribute, and adjacent equal-arity attribute exchanges."""
-    n = len(lang.subjects)
-    n_attr = len(lang.attributes)
-    ident_subj = tuple(range(n))
-    ident_attr = tuple(range(n_attr))
-    ident_vals = tuple({v: v for v in range(c)} for _, c in lang.attributes)
-    gens = {}
+    swaps per attribute, and adjacent equal-arity attribute exchanges.
 
-    def perm_of(subject_perm, attr_perm, value_perms):
-        return {s: _apply(lang, subject_perm, attr_perm, value_perms, s)
-                for s in lang.states}
-
-    for i in range(n - 1):
-        sp = list(ident_subj)
-        sp[i], sp[i + 1] = sp[i + 1], sp[i]
-        gens[f"swap_{lang.subjects[i]}{lang.subjects[i + 1]}"] = \
-            perm_of(tuple(sp), ident_attr, ident_vals)
-    for a, (name, count) in enumerate(lang.attributes):
-        for v in range(count - 1):
-            vp = list(ident_vals)
-            vp[a] = dict(ident_vals[a])
-            vp[a][v], vp[a][v + 1] = v + 1, v
-            gens[f"flip_{name}{v + 1}{v + 2}"] = perm_of(ident_subj, ident_attr, tuple(vp))
-    for a in range(n_attr - 1):
-        if lang.attributes[a][1] != lang.attributes[a + 1][1]:
-            continue
-        ap = list(ident_attr)
-        ap[a], ap[a + 1] = ap[a + 1], ap[a]
-        gens[f"exch_{lang.attributes[a][0]}{lang.attributes[a + 1][0]}"] = \
-            perm_of(ident_subj, tuple(ap), ident_vals)
-    return gens
+    Each image is computed by mixed-radix index arithmetic on the states'
+    digit array (`_generator_indices`), then the dict is built once."""
+    return _as_dicts(lang, _generator_indices(lang))
 
 
-def build_symmetry_group(lang, bound=10_000):
-    gens = symmetry_generators(lang)
+def build_symmetry_group(lang, bound=DEFAULT_GROUP_BOUND):
+    """The group generated by `symmetry_generators`, every element closed
+    once by `close_permutation_group` (at most ``bound`` of them)."""
+    indices = _generator_indices(lang)
+    gens = _as_dicts(lang, indices)
     elements = close_permutation_group(gens, bound)
-    return SymmetryGroup(lang, gens, len(elements),
-                         {k: dict(p) for k, p in elements.items()})
+    return SymmetryGroup(lang, gens, len(elements), elements, indices)
 
 
 # ---------------------------------------------------------------------------
@@ -254,21 +293,39 @@ def self_duality_holds(lang, simples=None):
 
 
 def simples_form_single_orbit(lang, group=None, simples=None):
-    """Does the symmetry group act transitively on the simple truth sets?"""
+    """Does the symmetry group act transitively on the simple truth sets?
+
+    Each distinct truth set is an index set, held as a row of booleans over
+    the state indices; a generator's index array ``g`` carries row ``r`` to
+    the row that is true at ``g[i]`` wherever ``r`` is true at ``i``.  The
+    search walks these images from the first truth set and counts the sets
+    it reaches.  Every generator is an involution, so where the walk starts
+    does not change the answer."""
     group = group or build_symmetry_group(lang)
     simples = simples or simple_propositions(lang)
-    sets = {s.truth_set for s in simples}
-    start = next(iter(sets))
-    reached = {start}
-    frontier = [start]
+    index = {s: i for i, s in enumerate(lang.states)}
+    rows = np.zeros((len(simples), len(lang.states)), dtype=bool)
+    for row, simple in zip(rows, simples):
+        row[list(map(index.__getitem__, simple.truth_set))] = True
+    ids = {}
+    for row in rows:
+        ids.setdefault(row.tobytes(), len(ids))
+    rows = np.frombuffer(b"".join(ids), dtype=bool).reshape(len(ids), -1)
+    images = np.empty_like(rows)
+    steps = []
+    for g in group.generator_indices.values():
+        images[:, g] = rows
+        steps.append([ids.get(image.tobytes()) for image in images])
+    reached = {0}
+    frontier = [0]
     while frontier:
         cur = frontier.pop()
-        for perm in group.generators.values():
-            img = frozenset(perm[x] for x in cur)
-            if img in sets and img not in reached:
-                reached.add(img)
-                frontier.append(img)
-    return reached == sets
+        for step in steps:
+            nxt = step[cur]
+            if nxt is not None and nxt not in reached:
+                reached.add(nxt)
+                frontier.append(nxt)
+    return len(reached) == len(ids)
 
 
 def simple_content_report(lang, measure=None):

@@ -48,6 +48,7 @@ from .dynamics import (
 )
 from .errors import GroupoidError, SheafnetError
 from .groupoids import (
+    DEFAULT_GROUP_BOUND,
     FiniteGroupoid,
     GroupoidFunctor,
     StackOverPoset,
@@ -134,17 +135,37 @@ def _load_poset(doc):
     return FinitePoset.from_dict(doc)
 
 
+def _key_text(state):
+    """The text naming ``state`` as a JSON object key: a string is its own
+    key, a number is named by its JSON text."""
+    return state if isinstance(state, str) else json.dumps(state)
+
+
 def _load_presheaf(doc):
+    """The presheaf of a document.  A map names each state of its domain
+    carrier by its key text (`_key_text`), so the key texts of a carrier
+    must differ."""
     poset = _load_poset(_field(doc, "poset"))
     table = _field(doc, "carriers")
     carriers = {x: _scalar_list(_field(table, str(x), "'carriers'"), f"carrier {str(x)!r}")
                 for x in poset.elements}
+    states_by_key = {x: {} for x in carriers}
+    for x, states in carriers.items():
+        for s in states:
+            if states_by_key[x].setdefault(_key_text(s), s) != s:
+                raise SheafnetError(f"carrier {str(x)!r} has two states named by the key "
+                                    f"{_key_text(s)!r}")
     maps = doc.get("maps", {})
     if not isinstance(maps, dict) or not all(
             isinstance(m, dict) and _scalars(m.values()) for m in maps.values()):
         raise SheafnetError("'maps' must send each 'x<=y' key to an object "
                             "of states (strings or numbers)")
-    return Presheaf(poset, carriers, {_covering_pair(key, poset): m for key, m in maps.items()})
+    typed = {}
+    for key, m in maps.items():
+        pair = _covering_pair(key, poset)
+        named = states_by_key[pair[1]]
+        typed[pair] = {named.get(k, k): v for k, v in m.items()}
+    return Presheaf(poset, carriers, typed)
 
 
 def _covering_pair(key, poset):
@@ -327,7 +348,7 @@ def cmd_carnap(args):
         raise SheafnetError(
             f"--attributes must be comma-separated integers, got {args.attributes!r}") from None
     lang = build_language(args.subjects, counts)
-    group = build_symmetry_group(lang)
+    group = build_symmetry_group(lang, DEFAULT_GROUP_BOUND if args.bound is None else args.bound)
     report = orbit_report(lang, group)
     simples = simple_propositions(lang)
     out = {

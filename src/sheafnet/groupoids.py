@@ -132,20 +132,19 @@ def group_as_groupoid(generators, bound=DEFAULT_MORPHISM_BOUND):
     ``generators``: dict name -> permutation dict on a common finite set.
     """
     elements = close_permutation_group(generators, bound)
-    name_of = {p: k for k, p in elements.items()}
+    name_of = {tuple(p.items()): k for k, p in elements.items()}
     obj = "*"
     morphisms = tuple(sorted(elements))
     src = {m: obj for m in morphisms}
     dst = {m: obj for m in morphisms}
-    # elements list (x, image) pairs in one domain order, so g after f is
-    # found by mapping the images of f through g
-    image = {m: dict(p) for m, p in elements.items()}
-    comp = {(g, f): name_of[tuple((x, image[g][y]) for x, y in elements[f])]
+    # elements share one domain order, so g after f is found by mapping the
+    # images of f through g
+    comp = {(g, f): name_of[tuple((x, elements[g][y]) for x, y in elements[f].items())]
             for g in morphisms for f in morphisms}
     inv = {}
     for m in morphisms:
-        back = {y: x for x, y in elements[m]}
-        inv[m] = name_of[tuple((x, back[x]) for x, _ in elements[m])]
+        back = {y: x for x, y in elements[m].items()}
+        inv[m] = name_of[tuple((x, back[x]) for x in elements[m])]
     return FiniteGroupoid((obj,), morphisms, src, dst, comp, inv, {obj: "e"})
 
 
@@ -177,8 +176,8 @@ def close_permutation_group(generators, bound=DEFAULT_GROUP_BOUND):
     ``str``): the product "p, then q" is ``q[p]`` and a new element is one
     hash lookup of its bytes.  Elements are named in breadth-first order from
     the identity ``"e"`` (``g1``, ``g2``, ...), multiplying each frontier
-    element by every generator in turn.  The result maps each name to a tuple
-    of ``(x, image)`` pairs in domain order.
+    element by every generator in turn.  The result maps each name to its
+    element, built once as a dict ``x -> image`` with keys in domain order.
     """
     domain, gens = _index_generators(generators)
     n = len(domain)
@@ -201,7 +200,7 @@ def close_permutation_group(generators, bound=DEFAULT_GROUP_BOUND):
                     raise BoundExceeded(f"group closure exceeds bound {bound}")
         frontier = products[new]
     perms = np.frombuffer(b"".join(found), dtype=ident.dtype).reshape(len(found), n).tolist()
-    return {name: tuple(zip(domain, map(domain.__getitem__, p)))
+    return {name: dict(zip(domain, map(domain.__getitem__, p)))
             for name, p in zip(found.values(), perms)}
 
 
@@ -563,7 +562,7 @@ def group_action_orbits(generators, points, bound=DEFAULT_GROUP_BOUND):
            sorted(map(str, p.values())) != sorted(map(str, points)):
             raise GroupoidError(f"generator {name!r} is not a bijection of the point set")
     elements = close_permutation_group(generators, bound)
-    return _orbits(generators, points, [dict(p) for p in elements.values()])
+    return _orbits(generators, points, list(elements.values()))
 
 
 def _orbits(generators, points, elements):

@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+from sheafnet import carnap
 from sheafnet.carnap import (
+    SymmetryGroup,
     build_language,
     build_symmetry_group,
     orbit_report,
@@ -15,6 +17,7 @@ from sheafnet.carnap import (
     symmetry_generators,
 )
 from sheafnet.errors import BoundExceeded
+from sheafnet.groupoids import close_permutation_group
 from sheafnet.seminfo import cbh_precision, content
 
 
@@ -162,3 +165,142 @@ def test_psi_cbh_constant_on_orbits_of_theories():
         for perm in group.generators.values():
             assert math.isclose(psi(frozenset(perm[x] for x in t)), base,
                                 rel_tol=0, abs_tol=1e-12)
+
+
+# -- index arithmetic against the per-state construction -----------------------
+
+def reference_generators(lang):
+    """The generators as first written: every image state built per state
+    from (subject perm, attribute perm, value perms)."""
+    n, k = len(lang.subjects), len(lang.attributes)
+
+    def apply(subject_perm, attr_perm, value_perms, state):
+        return tuple(tuple(value_perms[a][state[subject_perm[s]][attr_perm[a]]]
+                           for a in range(k))
+                     for s in range(n))
+
+    def perm_of(subject_perm, attr_perm, value_perms):
+        return {s: apply(subject_perm, attr_perm, value_perms, s) for s in lang.states}
+
+    def swapped(i, size):
+        perm = list(range(size))
+        perm[i], perm[i + 1] = i + 1, i
+        return perm
+
+    ident_vals = [list(range(c)) for _, c in lang.attributes]
+    gens = {}
+    for i in range(n - 1):
+        gens[f"swap_{lang.subjects[i]}{lang.subjects[i + 1]}"] = \
+            perm_of(swapped(i, n), range(k), ident_vals)
+    for a, (name, count) in enumerate(lang.attributes):
+        for v in range(count - 1):
+            vals = list(ident_vals)
+            vals[a] = swapped(v, count)
+            gens[f"flip_{name}{v + 1}{v + 2}"] = perm_of(range(n), range(k), vals)
+    for a in range(k - 1):
+        if lang.attributes[a][1] == lang.attributes[a + 1][1]:
+            gens[f"exch_{lang.attributes[a][0]}{lang.attributes[a + 1][0]}"] = \
+                perm_of(range(n), swapped(a, k), ident_vals)
+    return gens
+
+
+def reference_elements(gens):
+    """Breadth-first closure over dicts: each frontier element times every
+    generator in turn, new elements named e, g1, g2, ... as found."""
+    domain = sorted(next(iter(gens.values())), key=str)
+    ident = {x: x for x in domain}
+    found = {tuple(domain): ("e", ident)}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for q in gens.values():
+                r = {x: q[p[x]] for x in domain}
+                key = tuple(r.values())
+                if key not in found:
+                    found[key] = (f"g{len(found)}", r)
+                    nxt.append(r)
+        frontier = nxt
+    return dict(found.values())
+
+
+def reference_single_orbit(generators, simples):
+    """The frozenset search as first written: images of whole truth sets."""
+    sets = {s.truth_set for s in simples}
+    start = next(iter(sets))
+    reached, frontier = {start}, [start]
+    while frontier:
+        cur = frontier.pop()
+        for perm in generators.values():
+            img = frozenset(perm[x] for x in cur)
+            if img in sets and img not in reached:
+                reached.add(img)
+                frontier.append(img)
+    return reached == sets
+
+
+ORACLE_LANGUAGES = [
+    (3, (2, 2)), (2, (2, 2, 2)), (3, (3, 2)), (4, (2, 2)), (3, (2, 2, 2)),   # benchmark
+    (1, (2, 2)),        # one subject
+    (2, (3,)),          # one attribute
+    (2, (1, 2)),        # an attribute with one value
+    (3, (2, 3)),        # unequal arities, the other way round
+    (2, (3, 3)),        # an exchange of ternary attributes
+    (27, (1,)),         # subjects named s0, s1, ...
+]
+
+
+@pytest.mark.parametrize("subjects,counts", ORACLE_LANGUAGES,
+                         ids=[f"{s}x{','.join(map(str, c))}" for s, c in ORACLE_LANGUAGES])
+def test_symmetry_path_matches_per_state_oracles(subjects, counts):
+    lang = build_language(subjects, counts)
+    want_gens = reference_generators(lang)
+    gens = symmetry_generators(lang)
+    assert list(gens) == list(want_gens)
+    for name, perm in gens.items():
+        assert list(perm.items()) == list(want_gens[name].items())
+
+    group = build_symmetry_group(lang)
+    want_elements = reference_elements(want_gens)
+    assert list(group.elements) == list(want_elements)
+    for name, perm in group.elements.items():
+        assert list(perm.items()) == list(want_elements[name].items())
+    assert group.order == len(want_elements)
+
+    reference = SymmetryGroup(lang, want_gens, len(want_elements), want_elements, {})
+    assert orbit_report(lang, group) == orbit_report(lang, reference)
+
+    simples = simple_propositions(lang)
+    families = [simples, [s for s in simples if s.subject == lang.subjects[0]],
+                [s for s in simples if s.value == 1]]
+    for family in families:
+        assert simples_form_single_orbit(lang, group, family) == \
+            reference_single_orbit(want_gens, family)
+
+
+def test_build_symmetry_group_closes_each_group_once(monkeypatch):
+    """`build_symmetry_group` closes through `carnap.close_permutation_group`,
+    once per group, and the orbit and simples steps reuse its elements: the
+    traced span of that name counts the closure's elements."""
+    calls = []
+
+    def counted(generators, bound):
+        calls.append(len(generators))
+        return close_permutation_group(generators, bound)
+
+    monkeypatch.setattr(carnap, "close_permutation_group", counted)
+    for subjects, counts in ORACLE_LANGUAGES[:5]:
+        lang = build_language(subjects, counts)
+        before = len(calls)
+        group = carnap.build_symmetry_group(lang)
+        carnap.orbit_report(lang, group)
+        carnap.simples_form_single_orbit(lang, group)
+        assert len(calls) == before + 1
+    assert len(calls) == 5
+
+
+def test_build_symmetry_group_bound():
+    lang = l23()
+    with pytest.raises(BoundExceeded, match="bound 47"):
+        build_symmetry_group(lang, 47)
+    assert build_symmetry_group(lang, 48).order == 48

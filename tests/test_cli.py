@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -411,6 +412,51 @@ def test_malformed_document_values_exit_2(capsys, tmp_path, command, doc, messag
     assert out == "" and err.startswith("error:") and message in err
 
 
+_NUMERIC = {"poset": _TWO, "carriers": {"a": [1], "b": [2]}, "maps": {"a<=b": {"2": 1}}}
+
+
+@pytest.mark.parametrize("command", ["sections", "cats-manifold"])
+def test_numeric_states_are_mapped_by_their_json_text(capsys, tmp_path, command):
+    (tmp_path / "doc.json").write_text(json.dumps(_NUMERIC))
+    (tmp_path / "pred.json").write_text(json.dumps({"a": [1]}))
+    extra = ["--predicate", str(tmp_path / "pred.json")] if command == "cats-manifold" else []
+    code, out, err = run(capsys, command, "--in", str(tmp_path / "doc.json"), *extra)
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"count": 1, "sections": [{"a": "1", "b": "2"}]}
+
+
+def test_every_kind_of_state_is_named_by_its_key_text(capsys, tmp_path):
+    doc = dict(_NUMERIC, carriers={"a": [1], "b": [2, True, 2.5, "x"]},
+               maps={"a<=b": {"2": 1, "true": 1, "2.5": 1, "x": 1}})
+    (tmp_path / "doc.json").write_text(json.dumps(doc))
+    code, out, err = run(capsys, "sections", "--in", str(tmp_path / "doc.json"))
+    assert code == 0 and err == ""
+    assert json.loads(out)["count"] == 4
+
+
+def test_states_sharing_a_key_text_exit_2(capsys, tmp_path):
+    doc = dict(_NUMERIC, carriers={"a": [1], "b": [2, "2"]})
+    (tmp_path / "doc.json").write_text(json.dumps(doc))
+    code, out, err = run(capsys, "sections", "--in", str(tmp_path / "doc.json"))
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "carrier 'b'" in err and "'2'" in err
+
+
+def test_string_state_sections_keep_their_bytes(capsys, tmp_path):
+    presheaf = {
+        "poset": {"elements": ["y", "h", "x"], "leq": [["y", "h"], ["h", "x"], ["y", "x"]]},
+        "carriers": {"x": ["a", "b", "c"], "h": ["u", "v"], "y": ["0", "1"]},
+        "maps": {"h<=x": {"a": "u", "b": "v", "c": "v"}, "y<=h": {"u": "0", "v": "1"}},
+    }
+    (tmp_path / "doc.json").write_text(json.dumps(presheaf))
+    code, out, _ = run(capsys, "sections", "--in", str(tmp_path / "doc.json"))
+    assert code == 0
+    assert out == (
+        '{\n  "count": 3,\n  "sections": [\n    {\n      "h": "u",\n      "x": "a",\n'
+        '      "y": "0"\n    },\n    {\n      "h": "v",\n      "x": "b",\n      "y": "1"\n'
+        '    },\n    {\n      "h": "v",\n      "x": "c",\n      "y": "1"\n    }\n  ]\n}\n')
+
+
 @pytest.mark.parametrize("predicate", [{"a": 1.5}, {"a": [["x"]]}], ids=["number", "list-state"])
 def test_cats_manifold_malformed_predicate_exit_2(capsys, tmp_path, predicate):
     (tmp_path / "doc.json").write_text(json.dumps(
@@ -456,6 +502,34 @@ def test_carnap_report(capsys):
     assert sorted(o["size"] for o in report["orbits"]) == [4, 12, 24, 24]
     assert report["simples"]["count"] == 12
     assert report["proposition_count"] == str(2 ** 64)
+
+
+# sha256 of the `carnap` report of each benchmark language
+CARNAP_REPORT_SHA256 = {
+    (3, "2,2"): "c819ca699f69fa71aba8d0e45fdaa40e582c8a6a52a39096d4644f94b2a4a3cb",
+    (2, "2,2,2"): "c3209cf4642bcecaea89d60e93965df0e7fc62660b5774788c8e212e7a108cfe",
+    (3, "3,2"): "36712460cfb19e47e8ae0f0b20dee3f2c56eaa2e6ace67c6bed34afaa2a7478d",
+    (4, "2,2"): "64663988bcb33cdf6785cf3f3fdfc261ed06113f742386b2d6c15144e86e585b",
+    (3, "2,2,2"): "acdee5a74ea01e48c8b40e8f7bdc70e7e139218173a4df5e896417215e482288",
+}
+
+
+@pytest.mark.parametrize("subjects,attributes", sorted(CARNAP_REPORT_SHA256),
+                         ids=[f"{s}x{a}" for s, a in sorted(CARNAP_REPORT_SHA256)])
+def test_carnap_report_bytes_are_pinned(capsys, subjects, attributes):
+    code, out, _ = run(capsys, "carnap", "--subjects", str(subjects), "--attributes", attributes)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        CARNAP_REPORT_SHA256[(subjects, attributes)]
+
+
+def test_carnap_bound_limits_the_group(capsys):
+    """|G| = 48 for three subjects over two binary attributes."""
+    argv = ("carnap", "--subjects", "3", "--attributes", "2,2")
+    code, out, err = run(capsys, *argv, "--bound", "47")
+    assert code == 2
+    assert out == "" and err == "error: group closure exceeds bound 47\n"
+    assert run(capsys, *argv, "--bound", "48") == run(capsys, *argv)
 
 
 def test_carnap_non_integer_attributes_exit_2(capsys):
