@@ -9,11 +9,13 @@ join vertex ``a`` are rerouted through a fresh star ``a*`` and tang ``a^``
 a product of the tip values on the tang.  When an input vertex feeds a join
 directly it is duplicated first: the input ``u`` keeps its identity, a tip
 ``u'`` is inserted (``u -> u'``) and takes over all of u's edges into joins.
+Each fork is recorded once, as a `Fork` in `ForkGraph.forks`.
 
-The resulting poset orders elements so that data flows from maximal to
-minimal: inputs and tangs are maximal, outputs and tips are minimal, and the
-lower Alexandrov opens (downward closed subsets) are exactly the "already
-determined" stages of a forward pass.
+The resulting poset on the non-star vertices (`site_relations`) orders
+elements so that data flows from maximal to minimal: inputs and tangs are
+maximal, outputs and tips are minimal, and the lower Alexandrov opens
+(downward closed subsets) are exactly the "already determined" stages of a
+forward pass.
 """
 
 from dataclasses import dataclass, field
@@ -129,6 +131,8 @@ def parse_architecture(document):
         raise ArchitectureError("architecture document must be a JSON object")
     if "nodes" not in document or "edges" not in document:
         raise ArchitectureError("architecture document needs 'nodes' and 'edges'")
+    if not isinstance(document["nodes"], list) or not isinstance(document["edges"], list):
+        raise ArchitectureError("architecture 'nodes' and 'edges' must be lists")
     vertices, roles = [], {}
     for node in document["nodes"]:
         if isinstance(node, dict):
@@ -239,18 +243,17 @@ class Fork:
 
 @dataclass(frozen=True)
 class ForkGraph:
-    """A surgered graph: data-flow arrows plus the star/tang bookkeeping.
+    """A surgered graph: data-flow arrows plus one `Fork` per join.
 
     Arrows are stored in data-flow orientation (``tips -> star -> tang ->
-    handle``); the site orientation reverses ordinary and tang->handle
-    arrows and keeps the tine and socket arrows.
+    handle``).  ``forks`` is the only record of which vertices are stars,
+    tangs, tips and handles; `site_relations` states the site orientation.
     """
 
     vertices: tuple
     arrows: tuple
-    kind: dict = field(compare=False)   # vertex -> "star"|"tang"|"plain"
-    forks: tuple = ()                   # one Fork per tang, in creation order
-    origin: SiteGraph = None
+    forks: tuple        # one Fork per join, in creation order
+    origin: SiteGraph   # the architecture before surgery
 
     def successors(self, v):
         return tuple(d for s, d in self.arrows if s == v)
@@ -259,10 +262,10 @@ class ForkGraph:
         return tuple(s for s, d in self.arrows if d == v)
 
     def stars(self):
-        return tuple(v for v in self.vertices if self.kind[v] == "star")
+        return tuple(f.star for f in self.forks)
 
     def tangs(self):
-        return tuple(v for v in self.vertices if self.kind[v] == "tang")
+        return tuple(f.tang for f in self.forks)
 
     def tips_of(self, tang):
         for f in self.forks:
@@ -278,10 +281,9 @@ class ForkGraph:
         for s, d in self.arrows:
             outdeg[s] += 1
             indeg[d] += 1
-        tangs = set(self.tangs())
-        stars = set(self.stars())
-        feeds_star = {s for s, d in self.arrows if d in stars}
-        from_tang = {d for s, d in self.arrows if s in tangs}
+        stars, tangs = set(self.stars()), set(self.tangs())
+        tips = {t for f in self.forks for t in f.tips}
+        handles = {f.handle for f in self.forks}
         out = {}
         for v in self.vertices:
             roles = set()
@@ -294,9 +296,9 @@ class ForkGraph:
                     roles.add("input")
                 if outdeg[v] == 0:
                     roles.add("output")
-                if v in feeds_star:
+                if v in tips:
                     roles.add("tip")
-                if v in from_tang:
+                if v in handles:
                     roles.add("handle")
                 if not roles:
                     roles.add("ordinary")
@@ -313,47 +315,32 @@ def _fresh(name, taken):
 def fork_surgery(g):
     """Insert a fork at every vertex with two or more in-edges.
 
-    Accepts a :class:`SiteGraph` (or a :class:`ForkGraph`, in which case
-    only joins not already coded as star/tang are forked, so the operation
-    is idempotent in effect).  Input vertices feeding a join are duplicated
+    Accepts a :class:`SiteGraph`; a :class:`ForkGraph` has no join left and
+    is returned unchanged.  Input vertices feeding a join are duplicated
     first, keeping the original id with a primed suffix for the tip.
     """
     if isinstance(g, ForkGraph):
-        vertices = list(g.vertices)
-        edges = list(g.arrows)
-        kind = dict(g.kind)
-        forks = list(g.forks)
-        origin = g.origin
-    else:
-        report = check_classical_directed(g)
-        if not report.ok:
-            raise ArchitectureError(f"graph is not classical directed: {report.as_dict()}")
-        vertices = list(g.vertices)
-        edges = list(g.edges)
-        kind = {v: "plain" for v in vertices}
-        forks = []
-        origin = g
+        return g
+    report = check_classical_directed(g)
+    if not report.ok:
+        raise ArchitectureError(f"graph is not classical directed: {report.as_dict()}")
+    vertices = list(g.vertices)
+    edges = list(g.edges)
+    forks = []
 
     def indeg(v):
         return sum(1 for _, d in edges if d == v)
 
-    joins = [v for v in vertices if kind[v] == "plain" and indeg(v) >= 2]
+    joins = [v for v in vertices if indeg(v) >= 2]
 
     # Duplicate inputs that feed a join directly (one tip per input).
-    if origin is not None:
-        input_roles = {v for v in origin.vertices if origin.roles.get(v) == "input"}
-    else:
-        input_roles = set()
     join_set = set(joins)
-    for u in list(vertices):
-        if u not in input_roles or kind[u] != "plain":
-            continue
+    for u in g.inputs():
         fed_joins = [(s, d) for s, d in edges if s == u and d in join_set]
         if not fed_joins:
             continue
         tip = _fresh(u + "'", set(vertices))
         vertices.append(tip)
-        kind[tip] = "plain"
         edges = [e for e in edges if e not in fed_joins]
         edges.append((u, tip))
         edges.extend((tip, d) for _, d in fed_joins)
@@ -361,10 +348,8 @@ def fork_surgery(g):
     for a in joins:
         star = _fresh(a + "*", set(vertices))
         vertices.append(star)
-        kind[star] = "star"
         tang = _fresh(a + "^", set(vertices))
         vertices.append(tang)
-        kind[tang] = "tang"
         incoming = [(s, d) for s, d in edges if d == a]
         tips = tuple(s for s, _ in incoming)
         edges = [e for e in edges if e not in incoming]
@@ -373,7 +358,7 @@ def fork_surgery(g):
         edges.append((tang, a))
         forks.append(Fork(star, tang, a, tips))
 
-    fg = ForkGraph(tuple(vertices), tuple(edges), kind, tuple(forks), origin)
+    fg = ForkGraph(tuple(vertices), tuple(edges), tuple(forks), g)
     _validate_fork_graph(fg)
     return fg
 
@@ -618,28 +603,20 @@ class FinitePoset:
 def site_relations(fg):
     """Site-orientation relations x <= y on the non-star vertices.
 
-    Tine and socket arrows keep the data-flow direction; ordinary and
-    tang->handle arrows reverse, so outputs and tips end up minimal.
+    Every arrow that does not touch a star is reversed (receiver <= sender,
+    handle <= tang), so outputs and tips end up minimal; each fork adds
+    tip <= tang in place of its arrows through the star.
     """
     stars = set(fg.stars())
-    tangs = set(fg.tangs())
-    star_to_tang = {f.star: f.tang for f in fg.forks}
-    rel = []
-    for s, d in fg.arrows:
-        if d in stars:
-            rel.append((s, star_to_tang[d]))      # tip <= tang (through the star)
-        elif s in stars:
-            pass                                   # star -> tang handled above
-        elif s in tangs:
-            rel.append((d, s))                     # handle <= tang
-        else:
-            rel.append((d, s))                     # receiver <= sender
+    rel = [(d, s) for s, d in fg.arrows if s not in stars and d not in stars]
+    rel += [(t, f.tang) for f in fg.forks for t in f.tips]
     return rel
 
 
 def build_poset(fg):
     """The canonical poset on the non-star vertices of a fork graph."""
-    elements = [v for v in fg.vertices if fg.kind[v] != "star"]
+    stars = set(fg.stars())
+    elements = [v for v in fg.vertices if v not in stars]
     try:
         return FinitePoset(elements, site_relations(fg), fork_graph=fg)
     except PosetError as exc:

@@ -100,11 +100,16 @@ def _load_json(path):
     return doc
 
 
+def _json_object(value, what):
+    """``value`` if it is a JSON object, else an input error naming ``what``."""
+    if not isinstance(value, dict):
+        raise SheafnetError(f"{what} must be a JSON object")
+    return value
+
+
 def _field(doc, key, what="document"):
     """``doc[key]``; a missing key is an input error naming it."""
-    if not isinstance(doc, dict):
-        raise SheafnetError(f"{what} must be a JSON object")
-    if key not in doc:
+    if key not in _json_object(doc, what):
         raise SheafnetError(f"{what} has no {key!r}")
     return doc[key]
 
@@ -181,7 +186,7 @@ def _covering_pair(key, poset):
 def _component_functor(source, target, table, what):
     """The functor of component groupoids sending each object ``o`` to
     ``table[str(o)]``, and each morphism to the one between its ends' images."""
-    missing = sorted(str(o) for o in source.objects if str(o) not in table)
+    missing = sorted(str(o) for o in source.objects if str(o) not in _json_object(table, what))
     if missing:
         raise SheafnetError(f"{what} leaves out objects {missing}")
     omap = {o: str(table[str(o)]) for o in source.objects}
@@ -191,10 +196,14 @@ def _component_functor(source, target, table, what):
 
 def _simple_component_groupoid(doc):
     """Pair groupoid per generated component, with plain object names."""
-    objects = [str(o) for o in _field(doc, "objects", "groupoid")]
+    objects = [str(o) for o in _scalar_list(_field(doc, "objects", "groupoid"),
+                                            "groupoid 'objects'")]
     known, uf = set(objects), UnionFind(objects)
-    for gen in doc.get("generators", []):
-        ends = (str(gen["src"]), str(gen["dst"]))
+    generators = doc.get("generators", [])
+    if not isinstance(generators, list):
+        raise SheafnetError("groupoid 'generators' must be a list")
+    for gen in generators:
+        ends = (str(_field(gen, "src", "generator")), str(_field(gen, "dst", "generator")))
         if not known.issuperset(ends):
             raise GroupoidError(f"generator {ends} names an object missing from 'objects'")
         uf.union(*ends)
@@ -263,7 +272,7 @@ def cmd_stack(args):
             fibers = {x: _simple_component_groupoid(_field(table, str(x), "'fibers'"))
                       for x in poset.elements}
             glue = {}
-            for key, omap in _field(doc, "glue").items():
+            for key, omap in _json_object(_field(doc, "glue"), "'glue'").items():
                 x, y = _covering_pair(key, poset)
                 glue[(x, y)] = _component_functor(fibers[y], fibers[x], omap,
                                                   f"glue object map {key!r}")
@@ -369,6 +378,8 @@ def cmd_carnap(args):
 
 
 def _network_from_architecture(g, rng):
+    if not g.vertices:
+        raise SheafnetError("architecture has no vertices")
     order = []
     remaining = {v: set(g.predecessors(v)) for v in g.vertices}
     while remaining:

@@ -20,7 +20,7 @@ Heyting calculus of `heyting` and checked against its one supremum oracle.
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .arch_site import FinitePoset, build_poset
+from .arch_site import FinitePoset, build_poset, site_relations
 from .errors import BoundExceeded, PresheafError
 
 DEFAULT_SECTION_BOUND = 10**6
@@ -155,19 +155,11 @@ def constant_presheaf(poset, states):
 # ---------------------------------------------------------------------------
 
 def star_site_poset(fg):
-    """The poset on all fork-graph vertices, stars included."""
-    stars = set(fg.stars())
-    tangs = set(fg.tangs())
-    rel = []
-    for s, d in fg.arrows:
-        if d in stars:
-            rel.append((s, d))        # tip <= star
-        elif s in stars:
-            rel.append((s, d))        # star <= tang
-        elif s in tangs:
-            rel.append((d, s))        # handle <= tang
-        else:
-            rel.append((d, s))        # receiver <= sender
+    """The poset on all fork-graph vertices, stars included: the site
+    relations plus tip <= star <= tang at each fork."""
+    rel = site_relations(fg)
+    for f in fg.forks:
+        rel += [(t, f.star) for t in f.tips] + [(f.star, f.tang)]
     return FinitePoset(fg.vertices, rel, fork_graph=fg)
 
 
@@ -179,30 +171,23 @@ def sheafify_at_forks(presheaf, fg):
     untouched.  A constant presheaf picks up the diagonal map at each fork.
     """
     base = presheaf.poset
-    if set(base.elements) != {v for v in fg.vertices if fg.kind[v] != "star"}:
+    star_of = {f.star: f for f in fg.forks}
+    if set(base.elements) != set(fg.vertices) - star_of.keys():
         raise PresheafError("presheaf poset does not match the fork graph")
     big = star_site_poset(fg)
-    carriers = {}
-    for v in big.elements:
-        if fg.kind[v] == "star":
-            tang = fg.successors(v)[0]
-            tips = fg.tips_of(tang)
-            carriers[v] = tuple(iproduct(*(presheaf.carriers[t] for t in tips)))
-        else:
-            carriers[v] = presheaf.carriers[v]
-    star_of = {f.star: f for f in fg.forks}
+    carriers = dict(presheaf.carriers)
+    for star, f in star_of.items():
+        carriers[star] = tuple(iproduct(*(presheaf.carriers[t] for t in f.tips)))
     maps = {}
+    # by covering pairs: a tip below another tip of its fork is not covered by the star
     for x, y in big.covering():
-        if fg.kind[x] == "star":                      # star < tang: the product map
+        if x in star_of:                             # star < tang: the product map
             f = star_of[x]
-            if y != f.tang:
-                raise PresheafError("unexpected covering above a star")
             maps[(x, y)] = {
                 s: tuple(presheaf.restrict(t, f.tang, s) for t in f.tips)
                 for s in presheaf.carriers[f.tang]}
-        elif fg.kind[y] == "star":                   # tip < star: the projection
-            f = star_of[y]
-            pos = f.tips.index(x)
+        elif y in star_of:                           # tip < star: the projection
+            pos = star_of[y].tips.index(x)
             maps[(x, y)] = {tup: tup[pos] for tup in carriers[y]}
         else:
             maps[(x, y)] = presheaf.restriction_map(x, y)
@@ -216,20 +201,23 @@ def standard_feedforward_presheaf(fg, carriers, edge_maps, handle_maps):
     ``carriers``: states per non-star, non-tang vertex.  ``edge_maps``: per
     ordinary data-flow edge (u, v) a dict F(u) -> F(v).  ``handle_maps``:
     per tang a dict from tip-state tuples (in ``fg.tips_of`` order) to
-    handle states.  Tips minted by input duplication inherit the input's
-    carrier with the identity map when left unspecified.
+    handle states.  Tips minted by input duplication (the vertices that
+    surgery added) inherit the input's carrier with the identity map when
+    left unspecified; any other vertex without a carrier is an error.
     """
     poset = build_poset(fg)
     tangs = set(fg.tangs())
+    architecture = set(fg.origin.vertices)
     carriers = dict(carriers)
     edge_maps = dict(edge_maps)
     for v in poset.elements:
         if v in tangs or v in carriers:
             continue
-        preds = fg.predecessors(v)
-        if len(preds) == 1 and preds[0] in carriers and v.startswith(preds[0]):
-            carriers[v] = tuple(carriers[preds[0]])
-            edge_maps.setdefault((preds[0], v), {s: s for s in carriers[v]})
+        if v in architecture:
+            raise PresheafError(f"no carrier for vertex {v!r}")
+        (u,) = fg.predecessors(v)                    # the duplicated input
+        carriers[v] = tuple(carriers[u])
+        edge_maps.setdefault((u, v), {s: s for s in carriers[v]})
     full = {}
     for v in poset.elements:
         if v in tangs:

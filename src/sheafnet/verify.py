@@ -488,8 +488,6 @@ def _random_layered_architecture(rng, max_layers=10, max_width=2):
             edges.extend((p, name) for p in parents)
             layer.append(name)
         layers.append(layer)
-    sinks = [v for layer in layers for v in layer
-             if all(s != v for s, _ in edges)]
     if len(layers) > 1:
         for v in layers[0]:
             if all(s != v for s, _ in edges):
@@ -509,20 +507,19 @@ def criterion_09(seed=0):
         fg = fork_surgery(g)
         poset = build_poset(fg)
         carriers = {}
-        tangs = fg.tangs()
-        tang_set = set(tangs)
+        tangs = set(fg.tangs())
         for v in poset.elements:
-            if v not in tang_set:
+            if v not in tangs:
                 carriers[v] = tuple(f"{v}:{k}" for k in range(rng.randint(1, 4)))
+        at_forks = tangs | set(fg.stars())
         edge_maps = {}
         for s, d in fg.arrows:
-            if fg.kind[s] == "plain" and fg.kind[d] == "plain":
+            if s not in at_forks and d not in at_forks:
                 edge_maps[(s, d)] = {x: rng.choice(carriers[d]) for x in carriers[s]}
         handle_maps = {}
-        for tang in tangs:
-            handle = fg.successors(tang)[0]
-            tuples = list(iproduct(*(carriers[t] for t in fg.tips_of(tang))))
-            handle_maps[tang] = {t: rng.choice(carriers[handle]) for t in tuples}
+        for f in fg.forks:
+            tuples = list(iproduct(*(carriers[t] for t in f.tips)))
+            handle_maps[f.tang] = {t: rng.choice(carriers[f.handle]) for t in tuples}
         p = standard_feedforward_presheaf(fg, carriers, edge_maps, handle_maps)
         expected = 1
         for v in g.inputs():

@@ -412,6 +412,53 @@ def test_malformed_document_values_exit_2(capsys, tmp_path, command, doc, messag
     assert out == "" and err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize("argv", [["site", "--in"], ["heyting", "--arch"],
+                                  ["dyn", "gradcheck", "--arch"]],
+                         ids=["site", "heyting", "gradcheck"])
+@pytest.mark.parametrize("doc", [{"nodes": None, "edges": []}, {"nodes": ["a"], "edges": None}],
+                         ids=["null-nodes", "null-edges"])
+def test_architecture_nodes_and_edges_must_be_lists(capsys, tmp_path, argv, doc):
+    path = tmp_path / "arch.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "must be lists" in err
+
+
+def test_gradcheck_on_an_empty_architecture_exit_2(capsys, tmp_path):
+    path = tmp_path / "arch.json"
+    path.write_text(json.dumps({"nodes": [], "edges": []}))
+    code, out, err = run(capsys, "dyn", "gradcheck", "--arch", str(path))
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "no vertices" in err
+
+
+_GROUPOID = {"objects": ["a"]}
+_ADJUNCTION = {"source": _GROUPOID, "target": _GROUPOID, "object_map": {"a": "a"}}
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("check-fibrant", dict(GLUE_STACK, glue=["0<=1"]), "'glue' must be a JSON object"),
+    ("check-fibrant", dict(GLUE_STACK, glue={"0<=1": ["a", "b"]}),
+     "glue object map '0<=1' must be a JSON object"),
+    ("adjunction", dict(_ADJUNCTION, object_map=["a"]), "object_map must be a JSON object"),
+    ("adjunction", dict(_ADJUNCTION, source={"objects": 3}), "'objects' must be a list"),
+    ("adjunction", dict(_ADJUNCTION, source={"objects": ["a"], "generators": 3}),
+     "'generators' must be a list"),
+    ("adjunction", dict(_ADJUNCTION, source={"objects": ["a"], "generators": [{"src": "a"}]}),
+     "generator has no 'dst'"),
+    ("adjunction", dict(_ADJUNCTION, source={"objects": ["a"], "generators": [3]}),
+     "generator must be a JSON object"),
+], ids=["list-glue", "list-glue-map", "list-object-map", "number-objects", "number-generators",
+        "generator-without-dst", "number-generator"])
+def test_malformed_stack_exit_2(capsys, tmp_path, command, doc, message):
+    path = tmp_path / "stack.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "stack", command, "--in", str(path))
+    assert code == 2
+    assert out == "" and err.startswith("error:") and message in err
+
+
 _NUMERIC = {"poset": _TWO, "carriers": {"a": [1], "b": [2]}, "maps": {"a<=b": {"2": 1}}}
 
 
@@ -502,6 +549,25 @@ def test_carnap_report(capsys):
     assert sorted(o["size"] for o in report["orbits"]) == [4, 12, 24, 24]
     assert report["simples"]["count"] == 12
     assert report["proposition_count"] == str(2 ** 64)
+
+
+# sha256 of the `site` report of each bundled fixture
+SITE_REPORT_SHA256 = {
+    "chain": "e1397d0b18c7be348fd1d9ced823bd89aa081fa81895c8d999a11beb38242c1e",
+    "diamond": "88f782d54a5961c114d7b84e0e4a0de9454df16f6f00b9306d0503986b5fc21e",
+    "lstm": "718b5daa8eee96d41282e0a127c6df2c6fa9285354299757561f24ca336e8d60",
+    "gru": "09008b2a8a66fe775b0ca5898b9a2ebc952e1f8a59ae7165d38f89b3365b9b6e",
+    "mgu2": "72afdab488b21bed1a91d0336437f3648ab4611aa5b269bc59202f65849f27a6",
+}
+
+
+@pytest.mark.parametrize("name", SITE_REPORT_SHA256)
+def test_site_report_bytes_are_pinned(capsys, tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(fixture_text(name))
+    code, out, _ = run(capsys, "site", "--in", str(path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SITE_REPORT_SHA256[name]
 
 
 # sha256 of the `carnap` report of each benchmark language

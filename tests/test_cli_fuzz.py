@@ -1,0 +1,131 @@
+"""A seeded fuzz of the exit-code contract on small architecture and stack
+documents: every document exits 0, 1 or 2, an exit 2 says why on an
+``error:`` line, and no exception reaches the top level.
+
+Each document starts from a well-formed shape over a few names, and any
+part of it may be swapped for arbitrary JSON.  The runs are derandomized
+and kept to a few seconds by their example counts.
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from sheafnet.cli import main
+
+NAMES = ("a", "b", "c", "d", "a'", "b*", "")
+
+scalars = st.none() | st.booleans() | st.integers(-2, 3) | \
+    st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(NAMES) | st.text(max_size=3)
+json_values = st.recursive(
+    scalars,
+    lambda kids: st.lists(kids, max_size=3) |
+    st.dictionaries(st.sampled_from(NAMES) | st.text(max_size=2), kids, max_size=3),
+    max_leaves=8)
+
+
+def either(shape):
+    """``shape``, or one time in eight any JSON value in its place."""
+    return st.sampled_from(range(8)).flatmap(lambda k: json_values if k == 7 else shape)
+
+
+names = st.sampled_from(NAMES[:5])
+ROLES = ("input", "output", "ordinary", "tip")
+
+
+@st.composite
+def architectures(draw):
+    ids = draw(st.lists(names, max_size=4, unique=True))
+    nodes = [draw(either(st.just(v) | st.fixed_dictionaries(
+        {"id": st.just(v)}, optional={"role": st.sampled_from(ROLES)}))) for v in ids]
+    # pairs in list order make a DAG; `either` supplies the malformed edges
+    pairs = [[s, d] for i, s in enumerate(ids) for d in ids[i + 1:]]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=6, unique_by=tuple)) if pairs else []
+    edges = [draw(either(st.just(e))) for e in edges]
+    return draw(either(st.just({"nodes": draw(either(st.just(nodes))),
+                                "edges": draw(either(st.just(edges)))})))
+
+
+@st.composite
+def groupoids(draw):
+    """A groupoid document, and the objects it names."""
+    objects = draw(st.lists(names, min_size=1, max_size=3, unique=True))
+    gens = draw(st.lists(st.fixed_dictionaries(
+        {"src": st.sampled_from(objects), "dst": st.sampled_from(objects)}), max_size=2))
+    doc = {"objects": draw(either(st.just(objects)))}
+    if gens:
+        doc["generators"] = draw(either(st.just([draw(either(st.just(g))) for g in gens])))
+    return draw(either(st.just(doc))), objects
+
+
+def object_map(draw, source, target):
+    return draw(either(st.fixed_dictionaries({o: st.sampled_from(target) for o in source})))
+
+
+ELEMENTS = ("0", "1", "2")
+
+
+@st.composite
+def fibrant_stacks(draw):
+    leq = draw(st.lists(st.sampled_from((("0", "1"), ("1", "2"), ("0", "2"))),
+                        max_size=3, unique=True))
+    fibers = {x: draw(groupoids()) for x in ELEMENTS}
+    # glue on the pairs named in 'leq'; the covering pairs are among them
+    glue = {f"{x}<={y}": object_map(draw, fibers[y][1], fibers[x][1]) for x, y in leq}
+    return draw(either(st.just({
+        "poset": draw(either(st.just({"elements": list(ELEMENTS),
+                                      "leq": draw(either(st.just([list(p) for p in leq])))}))),
+        "fibers": draw(either(st.just({x: doc for x, (doc, _) in fibers.items()}))),
+        "glue": draw(either(st.just(glue))),
+    })))
+
+
+@st.composite
+def adjunctions(draw):
+    (source, objects), (target, images) = draw(groupoids()), draw(groupoids())
+    return draw(either(st.just({"source": source, "target": target,
+                                "object_map": object_map(draw, objects, images)})))
+
+
+FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=100,
+                suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+
+
+@pytest.fixture(scope="module")
+def document(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "doc.json"
+
+
+def check_contract(path, argv, doc):
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv + [str(path)])
+    assert code in (0, 1, 2), (argv, doc)
+    if code == 2:
+        assert err.getvalue().startswith("error: "), (argv, doc)
+
+
+@pytest.mark.parametrize("argv", [["site", "--in"], ["heyting", "--bound", "10", "--arch"],
+                                  ["dyn", "gradcheck", "--arch"]],
+                         ids=["site", "heyting", "gradcheck"])
+@FUZZ
+@given(doc=architectures())
+def test_architecture_documents_keep_the_exit_code_contract(document, argv, doc):
+    check_contract(document, argv, doc)
+
+
+@pytest.mark.parametrize("argv, docs", [(["stack", "check-fibrant", "--in"], fibrant_stacks()),
+                                        (["stack", "adjunction", "--in"], adjunctions())],
+                         ids=["check-fibrant", "adjunction"])
+@FUZZ
+@given(data=st.data())
+def test_stack_documents_keep_the_exit_code_contract(document, argv, docs, data):
+    check_contract(document, argv, data.draw(docs))

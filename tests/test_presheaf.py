@@ -147,6 +147,27 @@ def test_sections_of_standard_sheaf_random_instances():
             assert s in got
 
 
+def test_standard_sheaf_tips_minted_by_surgery_inherit_the_input_carrier():
+    # x and h feed the join y directly, so surgery mints the tips x' and h'
+    fg = fork_surgery(SiteGraph.build(["x", "h", "y"], [("x", "y"), ("h", "y")]))
+    assert set(fg.vertices) - set(fg.origin.vertices) == {"x'", "h'", "y*", "y^"}
+    carriers = {"x": ("x0", "x1"), "h": ("h0", "h1", "h2"), "y": ("y0",)}
+    tuples = iproduct(carriers["x"], carriers["h"])
+    p = standard_feedforward_presheaf(fg, carriers, {}, {"y^": {t: "y0" for t in tuples}})
+    assert p.carriers["x'"] == carriers["x"] and p.carriers["h'"] == carriers["h"]
+    assert p.restriction_map("x'", "x") == {"x0": "x0", "x1": "x1"}
+    assert len(sections(p)) == 6
+
+
+@pytest.mark.parametrize("name", ["ab", "b"])
+def test_standard_sheaf_vertex_without_carrier_is_an_error(name):
+    """Only the tips that surgery mints inherit a carrier; an architecture
+    vertex fed by ``a`` does not, whatever its name."""
+    fg = fork_surgery(SiteGraph.build(["a", name], [("a", name)]))
+    with pytest.raises(PresheafError, match=f"no carrier for vertex '{name}'"):
+        standard_feedforward_presheaf(fg, {"a": ("0", "1")}, {}, {})
+
+
 def test_spontaneous_activity_changes_section_count():
     """A non-product tang map (extra internal source) breaks the input-product
     count; enumeration is the authority."""
