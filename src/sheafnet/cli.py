@@ -235,7 +235,8 @@ def cmd_sections(args):
 
 def cmd_cats_manifold(args):
     p = _load_presheaf(_load_json(args.infile))
-    predicate = {k: _scalar_list(v, f"predicate on {k!r}")
+    names = {str(x): x for x in p.poset.elements}      # as in `_covering_pair`
+    predicate = {names.get(k, k): _scalar_list(v, f"predicate on {k!r}")
                  for k, v in _load_json(args.predicate).items()}
     return _emit_sections(cats_manifold(p, predicate, _section_bound(args)), args)
 

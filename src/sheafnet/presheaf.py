@@ -4,10 +4,11 @@ A presheaf assigns a finite carrier to every poset element and a
 restriction map F(y) -> F(x) to every covering pair x < y; composites along
 order paths must agree (built and checked at construction by
 `FinitePoset.extend_covering`, as for groupoid stacks).  Global sections (the
-limit H0) are enumerated exactly by backtracking over the maximal
-elements.  `sheafify_at_forks` extends a presheaf on the star-free poset to
-the full fork site, putting the product of the tip carriers on each star.
-A cat's manifold is the preimage of an output predicate along the
+limit H0) are listed exactly by one join over the maximal elements, so
+the work follows the partial sections joined, not the product of the
+carriers.  `sheafify_at_forks` extends a presheaf on the star-free poset
+to the full fork site, putting the product of the tip carriers on each
+star.  A cat's manifold is the preimage of an output predicate along the
 projection H0 -> prod F(outputs): `cats_manifold` keeps the sections whose
 output states are accepted.  The paper's construction, sections of the site
 extended by a terminal fork, is the reference the tests check it against.
@@ -66,49 +67,32 @@ class Presheaf:
     # -- sections ----------------------------------------------------------
 
     def sections(self, bound=DEFAULT_SECTION_BOUND):
-        """Exact enumeration of the limit over the poset.
-
-        Backtracks over the maximal elements, propagating restrictions down
-        and pruning on the first clash; raises BoundExceeded once more than
-        ``bound`` candidate states have been tried."""
-        poset = self.poset
-        maximal = list(poset.maximal())
-        below = {m: [x for x in poset.elements if x != m and poset.leq(x, m)]
-                 for m in maximal}
-        out = []
-        explored = [0]
-
-        def extend(i, assignment):
-            if i == len(maximal):
-                out.append(dict(assignment))
-                return
-            m = maximal[i]
+        """Exact enumeration of the limit over the poset: one join over the
+        maximal elements, each one's states bucketed by their restrictions
+        to the elements that earlier ones assigned.  ``bound`` counts the
+        joined candidates (a partial section and a state of its bucket);
+        BoundExceeded is raised once there are more."""
+        poset, partial, assigned, joined = self.poset, [{}], set(), 0
+        for m in poset.maximal():
+            down = poset.down_mask(m)
+            below = [x for i, x in enumerate(poset.elements) if down >> i & 1]
+            shared = [x for x in below if x in assigned]
+            buckets = {}
             for s in self.carriers[m]:
-                explored[0] += 1
-                if explored[0] > bound:
+                image = {x: self._restrictions[(x, m)][s] for x in below}
+                buckets.setdefault(tuple(image[x] for x in shared), []).append(image)
+            extended = []
+            for section in partial:
+                bucket = buckets.get(tuple(section[x] for x in shared), ())
+                joined += len(bucket)
+                if joined > bound:
                     raise BoundExceeded(
                         f"section search explored more than {bound} candidates")
-                conflict = False
-                touched = []
-                for x in below[m]:
-                    v = self._restrictions[(x, m)][s]
-                    if x in assignment:
-                        if assignment[x] != v:
-                            conflict = True
-                            break
-                    else:
-                        assignment[x] = v
-                        touched.append(x)
-                if not conflict:
-                    assignment[m] = s
-                    extend(i + 1, assignment)
-                    del assignment[m]
-                for x in touched:
-                    del assignment[x]
-
-        extend(0, {})
-        out.sort(key=lambda s: tuple(str(s[x]) for x in poset.elements))
-        return SectionSet(tuple(poset.elements), tuple(out))
+                extended += [{**section, **image} for image in bucket]
+            partial = extended
+            assigned.update(below)
+        partial.sort(key=lambda s: tuple(str(s[x]) for x in poset.elements))
+        return SectionSet(tuple(poset.elements), tuple(partial))
 
 
 @dataclass(frozen=True)
@@ -203,7 +187,8 @@ def standard_feedforward_presheaf(fg, carriers, edge_maps, handle_maps):
     per tang a dict from tip-state tuples (in ``fg.tips_of`` order) to
     handle states.  Tips minted by input duplication (the vertices that
     surgery added) inherit the input's carrier with the identity map when
-    left unspecified; any other vertex without a carrier is an error.
+    left unspecified.  Any other vertex without a carrier, and any missing
+    edge map, handle map or state of one, raises PresheafError.
     """
     poset = build_poset(fg)
     tangs = set(fg.tangs())
@@ -232,10 +217,16 @@ def standard_feedforward_presheaf(fg, carriers, edge_maps, handle_maps):
                 pos = tips.index(x)
                 maps[(x, y)] = {tup: tup[pos] for tup in full[y]}
             else:                                    # x is the handle
-                maps[(x, y)] = {tup: handle_maps[y][tup] for tup in full[y]}
-        else:
-            maps[(x, y)] = dict(edge_maps[(y, x)])   # data-flow edge y -> x
+                maps[(x, y)] = _supplied(handle_maps, y, "handle map for tang")
+        else:                                        # data-flow edge y -> x
+            maps[(x, y)] = _supplied(edge_maps, (y, x), "edge map for")
     return Presheaf(poset, full, maps)
+
+
+def _supplied(table, key, what):
+    if key not in table:
+        raise PresheafError(f"no {what} {key!r}")
+    return table[key]
 
 
 # ---------------------------------------------------------------------------

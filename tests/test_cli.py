@@ -472,6 +472,21 @@ def test_numeric_states_are_mapped_by_their_json_text(capsys, tmp_path, command)
     assert json.loads(out) == {"count": 1, "sections": [{"a": "1", "b": "2"}]}
 
 
+def test_cats_manifold_predicate_names_number_elements_by_their_text(capsys, tmp_path):
+    doc = dict(CHAIN_PRESHEAF, poset={"elements": [0, 1], "leq": [[0, 1]]})
+    (tmp_path / "doc.json").write_text(json.dumps(doc))
+    argv = ["cats-manifold", "--in", str(tmp_path / "doc.json"),
+            "--predicate", str(tmp_path / "pred.json")]
+    (tmp_path / "pred.json").write_text(json.dumps({"0": ["a"]}))
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"count": 1, "sections": [{"0": "a", "1": "u"}]}
+    (tmp_path / "pred.json").write_text(json.dumps({"2": ["a"]}))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "non-output element '2'" in err
+
+
 def test_every_kind_of_state_is_named_by_its_key_text(capsys, tmp_path):
     doc = dict(_NUMERIC, carriers={"a": [1], "b": [2, True, 2.5, "x"]},
                maps={"a<=b": {"2": 1, "true": 1, "2.5": 1, "x": 1}})

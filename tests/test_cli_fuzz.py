@@ -1,5 +1,5 @@
-"""A seeded fuzz of the exit-code contract on small architecture and stack
-documents: every document exits 0, 1 or 2, an exit 2 says why on an
+"""A seeded fuzz of the exit-code contract on small architecture, presheaf
+and stack documents: every document exits 0, 1 or 2, an exit 2 says why on an
 ``error:`` line, and no exception reaches the top level.
 
 Each document starts from a well-formed shape over a few names, and any
@@ -94,6 +94,31 @@ def adjunctions(draw):
                                 "object_map": object_map(draw, objects, images)})))
 
 
+@st.composite
+def presheaves(draw):
+    """A presheaf document over a few string or number elements, with maps
+    on the pairs its 'leq' names, and a predicate on some of its elements."""
+    elements = draw(st.lists(names | st.integers(0, 3), min_size=1, max_size=3, unique_by=str))
+    pairs = [[x, y] for i, x in enumerate(elements) for y in elements[i + 1:]]
+    leq = draw(st.lists(st.sampled_from(pairs), max_size=3, unique_by=tuple)) if pairs else []
+    carriers = {str(x): draw(st.lists(names | st.integers(0, 3), max_size=3, unique_by=str))
+                for x in elements}
+
+    def states_of(x):
+        # an empty carrier offers foreign states, which are input errors
+        return st.sampled_from(carriers[str(x)] or NAMES)
+
+    maps = {f"{x}<={y}": draw(either(st.fixed_dictionaries(
+        {str(s): states_of(x) for s in carriers[str(y)]}))) for x, y in leq}
+    predicate = {str(x): draw(st.lists(states_of(x), max_size=2, unique=True))
+                 for x in draw(st.lists(st.sampled_from(elements), max_size=2))}
+    doc = {"poset": draw(either(st.just({"elements": draw(either(st.just(elements))),
+                                         "leq": draw(either(st.just(leq)))}))),
+           "carriers": draw(either(st.just(carriers))),
+           "maps": draw(either(st.just(maps)))}
+    return draw(either(st.just(doc))), draw(either(st.just(predicate)))
+
+
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=100,
                 suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 
@@ -129,3 +154,16 @@ def test_architecture_documents_keep_the_exit_code_contract(document, argv, doc)
 @given(data=st.data())
 def test_stack_documents_keep_the_exit_code_contract(document, argv, docs, data):
     check_contract(document, argv, data.draw(docs))
+
+
+@pytest.mark.parametrize("command", ["sections", "cats-manifold"])
+@FUZZ
+@given(data=st.data())
+def test_presheaf_documents_keep_the_exit_code_contract(document, command, data):
+    doc, predicate = data.draw(presheaves())
+    argv = [command, "--bound", str(data.draw(st.integers(1, 8)))]
+    if command == "cats-manifold":
+        path = document.with_name("predicate.json")
+        path.write_text(json.dumps(predicate))
+        argv += ["--predicate", str(path)]
+    check_contract(document, argv + ["--in"], doc)

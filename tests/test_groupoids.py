@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from itertools import product as iproduct
 
 import pytest
 
@@ -68,6 +69,14 @@ def test_one_object_group_single_component():
     g = group_as_groupoid({"r": cyclic_perm([0, 1, 2])})
     assert len(connected_components(g)) == 1
     assert len(g.morphisms) == 3  # C3
+
+
+def test_pair_groupoid_composes_each_composable_pair_once():
+    objects = ["a", "b", "c", "d", "e"]
+    g = pair_groupoid(objects)
+    expect = [(((b, c), (a, b2)), (a, c)) for a in objects for b2 in objects
+              for b in objects for c in objects if b2 == b]
+    assert list(g.comp.items()) == expect
 
 
 def test_components_match_reachability_oracle():
@@ -391,6 +400,26 @@ def test_confluence_needs_joint_surjectivity():
         ("two", "top"): {"a": "v", "b": "w"},
     })
     assert check_fibrant_injective(pairing_good).fibrant
+
+
+def test_confluence_verdict_counts_the_missed_product_tuples():
+    """The product of the lower carriers, built in full, is the oracle."""
+    rng = random.Random(8)
+    poset = FinitePoset(["one", "two", "top"], [("one", "top"), ("two", "top")])
+    seen = set()
+    for _ in range(40):
+        carriers = {x: tuple(f"{x}{k}" for k in range(rng.randint(1, 3))) for x in poset.elements}
+        maps = {(x, "top"): {s: rng.choice(carriers[x]) for s in carriers["top"]}
+                for x in ("one", "two")}
+        p = set_diagram(poset, carriers, maps)
+        image = {(maps[("one", "top")][s], maps[("two", "top")][s]) for s in carriers["top"]}
+        missed = len(set(iproduct(carriers["one"], carriers["two"])) - image)
+        verdict = check_fibrant_injective(p).verdicts["top"]
+        assert verdict["ok"] == (missed == 0)
+        assert verdict["why"] == ("onto the product" if missed == 0
+                                  else f"misses {missed} tuples of the product")
+        seen.add(missed == 0)
+    assert seen == {True, False}
 
 
 def test_divergence_needs_separate_surjectivity():

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import product as iproduct
 
@@ -18,6 +19,7 @@ from sheafnet.presheaf import (
     sheafify_at_forks,
     standard_feedforward_presheaf,
 )
+from sheafnet.verify import _random_layered_architecture
 
 
 def brute_force_sections(p):
@@ -91,15 +93,71 @@ def test_sections_empty_carrier_gives_zero():
     assert len(sections(p)) == 0
 
 
+def tree_presheaf(rng, upward):
+    """Random presheaf on a random rooted tree poset, whose order paths are
+    unique, so any maps are functorial.  Each element but the root has one
+    lower cover if ``upward`` (many maximal elements sharing ancestors),
+    else one upper cover (one maximal element)."""
+    n = rng.randint(2, 6)
+    edges = [(rng.randrange(i), i) for i in range(1, n)]
+    poset = FinitePoset(range(n), edges if upward else [(j, i) for i, j in edges])
+    carriers = {x: tuple(f"s{x}_{k}" for k in range(rng.randint(1, 3))) for x in range(n)}
+    maps = {(x, y): {s: rng.choice(carriers[x]) for s in carriers[y]}
+            for x, y in poset.covering()}
+    return Presheaf(poset, carriers, maps)
+
+
+def random_standard_presheaf(fg, rng, size):
+    """The standard feed-forward sheaf of ``fg`` with ``size()`` states on
+    each carrier and random maps."""
+    tangs = set(fg.tangs())
+    carriers = {v: tuple(f"{v}:{k}" for k in range(size()))
+                for v in build_poset(fg).elements if v not in tangs}
+    edge_maps = {(u, v): {s: rng.choice(carriers[v]) for s in carriers[u]}
+                 for u, v in fg.arrows if u in carriers and v in carriers}
+    handle_maps = {f.tang: {t: rng.choice(carriers[f.handle])
+                            for t in iproduct(*(carriers[t] for t in f.tips))}
+                   for f in fg.forks}
+    return standard_feedforward_presheaf(fg, carriers, edge_maps, handle_maps)
+
+
 def test_sections_match_bruteforce_on_random_presheaves():
     rng = random.Random(42)
-    for _ in range(20):
-        p = chain_presheaf([rng.randint(1, 3) for _ in range(rng.randint(2, 4))], rng)
+    cases = [chain_presheaf([rng.randint(1, 3) for _ in range(rng.randint(2, 4))], rng)
+             for _ in range(20)]
+    cases += [tree_presheaf(rng, upward) for upward in (True, False) for _ in range(20)]
+    cases += [random_standard_presheaf(fork_surgery(_random_layered_architecture(rng, 3)),
+                                       rng, lambda: rng.randint(1, 2)) for _ in range(20)]
+    for p in cases:
+        assert math.prod(len(c) for c in p.carriers.values()) <= 2**14
         got = [dict(s) for s in sections(p)]
         expect = brute_force_sections(p)
         assert len(got) == len(expect)
         for s in expect:
             assert s in got
+
+
+def ladder_presheaf(inputs, rng, layers=6, width=3, states=4):
+    """The standard sheaf of a network of fully connected layers: ``inputs``
+    inputs, then layers of ``width`` vertices, ``states`` states on every
+    carrier and random maps."""
+    names = [[f"i{j}" for j in range(inputs)]]
+    names += [[f"l{d}_{j}" for j in range(width)] for d in range(1, layers)]
+    edges = [(u, v) for lower, upper in zip(names, names[1:]) for u in lower for v in upper]
+    g = SiteGraph.build([v for layer in names for v in layer], edges)
+    return random_standard_presheaf(fork_surgery(g), rng, lambda: states)
+
+
+@pytest.mark.parametrize("inputs", [5, 6])
+def test_ladder_sections_under_the_default_bound(inputs):
+    """One section per input state: 4^inputs, found under the default bound
+    although each first-layer tang carries 4^inputs states."""
+    p = ladder_presheaf(inputs, random.Random(inputs))
+    secs = sections(p)
+    assert len(secs) == 4 ** inputs
+    inputs_of = {tuple(s[f"i{j}"] for j in range(inputs)) for s in secs}
+    assert len(inputs_of) == 4 ** inputs
+    assert all(p.restrict(x, y, s[y]) == s[x] for s in secs for x, y in p.poset.covering())
 
 
 def test_sections_bound():
@@ -166,6 +224,33 @@ def test_standard_sheaf_vertex_without_carrier_is_an_error(name):
     fg = fork_surgery(SiteGraph.build(["a", name], [("a", name)]))
     with pytest.raises(PresheafError, match=f"no carrier for vertex '{name}'"):
         standard_feedforward_presheaf(fg, {"a": ("0", "1")}, {}, {})
+
+
+def test_standard_sheaf_missing_edge_map_is_an_error():
+    fg = fork_surgery(SiteGraph.build(["a", "b"], [("a", "b")]))
+    with pytest.raises(PresheafError, match=r"no edge map for \('a', 'b'\)"):
+        standard_feedforward_presheaf(fg, {"a": ("0", "1"), "b": ("x",)}, {}, {})
+
+
+def diamond_maps():
+    """Carriers and edge maps of the surgered diamond, whose one tang b^ has
+    the tips a1 and a2."""
+    fg = fork_surgery(fixture_graph("diamond"))
+    carriers = {"x0": ("p",), "a1": ("a",), "a2": ("b", "c"), "b": ("o",)}
+    edge_maps = {("x0", "a1"): {"p": "a"}, ("x0", "a2"): {"p": "b"}}
+    return fg, carriers, edge_maps
+
+
+def test_standard_sheaf_missing_handle_map_is_an_error():
+    fg, carriers, edge_maps = diamond_maps()
+    with pytest.raises(PresheafError, match=r"no handle map for tang 'b\^'"):
+        standard_feedforward_presheaf(fg, carriers, edge_maps, {})
+
+
+def test_standard_sheaf_handle_map_missing_a_tip_tuple_is_an_error():
+    fg, carriers, edge_maps = diamond_maps()
+    with pytest.raises(PresheafError, match=r"undefined on \[\"\('a', 'b'\)\"\]"):
+        standard_feedforward_presheaf(fg, carriers, edge_maps, {"b^": {("a", "c"): "o"}})
 
 
 def test_spontaneous_activity_changes_section_count():
@@ -370,7 +455,7 @@ def test_cats_manifold_rejects_foreign_states_like_the_reference():
 
 def test_cats_manifold_bound_is_the_section_bound():
     fg, p = fork_fixture()
-    for bound in range(20):      # the search needs 14 candidates
+    for bound in range(20):      # the join needs 4 candidates
         try:
             expect = sections(p, bound)
         except BoundExceeded:
