@@ -9,7 +9,6 @@ components.
 from sheafnet.groupoids import (
     GroupoidFunctor,
     check_adjunction_and_section,
-    connected_components,
     discrete_groupoid,
     lambda_transport,
     tau_transport,
@@ -21,8 +20,8 @@ f = GroupoidFunctor.of(src, dst, {"x": "u", "y": "u", "z": "v"},
                        {("id", o): ("id", m) for o, m in
                         {"x": "u", "y": "u", "z": "v"}.items()})
 
-cx, cy, cz = connected_components(src)
-cu, cv = connected_components(dst)
+cx, cy, cz = src.components()
+cu, cv = dst.components()
 print("lambda({x})        =", sorted(map(str, lambda_transport(f, {cx}))))
 print("tau({u})           =", sorted(map(str, tau_transport(f, {cu}))))
 print("lambda(tau({u,v})) =", sorted(map(str, lambda_transport(f, tau_transport(f, {cu, cv})))))

@@ -2,14 +2,16 @@
 canonical finite poset site with its lower Alexandrov topology.
 
 An architecture is a finite directed graph without oriented cycles, at most
-one edge per ordered vertex pair and no self-loops.  Every vertex where two
-or more layers converge is rewritten by *fork surgery*: the in-edges of a
-join vertex ``a`` are rerouted through a fresh star ``a*`` and tang ``a^``
-(data flow ``tips -> a* -> a^ -> a``), so that downstream machinery can put
-a product of the tip values on the tang.  When an input vertex feeds a join
-directly it is duplicated first: the input ``u`` keeps its identity, a tip
-``u'`` is inserted (``u -> u'``) and takes over all of u's edges into joins.
-Each fork is recorded once, as a `Fork` in `ForkGraph.forks`.
+one edge per ordered vertex pair and no self-loops.  `SiteGraph.build`
+rejects any other graph, so every `SiteGraph` is classical directed by
+construction.  Every vertex where two or more layers converge is rewritten
+by *fork surgery*: the in-edges of a join vertex ``a`` are rerouted through
+a fresh star ``a*`` and tang ``a^`` (data flow ``tips -> a* -> a^ -> a``),
+so that downstream machinery can put a product of the tip values on the
+tang.  When an input vertex feeds a join directly it is duplicated first:
+the input ``u`` keeps its identity, a tip ``u'`` is inserted (``u -> u'``)
+and takes over all of u's edges into joins.  Each fork is recorded once, as
+a `Fork` in `ForkGraph.forks`.
 
 The resulting poset on the non-star vertices (`site_relations`) orders
 elements so that data flows from maximal to minimal: inputs and tangs are
@@ -79,22 +81,23 @@ class SiteGraph:
             raise ArchitectureError(f"parallel edges are forbidden: {dup}")
 
         indeg = {v: 0 for v in vertices}
-        outdeg = {v: 0 for v in vertices}
+        succ = {v: [] for v in vertices}
         for s, d in edges:
-            outdeg[s] += 1
+            succ[s].append(d)
             indeg[d] += 1
+        _reject_cycle(vertices, edges, indeg, succ)
         final = {}
         roles = dict(roles or {})
         for v in vertices:
             role = roles.get(v)
             if role is None:
-                role = "input" if indeg[v] == 0 else ("output" if outdeg[v] == 0 else "ordinary")
+                role = "input" if indeg[v] == 0 else ("output" if not succ[v] else "ordinary")
             if role not in ROLES:
                 raise ArchitectureError(f"unknown role {role!r} for vertex {v!r}")
             if role == "input" and indeg[v] > 0:
                 raise ArchitectureError(f"input vertex {v!r} has in-degree {indeg[v]}")
-            if role == "output" and outdeg[v] > 0:
-                raise ArchitectureError(f"output vertex {v!r} has out-degree {outdeg[v]}")
+            if role == "output" and succ[v]:
+                raise ArchitectureError(f"output vertex {v!r} has out-degree {len(succ[v])}")
             final[v] = role
         return SiteGraph(vertices, edges, final)
 
@@ -112,6 +115,33 @@ class SiteGraph:
 
     def outputs(self):
         return tuple(v for v in self.vertices if self.roles[v] == "output")
+
+
+def _reject_cycle(vertices, edges, indeg, succ):
+    """Raise ArchitectureError naming the vertices of one oriented cycle, if
+    the graph has one.  Sources are peeled off until none is left (Kahn's
+    order); a vertex that is never peeled keeps a predecessor that is never
+    peeled either, so walking back through such predecessors from the first
+    of them repeats a vertex, and the walk from that vertex back to itself,
+    read forwards, is a cycle."""
+    pending = dict(indeg)
+    ready = [v for v in vertices if not pending[v]]
+    for v in ready:         # the list grows while it is read
+        for d in succ[v]:
+            pending[d] -= 1
+            if not pending[d]:
+                ready.append(d)
+    if len(ready) == len(vertices):
+        return
+    stuck = set(vertices).difference(ready)
+    v = next(v for v in vertices if v in stuck)
+    walk = {}
+    while v not in walk:
+        walk[v] = len(walk)
+        v = next(s for s, d in edges if d == v and s in stuck)
+    cycle = list(walk)[walk[v]:] + [v]
+    raise ArchitectureError("oriented cycle is forbidden: " +
+                            " -> ".join(map(repr, reversed(cycle))))
 
 
 def parse_architecture(document):
@@ -154,79 +184,6 @@ def parse_architecture(document):
 def load_architecture(path):
     with open(path, "r", encoding="utf-8") as fh:
         return parse_architecture(fh.read())
-
-
-# ---------------------------------------------------------------------------
-# Classical-directedness check
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ClassicalReport:
-    ok: bool
-    cycles: tuple = ()
-    parallel_edges: tuple = ()
-    self_loops: tuple = ()
-
-    def as_dict(self):
-        return {
-            "ok": self.ok,
-            "cycles": [list(c) for c in self.cycles],
-            "parallel_edges": [list(e) for e in self.parallel_edges],
-            "self_loops": list(self.self_loops),
-        }
-
-
-def check_classical_directed(vertices, edges=None):
-    """Report whether a digraph is classical and directed.
-
-    Accepts a :class:`SiteGraph` or raw ``(vertices, edges)``.  Violations
-    (oriented cycles, parallel edges, self-loops) are returned, not raised.
-    """
-    if edges is None:
-        g = vertices
-        vertices, edges = g.vertices, g.edges
-    edges = tuple(edges)
-    self_loops = tuple(s for s, d in edges if s == d)
-    seen, parallel = set(), []
-    for e in edges:
-        if e in seen:
-            parallel.append(e)
-        seen.add(e)
-    cycle = _find_cycle(vertices, edges)
-    cycles = (tuple(cycle),) if cycle else ()
-    ok = not (self_loops or parallel or cycles)
-    return ClassicalReport(ok, cycles, tuple(parallel), self_loops)
-
-
-def _find_cycle(vertices, edges):
-    succ = {v: [] for v in vertices}
-    for s, d in edges:
-        if s != d:
-            succ[s].append(d)
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in vertices}
-    stack_path = []
-
-    def dfs(v):
-        color[v] = GREY
-        stack_path.append(v)
-        for w in succ[v]:
-            if color[w] == GREY:
-                return stack_path[stack_path.index(w):] + [w]
-            if color[w] == WHITE:
-                found = dfs(w)
-                if found:
-                    return found
-        stack_path.pop()
-        color[v] = BLACK
-        return None
-
-    for v in vertices:
-        if color[v] == WHITE:
-            found = dfs(v)
-            if found:
-                return found
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +278,6 @@ def fork_surgery(g):
     """
     if isinstance(g, ForkGraph):
         return g
-    report = check_classical_directed(g)
-    if not report.ok:
-        raise ArchitectureError(f"graph is not classical directed: {report.as_dict()}")
     vertices = list(g.vertices)
     edges = list(g.edges)
     forks = []

@@ -27,8 +27,8 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .errors import BoundExceeded, LanguageError
-from .groupoids import DEFAULT_GROUP_BOUND, _orbits, close_permutation_group
+from .errors import BoundExceeded, GroupoidError, LanguageError
+from .groupoids import DEFAULT_GROUP_BOUND, close_permutation_group
 from .seminfo import BooleanLanguage
 
 DEFAULT_STATE_BOUND = 10**6
@@ -174,10 +174,13 @@ def symmetry_generators(lang):
 
 def build_symmetry_group(lang, bound=DEFAULT_GROUP_BOUND):
     """The group generated by `symmetry_generators`, every element closed
-    once by `close_permutation_group` (at most ``bound`` of them)."""
+    once by `close_permutation_group` (at most ``bound`` of them).  A
+    language with no generator (one subject, one attribute, one value) has
+    the trivial group."""
     indices = _generator_indices(lang)
     gens = _as_dicts(lang, indices)
-    elements = close_permutation_group(gens, bound)
+    elements = close_permutation_group(gens, bound) if gens else \
+        {"e": {s: s for s in lang.states}}
     return SymmetryGroup(lang, gens, len(elements), elements, indices)
 
 
@@ -239,15 +242,44 @@ def orbit_report(lang, group=None):
     reused, and each stabilizer is counted over its listed elements.
     """
     group = group or build_symmetry_group(lang)
-    base = _orbits(group.generators, lang.states, list(group.elements.values()))
     orbits = []
-    for members, stab in base.orbits:
+    for members, stab in _orbits(group.generators, lang.states, group.elements.values()):
         labels = {state_type(lang, s) for s in members}
         if len(labels) != 1:
             raise LanguageError("structural type is not constant on an orbit")
         orbits.append((len(members), stab, labels.pop(), members))
     orbits.sort(key=lambda o: (o[0], o[2] or ""))
-    return CarnapOrbitReport(base.group_order, tuple(orbits))
+    return CarnapOrbitReport(group.order, tuple(orbits))
+
+
+def _orbits(generators, points, elements):
+    """Orbits of ``points`` under ``generators``, as (members sorted by
+    ``str``, stabilizer order) pairs, sorted by size and then members.  Each
+    stabilizer is that of the orbit's ``str``-least member, counted over
+    ``elements`` (every group element, as a dict point -> point), and the
+    orbit-stabilizer identity |orbit| * |stabilizer| = |G| is checked."""
+    order = len(elements)
+    seen, orbits = set(), []
+    for x in points:
+        if x in seen:
+            continue
+        orbit = {x}
+        frontier = [x]
+        while frontier:
+            y = frontier.pop()
+            for g in generators.values():
+                z = g[y]
+                if z not in orbit:
+                    orbit.add(z)
+                    frontier.append(z)
+        seen |= orbit
+        rep = min(orbit, key=str)
+        stab = sum(1 for p in elements if p[rep] == rep)
+        if len(orbit) * stab != order:
+            raise GroupoidError("orbit-stabilizer identity failed; generators inconsistent")
+        orbits.append((tuple(sorted(orbit, key=str)), stab))
+    orbits.sort(key=lambda o: (len(o[0]), o[0]))
+    return orbits
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ inductive formulas
 
     U_0 = T_0 or (E_0 - Q_0),      U_k = U_{k-1} and (T_k or (E_k - Q_k)),
 
-the negation is the running intersection of the level complements, and the
-precision of a subobject against a dominated weight sequence delta is
+the negation (Q => bottom, `chain_implication` with T = 0) is the running
+intersection of the level complements, and the precision of a subobject
+against a dominated weight sequence delta is
 
     psi_delta(T) = sum_k delta_k * mu(T_k),
 
@@ -22,6 +23,7 @@ level; for a Q that loses depth down the chain concavity can fail (one point
 at depth 1 with Q = ({x}, {}) gives a double difference of -0.5).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,11 +123,6 @@ def chain_implication(chain, t, q):
     return _running_intersection(chain, t | ~q)
 
 
-def chain_negation(chain, q):
-    """The running intersection of the level complements."""
-    return _running_intersection(chain, ~q)
-
-
 # ---------------------------------------------------------------------------
 # Precision
 # ---------------------------------------------------------------------------
@@ -140,6 +137,8 @@ class DeltaSequence:
     @staticmethod
     def of(values):
         values = tuple(float(v) for v in values)
+        if not all(map(math.isfinite, values)):
+            raise LanguageError(f"delta values must be finite, got {list(values)}")
         if not values or any(v <= 0 for v in values):
             raise LanguageError("delta values must be strictly positive")
         for k in range(len(values)):

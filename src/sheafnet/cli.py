@@ -10,6 +10,7 @@ row order) so identical configurations diff byte-identically.
 
 import argparse
 import json
+import math
 import random
 import sys
 
@@ -157,6 +158,9 @@ def _load_presheaf(doc):
     states_by_key = {x: {} for x in carriers}
     for x, states in carriers.items():
         for s in states:
+            if isinstance(s, float) and not math.isfinite(s):
+                raise SheafnetError(f"carrier {str(x)!r} holds {_key_text(s)}, "
+                                    "which is not a finite number")
             if states_by_key[x].setdefault(_key_text(s), s) != s:
                 raise SheafnetError(f"carrier {str(x)!r} has two states named by the key "
                                     f"{_key_text(s)!r}")
@@ -383,10 +387,8 @@ def _network_from_architecture(g, rng):
         raise SheafnetError("architecture has no vertices")
     order = []
     remaining = {v: set(g.predecessors(v)) for v in g.vertices}
-    while remaining:
+    while remaining:        # a SiteGraph has no cycle: some vertex is always ready
         ready = sorted(v for v, preds in remaining.items() if not preds)
-        if not ready:
-            raise SheafnetError("architecture has a cycle")
         for v in ready:
             order.append(v)
             del remaining[v]

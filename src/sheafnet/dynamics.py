@@ -128,10 +128,6 @@ class WeightedNetwork:
                 acts[name] = a + b
         return acts, pre
 
-    def join_value(self, name, acts):
-        """The tuple of parent activations consumed by a node."""
-        return self._concat(self.nodes[name], acts)
-
     def _edge_jacobians(self, acts, pre):
         """J[(child, parent)] = d child / d parent at the evaluated point."""
         jac = {}
@@ -164,21 +160,26 @@ class WeightedNetwork:
         return jac, saturated
 
     def _paths_to_output(self, start):
-        """All directed paths from ``start`` to the output node."""
+        """All directed paths from ``start`` to the output node, depth first,
+        each node's children in `order`.  The walk keeps one iterator over
+        the unvisited children of each node on the current path, so its depth
+        is not bounded by Python's recursion limit."""
         children = {name: [] for name in self.order}
         for name in self.order:
             for p in self.nodes[name].parents:
                 children[p].append(name)
-        paths = []
-
-        def walk(node, path):
-            if node == self.output:
+        paths = [(start,)] if start == self.output else []
+        path, branches = [start], [iter(children[start])]
+        while branches:
+            c = next(branches[-1], None)
+            if c is None:
+                branches.pop()
+                path.pop()
+                continue
+            path.append(c)
+            branches.append(iter(children[c]))
+            if c == self.output:
                 paths.append(tuple(path))
-                return
-            for c in children[node]:
-                walk(c, path + [c])
-
-        walk(start, [start])
         return paths
 
     def backprop_paths(self, inputs, loss):
@@ -346,19 +347,6 @@ class SumLoss:
 
     def grad(self, y):
         return np.ones_like(y)
-
-
-class QuadraticLoss:
-    """F(y) = 0.5 |y - target|^2."""
-
-    def __init__(self, target):
-        self.target = np.asarray(target, dtype=float)
-
-    def value(self, y):
-        return float(0.5 * np.sum((y - self.target) ** 2))
-
-    def grad(self, y):
-        return y - self.target
 
 
 def gradient_agreement(net, inputs, loss, h=1e-5):

@@ -15,6 +15,9 @@ A `StackOverPoset` is closed like a presheaf, by `FinitePoset.extend_covering`.
 network poset for fibrancy in the injective sense, in one walk over the
 lower covers: surjectivity (or the isofibration condition) along single
 covering arrows, joint surjectivity onto the product at every confluence.
+
+`close_permutation_group` lists a permutation group once, from its
+generators; `carnap` counts the orbits and stabilizers of its elements.
 """
 
 import math
@@ -28,7 +31,6 @@ from .errors import BoundExceeded, GroupoidError
 from .presheaf import Presheaf
 from .unionfind import UnionFind
 
-DEFAULT_MORPHISM_BOUND = 200
 DEFAULT_GROUP_BOUND = 10_000
 
 
@@ -78,9 +80,6 @@ class FiniteGroupoid:
                         raise GroupoidError("associativity failure")
         return self
 
-    def hom(self, x, y):
-        return tuple(f for f in self.morphisms if self.src[f] == x and self.dst[f] == y)
-
     # -- components ---------------------------------------------------------
 
     def components(self):
@@ -94,10 +93,6 @@ class FiniteGroupoid:
             uf.union(self.src[f], self.dst[f])
         return tuple(tuple(sorted(g, key=str)) for g in
                      sorted(uf.groups(), key=lambda c: str(min(c, key=str))))
-
-
-def connected_components(g):
-    return g.components()
 
 
 # -- constructors -------------------------------------------------------------
@@ -123,28 +118,6 @@ def pair_groupoid(objects):
     inv = {(a, b): (b, a) for a, b in morphisms}
     ident = {o: (o, o) for o in objects}
     return FiniteGroupoid(objects, morphisms, src, dst, comp, inv, ident)
-
-
-def group_as_groupoid(generators, bound=DEFAULT_MORPHISM_BOUND):
-    """One-object groupoid on the closure of permutation generators.
-
-    ``generators``: dict name -> permutation dict on a common finite set.
-    """
-    elements = close_permutation_group(generators, bound)
-    name_of = {tuple(p.items()): k for k, p in elements.items()}
-    obj = "*"
-    morphisms = tuple(sorted(elements))
-    src = {m: obj for m in morphisms}
-    dst = {m: obj for m in morphisms}
-    # elements share one domain order, so g after f is found by mapping the
-    # images of f through g
-    comp = {(g, f): name_of[tuple((x, elements[g][y]) for x, y in elements[f].items())]
-            for g in morphisms for f in morphisms}
-    inv = {}
-    for m in morphisms:
-        back = {y: x for x, y in elements[m].items()}
-        inv[m] = name_of[tuple((x, back[x]) for x in elements[m])]
-    return FiniteGroupoid((obj,), morphisms, src, dst, comp, inv, {obj: "e"})
 
 
 def _index_generators(generators):
@@ -201,25 +174,6 @@ def close_permutation_group(generators, bound=DEFAULT_GROUP_BOUND):
     perms = np.frombuffer(b"".join(found), dtype=ident.dtype).reshape(len(found), n).tolist()
     return {name: dict(zip(domain, map(domain.__getitem__, p)))
             for name, p in zip(found.values(), perms)}
-
-
-def disjoint_union(g1, g2, tags=("L", "R")):
-    def tag(t, x):
-        return (t, x)
-
-    objects = tuple(tag(tags[0], o) for o in g1.objects) + tuple(tag(tags[1], o) for o in g2.objects)
-    morphisms = tuple(tag(tags[0], m) for m in g1.morphisms) + tuple(tag(tags[1], m) for m in g2.morphisms)
-    src, dst, inv, ident, comp = {}, {}, {}, {}, {}
-    for t, g in ((tags[0], g1), (tags[1], g2)):
-        for m in g.morphisms:
-            src[tag(t, m)] = tag(t, g.src[m])
-            dst[tag(t, m)] = tag(t, g.dst[m])
-            inv[tag(t, m)] = tag(t, g.inv[m])
-        for o in g.objects:
-            ident[tag(t, o)] = tag(t, g.ident[o])
-        for (a, b), c in g.comp.items():
-            comp[(tag(t, a), tag(t, b))] = tag(t, c)
-    return FiniteGroupoid(objects, morphisms, src, dst, comp, inv, ident)
 
 
 def product_groupoid(g1, g2):
@@ -279,18 +233,6 @@ class GroupoidFunctor:
         """The map on components, as the index of each source component's image."""
         index = {o: i for i, comp in enumerate(self.target.components()) for o in comp}
         return tuple(index[self.object_map[comp[0]]] for comp in self.source.components())
-
-
-def identity_functor(g):
-    return GroupoidFunctor.of(g, g, {o: o for o in g.objects},
-                              {m: m for m in g.morphisms})
-
-
-def constant_functor(source, target, obj):
-    return GroupoidFunctor.of(
-        source, target,
-        {o: obj for o in source.objects},
-        {m: target.ident[obj] for m in source.morphisms})
 
 
 # ---------------------------------------------------------------------------
@@ -528,65 +470,3 @@ def _multifibration(stack, preds, y):
     return ok, "multi-fibration onto the product" if ok else \
         "pairing into the product is not a fibration"
 
-
-# ---------------------------------------------------------------------------
-# Group actions on finite sets
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OrbitReport:
-    group_order: int
-    orbits: tuple          # tuple of (sorted orbit tuple, stabilizer order)
-
-    def sizes(self):
-        return tuple(len(o) for o, _ in self.orbits)
-
-    def as_dict(self):
-        return {
-            "group_order": self.group_order,
-            "orbits": [{"size": len(o), "stabilizer": s, "members": [str(x) for x in o]}
-                       for o, s in self.orbits],
-        }
-
-
-def group_action_orbits(generators, points, bound=DEFAULT_GROUP_BOUND):
-    """Orbits and stabilizer orders of the group generated by permutations.
-
-    ``generators``: dict name -> dict point -> point.  The orbit-stabilizer
-    identity |orbit| * |stabilizer| = |G| is verified on every orbit.
-    """
-    points = list(points)
-    for name, p in generators.items():
-        if sorted(map(str, p)) != sorted(map(str, points)) or \
-           sorted(map(str, p.values())) != sorted(map(str, points)):
-            raise GroupoidError(f"generator {name!r} is not a bijection of the point set")
-    elements = close_permutation_group(generators, bound)
-    return _orbits(generators, points, list(elements.values()))
-
-
-def _orbits(generators, points, elements):
-    """Orbits of ``points`` under ``generators``, each with the order of the
-    stabilizer of its representative counted over ``elements`` (every group
-    element, as a dict point -> point)."""
-    order = len(elements)
-    seen, orbits = set(), []
-    for x in points:
-        if x in seen:
-            continue
-        orbit = {x}
-        frontier = [x]
-        while frontier:
-            y = frontier.pop()
-            for g in generators.values():
-                z = g[y]
-                if z not in orbit:
-                    orbit.add(z)
-                    frontier.append(z)
-        seen |= orbit
-        rep = min(orbit, key=str)
-        stab = sum(1 for p in elements if p[rep] == rep)
-        if len(orbit) * stab != order:
-            raise GroupoidError("orbit-stabilizer identity failed; generators inconsistent")
-        orbits.append((tuple(sorted(orbit, key=str)), stab))
-    orbits.sort(key=lambda o: (len(o[0]), o[0]))
-    return OrbitReport(order, tuple(orbits))

@@ -13,7 +13,7 @@ largest open whose meet with Q lies below T; pointwise it is
 that is, the complement of the up-closure of Q - T.  `oracle_implies_mask`
 recomputes it as the literal union of all qualifying opens, which is the
 definition; it is the only brute-force supremum oracle.  Negation is
-Q => bottom.  The operations have bit-mask twins (suffix ``_mask``) used by
+Q => bottom (on masks, ``implies_mask(poset, q, 0)``).  The operations have bit-mask twins (suffix ``_mask``) used by
 the exhaustive harnesses; `implies_mask` and `oracle_implies_mask` also
 evaluate elementwise on numpy arrays of masks, in the poset's `mask_dtype`
 (uint32 up to 32 elements, else uint64) or any wider unsigned dtype.  There
@@ -69,10 +69,6 @@ def implies_mask(poset, q, t):
     np.invert(up, out=up)
     up &= top
     return up
-
-
-def neg_mask(poset, q):
-    return implies_mask(poset, q, 0)
 
 
 def oracle_implies_mask(poset, q, t, opens=None):

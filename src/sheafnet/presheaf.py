@@ -127,13 +127,6 @@ def elements_poset(presheaf):
     return FinitePoset(elements, relations)
 
 
-def constant_presheaf(poset, states):
-    states = tuple(states)
-    ident = {s: s for s in states}
-    return Presheaf(poset, {x: states for x in poset.elements},
-                    {pair: dict(ident) for pair in poset.covering()})
-
-
 # ---------------------------------------------------------------------------
 # Fork-site machinery
 # ---------------------------------------------------------------------------

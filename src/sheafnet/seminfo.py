@@ -23,10 +23,8 @@ import math
 import numbers
 from dataclasses import dataclass
 
-from .chains import psi_delta
 from .errors import InfinityArithmetic, LanguageError
 from .heyting import OpenAlgebra
-from .presheaf import elements_poset
 
 NEG_INF = float("-inf")
 
@@ -61,6 +59,9 @@ class BooleanLanguage:
             self.total = math.fsum(self.measure.values())
         except OverflowError:
             raise LanguageError("the total measure must be finite") from None
+        if min(self.measure.values()) / self.total == 0:
+            raise LanguageError("measure values are too far apart: a state's share "
+                                "of the total rounds to 0")
 
     def m(self, subset):
         # the empty set keeps the int 0 of `sum`, which reports print as 0
@@ -88,11 +89,6 @@ def psi_cbh(lang, t):
     return NEG_INF if mt == 0 else math.log(mt / lang.total)
 
 
-def psi_localized(lang, p, t):
-    """psi_P(T) = ln(m(T) / m(not P)); defined for theories excluding P."""
-    return localized_precision(lang, p)(t)
-
-
 @dataclass
 class PrecisionFunction:
     """An evaluation contract psi: theory -> extended real."""
@@ -110,7 +106,8 @@ def cbh_precision(lang):
 
 
 def localized_precision(lang, p):
-    """psi_P as a precision.  m(not P) is summed once, when it is built, so a
+    """psi_P(T) = ln(m(T) / m(not P)), defined for theories T excluding P,
+    as a precision.  m(not P) is summed once, when it is built, so a
     P that names every state raises LanguageError here, before any theory is
     graded."""
     alg = OpenAlgebra.discrete(lang.states)
@@ -129,19 +126,6 @@ def localized_precision(lang, p):
         return NEG_INF if mt == 0 else math.log(mt / denom)
 
     return PrecisionFunction(psi, alg)
-
-
-def delta_precision(chain, delta, mu=None):
-    """psi_delta on chain subobjects: increasing; concave only against
-    full-depth propositions (a counterexample lives in the test suite)."""
-    alg = OpenAlgebra(elements_poset(chain.as_presheaf()))
-    return PrecisionFunction(lambda t: psi_delta(chain, alg.poset.mask_of(t), delta, mu), alg)
-
-
-def cardinality_precision(poset):
-    """Raw open-set cardinality: increasing but in general not concave."""
-    alg = OpenAlgebra(poset)
-    return PrecisionFunction(lambda t: float(len(t)), alg)
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +167,6 @@ def kl_divergence(psi, q, s0, s1):
     c = psi(condition(alg, s0, q))
     d = psi(s0)
     return _diff(a + d, b + c, "divergence mixes infinities")
-
-
-def kl_symmetrized(psi, q, s0, s1):
-    return kl_divergence(psi, q, s0, s1) + kl_divergence(psi, q, s1, s0)
 
 
 # ---------------------------------------------------------------------------
@@ -268,51 +248,17 @@ def check_concavity(psi, domain):
     return ConcavityReport(n, minimum if n else math.inf, witness)
 
 
-def check_increasing(psi, pairs):
-    """True when psi(T) <= psi(T') for every supplied pair with T <= T'."""
-    alg = psi.algebra
-    for t, t2 in pairs:
-        if alg.leq(t, t2) and psi(t) > psi(t2):
-            return False, (t, t2)
-    return True, None
-
-
 def check_independence(lang, q, r, tol=1e-12):
     """Inductive independence m(Q and R) = m(Q) m(R) / m(E), with the
-    additivity residual of inf = -ln(m(.)/m(E)) when it holds."""
+    additivity residual of inf = -ln(m(.)/m(E)) when it holds and
+    m(Q and R) > 0 (within the tolerance, m(Q and R) may be 0)."""
     q, r = frozenset(q), frozenset(r)
     mq, mr, mqr = lang.m(q), lang.m(r), lang.m(q & r)
     independent = abs(mqr - mq * mr / lang.total) <= tol * max(1.0, lang.total)
     residual = None
-    if independent and mq > 0 and mr > 0:
+    if independent and mqr > 0:
         inf_q = -math.log(mq / lang.total)
         inf_r = -math.log(mr / lang.total)
         inf_qr = -math.log(mqr / lang.total)
         residual = abs(inf_qr - inf_q - inf_r)
     return independent, residual
-
-
-def conditioning_preserves_exclusion(algebra, t, p, q):
-    """With T <= not P and Q >= P, is (T|Q) still below not P?  (It must be.)"""
-    notp = algebra.neg(p)
-    if not algebra.leq(t, notp):
-        raise LanguageError("precondition violated: T does not exclude P")
-    if not algebra.leq(p, q):
-        raise LanguageError("precondition violated: Q is not implied by P")
-    return algebra.leq(condition(algebra, t, q), notp)
-
-
-def degree_zero_invariance(psi, p, theories=None, propositions=None):
-    """Is psi invariant under all admissible conditionings (a degree-zero
-    cocycle), and if so is it constant on the theories excluding P?
-    Both facts are reported; neither is assumed."""
-    alg = psi.algebra
-    notp = alg.neg(p)
-    if theories is None:
-        theories = [t for t in alg.elements() if alg.leq(t, notp)]
-    if propositions is None:
-        propositions = [q for q in alg.elements() if alg.leq(p, q)]
-    invariant = all(
-        psi(condition(alg, s, q)) == psi(s) for s in theories for q in propositions)
-    values = {psi(s) for s in theories}
-    return invariant, len(values) <= 1

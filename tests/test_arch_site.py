@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from itertools import chain, combinations
 
 import pytest
@@ -9,7 +10,6 @@ from sheafnet.arch_site import (
     SiteGraph,
     basis,
     build_poset,
-    check_classical_directed,
     classify_vertices,
     fork_surgery,
     loop_rank,
@@ -91,13 +91,12 @@ def test_parse_lstm_fixture_is_fork_ready():
 
 def test_check_chain_ok():
     g = SiteGraph.build(["0", "1", "2"], [("0", "1"), ("1", "2")])
-    assert check_classical_directed(g).ok
+    assert g.roles == {"0": "input", "1": "ordinary", "2": "output"}
 
 
 def test_check_oriented_cycle_reported():
-    report = check_classical_directed(["0", "1"], [("0", "1"), ("1", "0")])
-    assert not report.ok
-    assert report.cycles
+    with pytest.raises(ArchitectureError, match="oriented cycle is forbidden: '0' -> '1' -> '0'"):
+        SiteGraph.build(["0", "1"], [("0", "1"), ("1", "0")])
 
 
 def test_check_unfolded_rnn_ok():
@@ -105,7 +104,54 @@ def test_check_unfolded_rnn_ok():
     nodes = ["x1", "x2", "h0", "h1", "h2", "y1", "y2"]
     edges = [("x1", "h1"), ("h0", "h1"), ("x2", "h2"), ("h1", "h2"),
              ("h1", "y1"), ("h2", "y2")]
-    assert check_classical_directed(nodes, edges).ok
+    assert SiteGraph.build(nodes, edges).outputs() == ("y1", "y2")
+
+
+def reaches(edges, a, b):
+    """Is there a directed path of one or more edges from a to b?"""
+    seen, frontier = set(), [a]
+    while frontier:
+        v = frontier.pop()
+        for s, d in edges:
+            if s == v and d not in seen:
+                seen.add(d)
+                frontier.append(d)
+    return b in seen
+
+
+def test_build_names_a_cycle_exactly_when_there_is_one():
+    """On random digraphs without self-loops: the graph is refused iff some
+    edge closes a path back to its source, and the named vertices run along
+    edges back to the first one, with no other repeat."""
+    rng = random.Random(9)
+    refused = 0
+    for _ in range(300):
+        names = [f"n{i}" for i in range(rng.randint(1, 7))]
+        edges = [(s, d) for s in names for d in names if s != d and rng.random() < 0.2]
+        cyclic = any(reaches(edges, d, s) for s, d in edges)
+        try:
+            SiteGraph.build(names, edges)
+        except ArchitectureError as exc:
+            refused += 1
+            assert cyclic
+            cycle = [v.strip("'") for v in str(exc).split(": ", 1)[1].split(" -> ")]
+            assert cycle[0] == cycle[-1] and len(set(cycle)) == len(cycle) - 1
+            assert all(e in edges for e in zip(cycle, cycle[1:]))
+        else:
+            assert not cyclic
+    assert 0 < refused < 300
+
+
+def test_deeper_than_the_recursion_limit():
+    """The acyclicity check and fork surgery walk without recursion."""
+    n = sys.getrecursionlimit() + 10
+    names = [f"v{i}" for i in range(n)]
+    chain_edges = list(zip(names, names[1:]))
+    fg = fork_surgery(SiteGraph.build(names, chain_edges))
+    assert fg.arrows == tuple(chain_edges) and fg.forks == ()
+    cycle = {"nodes": names, "edges": [list(e) for e in chain_edges + [(names[-1], names[0])]]}
+    with pytest.raises(ArchitectureError, match="oriented cycle is forbidden: 'v0' -> 'v1'"):
+        parse_architecture(json.dumps(cycle))
 
 
 # -- fork surgery ------------------------------------------------------------

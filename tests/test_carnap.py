@@ -102,6 +102,18 @@ def test_single_binary_attribute_single_orbit():
     assert report.sizes() == (2,)
 
 
+def test_one_state_language_has_the_trivial_group():
+    """One subject, one attribute of one value: no generator at all."""
+    lang = build_language(1, [1])
+    group = build_symmetry_group(lang)
+    assert group.generators == {} and group.order == 1
+    assert group.elements == {"e": {lang.states[0]: lang.states[0]}}
+    report = orbit_report(lang, group)
+    assert report.group_order == 1
+    assert report.sizes() == (1,) and report.stabilizers() == (1,)
+    assert simples_form_single_orbit(lang, group)
+
+
 def test_state_type_predicates():
     lang = l23()
     same = ((0, 0), (0, 0), (0, 0))
@@ -276,6 +288,25 @@ def test_symmetry_path_matches_per_state_oracles(subjects, counts):
     for family in families:
         assert simples_form_single_orbit(lang, group, family) == \
             reference_single_orbit(want_gens, family)
+
+
+@pytest.mark.parametrize("subjects,counts", ORACLE_LANGUAGES,
+                         ids=[f"{s}x{','.join(map(str, c))}" for s, c in ORACLE_LANGUAGES])
+def test_orbits_partition_the_states_with_orbit_stabilizer(subjects, counts):
+    """The orbits, recomputed by closing each state under the group's
+    elements, partition the states; |orbit| * |stabilizer| = |G| with the
+    stabilizer of the str-least member, counted over the elements."""
+    lang = build_language(subjects, counts)
+    group = build_symmetry_group(lang)
+    report = orbit_report(lang, group)
+    orbits = {frozenset(p[s] for p in group.elements.values()) for s in lang.states}
+    assert sorted(map(len, orbits)) == list(report.sizes())
+    assert sum(report.sizes()) == len(lang.states)
+    for size, stab, _, members in report.orbits:
+        assert frozenset(members) in orbits and members == tuple(sorted(members, key=str))
+        rep = members[0]
+        assert stab == sum(p[rep] == rep for p in group.elements.values())
+        assert size * stab == group.order
 
 
 def test_build_symmetry_group_closes_each_group_once(monkeypatch):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -9,7 +10,6 @@ from sheafnet.chains import (
     ChainObject,
     DeltaSequence,
     chain_implication,
-    chain_negation,
     psi_delta,
 )
 from sheafnet.errors import LanguageError, PresheafError
@@ -70,7 +70,7 @@ def test_negation_formula_and_equivalences():
     subs = subs_of(e)
     bot = 0
     for q in subs:
-        neg = chain_negation(e, q)
+        neg = chain_implication(e, 0, q)
         # displayed formula: level k is the intersection of the complements
         expect = []
         acc = None
@@ -84,9 +84,8 @@ def test_negation_formula_and_equivalences():
             inter = comp if inter is None else inter & comp
             running.append(inter)
         assert e.levels_of(neg) == tuple(running)
-        assert neg == chain_implication(e, bot, q)
-    assert chain_negation(e, top_of(e)) == bot
-    assert chain_negation(e, bot) == top_of(e)
+    assert chain_implication(e, 0, top_of(e)) == bot
+    assert chain_implication(e, 0, bot) == top_of(e)
 
 
 def test_implication_equals_oracle_exhaustive_small_chains():
@@ -121,7 +120,7 @@ def test_batched_formulas_match_single_pairs_and_generic_calculus():
     batched = chain_implication(e, masks[:, None], masks[None, :])
     generic = hey.implies_mask(poset, masks[None, :], masks[:, None])
     assert batched.dtype == np.uint64 and np.array_equal(batched, generic)
-    assert chain_negation(e, masks).tolist() == [chain_negation(e, q) for q in subs]
+    assert chain_implication(e, 0, masks).tolist() == [chain_implication(e, 0, q) for q in subs]
     for i, t in enumerate(subs):
         for j, q in enumerate(subs):
             assert int(batched[i, j]) == chain_implication(e, t, q) == \
@@ -152,8 +151,8 @@ def test_batched_formulas_at_the_width_boundary(shape):
         got = chain_implication(e, t, q)
         assert got.dtype == dtype and got.tolist() == want
         assert np.array_equal(t[:, 0], masks) and np.array_equal(q[0], masks)
-        neg = chain_negation(e, masks)
-        assert neg.dtype == dtype and neg.tolist() == [chain_negation(e, m) for m in subs]
+        neg = chain_implication(e, 0, masks)
+        assert neg.dtype == dtype and neg.tolist() == [chain_implication(e, 0, m) for m in subs]
         assert np.array_equal(masks, subs)
 
 
@@ -164,6 +163,11 @@ def test_delta_validation():
         DeltaSequence.of([1.0, 0.6, 0.5])  # 1.0 <= 0.6 + 0.5
     with pytest.raises(LanguageError):
         DeltaSequence.of([1.0, -0.5])
+    # every comparison with NaN is false and inf dominates any finite tail,
+    # so positivity and dominance alone would let both through
+    for values in ([1.0, math.nan], [math.nan], [math.inf], [math.inf, 1.0]):
+        with pytest.raises(LanguageError, match="delta values must be finite"):
+            DeltaSequence.of(values)
     d = DeltaSequence.dyadic(3)
     assert d.values == (1.0, 0.5, 0.25, 0.125)
 

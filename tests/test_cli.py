@@ -367,19 +367,44 @@ def test_info_non_numeric_delta_exit_2(capsys, tmp_path):
     assert out == "" and err.startswith("error:") and "'1,x'" in err
 
 
+@pytest.mark.parametrize("delta", ["1,nan", "inf", "1e400"])
+def test_info_non_finite_delta_exit_2(capsys, tmp_path, delta):
+    """A NaN or infinite weight would print as NaN or Infinity, which is not
+    JSON, under "dominated": true."""
+    path = tmp_path / "lang.json"
+    path.write_text(json.dumps({"states": ["00", "01"]}))
+    code, out, err = run(capsys, "info", "--in", str(path), "--delta", delta)
+    assert code == 2
+    assert out == "" and err.startswith("error: delta values must be finite")
+
+
 @pytest.mark.parametrize("measure, message", [
     ({"00": 1, "01": "x"}, "must be numbers"),
     ([1.0, 2.0], "JSON object"),
     ({"00": 1, "01": float("nan")}, "must be finite"),
     ({"00": 1, "01": float("inf")}, "must be finite"),
     ({"00": 1e308, "01": 1e308}, "must be finite"),
-], ids=["non-numeric-value", "list", "nan", "infinity", "overflowing-total"])
+    ({"00": 5e-324, "01": 2}, "rounds to 0"),
+], ids=["non-numeric-value", "list", "nan", "infinity", "overflowing-total",
+        "underflowing-share"])
 def test_info_malformed_measure_exit_2(capsys, tmp_path, measure, message):
     path = tmp_path / "lang.json"
     path.write_text(json.dumps({"states": ["00", "01"], "measure": measure}))
     code, out, err = run(capsys, "info", "--in", str(path))
     assert code == 2
     assert out == "" and err.startswith("error:") and message in err
+
+
+def test_info_independence_of_disjoint_light_propositions(capsys, tmp_path):
+    """m(Q) m(R) / m(E) is within the tolerance of m(Q and R) = 0: independent,
+    with no additivity residual, since inf(Q and R) is infinite."""
+    path = tmp_path / "lang.json"
+    path.write_text(json.dumps({"states": ["a", "b", "c"],
+                                "measure": {"a": 1e-7, "b": 1e-7, "c": 1}}))
+    code, out, err = run(capsys, "info", "--in", str(path), "--q", "a", "--q2", "b")
+    assert code == 0 and err == ""
+    assert json.loads(out)["checks"]["independence"] == {"independent": True,
+                                                         "additivity_residual": None}
 
 
 def test_info_p_naming_every_state_exit_2(capsys, tmp_path):
@@ -431,6 +456,18 @@ def test_gradcheck_on_an_empty_architecture_exit_2(capsys, tmp_path):
     code, out, err = run(capsys, "dyn", "gradcheck", "--arch", str(path))
     assert code == 2
     assert out == "" and err.startswith("error:") and "no vertices" in err
+
+
+@pytest.mark.parametrize("argv", [["site", "--in"], ["heyting", "--arch"],
+                                  ["dyn", "gradcheck", "--arch"]],
+                         ids=["site", "heyting", "gradcheck"])
+def test_cyclic_architecture_exit_2_naming_the_cycle(capsys, tmp_path, argv):
+    path = tmp_path / "arch.json"
+    path.write_text(json.dumps({"nodes": ["x", "a", "b", "c"],
+                                "edges": [["x", "a"], ["a", "b"], ["b", "c"], ["c", "a"]]}))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert err == "error: oriented cycle is forbidden: 'a' -> 'b' -> 'c' -> 'a'\n"
 
 
 _GROUPOID = {"objects": ["a"]}
@@ -504,6 +541,18 @@ def test_states_sharing_a_key_text_exit_2(capsys, tmp_path):
     assert out == "" and err.startswith("error:") and "carrier 'b'" in err and "'2'" in err
 
 
+@pytest.mark.parametrize("state, text", [(float("nan"), "NaN"), (float("inf"), "Infinity"),
+                                         (float("-inf"), "-Infinity")])
+def test_non_finite_states_exit_2(capsys, tmp_path, state, text):
+    doc = {"poset": {"elements": ["a", "b", "c"], "leq": [["a", "b"], ["a", "c"]]},
+           "carriers": {"a": [state], "b": ["u"], "c": ["v"]},
+           "maps": {"a<=b": {"u": state}, "a<=c": {"v": state}}}
+    (tmp_path / "doc.json").write_text(json.dumps(doc))
+    code, out, err = run(capsys, "sections", "--in", str(tmp_path / "doc.json"))
+    assert code == 2 and out == ""
+    assert err == f"error: carrier 'a' holds {text}, which is not a finite number\n"
+
+
 def test_string_state_sections_keep_their_bytes(capsys, tmp_path):
     presheaf = {
         "poset": {"elements": ["y", "h", "x"], "leq": [["y", "h"], ["h", "x"], ["y", "x"]]},
@@ -564,6 +613,15 @@ def test_carnap_report(capsys):
     assert sorted(o["size"] for o in report["orbits"]) == [4, 12, 24, 24]
     assert report["simples"]["count"] == 12
     assert report["proposition_count"] == str(2 ** 64)
+
+
+def test_carnap_one_state_language_has_the_trivial_group(capsys):
+    code, out, err = run(capsys, "carnap", "--subjects", "1", "--attributes", "1")
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["states"] == 1 and report["group_order"] == 1
+    assert [(o["size"], o["stabilizer"]) for o in report["orbits"]] == [(1, 1)]
+    assert report["simples"]["single_orbit"] is True
 
 
 # sha256 of the `site` report of each bundled fixture

@@ -1,6 +1,7 @@
-"""A seeded fuzz of the exit-code contract on small architecture, presheaf
-and stack documents: every document exits 0, 1 or 2, an exit 2 says why on an
-``error:`` line, and no exception reaches the top level.
+"""A seeded fuzz of the exit-code contract on small architecture, presheaf,
+poset, stack and language documents, and on `carnap` options: every run exits
+0, 1 or 2, an exit 2 says why on an ``error:`` line, and no exception reaches
+the top level.
 
 Each document starts from a well-formed shape over a few names, and any
 part of it may be swapped for arbitrary JSON.  The runs are derandomized
@@ -119,6 +120,44 @@ def presheaves(draw):
     return draw(either(st.just(doc))), draw(either(st.just(predicate)))
 
 
+@st.composite
+def posets(draw):
+    """A poset document over a few string or number elements; its 'leq'
+    pairs may be reflexive or close a cycle."""
+    elements = draw(st.lists(names | st.integers(0, 3), max_size=4, unique_by=str))
+    pairs = [[x, y] for x in elements for y in elements]
+    leq = draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
+    return draw(either(st.just({"elements": draw(either(st.just(elements))),
+                                "leq": draw(either(st.just([draw(either(st.just(p)))
+                                                            for p in leq])))})))
+
+
+def state_list(draw, states):
+    """Comma-separated names of some of ``states``, or of other names."""
+    return ",".join(draw(st.lists(st.sampled_from(states) | names, max_size=3)))
+
+
+@st.composite
+def languages(draw):
+    """A language document, and `info` options naming some of its states."""
+    states = [str(s) for s in draw(st.lists(names | st.integers(0, 3), min_size=1, max_size=3,
+                                            unique_by=str))]
+    doc = {"states": draw(either(st.just(states)))}
+    if draw(st.booleans()):
+        # tiny and huge weights, whose ratios underflow
+        weights = st.integers(-1, 3) | st.floats(allow_nan=True, allow_infinity=True) | \
+            st.sampled_from([1e-7, 5e-324, 1e300])
+        doc["measure"] = draw(either(st.fixed_dictionaries({s: weights for s in states})))
+    # "--flag=value", so that a value starting with "-" is not read as a flag
+    argv = [f"{flag}={state_list(draw, states)}" for flag in draw(
+        st.lists(st.sampled_from(("--theory", "--q", "--q2", "--p")), unique=True))]
+    if draw(st.booleans()):
+        values = st.floats(allow_nan=True, allow_infinity=True) | st.integers(-1, 3)
+        argv.append("--delta=" + draw(st.lists(values, min_size=1, max_size=3).map(
+            lambda xs: ",".join(map(str, xs))) | st.sampled_from(NAMES)))
+    return draw(either(st.just(doc))), argv
+
+
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=100,
                 suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 
@@ -167,3 +206,34 @@ def test_presheaf_documents_keep_the_exit_code_contract(document, command, data)
         path.write_text(json.dumps(predicate))
         argv += ["--predicate", str(path)]
     check_contract(document, argv + ["--in"], doc)
+
+
+@settings(FUZZ, max_examples=60)
+@given(doc=posets(), bound=st.integers(0, 6))
+def test_poset_documents_keep_the_exit_code_contract(document, doc, bound):
+    check_contract(document, ["heyting", "--bound", str(bound), "--in"], doc)
+
+
+@settings(FUZZ, max_examples=25)
+@given(data=st.data())
+def test_language_documents_keep_the_exit_code_contract(document, data):
+    doc, argv = data.draw(languages())
+    check_contract(document, ["info"] + argv + ["--in"], doc)
+
+
+# Languages stay small: at most (3 * 3)^3 states, and the group bound is
+# always given, so no run lists a large group.
+ATTRIBUTES = st.lists(st.integers(-1, 3), max_size=2).map(lambda cs: ",".join(map(str, cs))) | \
+    st.sampled_from(["", ",", "x", "2,,2", " 2", "2.5", "1e1"])
+
+
+@settings(FUZZ, max_examples=60)
+@given(subjects=st.integers(-1, 3), attributes=ATTRIBUTES, bound=st.integers(-1, 100))
+def test_carnap_options_keep_the_exit_code_contract(subjects, attributes, bound):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["carnap", f"--subjects={subjects}", f"--attributes={attributes}",
+                     f"--bound={bound}"])
+    assert code in (0, 2), (subjects, attributes, bound)
+    if code == 2:
+        assert err.getvalue().startswith("error: "), (subjects, attributes, bound)

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from sheafnet.dynamics import (
     LSTMParams,
     MGU2Params,
     Node,
-    QuadraticLoss,
     SumLoss,
     WeightedNetwork,
     braid_relation_check,
@@ -32,6 +32,19 @@ from sheafnet.dynamics import (
     random_fork_network,
 )
 from sheafnet.errors import ArchitectureError, NondifferentiablePoint
+
+
+class QuadraticLoss:
+    """F(y) = 0.5 |y - target|^2, a loss whose gradient depends on y."""
+
+    def __init__(self, target):
+        self.target = np.asarray(target, dtype=float)
+
+    def value(self, y):
+        return float(0.5 * np.sum((y - self.target) ** 2))
+
+    def grad(self, y):
+        return y - self.target
 
 
 # -- feedforward ---------------------------------------------------------------
@@ -71,7 +84,7 @@ def test_join_value_is_tuple_of_tips():
              weight=np.array([[1.0, 1.0, 1.0]])),
     ])
     acts, _ = net.feedforward({"a": [2.0], "b": [3.0, 4.0]})
-    assert np.allclose(net.join_value("j", acts), [2.0, 3.0, 4.0])
+    assert np.allclose(net._concat(net.nodes["j"], acts), [2.0, 3.0, 4.0])
 
 
 def test_dimension_mismatch():
@@ -122,6 +135,38 @@ def test_gradients_match_reverse_and_fd_on_random_networks():
         vs_reverse, vs_fd, _ = gradient_agreement(net, inputs, SumLoss())
         assert vs_reverse <= 1e-12
         assert vs_fd <= 1e-6
+
+
+def recursive_paths(net, start):
+    """The reference for `_paths_to_output`: a recursive depth-first walk,
+    each node's children in `order`."""
+    if start == net.output:
+        return [(start,)]
+    return [(start,) + rest for child in net.order if start in net.nodes[child].parents
+            for rest in recursive_paths(net, child)]
+
+
+def test_paths_to_output_match_the_recursive_walk_in_order():
+    rng = random.Random(12)
+    for _ in range(30):
+        net = random_fork_network(rng, max_layers=7, max_units=2)
+        for name in net.order:
+            assert net._paths_to_output(name) == recursive_paths(net, name)
+
+
+def test_backprop_paths_deeper_than_the_recursion_limit():
+    """y = h_depth with h_1 = a + x, h_k = h_(k-1) + x and a = w x, so the one
+    path from ``a`` to the output is longer than the recursion limit."""
+    depth = sys.getrecursionlimit() + 10
+    nodes = [Node("x", "input", 1),
+             Node("a", "affine", 1, ("x",), "identity", weight=np.array([[0.5]])),
+             Node("h1", "hadsum", 1, ("a", "x"))]
+    nodes += [Node(f"h{k}", "hadsum", 1, (f"h{k - 1}", "x")) for k in range(2, depth + 1)]
+    net = WeightedNetwork(nodes)
+    res = net.backprop_paths({"x": [3.0]}, SumLoss())
+    assert res.path_counts == {"a": 1}
+    assert res.grads["a"][0].tolist() == [[3.0]]
+    assert res.grads["a"][0].tolist() == net.reverse_mode({"x": [3.0]}, SumLoss())["a"][0].tolist()
 
 
 def full_forward_differences(net, inputs, loss, h=1e-5):

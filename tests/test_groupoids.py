@@ -11,18 +11,13 @@ from sheafnet.carnap import build_language, build_symmetry_group, symmetry_gener
 from sheafnet.errors import BoundExceeded, GroupoidError
 from sheafnet.groupoids import (
     AdjunctionReport,
+    FiniteGroupoid,
     GroupoidFunctor,
     StackOverPoset,
     check_adjunction_and_section,
     check_fibrant_injective,
     close_permutation_group,
-    connected_components,
-    constant_functor,
     discrete_groupoid,
-    disjoint_union,
-    group_action_orbits,
-    group_as_groupoid,
-    identity_functor,
     is_fibration,
     is_multifibration,
     lambda_transport,
@@ -36,6 +31,61 @@ from sheafnet.unionfind import UnionFind
 
 def cyclic_perm(points):
     return {points[i]: points[(i + 1) % len(points)] for i in range(len(points))}
+
+
+# -- groupoids and functors built for the tests ------------------------------------
+
+def group_as_groupoid(generators):
+    """One-object groupoid on the closure of permutation generators.
+
+    ``generators``: dict name -> permutation dict on a common finite set.
+    """
+    elements = close_permutation_group(generators)
+    name_of = {tuple(p.items()): k for k, p in elements.items()}
+    obj = "*"
+    morphisms = tuple(sorted(elements))
+    src = {m: obj for m in morphisms}
+    dst = {m: obj for m in morphisms}
+    # elements share one domain order, so g after f is found by mapping the
+    # images of f through g
+    comp = {(g, f): name_of[tuple((x, elements[g][y]) for x, y in elements[f].items())]
+            for g in morphisms for f in morphisms}
+    inv = {}
+    for m in morphisms:
+        back = {y: x for x, y in elements[m].items()}
+        inv[m] = name_of[tuple((x, back[x]) for x in elements[m])]
+    return FiniteGroupoid((obj,), morphisms, src, dst, comp, inv, {obj: "e"})
+
+
+def disjoint_union(g1, g2, tags=("L", "R")):
+    """Both groupoids side by side, each object and morphism tagged by the
+    tag of its side."""
+    objects, morphisms = [], []
+    src, dst, inv, ident, comp = {}, {}, {}, {}, {}
+    for t, g in zip(tags, (g1, g2)):
+        objects += [(t, o) for o in g.objects]
+        morphisms += [(t, m) for m in g.morphisms]
+        for m in g.morphisms:
+            src[(t, m)] = (t, g.src[m])
+            dst[(t, m)] = (t, g.dst[m])
+            inv[(t, m)] = (t, g.inv[m])
+        for o in g.objects:
+            ident[(t, o)] = (t, g.ident[o])
+        for (a, b), c in g.comp.items():
+            comp[((t, a), (t, b))] = (t, c)
+    return FiniteGroupoid(tuple(objects), tuple(morphisms), src, dst, comp, inv, ident)
+
+
+def identity_functor(g):
+    return GroupoidFunctor.of(g, g, {o: o for o in g.objects},
+                              {m: m for m in g.morphisms})
+
+
+def constant_functor(source, target, obj):
+    return GroupoidFunctor.of(
+        source, target,
+        {o: obj for o in source.objects},
+        {m: target.ident[obj] for m in source.morphisms})
 
 
 def reachability_components_oracle(g):
@@ -62,12 +112,12 @@ def reachability_components_oracle(g):
 
 def test_discrete_groupoid_components():
     g = discrete_groupoid(["a", "b", "c"])
-    assert len(connected_components(g)) == 3
+    assert len(g.components()) == 3
 
 
 def test_one_object_group_single_component():
     g = group_as_groupoid({"r": cyclic_perm([0, 1, 2])})
-    assert len(connected_components(g)) == 1
+    assert len(g.components()) == 1
     assert len(g.morphisms) == 3  # C3
 
 
@@ -87,7 +137,7 @@ def test_components_match_reachability_oracle():
         g = pieces[0]
         for piece in pieces[1:]:
             g = disjoint_union(g, piece, tags=(f"t{id(piece) % 97}", f"u{id(piece) % 89}"))
-        assert connected_components(g) == reachability_components_oracle(g)
+        assert g.components() == reachability_components_oracle(g)
 
 
 # -- transports --------------------------------------------------------------
@@ -108,19 +158,19 @@ def two_over_one_functor():
 def test_lambda_identity_and_collapse():
     g = discrete_groupoid(["a", "b"])
     ident = identity_functor(g)
-    comps = connected_components(g)
+    comps = g.components()
     for p in powerset(comps):
         assert lambda_transport(ident, p) == p
         assert tau_transport(ident, p) == p
     f = two_over_one_functor()
-    cx, cy = connected_components(f.source)
+    cx, cy = f.source.components()
     assert lambda_transport(f, {cx}) == lambda_transport(f, {cy})
 
 
 def test_tau_preimage_and_empty():
     f = two_over_one_functor()
-    cz = connected_components(f.target)[0]
-    assert tau_transport(f, {cz}) == frozenset(connected_components(f.source))
+    cz = f.target.components()[0]
+    assert tau_transport(f, {cz}) == frozenset(f.source.components())
     assert tau_transport(f, frozenset()) == frozenset()
 
 
@@ -144,8 +194,8 @@ def test_non_surjective_functor_breaks_section_with_witness():
 
 def test_lambda_tau_preserve_boolean_operations():
     f = two_over_one_functor()
-    src_comps = connected_components(f.source)
-    dst_comps = connected_components(f.target)
+    src_comps = f.source.components()
+    dst_comps = f.target.components()
     for p in powerset(src_comps):
         for q in powerset(src_comps):
             assert lambda_transport(f, p | q) == lambda_transport(f, p) | lambda_transport(f, q)
@@ -162,7 +212,7 @@ def test_lambda_meet_preservation_fails_for_collapsing_functors():
     """Direct images preserve joins but not meets: collapsing two components
     onto one is the witness, so only the join law is asserted above."""
     f = two_over_one_functor()
-    cx, cy = connected_components(f.source)
+    cx, cy = f.source.components()
     lhs = lambda_transport(f, frozenset({cx}) & frozenset({cy}))
     rhs = lambda_transport(f, {cx}) & lambda_transport(f, {cy})
     assert lhs == frozenset() and rhs != frozenset()
@@ -173,7 +223,7 @@ def test_lambda_meet_preserved_for_component_injective_functors():
     dst = discrete_groupoid(["u", "v", "w"])
     f = GroupoidFunctor.of(src, dst, {"x": "u", "y": "w"},
                            {("id", "x"): ("id", "u"), ("id", "y"): ("id", "w")})
-    comps = connected_components(src)
+    comps = src.components()
     for p in powerset(comps):
         for q in powerset(comps):
             assert lambda_transport(f, p & q) == \
@@ -184,12 +234,12 @@ def test_lambda_meet_preserved_for_component_injective_functors():
 
 def reference_component_image(functor, comp):
     obj = functor.object_map[comp[0]]
-    return next(c for c in connected_components(functor.target) if obj in c)
+    return next(c for c in functor.target.components() if obj in c)
 
 
 def reference_lambda_transport(functor, comps):
     comps = frozenset(comps)
-    known = set(connected_components(functor.source))
+    known = set(functor.source.components())
     if not comps <= known:
         raise GroupoidError("unknown component in lambda_transport")
     return frozenset(reference_component_image(functor, c) for c in comps)
@@ -197,18 +247,18 @@ def reference_lambda_transport(functor, comps):
 
 def reference_tau_transport(functor, comps):
     comps = frozenset(comps)
-    known = set(connected_components(functor.target))
+    known = set(functor.target.components())
     if not comps <= known:
         raise GroupoidError("unknown component in tau_transport")
-    return frozenset(c for c in connected_components(functor.source)
+    return frozenset(c for c in functor.source.components()
                      if reference_component_image(functor, c) in comps)
 
 
 def reference_check_adjunction_and_section(functor, component_bound=8):
     """Every pair of component sets as frozensets; failures hold frozensets."""
     lam, tau = reference_lambda_transport, reference_tau_transport
-    src_comps = connected_components(functor.source)
-    dst_comps = connected_components(functor.target)
+    src_comps = functor.source.components()
+    dst_comps = functor.target.components()
     if len(src_comps) > component_bound or len(dst_comps) > component_bound:
         raise BoundExceeded("too many components for the exhaustive check")
     failures = []
@@ -247,12 +297,14 @@ def random_functor(rng, max_components=5):
     objects onto random objects there."""
     src = random_component_groupoid(rng, "s", max_components)
     dst = random_component_groupoid(rng, "d", max_components)
-    targets = connected_components(dst)
+    targets = dst.components()
     omap = {}
-    for comp in connected_components(src):
+    for comp in src.components():
         into = rng.choice(targets)
         omap.update({o: rng.choice(into) for o in comp})
-    mmap = {m: dst.hom(omap[src.src[m]], omap[src.dst[m]])[0] for m in src.morphisms}
+    # a pair groupoid per component: one morphism between any two of its objects
+    hom = {(dst.src[f], dst.dst[f]): f for f in dst.morphisms}
+    mmap = {m: hom[(omap[src.src[m]], omap[src.dst[m]])] for m in src.morphisms}
     return GroupoidFunctor.of(src, dst, omap, mmap)
 
 
@@ -266,9 +318,9 @@ def test_transports_match_frozenset_reference_on_random_functors():
         assert dataclasses.replace(report, failures=failures) == \
             reference_check_adjunction_and_section(f)
         surjective.add(report.surjective_on_components)
-        for p in powerset(connected_components(f.source)):
+        for p in powerset(f.source.components()):
             assert lambda_transport(f, p) == reference_lambda_transport(f, p)
-        for q in powerset(connected_components(f.target)):
+        for q in powerset(f.target.components()):
             assert tau_transport(f, q) == reference_tau_transport(f, q)
     assert surjective == {True, False}
 
@@ -302,8 +354,8 @@ def test_components_computed_once_per_groupoid(monkeypatch):
     f = random_functor(random.Random(2))
     for _ in range(3):
         check_adjunction_and_section(f)
-        lambda_transport(f, connected_components(f.source))
-        tau_transport(f, connected_components(f.target))
+        lambda_transport(f, f.source.components())
+        tau_transport(f, f.target.components())
     assert len(built) == 2
 
 
@@ -326,7 +378,6 @@ def test_proper_subgroup_inclusion_is_not_fibration():
     # embed C2 = {e, (02)(13)} into C4's morphisms
     square = {v: cyclic_perm([0, 1, 2, 3])[cyclic_perm([0, 1, 2, 3])[v]] for v in range(4)}
     name_of = {}
-    from sheafnet.groupoids import close_permutation_group
 
     big_elems = {k: dict(p) for k, p in close_permutation_group(
         {"r": cyclic_perm([0, 1, 2, 3])}).items()}
@@ -497,42 +548,12 @@ def test_stack_functoriality_clash_on_diamond():
         StackOverPoset(poset, fibers, clashing)
 
 
-# -- orbits ---------------------------------------------------------------------
-
-def test_trivial_group_singleton_orbits():
-    report = group_action_orbits({"e": {0: 0, 1: 1}}, [0, 1])
-    assert report.group_order == 1
-    assert report.sizes() == (1, 1)
-
-
-def test_c2_swap_orbit():
-    report = group_action_orbits({"s": {0: 1, 1: 0}}, [0, 1])
-    assert report.group_order == 2
-    assert report.sizes() == (2,)
-    assert report.orbits[0][1] == 1  # trivial stabilizer
-
-
-def test_orbit_sizes_sum_and_orbit_stabilizer_identity():
-    rng = random.Random(13)
-    points = list(range(6))
-    for _ in range(10):
-        gens = {}
-        for k in range(rng.randint(1, 2)):
-            p = points[:]
-            rng.shuffle(p)
-            gens[f"g{k}"] = dict(zip(points, p))
-        report = group_action_orbits(gens, points)
-        assert sum(report.sizes()) == len(points)
-        for orbit, stab in report.orbits:
-            assert len(orbit) * stab == report.group_order
-
+# -- group closure ----------------------------------------------------------------
 
 def test_generator_must_be_bijection():
-    with pytest.raises(GroupoidError):
-        group_action_orbits({"bad": {0: 0, 1: 0}}, [0, 1])
+    with pytest.raises(GroupoidError, match="not a bijection"):
+        close_permutation_group({"bad": {0: 0, 1: 0}})
 
-
-# -- group closure against the sort-based reference ------------------------------
 
 def reference_close_permutation_group(generators, bound=10_000):
     """The closure as first written: every permutation a tuple of (x, image)

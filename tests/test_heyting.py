@@ -118,7 +118,7 @@ def test_batched_implies_mask_matches_scalar_path_and_oracle(n):
 
 @pytest.mark.parametrize("n", [1, 3, 9, 25])
 def test_negation_and_int_implication_on_uint64_arrays(n):
-    """A Python-int T, such as the bottom 0 of `neg_mask`, against uint64
+    """A Python-int T, such as the bottom 0 of a negation, against uint64
     arrays gives the scalar results element by element."""
     rng = random.Random(n)
     p = random_poset(rng, n)
@@ -128,7 +128,6 @@ def test_negation_and_int_implication_on_uint64_arrays(n):
         got = hey.implies_mask(p, masks, t)
         assert got.dtype == np.uint64
         assert got.tolist() == [hey.implies_mask(p, q, t) for q in opens]
-    assert hey.neg_mask(p, masks).tolist() == [hey.neg_mask(p, q) for q in opens]
 
 
 def test_scalar_implies_mask_takes_numpy_integers():
@@ -136,8 +135,8 @@ def test_scalar_implies_mask_takes_numpy_integers():
     are converted to Python ints first (they have no ``bit_length``)."""
     p = FinitePoset.chain(2)
     assert hey.implies_mask(p, np.uint64(3), np.uint64(1)) == hey.implies_mask(p, 3, 1) == 1
-    assert hey.implies_mask(p, np.uint32(7), np.int64(0)) == hey.neg_mask(p, 7) == 0
-    assert hey.neg_mask(p, np.uint64(0)) == hey.top_mask(p)
+    assert hey.implies_mask(p, np.uint32(7), np.int64(0)) == hey.implies_mask(p, 7, 0) == 0
+    assert hey.implies_mask(p, np.uint64(0), 0) == hey.top_mask(p)
 
 
 @pytest.mark.parametrize("n, dtype", [(32, np.uint32), (33, np.uint64)])
@@ -164,8 +163,8 @@ def test_mask_arrays_at_the_width_boundary(n):
         q, t = np.array(qs, dtype=dtype), np.array(ts, dtype=dtype)
         got = hey.implies_mask(p, q[:, None], t)
         assert got.dtype == dtype and got.tolist() == want
-        neg = hey.neg_mask(p, q)
-        assert neg.dtype == dtype and neg.tolist() == [hey.neg_mask(p, m) for m in qs]
+        neg = hey.implies_mask(p, q, 0)
+        assert neg.dtype == dtype and neg.tolist() == [hey.implies_mask(p, m, 0) for m in qs]
 
 
 def test_heyting_adjunction_and_lattice_laws():
@@ -175,8 +174,8 @@ def test_heyting_adjunction_and_lattice_laws():
         opens = open_masks(p)
         top = hey.top_mask(p)
         for q in opens:
-            nq = hey.neg_mask(p, q)
-            nnnq = hey.neg_mask(p, hey.neg_mask(p, nq))
+            nq = hey.implies_mask(p, q, 0)
+            nnnq = hey.implies_mask(p, hey.implies_mask(p, nq, 0), 0)
             assert nnnq == nq  # ~~~Q = ~Q
             assert hey.implies_mask(p, 0, q) == top
             assert hey.implies_mask(p, q, top) == top

@@ -13,7 +13,6 @@ from sheafnet.presheaf import (
     SectionSet,
     _output_elements,
     cats_manifold,
-    constant_presheaf,
     elements_poset,
     sections,
     sheafify_at_forks,
@@ -288,6 +287,13 @@ def test_spontaneous_activity_changes_section_count():
 
 # -- sheafification -----------------------------------------------------------
 
+def constant_presheaf(poset, states):
+    """Every carrier ``states``, every restriction the identity."""
+    states = tuple(states)
+    return Presheaf(poset, {x: states for x in poset.elements},
+                    {pair: {s: s for s in states} for pair in poset.covering()})
+
+
 def test_sheafify_chain_unchanged():
     g = fixture_graph("chain")
     fg = fork_surgery(g)
@@ -525,7 +531,7 @@ def test_subobject_lattice_heyting_laws():
             pairs = rng.sample(pairs, 900)
         for q in subs:
             assert leq(bot, q) and leq(q, top)
-            nq = hey.neg_mask(poset, q)
+            nq = hey.implies_mask(poset, q, 0)
             assert q & nq == bot or leq(q & nq, bot)
         for q, t in pairs:
             im = hey.implies_mask(poset, q, t)

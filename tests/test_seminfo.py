@@ -4,30 +4,25 @@ import random
 import pytest
 
 from sheafnet.arch_site import FinitePoset
-from sheafnet.chains import ChainObject, DeltaSequence
+from sheafnet.chains import ChainObject, DeltaSequence, psi_delta
 from sheafnet.errors import InfinityArithmetic, LanguageError
 from sheafnet.heyting import OpenAlgebra
+from sheafnet.presheaf import elements_poset
 from sheafnet.seminfo import (
     BooleanLanguage,
+    PrecisionFunction,
     ambiguity,
-    cardinality_precision,
     cbh_precision,
     check_cocycle,
     check_concavity,
-    check_increasing,
     check_independence,
     concavity_defect,
     condition,
-    conditioning_preserves_exclusion,
     content,
-    degree_zero_invariance,
-    delta_precision,
     kl_divergence,
-    kl_symmetrized,
     localized_precision,
     mutual_information,
     psi_cbh,
-    psi_localized,
 )
 
 LN = math.log
@@ -111,12 +106,13 @@ def test_psi_localized():
     lang = lang_of(4)
     p = frozenset({"s3"})
     notp = frozenset(lang.states) - p
-    assert psi_localized(lang, p, notp) == 0.0
-    assert psi_localized(lang, p, frozenset({"s0"})) == pytest.approx(LN(1 / 3))
-    assert psi_localized(lang, frozenset(), frozenset({"s0"})) == \
+    psi = localized_precision(lang, p)
+    assert psi(notp) == 0.0
+    assert psi(frozenset({"s0"})) == pytest.approx(LN(1 / 3))
+    assert localized_precision(lang, frozenset())(frozenset({"s0"})) == \
         psi_cbh(lang, frozenset({"s0"}))
     with pytest.raises(LanguageError):
-        psi_localized(lang, p, frozenset({"s3"}))
+        psi(frozenset({"s3"}))
 
 
 # -- ambiguity and cocycle -------------------------------------------------------
@@ -223,9 +219,8 @@ def test_psi_localized_concave_exhaustive():
 def test_cardinality_on_opens_is_not_concave():
     # the poset of the minimal counterexample: cardinality gains more on a
     # larger theory, so a negative double difference is found and reported
-    poset = FinitePoset.chain(1)
-    psi = cardinality_precision(poset)
-    alg = psi.algebra
+    alg = OpenAlgebra(FinitePoset.chain(1))
+    psi = PrecisionFunction(lambda t: float(len(t)), alg)
     report = check_concavity(psi, full_domain(alg, alg.bottom))
     assert report.samples > 0
     assert not report.passed(1e-12)
@@ -234,8 +229,9 @@ def test_cardinality_on_opens_is_not_concave():
 
 def test_delta_precision_concavity_reported_negative():
     e = ChainObject.of({0, 1}, {0})
-    psi = delta_precision(e, DeltaSequence.dyadic(1))
-    alg = psi.algebra
+    alg = OpenAlgebra(elements_poset(e.as_presheaf()))
+    delta = DeltaSequence.dyadic(1)
+    psi = PrecisionFunction(lambda t: psi_delta(e, alg.poset.mask_of(t), delta), alg)
     subs = list(alg.elements())
     domain = [(q, t, t2) for q in subs for t in subs for t2 in subs if alg.leq(t, t2)]
     report = check_concavity(psi, domain)
@@ -280,8 +276,6 @@ def test_kl_divergence_properties():
             assert kl_divergence(psi, alg.top, s0, s1) == 0.0
             d = kl_divergence(psi, q, s0, s1)
             assert d >= -1e-12
-            sym = kl_symmetrized(psi, q, s0, s1)
-            assert sym == pytest.approx(kl_symmetrized(psi, q, s1, s0))
 
 
 # -- independence -----------------------------------------------------------------
@@ -305,9 +299,21 @@ def test_independence_failures_and_overlap():
     assert residual <= 1e-12
 
 
+def test_independence_without_a_common_state():
+    lang = BooleanLanguage(["a", "b", "c"], {"a": 1e-7, "b": 1e-7, "c": 1.0})
+    assert check_independence(lang, {"a"}, {"b"}) == (True, None)
+
+
+def test_measure_shares_must_not_round_to_zero():
+    with pytest.raises(LanguageError, match="rounds to 0"):
+        BooleanLanguage(["a", "b"], {"a": 5e-324, "b": 2.0})
+    assert psi_cbh(BooleanLanguage(["a", "b"], {"a": 5e-324, "b": 1.0}), {"a"}) < -744
+
+
 # -- exclusion preservation ---------------------------------------------------------
 
 def test_conditioning_preserves_exclusion_boolean_exhaustive():
+    """With T <= not P and P <= Q, T|Q stays below not P."""
     lang = lang_of(5)
     alg = OpenAlgebra.discrete(lang.states)
     for p in subsets(lang):
@@ -316,7 +322,7 @@ def test_conditioning_preserves_exclusion_boolean_exhaustive():
         ts = [t for t in subsets(lang) if alg.leq(t, notp)]
         for q in qs:
             for t in ts:
-                assert conditioning_preserves_exclusion(alg, t, p, q)
+                assert alg.leq(condition(alg, t, q), notp)
 
 
 def test_conditioning_preserves_exclusion_heyting_two_chain():
@@ -329,38 +335,22 @@ def test_conditioning_preserves_exclusion_heyting_two_chain():
                 continue
             for t in opens:
                 if alg.leq(t, notp):
-                    assert conditioning_preserves_exclusion(alg, t, p, q)
-
-
-def test_exclusion_precondition_reported():
-    lang = lang_of(3)
-    alg = OpenAlgebra.discrete(lang.states)
-    p = frozenset({"s0"})
-    with pytest.raises(LanguageError):
-        conditioning_preserves_exclusion(alg, frozenset({"s0"}), p, alg.top)
+                    assert alg.leq(condition(alg, t, q), notp)
 
 
 # -- degree zero ----------------------------------------------------------------------
 
 def test_degree_zero_invariance_reported_empirically():
+    """A constant psi is a degree-zero cocycle: conditioning any theory T
+    excluding P by any Q >= P leaves psi(T) unchanged.  psi_cbh is not: it
+    moves under conditioning and differs between such theories."""
     lang = lang_of(3)
-    psi_const = cbh_precision(lang)
-    psi_const.fn = lambda t: 1.0
-    invariant, constant = degree_zero_invariance(psi_const, frozenset({"s0"}))
-    assert invariant and constant
-    psi = cbh_precision(lang)
-    invariant, constant = degree_zero_invariance(psi, frozenset({"s0"}))
-    assert not invariant  # conditioning does move psi_cbh
-    assert not constant
-
-
-def test_check_increasing_helper():
-    lang = lang_of(4)
-    psi = cbh_precision(lang)
-    pairs = [(a, b) for a in subsets(lang) if a for b in subsets(lang) if b]
-    ok, witness = check_increasing(psi, pairs)
-    assert ok and witness is None
-    psi_bad = cbh_precision(lang)
-    psi_bad.fn = lambda t: -len(t)
-    ok, witness = check_increasing(psi_bad, pairs)
-    assert not ok and witness is not None
+    p = frozenset({"s0"})
+    for psi, invariant in ((PrecisionFunction(lambda t: 1.0, cbh_precision(lang).algebra), True),
+                           (cbh_precision(lang), False)):
+        alg = psi.algebra
+        theories = [t for t in alg.elements() if alg.leq(t, alg.neg(p))]
+        props = [q for q in alg.elements() if alg.leq(p, q)]
+        assert all(psi(condition(alg, t, q)) == psi(t)
+                   for t in theories for q in props) is invariant
+        assert (len({psi(t) for t in theories}) == 1) is invariant
