@@ -18,6 +18,13 @@ elements so that data flows from maximal to minimal: inputs and tangs are
 maximal, outputs and tips are minimal, and the lower Alexandrov opens
 (downward closed subsets) are exactly the "already determined" stages of a
 forward pass.
+
+Every order question is answered by one pass over Kahn's levels of a
+digraph (`_kahn_levels`): the oriented cycle that `SiteGraph.build`
+refuses, and, for `FinitePoset`, the cycle of given relations that breaks
+antisymmetry, the closure of its up- and down-sets and its linear
+extension.  The gradcheck network of the CLI takes its layer order from the
+same levels.
 """
 
 from dataclasses import dataclass, field
@@ -80,35 +87,31 @@ class SiteGraph:
             dup = [e for e in set(edges) if edges.count(e) > 1]
             raise ArchitectureError(f"parallel edges are forbidden: {dup}")
 
-        indeg = {v: 0 for v in vertices}
-        succ = {v: [] for v in vertices}
+        index = {v: i for i, v in enumerate(vertices)}
+        preds = [[] for _ in vertices]
         for s, d in edges:
-            succ[s].append(d)
-            indeg[d] += 1
-        _reject_cycle(vertices, edges, indeg, succ)
+            preds[index[d]].append(index[s])
+        _, cycle = _kahn_levels(preds)
+        if cycle:
+            raise ArchitectureError("oriented cycle is forbidden: " +
+                                    " -> ".join(repr(vertices[i]) for i in cycle))
+        outdeg = dict.fromkeys(vertices, 0)
+        for s, _ in edges:
+            outdeg[s] += 1
         final = {}
         roles = dict(roles or {})
-        for v in vertices:
+        for v, ps in zip(vertices, preds):
             role = roles.get(v)
             if role is None:
-                role = "input" if indeg[v] == 0 else ("output" if not succ[v] else "ordinary")
+                role = "input" if not ps else ("output" if not outdeg[v] else "ordinary")
             if role not in ROLES:
                 raise ArchitectureError(f"unknown role {role!r} for vertex {v!r}")
-            if role == "input" and indeg[v] > 0:
-                raise ArchitectureError(f"input vertex {v!r} has in-degree {indeg[v]}")
-            if role == "output" and succ[v]:
-                raise ArchitectureError(f"output vertex {v!r} has out-degree {len(succ[v])}")
+            if role == "input" and ps:
+                raise ArchitectureError(f"input vertex {v!r} has in-degree {len(ps)}")
+            if role == "output" and outdeg[v]:
+                raise ArchitectureError(f"output vertex {v!r} has out-degree {outdeg[v]}")
             final[v] = role
         return SiteGraph(vertices, edges, final)
-
-    def successors(self, v):
-        return tuple(d for s, d in self.edges if s == v)
-
-    def predecessors(self, v):
-        return tuple(s for s, d in self.edges if d == v)
-
-    def out_degree(self, v):
-        return sum(1 for s, _ in self.edges if s == v)
 
     def inputs(self):
         return tuple(v for v in self.vertices if self.roles[v] == "input")
@@ -117,31 +120,41 @@ class SiteGraph:
         return tuple(v for v in self.vertices if self.roles[v] == "output")
 
 
-def _reject_cycle(vertices, edges, indeg, succ):
-    """Raise ArchitectureError naming the vertices of one oriented cycle, if
-    the graph has one.  Sources are peeled off until none is left (Kahn's
-    order); a vertex that is never peeled keeps a predecessor that is never
-    peeled either, so walking back through such predecessors from the first
-    of them repeats a vertex, and the walk from that vertex back to itself,
-    read forwards, is a cycle."""
-    pending = dict(indeg)
-    ready = [v for v in vertices if not pending[v]]
-    for v in ready:         # the list grows while it is read
-        for d in succ[v]:
-            pending[d] -= 1
-            if not pending[d]:
-                ready.append(d)
-    if len(ready) == len(vertices):
-        return
-    stuck = set(vertices).difference(ready)
-    v = next(v for v in vertices if v in stuck)
+def _kahn_levels(preds):
+    """Kahn's levels of the digraph on ``range(len(preds))`` whose arrows
+    into v come from ``preds[v]``, in arrow order: the sources first, then
+    each vertex in the level after its last predecessor's, each level in
+    index order (Kahn, CACM 1962).  Returns ``(levels, cycle)``.  ``cycle``
+    is None when every vertex is peeled.  Otherwise a vertex that is never
+    peeled keeps a predecessor that is never peeled either, so walking back
+    from the first such vertex through the first such predecessor repeats a
+    vertex; the walk from that vertex back to itself, read forwards, is
+    ``cycle``, its first vertex repeated at the end."""
+    succ = [[] for _ in preds]
+    for v, ps in enumerate(preds):
+        for p in ps:
+            succ[p].append(v)
+    pending = [len(ps) for ps in preds]
+    levels = []
+    level = [v for v, k in enumerate(pending) if not k]
+    while level:
+        levels.append(level)
+        after = []
+        for v in level:
+            for d in succ[v]:
+                pending[d] -= 1
+                if not pending[d]:
+                    after.append(d)
+        level = sorted(after)
+    if not any(pending):
+        return levels, None
+    v = next(v for v, k in enumerate(pending) if k)
     walk = {}
     while v not in walk:
         walk[v] = len(walk)
-        v = next(s for s, d in edges if d == v and s in stuck)
+        v = next(p for p in preds[v] if pending[p])
     cycle = list(walk)[walk[v]:] + [v]
-    raise ArchitectureError("oriented cycle is forbidden: " +
-                            " -> ".join(map(repr, reversed(cycle))))
+    return levels, cycle[::-1]
 
 
 def parse_architecture(document):
@@ -335,61 +348,54 @@ def _validate_fork_graph(fg):
 class FinitePoset:
     """A finite poset with O(1) order queries via cached down-set bit masks.
 
+    ``__init__`` peels the digraph of the given relations into Kahn's levels
+    (minimal elements first) once.  That one pass finds a cycle if there is
+    one, and orders the closure: one pass over the reversed levels closes
+    the up-sets, one pass over the levels builds the down-sets, and the
+    flattened levels are `linear_extension()`.  Relations with a cycle
+    (other than reflexive pairs) raise `PosetError`, naming the elements
+    of one cycle of the given relations in order.
+
     A poset does not change after ``__init__``, so it also keeps what is
     derived from its order, each computed on first use and held immutable:
     its open masks (a tuple, handed out by `open_masks`, which still checks
     the enumeration bound on every call), `covering()` (a tuple of pairs),
     `lower_covers()` (a read-only mapping to tuples), `strict_sets()`
-    (read-only mappings to frozensets, for `heyting.OpenAlgebra`),
-    `linear_extension()` (a tuple) and, for the batched
-    `heyting.implies_mask`, its up-closure tables per byte of a mask, in
-    its `mask_dtype`.
+    (read-only mappings to frozensets, for `heyting.OpenAlgebra`) and, for
+    the batched `heyting.implies_mask`, its up-closure tables per byte of a
+    mask, in its `mask_dtype`.
     """
 
     def __init__(self, elements, relations, fork_graph=None):
-        """``relations`` is an iterable of pairs (x, y) meaning x <= y; the
-        reflexive-transitive closure is taken and antisymmetry verified."""
+        """``relations`` is an iterable of pairs (x, y) meaning x <= y, with
+        repeats and reflexive pairs allowed; the reflexive-transitive closure
+        is taken and antisymmetry verified."""
         self.elements = tuple(elements)
         self.index = {x: i for i, x in enumerate(self.elements)}
         if len(self.index) != len(self.elements):
             raise PosetError("duplicate elements")
-        n = len(self.elements)
-        up = [0] * n          # up[i] bit j set <=> elements[i] <= elements[j]
+        preds = [[] for _ in self.elements]     # preds[j]: i for each x_i <= x_j given
         for x, y in relations:
             if x not in self.index or y not in self.index:
                 raise PosetError(f"relation ({x!r}, {y!r}) references unknown element")
-            up[self.index[x]] |= 1 << self.index[y]
-        for i in range(n):
-            up[i] |= 1 << i
-        # transitive closure (iterate to fixpoint; n is desk-scale)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                acc = up[i]
-                m = acc
-                while m:
-                    j = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    acc |= up[j]
-                if acc != up[i]:
-                    up[i] = acc
-                    changed = True
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (up[i] >> j) & 1 and (up[j] >> i) & 1:
-                    raise PosetError(
-                        "antisymmetry violation: "
-                        f"{self.elements[i]!r} <= {self.elements[j]!r} <= {self.elements[i]!r}"
-                    )
-        self._up = up
-        self._down = [0] * n
-        for i in range(n):
-            m = up[i]
-            while m:
-                j = (m & -m).bit_length() - 1
-                m &= m - 1
-                self._down[j] |= 1 << i
+            i, j = self.index[x], self.index[y]
+            if i != j:
+                preds[j].append(i)
+        levels, cycle = _kahn_levels(preds)
+        if cycle:
+            raise PosetError("antisymmetry violation: " +
+                             " <= ".join(repr(self.elements[i]) for i in cycle))
+        order = [i for level in levels for i in level]
+        n = len(self.elements)
+        self._up = [1 << i for i in range(n)]       # _up[i] bit j set <=> x_i <= x_j
+        for j in reversed(order):
+            for i in preds[j]:
+                self._up[i] |= self._up[j]
+        self._down = [1 << i for i in range(n)]
+        for j in order:
+            for i in preds[j]:
+                self._down[j] |= self._down[i]
+        self._linear_extension = tuple(self.elements[i] for i in order)
         self.fork_graph = fork_graph
 
     # -- order queries ------------------------------------------------------
@@ -503,15 +509,10 @@ class FinitePoset:
         return kept, full
 
     def linear_extension(self):
-        """Elements ordered so that smaller elements come first: by the size
-        of their down-set, ties by position in ``elements`` (elements are
-        never compared with each other)."""
+        """Elements ordered so that smaller elements come first: by level,
+        ties by position in ``elements`` (elements are never compared with
+        each other)."""
         return self._linear_extension
-
-    @cached_property
-    def _linear_extension(self):
-        # sorted() is stable, so ties keep their order in `elements`
-        return tuple(sorted(self.elements, key=lambda x: self.down_mask(x).bit_count()))
 
     @cached_property
     def _open_masks(self):

@@ -19,6 +19,7 @@ import numpy as np
 from . import heyting as hey
 from .arch_site import (
     FinitePoset,
+    _kahn_levels,
     build_poset,
     fork_surgery,
     load_architecture,
@@ -385,27 +386,25 @@ def cmd_carnap(args):
 def _network_from_architecture(g, rng):
     if not g.vertices:
         raise SheafnetError("architecture has no vertices")
-    order = []
-    remaining = {v: set(g.predecessors(v)) for v in g.vertices}
-    while remaining:        # a SiteGraph has no cycle: some vertex is always ready
-        ready = sorted(v for v, preds in remaining.items() if not preds)
-        for v in ready:
-            order.append(v)
-            del remaining[v]
-        for preds in remaining.values():
-            preds.difference_update(ready)
+    preds = {v: [] for v in g.vertices}
+    for s, d in g.edges:
+        preds[d].append(s)
+    index = {v: i for i, v in enumerate(g.vertices)}
+    levels, _ = _kahn_levels([[index[s] for s in preds[v]] for v in g.vertices])
+    order = [v for level in levels for v in sorted(g.vertices[i] for i in level)]
     dims = {v: rng.randint(1, 3) for v in g.vertices}
     nodes = []
     for v in order:
-        preds = tuple(sorted(g.predecessors(v)))
-        if not preds:
+        ins = tuple(sorted(preds[v]))
+        if not ins:
             nodes.append(Node(v, "input", dims[v]))
         else:
-            total = sum(dims[p] for p in preds)
+            total = sum(dims[p] for p in ins)
             weight = np.array([[rng.uniform(-1, 1) for _ in range(total)]
                                for _ in range(dims[v])])
-            nodes.append(Node(v, "affine", dims[v], preds, "tanh", weight=weight))
-    sinks = tuple(sorted(v for v in g.vertices if g.out_degree(v) == 0))
+            nodes.append(Node(v, "affine", dims[v], ins, "tanh", weight=weight))
+    senders = {s for s, _ in g.edges}
+    sinks = tuple(sorted(v for v in g.vertices if v not in senders))
     total = sum(dims[s] for s in sinks)
     nodes.append(Node("__loss_readout", "affine", 1, sinks, "identity",
                       weight=np.array([[rng.uniform(-1, 1) for _ in range(total)]])))

@@ -21,9 +21,9 @@ generators; `carnap` counts the orbits and stabilizers of its elements.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product as iproduct
 
 import numpy as np
 
@@ -176,21 +176,6 @@ def close_permutation_group(generators, bound=DEFAULT_GROUP_BOUND):
             for name, p in zip(found.values(), perms)}
 
 
-def product_groupoid(g1, g2):
-    objects = tuple(iproduct(g1.objects, g2.objects))
-    morphisms = tuple(iproduct(g1.morphisms, g2.morphisms))
-    src = {(m, n): (g1.src[m], g2.src[n]) for m, n in morphisms}
-    dst = {(m, n): (g1.dst[m], g2.dst[n]) for m, n in morphisms}
-    inv = {(m, n): (g1.inv[m], g2.inv[n]) for m, n in morphisms}
-    ident = {(a, b): (g1.ident[a], g2.ident[b]) for a, b in objects}
-    comp = {}
-    for m, n in morphisms:
-        for m2, n2 in morphisms:
-            if g1.dst[m2] == g1.src[m] and g2.dst[n2] == g2.src[n]:
-                comp[((m, n), (m2, n2))] = (g1.comp[(m, m2)], g2.comp[(n, n2)])
-    return FiniteGroupoid(objects, morphisms, src, dst, comp, inv, ident)
-
-
 # ---------------------------------------------------------------------------
 # Functors
 # ---------------------------------------------------------------------------
@@ -338,30 +323,22 @@ def is_fibration(functor):
     return True
 
 
-def pairing_functor(functors):
-    """G -> product of the targets, from a family of functors on one source."""
-    src = functors[0].source
-    if any(f.source is not src and f.source != src for f in functors):
-        raise GroupoidError("pairing needs a common source")
-    prod = functors[0].target
-    for f in functors[1:]:
-        prod = product_groupoid(prod, f.target)
-
-    def nest(values):
-        out = values[0]
-        for v in values[1:]:
-            out = (out, v)
-        return out
-
-    omap = {o: nest([f.object_map[o] for f in functors]) for o in src.objects}
-    mmap = {m: nest([f.morphism_map[m] for f in functors]) for m in src.morphisms}
-    return GroupoidFunctor.of(src, prod, omap, mmap)
-
-
 def is_multifibration(functors):
-    """A family of functors with common source is a multi-fibration when the
-    pairing into the product groupoid is a fibration."""
-    return is_fibration(pairing_functor(list(functors)))
+    """A family of functors F_i with common source G is a multi-fibration
+    when its pairing G -> prod_i target(F_i) is a fibration: at every object
+    x, the tuples (F_i(m))_i over the morphisms m out of x are all the
+    tuples (phi_i)_i of target morphisms with src(phi_i) = F_i(x).  They
+    always lie among them, so counting the distinct ones suffices."""
+    functors = list(functors)
+    g = functors[0].source
+    if any(f.source is not g and f.source != g for f in functors):
+        raise GroupoidError("pairing needs a common source")
+    out_of = [Counter(f.target.src[phi] for phi in f.target.morphisms) for f in functors]
+    lifts = {x: set() for x in g.objects}
+    for m in g.morphisms:
+        lifts[g.src[m]].add(tuple(f.morphism_map[m] for f in functors))
+    return all(len(lifts[x]) == math.prod(n[f.object_map[x]] for f, n in zip(functors, out_of))
+               for x in g.objects)
 
 
 # ---------------------------------------------------------------------------

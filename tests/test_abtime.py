@@ -35,6 +35,7 @@ def test_a_a_comparison_ends_with_a_json_line():
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["callable"] == "verify.criterion_14"
     assert result["base"] == result["change"] == "HEAD" and result["pairs"] == 2
+    assert result["repeats"] > 1        # one call is far shorter than a sample
     assert result["base_median_s"] > 0 and result["change_median_s"] > 0
     low, high = result["ratio_ci95"]
     assert low <= result["median_ratio"] <= high

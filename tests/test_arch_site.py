@@ -232,11 +232,79 @@ def test_poset_lstm_minimal_elements_are_outputs_and_nine_tips():
 
 
 def test_poset_antisymmetry_violation_detected():
-    with pytest.raises(PosetError):
-        # constructed directly: a <= b and b <= a
-        from sheafnet.arch_site import FinitePoset
-
+    with pytest.raises(PosetError, match=r"^antisymmetry violation: 'a' <= 'b' <= 'a'$"):
         FinitePoset(["a", "b"], [("a", "b"), ("b", "a")])
+
+
+MIXED = [0, 1, "a", "b", 1.5, ("t",), ("t", 0), None, frozenset({2}), -3, "0"]
+
+
+def warshall_closure(elements, relations):
+    """The reflexive-transitive closure as a set of pairs, by Warshall's
+    algorithm over the relation pairs."""
+    leq = set(relations) | {(x, x) for x in elements}
+    for z in elements:
+        leq |= {(x, y) for x in elements if (x, z) in leq for y in elements if (z, y) in leq}
+    return leq
+
+
+def shuffled_relations(rng, pairs, elements):
+    """``pairs`` with some repeated and some reflexive pairs added, shuffled."""
+    out = pairs + rng.choices(pairs, k=len(pairs) // 2) if pairs else []
+    out += [(x, x) for x in elements if rng.random() < 0.2]
+    rng.shuffle(out)
+    return out
+
+
+def test_closure_matches_warshall_on_random_relation_lists():
+    """Order queries equal Warshall's closure, and the linear extension
+    orders elements by the length of the longest chain below them, ties by
+    position, on random acyclic relation lists over mixed-type elements."""
+    rng = random.Random(17)
+    for _ in range(300):
+        elements = rng.sample(MIXED, rng.randint(1, 9))
+        ranked = rng.sample(elements, len(elements))      # a hidden linear order
+        pairs = [(x, y) for i, x in enumerate(ranked) for y in ranked[i + 1:]
+                 if rng.random() < 0.3]
+        relations = shuffled_relations(rng, pairs, elements)
+        poset = FinitePoset(elements, relations)
+        leq = warshall_closure(elements, relations)
+        assert {(x, y) for x in elements for y in elements if poset.leq(x, y)} == leq
+        for y in elements:
+            assert poset.down_set(y) == {x for x in elements if (x, y) in leq}
+        height = {}
+        for y in ranked:
+            height[y] = max((height[x] + 1 for x in ranked if x != y and (x, y) in leq),
+                            default=0)
+        assert poset.linear_extension() == tuple(
+            sorted(elements, key=lambda x: (height[x], elements.index(x))))
+
+
+def test_poset_names_a_cycle_exactly_when_there_is_one():
+    """On random relation lists over mixed-type elements, repeats and
+    reflexive pairs included: the list is refused iff some non-reflexive
+    pair closes a path back, and the named elements run along given pairs
+    back to the first one, with no other repeat."""
+    rng = random.Random(29)
+    refused = 0
+    for _ in range(300):
+        elements = rng.sample(MIXED, rng.randint(1, 7))
+        pairs = [(x, y) for x in elements for y in elements if x != y and rng.random() < 0.15]
+        relations = shuffled_relations(rng, pairs, elements)
+        cyclic = any(reaches(pairs, y, x) for x, y in pairs)
+        try:
+            FinitePoset(elements, relations)
+        except PosetError as exc:
+            refused += 1
+            assert cyclic
+            by_repr = {repr(x): x for x in elements}
+            named = str(exc).split("antisymmetry violation: ", 1)[1].split(" <= ")
+            cycle = [by_repr[r] for r in named]
+            assert cycle[0] == cycle[-1] and len(set(cycle)) == len(cycle) - 1
+            assert all(p in pairs for p in zip(cycle, cycle[1:]))
+        else:
+            assert not cyclic
+    assert 0 < refused < 300
 
 
 # -- classification -----------------------------------------------------------

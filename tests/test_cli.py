@@ -1,12 +1,14 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
-from sheafnet.cli import main
+from sheafnet.arch_site import SiteGraph
+from sheafnet.cli import _network_from_architecture, main
 from sheafnet.data import fixture_text
 
 
@@ -641,6 +643,56 @@ def test_site_report_bytes_are_pinned(capsys, tmp_path, name):
     code, out, _ = run(capsys, "site", "--in", str(path))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SITE_REPORT_SHA256[name]
+
+
+# sha256 of the `dyn gradcheck --seed 0` report of each bundled fixture
+GRADCHECK_REPORT_SHA256 = {
+    "chain": "f43f91b8a89b739c1024d1dc3f1b7d2bccf2b7f29ca6435b6607315a72cbd136",
+    "diamond": "ca0297add20b41255e22fdb0fe23e63bedfd88b1979fca569d74a1a3285c43a6",
+    "lstm": "dc1611a73e49cde673de5418727e20e0cfb9cf73d09a2f64df523a334eb3321e",
+    "gru": "9f6fca4f8f06d4f5cc23a048959621ad94c9b8a6f6e4f9b949985b63dc7e9793",
+    "mgu2": "bef981675b40e934ee89f5f3153c334653643dc4a45fa6de0690c68d4e756f43",
+}
+
+
+@pytest.mark.parametrize("name", GRADCHECK_REPORT_SHA256)
+def test_gradcheck_report_bytes_are_pinned(capsys, tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(fixture_text(name))
+    code, out, _ = run(capsys, "dyn", "gradcheck", "--arch", str(path), "--seed", "0")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GRADCHECK_REPORT_SHA256[name]
+
+
+def reference_gradcheck_order(g):
+    """Round by round, the vertices whose predecessors are all placed, each
+    round sorted by name."""
+    order = []
+    remaining = {v: {s for s, d in g.edges if d == v} for v in g.vertices}
+    while remaining:
+        ready = sorted(v for v, preds in remaining.items() if not preds)
+        for v in ready:
+            order.append(v)
+            del remaining[v]
+        for preds in remaining.values():
+            preds.difference_update(ready)
+    return order
+
+
+def test_gradcheck_network_order_matches_round_by_round_peeling():
+    """On random DAGs whose vertex list is neither topological nor sorted,
+    the gradcheck network lists its nodes in the reference's order, each
+    with its predecessors sorted by name as parents, then the readout."""
+    rng = random.Random(11)
+    for _ in range(200):
+        names = rng.sample([f"{c}{k}" for c in "zyxw" for k in range(3)], rng.randint(1, 9))
+        edges = [(s, d) for i, s in enumerate(names) for d in names[i + 1:]
+                 if rng.random() < 0.35]
+        g = SiteGraph.build(rng.sample(names, len(names)), edges)
+        net = _network_from_architecture(g, random.Random(0))
+        assert net.order == reference_gradcheck_order(g) + ["__loss_readout"]
+        assert all(net.nodes[v].parents == tuple(sorted(s for s, d in edges if d == v))
+                   for v in names)
 
 
 # sha256 of the `carnap` report of each benchmark language

@@ -22,7 +22,6 @@ from sheafnet.groupoids import (
     is_multifibration,
     lambda_transport,
     pair_groupoid,
-    product_groupoid,
     tau_transport,
 )
 from sheafnet.presheaf import Presheaf
@@ -74,6 +73,44 @@ def disjoint_union(g1, g2, tags=("L", "R")):
         for (a, b), c in g.comp.items():
             comp[((t, a), (t, b))] = (t, c)
     return FiniteGroupoid(tuple(objects), tuple(morphisms), src, dst, comp, inv, ident)
+
+
+def product_groupoid(g1, g2):
+    """The product groupoid, with a composition entry for every composable
+    pair of morphism pairs."""
+    objects = tuple(iproduct(g1.objects, g2.objects))
+    morphisms = tuple(iproduct(g1.morphisms, g2.morphisms))
+    src = {(m, n): (g1.src[m], g2.src[n]) for m, n in morphisms}
+    dst = {(m, n): (g1.dst[m], g2.dst[n]) for m, n in morphisms}
+    inv = {(m, n): (g1.inv[m], g2.inv[n]) for m, n in morphisms}
+    ident = {(a, b): (g1.ident[a], g2.ident[b]) for a, b in objects}
+    comp = {}
+    for m, n in morphisms:
+        for m2, n2 in morphisms:
+            if g1.dst[m2] == g1.src[m] and g2.dst[n2] == g2.src[n]:
+                comp[((m, n), (m2, n2))] = (g1.comp[(m, m2)], g2.comp[(n, n2)])
+    return FiniteGroupoid(objects, morphisms, src, dst, comp, inv, ident)
+
+
+def pairing_functor(functors):
+    """G -> product of the targets, from a family of functors on one source,
+    validated as a functor."""
+    src = functors[0].source
+    if any(f.source is not src and f.source != src for f in functors):
+        raise GroupoidError("pairing needs a common source")
+    prod = functors[0].target
+    for f in functors[1:]:
+        prod = product_groupoid(prod, f.target)
+
+    def nest(values):
+        out = values[0]
+        for v in values[1:]:
+            out = (out, v)
+        return out
+
+    omap = {o: nest([f.object_map[o] for f in functors]) for o in src.objects}
+    mmap = {m: nest([f.morphism_map[m] for f in functors]) for m in src.morphisms}
+    return GroupoidFunctor.of(src, prod, omap, mmap)
 
 
 def identity_functor(g):
@@ -399,6 +436,48 @@ def test_product_projection_is_fibration_and_multifibration():
                                {m: m[1] for m in prod.morphisms})
     assert is_fibration(proj1) and is_fibration(proj2)
     assert is_multifibration([proj1, proj2])
+
+
+def random_functor_from(rng, src, name, max_components):
+    """A functor from ``src`` into a random groupoid of pair groupoids: each
+    source component goes into one target component, half the time onto all
+    of its objects when it has enough of them."""
+    dst = random_component_groupoid(rng, name, max_components)
+    targets = dst.components()
+    omap = {}
+    for comp in src.components():
+        into = rng.choice(targets)
+        images = [rng.choice(into) for _ in comp]
+        if rng.random() < 0.5 and len(comp) >= len(into):
+            images[:len(into)] = into
+            rng.shuffle(images)
+        omap.update(zip(comp, images))
+    hom = {(dst.src[f], dst.dst[f]): f for f in dst.morphisms}
+    mmap = {m: hom[(omap[src.src[m]], omap[src.dst[m]])] for m in src.morphisms}
+    return GroupoidFunctor.of(src, dst, omap, mmap)
+
+
+def test_multifibration_matches_pairing_into_the_product_groupoid():
+    """The lift count equals the fibration check of the pairing functor into
+    the product groupoid, on random families of two or three functors.  The
+    reference composes every pair of product morphisms, so a family of three
+    has one-component targets."""
+    rng = random.Random(23)
+    verdicts = []
+    for _ in range(200):
+        src = random_component_groupoid(rng, "s", 3)
+        width = rng.randint(2, 3)
+        functors = [random_functor_from(rng, src, f"t{k}", 4 - width) for k in range(width)]
+        verdicts.append(is_multifibration(functors))
+        assert verdicts[-1] == is_fibration(pairing_functor(functors))
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_multifibration_needs_a_common_source():
+    f = identity_functor(discrete_groupoid(["a"]))
+    g = identity_functor(discrete_groupoid(["b"]))
+    with pytest.raises(GroupoidError, match="pairing needs a common source"):
+        is_multifibration([f, g])
 
 
 def test_composition_of_fibrations_is_fibration():

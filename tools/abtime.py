@@ -3,10 +3,14 @@
 Both trees are loaded into one process as separately named packages, so
 that they share the interpreter, the heap and the machine state, and one
 named callable of each is timed alternately for N pairs, with the cyclic
-garbage collector off during each timed call.  The order swaps in every
-pair: pair 0 runs the base first, pair 1 the change first, and so on.  The
-report gives each side's median time, the median of the paired ratios
-change/base, and a bootstrap 95 % interval of that median.
+garbage collector off during each timed sample.  A sample calls the
+callable the same number of times on both sides, fixed once from the
+warm-up calls so that a sample lasts at least about half a second; short
+callables are then timed over many calls, not at the timer's resolution.
+The order swaps in every pair: pair 0 runs the base first, pair 1 the
+change first, and so on.  The report gives that repeat count, each side's
+median time per call, the median of the paired ratios change/base, and a
+bootstrap 95 % interval of that median.
 
 A side is a git revision, unpacked with ``git archive`` into a temporary
 directory, or the working tree when no revision is given.  Stdlib only.
@@ -28,6 +32,7 @@ import importlib
 import importlib.util
 import io
 import json
+import math
 import random
 import statistics
 import subprocess
@@ -39,6 +44,7 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 BOOTSTRAP_RESAMPLES = 2000
+SAMPLE_S = 0.5          # the least time one timed sample should take
 
 
 def parse_args(argv=None):
@@ -83,16 +89,17 @@ def resolve(package, dotted):
         raise SystemExit(f"no callable {dotted!r} in the package: {exc}") from None
 
 
-def timed(fn):
-    """Seconds one call of ``fn`` takes, with the cyclic garbage collector
-    off during the call, so that a collection set off by the other side's
-    garbage does not land in this side's time."""
+def timed(fn, repeats=1):
+    """Seconds per call over ``repeats`` calls of ``fn`` in a row, with the
+    cyclic garbage collector off during the calls, so that a collection set
+    off by the other side's garbage does not land in this side's time."""
     gc.collect()
     gc.disable()
     try:
         start = perf_counter()
-        fn()
-        return perf_counter() - start
+        for _ in range(repeats):
+            fn()
+        return (perf_counter() - start) / repeats
     finally:
         gc.enable()
 
@@ -113,27 +120,28 @@ def main(argv=None):
             src = unpack(rev, Path(tmp) / side) if rev else ROOT / "src"
             load(f"sheafnet_ab_{side}", src)
             sides[side] = resolve(f"sheafnet_ab_{side}", args.callable)
-        for fn in sides.values():             # warm-up: imports, first-use caches
-            fn()
+        # warm-up: imports, first-use caches; the faster side sets the count
+        warm = min(timed(fn) for fn in sides.values())
+        repeats = math.ceil(SAMPLE_S / max(warm, 1e-6))
         times = {"base": [], "change": []}
         for i in range(args.pairs):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for side in order:
-                times[side].append(timed(sides[side]))
+                times[side].append(timed(sides[side], repeats))
     ratios = [c / b for b, c in zip(times["base"], times["change"])]
     low, high = bootstrap_median(ratios, random.Random(0))
     q1, _, q3 = statistics.quantiles(ratios, n=4)
     result = {
-        "callable": args.callable, "pairs": args.pairs,
+        "callable": args.callable, "pairs": args.pairs, "repeats": repeats,
         "base": args.base, "change": args.change or "working tree",
         "base_median_s": statistics.median(times["base"]),
         "change_median_s": statistics.median(times["change"]),
         "median_ratio": statistics.median(ratios), "ratio_ci95": [low, high],
         "ratio_iqr": q3 - q1, "change_faster_in_pairs": sum(r < 1 for r in ratios),
     }
-    print(f"{args.callable}(), {args.pairs} pairs: "
-          f"base {result['base_median_s']:.4f} s, change {result['change_median_s']:.4f} s "
-          f"(medians)")
+    print(f"{args.callable}(), {args.pairs} pairs of {repeats} calls: "
+          f"base {result['base_median_s']:.4g} s, change {result['change_median_s']:.4g} s "
+          f"(medians per call)")
     print(f"paired ratio change/base: median {result['median_ratio']:.3f}, "
           f"95 % bootstrap interval [{low:.3f}, {high:.3f}], IQR {result['ratio_iqr']:.3f}; "
           f"change faster in {result['change_faster_in_pairs']}/{args.pairs} pairs")
