@@ -14,10 +14,12 @@ and takes over all of u's edges into joins.  Each fork is recorded once, as
 a `Fork` in `ForkGraph.forks`.
 
 The resulting poset on the non-star vertices (`site_relations`) orders
-elements so that data flows from maximal to minimal: inputs and tangs are
-maximal, outputs and tips are minimal, and the lower Alexandrov opens
-(downward closed subsets) are exactly the "already determined" stages of a
-forward pass.
+elements so that data flows from maximal to minimal: the maximal elements
+are exactly the inputs and the tangs; every vertex without an out-edge (an
+output, or an isolated input) is minimal, and every minimal element is such
+a vertex or a tip (a tip that also feeds a vertex other than a star is not
+minimal).  The lower Alexandrov opens (downward closed subsets) are exactly
+the "already determined" stages of a forward pass.
 
 Every order question is answered by one pass over Kahn's levels of a
 digraph (`_kahn_levels`): the oriented cycle that `SiteGraph.build`
@@ -38,8 +40,6 @@ from .unionfind import UnionFind
 
 import json
 import os
-
-ROLES = ("input", "output", "ordinary")
 
 #: Default ceiling for whole-topology enumeration (overridable per call or
 #: via the SHEAFNET_BOUND environment variable).
@@ -67,6 +67,10 @@ class SiteGraph:
 
     @staticmethod
     def build(vertices, edges, roles=None):
+        """Validate an architecture and tag each vertex with the role its
+        edges give: ``input`` without an in-edge, else ``output`` without an
+        out-edge, else ``ordinary``.  A role stated in ``roles`` (None means
+        not stated) must be that one, else `ArchitectureError`."""
         vertices = tuple(vertices)
         edges = tuple((str(s), str(d)) for s, d in edges)
         seen = set()
@@ -95,21 +99,14 @@ class SiteGraph:
         if cycle:
             raise ArchitectureError("oriented cycle is forbidden: " +
                                     " -> ".join(repr(vertices[i]) for i in cycle))
-        outdeg = dict.fromkeys(vertices, 0)
-        for s, _ in edges:
-            outdeg[s] += 1
+        has_out = {s for s, _ in edges}
+        stated = roles or {}
         final = {}
-        roles = dict(roles or {})
         for v, ps in zip(vertices, preds):
-            role = roles.get(v)
-            if role is None:
-                role = "input" if not ps else ("output" if not outdeg[v] else "ordinary")
-            if role not in ROLES:
-                raise ArchitectureError(f"unknown role {role!r} for vertex {v!r}")
-            if role == "input" and ps:
-                raise ArchitectureError(f"input vertex {v!r} has in-degree {len(ps)}")
-            if role == "output" and outdeg[v]:
-                raise ArchitectureError(f"output vertex {v!r} has out-degree {outdeg[v]}")
+            role = "input" if not ps else ("output" if v not in has_out else "ordinary")
+            if stated.get(v) not in (None, role):
+                raise ArchitectureError(f"vertex {v!r} is {role!r} by its edges, "
+                                        f"not {stated[v]!r} as stated")
             final[v] = role
         return SiteGraph(vertices, edges, final)
 
@@ -162,8 +159,8 @@ def parse_architecture(document):
 
     ``document`` may be a JSON string or an already-decoded dict with keys
     ``nodes`` (list of ids or of ``{"id":..., "role":...}`` objects) and
-    ``edges`` (list of ``[src, dst]`` pairs).  Role tags are inferred from
-    vertex degrees when absent.
+    ``edges`` (list of ``[src, dst]`` pairs).  A stated role must be the
+    one the vertex's edges give (see `SiteGraph.build`).
     """
     if isinstance(document, (str, bytes)):
         try:
@@ -225,9 +222,6 @@ class ForkGraph:
     forks: tuple        # one Fork per join, in creation order
     origin: SiteGraph   # the architecture before surgery
 
-    def successors(self, v):
-        return tuple(d for s, d in self.arrows if s == v)
-
     def predecessors(self, v):
         return tuple(s for s, d in self.arrows if d == v)
 
@@ -276,69 +270,53 @@ class ForkGraph:
         return out
 
 
-def _fresh(name, taken):
-    while name in taken:
-        name += "'"
-    return name
-
-
 def fork_surgery(g):
     """Insert a fork at every vertex with two or more in-edges.
 
     Accepts a :class:`SiteGraph`; a :class:`ForkGraph` has no join left and
-    is returned unchanged.  Input vertices feeding a join are duplicated
-    first, keeping the original id with a primed suffix for the tip.
+    is returned unchanged.  One pass builds each vertex's senders (the
+    sources of its in-edges, in edge order); the joins are the vertices
+    with two or more.  Each input that feeds a join gets one primed tip, in
+    vertex order, which takes over its edges into joins.  A join's tips are
+    its senders that are not inputs, in edge order, then the tips of its
+    inputs, in vertex order.  Names are minted tips first, then a star and
+    a tang per join, each primed until it is new.
     """
     if isinstance(g, ForkGraph):
         return g
-    vertices = list(g.vertices)
-    edges = list(g.edges)
+    senders = {v: [] for v in g.vertices}
+    for s, d in g.edges:
+        senders[d].append(s)
+    vertices, taken = list(g.vertices), set(g.vertices)
+
+    def mint(name):
+        while name in taken:
+            name += "'"
+        taken.add(name)
+        vertices.append(name)
+        return name
+
+    tips = {a: [] for a in g.vertices if len(senders[a]) >= 2}
+    fed = {}                            # input -> the joins it feeds
+    for a, ts in tips.items():
+        for s in senders[a]:
+            if senders[s]:
+                ts.append(s)
+            else:
+                fed.setdefault(s, []).append(a)
+    arrows = [(s, d) for s, d in g.edges if d not in tips]
+    for u in g.vertices:
+        if u in fed:
+            tip = mint(u + "'")
+            arrows.append((u, tip))
+            for a in fed[u]:
+                tips[a].append(tip)
     forks = []
-
-    def indeg(v):
-        return sum(1 for _, d in edges if d == v)
-
-    joins = [v for v in vertices if indeg(v) >= 2]
-
-    # Duplicate inputs that feed a join directly (one tip per input).
-    join_set = set(joins)
-    for u in g.inputs():
-        fed_joins = [(s, d) for s, d in edges if s == u and d in join_set]
-        if not fed_joins:
-            continue
-        tip = _fresh(u + "'", set(vertices))
-        vertices.append(tip)
-        edges = [e for e in edges if e not in fed_joins]
-        edges.append((u, tip))
-        edges.extend((tip, d) for _, d in fed_joins)
-
-    for a in joins:
-        star = _fresh(a + "*", set(vertices))
-        vertices.append(star)
-        tang = _fresh(a + "^", set(vertices))
-        vertices.append(tang)
-        incoming = [(s, d) for s, d in edges if d == a]
-        tips = tuple(s for s, _ in incoming)
-        edges = [e for e in edges if e not in incoming]
-        edges.extend((s, star) for s in tips)
-        edges.append((star, tang))
-        edges.append((tang, a))
-        forks.append(Fork(star, tang, a, tips))
-
-    fg = ForkGraph(tuple(vertices), tuple(edges), tuple(forks), g)
-    _validate_fork_graph(fg)
-    return fg
-
-
-def _validate_fork_graph(fg):
-    for f in fg.forks:
-        if fg.successors(f.star) != (f.tang,):
-            raise ArchitectureError(f"star {f.star!r} must point only to its tang")
-        preds = set(fg.predecessors(f.tang))
-        if preds != {f.star}:
-            raise ArchitectureError(f"tang {f.tang!r} must receive only from its star")
-        if fg.successors(f.tang) != (f.handle,):
-            raise ArchitectureError(f"tang {f.tang!r} must feed exactly its handle")
+    for a, ts in tips.items():
+        star, tang = mint(a + "*"), mint(a + "^")
+        arrows += [(t, star) for t in ts] + [(star, tang), (tang, a)]
+        forks.append(Fork(star, tang, a, tuple(ts)))
+    return ForkGraph(tuple(vertices), tuple(arrows), tuple(forks), g)
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +537,7 @@ def site_relations(fg):
     """Site-orientation relations x <= y on the non-star vertices.
 
     Every arrow that does not touch a star is reversed (receiver <= sender,
-    handle <= tang), so outputs and tips end up minimal; each fork adds
+    handle <= tang), so outputs end up minimal; each fork adds
     tip <= tang in place of its arrows through the star.
     """
     stars = set(fg.stars())

@@ -107,15 +107,23 @@ def oracle_implies(poset, q, t, bound=None):
 def implication_table(poset, bound=None):
     """The full opens x opens implication matrix, for reports.  The
     enumeration bound limits its entries too: more than 2**bound raises
-    `BoundExceeded` before any row is built."""
+    `BoundExceeded` before any row is built.  An open is labelled by its
+    element names, joined by commas (``{}`` when empty); two opens with one
+    label raise `PosetError`, also before any row is built."""
     opens = open_masks(poset, bound)
     limit = enumeration_bound(bound)
     if len(opens) ** 2 > 1 << limit:
         raise BoundExceeded(f"{len(opens)} opens make a table of {len(opens) ** 2} "
                             f"implications, more than 2^{limit}")
-    label = lambda m: ",".join(sorted(str(e) for e in poset.set_of(m))) or "{}"
+    label, owner = {}, {}
+    for m in opens:
+        label[m] = ",".join(sorted(str(e) for e in poset.set_of(m))) or "{}"
+        other = owner.setdefault(label[m], m)
+        if other != m:
+            raise PosetError(f"opens {sorted(map(str, poset.set_of(other)))} and "
+                             f"{sorted(map(str, poset.set_of(m)))} share the label {label[m]!r}")
     return {
-        label(q): {label(t): label(implies_mask(poset, q, t)) for t in opens}
+        label[q]: {label[t]: label[implies_mask(poset, q, t)] for t in opens}
         for q in opens
     }
 

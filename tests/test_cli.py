@@ -53,6 +53,36 @@ def test_site_bad_document_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("nodes, edges, message", [
+    ([{"id": "a", "role": "ordinary"}, "b", "c"], [["a", "c"], ["b", "c"]],
+     "vertex 'a' is 'input' by its edges, not 'ordinary' as stated"),
+    (["a", {"id": "b", "role": "ordinary"}], [["a", "b"]],
+     "vertex 'b' is 'output' by its edges, not 'ordinary' as stated"),
+    ([{"id": "a", "role": "output"}], [],
+     "vertex 'a' is 'input' by its edges, not 'output' as stated"),
+    ([{"id": "a", "role": "tip"}, "b"], [["a", "b"]],
+     "vertex 'a' is 'input' by its edges, not 'tip' as stated"),
+], ids=["ordinary-source", "ordinary-sink", "output-isolated", "unknown-role"])
+def test_site_stated_role_against_the_edges_exit_2(capsys, tmp_path, nodes, edges, message):
+    path = tmp_path / "arch.json"
+    path.write_text(json.dumps({"nodes": nodes, "edges": edges}))
+    code, out, err = run(capsys, "site", "--in", str(path))
+    assert code == 2
+    assert out == "" and err.startswith("error:") and message in err
+
+
+def test_site_stated_roles_that_match_the_edges(capsys, tmp_path):
+    nodes = [{"id": "a", "role": "input"}, {"id": "b", "role": "ordinary"},
+             {"id": "c", "role": "output"}, {"id": "d", "role": None}]
+    path = tmp_path / "arch.json"
+    path.write_text(json.dumps({"nodes": nodes, "edges": [["a", "b"], ["b", "c"], ["d", "c"]]}))
+    code, out, _ = run(capsys, "site", "--in", str(path))
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps({"nodes": list("abcd"),
+                                 "edges": [["a", "b"], ["b", "c"], ["d", "c"]]}))
+    assert code == 0 and out == run(capsys, "site", "--in", str(plain))[1]
+
+
 def test_sections_and_cats_manifold(capsys, tmp_path):
     presheaf = {
         "poset": {"elements": ["y", "h", "x"], "leq": [["y", "h"], ["h", "x"], ["y", "x"]]},
@@ -113,6 +143,20 @@ def test_heyting_table_two_chain(capsys, tmp_path):
     table = json.loads(out)
     assert len(table) == 3 and all(len(row) == 3 for row in table.values())
     assert table["0,1"]["0"] == "0"
+
+
+def test_heyting_table_labels_must_not_clash(capsys, tmp_path):
+    """{a, b} and the singleton {"a,b"} would both be the row 'a,b'; the
+    singleton {"{}"} would be the row of the empty open."""
+    poset = tmp_path / "poset.json"
+    for elements, label in ((["a", "b", "a,b"], "'a,b'"), (["{}"], "'{}'")):
+        poset.write_text(json.dumps({"elements": elements, "leq": []}))
+        code, out, err = run(capsys, "heyting", "--in", str(poset))
+        assert code == 2
+        assert out == "" and err.startswith("error:") and f"share the label {label}" in err
+    poset.write_text(json.dumps({"elements": ["a", "b", "a;b"], "leq": []}))
+    code, out, _ = run(capsys, "heyting", "--in", str(poset))
+    assert code == 0 and len(json.loads(out)) == 8
 
 
 def test_heyting_table_beyond_the_bound_exit_2(capsys, tmp_path, monkeypatch):

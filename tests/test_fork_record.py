@@ -114,6 +114,57 @@ class ArrowPattern:
         return Presheaf(big, carriers, maps)
 
 
+def reference_fork_surgery(g):
+    """Fork surgery as it was written before the one-pass table: rescan the
+    edge list for each vertex, input and join, and rebuild it after each."""
+    vertices = list(g.vertices)
+    edges = list(g.edges)
+    forks = []
+
+    def fresh(name):
+        while name in vertices:
+            name += "'"
+        return name
+
+    def indeg(v):
+        return sum(1 for _, d in edges if d == v)
+
+    joins = [v for v in vertices if indeg(v) >= 2]
+    for u in g.inputs():
+        fed_joins = [(s, d) for s, d in edges if s == u and d in joins]
+        if not fed_joins:
+            continue
+        tip = fresh(u + "'")
+        vertices.append(tip)
+        edges = [e for e in edges if e not in fed_joins]
+        edges.append((u, tip))
+        edges.extend((tip, d) for _, d in fed_joins)
+    for a in joins:
+        star = fresh(a + "*")
+        vertices.append(star)
+        tang = fresh(a + "^")
+        vertices.append(tang)
+        incoming = [(s, d) for s, d in edges if d == a]
+        tips = tuple(s for s, _ in incoming)
+        edges = [e for e in edges if e not in incoming]
+        edges.extend((s, star) for s in tips)
+        edges.append((star, tang))
+        edges.append((tang, a))
+        forks.append((star, tang, a, tips))
+    return vertices, edges, forks
+
+
+def shuffled_dag(rng, n):
+    """A random DAG on names that collide with primed tip names, its
+    vertices and edges listed in shuffled order."""
+    names = rng.sample(["a", "a'", "a''", "b", "b'", "c", "d", "d'", "e", "f", "g", "h"], n)
+    edges = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)
+             if rng.random() < 0.4]
+    rng.shuffle(names)
+    rng.shuffle(edges)
+    return SiteGraph.build(names, edges)
+
+
 def random_dag(rng, n):
     names = [f"n{i}" for i in range(n)]
     edges = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)
@@ -186,11 +237,28 @@ def test_tip_below_tip_is_not_covered_by_the_star():
     assert ("b", fork.star) not in covering
 
 
+def test_fork_surgery_matches_the_reference():
+    rng = random.Random(20)
+    cases = [g for _, g in graphs()[:len(FIXTURES) + 1]]
+    cases += [shuffled_dag(rng, rng.randint(1, 12)) for _ in range(1500)]
+    assert sum(1 for g in cases if fork_surgery(g).forks) > 1000
+    for g in cases:
+        fg = fork_surgery(g)
+        vertices, arrows, forks = reference_fork_surgery(g)
+        assert list(fg.vertices) == vertices
+        assert list(fg.arrows) == arrows
+        assert [(f.star, f.tang, f.handle, f.tips) for f in fg.forks] == forks
+
+
 def test_fork_site_matches_the_arrow_pattern():
     for _, g in graphs():
         fg = fork_surgery(g)
         oracle = ArrowPattern(fg)
         assert fork_surgery(fg) is fg
+        for f in fg.forks:
+            assert [d for s, d in fg.arrows if s == f.star] == [f.tang]
+            assert [s for s, d in fg.arrows if d == f.tang] == [f.star]
+            assert [d for s, d in fg.arrows if s == f.tang] == [f.handle]
         assert fg.stars() == oracle.stars() and fg.tangs() == oracle.tangs()
         assert [f.tips for f in fg.forks] == [oracle.tips(s) for s in fg.stars()]
         assert sorted(site_relations(fg)) == sorted(oracle.site_relations())
@@ -203,6 +271,28 @@ def test_fork_site_matches_the_arrow_pattern():
         assert big.covering() == want_big.covering()
         assert fg.role_sets() == oracle.role_sets()
         assert classify_vertices(poset).as_dict() == classify_vertices(want).as_dict()
+
+
+def test_extremal_elements_of_the_site():
+    """The maximal elements are exactly the inputs and the tangs, every
+    output is minimal, and every minimal element is an output or a tip.
+    An output here is a vertex without an out-edge, so an isolated input is
+    one too; the minimal tips are those that feed stars only."""
+    rng = random.Random(5)
+    cases = [g for _, g in graphs()] + [shuffled_dag(rng, rng.randint(1, 12)) for _ in range(300)]
+    for g in cases:
+        fg = fork_surgery(g)
+        poset = build_poset(fg)
+        stars = set(fg.stars())
+        outputs = set(g.vertices) - {s for s, _ in g.edges}
+        tips = {t for f in fg.forks for t in f.tips}
+        assert set(poset.maximal()) == set(g.inputs()) | set(fg.tangs())
+        assert outputs <= set(poset.minimal())
+        assert set(poset.minimal()) <= outputs | tips
+        assert set(poset.minimal()) == outputs | {
+            t for t in tips if all(d in stars for s, d in fg.arrows if s == t)}
+    fg = fork_surgery(tip_below_tip())
+    assert "a" in fg.forks[0].tips and build_poset(fg).minimal() == ("b", "c")
 
 
 def assert_same_presheaf(got, want):

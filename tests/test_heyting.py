@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -185,6 +186,17 @@ def test_heyting_adjunction_and_lattice_laws():
                     assert (v & ~im == 0) == (v & q & ~t == 0)  # V <= (Q=>T) iff V/\Q <= T
                 for r in opens:
                     assert q & (t | r) == (q & t) | (q & r)  # distributivity
+
+
+def test_implication_table_labels_must_not_clash():
+    clashes = [(["a", "b", "a,b"], "opens ['a', 'b'] and ['a,b'] share the label 'a,b'"),
+               (["{}"], "opens [] and ['{}'] share the label '{}'"),
+               ([1, "1"], "opens ['1'] and ['1'] share the label '1'")]
+    for elements, message in clashes:
+        with pytest.raises(PosetError, match=re.escape(message)):
+            hey.implication_table(FinitePoset(elements, ()))
+    table = hey.implication_table(FinitePoset(["a", "b", "a;b"], ()))
+    assert len(table) == 8 and all(len(row) == 8 for row in table.values())
 
 
 def test_implication_table_two_chain():

@@ -10,7 +10,8 @@ callables are then timed over many calls, not at the timer's resolution.
 The order swaps in every pair: pair 0 runs the base first, pair 1 the
 change first, and so on.  The report gives that repeat count, each side's
 median time per call, the median of the paired ratios change/base, and a
-bootstrap 95 % interval of that median.
+95 % interval of that median, bootstrapped over blocks of consecutive
+pairs.
 
 A side is a git revision, unpacked with ``git archive`` into a temporary
 directory, or the working tree when no revision is given.  Stdlib only.
@@ -105,10 +106,23 @@ def timed(fn, repeats=1):
 
 
 def bootstrap_median(values, rng, resamples=BOOTSTRAP_RESAMPLES):
-    """The 2.5 % and 97.5 % quantiles of the median over resamples of
-    ``values`` drawn with replacement."""
-    medians = sorted(statistics.median(rng.choices(values, k=len(values)))
-                     for _ in range(resamples))
+    """The 2.5 % and 97.5 % quantiles of the median over circular block
+    bootstrap resamples of ``values`` (Politis and Romano 1992): each
+    resample joins runs of ceil(sqrt(n)) consecutive values, wrapping
+    around, from random starts, cut to n values.  Neighbouring pairs share
+    the machine's slow and fast phases; resampling them as runs keeps that
+    dependence in the interval."""
+    n = len(values)
+    block = math.ceil(math.sqrt(n))
+    ring = values + values[:block]
+    medians = []
+    for _ in range(resamples):
+        sample = []
+        while len(sample) < n:
+            start = rng.randrange(n)
+            sample += ring[start:start + block]
+        medians.append(statistics.median(sample[:n]))
+    medians.sort()
     return medians[int(0.025 * resamples)], medians[int(0.975 * resamples) - 1]
 
 
