@@ -8,12 +8,14 @@ permutations, and exchanges of attributes with equal arity; it acts on the
 states, and the uniform measure is invariant, so contents and precision
 are constant along orbits.
 
-The symmetry path runs on state indices.  A state's index is its value
-digits read in mixed radix, so each generator's image is computed by index
-arithmetic on one digit array of all states, and becomes a dict once.
-The group is closed once, and its elements are used as they come.  The
-search over simple propositions moves index sets through the generators'
-index arrays.
+Every permutation of the symmetry path is an index array over
+``lang.states``.  A state's index is its value digits read in mixed radix,
+so each generator is computed by index arithmetic on one digit array of
+all states.  The group is closed once on these arrays (`_close_group`);
+its elements are decoded to state dicts once, for `SymmetryGroup.elements`.
+The orbits are the classes of one union-find over the state indices, each
+stabilizer is counted on one column of the element matrix, and the search
+over simple propositions moves index sets through the generators.
 
 For three subjects and two binary attributes the group has order 48
 (subject permutations times the dihedral symmetry of the value square),
@@ -28,10 +30,11 @@ from itertools import product as iproduct
 import numpy as np
 
 from .errors import BoundExceeded, GroupoidError, LanguageError
-from .groupoids import DEFAULT_GROUP_BOUND, close_permutation_group
 from .seminfo import BooleanLanguage
+from .unionfind import UnionFind
 
 DEFAULT_STATE_BOUND = 10**6
+DEFAULT_GROUP_BOUND = 10_000
 
 _SUBJECT_NAMES = "abcdefghijklmnopqrstuvwxyz"
 _ATTR_NAMES = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -90,10 +93,10 @@ def build_language(n_subjects, value_counts, bound=DEFAULT_STATE_BOUND):
 @dataclass(frozen=True)
 class SymmetryGroup:
     language: CarnapLanguage
-    generators: dict           # name -> state permutation dict
+    generators: dict = field(compare=False)     # name -> index array over the states
     order: int
     elements: dict             # name -> state permutation dict
-    generator_indices: dict = field(compare=False)  # name -> index array over states
+    perms: np.ndarray = field(compare=False)    # (order, |E|) index arrays, row 0 = e
 
 
 def _state_digits(lang):
@@ -118,7 +121,8 @@ def _state_digits(lang):
 def _generator_indices(lang):
     """Named generators as index arrays ``g`` over the states, ``states[g[i]]``
     the image of ``states[i]``: adjacent subject swaps, value swaps per
-    attribute, and adjacent equal-arity attribute exchanges.
+    attribute, and adjacent equal-arity attribute exchanges.  The arrays
+    have the smallest unsigned dtype that holds every index.
 
     The image of a state takes its digit at (subject ``s``, attribute ``a``)
     from (``subject_perm[s]``, ``attr_perm[a]``) of the state, and a flip
@@ -128,6 +132,7 @@ def _generator_indices(lang):
     digits, weights = _state_digits(lang)
     n, k = len(lang.subjects), len(lang.attributes)
     flat_weights = weights.ravel()
+    dtype = np.min_scalar_type(len(lang.states) - 1)
 
     def image(subject_perm=range(n), attr_perm=range(k), flip=None):
         moved = digits[:, list(subject_perm)][:, :, list(attr_perm)]
@@ -136,7 +141,7 @@ def _generator_indices(lang):
             column = moved[:, :, a]
             low, high = column == v, column == v + 1
             column[low], column[high] = v + 1, v
-        return moved.reshape(len(moved), -1) @ flat_weights
+        return (moved.reshape(len(moved), -1) @ flat_weights).astype(dtype)
 
     def swapped(i, size):
         perm = list(range(size))
@@ -156,32 +161,49 @@ def _generator_indices(lang):
     return gens
 
 
-def _as_dicts(lang, indices):
-    """Each index array as the state permutation dict it stands for."""
-    states = lang.states
-    return {name: dict(zip(states, map(states.__getitem__, g.tolist())))
-            for name, g in indices.items()}
-
-
-def symmetry_generators(lang):
-    """Named permutations of the state set: adjacent subject swaps, value
-    swaps per attribute, and adjacent equal-arity attribute exchanges.
-
-    Each image is computed by mixed-radix index arithmetic on the states'
-    digit array (`_generator_indices`), then the dict is built once."""
-    return _as_dicts(lang, _generator_indices(lang))
+def _close_group(gens, bound):
+    """The group generated by the index arrays ``gens`` (one dtype), as an
+    (order, n) matrix of index arrays: row 0 is the identity ``e``, then the
+    elements ``g1``, ``g2``, ... in breadth-first order, multiplying each
+    frontier element by every generator in turn.  The product "p, then q"
+    is ``q[p]``, and a new element is one hash lookup of its bytes."""
+    ident = np.arange(len(gens[0]), dtype=gens[0].dtype)
+    width = ident.nbytes
+    found = {ident.tobytes(): None}
+    frontier = ident[None, :]
+    while len(frontier):
+        # row r * len(gens) + j is frontier element r times generator j
+        products = np.stack([q[frontier] for q in gens], axis=1).reshape(
+            len(frontier) * len(gens), len(ident))
+        raw = products.tobytes()
+        new = []
+        for row in range(len(products)):
+            key = raw[row * width:(row + 1) * width]
+            if key not in found:
+                found[key] = None
+                new.append(row)
+                if len(found) > bound:
+                    raise BoundExceeded(f"group closure exceeds bound {bound}")
+        frontier = products[new]
+    return np.frombuffer(b"".join(found), dtype=ident.dtype).reshape(len(found), len(ident))
 
 
 def build_symmetry_group(lang, bound=DEFAULT_GROUP_BOUND):
-    """The group generated by `symmetry_generators`, every element closed
-    once by `close_permutation_group` (at most ``bound`` of them).  A
+    """The group generated by `_generator_indices`, closed once by
+    `_close_group` (at most ``bound`` elements).  Each element is decoded
+    once into ``elements``: named ``e``, ``g1``, ... in closure order, a dict
+    from each state, in ``str`` order of the states, to its image.  A
     language with no generator (one subject, one attribute, one value) has
     the trivial group."""
-    indices = _generator_indices(lang)
-    gens = _as_dicts(lang, indices)
-    elements = close_permutation_group(gens, bound) if gens else \
-        {"e": {s: s for s in lang.states}}
-    return SymmetryGroup(lang, gens, len(elements), elements, indices)
+    states = lang.states
+    gens = _generator_indices(lang)
+    perms = _close_group(list(gens.values()), bound) if gens else \
+        np.arange(len(states))[None, :]
+    by_str = sorted(range(len(states)), key=lambda i: str(states[i]))
+    keys = [states[i] for i in by_str]
+    elements = {f"g{r}" if r else "e": dict(zip(keys, map(states.__getitem__, row)))
+                for r, row in enumerate(perms[:, by_str].tolist())}
+    return SymmetryGroup(lang, gens, len(perms), elements, perms)
 
 
 # ---------------------------------------------------------------------------
@@ -238,48 +260,35 @@ class CarnapOrbitReport:
 def orbit_report(lang, group=None):
     """Orbits of the states with stabilizer orders and structural types.
 
-    The group is closed once: a given ``group`` (else one built here) is
-    reused, and each stabilizer is counted over its listed elements.
+    The orbits are the classes of a union-find over the state indices that
+    joins each ``i`` with ``g[i]`` for every generator ``g``; members are
+    sorted by ``str``.  Each stabilizer is that of the orbit's ``str``-least
+    member ``r``, counted as the elements fixing ``r`` on column ``r`` of
+    ``group.perms``, and |orbit| * |stabilizer| = |G| is checked.  The group
+    is closed once: a given ``group`` (else one built here) is reused.
     """
     group = group or build_symmetry_group(lang)
+    states = lang.states
+    names = [str(s) for s in states]
+    uf = UnionFind(range(len(states)))
+    for g in group.generators.values():
+        for i, j in enumerate(g.tolist()):
+            uf.union(i, j)
     orbits = []
-    for members, stab in _orbits(group.generators, lang.states, group.elements.values()):
+    for cls in uf.groups():
+        cls.sort(key=names.__getitem__)
+        r = cls[0]
+        stab = int(np.count_nonzero(group.perms[:, r] == r))
+        if len(cls) * stab != group.order:
+            raise GroupoidError("orbit-stabilizer identity failed; generators inconsistent")
+        members = tuple(states[i] for i in cls)
         labels = {state_type(lang, s) for s in members}
         if len(labels) != 1:
             raise LanguageError("structural type is not constant on an orbit")
         orbits.append((len(members), stab, labels.pop(), members))
+    orbits.sort(key=lambda o: (o[0], o[3]))
     orbits.sort(key=lambda o: (o[0], o[2] or ""))
     return CarnapOrbitReport(group.order, tuple(orbits))
-
-
-def _orbits(generators, points, elements):
-    """Orbits of ``points`` under ``generators``, as (members sorted by
-    ``str``, stabilizer order) pairs, sorted by size and then members.  Each
-    stabilizer is that of the orbit's ``str``-least member, counted over
-    ``elements`` (every group element, as a dict point -> point), and the
-    orbit-stabilizer identity |orbit| * |stabilizer| = |G| is checked."""
-    order = len(elements)
-    seen, orbits = set(), []
-    for x in points:
-        if x in seen:
-            continue
-        orbit = {x}
-        frontier = [x]
-        while frontier:
-            y = frontier.pop()
-            for g in generators.values():
-                z = g[y]
-                if z not in orbit:
-                    orbit.add(z)
-                    frontier.append(z)
-        seen |= orbit
-        rep = min(orbit, key=str)
-        stab = sum(1 for p in elements if p[rep] == rep)
-        if len(orbit) * stab != order:
-            raise GroupoidError("orbit-stabilizer identity failed; generators inconsistent")
-        orbits.append((tuple(sorted(orbit, key=str)), stab))
-    orbits.sort(key=lambda o: (len(o[0]), o[0]))
-    return orbits
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +354,7 @@ def simples_form_single_orbit(lang, group=None, simples=None):
     rows = np.frombuffer(b"".join(ids), dtype=bool).reshape(len(ids), -1)
     images = np.empty_like(rows)
     steps = []
-    for g in group.generator_indices.values():
+    for g in group.generators.values():
         images[:, g] = rows
         steps.append([ids.get(image.tobytes()) for image in images])
     reached = {0}

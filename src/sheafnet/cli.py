@@ -26,6 +26,7 @@ from .arch_site import (
     site_report,
 )
 from .carnap import (
+    DEFAULT_GROUP_BOUND,
     build_language,
     build_symmetry_group,
     orbit_report,
@@ -50,7 +51,6 @@ from .dynamics import (
 )
 from .errors import GroupoidError, SheafnetError
 from .groupoids import (
-    DEFAULT_GROUP_BOUND,
     FiniteGroupoid,
     GroupoidFunctor,
     StackOverPoset,
@@ -495,12 +495,21 @@ def _int_at_least(low):
     return integer
 
 
+def _finite_at_least(low):
+    """An argparse type for finite numbers >= ``low``."""
+    def number(text):
+        value = float(text)
+        if not (math.isfinite(value) and value >= low):
+            raise argparse.ArgumentTypeError(f"must be a finite number at least {low}, got {text}")
+        return value
+    return number
+
+
 def make_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default=None)
     common.add_argument("--bound", type=int, default=None)
-    common.add_argument("--tolerance", type=float, default=1e-12)
 
     parser = argparse.ArgumentParser(
         prog="sheafnet",
@@ -517,13 +526,13 @@ def make_parser():
 
     p = add_parser("sections", help="global sections of a presheaf")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--limit", type=int, default=100)
+    p.add_argument("--limit", type=_int_at_least(0), default=100)
     p.set_defaults(fn=cmd_sections)
 
     p = add_parser("cats-manifold", help="sections filtered by an output predicate")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--predicate", required=True)
-    p.add_argument("--limit", type=int, default=100)
+    p.add_argument("--limit", type=_int_at_least(0), default=100)
     p.set_defaults(fn=cmd_cats_manifold)
 
     p = add_parser("heyting", help="implication table of the open-set algebra")
@@ -544,6 +553,8 @@ def make_parser():
     p.add_argument("--q2", default=None, help="second proposition")
     p.add_argument("--p", default=None, help="localizing proposition")
     p.add_argument("--delta", default=None, help="comma-separated weights")
+    p.add_argument("--tolerance", type=_finite_at_least(0), default=1e-12,
+                   help="slack of the cocycle and concavity checks")
     p.set_defaults(fn=cmd_info)
 
     p = add_parser("carnap", help="subject/attribute language report")

@@ -15,9 +15,6 @@ A `StackOverPoset` is closed like a presheaf, by `FinitePoset.extend_covering`.
 network poset for fibrancy in the injective sense, in one walk over the
 lower covers: surjectivity (or the isofibration condition) along single
 covering arrows, joint surjectivity onto the product at every confluence.
-
-`close_permutation_group` lists a permutation group once, from its
-generators; `carnap` counts the orbits and stabilizers of its elements.
 """
 
 import math
@@ -25,13 +22,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import numpy as np
-
 from .errors import BoundExceeded, GroupoidError
 from .presheaf import Presheaf
 from .unionfind import UnionFind
-
-DEFAULT_GROUP_BOUND = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -118,62 +111,6 @@ def pair_groupoid(objects):
     inv = {(a, b): (b, a) for a, b in morphisms}
     ident = {o: (o, o) for o in objects}
     return FiniteGroupoid(objects, morphisms, src, dst, comp, inv, ident)
-
-
-def _index_generators(generators):
-    """The common domain, sorted by ``str``, and every generator as an
-    index array ``p`` with ``domain[p[i]]`` the image of ``domain[i]``."""
-    domain = pos = None
-    gens = []
-    for name, p in generators.items():
-        p = dict(p)
-        if domain is None:
-            domain = sorted(p, key=str)
-            pos = {x: i for i, x in enumerate(domain)}
-        foreign = p.keys() != pos.keys()
-        images = [] if foreign else [pos.get(p[x], -1) for x in domain]
-        if foreign or -1 in images or len(set(images)) != len(domain):
-            raise GroupoidError(f"generator {name!r} is not a bijection of the domain")
-        gens.append(images)
-    if domain is None:
-        raise GroupoidError("a permutation group needs at least one generator")
-    dtype = np.min_scalar_type(max(len(domain) - 1, 0))
-    return domain, [np.array(g, dtype=dtype) for g in gens]
-
-
-def close_permutation_group(generators, bound=DEFAULT_GROUP_BOUND):
-    """All group elements, keyed by a deterministic name.
-
-    Internally a permutation is an index array over the domain (sorted by
-    ``str``): the product "p, then q" is ``q[p]`` and a new element is one
-    hash lookup of its bytes.  Elements are named in breadth-first order from
-    the identity ``"e"`` (``g1``, ``g2``, ...), multiplying each frontier
-    element by every generator in turn.  The result maps each name to its
-    element, built once as a dict ``x -> image`` with keys in domain order.
-    """
-    domain, gens = _index_generators(generators)
-    n = len(domain)
-    ident = np.arange(n, dtype=gens[0].dtype)
-    width = ident.nbytes
-    found = {ident.tobytes(): "e"}
-    frontier = ident[None, :]
-    while len(frontier):
-        # row r * len(gens) + j is frontier element r times generator j
-        products = np.stack([q[frontier] for q in gens], axis=1).reshape(
-            len(frontier) * len(gens), n)
-        raw = products.tobytes()
-        new = []
-        for row in range(len(products)):
-            key = raw[row * width:(row + 1) * width]
-            if key not in found:
-                found[key] = f"g{len(found)}"
-                new.append(row)
-                if len(found) > bound:
-                    raise BoundExceeded(f"group closure exceeds bound {bound}")
-        frontier = products[new]
-    perms = np.frombuffer(b"".join(found), dtype=ident.dtype).reshape(len(found), n).tolist()
-    return {name: dict(zip(domain, map(domain.__getitem__, p)))
-            for name, p in zip(found.values(), perms)}
 
 
 # ---------------------------------------------------------------------------

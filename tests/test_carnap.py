@@ -1,11 +1,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from sheafnet import carnap
 from sheafnet.carnap import (
-    SymmetryGroup,
+    CarnapOrbitReport,
     build_language,
     build_symmetry_group,
     orbit_report,
@@ -14,15 +15,21 @@ from sheafnet.carnap import (
     simple_propositions,
     simples_form_single_orbit,
     state_type,
-    symmetry_generators,
 )
-from sheafnet.errors import BoundExceeded
-from sheafnet.groupoids import close_permutation_group
+from sheafnet.errors import BoundExceeded, GroupoidError, LanguageError
 from sheafnet.seminfo import cbh_precision, content
 
 
 def l23():
     return build_language(3, [2, 2])
+
+
+def generator_dicts(group):
+    """The group's generators (index arrays over the states) as state
+    permutation dicts, keys in state order."""
+    states = group.language.states
+    return {name: dict(zip(states, map(states.__getitem__, g.tolist())))
+            for name, g in group.generators.items()}
 
 
 def test_state_counts():
@@ -59,11 +66,9 @@ def test_group_order_l23_is_48():
 
 
 def test_attribute_exchange_only_for_equal_arity():
-    lang = build_language(1, [2, 3])
-    gens = symmetry_generators(lang)
+    gens = build_symmetry_group(build_language(1, [2, 3])).generators
     assert not any(name.startswith("exch") for name in gens)
-    lang2 = build_language(1, [2, 2])
-    gens2 = symmetry_generators(lang2)
+    gens2 = build_symmetry_group(build_language(1, [2, 2])).generators
     assert any(name.startswith("exch") for name in gens2)
 
 
@@ -71,7 +76,7 @@ def test_kappa_has_order_four():
     """Value flip composed with attribute exchange is a 4-cycle on the value
     square (A1G1 -> G1A2 -> ... pattern)."""
     lang = build_language(1, [2, 2])
-    gens = symmetry_generators(lang)
+    gens = generator_dicts(build_symmetry_group(lang))
     flip_a = gens["flip_A12"]
     exch = gens["exch_AB"]
     kappa = {s: exch[flip_a[s]] for s in lang.states}
@@ -160,7 +165,7 @@ def test_uniform_measure_invariant_under_group():
     for _ in range(20):
         t = frozenset(rng.sample(states, rng.randint(1, 20)))
         c = content(blang, t)
-        for perm in group.generators.values():
+        for perm in generator_dicts(group).values():
             assert content(blang, frozenset(perm[x] for x in t)) == c
 
 
@@ -174,7 +179,7 @@ def test_psi_cbh_constant_on_orbits_of_theories():
     for _ in range(10):
         t = frozenset(rng.sample(states, rng.randint(1, 30)))
         base = psi(t)
-        for perm in group.generators.values():
+        for perm in generator_dicts(group).values():
             assert math.isclose(psi(frozenset(perm[x] for x in t)), base,
                                 rel_tol=0, abs_tol=1e-12)
 
@@ -236,6 +241,41 @@ def reference_elements(gens):
     return dict(found.values())
 
 
+def reference_orbit_report(lang, generators, elements):
+    """The orbit report as first written: orbits walked state by state over
+    the generator dicts, each stabilizer that of the orbit's ``str``-least
+    member, counted over the element dicts."""
+    order = len(elements)
+    seen, orbits = set(), []
+    for x in lang.states:
+        if x in seen:
+            continue
+        orbit = {x}
+        frontier = [x]
+        while frontier:
+            y = frontier.pop()
+            for g in generators.values():
+                z = g[y]
+                if z not in orbit:
+                    orbit.add(z)
+                    frontier.append(z)
+        seen |= orbit
+        rep = min(orbit, key=str)
+        stab = sum(1 for p in elements.values() if p[rep] == rep)
+        if len(orbit) * stab != order:
+            raise GroupoidError("orbit-stabilizer identity failed; generators inconsistent")
+        orbits.append((tuple(sorted(orbit, key=str)), stab))
+    orbits.sort(key=lambda o: (len(o[0]), o[0]))
+    typed = []
+    for members, stab in orbits:
+        labels = {state_type(lang, s) for s in members}
+        if len(labels) != 1:
+            raise LanguageError("structural type is not constant on an orbit")
+        typed.append((len(members), stab, labels.pop(), members))
+    typed.sort(key=lambda o: (o[0], o[2] or ""))
+    return CarnapOrbitReport(order, tuple(typed))
+
+
 def reference_single_orbit(generators, simples):
     """The frozenset search as first written: images of whole truth sets."""
     sets = {s.truth_set for s in simples}
@@ -267,20 +307,21 @@ ORACLE_LANGUAGES = [
 def test_symmetry_path_matches_per_state_oracles(subjects, counts):
     lang = build_language(subjects, counts)
     want_gens = reference_generators(lang)
-    gens = symmetry_generators(lang)
+    group = build_symmetry_group(lang)
+    gens = generator_dicts(group)
     assert list(gens) == list(want_gens)
     for name, perm in gens.items():
         assert list(perm.items()) == list(want_gens[name].items())
+    assert all(g.dtype == np.min_scalar_type(len(lang.states) - 1)
+               for g in group.generators.values())
 
-    group = build_symmetry_group(lang)
     want_elements = reference_elements(want_gens)
     assert list(group.elements) == list(want_elements)
     for name, perm in group.elements.items():
         assert list(perm.items()) == list(want_elements[name].items())
     assert group.order == len(want_elements)
 
-    reference = SymmetryGroup(lang, want_gens, len(want_elements), want_elements, {})
-    assert orbit_report(lang, group) == orbit_report(lang, reference)
+    assert orbit_report(lang, group) == reference_orbit_report(lang, want_gens, want_elements)
 
     simples = simple_propositions(lang)
     families = [simples, [s for s in simples if s.subject == lang.subjects[0]],
@@ -310,16 +351,16 @@ def test_orbits_partition_the_states_with_orbit_stabilizer(subjects, counts):
 
 
 def test_build_symmetry_group_closes_each_group_once(monkeypatch):
-    """`build_symmetry_group` closes through `carnap.close_permutation_group`,
-    once per group, and the orbit and simples steps reuse its elements: the
-    traced span of that name counts the closure's elements."""
+    """`build_symmetry_group` closes through `carnap._close_group`, once per
+    group, and the orbit and simples steps reuse its elements."""
     calls = []
+    close = carnap._close_group
 
     def counted(generators, bound):
         calls.append(len(generators))
-        return close_permutation_group(generators, bound)
+        return close(generators, bound)
 
-    monkeypatch.setattr(carnap, "close_permutation_group", counted)
+    monkeypatch.setattr(carnap, "_close_group", counted)
     for subjects, counts in ORACLE_LANGUAGES[:5]:
         lang = build_language(subjects, counts)
         before = len(calls)

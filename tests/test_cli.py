@@ -126,6 +126,26 @@ def test_bound_zero_exit_2(capsys, tmp_path, command):
     assert code == 0 and json.loads(out)["count"] == 2
 
 
+@pytest.mark.parametrize("command", ["sections", "cats-manifold"])
+def test_negative_limit_exit_2(capsys, tmp_path, command):
+    """A negative --limit is refused; --limit 0 lists no section but keeps
+    the count."""
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(CHAIN_PRESHEAF))
+    pred = tmp_path / "pred.json"
+    pred.write_text("{}")
+    argv = [command, "--in", str(path)]
+    if command == "cats-manifold":
+        argv += ["--predicate", str(pred)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--limit", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--limit: must be at least 0, got -1" in captured.err
+    code, out, _ = run(capsys, *argv, "--limit", "0")
+    assert code == 0 and json.loads(out) == {"count": 2, "sections": []}
+
+
 @pytest.mark.parametrize("command", [["sections"], ["stack", "check-fibrant"]])
 def test_maps_key_without_leq_exit_2(capsys, tmp_path, command):
     path = tmp_path / "p.json"
@@ -394,6 +414,31 @@ def test_info_report(capsys, tmp_path):
     assert report["checks"]["cocycle"]["ok"]
     assert report["checks"]["concavity"]["ok"]
     assert report["delta"]["dominated"]
+
+
+def test_info_tolerance_must_be_a_finite_number_at_least_0(capsys, tmp_path):
+    path = tmp_path / "lang.json"
+    path.write_text(json.dumps({"states": ["00", "01", "10", "11"]}))
+    for tolerance in ("nan", "inf", "-1", "x"):
+        with pytest.raises(SystemExit) as exc:
+            main(["info", "--in", str(path), "--tolerance", tolerance])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: argument --tolerance" in captured.err
+    code, out, _ = run(capsys, "info", "--in", str(path), "--tolerance", "0")
+    checks = json.loads(out)["checks"]
+    assert checks["cocycle"]["ok"] == (checks["cocycle"]["max_residual"] <= 0)
+    assert code == (0 if checks["cocycle"]["ok"] and checks["concavity"]["ok"] else 1)
+
+
+@pytest.mark.parametrize("argv", [["site", "--in", "x.json"],
+                                  ["carnap", "--subjects", "1", "--attributes", "2"],
+                                  ["verify", "--all"]], ids=["site", "carnap", "verify"])
+def test_tolerance_belongs_to_info_alone(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--tolerance", "0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--theory", "--q", "--q2", "--p"])
@@ -670,42 +715,157 @@ def test_carnap_one_state_language_has_the_trivial_group(capsys):
     assert report["simples"]["single_orbit"] is True
 
 
-# sha256 of the `site` report of each bundled fixture
-SITE_REPORT_SHA256 = {
-    "chain": "e1397d0b18c7be348fd1d9ced823bd89aa081fa81895c8d999a11beb38242c1e",
-    "diamond": "88f782d54a5961c114d7b84e0e4a0de9454df16f6f00b9306d0503986b5fc21e",
-    "lstm": "718b5daa8eee96d41282e0a127c6df2c6fa9285354299757561f24ca336e8d60",
-    "gru": "09008b2a8a66fe775b0ca5898b9a2ebc952e1f8a59ae7165d38f89b3365b9b6e",
-    "mgu2": "72afdab488b21bed1a91d0336437f3648ab4611aa5b269bc59202f65849f27a6",
+# The report manifest: each command line with its exit code and the sha256
+# of its stdout.  "{tmp}" is a directory holding the bundled fixtures and
+# MANIFEST_DOCUMENTS.  The entries are grouped by the test that runs them; a
+# change to a report's bytes changes its entry here.
+REPORT_MANIFEST = {
+    "site": {
+        "chain": ("site --in {tmp}/chain.json", 0,
+                  "e1397d0b18c7be348fd1d9ced823bd89aa081fa81895c8d999a11beb38242c1e"),
+        "diamond": ("site --in {tmp}/diamond.json", 0,
+                    "88f782d54a5961c114d7b84e0e4a0de9454df16f6f00b9306d0503986b5fc21e"),
+        "lstm": ("site --in {tmp}/lstm.json", 0,
+                 "718b5daa8eee96d41282e0a127c6df2c6fa9285354299757561f24ca336e8d60"),
+        "gru": ("site --in {tmp}/gru.json", 0,
+                "09008b2a8a66fe775b0ca5898b9a2ebc952e1f8a59ae7165d38f89b3365b9b6e"),
+        "mgu2": ("site --in {tmp}/mgu2.json", 0,
+                 "72afdab488b21bed1a91d0336437f3648ab4611aa5b269bc59202f65849f27a6"),
+    },
+    "gradcheck": {
+        "chain": ("dyn gradcheck --arch {tmp}/chain.json --seed 0", 0,
+                  "f43f91b8a89b739c1024d1dc3f1b7d2bccf2b7f29ca6435b6607315a72cbd136"),
+        "diamond": ("dyn gradcheck --arch {tmp}/diamond.json --seed 0", 0,
+                    "ca0297add20b41255e22fdb0fe23e63bedfd88b1979fca569d74a1a3285c43a6"),
+        "lstm": ("dyn gradcheck --arch {tmp}/lstm.json --seed 0", 0,
+                 "dc1611a73e49cde673de5418727e20e0cfb9cf73d09a2f64df523a334eb3321e"),
+        "gru": ("dyn gradcheck --arch {tmp}/gru.json --seed 0", 0,
+                "9f6fca4f8f06d4f5cc23a048959621ad94c9b8a6f6e4f9b949985b63dc7e9793"),
+        "mgu2": ("dyn gradcheck --arch {tmp}/mgu2.json --seed 0", 0,
+                 "bef981675b40e934ee89f5f3153c334653643dc4a45fa6de0690c68d4e756f43"),
+    },
+    # the benchmark languages
+    "carnap": {
+        "2x2,2,2": ("carnap --subjects 2 --attributes 2,2,2", 0,
+                    "c3209cf4642bcecaea89d60e93965df0e7fc62660b5774788c8e212e7a108cfe"),
+        "3x2,2": ("carnap --subjects 3 --attributes 2,2", 0,
+                  "c819ca699f69fa71aba8d0e45fdaa40e582c8a6a52a39096d4644f94b2a4a3cb"),
+        "3x2,2,2": ("carnap --subjects 3 --attributes 2,2,2", 0,
+                    "acdee5a74ea01e48c8b40e8f7bdc70e7e139218173a4df5e896417215e482288"),
+        "3x3,2": ("carnap --subjects 3 --attributes 3,2", 0,
+                  "36712460cfb19e47e8ae0f0b20dee3f2c56eaa2e6ace67c6bed34afaa2a7478d"),
+        "4x2,2": ("carnap --subjects 4 --attributes 2,2", 0,
+                  "64663988bcb33cdf6785cf3f3fdfc261ed06113f742386b2d6c15144e86e585b"),
+    },
+    "other": {
+        "verify-all-seed-0": ("verify --all --seed 0", 1,
+                              "f0d39b62ccdd166cab6b4b4e959db73c09637c9aa4cad88d8e705a684380b7be"),
+        "heyting-arch-diamond": ("heyting --arch {tmp}/diamond.json", 0,
+                                 "39ce87f332bde484e297c13e0f307520be795c57b00f356c17b329e57182c896"),
+        "heyting-in": ("heyting --in {tmp}/poset.json", 0,
+                       "4798c93fac7563791d55700c16ce2e5672f0382bf128c5bf859fed374027c6ec"),
+        "sections": ("sections --in {tmp}/presheaf.json", 0,
+                     "f78e665c17fcbe7806e94d4eb635c44901b5c6b19288f73d96113ceeb8f77d31"),
+        "sections-limit-1": ("sections --in {tmp}/presheaf.json --limit 1", 0,
+                             "b5572fae2f398793fd75eed0685c4a33c5a5d5667d7ef43f8ae195d51e5aad0e"),
+        "cats-manifold": ("cats-manifold --in {tmp}/presheaf.json "
+                          "--predicate {tmp}/predicate.json", 0,
+                          "b3161c6783716362f32d791dd2f041c3174a9c0106dd7fbc9a96d74200319fca"),
+        "check-fibrant-sets": ("stack check-fibrant --in {tmp}/sets.json", 1,
+                               "b9cd8456fcea69f61f1242ff6a83f6f31e06f02669b25ef2cc1e21c29390d9c1"),
+        "check-fibrant-groupoids": ("stack check-fibrant --in {tmp}/stack.json", 0,
+                                    "adc5de38b1b98f5e94cde7dac7d8983340cab94f626784db1286926403ee1bce"),
+        "adjunction": ("stack adjunction --in {tmp}/functor.json", 0,
+                       "56bae25d3b0b5cec221046cb8368fa7d7f0c56f1a5204bd84b3e2c6690a7fa5b"),
+        "info": ("info --in {tmp}/lang.json --theory 00,01 --q 01,11 --q2 10,11 --delta 1,0.5",
+                 0, "a5bb93c40eb4a006238d286a0ead64f04b8c90d5e999badf59bce1f4edcfc69f"),
+        "info-p": ("info --in {tmp}/lang.json --theory 01 --p 00 --seed 4", 0,
+                   "c2dc3b1cbc4f3cb2ab38b000e4bf621a11e3f686b93b390e2bbca182a147f979"),
+        "dyn-cell-mgu2": ("dyn --cell mgu2 --m 3 --n 2 --steps 5 --seed 0", 0,
+                          "20c93916447c0bc9058ec904b71bcb27e982ebc796da374bfb4d2f300a818463"),
+        "dyn-cell-lstm": ("dyn --seed 2", 0,
+                          "9f94d1ce2966a82b4ff06f5c1b4f81b4b54ab2d0879a7310d4b3e411d903e7de"),
+        "dyn-cusp": ("dyn cusp --grid 30", 0,
+                     "39a4d7313a9f82ae8f64a801d41228a200e353473a7930c0fea0acb6a03fdf25"),
+        "gradcheck-seed-3-chain": (
+            "dyn gradcheck --arch {tmp}/chain.json --seed 3", 0,
+            "5c33265e16e0f7f299021be93d61712f54e981afccb53ece58782ec5c4a9c298"),
+        "gradcheck-seed-3-diamond": (
+            "dyn gradcheck --arch {tmp}/diamond.json --seed 3", 0,
+            "1eff2d3aed81f2f0e3a63bc8b8378b1bc51233c5e5868403850617cdcf9da802"),
+        "gradcheck-seed-3-lstm": (
+            "dyn gradcheck --arch {tmp}/lstm.json --seed 3", 0,
+            "cf2098b08a51796c361800a8773de11bdb496228dd45991b53b61bcf209f5975"),
+        "gradcheck-seed-3-gru": (
+            "dyn gradcheck --arch {tmp}/gru.json --seed 3", 0,
+            "46ea63d145999f6eee7873544634c7e9fa9549009128d28ea72250f44f19b050"),
+        "gradcheck-seed-3-mgu2": (
+            "dyn gradcheck --arch {tmp}/mgu2.json --seed 3", 0,
+            "5fa66a9a0db4fd14e168b6a15b3d26b940e20df2295770720aba6f2f3f8eaa84"),
+        "carnap-1x1": ("carnap --subjects 1 --attributes 1", 0,
+                       "6149a44f90b660670adaea69efd208d3dc9d54ff2d3925031e00c94372b83edb"),
+        "carnap-bound-47": ("carnap --subjects 3 --attributes 2,2 --bound 47", 2,
+                            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    },
+}
+
+MANIFEST_DOCUMENTS = {
+    "presheaf.json": {
+        "poset": {"elements": ["y", "h", "x"], "leq": [["y", "h"], ["h", "x"], ["y", "x"]]},
+        "carriers": {"x": ["a", "b", "c"], "h": ["u", "v"], "y": ["0", "1"]},
+        "maps": {"h<=x": {"a": "u", "b": "v", "c": "v"}, "y<=h": {"u": "0", "v": "1"}},
+    },
+    "predicate.json": {"y": ["1"]},
+    "poset.json": {"elements": ["a", "b", "c", "d"],
+                   "leq": [["a", "b"], ["a", "c"], ["b", "d"], ["c", "d"]]},
+    "sets.json": {
+        "poset": {"elements": ["0", "1"], "leq": [["0", "1"]]},
+        "carriers": {"0": ["a", "b"], "1": ["u", "v"]},
+        "maps": {"0<=1": {"u": "a", "v": "a"}},
+    },
+    "stack.json": groupoid_stack_doc(
+        {"elements": ["l", "r", "t"], "leq": [["l", "t"], ["r", "t"]]},
+        {"t": (["a", "b"], [("a", "b")]), "l": (["p"], []), "r": (["u", "v"], [("v", "u")])},
+        {"l<=t": {"a": "p", "b": "p"}, "r<=t": {"a": "u", "b": "v"}}),
+    "functor.json": {
+        "source": {"objects": ["x", "y"], "generators": []},
+        "target": {"objects": ["u", "v", "w"], "generators": [{"src": "v", "dst": "w"}]},
+        "object_map": {"x": "u", "y": "u"},
+    },
+    "lang.json": {"states": ["00", "01", "10", "11"]},
 }
 
 
-@pytest.mark.parametrize("name", SITE_REPORT_SHA256)
+def check_manifest_entry(capsys, tmp_path, group, key):
+    """Run one manifest command in process; its exit code and the sha256 of
+    its stdout must be the pinned ones."""
+    command, want_code, want_sha = REPORT_MANIFEST[group][key]
+    for name in ("chain", "diamond", "lstm", "gru", "mgu2"):
+        (tmp_path / f"{name}.json").write_text(fixture_text(name))
+    for name, doc in MANIFEST_DOCUMENTS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    code, out, _ = run(capsys, *(a.format(tmp=tmp_path) for a in command.split()))
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (want_code, want_sha)
+
+
+@pytest.mark.parametrize("key", REPORT_MANIFEST["other"])
+def test_report_bytes_are_pinned(capsys, tmp_path, key):
+    check_manifest_entry(capsys, tmp_path, "other", key)
+
+
+@pytest.mark.parametrize("name", REPORT_MANIFEST["site"])
 def test_site_report_bytes_are_pinned(capsys, tmp_path, name):
-    path = tmp_path / f"{name}.json"
-    path.write_text(fixture_text(name))
-    code, out, _ = run(capsys, "site", "--in", str(path))
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == SITE_REPORT_SHA256[name]
+    check_manifest_entry(capsys, tmp_path, "site", name)
 
 
-# sha256 of the `dyn gradcheck --seed 0` report of each bundled fixture
-GRADCHECK_REPORT_SHA256 = {
-    "chain": "f43f91b8a89b739c1024d1dc3f1b7d2bccf2b7f29ca6435b6607315a72cbd136",
-    "diamond": "ca0297add20b41255e22fdb0fe23e63bedfd88b1979fca569d74a1a3285c43a6",
-    "lstm": "dc1611a73e49cde673de5418727e20e0cfb9cf73d09a2f64df523a334eb3321e",
-    "gru": "9f6fca4f8f06d4f5cc23a048959621ad94c9b8a6f6e4f9b949985b63dc7e9793",
-    "mgu2": "bef981675b40e934ee89f5f3153c334653643dc4a45fa6de0690c68d4e756f43",
-}
-
-
-@pytest.mark.parametrize("name", GRADCHECK_REPORT_SHA256)
+@pytest.mark.parametrize("name", REPORT_MANIFEST["gradcheck"])
 def test_gradcheck_report_bytes_are_pinned(capsys, tmp_path, name):
-    path = tmp_path / f"{name}.json"
-    path.write_text(fixture_text(name))
-    code, out, _ = run(capsys, "dyn", "gradcheck", "--arch", str(path), "--seed", "0")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == GRADCHECK_REPORT_SHA256[name]
+    check_manifest_entry(capsys, tmp_path, "gradcheck", name)
+
+
+@pytest.mark.parametrize("language", REPORT_MANIFEST["carnap"])
+def test_carnap_report_bytes_are_pinned(capsys, tmp_path, language):
+    check_manifest_entry(capsys, tmp_path, "carnap", language)
 
 
 def reference_gradcheck_order(g):
@@ -737,25 +897,6 @@ def test_gradcheck_network_order_matches_round_by_round_peeling():
         assert net.order == reference_gradcheck_order(g) + ["__loss_readout"]
         assert all(net.nodes[v].parents == tuple(sorted(s for s, d in edges if d == v))
                    for v in names)
-
-
-# sha256 of the `carnap` report of each benchmark language
-CARNAP_REPORT_SHA256 = {
-    (3, "2,2"): "c819ca699f69fa71aba8d0e45fdaa40e582c8a6a52a39096d4644f94b2a4a3cb",
-    (2, "2,2,2"): "c3209cf4642bcecaea89d60e93965df0e7fc62660b5774788c8e212e7a108cfe",
-    (3, "3,2"): "36712460cfb19e47e8ae0f0b20dee3f2c56eaa2e6ace67c6bed34afaa2a7478d",
-    (4, "2,2"): "64663988bcb33cdf6785cf3f3fdfc261ed06113f742386b2d6c15144e86e585b",
-    (3, "2,2,2"): "acdee5a74ea01e48c8b40e8f7bdc70e7e139218173a4df5e896417215e482288",
-}
-
-
-@pytest.mark.parametrize("subjects,attributes", sorted(CARNAP_REPORT_SHA256),
-                         ids=[f"{s}x{a}" for s, a in sorted(CARNAP_REPORT_SHA256)])
-def test_carnap_report_bytes_are_pinned(capsys, subjects, attributes):
-    code, out, _ = run(capsys, "carnap", "--subjects", str(subjects), "--attributes", attributes)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == \
-        CARNAP_REPORT_SHA256[(subjects, attributes)]
 
 
 def test_carnap_bound_limits_the_group(capsys):

@@ -1,7 +1,8 @@
 """A seeded fuzz of the exit-code contract on small architecture, presheaf,
-poset, stack and language documents, and on `carnap` options: every run exits
-0, 1 or 2, an exit 2 says why on an ``error:`` line, and no exception reaches
-the top level.
+poset, stack and language documents, on `carnap` options, and on raw argv
+tokens for every subcommand but `verify`: every run exits 0, 1 or 2, an
+exit 2 says why on an ``error:`` line, and no exception reaches the top
+level.
 
 Each document starts from a well-formed shape over a few names, and any
 part of it may be swapped for arbitrary JSON.  The runs are derandomized
@@ -237,3 +238,74 @@ def test_carnap_options_keep_the_exit_code_contract(subjects, attributes, bound)
     assert code in (0, 2), (subjects, attributes, bound)
     if code == 2:
         assert err.getvalue().startswith("error: "), (subjects, attributes, bound)
+
+
+# argv tokens per subcommand.  A run starts from a well-formed command line,
+# one token in four of which is swapped for a drawn one, and appends up to
+# three drawn (token, value) pairs.  Tokens are the subcommand's flags and
+# positional choices, the shared flags but --out (a drawn path would be
+# written), and values: junk, small and negative numbers, and the paths of
+# the documents below.  Every number drawn is at most 3, which caps the work
+# of --m, --n, --steps, --grid, --subjects and --bound.  `verify` is left
+# out: each run is the whole acceptance suite.
+SUBCOMMANDS = {
+    "site": (["--in", "arch.json"], []),
+    "sections": (["--in", "presheaf.json"], ["--limit"]),
+    "cats-manifold": (["--in", "presheaf.json", "--predicate", "predicate.json"], ["--limit"]),
+    "heyting": (["--in", "poset.json"], ["--arch"]),
+    "stack": (["adjunction", "--in", "functor.json"], ["check-fibrant"]),
+    "info": (["--in", "lang.json"],
+             ["--theory", "--q", "--q2", "--p", "--delta", "--tolerance"]),
+    "carnap": (["--subjects", "2", "--attributes", "2"], []),
+    "dyn": (["cell"], ["gradcheck", "cusp", "--cell", "lstm", "cubic", "--m", "--n",
+                       "--steps", "--arch", "--grid"]),
+}
+JUNK = ["", "x", "-", "--", "-h", "nan", "inf", "-inf", "1e400", "0.5", "-0.5", "2,2", "1,x",
+        "a,b", "00,01", "missing.json"]
+ARGV_DOCUMENTS = {
+    "arch.json": {"nodes": ["a", "b", "c"], "edges": [["a", "c"], ["b", "c"]]},
+    "presheaf.json": {"poset": {"elements": ["0", "1"], "leq": [["0", "1"]]},
+                      "carriers": {"0": ["a", "b"], "1": ["u", "v"]},
+                      "maps": {"0<=1": {"u": "a", "v": "b"}}},
+    "predicate.json": {"0": ["a"]},
+    "poset.json": {"elements": ["a", "b"], "leq": [["a", "b"]]},
+    "functor.json": {"source": {"objects": ["x"]}, "target": {"objects": ["u", "v"]},
+                     "object_map": {"x": "u"}},
+    "lang.json": {"states": ["00", "01", "10", "11"]},
+}
+
+
+def either_token(kept, drawn):
+    """``kept``, or one time in four a ``drawn`` token in its place."""
+    return st.sampled_from(range(4)).flatmap(lambda k: drawn if k == 3 else kept)
+
+
+@pytest.fixture(scope="module")
+def argv_documents(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("argv")
+    for name, doc in ARGV_DOCUMENTS.items():
+        (folder / name).write_text(json.dumps(doc))
+    return {name: str(folder / name) for name in ARGV_DOCUMENTS}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+@settings(FUZZ, max_examples=20)
+@given(data=st.data())
+def test_argv_tokens_keep_the_exit_code_contract(argv_documents, command, data):
+    base, flags = SUBCOMMANDS[command]
+    base = [argv_documents.get(t, t) for t in base]
+    values = st.sampled_from(JUNK) | st.integers(-3, 3).map(str) | \
+        st.sampled_from(sorted(argv_documents.values()))
+    tokens = st.sampled_from(base + flags + ["--seed", "--bound"]) | values
+    argv = [command] + [data.draw(either_token(st.just(t), tokens)) for t in base]
+    for flag, value in data.draw(st.lists(st.tuples(tokens, values), max_size=3)):
+        argv += [flag, value]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:       # argparse: a usage error, or -h
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert "error: " in err.getvalue(), argv
