@@ -11,11 +11,13 @@ are constant along orbits.
 Every permutation of the symmetry path is an index array over
 ``lang.states``.  A state's index is its value digits read in mixed radix,
 so each generator is computed by index arithmetic on one digit array of
-all states.  The group is closed once on these arrays (`_close_group`);
-its elements are decoded to state dicts once, for `SymmetryGroup.elements`.
-The orbits are the classes of one union-find over the state indices, each
-stabilizer is counted on one column of the element matrix, and the search
-over simple propositions moves index sets through the generators.
+all states.  The group is closed once on these arrays (`_close_group`), and
+its (order, |E|) element matrix `SymmetryGroup.perms` is the one stored form
+of the elements; `SymmetryGroup.elements` decodes it into state dicts each
+time it is read.  Column ``i`` of the matrix is the orbit of state ``i``, so
+the orbits are the classes of the column minima, each stabilizer is counted
+on one column, and the search over simple propositions moves index sets
+through the generators.
 
 For three subjects and two binary attributes the group has order 48
 (subject permutations times the dihedral symmetry of the value square),
@@ -31,7 +33,6 @@ import numpy as np
 
 from .errors import BoundExceeded, GroupoidError, LanguageError
 from .seminfo import BooleanLanguage
-from .unionfind import UnionFind
 
 DEFAULT_STATE_BOUND = 10**6
 DEFAULT_GROUP_BOUND = 10_000
@@ -92,11 +93,26 @@ def build_language(n_subjects, value_counts, bound=DEFAULT_STATE_BOUND):
 
 @dataclass(frozen=True)
 class SymmetryGroup:
+    """The symmetry group of ``language``, stored as its element matrix
+    ``perms``: row ``r`` is an index array over ``language.states``, row 0
+    the identity.  A group is a function of its language, so two groups
+    compare equal on ``(language, order)``."""
     language: CarnapLanguage
     generators: dict = field(compare=False)     # name -> index array over the states
     order: int
-    elements: dict             # name -> state permutation dict
     perms: np.ndarray = field(compare=False)    # (order, |E|) index arrays, row 0 = e
+
+    @property
+    def elements(self):
+        """The elements as state dicts, decoded from ``perms`` on each read
+        (nothing is cached; bind the result to read it more than once):
+        named ``e``, ``g1``, ... in row order, each a dict from every state,
+        in ``str`` order of the states, to its image."""
+        states = self.language.states
+        by_str = sorted(range(len(states)), key=lambda i: str(states[i]))
+        keys = [states[i] for i in by_str]
+        return {f"g{r}" if r else "e": dict(zip(keys, map(states.__getitem__, row)))
+                for r, row in enumerate(self.perms[:, by_str].tolist())}
 
 
 def _state_digits(lang):
@@ -190,20 +206,16 @@ def _close_group(gens, bound):
 
 def build_symmetry_group(lang, bound=DEFAULT_GROUP_BOUND):
     """The group generated by `_generator_indices`, closed once by
-    `_close_group` (at most ``bound`` elements).  Each element is decoded
-    once into ``elements``: named ``e``, ``g1``, ... in closure order, a dict
-    from each state, in ``str`` order of the states, to its image.  A
-    language with no generator (one subject, one attribute, one value) has
-    the trivial group."""
-    states = lang.states
+    `_close_group` (at most ``bound`` elements) into the element matrix
+    ``perms``, rows in closure order.  No element is decoded here:
+    `SymmetryGroup.elements` decodes the rows into state dicts when it is
+    read.  A language with no generator (one subject, one attribute, one
+    value) has the trivial group, its one row of the generators' dtype."""
     gens = _generator_indices(lang)
+    n = len(lang.states)
     perms = _close_group(list(gens.values()), bound) if gens else \
-        np.arange(len(states))[None, :]
-    by_str = sorted(range(len(states)), key=lambda i: str(states[i]))
-    keys = [states[i] for i in by_str]
-    elements = {f"g{r}" if r else "e": dict(zip(keys, map(states.__getitem__, row)))
-                for r, row in enumerate(perms[:, by_str].tolist())}
-    return SymmetryGroup(lang, gens, len(perms), elements, perms)
+        np.arange(n, dtype=np.min_scalar_type(n - 1))[None, :]
+    return SymmetryGroup(lang, gens, len(perms), perms)
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +272,11 @@ class CarnapOrbitReport:
 def orbit_report(lang, group=None):
     """Orbits of the states with stabilizer orders and structural types.
 
-    The orbits are the classes of a union-find over the state indices that
-    joins each ``i`` with ``g[i]`` for every generator ``g``; members are
-    sorted by ``str``.  Each stabilizer is that of the orbit's ``str``-least
+    Column ``i`` of ``group.perms`` lists ``g(i)`` for every element ``g``,
+    so it is the orbit of state ``i``, and its minimum labels that orbit by
+    its least state index; the orbits are the classes of equal column
+    minima, read off one stable sort of the labels.  Members are sorted by
+    ``str``.  Each stabilizer is that of the orbit's ``str``-least
     member ``r``, counted as the elements fixing ``r`` on column ``r`` of
     ``group.perms``, and |orbit| * |stabilizer| = |G| is checked.  The group
     is closed once: a given ``group`` (else one built here) is reused.
@@ -270,13 +284,12 @@ def orbit_report(lang, group=None):
     group = group or build_symmetry_group(lang)
     states = lang.states
     names = [str(s) for s in states]
-    uf = UnionFind(range(len(states)))
-    for g in group.generators.values():
-        for i, j in enumerate(g.tolist()):
-            uf.union(i, j)
+    label = group.perms.min(axis=0)
+    by_label = np.argsort(label, kind="stable")
+    cuts = np.flatnonzero(np.diff(label[by_label])) + 1
     orbits = []
-    for cls in uf.groups():
-        cls.sort(key=names.__getitem__)
+    for cls in np.split(by_label, cuts):
+        cls = sorted(cls.tolist(), key=names.__getitem__)
         r = cls[0]
         stab = int(np.count_nonzero(group.perms[:, r] == r))
         if len(cls) * stab != group.order:

@@ -1,11 +1,14 @@
 """Command-line entry point.
 
 Subcommands: site, sections, cats-manifold, heyting, stack, info, carnap,
-dyn, verify.  Global flags: --seed, --out, --bound (the SHEAFNET_BOUND
-environment variable overrides the default enumeration bound).  Reports are
-JSON, except the CSV table of `dyn cusp`.  Exit codes: 0 success, 1 check
-failure, 2 input error.  Reports are stable-ordered (sorted JSON keys, fixed
-row order) so identical configurations diff byte-identically.
+dyn, verify.  Every subcommand takes --out.  Only the commands that read a
+flag take it, so a flag a command would ignore exits 2: --bound goes on
+sections, cats-manifold, heyting and carnap (the SHEAFNET_BOUND environment
+variable overrides the default enumeration bound), --seed on info, dyn and
+verify.  Reports are JSON, except the CSV table of `dyn cusp`.  Exit codes:
+0 success, 1 check failure, 2 input error.  Reports are stable-ordered
+(sorted JSON keys, fixed row order) so identical configurations diff
+byte-identically.
 """
 
 import argparse
@@ -507,9 +510,11 @@ def _finite_at_least(low):
 
 def make_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default=None)
-    common.add_argument("--bound", type=int, default=None)
+    bounded = argparse.ArgumentParser(add_help=False)
+    bounded.add_argument("--bound", type=int, default=None)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
 
     parser = argparse.ArgumentParser(
         prog="sheafnet",
@@ -517,25 +522,25 @@ def make_parser():
                     "measures for layered network architectures.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def add_parser(name, flags=(), **kw):
+        return sub.add_parser(name, parents=[common, *flags], **kw)
 
     p = add_parser("site", help="poset site report for an architecture")
     p.add_argument("--in", dest="infile", required=True)
     p.set_defaults(fn=cmd_site)
 
-    p = add_parser("sections", help="global sections of a presheaf")
+    p = add_parser("sections", [bounded], help="global sections of a presheaf")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--limit", type=_int_at_least(0), default=100)
     p.set_defaults(fn=cmd_sections)
 
-    p = add_parser("cats-manifold", help="sections filtered by an output predicate")
+    p = add_parser("cats-manifold", [bounded], help="sections filtered by an output predicate")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--predicate", required=True)
     p.add_argument("--limit", type=_int_at_least(0), default=100)
     p.set_defaults(fn=cmd_cats_manifold)
 
-    p = add_parser("heyting", help="implication table of the open-set algebra")
+    p = add_parser("heyting", [bounded], help="implication table of the open-set algebra")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--in", dest="infile")
     source.add_argument("--arch", help="derive the poset from an architecture file")
@@ -546,7 +551,7 @@ def make_parser():
     p.add_argument("--in", dest="infile", required=True)
     p.set_defaults(fn=cmd_stack)
 
-    p = add_parser("info", help="semantic information report")
+    p = add_parser("info", [seeded], help="semantic information report")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--theory", default=None, help="comma-separated states")
     p.add_argument("--q", default=None, help="conditioning proposition")
@@ -557,12 +562,12 @@ def make_parser():
                    help="slack of the cocycle and concavity checks")
     p.set_defaults(fn=cmd_info)
 
-    p = add_parser("carnap", help="subject/attribute language report")
+    p = add_parser("carnap", [bounded], help="subject/attribute language report")
     p.add_argument("--subjects", type=int, required=True)
     p.add_argument("--attributes", required=True, help='e.g. "2,2"')
     p.set_defaults(fn=cmd_carnap)
 
-    p = add_parser("dyn", help="cells, gradient checks, cusp scans")
+    p = add_parser("dyn", [seeded], help="cells, gradient checks, cusp scans")
     p.add_argument("dyn_cmd", nargs="?", default="cell",
                    choices=("cell", "gradcheck", "cusp"))
     p.add_argument("--cell", choices=tuple(CELLS), default="lstm")
@@ -573,7 +578,7 @@ def make_parser():
     p.add_argument("--grid", type=_int_at_least(2), default=100)
     p.set_defaults(fn=cmd_dyn)
 
-    p = add_parser("verify", help="run the acceptance suite")
+    p = add_parser("verify", [seeded], help="run the acceptance suite")
     p.add_argument("--all", action="store_true")
     p.set_defaults(fn=cmd_verify)
 

@@ -1,10 +1,11 @@
+import json
 import math
 import random
 
 import numpy as np
 import pytest
 
-from sheafnet import carnap
+from sheafnet import carnap, verify
 from sheafnet.carnap import (
     CarnapOrbitReport,
     build_language,
@@ -16,6 +17,7 @@ from sheafnet.carnap import (
     simples_form_single_orbit,
     state_type,
 )
+from sheafnet.cli import main
 from sheafnet.errors import BoundExceeded, GroupoidError, LanguageError
 from sheafnet.seminfo import cbh_precision, content
 
@@ -112,6 +114,7 @@ def test_one_state_language_has_the_trivial_group():
     lang = build_language(1, [1])
     group = build_symmetry_group(lang)
     assert group.generators == {} and group.order == 1
+    assert group.perms.dtype == np.min_scalar_type(len(lang.states) - 1)
     assert group.elements == {"e": {lang.states[0]: lang.states[0]}}
     report = orbit_report(lang, group)
     assert report.group_order == 1
@@ -316,8 +319,9 @@ def test_symmetry_path_matches_per_state_oracles(subjects, counts):
                for g in group.generators.values())
 
     want_elements = reference_elements(want_gens)
-    assert list(group.elements) == list(want_elements)
-    for name, perm in group.elements.items():
+    elements = group.elements
+    assert list(elements) == list(want_elements)
+    for name, perm in elements.items():
         assert list(perm.items()) == list(want_elements[name].items())
     assert group.order == len(want_elements)
 
@@ -340,14 +344,50 @@ def test_orbits_partition_the_states_with_orbit_stabilizer(subjects, counts):
     lang = build_language(subjects, counts)
     group = build_symmetry_group(lang)
     report = orbit_report(lang, group)
-    orbits = {frozenset(p[s] for p in group.elements.values()) for s in lang.states}
+    elements = group.elements
+    orbits = {frozenset(p[s] for p in elements.values()) for s in lang.states}
     assert sorted(map(len, orbits)) == list(report.sizes())
     assert sum(report.sizes()) == len(lang.states)
     for size, stab, _, members in report.orbits:
         assert frozenset(members) in orbits and members == tuple(sorted(members, key=str))
         rep = members[0]
-        assert stab == sum(p[rep] == rep for p in group.elements.values())
+        assert stab == sum(p[rep] == rep for p in elements.values())
         assert size * stab == group.order
+
+
+@pytest.mark.parametrize("subjects,counts", ORACLE_LANGUAGES,
+                         ids=[f"{s}x{','.join(map(str, c))}" for s, c in ORACLE_LANGUAGES])
+def test_burnside_counts_the_orbits(subjects, counts):
+    """Burnside's lemma, on the element matrix: the fixed points summed over
+    the elements are |G| times the number of orbits."""
+    lang = build_language(subjects, counts)
+    group = build_symmetry_group(lang)
+    fixed = np.count_nonzero(group.perms == np.arange(len(lang.states)))
+    assert fixed == group.order * len(orbit_report(lang, group).orbits)
+
+
+def test_library_paths_never_decode_the_elements(monkeypatch, capsys):
+    """The group, its orbits, the simples' orbit, criterion 6 and `sheafnet
+    carnap` run on the element matrix; none reads `SymmetryGroup.elements`."""
+    reads = []
+
+    def refuse(group):
+        reads.append(group.order)
+        raise AssertionError("SymmetryGroup.elements was read")
+
+    monkeypatch.setattr(carnap.SymmetryGroup, "elements", property(refuse))
+    lang = l23()
+    group = build_symmetry_group(lang)
+    assert orbit_report(lang, group).sizes() == (4, 12, 24, 24)
+    assert orbit_report(lang).group_order == 48
+    assert simples_form_single_orbit(lang, group) and simples_form_single_orbit(lang)
+    assert verify.criterion_06(0).passed
+    assert main(["carnap", "--subjects", "3", "--attributes", "2,2"]) == 0
+    assert json.loads(capsys.readouterr().out)["group_order"] == 48
+    assert reads == []
+    with pytest.raises(AssertionError, match="was read"):
+        group.elements
+    assert reads == [48]
 
 
 def test_build_symmetry_group_closes_each_group_once(monkeypatch):

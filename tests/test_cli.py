@@ -441,6 +441,32 @@ def test_tolerance_belongs_to_info_alone(capsys, argv):
     assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
 
 
+IGNORED_FLAGS = {
+    "site": (["site", "--in", "x.json"], ["--bound", "--seed"]),
+    "sections": (["sections", "--in", "x.json"], ["--seed"]),
+    "cats-manifold": (["cats-manifold", "--in", "x.json", "--predicate", "y.json"], ["--seed"]),
+    "heyting": (["heyting", "--in", "x.json"], ["--seed"]),
+    "stack": (["stack", "check-fibrant", "--in", "x.json"], ["--bound", "--seed"]),
+    "info": (["info", "--in", "x.json"], ["--bound"]),
+    "carnap": (["carnap", "--subjects", "1", "--attributes", "2"], ["--seed"]),
+    "dyn": (["dyn", "cusp"], ["--bound"]),
+    "verify": (["verify", "--all"], ["--bound"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(IGNORED_FLAGS))
+def test_flags_go_only_on_the_commands_that_read_them(capsys, command):
+    """--bound is read by sections, cats-manifold, heyting and carnap, and
+    --seed by info, dyn and verify; any other command refuses them, exit 2."""
+    argv, flags = IGNORED_FLAGS[command]
+    for flag in flags:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, "0"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"unrecognized arguments: {flag}" in captured.err
+
+
 @pytest.mark.parametrize("flag", ["--theory", "--q", "--q2", "--p"])
 def test_info_state_outside_language_exit_2(capsys, tmp_path, flag):
     path = tmp_path / "lang.json"
@@ -978,7 +1004,7 @@ def test_out_file(capsys, datadir, tmp_path):
 
 
 @pytest.mark.parametrize("argv, says", [
-    (["heyting", "--seed", "0"], "--in"),
+    (["heyting"], "--in"),
     (["dyn", "gradcheck"], "--arch"),
     (["heyting", "--arch", ""], "No such file or directory: ''"),
 ], ids=["heyting-without-input", "gradcheck-without-arch", "heyting-empty-arch"])
