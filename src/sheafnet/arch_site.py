@@ -336,12 +336,12 @@ class FinitePoset:
 
     A poset does not change after ``__init__``, so it also keeps what is
     derived from its order, each computed on first use and held immutable:
-    its open masks (a tuple, handed out by `open_masks`, which still checks
-    the enumeration bound on every call), `covering()` (a tuple of pairs),
-    `lower_covers()` (a read-only mapping to tuples), `strict_sets()`
-    (read-only mappings to frozensets, for `heyting.OpenAlgebra`) and, for
-    the batched `heyting.implies_mask`, its up-closure tables per byte of a
-    mask, in its `mask_dtype`.
+    its open masks (one read-only numpy array, handed out by `open_masks`,
+    which still checks the enumeration bound on every call), `covering()`
+    (a tuple of pairs), `lower_covers()` (a read-only mapping to tuples),
+    `strict_sets()` (read-only mappings to frozensets, for
+    `heyting.OpenAlgebra`) and, for the batched `heyting.implies_mask`, its
+    up-closure tables per byte of a mask, in its `mask_dtype`.
     """
 
     def __init__(self, elements, relations, fork_graph=None):
@@ -391,6 +391,7 @@ class FinitePoset:
         return m
 
     def set_of(self, mask):
+        mask = int(mask)
         return frozenset(self.elements[i] for i in range(len(self.elements)) if (mask >> i) & 1)
 
     def down_set(self, x):
@@ -494,13 +495,19 @@ class FinitePoset:
 
     @cached_property
     def _open_masks(self):
-        """Every open as a bit mask, smallest first (see `open_masks`)."""
-        opens = [0]
+        """Every open as a bit mask, smallest first (see `open_masks`).
+        Along the linear extension, each element x extends every open built
+        so far that holds x's strict down-set."""
+        dtype = self.mask_dtype if len(self.elements) <= 64 else np.dtype(object)
+        opens = np.zeros(1, dtype)
         for x in self.linear_extension():
             i = self.index[x]
-            need = self._down[i] & ~(1 << i)
-            opens += [m | (1 << i) for m in opens if m & need == need]
-        return tuple(sorted(opens))
+            bit = 1 << i
+            need = self._down[i] ^ bit
+            opens = np.concatenate((opens, opens[(opens & need) == need] | bit))
+        opens.sort()
+        opens.flags.writeable = False
+        return opens
 
     @property
     def mask_dtype(self):
@@ -623,10 +630,12 @@ def _is_forest(vertices, edges):
 # ---------------------------------------------------------------------------
 
 def open_masks(poset, bound=None):
-    """All downward-closed subsets as bit masks, smallest mask first, as a
-    tuple.  The enumeration bound (``bound``, else ``SHEAFNET_BOUND``, else
-    the default) is checked on every call; the poset enumerates its opens on
-    the first call that passes it and returns the same tuple after that."""
+    """All downward-closed subsets as bit masks, smallest mask first, in one
+    read-only numpy array: of the poset's `mask_dtype` up to 64 elements,
+    of Python ints (dtype ``object``) above that.  The enumeration bound
+    (``bound``, else ``SHEAFNET_BOUND``, else the default) is checked on
+    every call; the poset enumerates its opens on the first call that passes
+    it and returns the same array after that."""
     n = len(poset.elements)
     limit = enumeration_bound(bound)
     if n > limit:
@@ -636,7 +645,7 @@ def open_masks(poset, bound=None):
 
 def lower_open_sets(poset, bound=None):
     """The lower Alexandrov topology: every downward-closed subset."""
-    return [poset.set_of(m) for m in open_masks(poset, bound)]
+    return [poset.set_of(m) for m in open_masks(poset, bound).tolist()]
 
 
 def basis(poset, x):

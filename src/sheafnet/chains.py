@@ -119,8 +119,13 @@ def _running_intersection(chain, layer):
 
 
 def chain_implication(chain, t, q):
-    """U = (Q => T) by the inductive level formulas, on subobject masks."""
-    return _running_intersection(chain, t | ~q)
+    """U = (Q => T) by the inductive level formulas, on subobject masks.
+    Scalar masks are read as Python ints, and Q is complemented within the
+    top mask, so numpy and Python integers and mask arrays mix."""
+    if not (isinstance(t, np.ndarray) or isinstance(q, np.ndarray)):
+        t, q = int(t), int(q)
+    top = (1 << sum(len(level) for level in chain.levels)) - 1
+    return _running_intersection(chain, t | (top ^ q))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ byte-identically.
 """
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -508,7 +509,10 @@ def _finite_at_least(low):
     return number
 
 
+@functools.cache
 def make_parser():
+    """The argument parser, built once per process.  It names no command
+    function: `main` looks up ``cmd_<command>`` when it runs one."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None)
     bounded = argparse.ArgumentParser(add_help=False)
@@ -527,29 +531,24 @@ def make_parser():
 
     p = add_parser("site", help="poset site report for an architecture")
     p.add_argument("--in", dest="infile", required=True)
-    p.set_defaults(fn=cmd_site)
 
     p = add_parser("sections", [bounded], help="global sections of a presheaf")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--limit", type=_int_at_least(0), default=100)
-    p.set_defaults(fn=cmd_sections)
 
     p = add_parser("cats-manifold", [bounded], help="sections filtered by an output predicate")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--predicate", required=True)
     p.add_argument("--limit", type=_int_at_least(0), default=100)
-    p.set_defaults(fn=cmd_cats_manifold)
 
     p = add_parser("heyting", [bounded], help="implication table of the open-set algebra")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--in", dest="infile")
     source.add_argument("--arch", help="derive the poset from an architecture file")
-    p.set_defaults(fn=cmd_heyting)
 
     p = add_parser("stack", help="stack checks over a poset")
     p.add_argument("stack_cmd", choices=("check-fibrant", "adjunction"))
     p.add_argument("--in", dest="infile", required=True)
-    p.set_defaults(fn=cmd_stack)
 
     p = add_parser("info", [seeded], help="semantic information report")
     p.add_argument("--in", dest="infile", required=True)
@@ -560,12 +559,10 @@ def make_parser():
     p.add_argument("--delta", default=None, help="comma-separated weights")
     p.add_argument("--tolerance", type=_finite_at_least(0), default=1e-12,
                    help="slack of the cocycle and concavity checks")
-    p.set_defaults(fn=cmd_info)
 
     p = add_parser("carnap", [bounded], help="subject/attribute language report")
     p.add_argument("--subjects", type=int, required=True)
     p.add_argument("--attributes", required=True, help='e.g. "2,2"')
-    p.set_defaults(fn=cmd_carnap)
 
     p = add_parser("dyn", [seeded], help="cells, gradient checks, cusp scans")
     p.add_argument("dyn_cmd", nargs="?", default="cell",
@@ -576,20 +573,18 @@ def make_parser():
     p.add_argument("--steps", type=_int_at_least(0), default=3)
     p.add_argument("--arch", default=None)
     p.add_argument("--grid", type=_int_at_least(2), default=100)
-    p.set_defaults(fn=cmd_dyn)
 
     p = add_parser("verify", [seeded], help="run the acceptance suite")
     p.add_argument("--all", action="store_true")
-    p.set_defaults(fn=cmd_verify)
 
     return parser
 
 
 def main(argv=None):
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
+        return command(args)
     except SheafnetError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -12,10 +12,14 @@ largest open whose meet with Q lies below T; pointwise it is
 
 that is, the complement of the up-closure of Q - T.  `oracle_implies_mask`
 recomputes it as the literal union of all qualifying opens, which is the
-definition; it is the only brute-force supremum oracle.  Negation is
-Q => bottom (on masks, ``implies_mask(poset, q, 0)``).  The operations have bit-mask twins (suffix ``_mask``) used by
-the exhaustive harnesses; `implies_mask` and `oracle_implies_mask` also
-evaluate elementwise on numpy arrays of masks, in the poset's `mask_dtype`
+definition; it is the only brute-force supremum oracle.  It scans the
+poset's opens (`arch_site.open_masks`, one read-only numpy array of masks)
+in one pass.  Negation is Q => bottom (on masks,
+``implies_mask(poset, q, 0)``).  The operations have bit-mask twins (suffix
+``_mask``) used by the exhaustive harnesses.  A scalar mask may be a Python
+or a numpy integer, such as an element of the opens array, and is read as
+a Python int.  `implies_mask` and `oracle_implies_mask` also evaluate
+elementwise on numpy arrays of masks, in the poset's `mask_dtype`
 (uint32 up to 32 elements, else uint64) or any wider unsigned dtype.  There
 `implies_mask` reads the up-closure of Q - T one byte at a time from the
 poset's 256-entry tables (a table lookup per byte instead of a pass per
@@ -50,14 +54,14 @@ def implies_mask(poset, q, t):
     mask.  T is complemented within the top mask, so a Python-int T stays
     non-negative and mixes with mask arrays."""
     top = top_mask(poset)
-    bad = q & (top ^ t)
-    if not isinstance(bad, np.ndarray):
-        bad, out = int(bad), top
+    if not (isinstance(q, np.ndarray) or isinstance(t, np.ndarray)):
+        bad, out = int(q) & (top ^ int(t)), top
         while bad:
             up = poset._up[(bad & -bad).bit_length() - 1]
             out &= ~up
             bad &= ~up
         return out
+    bad = q & (top ^ t)
     # byte k of each mask, least significant first, as a strided uint8 view
     byte = np.asarray(bad, bad.dtype.newbyteorder("<"), order="C")
     byte = byte.view(np.uint8).reshape(bad.shape + (bad.itemsize,))
@@ -72,20 +76,21 @@ def implies_mask(poset, q, t):
 
 
 def oracle_implies_mask(poset, q, t, opens=None):
-    """Q => T as the union of every open V with V /\\ Q <= T.  On numpy
+    """Q => T as the union of every open V with V /\\ Q <= T, that is, V
+    disjoint from Q - T: one scan of the opens (`open_masks`, or ``opens``).
+    Scalar masks, Python or numpy integers, give a Python int.  On numpy
     arrays of masks (broadcast against each other) the opens lie along one
     more, last axis, and the result keeps the dtype of Q - T."""
     if opens is None:
         opens = open_masks(poset)
+    top = top_mask(poset)
     if isinstance(q, np.ndarray) or isinstance(t, np.ndarray):
-        bad = (q & (top_mask(poset) ^ t))[..., None]
-        v = np.array(opens, dtype=bad.dtype)
+        bad = (q & (top ^ t))[..., None]
+        v = np.asarray(opens, dtype=bad.dtype)
         return np.bitwise_or.reduce(np.where(v & bad == 0, v, 0), axis=-1)
-    out = 0
-    for v in opens:
-        if v & q & ~t == 0:
-            out |= v
-    return out
+    v = np.asarray(opens)
+    bad = int(q) & (top ^ int(t))
+    return int(np.bitwise_or.reduce(v[(v & bad) == 0]))
 
 
 def implies(poset, q, t):
@@ -110,7 +115,7 @@ def implication_table(poset, bound=None):
     `BoundExceeded` before any row is built.  An open is labelled by its
     element names, joined by commas (``{}`` when empty); two opens with one
     label raise `PosetError`, also before any row is built."""
-    opens = open_masks(poset, bound)
+    opens = open_masks(poset, bound).tolist()
     limit = enumeration_bound(bound)
     if len(opens) ** 2 > 1 << limit:
         raise BoundExceeded(f"{len(opens)} opens make a table of {len(opens) ** 2} "

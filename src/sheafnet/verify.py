@@ -175,13 +175,12 @@ def criterion_01(seed=0):
     for _ in range(50):
         poset = _random_poset(rng, rng.randint(3, 8))
         opens = open_masks(poset, bound=8)
-        for q in opens:
-            for t in opens:
-                if hey.implies_mask(poset, q, t) != \
-                        hey.oracle_implies_mask(poset, q, t, opens):
-                    return _result(1, "heyting oracle equivalence", False,
-                                   f"mismatch on poset {poset.elements}", start)
-                pairs += 1
+        q, t = opens[:, None], opens[None, :]
+        if not np.array_equal(hey.implies_mask(poset, q, t),
+                              hey.oracle_implies_mask(poset, q, t, opens)):
+            return _result(1, "heyting oracle equivalence", False,
+                           f"mismatch on poset {poset.elements}", start)
+        pairs += len(opens) ** 2
     elapsed = time.perf_counter() - start
     return _result(1, "heyting oracle equivalence", elapsed < 5.0,
                    f"50 posets, {pairs} open pairs, exact; "
@@ -219,13 +218,12 @@ def criterion_02(seed=0):
     for shape in shapes:
         chain = _chain_of_shape(shape)
         poset = elements_poset(chain.as_presheaf())
-        opens = open_masks(poset, bound=25)
-        n_subs = len(opens)
-        masks = np.array(opens, dtype=poset.mask_dtype)
+        masks = open_masks(poset, bound=25)
+        n_subs = len(masks)
         if n_subs <= 32:
             t, q = masks[:, None], masks[None, :]
             if not np.array_equal(chain_implication(chain, t, q),
-                                  hey.oracle_implies_mask(poset, q, t, opens)):
+                                  hey.oracle_implies_mask(poset, q, t, masks)):
                 return _result(2, "chain implication lemma", False,
                                f"formula vs sup-scan mismatch on {shape}", start)
             exhaustive_small += n_subs * n_subs
@@ -236,13 +234,13 @@ def criterion_02(seed=0):
         batched = chain_implication(chain, masks[ti], masks[qi])
         generic = hey.implies_mask(poset, masks[qi], masks[ti])
         for (t, q), ker, gen in zip(samples, batched.tolist(), generic.tolist()):
-            u = chain_implication(chain, opens[t], opens[q])
-            if not u == ker == gen == hey.implies_mask(poset, opens[q], opens[t]):
+            u = chain_implication(chain, masks[t], masks[q])
+            if not u == ker == gen == hey.implies_mask(poset, masks[q], masks[t]):
                 return _result(2, "chain implication lemma", False,
                                f"kernel disagrees with chain_implication on {shape}", start)
             kernel_checked += 1
             if n_subs <= 1500 and sampled_oracle < 1500:
-                if u != hey.oracle_implies_mask(poset, opens[q], opens[t], opens):
+                if u != hey.oracle_implies_mask(poset, masks[q], masks[t], masks):
                     return _result(2, "chain implication lemma", False,
                                    f"formula vs literal sup-scan mismatch on {shape}", start)
                 sampled_oracle += 1
@@ -288,9 +286,8 @@ def criterion_03(seed=0):
         chain = _chain_of_shape(shape)
         delta = DeltaSequence.dyadic(chain.n)
         poset = elements_poset(chain.as_presheaf())
-        subs = open_masks(poset, bound=16)
-        n_subs = len(subs)
-        masks = np.array(subs, dtype=poset.mask_dtype)
+        masks = open_masks(poset, bound=16)
+        n_subs = len(masks)
         # psi of a mask in eighths: the element (k, x) of the poset of
         # elements weighs 8 delta_k = 2^(3-k), k <= 3, and each level has at
         # most 4 states, so 8 psi is an integer below 64, exact in int8
@@ -302,7 +299,7 @@ def criterion_03(seed=0):
         rng = random.Random(seed)
         for _ in range(20):
             i = rng.randrange(n_subs)
-            if psi_vec[i] / 8 != psi_delta(chain, subs[i], delta):
+            if psi_vec[i] / 8 != psi_delta(chain, masks[i], delta):
                 return _result(3, "psi_delta increasing and concave", False,
                                f"vectorized psi disagrees on {shape}", start)
         ia, ib = np.nonzero((masks[:, None] & ~masks[None, :]) == 0)
@@ -314,7 +311,7 @@ def criterion_03(seed=0):
         psi_tq = psi8_of(chain_implication(chain, masks[:, None], masks[None, :]))
         for _ in range(10):
             ti, qi = rng.randrange(n_subs), rng.randrange(n_subs)
-            ref = psi_delta(chain, chain_implication(chain, subs[ti], subs[qi]), delta)
+            ref = psi_delta(chain, chain_implication(chain, masks[ti], masks[qi]), delta)
             if psi_tq[ti, qi] / 8 != ref:
                 return _result(3, "psi_delta increasing and concave", False,
                                f"conditioned psi disagrees on {shape}", start)
@@ -337,8 +334,8 @@ def criterion_03(seed=0):
                 r, c = np.argwhere(bad)[0]
                 t, t2 = a[r], b[r]
                 value = (int(amb[t, c]) - int(amb[t2, c])) / 8
-                first_witness = (shape, chain.levels_of(subs[t]), chain.levels_of(subs[t2]),
-                                 chain.levels_of(subs[c]), value)
+                first_witness = (shape, chain.levels_of(masks[t]), chain.levels_of(masks[t2]),
+                                 chain.levels_of(masks[c]), value)
     detail = (f"strict increase: {increasing_pairs} pairs OK; concavity: "
               f"{concave_triples} triples, {violations} violations")
     if first_witness:

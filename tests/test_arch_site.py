@@ -3,6 +3,7 @@ import random
 import sys
 from itertools import chain, combinations
 
+import numpy as np
 import pytest
 
 from sheafnet.arch_site import (
@@ -391,12 +392,63 @@ def random_relations(rng, n):
     return [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.35]
 
 
-def test_open_masks_repeat_call_returns_the_same_tuple():
+def comprehension_opens(poset):
+    """The reference enumeration, over Python ints: along the linear
+    extension, extend every open so far that holds the strict down-set."""
+    opens = [0]
+    for x in poset.linear_extension():
+        i = poset.index[x]
+        need = poset._down[i] & ~(1 << i)
+        opens += [m | (1 << i) for m in opens if m & need == need]
+    return sorted(opens)
+
+
+def test_open_masks_repeat_call_returns_the_same_array():
     poset = build_poset(fork_surgery(fixture_graph("diamond")))
     first = open_masks(poset)
-    assert isinstance(first, tuple) and len(first) == 12
+    assert isinstance(first, np.ndarray) and len(first) == 12
     assert open_masks(poset) is first
     assert open_masks(poset, bound=20) is first
+
+
+def test_open_masks_array_is_read_only():
+    opens = open_masks(build_poset(fork_surgery(fixture_graph("diamond"))))
+    with pytest.raises(ValueError):
+        opens[0] = 1
+    with pytest.raises(ValueError):
+        opens |= 1
+    assert opens.tolist() == sorted(opens.tolist()) and opens[0] == 0
+
+
+def test_open_masks_match_the_comprehension_on_random_posets():
+    """Up to 14 elements with sparse orders, and 30 to 45 elements with
+    dense ones, on both sides of the uint32/uint64 boundary."""
+    rng = random.Random(23)
+    for _ in range(60):
+        n = rng.randint(0, 14)
+        relations = random_relations(rng, n)
+        if rng.random() < 0.4:
+            n = rng.randint(30, 45)
+            relations = [(i, j) for i in range(n) for j in range(i + 1, n)
+                         if rng.random() < 0.7]
+        poset = FinitePoset(range(n), relations)
+        opens = open_masks(poset, bound=45)
+        assert opens.dtype == poset.mask_dtype
+        assert opens.tolist() == comprehension_opens(poset)
+
+
+@pytest.mark.parametrize("n", [31, 32, 33, 63, 64, 65, 66])
+def test_open_masks_of_long_chains(n, monkeypatch):
+    """A raised bound still enumerates chains past 64 elements, as Python
+    ints; up to 64 elements the array is in the poset's `mask_dtype`."""
+    monkeypatch.setenv("SHEAFNET_BOUND", "100")
+    poset = FinitePoset.chain(n - 1)
+    opens = open_masks(poset)
+    assert opens.dtype == (poset.mask_dtype if n <= 64 else np.dtype(object))
+    assert opens.tolist() == comprehension_opens(poset) == [(1 << k) - 1 for k in range(n + 1)]
+    assert open_masks(poset) is opens
+    with pytest.raises(ValueError):
+        opens[-1] = 0
 
 
 def test_open_masks_checks_the_bound_after_caching(monkeypatch):

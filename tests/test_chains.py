@@ -153,7 +153,31 @@ def test_batched_formulas_at_the_width_boundary(shape):
         assert np.array_equal(t[:, 0], masks) and np.array_equal(q[0], masks)
         neg = chain_implication(e, 0, masks)
         assert neg.dtype == dtype and neg.tolist() == [chain_implication(e, 0, m) for m in subs]
+        top = chain_implication(e, masks, 0)
+        assert top.dtype == dtype and top.tolist() == [chain_implication(e, m, 0) for m in subs]
         assert np.array_equal(masks, subs)
+
+
+def test_scalar_entry_points_mix_array_elements_with_python_ints():
+    """An element of the opens array (a numpy scalar) next to Python ints,
+    such as the bottom 0, gives the all-int result, as a Python int."""
+    e = ChainObject.of({"x", "y", "z"}, {"x", "y"}, {"x"})
+    poset = elements_poset(e.as_presheaf())
+    opens = open_masks(poset)
+    delta = DeltaSequence.dyadic(e.n)
+    calls = [lambda t, q: chain_implication(e, t, q),
+             lambda q, t: hey.implies_mask(poset, q, t),
+             lambda q, t: hey.oracle_implies_mask(poset, q, t, opens),
+             lambda q, t: hey.oracle_implies_mask(poset, q, t)]
+    for i in range(len(opens)):
+        m, v = opens[i], int(opens[i])
+        for other in (0, hey.top_mask(poset), int(opens[-1 - i])):
+            for call in calls:
+                for got, want in [(call(m, other), call(v, other)),
+                                  (call(other, m), call(other, v))]:
+                    assert type(got) is int and got == want
+        assert poset.set_of(m) == poset.set_of(v)
+        assert psi_delta(e, m, delta) == psi_delta(e, v, delta)
 
 
 # -- delta sequences and psi ----------------------------------------------------

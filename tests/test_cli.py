@@ -40,6 +40,40 @@ def test_site_reports_are_byte_identical(capsys, datadir):
     assert json.loads(out1)["loop_rank"] == 3
 
 
+def test_the_parser_is_built_once_and_dispatches_at_call_time(capsys, datadir, monkeypatch):
+    """Every `main` call after the first reuses the parser; a bad argument
+    still exits 2 on a later call, and the command runs through the module
+    attribute ``cmd_<command>`` as it is at that call."""
+    from sheafnet import cli
+
+    cli.make_parser.cache_clear()
+    chain = str(datadir / "chain.json")
+    first = run(capsys, "site", "--in", chain)
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["site", "--in", chain, "--bogus"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        assert run(capsys, "site", "--in", chain) == first
+    monkeypatch.setattr(cli, "cmd_site", lambda args: 7)
+    assert main(["site", "--in", chain]) == 7
+    assert cli.make_parser.cache_info().misses == 1
+    assert cli.make_parser.cache_info().hits == 5
+
+
+def test_heyting_on_a_chain_past_64_elements(capsys, tmp_path, monkeypatch):
+    """Under a raised bound the 100-element chain's 101 opens are Python
+    ints, and its implication table keeps the bytes it had when the opens
+    were a tuple."""
+    monkeypatch.setenv("SHEAFNET_BOUND", "100")
+    path = tmp_path / "chain100.json"
+    path.write_text(json.dumps({"elements": list(range(100)),
+                                "leq": [[i, i + 1] for i in range(99)]}))
+    code, out, _ = run(capsys, "heyting", "--in", str(path))
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
+        (0, "588265a179c1c3f4d0796ebda6a4f7e617544f8ef02f63099e18d9b166b2ca92")
+
+
 def test_site_missing_file_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "site", "--in", str(tmp_path / "nope.json"))
     assert code == 2

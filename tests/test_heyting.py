@@ -104,7 +104,7 @@ def test_batched_implies_mask_matches_scalar_path_and_oracle(n):
     on both sides of each byte boundary cover the last, partial byte."""
     rng = random.Random(n)
     p = random_poset(rng, n)
-    opens = open_masks(p, bound=25)
+    opens = open_masks(p, bound=25).tolist()
     qs = rng.sample(opens, min(16, len(opens)))
     q, t = np.array(qs, dtype=np.uint64)[:, None], np.array(opens, dtype=np.uint64)
     got = hey.implies_mask(p, q, t)
@@ -123,7 +123,7 @@ def test_negation_and_int_implication_on_uint64_arrays(n):
     arrays gives the scalar results element by element."""
     rng = random.Random(n)
     p = random_poset(rng, n)
-    opens = open_masks(p, bound=25)
+    opens = open_masks(p, bound=25).tolist()
     masks = np.array(opens, dtype=np.uint64)
     for t in rng.sample(opens, min(4, len(opens))) + [0]:
         got = hey.implies_mask(p, masks, t)
@@ -168,11 +168,24 @@ def test_mask_arrays_at_the_width_boundary(n):
         assert neg.dtype == dtype and neg.tolist() == [hey.implies_mask(p, m, 0) for m in qs]
 
 
+def test_oracle_equals_implies_on_a_chain_past_64_elements(monkeypatch):
+    """Under a raised bound the 101 opens of a 100-element chain are Python
+    ints in an object array, and the oracle's scan still gives Q => T."""
+    monkeypatch.setenv("SHEAFNET_BOUND", "100")
+    p = FinitePoset.chain(99)
+    assert open_masks(p).dtype == object
+    opens = list(hey.OpenAlgebra(p).elements())
+    assert len(opens) == 101
+    for q in opens:
+        for t in opens:
+            assert hey.oracle_implies(p, q, t) == hey.implies(p, q, t)
+
+
 def test_heyting_adjunction_and_lattice_laws():
     rng = random.Random(5)
     for _ in range(8):
         p = random_poset(rng, rng.randint(2, 6))
-        opens = open_masks(p)
+        opens = open_masks(p).tolist()
         top = hey.top_mask(p)
         for q in opens:
             nq = hey.implies_mask(p, q, 0)

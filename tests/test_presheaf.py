@@ -523,7 +523,7 @@ def test_subobject_lattice_heyting_laws():
     cases = [small_presheaf(rng) for _ in range(5)] + [diamond_presheaf(rng)]
     for p in cases:
         poset = elements_poset(p)
-        subs = open_masks(poset)
+        subs = open_masks(poset).tolist()
         top, bot = hey.top_mask(poset), 0
         leq = lambda a, b: a & ~b == 0
         pairs = [(q, t) for q in subs for t in subs]
