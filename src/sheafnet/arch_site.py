@@ -512,8 +512,11 @@ class FinitePoset:
     @property
     def mask_dtype(self):
         """The numpy dtype of this poset's mask arrays: uint32 up to 32
-        elements, else uint64."""
-        return np.dtype(np.uint32 if len(self.elements) <= 32 else np.uint64)
+        elements, uint64 up to 64; a larger poset raises PosetError."""
+        n = len(self.elements)
+        if n > 64:
+            raise PosetError(f"{n} elements: mask arrays hold at most 64")
+        return np.dtype(np.uint32 if n <= 32 else np.uint64)
 
     @cached_property
     def _up_byte_tables(self):

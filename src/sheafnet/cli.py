@@ -257,7 +257,8 @@ def _section_bound(args):
 def _emit_sections(secs, args):
     """The count and the first ``--limit`` sections, states as strings."""
     emit_report({"count": len(secs),
-                 "sections": [{str(k): str(v) for k, v in s.items()} for s in secs][:args.limit]},
+                 "sections": [{str(k): str(v) for k, v in s.items()}
+                              for s in secs.tuples[:args.limit]]},
                 args.out)
     return 0
 

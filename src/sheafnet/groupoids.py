@@ -13,8 +13,10 @@ Omega^X is out of scope; the component level is finitely checkable.
 A `StackOverPoset` is closed like a presheaf, by `FinitePoset.extend_covering`.
 `check_fibrant_injective` tests diagrams of sets or of groupoids over a
 network poset for fibrancy in the injective sense, in one walk over the
-lower covers: surjectivity (or the isofibration condition) along single
-covering arrows, joint surjectivity onto the product at every confluence.
+lower covers with one test per kind of diagram: the pairing of the
+restrictions into the product of the lower covers' fibers must be
+surjective, resp. a multi-fibration.  Along a single covering arrow this
+is surjectivity, resp. the isofibration condition.
 """
 
 import math
@@ -245,27 +247,14 @@ def check_adjunction_and_section(functor, component_bound=8):
 # Fibrations
 # ---------------------------------------------------------------------------
 
-def is_fibration(functor):
-    """Isofibration: every target morphism starting at the image of an
-    object lifts to a morphism starting at that object."""
-    g, h = functor.source, functor.target
-    for x in g.objects:
-        fx = functor.object_map[x]
-        for phi in h.morphisms:
-            if h.src[phi] != fx:
-                continue
-            if not any(g.src[m] == x and functor.morphism_map[m] == phi
-                       for m in g.morphisms):
-                return False
-    return True
-
-
 def is_multifibration(functors):
     """A family of functors F_i with common source G is a multi-fibration
     when its pairing G -> prod_i target(F_i) is a fibration: at every object
     x, the tuples (F_i(m))_i over the morphisms m out of x are all the
     tuples (phi_i)_i of target morphisms with src(phi_i) = F_i(x).  They
-    always lie among them, so counting the distinct ones suffices."""
+    always lie among them, so counting the distinct ones suffices.  For one
+    functor this is the isofibration condition: every target morphism out
+    of F(x) lifts to a morphism out of x."""
     functors = list(functors)
     g = functors[0].source
     if any(f.source is not g and f.source != g for f in functors):
@@ -331,18 +320,16 @@ class FibrancyReport:
 def check_fibrant_injective(diagram):
     """Fibrancy of a set- or groupoid-valued diagram over a network poset.
 
-    At every element with one covered predecessor the restriction must be
-    surjective (sets) or an isofibration (groupoids); at every confluence
-    (two or more covered predecessors) the pairing into the product must be
-    surjective, resp. a fibration.  Verdicts are reported per element.
+    At every element with covered predecessors, the pairing of their
+    restrictions into the product must be surjective (sets), resp. a
+    multi-fibration (groupoids).  With one predecessor this is surjectivity,
+    resp. an isofibration; only the ``why`` text says which case applies.
+    Verdicts are reported per element.
     """
-    if isinstance(diagram, Presheaf):
-        arrow, confluence = _surjective, _onto_product
-    elif isinstance(diagram, StackOverPoset):
-        arrow, confluence = _isofibration, _multifibration
-    else:
+    sets = isinstance(diagram, Presheaf)
+    if not sets and not isinstance(diagram, StackOverPoset):
         raise GroupoidError("diagram must be a Presheaf or a StackOverPoset")
-    sets, poset = isinstance(diagram, Presheaf), diagram.poset
+    test, poset = _onto_product if sets else _multifibration, diagram.poset
     covers, verdicts = poset.lower_covers(), {}
     for y in poset.elements:
         preds = covers[y]
@@ -352,35 +339,27 @@ def check_fibrant_injective(diagram):
         if not preds:
             entry["ok"] = True
         else:
-            test = arrow if len(preds) == 1 else confluence
             entry["ok"], entry["why"] = test(diagram, preds, y)
         verdicts[y] = entry
     return FibrancyReport(all(e["ok"] for e in verdicts.values()), verdicts)
 
 
-def _surjective(p, preds, y):
-    x = preds[0]
-    image = {p.restrict(x, y, s) for s in p.carriers[y]}
-    ok = image == set(p.carriers[x])
-    return ok, "restriction surjective" if ok else \
-        f"restriction to {x!r} misses {sorted(map(str, set(p.carriers[x]) - image))}"
-
-
 def _onto_product(p, preds, y):
-    # restrictions land in carriers without repeats: the image lies in the product
-    image = {tuple(p.restrict(x, y, s) for x in preds) for s in p.carriers[y]}
+    # index maps land in carriers without repeats: the image lies in the product
+    image = set(zip(*(p.index_maps[(x, y)] for x in preds)))
     size = math.prod(len(p.carriers[x]) for x in preds)
     ok = len(image) == size
-    return ok, "onto the product" if ok else f"misses {size - len(image)} tuples of the product"
-
-
-def _isofibration(stack, preds, y):
-    ok = is_fibration(stack.glue[(preds[0], y)])
-    return ok, "isofibration" if ok else "lift missing"
+    if len(preds) >= 2:
+        return ok, "onto the product" if ok else f"misses {size - len(image)} tuples of the product"
+    x = preds[0]
+    missed = [s for k, s in enumerate(p.carriers[x]) if (k,) not in image]
+    return ok, "restriction surjective" if ok else \
+        f"restriction to {x!r} misses {sorted(map(str, missed))}"
 
 
 def _multifibration(stack, preds, y):
     ok = is_multifibration([stack.glue[(x, y)] for x in preds])
+    if len(preds) == 1:
+        return ok, "isofibration" if ok else "lift missing"
     return ok, "multi-fibration onto the product" if ok else \
         "pairing into the product is not a fibration"
-

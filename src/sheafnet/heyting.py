@@ -20,10 +20,10 @@ in one pass.  Negation is Q => bottom (on masks,
 or a numpy integer, such as an element of the opens array, and is read as
 a Python int.  `implies_mask` and `oracle_implies_mask` also evaluate
 elementwise on numpy arrays of masks, in the poset's `mask_dtype`
-(uint32 up to 32 elements, else uint64) or any wider unsigned dtype.  There
-`implies_mask` reads the up-closure of Q - T one byte at a time from the
-poset's 256-entry tables (a table lookup per byte instead of a pass per
-element).
+(uint32 up to 32 elements, uint64 up to 64) or any wider unsigned dtype.
+There `implies_mask`, which refuses a poset of over 64 elements, reads the
+up-closure of Q - T one byte at a time from the poset's 256-entry tables
+(a table lookup per byte instead of a pass per element).
 
 Each representation has one engine, and each serves its own traffic.
 Masks serve the bulk sweeps: the acceptance harnesses evaluate millions of
@@ -61,11 +61,12 @@ def implies_mask(poset, q, t):
             out &= ~up
             bad &= ~up
         return out
+    tables = poset._up_byte_tables            # PosetError past 64 elements
     bad = q & (top ^ t)
     # byte k of each mask, least significant first, as a strided uint8 view
     byte = np.asarray(bad, bad.dtype.newbyteorder("<"), order="C")
     byte = byte.view(np.uint8).reshape(bad.shape + (bad.itemsize,))
-    tables = poset._up_byte_tables.astype(bad.dtype, copy=False)
+    tables = tables.astype(bad.dtype, copy=False)
     up = np.take(tables[0], byte[..., 0])
     entry = np.empty_like(up)
     for k in range(1, len(tables)):

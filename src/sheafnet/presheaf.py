@@ -3,15 +3,18 @@
 A presheaf assigns a finite carrier to every poset element and a
 restriction map F(y) -> F(x) to every covering pair x < y; composites along
 order paths must agree (built and checked at construction by
-`FinitePoset.extend_covering`, as for groupoid stacks).  Global sections (the
-limit H0) are listed exactly by one join over the maximal elements, so
-the work follows the partial sections joined, not the product of the
-carriers.  `sheafify_at_forks` extends a presheaf on the star-free poset
-to the full fork site, putting the product of the tip carriers on each
-star.  A cat's manifold is the preimage of an output predicate along the
-projection H0 -> prod F(outputs): `cats_manifold` keeps the sections whose
-output states are accepted.  The paper's construction, sections of the site
-extended by a terminal fork, is the reference the tests check it against.
+`FinitePoset.extend_covering`, as for groupoid stacks).  Inside, a state is
+its index in its carrier and a restriction is one tuple of indices; the
+states themselves are labels, read only by `restrict` and in the sections
+handed out.  Global sections (the limit H0) are listed exactly by one
+join over the maximal elements, so the work follows the partial sections
+joined, not the product of the carriers.  `sheafify_at_forks` extends a
+presheaf on the star-free poset to the full fork site, putting the
+product of the tip carriers on each star.  A cat's manifold is the
+preimage of an output predicate along the projection H0 -> prod
+F(outputs): `cats_manifold` keeps the sections whose output states are
+accepted.  The paper's construction, sections of the site extended by a
+terminal fork, is the reference the tests check it against.
 
 A subobject (a stable family of subsets) is an open of the poset of
 elements `elements_poset(F)`, so subobjects are computed with the one
@@ -29,70 +32,74 @@ DEFAULT_SECTION_BOUND = 10**6
 
 class Presheaf:
     def __init__(self, poset, carriers, maps):
-        """``carriers``: element -> iterable of states.  ``maps``: for every
-        covering pair (x, y) with x < y a dict sending each state of F(y)
-        to a state of F(x)."""
+        """``carriers``: element -> iterable of states (the labels).  ``maps``:
+        for every covering pair (x, y) with x < y a dict sending each state
+        of F(y) to a state of F(x).  Kept: ``index[x]``, each state's index
+        in F(x), and for every x <= y the tuple ``index_maps[(x, y)]``, whose
+        entry j is the index in F(x) of the image of state j of F(y)."""
         self.poset = poset
         self.carriers = {x: tuple(carriers[x]) for x in poset.elements}
+        self.index = {x: {s: k for k, s in enumerate(c)} for x, c in self.carriers.items()}
         for x, states in self.carriers.items():
-            if len(set(states)) != len(states):
+            if len(self.index[x]) != len(states):
                 raise PresheafError(f"carrier at {x!r} has repeated states")
-        self.maps, self._restrictions = poset.extend_covering(
+        _, self.index_maps = poset.extend_covering(
             maps, self._checked_map,
-            identity=lambda x: {s: s for s in self.carriers[x]},
-            compose=lambda lower, step: {s: lower[t] for s, t in step.items()},
+            identity=lambda x: tuple(range(len(self.carriers[x]))),
+            compose=lambda lower, step: tuple(map(lower.__getitem__, step)),
             error=PresheafError, noun="restriction map",
             clash="functoriality failure between {x!r} and {y!r}: "
                   "two order paths compose to different maps")
 
     def _checked_map(self, pair, m):
-        """The map of a covering pair x < y, on F(y) in carrier order."""
+        """The index tuple of the map of a covering pair x < y."""
         x, y = pair
         m = dict(m)
-        missing = set(self.carriers[y]) - set(m)
+        missing = self.index[y].keys() - m.keys()
         if missing:
             raise PresheafError(f"map {pair!r} undefined on {sorted(map(str, missing))}")
-        bad = set(m.values()) - set(self.carriers[x])
-        if bad:
+        lower = self.index[x]
+        if not lower.keys() >= set(m.values()):
             raise PresheafError(f"map {pair!r} lands outside F({x!r})")
-        return {s: m[s] for s in self.carriers[y]}
+        return tuple([lower[m[s]] for s in self.carriers[y]])
 
     def restrict(self, x, y, state):
-        """Image of ``state`` in F(x) along x <= y."""
-        return self._restrictions[(x, y)][state]
-
-    def restriction_map(self, x, y):
-        return dict(self._restrictions[(x, y)])
+        """Image of ``state`` in F(x) along x <= y, decoded to its label."""
+        return self.carriers[x][self.index_maps[(x, y)][self.index[y][state]]]
 
     # -- sections ----------------------------------------------------------
 
     def sections(self, bound=DEFAULT_SECTION_BOUND):
         """Exact enumeration of the limit over the poset: one join over the
-        maximal elements, each one's states bucketed by their restrictions
-        to the elements that earlier ones assigned.  ``bound`` counts the
-        joined candidates (a partial section and a state of its bucket);
-        BoundExceeded is raised once there are more."""
-        poset, partial, assigned, joined = self.poset, [{}], set(), 0
+        maximal elements on state indices, each one's states bucketed by
+        their restrictions to the elements that earlier ones assigned.
+        ``bound`` counts the joined candidates (a partial row and a state of
+        its bucket); BoundExceeded is raised once there are more.  Each row
+        is decoded once, into a dict in assignment order, sorted by `str`."""
+        poset, rows, slot, joined = self.poset, [()], {}, 0
         for m in poset.maximal():
             down = poset.down_mask(m)
             below = [x for i, x in enumerate(poset.elements) if down >> i & 1]
-            shared = [x for x in below if x in assigned]
-            buckets = {}
-            for s in self.carriers[m]:
-                image = {x: self._restrictions[(x, m)][s] for x in below}
-                buckets.setdefault(tuple(image[x] for x in shared), []).append(image)
+            shared = [x for x in below if x in slot]
+            fresh = [x for x in below if x not in slot]      # holds m: zip runs over F(m)
+            buckets, cut = {}, len(shared)
+            for image in zip(*[self.index_maps[(x, m)] for x in shared + fresh]):
+                buckets.setdefault(image[:cut], []).append(image[cut:])
+            shared_at = [slot[x] for x in shared]
             extended = []
-            for section in partial:
-                bucket = buckets.get(tuple(section[x] for x in shared), ())
+            for row in rows:
+                bucket = buckets.get(tuple([row[p] for p in shared_at]), ())
                 joined += len(bucket)
                 if joined > bound:
                     raise BoundExceeded(
                         f"section search explored more than {bound} candidates")
-                extended += [{**section, **image} for image in bucket]
-            partial = extended
-            assigned.update(below)
-        partial.sort(key=lambda s: tuple(str(s[x]) for x in poset.elements))
-        return SectionSet(tuple(poset.elements), tuple(partial))
+                extended += [row + new for new in bucket]
+            rows = extended
+            slot.update({x: len(slot) + j for j, x in enumerate(fresh)})
+        labels = [self.carriers[x] for x in slot]
+        decoded = [dict(zip(slot, map(tuple.__getitem__, labels, row))) for row in rows]
+        decoded.sort(key=lambda s: tuple([str(s[x]) for x in poset.elements]))
+        return SectionSet(tuple(poset.elements), tuple(decoded))
 
 
 @dataclass(frozen=True)
@@ -120,10 +127,10 @@ def elements_poset(presheaf):
     (y, r) <= (x, s) iff y <= x and r = s|y.  Its opens are exactly the
     subobjects of F.  Elements are listed poset element by poset element,
     each one's states in carrier order."""
-    poset = presheaf.poset
-    elements = [(x, s) for x in poset.elements for s in presheaf.carriers[x]]
-    relations = [((y, presheaf.restrict(y, x, s)), (x, s))
-                 for y, x in poset.covering() for s in presheaf.carriers[x]]
+    poset, carriers = presheaf.poset, presheaf.carriers
+    elements = [(x, s) for x in poset.elements for s in carriers[x]]
+    relations = [((y, carriers[y][k]), (x, s)) for y, x in poset.covering()
+                 for s, k in zip(carriers[x], presheaf.index_maps[(y, x)])]
     return FinitePoset(elements, relations)
 
 
@@ -155,19 +162,21 @@ def sheafify_at_forks(presheaf, fg):
     carriers = dict(presheaf.carriers)
     for star, f in star_of.items():
         carriers[star] = tuple(iproduct(*(presheaf.carriers[t] for t in f.tips)))
+
+    def images(x, y):                                # of F(y)'s states in F(x)
+        return [carriers[x][k] for k in presheaf.index_maps[(x, y)]]
+
     maps = {}
     # by covering pairs: a tip below another tip of its fork is not covered by the star
     for x, y in big.covering():
         if x in star_of:                             # star < tang: the product map
-            f = star_of[x]
-            maps[(x, y)] = {
-                s: tuple(presheaf.restrict(t, f.tang, s) for t in f.tips)
-                for s in presheaf.carriers[f.tang]}
+            tips = star_of[x].tips
+            maps[(x, y)] = dict(zip(carriers[y], zip(*(images(t, y) for t in tips))))
         elif y in star_of:                           # tip < star: the projection
             pos = star_of[y].tips.index(x)
             maps[(x, y)] = {tup: tup[pos] for tup in carriers[y]}
         else:
-            maps[(x, y)] = presheaf.restriction_map(x, y)
+            maps[(x, y)] = dict(zip(carriers[y], images(x, y)))
     return Presheaf(big, carriers, maps)
 
 

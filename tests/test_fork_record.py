@@ -110,7 +110,7 @@ class ArrowPattern:
                 pos = self.tips(y).index(x)
                 maps[(x, y)] = {tup: tup[pos] for tup in carriers[y]}
             else:
-                maps[(x, y)] = presheaf.restriction_map(x, y)
+                maps[(x, y)] = {s: presheaf.restrict(x, y, s) for s in presheaf.carriers[y]}
         return Presheaf(big, carriers, maps)
 
 
@@ -299,7 +299,7 @@ def assert_same_presheaf(got, want):
     assert got.poset.elements == want.poset.elements
     assert got.carriers == want.carriers
     for x, y in leq_pairs(want.poset):
-        assert got.restriction_map(x, y) == want.restriction_map(x, y)
+        assert got.index_maps[(x, y)] == want.index_maps[(x, y)]
     assert got.sections().tuples == want.sections().tuples
 
 

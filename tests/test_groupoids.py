@@ -18,7 +18,6 @@ from sheafnet.groupoids import (
     check_adjunction_and_section,
     check_fibrant_injective,
     discrete_groupoid,
-    is_fibration,
     is_multifibration,
     lambda_transport,
     pair_groupoid,
@@ -403,6 +402,39 @@ def test_adjunction_check_bound():
 
 
 # -- fibrations ---------------------------------------------------------------
+
+def is_fibration(functor):
+    """Reference isofibration test, searched lift by lift: every target
+    morphism starting at the image of an object lifts to a morphism
+    starting at that object."""
+    g, h = functor.source, functor.target
+    for x in g.objects:
+        fx = functor.object_map[x]
+        for phi in h.morphisms:
+            if h.src[phi] != fx:
+                continue
+            if not any(g.src[m] == x and functor.morphism_map[m] == phi
+                       for m in g.morphisms):
+                return False
+    return True
+
+
+def test_one_functor_multifibration_is_the_isofibration_test():
+    """Counting the lifts of one functor is the isofibration test: on random
+    functors between unions of pair groupoids, and into and out of groups."""
+    rng = random.Random(31)
+    functors = [random_functor(rng) for _ in range(150)]
+    for _ in range(150):
+        src = random_component_groupoid(rng, "s", 3)
+        functors.append(random_functor_from(rng, src, "t", 3))
+    c2 = group_as_groupoid({"r": cyclic_perm([0, 1])})
+    disc = discrete_groupoid(["*"])
+    functors += [identity_functor(c2), constant_functor(disc, c2, "*"),
+                 GroupoidFunctor.of(c2, disc, {"*": "*"}, {m: ("id", "*") for m in c2.morphisms})]
+    verdicts = [is_fibration(f) for f in functors]
+    assert [is_multifibration([f]) for f in functors] == verdicts
+    assert 0 < sum(verdicts) < len(verdicts)
+
 
 def test_identity_is_fibration():
     g = group_as_groupoid({"r": cyclic_perm([0, 1, 2])})

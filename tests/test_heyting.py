@@ -149,6 +149,23 @@ def test_mask_dtype_at_the_width_boundary(n, dtype):
         p.mask_dtype = np.uint64
 
 
+def test_mask_arrays_are_refused_past_64_elements():
+    """A 71-element chain has no mask dtype: the array path says so with a
+    PosetError, and the scalar path still works on Python ints."""
+    p = FinitePoset.chain(70)
+    assert FinitePoset.chain(63).mask_dtype == np.uint64
+    with pytest.raises(PosetError, match="71 elements: mask arrays hold at most 64"):
+        p.mask_dtype
+    with pytest.raises(PosetError, match="at most 64"):
+        hey.implies_mask(p, np.array([1], dtype=np.uint64), 0)
+    top = hey.top_mask(p)
+    assert hey.implies_mask(p, 1, 0) == 0
+    assert hey.implies_mask(p, top, top >> 1) == top >> 1
+    algebra = hey.OpenAlgebra(p)
+    assert p.set_of(hey.implies_mask(p, top, top >> 1)) == \
+        algebra.implies(p.set_of(top), p.set_of(top >> 1))
+
+
 @pytest.mark.parametrize("n", [32, 33])
 def test_mask_arrays_at_the_width_boundary(n):
     """uint32 arrays (where the poset allows them) and uint64 arrays give the

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from itertools import product as iproduct
@@ -5,9 +6,12 @@ from itertools import product as iproduct
 import pytest
 
 from sheafnet import heyting as hey
+from sheafnet import verify
 from sheafnet.arch_site import FinitePoset, SiteGraph, build_poset, fork_surgery, open_masks
+from sheafnet.cli import main
 from sheafnet.data import fixture_graph
 from sheafnet.errors import BoundExceeded, PosetError, PresheafError
+from sheafnet.groupoids import check_fibrant_injective
 from sheafnet.presheaf import (
     Presheaf,
     SectionSet,
@@ -33,6 +37,39 @@ def brute_force_sections(p):
         if ok:
             out.append(s)
     return out
+
+
+def restriction_map(p, x, y):
+    """The restriction x <= y of ``p`` as a dict of labels, state by state."""
+    return {s: p.restrict(x, y, s) for s in p.carriers[y]}
+
+
+def reference_sections(p, bound=10**6):
+    """The join on labelled dicts that the index join replaced: each maximal
+    element's states, as dicts of their images, bucketed by their images on
+    the elements already assigned; rows sorted by the ``str`` of their
+    states."""
+    poset, partial, assigned, joined = p.poset, [{}], set(), 0
+    for m in poset.maximal():
+        down = poset.down_mask(m)
+        below = [x for i, x in enumerate(poset.elements) if down >> i & 1]
+        shared = [x for x in below if x in assigned]
+        maps = {x: restriction_map(p, x, m) for x in below}
+        buckets = {}
+        for s in p.carriers[m]:
+            image = {x: maps[x][s] for x in below}
+            buckets.setdefault(tuple(image[x] for x in shared), []).append(image)
+        extended = []
+        for section in partial:
+            bucket = buckets.get(tuple(section[x] for x in shared), ())
+            joined += len(bucket)
+            if joined > bound:
+                raise BoundExceeded(f"section search explored more than {bound} candidates")
+            extended += [{**section, **image} for image in bucket]
+        partial = extended
+        assigned.update(below)
+    partial.sort(key=lambda s: tuple(str(s[x]) for x in poset.elements))
+    return SectionSet(tuple(poset.elements), tuple(partial))
 
 
 def chain_presheaf(sizes, rng):
@@ -159,6 +196,80 @@ def test_ladder_sections_under_the_default_bound(inputs):
     assert all(p.restrict(x, y, s[y]) == s[x] for s in secs for x, y in p.poset.covering())
 
 
+def nan_presheaf():
+    """A state not equal to itself: one NaN object is the state of the
+    bottom of a V and the image of both restrictions into it."""
+    nan = float("nan")
+    poset = FinitePoset(["a", "b", "c"], [("a", "b"), ("a", "c")])
+    return Presheaf(poset, {"a": (nan,), "b": ("u",), "c": ("v",)},
+                    {("a", "b"): {"u": nan}, ("a", "c"): {"v": nan}})
+
+
+def test_sections_match_the_labelled_join():
+    """Values and dict key order, row by row, and what the bound counts."""
+    rng = random.Random(42)
+    cases = [chain_presheaf([rng.randint(1, 3) for _ in range(rng.randint(2, 4))], rng)
+             for _ in range(20)]
+    cases += [tree_presheaf(rng, upward) for upward in (True, False) for _ in range(20)]
+    cases += [random_standard_presheaf(fork_surgery(_random_layered_architecture(rng, 3)),
+                                       rng, lambda: rng.randint(1, 2)) for _ in range(20)]
+    cases += [ladder_presheaf(n, random.Random(n)) for n in (5, 6)]
+    cases += [nan_presheaf(), Presheaf(FinitePoset.chain(1), {0: (), 1: ()}, {(0, 1): {}}),
+              Presheaf(FinitePoset([], []), {}, {})]
+    for p in cases:
+        got, want = sections(p), reference_sections(p)
+        assert got.elements == want.elements
+        assert [list(s.items()) for s in got] == [list(s.items()) for s in want]
+    assert len(sections(nan_presheaf())) == 1
+    for p in cases[:60]:
+        for bound in range(12):
+            try:
+                want = reference_sections(p, bound)
+            except BoundExceeded:
+                with pytest.raises(BoundExceeded, match=f"more than {bound} candidates"):
+                    sections(p, bound)
+            else:
+                assert sections(p, bound) == want
+
+
+def test_sections_decode_the_carriers_labels():
+    """A map may name an image by an equal value of another type; sections
+    and `restrict` give the carrier's own state."""
+    p = Presheaf(FinitePoset.chain(1), {0: (1, 2), 1: ("u", "v")}, {(0, 1): {"u": 1.0, "v": True}})
+    secs = sections(p)
+    assert [list(s.items()) for s in secs] == [[(0, 1), (1, "u")], [(0, 1), (1, "v")]]
+    assert all(type(s[0]) is int for s in secs)
+    assert all(type(p.restrict(0, 1, s)) is int for s in ("u", "v"))
+    assert p.index_maps[(0, 1)] == (0, 0) and p.index_maps[(1, 1)] == (0, 1)
+
+
+def test_the_library_never_decodes_state_by_state(monkeypatch, tmp_path):
+    """`restrict` is for callers; the library reads the index maps."""
+    def refuse(*args):
+        raise AssertionError("Presheaf.restrict called")
+
+    rng = random.Random(3)
+    fg, p = fork_fixture(rng)
+    confluence = two_output_presheaf(rng)
+    monkeypatch.setattr(Presheaf, "restrict", refuse)
+    assert len(sections(p)) == 2 and len(sections(confluence)) > 0
+    assert len(cats_manifold(p, {"b": ["o0"]})) <= 2
+    assert len(elements_poset(p).elements) == sum(map(len, p.carriers.values()))
+    for diagram in (p, confluence, sheafify_at_forks(p, fg)):
+        check_fibrant_injective(diagram)
+    assert verify.criterion_09(0).passed and verify.criterion_15(0).passed
+    doc = {"poset": {"elements": ["l", "r", "t"], "leq": [["l", "t"], ["r", "t"]]},
+           "carriers": {"l": ["a", "b"], "r": ["c"], "t": ["u", "v"]},
+           "maps": {"l<=t": {"u": "a", "v": "b"}, "r<=t": {"u": "c", "v": "c"}}}
+    (tmp_path / "p.json").write_text(json.dumps(doc))
+    (tmp_path / "pred.json").write_text(json.dumps({"l": ["a"]}))
+    for argv in (["sections", "--in", str(tmp_path / "p.json")],
+                 ["cats-manifold", "--in", str(tmp_path / "p.json"),
+                  "--predicate", str(tmp_path / "pred.json")],
+                 ["stack", "check-fibrant", "--in", str(tmp_path / "p.json")]):
+        assert main(argv) == 0
+
+
 def test_sections_bound():
     rng = random.Random(1)
     p = chain_presheaf([2, 4], rng)
@@ -212,7 +323,7 @@ def test_standard_sheaf_tips_minted_by_surgery_inherit_the_input_carrier():
     tuples = iproduct(carriers["x"], carriers["h"])
     p = standard_feedforward_presheaf(fg, carriers, {}, {"y^": {t: "y0" for t in tuples}})
     assert p.carriers["x'"] == carriers["x"] and p.carriers["h'"] == carriers["h"]
-    assert p.restriction_map("x'", "x") == {"x0": "x0", "x1": "x1"}
+    assert restriction_map(p, "x'", "x") == {"x0": "x0", "x1": "x1"}
     assert len(sections(p)) == 6
 
 
@@ -319,7 +430,7 @@ def test_sheafify_constant_presheaf_diagonal():
     p = constant_presheaf(poset, ("c0", "c1"))
     big = sheafify_at_forks(p, fg)
     star, tang = fg.stars()[0], fg.tangs()[0]
-    m = big.restriction_map(star, tang)
+    m = restriction_map(big, star, tang)
     assert m == {"c0": ("c0", "c0"), "c1": ("c1", "c1")}
 
 
@@ -364,7 +475,7 @@ def terminal_fork_cats_manifold(presheaf, out_predicate, bound=10**6):
         elif y == w1:
             maps[(x, y)] = {"*": True}
         else:
-            maps[(x, y)] = presheaf.restriction_map(x, y)
+            maps[(x, y)] = restriction_map(presheaf, x, y)
     extended = Presheaf(big, carriers, maps)
     secs = extended.sections(bound)
     kept = [{x: s[x] for x in poset.elements} for s in secs]
@@ -432,7 +543,7 @@ def string_labelled(p):
     poset = FinitePoset([str(x) for x in p.poset.elements],
                         [(str(x), str(y)) for x, y in covering])
     return Presheaf(poset, {str(x): c for x, c in p.carriers.items()},
-                    {(str(x), str(y)): p.restriction_map(x, y) for x, y in covering})
+                    {(str(x), str(y)): restriction_map(p, x, y) for x, y in covering})
 
 
 def test_cats_manifold_on_integer_elements_matches_the_reference():
