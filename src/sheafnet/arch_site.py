@@ -39,18 +39,9 @@ from .errors import ArchitectureError, BoundExceeded, PosetError
 from .unionfind import UnionFind
 
 import json
-import os
 
-#: Default ceiling for whole-topology enumeration (overridable per call or
-#: via the SHEAFNET_BOUND environment variable).
+#: Default ceiling, in poset elements, for whole-topology enumeration.
 DEFAULT_ENUM_BOUND = 20
-
-
-def enumeration_bound(bound=None):
-    if bound is not None:
-        return int(bound)
-    env = os.environ.get("SHEAFNET_BOUND")
-    return int(env) if env else DEFAULT_ENUM_BOUND
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +328,7 @@ class FinitePoset:
     A poset does not change after ``__init__``, so it also keeps what is
     derived from its order, each computed on first use and held immutable:
     its open masks (one read-only numpy array, handed out by `open_masks`,
-    which still checks the enumeration bound on every call), `covering()`
+    which checks the caller's enumeration bound on every call), `covering()`
     (a tuple of pairs), `lower_covers()` (a read-only mapping to tuples),
     `strict_sets()` (read-only mappings to frozensets, for
     `heyting.OpenAlgebra`) and, for the batched `heyting.implies_mask`, its
@@ -636,11 +627,11 @@ def open_masks(poset, bound=None):
     """All downward-closed subsets as bit masks, smallest mask first, in one
     read-only numpy array: of the poset's `mask_dtype` up to 64 elements,
     of Python ints (dtype ``object``) above that.  The enumeration bound
-    (``bound``, else ``SHEAFNET_BOUND``, else the default) is checked on
-    every call; the poset enumerates its opens on the first call that passes
-    it and returns the same array after that."""
+    (``bound`` elements, else `DEFAULT_ENUM_BOUND`) is checked on every
+    call; the poset enumerates its opens on the first call that passes it
+    and returns the same array after that."""
     n = len(poset.elements)
-    limit = enumeration_bound(bound)
+    limit = DEFAULT_ENUM_BOUND if bound is None else bound
     if n > limit:
         raise BoundExceeded(f"{n} elements exceeds enumeration bound {limit}")
     return poset._open_masks

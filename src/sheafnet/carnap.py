@@ -204,15 +204,17 @@ def _close_group(gens, bound):
     return np.frombuffer(b"".join(found), dtype=ident.dtype).reshape(len(found), len(ident))
 
 
-def build_symmetry_group(lang, bound=DEFAULT_GROUP_BOUND):
+def build_symmetry_group(lang, bound=None):
     """The group generated by `_generator_indices`, closed once by
-    `_close_group` (at most ``bound`` elements) into the element matrix
-    ``perms``, rows in closure order.  No element is decoded here:
-    `SymmetryGroup.elements` decodes the rows into state dicts when it is
-    read.  A language with no generator (one subject, one attribute, one
-    value) has the trivial group, its one row of the generators' dtype."""
+    `_close_group` (at most ``bound`` elements, else `DEFAULT_GROUP_BOUND`)
+    into the element matrix ``perms``, rows in closure order.  No element is
+    decoded here: `SymmetryGroup.elements` decodes the rows into state dicts
+    when it is read.  A language with no generator (one subject, one
+    attribute, one value) has the trivial group, its one row of the
+    generators' dtype."""
     gens = _generator_indices(lang)
     n = len(lang.states)
+    bound = DEFAULT_GROUP_BOUND if bound is None else bound
     perms = _close_group(list(gens.values()), bound) if gens else \
         np.arange(n, dtype=np.min_scalar_type(n - 1))[None, :]
     return SymmetryGroup(lang, gens, len(perms), perms)

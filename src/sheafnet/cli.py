@@ -3,18 +3,19 @@
 Subcommands: site, sections, cats-manifold, heyting, stack, info, carnap,
 dyn, verify.  Every subcommand takes --out.  Only the commands that read a
 flag take it, so a flag a command would ignore exits 2: --bound goes on
-sections, cats-manifold, heyting and carnap (the SHEAFNET_BOUND environment
-variable overrides the default enumeration bound), --seed on info, dyn and
-verify.  Reports are JSON, except the CSV table of `dyn cusp`.  Exit codes:
-0 success, 1 check failure, 2 input error.  Reports are stable-ordered
-(sorted JSON keys, fixed row order) so identical configurations diff
-byte-identically.
+sections, cats-manifold, heyting and carnap, --seed on info, dyn and verify.
+An absent --bound takes the SHEAFNET_BOUND environment variable (unset or
+empty: the library's default); `main` is the one place that reads it.
+Reports are JSON, except the CSV table of `dyn cusp`.  Exit codes: 0
+success, 1 check failure, 2 input error.  Reports are stable-ordered (sorted
+JSON keys, fixed row order) so identical configurations diff byte-identically.
 """
 
 import argparse
 import functools
 import json
 import math
+import os
 import random
 import sys
 
@@ -30,7 +31,6 @@ from .arch_site import (
     site_report,
 )
 from .carnap import (
-    DEFAULT_GROUP_BOUND,
     build_language,
     build_symmetry_group,
     orbit_report,
@@ -62,7 +62,7 @@ from .groupoids import (
     check_fibrant_injective,
     pair_groupoid,
 )
-from .presheaf import DEFAULT_SECTION_BOUND, Presheaf, cats_manifold, sections
+from .presheaf import Presheaf, cats_manifold, sections
 from .seminfo import (
     BooleanLanguage,
     ambiguity,
@@ -239,7 +239,7 @@ def cmd_site(args):
 
 def cmd_sections(args):
     p = _load_presheaf(_load_json(args.infile))
-    return _emit_sections(sections(p, _section_bound(args)), args)
+    return _emit_sections(sections(p, args.bound), args)
 
 
 def cmd_cats_manifold(args):
@@ -247,11 +247,7 @@ def cmd_cats_manifold(args):
     names = {str(x): x for x in p.poset.elements}      # as in `_covering_pair`
     predicate = {names.get(k, k): _scalar_list(v, f"predicate on {k!r}")
                  for k, v in _load_json(args.predicate).items()}
-    return _emit_sections(cats_manifold(p, predicate, _section_bound(args)), args)
-
-
-def _section_bound(args):
-    return DEFAULT_SECTION_BOUND if args.bound is None else args.bound
+    return _emit_sections(cats_manifold(p, predicate, args.bound), args)
 
 
 def _emit_sections(secs, args):
@@ -368,7 +364,7 @@ def cmd_carnap(args):
         raise SheafnetError(
             f"--attributes must be comma-separated integers, got {args.attributes!r}") from None
     lang = build_language(args.subjects, counts)
-    group = build_symmetry_group(lang, DEFAULT_GROUP_BOUND if args.bound is None else args.bound)
+    group = build_symmetry_group(lang, args.bound)
     report = orbit_report(lang, group)
     simples = simple_propositions(lang)
     out = {
@@ -581,10 +577,22 @@ def make_parser():
     return parser
 
 
+def _environment_bound():
+    """SHEAFNET_BOUND read as --bound reads its value; None if it is unset
+    or empty."""
+    text = os.environ.get("SHEAFNET_BOUND", "")
+    try:
+        return int(text) if text else None
+    except ValueError:
+        raise SheafnetError(f"SHEAFNET_BOUND must be an integer, got {text!r}") from None
+
+
 def main(argv=None):
     args = make_parser().parse_args(argv)
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
+        if "bound" in vars(args) and args.bound is None:
+            args.bound = _environment_bound()
         return command(args)
     except SheafnetError as exc:
         sys.stderr.write(f"error: {exc}\n")

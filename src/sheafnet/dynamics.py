@@ -697,19 +697,6 @@ class BraidReport:
     center_cube: tuple
     center_kind: str            # "minus_identity" | "identity" | "other"
 
-    @property
-    def ok(self):
-        return self.relation_holds
-
-    def as_dict(self):
-        return {
-            "relation_holds": self.relation_holds,
-            "s1s2s1": [list(r) for r in self.lhs],
-            "s2s1s2": [list(r) for r in self.rhs],
-            "center_cube": [list(r) for r in self.center_cube],
-            "center_kind": self.center_kind,
-        }
-
 
 def braid_relation_check(rep):
     """Verify s1 s2 s1 = s2 s1 s2 and classify (s1 s2)^3."""

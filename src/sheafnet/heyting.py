@@ -37,7 +37,7 @@ tests check the two engines against each other and against the oracle.
 
 import numpy as np
 
-from .arch_site import FinitePoset, enumeration_bound, lower_open_sets, open_masks
+from .arch_site import DEFAULT_ENUM_BOUND, FinitePoset, lower_open_sets, open_masks
 from .errors import BoundExceeded, PosetError
 
 
@@ -111,13 +111,14 @@ def oracle_implies(poset, q, t, bound=None):
 
 
 def implication_table(poset, bound=None):
-    """The full opens x opens implication matrix, for reports.  The
-    enumeration bound limits its entries too: more than 2**bound raises
+    """The full opens x opens implication matrix, for reports.  One limit,
+    ``bound`` else `DEFAULT_ENUM_BOUND`, caps both the poset's elements (in
+    `open_masks`) and the table's entries: more than 2**limit raises
     `BoundExceeded` before any row is built.  An open is labelled by its
     element names, joined by commas (``{}`` when empty); two opens with one
     label raise `PosetError`, also before any row is built."""
-    opens = open_masks(poset, bound).tolist()
-    limit = enumeration_bound(bound)
+    limit = DEFAULT_ENUM_BOUND if bound is None else bound
+    opens = open_masks(poset, limit).tolist()
     if len(opens) ** 2 > 1 << limit:
         raise BoundExceeded(f"{len(opens)} opens make a table of {len(opens) ** 2} "
                             f"implications, more than 2^{limit}")

@@ -69,13 +69,15 @@ class Presheaf:
 
     # -- sections ----------------------------------------------------------
 
-    def sections(self, bound=DEFAULT_SECTION_BOUND):
+    def sections(self, bound=None):
         """Exact enumeration of the limit over the poset: one join over the
         maximal elements on state indices, each one's states bucketed by
         their restrictions to the elements that earlier ones assigned.
-        ``bound`` counts the joined candidates (a partial row and a state of
-        its bucket); BoundExceeded is raised once there are more.  Each row
-        is decoded once, into a dict in assignment order, sorted by `str`."""
+        ``bound`` (else `DEFAULT_SECTION_BOUND`) counts the joined
+        candidates (a partial row and a state of its bucket); BoundExceeded
+        is raised once there are more.  Each row is decoded once, into a
+        dict in assignment order, sorted by `str`."""
+        bound = DEFAULT_SECTION_BOUND if bound is None else bound
         poset, rows, slot, joined = self.poset, [()], {}, 0
         for m in poset.maximal():
             down = poset.down_mask(m)
@@ -118,7 +120,7 @@ class SectionSet:
         return [tuple(s[e] for e in elements) for s in self.tuples]
 
 
-def sections(presheaf, bound=DEFAULT_SECTION_BOUND):
+def sections(presheaf, bound=None):
     return presheaf.sections(bound)
 
 
@@ -245,7 +247,7 @@ def _output_elements(presheaf):
     return list(presheaf.poset.minimal())
 
 
-def cats_manifold(presheaf, out_predicate, bound=DEFAULT_SECTION_BOUND):
+def cats_manifold(presheaf, out_predicate, bound=None):
     """Sections whose output components satisfy a predicate.
 
     ``out_predicate`` maps output elements to the accepted subset of their

@@ -1,12 +1,14 @@
 """The acceptance suite: sixteen numbered checks over the whole library.
 
-Each criterion is a function returning a CriterionResult; `run_all` executes
+Each criterion is a check registered under its number and name with
+`criterion`, which times it and returns a CriterionResult; `run_all` executes
 them in order.  Everything is seeded and deterministic.  Heavy exhaustive
 sweeps vectorize the inner loop after validating the vectorized kernel
 against the reference implementation on a seeded sample of the same
 instances; coverage notes are included in each result's detail string.
 """
 
+import functools
 import math
 import random
 import time
@@ -86,8 +88,24 @@ class CriterionResult:
         return f"criterion {self.number:02d} [{status}] {self.name}: {self.detail} ({self.elapsed:.2f}s)"
 
 
-def _result(number, name, passed, detail, start):
-    return CriterionResult(number, name, bool(passed), detail, time.perf_counter() - start)
+#: The criteria in number order, each registered by `criterion`.
+CRITERIA = []
+
+
+def criterion(number, name):
+    """Register a check as acceptance criterion ``number``, called ``name``.
+    The check returns ``(passed, detail)``; the function registered in its
+    place, under its own name, times it and returns the `CriterionResult`."""
+    def register(check):
+        @functools.wraps(check)
+        def run(seed=0):
+            start = time.perf_counter()
+            passed, detail = check(seed)
+            return CriterionResult(number, name, bool(passed), detail,
+                                   time.perf_counter() - start)
+        CRITERIA.append(run)
+        return run
+    return register
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +185,7 @@ def _randranges(rng, n, count):
 # Criteria
 # ---------------------------------------------------------------------------
 
+@criterion(1, "heyting oracle equivalence")
 def criterion_01(seed=0):
     """Pointwise Heyting implication equals the sup-oracle on random posets."""
     start = time.perf_counter()
@@ -178,13 +197,12 @@ def criterion_01(seed=0):
         q, t = opens[:, None], opens[None, :]
         if not np.array_equal(hey.implies_mask(poset, q, t),
                               hey.oracle_implies_mask(poset, q, t, opens)):
-            return _result(1, "heyting oracle equivalence", False,
-                           f"mismatch on poset {poset.elements}", start)
+            return False, f"mismatch on poset {poset.elements}"
         pairs += len(opens) ** 2
     elapsed = time.perf_counter() - start
-    return _result(1, "heyting oracle equivalence", elapsed < 5.0,
-                   f"50 posets, {pairs} open pairs, exact; "
-                   f"runtime {'<' if elapsed < 5 else '>='}5s", start)
+    return (elapsed < 5.0,
+            f"50 posets, {pairs} open pairs, exact; "
+            f"runtime {'<' if elapsed < 5 else '>='}5s")
 
 
 # Work per block of the two exhaustive lattice sweeps: (T, Q) pairs per chunk
@@ -199,6 +217,7 @@ _PAIR_BLOCK = 1 << 16
 _TRIPLE_BLOCK = 1 << 15
 
 
+@criterion(2, "chain implication lemma")
 def criterion_02(seed=0):
     """chain_implication against the generic calculus on all injective chain
     shapes n<=4, |E0|<=5, over the opens of each chain's poset of elements
@@ -224,8 +243,7 @@ def criterion_02(seed=0):
             t, q = masks[:, None], masks[None, :]
             if not np.array_equal(chain_implication(chain, t, q),
                                   hey.oracle_implies_mask(poset, q, t, masks)):
-                return _result(2, "chain implication lemma", False,
-                               f"formula vs sup-scan mismatch on {shape}", start)
+                return False, f"formula vs sup-scan mismatch on {shape}"
             exhaustive_small += n_subs * n_subs
             continue
         # validate the batched evaluations against single pairs on samples
@@ -236,13 +254,11 @@ def criterion_02(seed=0):
         for (t, q), ker, gen in zip(samples, batched.tolist(), generic.tolist()):
             u = chain_implication(chain, masks[t], masks[q])
             if not u == ker == gen == hey.implies_mask(poset, masks[q], masks[t]):
-                return _result(2, "chain implication lemma", False,
-                               f"kernel disagrees with chain_implication on {shape}", start)
+                return False, f"kernel disagrees with chain_implication on {shape}"
             kernel_checked += 1
             if n_subs <= 1500 and sampled_oracle < 1500:
                 if u != hey.oracle_implies_mask(poset, masks[q], masks[t], masks):
-                    return _result(2, "chain implication lemma", False,
-                                   f"formula vs literal sup-scan mismatch on {shape}", start)
+                    return False, f"formula vs literal sup-scan mismatch on {shape}"
                 sampled_oracle += 1
         # all pairs through the batched evaluations, within the global budget
         todo = n_subs * n_subs
@@ -252,8 +268,7 @@ def criterion_02(seed=0):
             got = chain_implication(chain, masks[idx], masks[jdx])
             want = hey.implies_mask(poset, masks[jdx], masks[idx])
             if not np.array_equal(got, want):
-                return _result(2, "chain implication lemma", False,
-                               f"kernel mismatch on sampled pairs of {shape}", start)
+                return False, f"kernel mismatch on sampled pairs of {shape}"
             continue
         chunk = max(1, _PAIR_BLOCK // n_subs)
         for lo in range(0, n_subs, chunk):
@@ -261,22 +276,21 @@ def criterion_02(seed=0):
             got = chain_implication(chain, t, masks)
             want = hey.implies_mask(poset, masks, t)
             if not np.array_equal(got, want):
-                return _result(2, "chain implication lemma", False,
-                               f"kernel mismatch on {shape}", start)
+                return False, f"kernel mismatch on {shape}"
             vector_pairs += got.size
     elapsed = time.perf_counter() - start
-    return _result(2, "chain implication lemma", elapsed < 30.0,
-                   f"{len(shapes)} shapes; {exhaustive_small} pairs vs literal sup-scan, "
-                   f"{vector_pairs} pairs via validated kernels, "
-                   f"{sampled_oracle} sampled sup-scans, "
-                   f"{kernel_checked} kernel validations; exact", start)
+    return (elapsed < 30.0,
+            f"{len(shapes)} shapes; {exhaustive_small} pairs vs literal sup-scan, "
+            f"{vector_pairs} pairs via validated kernels, "
+            f"{sampled_oracle} sampled sup-scans, "
+            f"{kernel_checked} kernel validations; exact")
 
 
+@criterion(3, "psi_delta increasing and concave")
 def criterion_03(seed=0):
     """psi_delta with dyadic weights: strictly increasing (holds) and concave
     for all propositions (fails: the underlying concavity claim is false;
     the minimal counterexample is reported)."""
-    start = time.perf_counter()
     shapes = _chain_shapes(3, 4)
     increasing_pairs = 0
     concave_triples = 0
@@ -300,12 +314,10 @@ def criterion_03(seed=0):
         for _ in range(20):
             i = rng.randrange(n_subs)
             if psi_vec[i] / 8 != psi_delta(chain, masks[i], delta):
-                return _result(3, "psi_delta increasing and concave", False,
-                               f"vectorized psi disagrees on {shape}", start)
+                return False, f"vectorized psi disagrees on {shape}"
         ia, ib = np.nonzero((masks[:, None] & ~masks[None, :]) == 0)
         if not np.all((psi_vec[ia] < psi_vec[ib]) | (ia == ib)):
-            return _result(3, "psi_delta increasing and concave", False,
-                           f"strict increase fails on {shape}", start)
+            return False, f"strict increase fails on {shape}"
         increasing_pairs += len(ia)
         # psi(T|Q) matrix (rows T, columns Q) through the batched formula
         psi_tq = psi8_of(chain_implication(chain, masks[:, None], masks[None, :]))
@@ -313,8 +325,7 @@ def criterion_03(seed=0):
             ti, qi = rng.randrange(n_subs), rng.randrange(n_subs)
             ref = psi_delta(chain, chain_implication(chain, masks[ti], masks[qi]), delta)
             if psi_tq[ti, qi] / 8 != ref:
-                return _result(3, "psi_delta increasing and concave", False,
-                               f"conditioned psi disagrees on {shape}", start)
+                return False, f"conditioned psi disagrees on {shape}"
         # Concavity over (T <= T', Q) asks phi^Q(T) >= phi^Q(T') for the
         # ambiguity phi^Q(T) = psi(T|Q) - psi(T).  In eighths it is an integer
         # of absolute value below 64, so the int8 differences are exact and
@@ -342,13 +353,12 @@ def criterion_03(seed=0):
         shape, t, t2, q, value = first_witness
         detail += (f"; first counterexample shape={shape} T={t} T'={t2} "
                    f"Q={q} double-difference={value}")
-    return _result(3, "psi_delta increasing and concave", violations == 0,
-                   detail, start)
+    return violations == 0, detail
 
 
+@criterion(4, "cocycle identity")
 def criterion_04(seed=0):
     """Cocycle identity for both CBH precisions over random triples."""
-    start = time.perf_counter()
     rng = random.Random(seed)
     lang = BooleanLanguage([f"s{i}" for i in range(16)])
     states = list(lang.states)
@@ -372,13 +382,12 @@ def criterion_04(seed=0):
                check_cocycle(localized_precision(lang, frozenset({states[0]})), triples(True))]
     total = sum(report.samples for report in reports)
     worst = max(report.max_residual for report in reports)
-    return _result(4, "cocycle identity", worst <= 1e-12 and total == 10000,
-                   f"{total} triples, max residual {worst:.2e}", start)
+    return worst <= 1e-12 and total == 10000, f"{total} triples, max residual {worst:.2e}"
 
 
+@criterion(5, "mutual information and divergence")
 def criterion_05(seed=0):
     """Mutual information symmetry/nonnegativity and the divergence analog."""
-    start = time.perf_counter()
     rng = random.Random(seed)
     lang = BooleanLanguage([f"s{i}" for i in range(8)])
     psi = cbh_precision(lang)
@@ -402,11 +411,12 @@ def criterion_05(seed=0):
         if s0 & s1:
             min_kl = min(min_kl, kl_divergence(psi, q1, s0, s1))
     ok = sym_exact and min_mi >= -1e-12 and kl_self == 0.0 and min_kl >= -1e-12
-    return _result(5, "mutual information and divergence", ok,
-                   f"symmetry exact={sym_exact}, min I={min_mi:.2e}, "
-                   f"D(S;S)={kl_self}, min D={min_kl:.2e}", start)
+    return (ok,
+            f"symmetry exact={sym_exact}, min I={min_mi:.2e}, "
+            f"D(S;S)={kl_self}, min D={min_kl:.2e}")
 
 
+@criterion(6, "Carnap language L^2_3")
 def criterion_06(seed=0):
     """The three-subject two-binary-attribute language: counts, orbits,
     stabilizers, simples."""
@@ -428,15 +438,13 @@ def criterion_06(seed=0):
     }
     elapsed = time.perf_counter() - start
     ok = all(checks.values()) and elapsed < 10.0
-    return _result(6, "Carnap language L^2_3", ok,
-                   ", ".join(f"{k}:{'ok' if v else 'FAIL'}" for k, v in checks.items()),
-                   start)
+    return ok, ", ".join(f"{k}:{'ok' if v else 'FAIL'}" for k, v in checks.items())
 
 
+@criterion(7, "content values")
 def criterion_07(seed=0):
     """Content values on 64 states; the simple-proposition content is
     enumerated and the literature figure is reported, not asserted."""
-    start = time.perf_counter()
     lang = build_language(3, [2, 2])
     blang = lang.to_boolean_language()
     e0 = lang.states[0]
@@ -444,17 +452,16 @@ def criterion_07(seed=0):
     c_neg = content(blang, frozenset(lang.states) - {e0})
     report = simple_content_report(lang)
     ok = c_single == 63.0 and c_neg == 1.0 and report["computed_contents"] == [32.0]
-    return _result(7, "content values", ok,
-                   f"c(|-e)={c_single}, c(not e)={c_neg}, "
-                   f"c(simple) computed={report['computed_contents']} vs "
-                   f"literature {report['literature_value']} "
-                   f"(agrees={report['agrees_with_literature']}; documented discrepancy)",
-                   start)
+    return (ok,
+            f"c(|-e)={c_single}, c(not e)={c_neg}, "
+            f"c(simple) computed={report['computed_contents']} vs "
+            f"literature {report['literature_value']} "
+            f"(agrees={report['agrees_with_literature']}; documented discrepancy)")
 
 
+@criterion(8, "backpropagation path sum")
 def criterion_08(seed=0):
     """Path-sum gradients vs reverse mode (1e-12) and central differences (1e-6)."""
-    start = time.perf_counter()
     rng = random.Random(seed)
     worst_rev = worst_fd = 0.0
     for _ in range(100):
@@ -465,9 +472,9 @@ def criterion_08(seed=0):
         worst_rev = max(worst_rev, vs_rev)
         worst_fd = max(worst_fd, vs_fd)
     ok = worst_rev <= 1e-12 and worst_fd <= 1e-6
-    return _result(8, "backpropagation path sum", ok,
-                   f"100 networks, max err vs reverse {worst_rev:.2e}, "
-                   f"vs finite differences {worst_fd:.2e}", start)
+    return (ok,
+            f"100 networks, max err vs reverse {worst_rev:.2e}, "
+            f"vs finite differences {worst_fd:.2e}")
 
 
 def _random_layered_architecture(rng, max_layers=10, max_width=2):
@@ -493,10 +500,10 @@ def _random_layered_architecture(rng, max_layers=10, max_width=2):
     return SiteGraph.build(vertices, edges)
 
 
+@criterion(9, "section counts")
 def criterion_09(seed=0):
     """|H0| equals the product of the input-layer cardinalities for random
     standard feed-forward sheaves."""
-    start = time.perf_counter()
     rng = random.Random(seed)
     done = 0
     while done < 100:
@@ -522,39 +529,33 @@ def criterion_09(seed=0):
         for v in g.inputs():
             expected *= len(carriers[v])
         if len(sections(p)) != expected:
-            return _result(9, "section counts", False,
-                           f"mismatch on instance {done}", start)
+            return False, f"mismatch on instance {done}"
         done += 1
-    return _result(9, "section counts", True,
-                   "100 random standard sheaves, |H0| = product of inputs, exact",
-                   start)
+    return True, "100 random standard sheaves, |H0| = product of inputs, exact"
 
 
+@criterion(10, "poset construction")
 def criterion_10(seed=0):
     """Poset construction and extremal classification on random DAGs."""
-    start = time.perf_counter()
     rng = random.Random(seed)
     for _ in range(100):
         g = _random_dag(rng, rng.randint(2, 12))
         poset = build_poset(fork_surgery(g))
         cls = classify_vertices(poset)
         if not cls.ok:
-            return _result(10, "poset construction", False, "classification violation", start)
-    return _result(10, "poset construction", True,
-                   "100 DAGs: antisymmetry, extremal tags, forest decomposition",
-                   start)
+            return False, "classification violation"
+    return True, "100 DAGs: antisymmetry, extremal tags, forest decomposition"
 
 
+@criterion(11, "loop ranks")
 def criterion_11(seed=0):
-    start = time.perf_counter()
     lstm = loop_rank(fixture_graph("lstm"))
     gru = loop_rank(fixture_graph("gru"))
-    return _result(11, "loop ranks", lstm == 3 and gru == 5,
-                   f"lstm={lstm} (want 3), gru={gru} (want 5)", start)
+    return lstm == 3 and gru == 5, f"lstm={lstm} (want 3), gru={gru} (want 5)"
 
 
+@criterion(12, "cell parameter counts")
 def criterion_12(seed=0):
-    start = time.perf_counter()
     rng = random.Random(seed)
     for m in range(1, 9):
         for n in range(1, 9):
@@ -563,14 +564,12 @@ def criterion_12(seed=0):
                   and MGU2Params.init(m, n, rng).n_parameters == mgu2_param_count(m, n)
                   and CubicCellParams.init(m, n, rng).n_parameters == cubic_param_count(m, n))
             if not ok:
-                return _result(12, "cell parameter counts", False, f"mismatch at {(m, n)}", start)
-    return _result(12, "cell parameter counts", True,
-                   "lstm/gru/mgu2/cubic counts match on the full (m,n) grid 1..8",
-                   start)
+                return False, f"mismatch at {(m, n)}"
+    return True, "lstm/gru/mgu2/cubic counts match on the full (m,n) grid 1..8"
 
 
+@criterion(13, "discriminant vs roots")
 def criterion_13(seed=0):
-    start = time.perf_counter()
     rng = random.Random(seed)
     worst_residual = 0.0
     for _ in range(10000):
@@ -583,26 +582,23 @@ def criterion_13(seed=0):
         if abs(delta) > 1e-9:
             want = 3 if kind == "three_real_roots" else 1
             if len(roots) != want:
-                return _result(13, "discriminant vs roots", False,
-                               f"count mismatch at {(u, v)}", start)
-    return _result(13, "discriminant vs roots",
-                   worst_residual <= 1e-10,
-                   f"10000 samples, max residual {worst_residual:.2e}", start)
+                return False, f"count mismatch at {(u, v)}"
+    return worst_residual <= 1e-10, f"10000 samples, max residual {worst_residual:.2e}"
 
 
+@criterion(14, "braid relation")
 def criterion_14(seed=0):
-    start = time.perf_counter()
     report = braid_relation_check(default_braid_rep())
     ok = report.relation_holds and report.center_kind == "minus_identity"
-    return _result(14, "braid relation", ok,
-                   f"s1s2s1==s2s1s2: {report.relation_holds}, "
-                   f"(s1s2)^3={report.center_kind}", start)
+    return (ok,
+            f"s1s2s1==s2s1s2: {report.relation_holds}, "
+            f"(s1s2)^3={report.center_kind}")
 
 
+@criterion(15, "logic transport and fibrancy")
 def criterion_15(seed=0):
     """Adjunction/section checks for groupoid transports and the fibrancy
     fixtures for the three basic poset shapes."""
-    start = time.perf_counter()
     rng = random.Random(seed)
     # exhaustive adjunction over random component maps, <= 6 components
     for _ in range(25):
@@ -615,10 +611,9 @@ def criterion_15(seed=0):
                                {("id", o): ("id", omap[o]) for o in src.objects})
         report = check_adjunction_and_section(f)
         if not (report.adjunction_ok and report.unit_ok):
-            return _result(15, "logic transport", False, "adjunction failed", start)
+            return False, "adjunction failed"
         if report.surjective_on_components != report.section_ok:
-            return _result(15, "logic transport", False,
-                           "section/surjectivity disagreement", start)
+            return False, "section/surjectivity disagreement"
     # fibrancy fixtures
     chain_poset = FinitePoset.chain(1)
     shadok_good = Presheaf(chain_poset, {0: ("a", "b"), 1: ("u", "v")},
@@ -648,39 +643,28 @@ def criterion_15(seed=0):
         not check_fibrant_injective(div_bad).fibrant,
     ]
     ok = all(verdicts)
-    return _result(15, "logic transport and fibrancy", ok,
-                   "adjunction exhaustive (25 functors), six fixtures: "
-                   + "/".join("ok" if v else "FAIL" for v in verdicts), start)
+    return (ok,
+            "adjunction exhaustive (25 functors), six fixtures: "
+            + "/".join("ok" if v else "FAIL" for v in verdicts))
 
 
+@criterion(16, "conditioning monoid action")
 def criterion_16(seed=0):
     """Conditioning is a monoid action: Boolean |E|<=5 and opens of the
     two-chain, exhaustively."""
-    start = time.perf_counter()
     boolean = hey.OpenAlgebra.discrete([f"s{i}" for i in range(5)])
     chain = hey.OpenAlgebra(FinitePoset.chain(1))
     subs, opens = list(boolean.elements(bound=5)), list(chain.elements(bound=2))
     for alg, props, kind in ((boolean, subs, "Boolean"), (chain, opens, "Heyting")):
         for t in props:
             if condition(alg, t, alg.top) != t:
-                return _result(16, "conditioning monoid action", False, "unit fails", start)
+                return False, "unit fails"
             for q in props:
                 tq = condition(alg, t, q)
                 for r in props:
                     if condition(alg, tq, r) != condition(alg, t, alg.meet(q, r)):
-                        return _result(16, "conditioning monoid action", False,
-                                       f"{kind} associativity fails", start)
-    return _result(16, "conditioning monoid action", True,
-                   f"Boolean: {len(subs)}^3 triples; two-chain opens: {len(opens)}^3; exact",
-                   start)
-
-
-CRITERIA = [
-    criterion_01, criterion_02, criterion_03, criterion_04,
-    criterion_05, criterion_06, criterion_07, criterion_08,
-    criterion_09, criterion_10, criterion_11, criterion_12,
-    criterion_13, criterion_14, criterion_15, criterion_16,
-]
+                        return False, f"{kind} associativity fails"
+    return True, f"Boolean: {len(subs)}^3 triples; two-chain opens: {len(opens)}^3; exact"
 
 
 def run_all(seed=0):

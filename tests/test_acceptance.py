@@ -26,6 +26,7 @@ psi_delta is concave when Q is asserted at full depth (Q_k = Q_0 & E_k);
 tests/test_chains.py verifies that exhaustively on small chains.
 """
 
+import dataclasses
 import hashlib
 import os
 import random
@@ -223,6 +224,24 @@ def test_criterion_09_instances_do_not_depend_on_hash_seed():
         digests.add(subprocess.run([sys.executable, "-c", _CRITERION_09_DIGEST], env=env,
                                    capture_output=True, text=True, check=True).stdout)
     assert len(digests) == 1
+
+
+def test_criteria_are_registered_in_number_order_under_their_own_names():
+    assert [c.__name__ for c in verify.CRITERIA] == [f"criterion_{n:02d}" for n in range(1, 17)]
+    assert all(getattr(verify, c.__name__) is c for c in verify.CRITERIA)
+
+
+def test_a_criterion_keeps_its_name_when_it_fails_early(monkeypatch):
+    """Criterion 15 fails on its first check when an adjunction fails, and
+    still reports the number and name of a passing run."""
+    passing = verify.criterion_15(0)
+    check = verify.check_adjunction_and_section
+    monkeypatch.setattr(verify, "check_adjunction_and_section",
+                        lambda f: dataclasses.replace(check(f), adjunction_ok=False))
+    failing = verify.criterion_15(0)
+    assert (failing.passed, failing.detail) == (False, "adjunction failed")
+    assert (failing.number, failing.name) == (passing.number, passing.name) == \
+        (15, "logic transport and fibrancy")
 
 
 _CRITERION_01_DETAIL = "from sheafnet import verify; print(verify.criterion_01(0).detail)"

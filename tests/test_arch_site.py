@@ -438,32 +438,36 @@ def test_open_masks_match_the_comprehension_on_random_posets():
 
 
 @pytest.mark.parametrize("n", [31, 32, 33, 63, 64, 65, 66])
-def test_open_masks_of_long_chains(n, monkeypatch):
+def test_open_masks_of_long_chains(n):
     """A raised bound still enumerates chains past 64 elements, as Python
     ints; up to 64 elements the array is in the poset's `mask_dtype`."""
-    monkeypatch.setenv("SHEAFNET_BOUND", "100")
     poset = FinitePoset.chain(n - 1)
-    opens = open_masks(poset)
+    opens = open_masks(poset, bound=100)
     assert opens.dtype == (poset.mask_dtype if n <= 64 else np.dtype(object))
     assert opens.tolist() == comprehension_opens(poset) == [(1 << k) - 1 for k in range(n + 1)]
-    assert open_masks(poset) is opens
+    assert open_masks(poset, bound=100) is opens
     with pytest.raises(ValueError):
         opens[-1] = 0
 
 
-def test_open_masks_checks_the_bound_after_caching(monkeypatch):
+def test_open_masks_checks_the_bound_after_caching():
     from sheafnet.errors import BoundExceeded
 
     poset = build_poset(fork_surgery(fixture_graph("diamond")))
     assert len(open_masks(poset)) == 12
     with pytest.raises(BoundExceeded):
         open_masks(poset, bound=2)
-    monkeypatch.setenv("SHEAFNET_BOUND", "2")
     with pytest.raises(BoundExceeded):
-        open_masks(poset)
-    with pytest.raises(BoundExceeded):
-        lower_open_sets(poset)
+        lower_open_sets(poset, bound=2)
     assert len(open_masks(poset, bound=20)) == 12
+
+
+def test_open_masks_ignore_sheafnet_bound(monkeypatch):
+    """The library takes a bound only as an argument: SHEAFNET_BOUND is the
+    CLI's default of --bound, and the library never reads it."""
+    monkeypatch.setenv("SHEAFNET_BOUND", "1")
+    poset = build_poset(fork_surgery(fixture_graph("diamond")))
+    assert len(open_masks(poset)) == len(lower_open_sets(poset)) == 12
 
 
 def test_cached_opens_match_bruteforce_on_random_posets():

@@ -501,6 +501,70 @@ def test_flags_go_only_on_the_commands_that_read_them(capsys, command):
         assert captured.out == "" and f"unrecognized arguments: {flag}" in captured.err
 
 
+# Each command that takes --bound, with one bound its run keeps within and
+# one it exceeds, in the command's own unit: candidates for the two-state
+# chain presheaf (2), element count and 2^bound table entries for the
+# two-chain (3 x 3 opens), group elements for |G| = 48.
+BOUNDED_RUNS = {
+    "sections": (["sections", "--in", "presheaf.json"], 2, 1),
+    "cats-manifold": (["cats-manifold", "--in", "presheaf.json",
+                       "--predicate", "predicate.json"], 2, 1),
+    "heyting": (["heyting", "--in", "poset.json"], 4, 3),
+    "carnap": (["carnap", "--subjects", "3", "--attributes", "2,2"], 48, 47),
+}
+
+
+@pytest.fixture
+def bounded_argv(tmp_path, monkeypatch):
+    """The argv of a `BOUNDED_RUNS` command, its documents written out, and
+    SHEAFNET_BOUND unset."""
+    monkeypatch.delenv("SHEAFNET_BOUND", raising=False)
+    documents = {"presheaf.json": CHAIN_PRESHEAF, "predicate.json": {},
+                 "poset.json": {"elements": ["0", "1"], "leq": [["0", "1"]]}}
+    for name, doc in documents.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    return lambda argv: [str(tmp_path / t) if t in documents else t for t in argv]
+
+
+@pytest.mark.parametrize("command", sorted(BOUNDED_RUNS))
+def test_sheafnet_bound_is_the_default_of_bound(capsys, monkeypatch, bounded_argv, command):
+    """SHEAFNET_BOUND=N gives what --bound N gives, within the bound and
+    over it, and a given --bound wins over the variable."""
+    argv, within, over = BOUNDED_RUNS[command]
+    argv = bounded_argv(argv)
+    for bound, code in ((within, 0), (over, 2)):
+        monkeypatch.delenv("SHEAFNET_BOUND", raising=False)
+        flagged = run(capsys, *argv, "--bound", str(bound))
+        assert flagged[0] == code
+        monkeypatch.setenv("SHEAFNET_BOUND", str(bound))
+        assert run(capsys, *argv) == flagged
+    assert run(capsys, *argv, "--bound", str(within))[0] == 0
+    monkeypatch.setenv("SHEAFNET_BOUND", str(within))
+    assert run(capsys, *argv, "--bound", str(over))[0] == 2
+
+
+@pytest.mark.parametrize("command", sorted(BOUNDED_RUNS))
+def test_a_non_integer_sheafnet_bound_exits_2(capsys, monkeypatch, bounded_argv, command):
+    """A bad SHEAFNET_BOUND is an input error on one line; an empty one is
+    no bound, as unset is."""
+    argv = bounded_argv(BOUNDED_RUNS[command][0])
+    unset = run(capsys, *argv)
+    assert unset[0] == 0
+    monkeypatch.setenv("SHEAFNET_BOUND", "")
+    assert run(capsys, *argv) == unset
+    monkeypatch.setenv("SHEAFNET_BOUND", "abc")
+    assert run(capsys, *argv) == \
+        (2, "", "error: SHEAFNET_BOUND must be an integer, got 'abc'\n")
+
+
+def test_commands_without_bound_ignore_sheafnet_bound(capsys, datadir, monkeypatch):
+    monkeypatch.delenv("SHEAFNET_BOUND", raising=False)
+    argv = ("site", "--in", str(datadir / "chain.json"))
+    unset = run(capsys, *argv)
+    monkeypatch.setenv("SHEAFNET_BOUND", "abc")
+    assert run(capsys, *argv) == unset and unset[0] == 0
+
+
 @pytest.mark.parametrize("flag", ["--theory", "--q", "--q2", "--p"])
 def test_info_state_outside_language_exit_2(capsys, tmp_path, flag):
     path = tmp_path / "lang.json"

@@ -1,8 +1,8 @@
 """A seeded fuzz of the exit-code contract on small architecture, presheaf,
 poset, stack and language documents, on `carnap` options, and on raw argv
-tokens for every subcommand but `verify`: every run exits 0, 1 or 2, an
-exit 2 says why on an ``error:`` line, and no exception reaches the top
-level.
+tokens and SHEAFNET_BOUND values for every subcommand but `verify`: every
+run exits 0, 1 or 2, an exit 2 says why on an ``error:`` line, and no
+exception reaches the top level.
 
 Each document starts from a well-formed shape over a few names, and any
 part of it may be swapped for arbitrary JSON.  The runs are derandomized
@@ -12,6 +12,8 @@ and kept to a few seconds by their example counts.
 import contextlib
 import io
 import json
+import os
+from unittest import mock
 
 import pytest
 
@@ -245,7 +247,8 @@ def test_carnap_options_keep_the_exit_code_contract(subjects, attributes, bound)
 # three drawn (token, value) pairs.  Tokens are the subcommand's flags and
 # positional choices, the shared flags but --out (a drawn path would be
 # written), and values: junk, small and negative numbers, and the paths of
-# the documents below.  Every number drawn is at most 3, which caps the work
+# the documents below.  Each run also sets SHEAFNET_BOUND to a drawn value,
+# or leaves it unset.  Every number drawn is at most 3, which caps the work
 # of --m, --n, --steps, --grid, --subjects and --bound.  `verify` is left
 # out: each run is the whole acceptance suite.
 SUBCOMMANDS = {
@@ -300,12 +303,17 @@ def test_argv_tokens_keep_the_exit_code_contract(argv_documents, command, data):
     argv = [command] + [data.draw(either_token(st.just(t), tokens)) for t in base]
     for flag, value in data.draw(st.lists(st.tuples(tokens, values), max_size=3)):
         argv += [flag, value]
+    bound = data.draw(st.none() | values)       # SHEAFNET_BOUND, or unset
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        os.environ.pop("SHEAFNET_BOUND", None)
+        if bound is not None:
+            os.environ["SHEAFNET_BOUND"] = bound
         try:
             code = main(argv)
         except SystemExit as exc:       # argparse: a usage error, or -h
             code = exc.code
-    assert code in (0, 1, 2), argv
+    assert code in (0, 1, 2), (argv, bound)
     if code == 2:
-        assert "error: " in err.getvalue(), argv
+        assert "error: " in err.getvalue(), (argv, bound)

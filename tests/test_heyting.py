@@ -185,17 +185,16 @@ def test_mask_arrays_at_the_width_boundary(n):
         assert neg.dtype == dtype and neg.tolist() == [hey.implies_mask(p, m, 0) for m in qs]
 
 
-def test_oracle_equals_implies_on_a_chain_past_64_elements(monkeypatch):
+def test_oracle_equals_implies_on_a_chain_past_64_elements():
     """Under a raised bound the 101 opens of a 100-element chain are Python
     ints in an object array, and the oracle's scan still gives Q => T."""
-    monkeypatch.setenv("SHEAFNET_BOUND", "100")
     p = FinitePoset.chain(99)
-    assert open_masks(p).dtype == object
-    opens = list(hey.OpenAlgebra(p).elements())
+    assert open_masks(p, bound=100).dtype == object
+    opens = list(hey.OpenAlgebra(p).elements(bound=100))
     assert len(opens) == 101
     for q in opens:
         for t in opens:
-            assert hey.oracle_implies(p, q, t) == hey.implies(p, q, t)
+            assert hey.oracle_implies(p, q, t, bound=100) == hey.implies(p, q, t)
 
 
 def test_heyting_adjunction_and_lattice_laws():
