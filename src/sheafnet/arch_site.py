@@ -25,8 +25,8 @@ Every order question is answered by one pass over Kahn's levels of a
 digraph (`_kahn_levels`): the oriented cycle that `SiteGraph.build`
 refuses, and, for `FinitePoset`, the cycle of given relations that breaks
 antisymmetry, the closure of its up- and down-sets and its linear
-extension.  The gradcheck network of the CLI takes its layer order from the
-same levels.
+extension.  The gradcheck network (`dynamics.network_from_architecture`)
+takes its layer order from the same levels.
 """
 
 from dataclasses import dataclass, field
@@ -321,7 +321,8 @@ class FinitePoset:
     (minimal elements first) once.  That one pass finds a cycle if there is
     one, and orders the closure: one pass over the reversed levels closes
     the up-sets, one pass over the levels builds the down-sets, and the
-    flattened levels are `linear_extension()`.  Relations with a cycle
+    flattened levels are `linear_extension()`, and the given relations are
+    kept for `covering()`.  Relations with a cycle
     (other than reflexive pairs) raise `PosetError`, naming the elements
     of one cycle of the given relations in order.
 
@@ -364,6 +365,7 @@ class FinitePoset:
         for j in order:
             for i in preds[j]:
                 self._down[j] |= self._down[i]
+        self._preds = preds
         self._linear_extension = tuple(self.elements[i] for i in order)
         self.fork_graph = fork_graph
 
@@ -396,23 +398,17 @@ class FinitePoset:
         return tuple(x for i, x in enumerate(self.elements) if self._up[i] == (1 << i))
 
     def covering(self):
-        """Transitive reduction as a tuple of (lower, upper) pairs."""
+        """Transitive reduction as a tuple of (lower, upper) pairs, sorted by
+        the elements' indices; found among the given relations."""
         return self._covering
 
     @cached_property
     def _covering(self):
-        out = []
-        n = len(self.elements)
-        for i in range(n):
-            ups = self._up[i] & ~(1 << i)
-            m = ups
-            while m:
-                j = (m & -m).bit_length() - 1
-                m &= m - 1
-                between = self._up[i] & self._down[j] & ~(1 << i) & ~(1 << j)
-                if between == 0:
-                    out.append((self.elements[i], self.elements[j]))
-        return tuple(out)
+        # x < y covers only if it is given: else the given relations lead
+        # from x to y through an element strictly between
+        pairs = sorted({(i, j) for j, ps in enumerate(self._preds) for i in ps
+                        if self._up[i] & self._down[j] == (1 << i) | (1 << j)})
+        return tuple((self.elements[i], self.elements[j]) for i, j in pairs)
 
     def lower_covers(self):
         """Each element's lower covers as a tuple, in element order, in a

@@ -24,7 +24,6 @@ import numpy as np
 from . import heyting as hey
 from .arch_site import (
     FinitePoset,
-    _kahn_levels,
     build_poset,
     fork_surgery,
     load_architecture,
@@ -42,16 +41,15 @@ from .carnap import (
 from .chains import DeltaSequence
 from .dynamics import (
     CELLS,
-    Node,
     PARAM_COUNTS,
     SumLoss,
-    WeightedNetwork,
     cubic_cell_step,
     cusp_scan,
     gradient_agreement,
     gru_step,
     lstm_step,
     mgu2_step,
+    network_from_architecture,
 )
 from .errors import GroupoidError, SheafnetError
 from .groupoids import (
@@ -384,34 +382,6 @@ def cmd_carnap(args):
     return 0
 
 
-def _network_from_architecture(g, rng):
-    if not g.vertices:
-        raise SheafnetError("architecture has no vertices")
-    preds = {v: [] for v in g.vertices}
-    for s, d in g.edges:
-        preds[d].append(s)
-    index = {v: i for i, v in enumerate(g.vertices)}
-    levels, _ = _kahn_levels([[index[s] for s in preds[v]] for v in g.vertices])
-    order = [v for level in levels for v in sorted(g.vertices[i] for i in level)]
-    dims = {v: rng.randint(1, 3) for v in g.vertices}
-    nodes = []
-    for v in order:
-        ins = tuple(sorted(preds[v]))
-        if not ins:
-            nodes.append(Node(v, "input", dims[v]))
-        else:
-            total = sum(dims[p] for p in ins)
-            weight = np.array([[rng.uniform(-1, 1) for _ in range(total)]
-                               for _ in range(dims[v])])
-            nodes.append(Node(v, "affine", dims[v], ins, "tanh", weight=weight))
-    senders = {s for s, _ in g.edges}
-    sinks = tuple(sorted(v for v in g.vertices if v not in senders))
-    total = sum(dims[s] for s in sinks)
-    nodes.append(Node("__loss_readout", "affine", 1, sinks, "identity",
-                      weight=np.array([[rng.uniform(-1, 1) for _ in range(total)]])))
-    return WeightedNetwork(nodes)
-
-
 def cmd_dyn(args):
     rng = random.Random(args.seed)
     if args.dyn_cmd == "cusp":
@@ -423,7 +393,7 @@ def cmd_dyn(args):
         if args.arch is None:
             raise SheafnetError("dyn gradcheck needs --arch, an architecture file")
         g = load_architecture(args.arch)
-        net = _network_from_architecture(g, rng)
+        net = network_from_architecture(g, rng)
         inputs = {name: [rng.uniform(-1, 1) for _ in range(net.nodes[name].dim)]
                   for name in net.inputs}
         vs_rev, vs_fd, res = gradient_agreement(net, inputs, SumLoss())

@@ -17,17 +17,24 @@ and the other operations work element by element.
 
 Memory cells (LSTM, GRU, MGU2, cubic) are implemented from their update
 formulas with explicit weight matrices and no biases, so the parameter
-counts are the sums of the array sizes.  The cubic cell's unfolding
+counts are the sums of the array sizes.  A cell's weight shapes are stated
+in one place, its `CellParams` subclass: each weight is an m-row `_weight`
+field that names its column count, m (recurrent) or n (input), and
+`CellParams` derives `init`, `n_parameters` and the step functions'
+dimension check from those fields.  Every random weight matrix here,
+those of `random_fork_network` and `network_from_architecture` included,
+is drawn by `_mat`.  The cubic cell's unfolding
 parameters (u, v) classify through the discriminant 4u^3 + 27v^2, whose
 sign separates the one-root and three-root regimes of z^3 + u z + v.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ArchitectureError, NondifferentiablePoint
+from .arch_site import _kahn_levels
+from .errors import ArchitectureError, NondifferentiablePoint, SheafnetError
 
 SATURATION_THRESHOLD = 4.0
 
@@ -371,7 +378,7 @@ def gradient_agreement(net, inputs, loss, h=1e-5):
     return vs_reverse, vs_fd, paths
 
 
-def random_fork_network(rng, max_layers=6, max_units=4, activations=("tanh", "sigmoid")):
+def random_fork_network(rng, max_layers=6, max_units=4):
     """A random layered DAG with joins, smooth activations, scalar output."""
     n_layers = rng.randint(2, max_layers)
     nodes = [Node("in0", "input", rng.randint(1, max_units))]
@@ -390,19 +397,47 @@ def random_fork_network(rng, max_layers=6, max_units=4, activations=("tanh", "si
             dim = rng.randint(1, max_units)
             total = sum(n.dim for n in nodes if n.name in parents)
             name = f"h{layer}_{k}"
-            nodes.append(Node(name, "affine", dim, parents,
-                              rng.choice(list(activations)),
-                              weight=np.array([[rng.uniform(-1.5, 1.5)
-                                                for _ in range(total)]
-                                               for _ in range(dim)])))
+            nodes.append(Node(name, "affine", dim, parents, rng.choice(("tanh", "sigmoid")),
+                              weight=_mat(rng, dim, total, 1.5)))
             current.append(name)
         previous = current
     # the readout consumes every dangling node so the output is unique
     dangling = tuple(n.name for n in nodes if n.name not in used)
     total = sum(n.dim for n in nodes if n.name in dangling)
     nodes.append(Node("out", "affine", 1, dangling, "identity",
-                      weight=np.array([[rng.uniform(-1.5, 1.5)
-                                        for _ in range(total)]])))
+                      weight=_mat(rng, 1, total, 1.5)))
+    return WeightedNetwork(nodes)
+
+
+def network_from_architecture(g, rng):
+    """The gradcheck network of an architecture `SiteGraph`: each vertex a
+    node of 1 to 3 units (an input if it has no in-edge, else a tanh affine
+    node on its predecessors, sorted by name, with `_mat` weights in
+    [-1, 1]), in Kahn's levels with each level sorted by name, then a scalar
+    identity readout ``__loss_readout`` of every sink."""
+    if not g.vertices:
+        raise SheafnetError("architecture has no vertices")
+    preds = {v: [] for v in g.vertices}
+    for s, d in g.edges:
+        preds[d].append(s)
+    index = {v: i for i, v in enumerate(g.vertices)}
+    levels, _ = _kahn_levels([[index[s] for s in preds[v]] for v in g.vertices])
+    order = [v for level in levels for v in sorted(g.vertices[i] for i in level)]
+    dims = {v: rng.randint(1, 3) for v in g.vertices}
+    nodes = []
+    for v in order:
+        ins = tuple(sorted(preds[v]))
+        if not ins:
+            nodes.append(Node(v, "input", dims[v]))
+        else:
+            total = sum(dims[p] for p in ins)
+            nodes.append(Node(v, "affine", dims[v], ins, "tanh",
+                              weight=_mat(rng, dims[v], total, 1)))
+    senders = {s for s, _ in g.edges}
+    sinks = tuple(sorted(v for v in g.vertices if v not in senders))
+    total = sum(dims[s] for s in sinks)
+    nodes.append(Node("__loss_readout", "affine", 1, sinks, "identity",
+                      weight=_mat(rng, 1, total, 1)))
     return WeightedNetwork(nodes)
 
 
@@ -411,36 +446,68 @@ def random_fork_network(rng, max_layers=6, max_units=4, activations=("tanh", "si
 # ---------------------------------------------------------------------------
 
 def _mat(rng, rows, cols, scale=0.5):
+    """A rows x cols matrix of ``rng.uniform(-scale, scale)`` draws, row by row."""
     return np.array([[rng.uniform(-scale, scale) for _ in range(cols)]
                      for _ in range(rows)])
 
 
+def _weight(columns):
+    """A weight field of a cell: an m x m matrix for ``columns="m"``
+    (recurrent), an m x n one for ``columns="n"`` (input)."""
+    return field(metadata={"columns": columns})
+
+
 @dataclass
-class LSTMParams:
-    """Gates i, f, o and the combine gate, each with an input and a
-    recurrent matrix; multiplicity m is shared by h, c and every gate."""
+class CellParams:
+    """The weights of a memory cell with multiplicity m and input size n.
+
+    A subclass declares its weights, in draw order, as `_weight` fields;
+    `init`, `n_parameters` and the step functions' dimension check read
+    them from there."""
 
     m: int
     n: int
-    W_i: np.ndarray
-    U_i: np.ndarray
-    W_f: np.ndarray
-    U_f: np.ndarray
-    W_o: np.ndarray
-    U_o: np.ndarray
-    W_h: np.ndarray
-    U_h: np.ndarray
 
-    @staticmethod
-    def init(m, n, rng=None, zero=False):
-        make = (lambda r, c: np.zeros((r, c))) if zero else \
-            (lambda r, c: _mat(rng, r, c))
-        return LSTMParams(m, n, *(make(m, d) for d in (n, m, n, m, n, m, n, m)))
+    @classmethod
+    def init(cls, m, n, rng=None, zero=False, **other):
+        """Zero weights, or `_mat` draws from ``rng`` in field order;
+        ``other`` sets the cell's other fields (the cubic cell's
+        ``activation``)."""
+        cols = {"m": m, "n": n}
+        make = (lambda c: np.zeros((m, c))) if zero else (lambda c: _mat(rng, m, c))
+        return cls(m, n, *(make(cols[f.metadata["columns"]]) for f in cls._weights()),
+                   **other)
+
+    @classmethod
+    def _weights(cls):
+        return [f for f in fields(cls) if "columns" in f.metadata]
 
     @property
     def n_parameters(self):
-        return sum(w.size for w in (self.W_i, self.U_i, self.W_f, self.U_f,
-                                    self.W_o, self.U_o, self.W_h, self.U_h))
+        return sum(getattr(self, f.name).size for f in self._weights())
+
+    def _vectors(self, step, x, *states):
+        """``x`` and ``states`` as float arrays, checked to have n and m
+        entries; `ArchitectureError` names ``step`` otherwise."""
+        x, *states = (np.asarray(v, dtype=float) for v in (x, *states))
+        if x.shape != (self.n,) or any(s.shape != (self.m,) for s in states):
+            raise ArchitectureError(f"{step} dimension mismatch")
+        return (x, *states)
+
+
+@dataclass
+class LSTMParams(CellParams):
+    """Gates i, f, o and the combine gate, each with an input and a
+    recurrent matrix; multiplicity m is shared by h, c and every gate."""
+
+    W_i: np.ndarray = _weight("n")
+    U_i: np.ndarray = _weight("m")
+    W_f: np.ndarray = _weight("n")
+    U_f: np.ndarray = _weight("m")
+    W_o: np.ndarray = _weight("n")
+    U_o: np.ndarray = _weight("m")
+    W_h: np.ndarray = _weight("n")
+    U_h: np.ndarray = _weight("m")
 
 
 def lstm_param_count(m, n):
@@ -449,9 +516,7 @@ def lstm_param_count(m, n):
 
 def lstm_step(p, x, h_prev, c_prev):
     """c = c_prev . sigma_f + sigma_i . tanh_h ; h = sigma_o . tanh(c)."""
-    x, h_prev, c_prev = (np.asarray(v, dtype=float) for v in (x, h_prev, c_prev))
-    if x.shape != (p.n,) or h_prev.shape != (p.m,) or c_prev.shape != (p.m,):
-        raise ArchitectureError("lstm_step dimension mismatch")
+    x, h_prev, c_prev = p._vectors("lstm_step", x, h_prev, c_prev)
     s_i = _sigmoid(p.W_i @ x + p.U_i @ h_prev)
     s_f = _sigmoid(p.W_f @ x + p.U_f @ h_prev)
     s_o = _sigmoid(p.W_o @ x + p.U_o @ h_prev)
@@ -462,26 +527,13 @@ def lstm_step(p, x, h_prev, c_prev):
 
 
 @dataclass
-class GRUParams:
-    m: int
-    n: int
-    W_z: np.ndarray
-    U_z: np.ndarray
-    W_r: np.ndarray
-    U_r: np.ndarray
-    W_x: np.ndarray
-    U_x: np.ndarray
-
-    @staticmethod
-    def init(m, n, rng=None, zero=False):
-        make = (lambda r, c: np.zeros((r, c))) if zero else \
-            (lambda r, c: _mat(rng, r, c))
-        return GRUParams(m, n, *(make(m, d) for d in (n, m, n, m, n, m)))
-
-    @property
-    def n_parameters(self):
-        return sum(w.size for w in (self.W_z, self.U_z, self.W_r, self.U_r,
-                                    self.W_x, self.U_x))
+class GRUParams(CellParams):
+    W_z: np.ndarray = _weight("n")
+    U_z: np.ndarray = _weight("m")
+    W_r: np.ndarray = _weight("n")
+    U_r: np.ndarray = _weight("m")
+    W_x: np.ndarray = _weight("n")
+    U_x: np.ndarray = _weight("m")
 
 
 def gru_param_count(m, n):
@@ -490,9 +542,7 @@ def gru_param_count(m, n):
 
 def gru_step(p, x, h_prev):
     """h = (1 - sigma_z) . h_prev + sigma_z . tanh(W x + U (sigma_r . h_prev))."""
-    x, h_prev = np.asarray(x, dtype=float), np.asarray(h_prev, dtype=float)
-    if x.shape != (p.n,) or h_prev.shape != (p.m,):
-        raise ArchitectureError("gru_step dimension mismatch")
+    x, h_prev = p._vectors("gru_step", x, h_prev)
     s_z = _sigmoid(p.W_z @ x + p.U_z @ h_prev)
     s_r = _sigmoid(p.W_r @ x + p.U_r @ h_prev)
     cand = np.tanh(p.W_x @ x + p.U_x @ (s_r * h_prev))
@@ -500,24 +550,12 @@ def gru_step(p, x, h_prev):
 
 
 @dataclass
-class MGU2Params:
+class MGU2Params(CellParams):
     """Single gate, recurrent-only and bias-free."""
 
-    m: int
-    n: int
-    U_z: np.ndarray
-    W_x: np.ndarray
-    U_x: np.ndarray
-
-    @staticmethod
-    def init(m, n, rng=None, zero=False):
-        make = (lambda r, c: np.zeros((r, c))) if zero else \
-            (lambda r, c: _mat(rng, r, c))
-        return MGU2Params(m, n, make(m, m), make(m, n), make(m, m))
-
-    @property
-    def n_parameters(self):
-        return self.U_z.size + self.W_x.size + self.U_x.size
+    U_z: np.ndarray = _weight("m")
+    W_x: np.ndarray = _weight("n")
+    U_x: np.ndarray = _weight("m")
 
 
 def mgu2_param_count(m, n):
@@ -525,34 +563,20 @@ def mgu2_param_count(m, n):
 
 
 def mgu2_step(p, x, h_prev):
-    x, h_prev = np.asarray(x, dtype=float), np.asarray(h_prev, dtype=float)
-    if x.shape != (p.n,) or h_prev.shape != (p.m,):
-        raise ArchitectureError("mgu2_step dimension mismatch")
+    x, h_prev = p._vectors("mgu2_step", x, h_prev)
     s_z = _sigmoid(p.U_z @ h_prev)
     cand = np.tanh(p.W_x @ x + p.U_x @ (s_z * h_prev))
     return (1.0 - s_z) * h_prev + s_z * cand
 
 
 @dataclass
-class CubicCellParams:
+class CubicCellParams(CellParams):
     """h^a = sigma_alpha(h)^3 + u(x) sigma_alpha(h) + v(x), componentwise."""
 
-    m: int
-    n: int
-    alpha: np.ndarray
-    U: np.ndarray
-    V: np.ndarray
+    alpha: np.ndarray = _weight("m")
+    U: np.ndarray = _weight("n")
+    V: np.ndarray = _weight("n")
     activation: str = "sigmoid"
-
-    @staticmethod
-    def init(m, n, rng=None, zero=False, activation="sigmoid"):
-        make = (lambda r, c: np.zeros((r, c))) if zero else \
-            (lambda r, c: _mat(rng, r, c))
-        return CubicCellParams(m, n, make(m, m), make(m, n), make(m, n), activation)
-
-    @property
-    def n_parameters(self):
-        return self.alpha.size + self.U.size + self.V.size
 
 
 def cubic_param_count(m, n):
@@ -560,9 +584,7 @@ def cubic_param_count(m, n):
 
 
 def cubic_cell_step(p, x, h_prev):
-    x, h_prev = np.asarray(x, dtype=float), np.asarray(h_prev, dtype=float)
-    if x.shape != (p.n,) or h_prev.shape != (p.m,):
-        raise ArchitectureError("cubic_cell_step dimension mismatch")
+    x, h_prev = p._vectors("cubic_cell_step", x, h_prev)
     s = ACTIVATIONS[p.activation][0](p.alpha @ h_prev)
     u = np.tanh(p.U @ x)
     v = np.tanh(p.V @ x)
@@ -600,8 +622,9 @@ def discriminant(u, v):
     return kind, delta
 
 
-def cubic_roots(u, v, polish=True):
-    """Real roots of z^3 + u z + v, with multiplicity, ascending."""
+def cubic_roots(u, v):
+    """Real roots of z^3 + u z + v, with multiplicity, ascending; each root
+    of the Cardan formulas is polished by three Newton steps."""
     delta = 4.0 * u ** 3 + 27.0 * v ** 2
     if u == 0.0 and v == 0.0:
         return [0.0, 0.0, 0.0]
@@ -619,13 +642,11 @@ def cubic_roots(u, v, polish=True):
         s = math.sqrt(delta / 108.0)
         roots = [math.copysign(abs(-v / 2.0 + s) ** (1 / 3), -v / 2.0 + s)
                  + math.copysign(abs(-v / 2.0 - s) ** (1 / 3), -v / 2.0 - s)]
-    if polish:
-        roots = [_newton_polish(z, u, v) for z in roots]
-    return sorted(roots)
+    return sorted(_newton_polish(z, u, v) for z in roots)
 
 
-def _newton_polish(z, u, v, steps=3):
-    for _ in range(steps):
+def _newton_polish(z, u, v):
+    for _ in range(3):
         f = z ** 3 + u * z + v
         df = 3.0 * z ** 2 + u
         if df == 0.0:

@@ -114,12 +114,14 @@ def implication_table(poset, bound=None):
     """The full opens x opens implication matrix, for reports.  One limit,
     ``bound`` else `DEFAULT_ENUM_BOUND`, caps both the poset's elements (in
     `open_masks`) and the table's entries: more than 2**limit raises
-    `BoundExceeded` before any row is built.  An open is labelled by its
+    `BoundExceeded` before any row is built.  A poset of n elements has at
+    most 2**n opens, so the test never builds an integer of more than 2n
+    bits, whatever the limit.  An open is labelled by its
     element names, joined by commas (``{}`` when empty); two opens with one
     label raise `PosetError`, also before any row is built."""
     limit = DEFAULT_ENUM_BOUND if bound is None else bound
     opens = open_masks(poset, limit).tolist()
-    if len(opens) ** 2 > 1 << limit:
+    if len(opens) ** 2 > 1 << min(limit, 2 * len(poset.elements)):
         raise BoundExceeded(f"{len(opens)} opens make a table of {len(opens) ** 2} "
                             f"implications, more than 2^{limit}")
     label, owner = {}, {}

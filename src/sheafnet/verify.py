@@ -39,21 +39,15 @@ from .carnap import (
 from .chains import ChainObject, DeltaSequence, chain_implication, psi_delta
 from .data import fixture_graph
 from .dynamics import (
-    CubicCellParams,
-    GRUParams,
-    LSTMParams,
-    MGU2Params,
+    CELLS,
+    PARAM_COUNTS,
     SumLoss,
     braid_relation_check,
-    cubic_param_count,
     cubic_residual,
     cubic_roots,
     default_braid_rep,
     discriminant,
     gradient_agreement,
-    gru_param_count,
-    lstm_param_count,
-    mgu2_param_count,
     random_fork_network,
 )
 from .groupoids import (
@@ -559,11 +553,8 @@ def criterion_12(seed=0):
     rng = random.Random(seed)
     for m in range(1, 9):
         for n in range(1, 9):
-            ok = (LSTMParams.init(m, n, rng).n_parameters == lstm_param_count(m, n)
-                  and GRUParams.init(m, n, rng).n_parameters == gru_param_count(m, n)
-                  and MGU2Params.init(m, n, rng).n_parameters == mgu2_param_count(m, n)
-                  and CubicCellParams.init(m, n, rng).n_parameters == cubic_param_count(m, n))
-            if not ok:
+            if not all(CELLS[cell].init(m, n, rng).n_parameters == PARAM_COUNTS[cell](m, n)
+                       for cell in CELLS):
                 return False, f"mismatch at {(m, n)}"
     return True, "lstm/gru/mgu2/cubic counts match on the full (m,n) grid 1..8"
 

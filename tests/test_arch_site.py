@@ -489,6 +489,39 @@ def _covering_oracle(poset):
             and not any(z not in (x, y) and poset.leq(x, z) and poset.leq(z, y) for z in els)}
 
 
+def scan_covering(poset):
+    """The reference covering relation: for each element in index order, every
+    element strictly above it, lowest index first, with no element strictly
+    between the two."""
+    out = []
+    for i, x in enumerate(poset.elements):
+        m = poset._up[i] & ~(1 << i)
+        while m:
+            j = (m & -m).bit_length() - 1
+            m &= m - 1
+            if poset._up[i] & poset._down[j] & ~(1 << i) & ~(1 << j) == 0:
+                out.append((x, poset.elements[j]))
+    return tuple(out)
+
+
+def test_covering_matches_the_scan_of_every_comparable_pair():
+    """Up to 25 elements, listed in shuffled order, with sparse to dense
+    relations given with repeats and reflexive pairs, and a long chain: the
+    same tuple, order included."""
+    rng = random.Random(31)
+    for _ in range(500):
+        n = rng.randint(0, 25)
+        elements = rng.sample(range(n), n)
+        ranked = rng.sample(elements, n)
+        density = rng.choice((0.05, 0.2, 0.5, 0.9))
+        pairs = [(x, y) for i, x in enumerate(ranked) for y in ranked[i + 1:]
+                 if rng.random() < density]
+        poset = FinitePoset(elements, shuffled_relations(rng, pairs, elements))
+        assert poset.covering() == scan_covering(poset)
+    chain = FinitePoset.chain(1500)
+    assert chain.covering() == scan_covering(chain) == tuple((i, i + 1) for i in range(1500))
+
+
 def test_cached_structure_matches_fresh_computation_and_is_read_only():
     rng = random.Random(5)
     for _ in range(20):

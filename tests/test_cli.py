@@ -8,8 +8,9 @@ import sys
 import pytest
 
 from sheafnet.arch_site import SiteGraph
-from sheafnet.cli import _network_from_architecture, main
+from sheafnet.cli import main
 from sheafnet.data import fixture_text
+from sheafnet.dynamics import network_from_architecture
 
 
 @pytest.fixture
@@ -909,6 +910,10 @@ REPORT_MANIFEST = {
                           "20c93916447c0bc9058ec904b71bcb27e982ebc796da374bfb4d2f300a818463"),
         "dyn-cell-lstm": ("dyn --seed 2", 0,
                           "9f94d1ce2966a82b4ff06f5c1b4f81b4b54ab2d0879a7310d4b3e411d903e7de"),
+        "dyn-cell-gru": ("dyn --cell gru --m 2 --n 3 --steps 4 --seed 1", 0,
+                         "3fd002b5ac233eccb084ed957fb326159ebd206f1978d07369e873f9b97c29cd"),
+        "dyn-cell-cubic": ("dyn --cell cubic --m 3 --n 2 --steps 6 --seed 5", 0,
+                           "179b99ee2ced77dd8b3898b4313467f47a7458211ea6221a1d17f728fda33253"),
         "dyn-cusp": ("dyn cusp --grid 30", 0,
                      "39a4d7313a9f82ae8f64a801d41228a200e353473a7930c0fea0acb6a03fdf25"),
         "gradcheck-seed-3-chain": (
@@ -1017,7 +1022,7 @@ def test_gradcheck_network_order_matches_round_by_round_peeling():
         edges = [(s, d) for i, s in enumerate(names) for d in names[i + 1:]
                  if rng.random() < 0.35]
         g = SiteGraph.build(rng.sample(names, len(names)), edges)
-        net = _network_from_architecture(g, random.Random(0))
+        net = network_from_architecture(g, random.Random(0))
         assert net.order == reference_gradcheck_order(g) + ["__loss_readout"]
         assert all(net.nodes[v].parents == tuple(sorted(s for s, d in edges if d == v))
                    for v in names)

@@ -376,6 +376,32 @@ def test_parameter_counts_grid():
                 cubic_param_count(m, n) == m * m + 2 * m * n
 
 
+STEPS = {
+    "lstm": (LSTMParams, lstm_step),
+    "gru": (GRUParams, gru_step),
+    "mgu2": (MGU2Params, mgu2_step),
+    "cubic": (CubicCellParams, cubic_cell_step),
+}
+
+
+@pytest.mark.parametrize("cell", STEPS)
+def test_steps_refuse_vectors_of_the_wrong_dimension(cell):
+    """x must have n entries and every state vector m (for the LSTM, h_prev
+    and c_prev); lists are read as float vectors."""
+    params, step = STEPS[cell]
+    p = params.init(3, 2, zero=True)
+    states = [[0.0] * 3] * (2 if cell == "lstm" else 1)
+    step(p, [0.0] * 2, *states)
+    for k in range(1 + len(states)):
+        args = [[0.0] * 2] + states
+        args[k] = args[k] + [0.0]
+        with pytest.raises(ArchitectureError, match=f"^{step.__name__} dimension mismatch$"):
+            step(p, *args)
+        args[k] = np.zeros((1, len(args[k]) - 1))
+        with pytest.raises(ArchitectureError):
+            step(p, *args)
+
+
 def test_gru_saturated_gate_reduces_to_tanh_update():
     m, n = 2, 2
     p = GRUParams.init(m, n, zero=True)

@@ -6,7 +6,7 @@ import pytest
 
 from sheafnet import heyting as hey
 from sheafnet.arch_site import FinitePoset, open_masks
-from sheafnet.errors import PosetError
+from sheafnet.errors import BoundExceeded, PosetError
 
 
 def random_poset(rng, n, density=0.4):
@@ -235,3 +235,19 @@ def test_implication_table_two_chain():
     assert table["0,1"]["0"] == "0"
     assert table["0"]["{}"] == "{}"
     assert table["{}"]["{}"] == "0,1"
+
+
+def test_implication_table_bound_is_checked_without_a_bound_sized_integer():
+    """A table of |opens|^2 entries passes a bound B iff it has at most 2^B
+    entries, also for a B far past twice the element count; the message
+    names the bound given."""
+    p = FinitePoset.chain(1)
+    assert hey.implication_table(p, bound=10**12) == hey.implication_table(p)
+    antichain = FinitePoset("abc", ())
+    for bound in range(3, 12):
+        if 64 > 1 << bound:
+            with pytest.raises(BoundExceeded, match=re.escape(
+                    f"8 opens make a table of 64 implications, more than 2^{bound}")):
+                hey.implication_table(antichain, bound=bound)
+        else:
+            assert len(hey.implication_table(antichain, bound=bound)) == 8
