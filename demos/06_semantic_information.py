@@ -36,6 +36,10 @@ print("D^Q(T; T|Q)       =", kl_divergence(psi, q, t, condition(alg, t, q)))
 rng = random.Random(0)
 subs = [s for s in alg.elements() if s]
 triples = [(rng.choice(subs), rng.choice(subs), rng.choice(subs)) for _ in range(500)]
-print("cocycle residual  =", check_cocycle(psi, triples).max_residual)
+# the sweeps take each proposition as a mask of the discrete poset on the states
+mask_of = psi.algebra.poset.mask_of
+print("cocycle residual  =",
+      check_cocycle(psi, [tuple(map(mask_of, x)) for x in triples]).max_residual)
 domain = [(qq, a, b) for qq in subs for a in subs for b in subs if a <= b]
-print("concavity minimum =", check_concavity(psi, domain).minimum, "(>= 0: concave)")
+print("concavity minimum =",
+      check_concavity(psi, [tuple(map(mask_of, x)) for x in domain]).minimum, "(>= 0: concave)")

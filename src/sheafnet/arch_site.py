@@ -332,8 +332,9 @@ class FinitePoset:
     which checks the caller's enumeration bound on every call), `covering()`
     (a tuple of pairs), `lower_covers()` (a read-only mapping to tuples),
     `strict_sets()` (read-only mappings to frozensets, for
-    `heyting.OpenAlgebra`) and, for the batched `heyting.implies_mask`, its
-    up-closure tables per byte of a mask, in its `mask_dtype`.
+    `heyting.OpenAlgebra`), for `heyting.implies_mask` the mask of its
+    non-maximal elements and, for the batched form, its up-closure tables
+    per byte of a mask, in its `mask_dtype`.
     """
 
     def __init__(self, elements, relations, fork_graph=None):
@@ -396,6 +397,11 @@ class FinitePoset:
 
     def maximal(self):
         return tuple(x for i, x in enumerate(self.elements) if self._up[i] == (1 << i))
+
+    @cached_property
+    def _nonmaximal(self):
+        """The mask of the elements that are not maximal."""
+        return sum(1 << i for i, up in enumerate(self._up) if up != 1 << i)
 
     def covering(self):
         """Transitive reduction as a tuple of (lower, upper) pairs, sorted by

@@ -71,6 +71,7 @@ from .seminfo import (
     content,
     localized_precision,
     mutual_information,
+    sample,
 )
 from .unionfind import UnionFind
 from .verify import run_all
@@ -308,21 +309,24 @@ def cmd_info(args):
     p = alg.check(_states(args.p)) if args.p else frozenset()
     psi = localized_precision(lang, p) if p else cbh_precision(lang)
     rng = random.Random(args.seed)
-    states = list(lang.states)
+    # the sweeps take masks of the discrete poset: state i is bit i
+    bits = [1 << i for i in range(len(lang.states))]
+    p_mask = alg.poset.mask_of(p)
+    allowed = hey.top_mask(alg.poset) & ~p_mask
+    first_allowed = allowed & -allowed
 
     def sample_theory():
-        t = frozenset(rng.sample(states, rng.randint(1, len(states)))) - p
-        return t or frozenset({next(s for s in states if s not in p)})
+        return sum(sample(rng, bits, 1, len(bits))) & allowed or first_allowed
 
     def sample_prop():
-        return frozenset(rng.sample(states, rng.randint(1, len(states)))) | p
+        return sum(sample(rng, bits, 1, len(bits))) | p_mask
 
     triples = [(sample_theory(), sample_prop(), sample_prop()) for _ in range(2000)]
     cocycle = check_cocycle(psi, triples)
     domain = []
     for _ in range(2000):
         t, t2 = sample_theory(), sample_theory()
-        if alg.leq(t, t2):
+        if not t & ~t2:
             domain.append((sample_prop(), t, t2))
     concavity = check_concavity(psi, domain)
     independent, residual = check_independence(lang, q, q2)

@@ -244,9 +244,9 @@ class WeightedNetwork:
         by +h, and by -h.  A block of at most `FD_ROW_BLOCK` rows stacks
         these copies along a leading axis and evaluates the perturbed node
         and its descendants once for the whole block, then calls
-        ``loss.value`` once per row; every other node keeps its base
-        activation.  So memory grows with the block times the largest weight,
-        not with the square of the parameter count.
+        ``loss.value`` once on the block's output rows; every other node
+        keeps its base activation.  So memory grows with the block times the
+        largest weight, not with the square of the parameter count.
 
         Each row is bit-identical to re-running `feedforward` on the
         perturbed network.  A stacked ``np.matmul`` makes the same per-item
@@ -282,8 +282,7 @@ class WeightedNetwork:
                     k = np.arange(stop - start)
                     stack[(2 * k,) + idx] = array[idx] + h
                     stack[(2 * k + 1,) + idx] = array[idx] - h
-                    out = self._rows_forward(below, acts, field, stack)
-                    values = np.array([loss.value(y) for y in out])
+                    values = loss.value(self._rows_forward(below, acts, field, stack))
                     diffs[start:stop] = (values[0::2] - values[1::2]) / (2 * h)
                 block = np.zeros_like(array)
                 block[...] = diffs.reshape(array.shape)
@@ -347,10 +346,15 @@ class BackpropResult:
 
 
 class SumLoss:
-    """F(y) = sum of the output coordinates."""
+    """F(y) = sum of the output coordinates.
+
+    A loss's ``value`` reduces the last axis: a C-ordered stack of outputs,
+    such as a block of `WeightedNetwork.finite_difference`, gets one value
+    per row, each with the bits of the value of that row alone.  ``grad``
+    takes one output."""
 
     def value(self, y):
-        return float(np.sum(y))
+        return np.sum(y, axis=-1)
 
     def grad(self, y):
         return np.ones_like(y)

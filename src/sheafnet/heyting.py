@@ -27,8 +27,10 @@ up-closure of Q - T one byte at a time from the poset's 256-entry tables
 
 Each representation has one engine, and each serves its own traffic.
 Masks serve the bulk sweeps: the acceptance harnesses evaluate millions of
-pairs as ints or arrays and never leave masks.  Frozensets serve per-call
-work, such as conditioning in the semantic-information measures and the
+pairs as ints or arrays and never leave masks, and the semantic-information
+sweeps (`seminfo.check_cocycle`, `seminfo.check_concavity`) condition
+thousands of sampled masks.  Frozensets serve per-call work, such as
+conditioning in the per-call semantic-information measures and the
 module-level `implies`, `neg` and `oracle_implies`: `OpenAlgebra` evaluates
 Q => T with a few C-level set operations, which costs less than turning
 each argument into a mask and back (a Python loop over its elements).  The
@@ -47,15 +49,19 @@ def top_mask(poset):
 
 def implies_mask(poset, q, t):
     """Q => T on masks: clear the up-set of every element of Q - T.  The
-    masks may be Python or numpy integers, visiting only the elements of
-    Q - T, or numpy arrays of unsigned masks evaluated elementwise (with
-    broadcasting) and returned in their dtype; on arrays the up-closure of
-    Q - T is the union of one per-byte table entry for each byte of the
-    mask.  T is complemented within the top mask, so a Python-int T stays
-    non-negative and mixes with mask arrays."""
+    masks may be Python or numpy integers, or numpy arrays of unsigned
+    masks evaluated elementwise (with broadcasting) and returned in their
+    dtype.  On integers Q - T is cleared at once, and then the up-sets of
+    its non-maximal elements, as `OpenAlgebra.implies` does (on a discrete
+    poset there are none); on arrays the up-closure of Q - T is the union of
+    one per-byte table entry for each byte of the mask.  T is complemented
+    within the top mask, so a Python-int T stays non-negative and mixes with
+    mask arrays."""
     top = top_mask(poset)
     if not (isinstance(q, np.ndarray) or isinstance(t, np.ndarray)):
-        bad, out = int(q) & (top ^ int(t)), top
+        bad = int(q) & (top ^ int(t))
+        out = top ^ bad
+        bad &= poset._nonmaximal
         while bad:
             up = poset._up[(bad & -bad).bit_length() - 1]
             out &= ~up

@@ -15,6 +15,13 @@ psi(S), a cocycle: phi^{Q and R}(S) = phi^Q(S) + phi^R(S|Q).  Mutual
 information, the divergence analog and the independence/additivity checks
 are algebraic combinations of the same four-point evaluations.
 
+The per-call measures (`condition`, `ambiguity`, `mutual_information`,
+`kl_divergence`, `concavity_defect` and psi itself) take frozensets.  The
+sweeps over many samples, `check_cocycle` and `check_concavity`, take masks
+of ``psi.algebra.poset`` instead: they condition with
+`heyting.implies_mask` and grade each distinct mask once per sweep.
+`sample` draws the sampled propositions, as `random.Random.sample` would.
+
 psi(bottom) = -inf is a legal value; any expression that would subtract
 two infinities raises InfinityArithmetic instead of returning NaN.
 """
@@ -22,11 +29,47 @@ two infinities raises InfinityArithmetic instead of returning NaN.
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import InfinityArithmetic, LanguageError
-from .heyting import OpenAlgebra
+from .heyting import OpenAlgebra, implies_mask
 
 NEG_INF = float("-inf")
+
+
+# ---------------------------------------------------------------------------
+# Sampling
+# ---------------------------------------------------------------------------
+
+def sample(rng, population, lo, hi):
+    """``rng.sample(population, rng.randint(lo, hi))`` for a `random.Random`
+    and a sequence: the same list, and ``rng`` is left in the same state.
+
+    CPython's `random.Random.sample` always takes its pool branch for up to
+    21 items, and each ``randbelow(m)`` there and in `randint` is one
+    ``getrandbits(m.bit_length())``, drawn again while it is >= m.  For up
+    to 21 items and 0 <= lo <= hi <= len(population) that is done here
+    inline, with one C call per draw; anything else goes to ``rng`` itself.
+    The tests compare the two on many sizes, ranges and seeds."""
+    n = len(population)
+    if n > 21 or not 0 <= lo <= hi <= n:
+        return rng.sample(population, rng.randint(lo, hi))
+    getrandbits = rng.getrandbits
+    width = hi - lo + 1
+    bits = width.bit_length()
+    k = getrandbits(bits)
+    while k >= width:
+        k = getrandbits(bits)
+    pool = list(population)
+    out = []
+    for m in range(n, n - lo - k, -1):
+        bits = m.bit_length()
+        j = getrandbits(bits)
+        while j >= m:
+            j = getrandbits(bits)
+        out.append(pool[j])
+        pool[j] = pool[m - 1]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +134,9 @@ def psi_cbh(lang, t):
 
 @dataclass
 class PrecisionFunction:
-    """An evaluation contract psi: theory -> extended real."""
+    """An evaluation contract psi: theory -> extended real.  `of_mask`
+    grades the open of ``algebra.poset`` with a given mask, as the sweeps
+    do; here by calling ``fn`` on its set of elements."""
 
     fn: object
     algebra: object
@@ -99,10 +144,46 @@ class PrecisionFunction:
     def __call__(self, t):
         return self.fn(t)
 
+    def of_mask(self, mask):
+        return self.fn(self.algebra.poset.set_of(mask))
+
+
+_NOT_EXCLUDED = "theory does not exclude the localizing proposition"
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+class _LogMeasure(PrecisionFunction):
+    """psi(T) = ln(m(T) / denom) on a Boolean language, -inf where m(T) = 0,
+    for theories that exclude the states ``p``.  `of_mask` reads a mask of
+    the discrete poset on the states directly: m is the `math.fsum` of the
+    measures of its set bits, correctly rounded like `BooleanLanguage.m`,
+    so a mask and its set get the same bits."""
+
+    def __init__(self, lang, p, denom):
+        super().__init__(self._of_set, OpenAlgebra.discrete(lang.states))
+        self.lang, self.p, self.denom = lang, p, denom
+        self.p_mask = self.algebra.poset.mask_of(p.intersection(lang.states))
+        self.weights = [lang.measure[s] for s in lang.states]
+
+    def _of_set(self, t):
+        t = frozenset(t)
+        if t & self.p:
+            raise LanguageError(_NOT_EXCLUDED)
+        return self._log(self.lang.m(t))
+
+    def of_mask(self, mask):
+        if mask & self.p_mask:
+            raise LanguageError(_NOT_EXCLUDED)
+        # the binary digits of the mask, least significant first, as 0/1 bytes
+        return self._log(math.fsum(compress(self.weights,
+                                            bin(mask)[:1:-1].encode().translate(_BITS))))
+
+    def _log(self, mt):
+        return NEG_INF if mt == 0 else math.log(mt / self.denom)
+
 
 def cbh_precision(lang):
-    alg = OpenAlgebra.discrete(lang.states)
-    return PrecisionFunction(lambda t: psi_cbh(lang, t), alg)
+    return _LogMeasure(lang, frozenset(), lang.total)
 
 
 def localized_precision(lang, p):
@@ -110,22 +191,13 @@ def localized_precision(lang, p):
     as a precision.  m(not P) is summed once, when it is built, so a
     P that names every state raises LanguageError here, before any theory is
     graded."""
-    alg = OpenAlgebra.discrete(lang.states)
     p = frozenset(p)
     if not p:
-        return PrecisionFunction(lambda t: psi_cbh(lang, t), alg)
+        return cbh_precision(lang)
     denom = lang.m(set(lang.states) - p)
     if denom == 0:
         raise LanguageError("not P has measure zero; localization undefined")
-
-    def psi(t):
-        t = frozenset(t)
-        if t & p:
-            raise LanguageError("theory does not exclude the localizing proposition")
-        mt = lang.m(t)
-        return NEG_INF if mt == 0 else math.log(mt / denom)
-
-    return PrecisionFunction(psi, alg)
+    return _LogMeasure(lang, p, denom)
 
 
 # ---------------------------------------------------------------------------
@@ -182,28 +254,46 @@ class CocycleReport:
         return self.samples > 0 and self.max_residual <= tol
 
 
+def _memo_grade(psi):
+    """psi on masks of ``psi.algebra.poset``, by `PrecisionFunction.of_mask`,
+    each distinct mask graded once; the memo lives as long as the function."""
+    memo = {}
+    of_mask = psi.of_mask
+
+    def grade(mask):
+        value = memo.get(mask)
+        if value is None:
+            value = memo[mask] = of_mask(mask)
+        return value
+
+    return grade
+
+
 def check_cocycle(psi, triples):
     """The largest residual of phi^{Q and R}(S) = phi^Q(S) + phi^R(S|Q) over
     the (S, Q, R) triples, read once (a generator will do).  A triple where
     either side would subtract two infinities is skipped, not counted.
 
-    Each triple evaluates psi(S|Q and R), psi(S), psi(S|Q) and psi((S|Q)|R)
-    once each, in that order, and three implications, where the three
-    `ambiguity` calls would take six and four.  The differences are formed
-    from these values with the same guards and float operations, in the same
-    order, so the report is theirs bit for bit."""
-    alg = psi.algebra
+    S, Q and R are masks of opens of ``psi.algebra.poset``, as Python ints.
+    Each triple evaluates psi(S|Q and R), psi(S), psi(S|Q) and psi((S|Q)|R),
+    in that order, and three implications (`heyting.implies_mask`), where
+    the three `ambiguity` calls would take six and four; psi is memoized by
+    mask for the sweep.  The differences are formed from these values with
+    the same guards and float operations, in the same order, so the report
+    is theirs bit for bit."""
+    poset = psi.algebra.poset
+    grade = _memo_grade(psi)
     worst = 0.0
     n = 0
     for s, q, r in triples:
         try:
-            psi_s_qr = psi(condition(alg, s, alg.meet(q, r)))
-            psi_s = psi(s)
+            psi_s_qr = grade(implies_mask(poset, q & r, s))
+            psi_s = grade(s)
             lhs = _diff(psi_s_qr, psi_s, _AMBIGUITY_INF)
-            s_q = condition(alg, s, q)
-            psi_s_q = psi(s_q)
+            s_q = implies_mask(poset, q, s)
+            psi_s_q = grade(s_q)
             rhs = _diff(psi_s_q, psi_s, _AMBIGUITY_INF) + \
-                _diff(psi(condition(alg, s_q, r)), psi_s_q, _AMBIGUITY_INF)
+                _diff(grade(implies_mask(poset, r, s_q)), psi_s_q, _AMBIGUITY_INF)
         except InfinityArithmetic:
             continue
         n += 1
@@ -221,25 +311,35 @@ class ConcavityReport:
         return self.samples > 0 and self.minimum >= -tol
 
 
+_CONCAVITY_INF = "concavity defect mixes infinities"
+
+
 def concavity_defect(psi, q, t, t_weaker):
     """I_P(Q; T, T') = psi(T|Q) - psi(T) - psi(T'|Q) + psi(T'); nonnegative
     for a concave psi when T <= T'."""
     alg = psi.algebra
     return _diff(psi(condition(alg, t, q)) + psi(t_weaker),
-                 psi(t) + psi(condition(alg, t_weaker, q)), "concavity defect mixes infinities")
+                 psi(t) + psi(condition(alg, t_weaker, q)), _CONCAVITY_INF)
 
 
 def check_concavity(psi, domain):
     """Minimum of the double difference over (Q, T, T') samples with
-    T <= T'; the sampler supplies the admissible triples."""
+    T <= T' (others are skipped); the sampler supplies the admissible
+    triples, as masks of opens of ``psi.algebra.poset`` (Python ints).  Each
+    sample takes `concavity_defect`'s evaluations and float operations, in
+    its order, with psi memoized by mask for the sweep; the witness is the
+    first sample that reaches the minimum, as given."""
+    poset = psi.algebra.poset
+    grade = _memo_grade(psi)
     minimum = math.inf
     witness = None
     n = 0
     for q, t, t2 in domain:
-        if not psi.algebra.leq(t, t2):
+        if t & ~t2:
             continue
         try:
-            value = concavity_defect(psi, q, t, t2)
+            value = _diff(grade(implies_mask(poset, q, t)) + grade(t2),
+                          grade(t) + grade(implies_mask(poset, q, t2)), _CONCAVITY_INF)
         except InfinityArithmetic:
             continue
         n += 1

@@ -906,6 +906,11 @@ REPORT_MANIFEST = {
                  0, "a5bb93c40eb4a006238d286a0ead64f04b8c90d5e999badf59bce1f4edcfc69f"),
         "info-p": ("info --in {tmp}/lang.json --theory 01 --p 00 --seed 4", 0,
                    "c2dc3b1cbc4f3cb2ab38b000e4bf621a11e3f686b93b390e2bbca182a147f979"),
+        # past 21 states `seminfo.sample` hands each draw to random.sample,
+        # which takes its set branch for small samples
+        "info-30-states": ("info --in {tmp}/lang30.json --theory s1,s2,s3 --q s0,s3,s4,s7 "
+                           "--q2 s0,s7,s9 --p s0,s7 --seed 3", 0,
+                           "355a1e889e5289ea5518a06e5fa41eee9064df139a2e78843014b3cb385acfa2"),
         "dyn-cell-mgu2": ("dyn --cell mgu2 --m 3 --n 2 --steps 5 --seed 0", 0,
                           "20c93916447c0bc9058ec904b71bcb27e982ebc796da374bfb4d2f300a818463"),
         "dyn-cell-lstm": ("dyn --seed 2", 0,
@@ -962,6 +967,8 @@ MANIFEST_DOCUMENTS = {
         "object_map": {"x": "u", "y": "u"},
     },
     "lang.json": {"states": ["00", "01", "10", "11"]},
+    "lang30.json": {"states": [f"s{i}" for i in range(30)],
+                    "measure": {f"s{i}": 1 + i % 7 for i in range(30)}},
 }
 
 

@@ -41,7 +41,7 @@ class QuadraticLoss:
         self.target = np.asarray(target, dtype=float)
 
     def value(self, y):
-        return float(0.5 * np.sum((y - self.target) ** 2))
+        return 0.5 * np.sum((y - self.target) ** 2, axis=-1)
 
     def grad(self, y):
         return y - self.target

@@ -85,10 +85,11 @@ def test_vacuous_and_equal_cases():
 
 def test_pointwise_equals_oracle_exhaustive_small():
     """The mask engine, the frozenset engine and the oracle agree on every
-    pair of opens."""
+    pair of opens: on random posets, on an antichain (where the scalar
+    `implies_mask` walks no up-set) and on a chain."""
     rng = random.Random(11)
-    for _ in range(12):
-        p = random_poset(rng, rng.randint(2, 6))
+    posets = [random_poset(rng, rng.randint(2, 6)) for _ in range(12)]
+    for p in posets + [FinitePoset(range(6), ()), FinitePoset.chain(5)]:
         opens = open_masks(p)
         for q in opens:
             for t in opens:

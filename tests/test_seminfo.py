@@ -23,6 +23,7 @@ from sheafnet.seminfo import (
     localized_precision,
     mutual_information,
     psi_cbh,
+    sample,
 )
 
 LN = math.log
@@ -34,6 +35,13 @@ def lang_of(n):
 
 def subsets(lang):
     return list(OpenAlgebra.discrete(lang.states).elements())
+
+
+def as_masks(psi, triples):
+    """The triples of opens as masks of ``psi.algebra.poset``, which the
+    sweeps take, read lazily."""
+    mask_of = psi.algebra.poset.mask_of
+    return (tuple(map(mask_of, triple)) for triple in triples)
 
 
 # -- conditioning -------------------------------------------------------------
@@ -113,6 +121,8 @@ def test_psi_localized():
         psi_cbh(lang, frozenset({"s0"}))
     with pytest.raises(LanguageError):
         psi(frozenset({"s3"}))
+    with pytest.raises(LanguageError):
+        psi.of_mask(psi.algebra.poset.mask_of({"s3"}))
 
 
 # -- ambiguity and cocycle -------------------------------------------------------
@@ -168,11 +178,11 @@ def test_cocycle_identity_random_triples():
     subs = [s for s in subsets(lang) if s]
     triples = [(rng.choice(subs), rng.choice(subs), rng.choice(subs))
                for _ in range(500)]
-    report = check_cocycle(psi, triples)
+    report = check_cocycle(psi, list(as_masks(psi, triples)))
     assert report.passed(1e-12)
     # read once from a generator; a triple with inf - inf is skipped, not counted
     bottom = (frozenset(), psi.algebra.top, psi.algebra.top)
-    assert check_cocycle(psi, (x for x in triples + [bottom])) == report
+    assert check_cocycle(psi, as_masks(psi, triples + [bottom])) == report
 
 
 def test_cocycle_idempotent_substitution():
@@ -204,7 +214,7 @@ def full_domain(alg, p):
 def test_psi_cbh_concave_exhaustive():
     lang = lang_of(5)
     psi = cbh_precision(lang)
-    report = check_concavity(psi, full_domain(psi.algebra, frozenset()))
+    report = check_concavity(psi, as_masks(psi, full_domain(psi.algebra, frozenset())))
     assert report.passed(0.0)  # exact nonnegativity
 
 
@@ -212,7 +222,7 @@ def test_psi_localized_concave_exhaustive():
     lang = lang_of(4)
     p = frozenset({"s3"})
     psi = localized_precision(lang, p)
-    report = check_concavity(psi, full_domain(psi.algebra, p))
+    report = check_concavity(psi, as_masks(psi, full_domain(psi.algebra, p)))
     assert report.passed(1e-12)
 
 
@@ -221,7 +231,7 @@ def test_cardinality_on_opens_is_not_concave():
     # larger theory, so a negative double difference is found and reported
     alg = OpenAlgebra(FinitePoset.chain(1))
     psi = PrecisionFunction(lambda t: float(len(t)), alg)
-    report = check_concavity(psi, full_domain(alg, alg.bottom))
+    report = check_concavity(psi, as_masks(psi, full_domain(alg, alg.bottom)))
     assert report.samples > 0
     assert not report.passed(1e-12)
     assert report.witness is not None
@@ -234,8 +244,112 @@ def test_delta_precision_concavity_reported_negative():
     psi = PrecisionFunction(lambda t: psi_delta(e, alg.poset.mask_of(t), delta), alg)
     subs = list(alg.elements())
     domain = [(q, t, t2) for q in subs for t in subs for t2 in subs if alg.leq(t, t2)]
-    report = check_concavity(psi, domain)
+    report = check_concavity(psi, as_masks(psi, domain))
     assert report.minimum == -0.5  # the frozen counterexample
+
+
+# -- the sweeps on masks against the per-call measures ------------------------------
+
+def oracle_cocycle(psi, triples):
+    """`check_cocycle` on opens as sets, each phi one `ambiguity` call."""
+    alg = psi.algebra
+    worst, n = 0.0, 0
+    for s, q, r in triples:
+        try:
+            lhs = ambiguity(psi, s, alg.meet(q, r))
+            rhs = ambiguity(psi, s, q) + ambiguity(psi, condition(alg, s, q), r)
+        except InfinityArithmetic:
+            continue
+        n += 1
+        worst = max(worst, abs(lhs - rhs))
+    return n, worst
+
+
+def oracle_concavity(psi, domain):
+    """`check_concavity` on opens as sets, one `concavity_defect` call per
+    admissible sample."""
+    minimum, witness, n = math.inf, None, 0
+    for q, t, t2 in domain:
+        if not psi.algebra.leq(t, t2):
+            continue
+        try:
+            value = concavity_defect(psi, q, t, t2)
+        except InfinityArithmetic:
+            continue
+        n += 1
+        if value < minimum:
+            minimum, witness = value, (q, t, t2)
+    return n, minimum, witness
+
+
+@pytest.mark.parametrize("localized", [False, True])
+def test_mask_sweeps_equal_the_per_call_measures(localized):
+    """Random languages with non-uniform measures, with and without a
+    localizing P; theories may be empty, so that the infinity guards skip
+    samples.  The reports agree bit for bit, and psi agrees on every mask."""
+    rng = random.Random(31 + localized)
+    skipped = 0
+    for _ in range(60):
+        n = rng.randint(2 if localized else 1, 12)
+        states = [f"s{i}" for i in range(n)]
+        lang = BooleanLanguage(states, {s: rng.uniform(0.01, 100.0) for s in states})
+        p = frozenset(rng.sample(states, rng.randint(1, n - 1))) if localized else frozenset()
+        psi = localized_precision(lang, p)
+        poset = psi.algebra.poset
+
+        def theory():
+            return frozenset(rng.sample(states, rng.randint(0, n))) - p
+
+        def prop():
+            return frozenset(rng.sample(states, rng.randint(0, n))) | p
+
+        triples = [(theory(), prop(), prop()) for _ in range(40)]
+        domain = []
+        for _ in range(40):
+            t = theory()
+            domain.append((prop(), t, t | theory() if rng.random() < 0.7 else theory()))
+        # each sample alone, which compares every value, then the whole sweep
+        for sweep in [[x] for x in triples] + [triples]:
+            cocycle = check_cocycle(psi, as_masks(psi, sweep))
+            samples, worst = oracle_cocycle(psi, sweep)
+            assert (cocycle.samples, cocycle.max_residual.hex()) == (samples, worst.hex())
+        skipped += len(triples) - cocycle.samples
+        for sweep in [[x] for x in domain] + [domain]:
+            concavity = check_concavity(psi, as_masks(psi, sweep))
+            samples, minimum, witness = oracle_concavity(psi, sweep)
+            assert (concavity.samples, concavity.minimum.hex()) == (samples, minimum.hex())
+            assert concavity.witness == (witness and tuple(map(poset.mask_of, witness)))
+        if n <= 8:
+            for mask in range(1 << n):
+                if not poset.set_of(mask) & p:
+                    assert psi.of_mask(mask).hex() == psi(poset.set_of(mask)).hex()
+    assert skipped > 0
+
+
+# -- sampling ------------------------------------------------------------------------
+
+def outcome(draw):
+    try:
+        return draw()
+    except ValueError as error:
+        return str(error)
+
+
+@pytest.mark.parametrize("n", list(range(30)) + [40, 85, 86, 100])
+def test_sample_equals_random_sample(n):
+    """`sample` returns `random.Random.sample`'s list after its `randint`,
+    and leaves the generator in the same state; past 21 items it calls them.
+    A range past the population raises the same error."""
+    population = [f"x{i}" for i in range(n)]
+    ends = sorted({0, 1, 2, n // 3, n // 2, n - 1, n, n + 1} - {-1})
+    for seed in range(20):
+        mine, theirs = random.Random(seed), random.Random(seed)
+        for lo in ends:
+            for hi in ends:
+                if lo <= hi:
+                    assert outcome(lambda: sample(mine, population, lo, hi)) == \
+                        outcome(lambda: theirs.sample(population, theirs.randint(lo, hi)))
+                    assert mine.getstate() == theirs.getstate()
 
 
 # -- mutual information and divergence ----------------------------------------------
