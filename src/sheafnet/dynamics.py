@@ -3,10 +3,13 @@ cusp geometry of cubic cells.
 
 A WeightedNetwork evaluates a DAG of vector-valued nodes; a node with
 several parents consumes the tuple (concatenation) of their values, which
-is the fork semantics.  The gradient of the loss with respect to a node's
+is the fork semantics.  Node values are computed in one place, `_forward`,
+for `feedforward` and for the batched re-evaluations of
+`finite_difference`.  The gradient of the loss with respect to a node's
 weight block is the sum over all directed paths from that node to the
 output of the chain-rule Jacobian product; `backprop_paths` computes it
-literally and `reverse_mode` / `finite_difference` are the cross-checks.
+literally, in one depth-first walk that holds the product of each path
+prefix, and `reverse_mode` / `finite_difference` are the cross-checks.
 `finite_difference` stacks the perturbed copies of a weight block along a
 leading axis, in blocks of at most `FD_ROW_BLOCK` rows, and evaluates the
 perturbed node and its descendants once per block from one base forward
@@ -85,6 +88,10 @@ class WeightedNetwork:
             raise ArchitectureError("duplicate node names")
         seen = set()
         for n in nodes:
+            if n.op not in ("input", "affine", "hadamard", "hadsum"):
+                raise ArchitectureError(f"unknown op {n.op!r} at {n.name!r}")
+            if len(set(n.parents)) != len(n.parents):
+                raise ArchitectureError(f"node {n.name!r} names a parent twice")
             for p in n.parents:
                 if p not in seen:
                     raise ArchitectureError(f"node {n.name!r} used before parent {p!r}")
@@ -108,32 +115,52 @@ class WeightedNetwork:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _concat(self, node, acts):
-        return np.concatenate([acts[p] for p in node.parents])
-
     def feedforward(self, inputs):
         """Activations per node; the unique section determined by the inputs."""
         acts, pre = {}, {}
-        for name in self.order:
-            n = self.nodes[name]
-            if n.op == "input":
-                v = np.asarray(inputs[name], dtype=float)
-                if v.shape != (n.dim,):
-                    raise ArchitectureError(f"input {name!r} has wrong dimension")
-                acts[name] = v
-            elif n.op == "affine":
-                z = n.weight @ self._concat(n, acts)
-                if n.bias is not None:
-                    z = z + n.bias
-                pre[name] = z
-                acts[name] = ACTIVATIONS[n.activation][0](z)
-            elif n.op == "hadamard":
-                a, b = (acts[p] for p in n.parents)
-                acts[name] = a * b
-            else:
-                a, b = (acts[p] for p in n.parents)
-                acts[name] = a + b
+        for name in self.inputs:
+            # a copy, C-contiguous as every value `_forward` passes to matmul
+            v = np.array(inputs[name], dtype=float)
+            if v.shape != (self.nodes[name].dim,):
+                raise ArchitectureError(f"input {name!r} has wrong dimension")
+            acts[name] = v
+        self._forward([n for n in self.nodes.values() if n.op != "input"], acts, pre)
         return acts, pre
+
+    def _forward(self, nodes, acts, pre, field=None, stack=None):
+        """Evaluate ``nodes`` (in `order`) into ``acts``, which holds the
+        value of every parent, and each affine node's pre-activation into
+        ``pre``.  With ``stack``, the first node takes each copy in it as its
+        ``field`` ("weight" or "bias"), and the values downstream of it get
+        one row per copy."""
+        for i, n in enumerate(nodes):
+            values = [acts[p] for p in n.parents]
+            if n.op == "affine":
+                weight, bias = n.weight, n.bias
+                if i == 0 and stack is not None:
+                    weight, bias = (stack, bias) if field == "weight" else (weight, stack)
+                if len(values) == 1:
+                    x = values[0]       # C-contiguous, as every value here is
+                else:
+                    # a C-ordered join, with rows if any parent has them:
+                    # np.concatenate of broadcast views comes out F-ordered
+                    # when a batched parent has dimension 1, and matmul then
+                    # skips BLAS
+                    x = np.empty(max((v.shape[:-1] for v in values), key=len)
+                                 + (n.weight.shape[1],))
+                    offset = 0
+                    for value in values:
+                        x[..., offset:offset + value.shape[-1]] = value
+                        offset += value.shape[-1]
+                z = np.matmul(weight, x[..., None])[..., 0]
+                if bias is not None:
+                    z = z + bias
+                pre[n.name] = z
+                acts[n.name] = ACTIVATIONS[n.activation][0](z)
+            elif n.op == "hadamard":
+                acts[n.name] = values[0] * values[1]
+            else:
+                acts[n.name] = values[0] + values[1]
 
     def _edge_jacobians(self, acts, pre):
         """J[(child, parent)] = d child / d parent at the evaluated point."""
@@ -166,53 +193,61 @@ class WeightedNetwork:
                     jac[(name, p)] = np.eye(n.dim)
         return jac, saturated
 
-    def _paths_to_output(self, start):
-        """All directed paths from ``start`` to the output node, depth first,
-        each node's children in `order`.  The walk keeps one iterator over
-        the unvisited children of each node on the current path, so its depth
-        is not bounded by Python's recursion limit."""
+    def _path_sum(self, start, jac, children):
+        """The sum, over the directed paths from ``start`` to the output, of
+        the product of the edge Jacobians along the path, and the number of
+        those paths.
+
+        The walk goes depth first, each node's children in `order`, and adds
+        the paths in that order.  It holds the product of each prefix of the
+        current path (``J @ prefix``, from the identity), so each step is one
+        matmul, and one iterator over the unvisited children of each node on
+        the path, so its depth is not bounded by Python's recursion limit."""
+        dim = self.nodes[start].dim
+        total = np.zeros((self.nodes[self.output].dim, dim))
+        if start == self.output:
+            return total + np.eye(dim), 1
+        count = 0
+        stack = [(start, np.eye(dim), iter(children[start]))]
+        while stack:
+            node, prefix, branch = stack[-1]
+            child = next(branch, None)
+            if child is None:
+                stack.pop()
+                continue
+            product = jac[(child, node)] @ prefix
+            if child == self.output:
+                total += product
+                count += 1
+            else:
+                stack.append((child, product, iter(children[child])))
+        return total, count
+
+    def _block_grads(self, n, acts, pre, adjoint):
+        """The weight and bias gradients of affine node ``n``, given the
+        adjoint (the loss gradient) of its output."""
+        g = adjoint * ACTIVATIONS[n.activation][1](pre[n.name])
+        return (np.outer(g, np.concatenate([acts[p] for p in n.parents])),
+                g if n.bias is not None else None)
+
+    def backprop_paths(self, inputs, loss):
+        """Gradients per affine weight block via the literal path sum, one
+        prefix-sharing walk (`_path_sum`) per block."""
+        acts, pre = self.feedforward(inputs)
+        jac, saturated = self._edge_jacobians(acts, pre)
+        dF = loss.grad(acts[self.output])
         children = {name: [] for name in self.order}
         for name in self.order:
             for p in self.nodes[name].parents:
                 children[p].append(name)
-        paths = [(start,)] if start == self.output else []
-        path, branches = [start], [iter(children[start])]
-        while branches:
-            c = next(branches[-1], None)
-            if c is None:
-                branches.pop()
-                path.pop()
-                continue
-            path.append(c)
-            branches.append(iter(children[c]))
-            if c == self.output:
-                paths.append(tuple(path))
-        return paths
-
-    def backprop_paths(self, inputs, loss):
-        """Gradients per affine weight block via the literal path sum."""
-        acts, pre = self.feedforward(inputs)
-        jac, saturated = self._edge_jacobians(acts, pre)
-        dF = loss.grad(acts[self.output])
         grads = {}
         path_counts = {}
         for name in self.order:
             n = self.nodes[name]
             if n.op != "affine":
                 continue
-            paths = self._paths_to_output(name)
-            path_counts[name] = len(paths)
-            total = np.zeros((self.nodes[self.output].dim, n.dim))
-            for path in paths:
-                m = np.eye(n.dim)
-                for a, b in zip(path, path[1:]):
-                    m = jac[(b, a)] @ m
-                total += m
-            g = (total.T @ dF) * ACTIVATIONS[n.activation][1](pre[name])
-            inp = self._concat(n, acts)
-            gw = np.outer(g, inp)
-            gb = g if n.bias is not None else None
-            grads[name] = (gw, gb)
+            total, path_counts[name] = self._path_sum(name, jac, children)
+            grads[name] = self._block_grads(n, acts, pre, total.T @ dF)
         return BackpropResult(grads, tuple(saturated), path_counts,
                               float(loss.value(acts[self.output])))
 
@@ -226,36 +261,30 @@ class WeightedNetwork:
             n = self.nodes[name]
             for p in n.parents:
                 adj[p] = adj[p] + jac[(name, p)].T @ adj[name]
-        grads = {}
-        for name in self.order:
-            n = self.nodes[name]
-            if n.op != "affine":
-                continue
-            g = adj[name] * ACTIVATIONS[n.activation][1](pre[name])
-            grads[name] = (np.outer(g, self._concat(n, acts)),
-                           g if n.bias is not None else None)
-        return grads
+        return {name: self._block_grads(n, acts, pre, adj[name])
+                for name, n in self.nodes.items() if n.op == "affine"}
 
     def finite_difference(self, inputs, loss, h=1e-5):
         """Central differences on every affine weight and bias entry, from one
-        base forward pass and batched re-evaluation.
+        base forward pass and batched re-evaluation through `_forward`.
 
         Each entry gives two rows: the weight (or bias) with that entry moved
         by +h, and by -h.  A block of at most `FD_ROW_BLOCK` rows stacks
         these copies along a leading axis and evaluates the perturbed node
-        and its descendants once for the whole block, then calls
-        ``loss.value`` once on the block's output rows; every other node
-        keeps its base activation.  So memory grows with the block times the
-        largest weight, not with the square of the parameter count.
+        and its descendants once for the whole block, over a copy of the base
+        activations, then calls ``loss.value`` once on the block's output
+        rows; every other node keeps its base activation.  So memory grows
+        with the block times the largest weight, not with the square of the
+        parameter count.
 
         Each row is bit-identical to re-running `feedforward` on the
         perturbed network.  A stacked ``np.matmul`` makes the same per-item
-        BLAS call as ``W @ x`` when each item has the strides of the unstacked
-        operands: the joins built here are C-ordered, and the copies of a
-        weight keep its C or Fortran order (a weight with any other strides,
-        such as a strided slice, is copied in C order, and its rows may then
-        differ in the last bits).  Activations, bias addition and the
-        Hadamard product and sum work element by element."""
+        BLAS call as the unstacked product when each item has the strides of
+        the unstacked operands: the values and joins are C-ordered, and the
+        copies of a weight keep its C or Fortran order (a weight with any
+        other strides, such as a strided slice, is copied in C order, and its
+        rows may then differ in the last bits).  Activations, bias addition
+        and the Hadamard product and sum work element by element."""
         acts, _ = self.feedforward(inputs)
         grads = {}
         for pos, name in enumerate(self.order):
@@ -282,46 +311,15 @@ class WeightedNetwork:
                     k = np.arange(stop - start)
                     stack[(2 * k,) + idx] = array[idx] + h
                     stack[(2 * k + 1,) + idx] = array[idx] - h
-                    values = loss.value(self._rows_forward(below, acts, field, stack))
+                    rows = dict(acts)
+                    self._forward(below, rows, {}, field, stack)
+                    values = loss.value(rows[self.output])
                     diffs[start:stop] = (values[0::2] - values[1::2]) / (2 * h)
                 block = np.zeros_like(array)
                 block[...] = diffs.reshape(array.shape)
                 blocks.append(block)
             grads[name] = tuple(blocks)
         return grads
-
-    def _rows_forward(self, below, acts, field, stack):
-        """The output activation, one row per copy in ``stack``, of the
-        network in which the first node of ``below`` takes that copy as its
-        ``field`` ("weight" or "bias").  ``below`` is that node and its
-        descendants, in `order`; every other node keeps its activation in
-        ``acts``."""
-        rows = {}
-        for i, n in enumerate(below):
-            parents = [rows.get(p, acts[p]) for p in n.parents]
-            if n.op == "affine":
-                weight, bias = n.weight, n.bias
-                if i == 0:
-                    weight, bias = (stack, bias) if field == "weight" else (weight, stack)
-                    x = np.concatenate(parents)
-                else:
-                    # a C-ordered join of batched and base parents: np.concatenate
-                    # of broadcast views comes out F-ordered when a batched
-                    # parent has dimension 1, and matmul then skips BLAS
-                    x = np.empty((len(stack), weight.shape[1]))
-                    offset = 0
-                    for value in parents:
-                        x[:, offset:offset + value.shape[-1]] = value
-                        offset += value.shape[-1]
-                z = np.matmul(weight, x[..., None])[..., 0]
-                if bias is not None:
-                    z = z + bias
-                rows[n.name] = ACTIVATIONS[n.activation][0](z)
-            elif n.op == "hadamard":
-                rows[n.name] = parents[0] * parents[1]
-            else:
-                rows[n.name] = parents[0] + parents[1]
-        return rows[self.output]
 
 
 def _copies(array, count):
@@ -364,22 +362,17 @@ def gradient_agreement(net, inputs, loss, h=1e-5):
     """Max relative error of the path sum against reverse mode and against
     central finite differences."""
     paths = net.backprop_paths(inputs, loss)
-    reverse = net.reverse_mode(inputs, loss)
-    fd = net.finite_difference(inputs, loss, h)
-    vs_reverse = 0.0
-    vs_fd = 0.0
-    for name, (gw, gb) in paths.grads.items():
-        for mine, other in ((gw, reverse[name][0]), (gb, reverse[name][1])):
-            if mine is None:
-                continue
-            scale = max(1.0, float(np.max(np.abs(mine))))
-            vs_reverse = max(vs_reverse, float(np.max(np.abs(mine - other))) / scale)
-        for mine, other in ((gw, fd[name][0]), (gb, fd[name][1])):
-            if mine is None:
-                continue
-            scale = max(1.0, float(np.max(np.abs(mine))))
-            vs_fd = max(vs_fd, float(np.max(np.abs(mine - other))) / scale)
-    return vs_reverse, vs_fd, paths
+    errors = []
+    for other in (net.reverse_mode(inputs, loss), net.finite_difference(inputs, loss, h)):
+        worst = 0.0
+        for name, blocks in paths.grads.items():
+            for mine, theirs in zip(blocks, other[name]):
+                if mine is None:
+                    continue
+                scale = max(1.0, float(np.max(np.abs(mine))))
+                worst = max(worst, float(np.max(np.abs(mine - theirs))) / scale)
+        errors.append(worst)
+    return errors[0], errors[1], paths
 
 
 def random_fork_network(rng, max_layers=6, max_units=4):

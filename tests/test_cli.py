@@ -868,6 +868,9 @@ REPORT_MANIFEST = {
                 "9f6fca4f8f06d4f5cc23a048959621ad94c9b8a6f6e4f9b949985b63dc7e9793"),
         "mgu2": ("dyn gradcheck --arch {tmp}/mgu2.json --seed 0", 0,
                  "bef981675b40e934ee89f5f3153c334653643dc4a45fa6de0690c68d4e756f43"),
+        # 128 paths from a0 and b0 to the readout
+        "diamonds-8": ("dyn gradcheck --arch {tmp}/diamonds8.json --seed 0", 0,
+                       "50ce7d449585f527346f60bc1fe34e5379d20b6659ff33306a4fc91b8d3a6fb0"),
     },
     # the benchmark languages
     "carnap": {
@@ -965,6 +968,12 @@ MANIFEST_DOCUMENTS = {
         "source": {"objects": ["x", "y"], "generators": []},
         "target": {"objects": ["u", "v", "w"], "generators": [{"src": "v", "dst": "w"}]},
         "object_map": {"x": "u", "y": "u"},
+    },
+    # eight stacked diamonds v_i -> a_i, b_i -> v_(i+1)
+    "diamonds8.json": {
+        "nodes": [f"v{i}" for i in range(9)] + [f"{c}{i}" for i in range(8) for c in "ab"],
+        "edges": [[f"v{i}", f"{c}{i}"] for i in range(8) for c in "ab"]
+        + [[f"{c}{i}", f"v{i + 1}"] for i in range(8) for c in "ab"],
     },
     "lang.json": {"states": ["00", "01", "10", "11"]},
     "lang30.json": {"states": [f"s{i}" for i in range(30)],

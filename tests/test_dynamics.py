@@ -5,7 +5,9 @@ import sys
 import numpy as np
 import pytest
 
+from sheafnet.arch_site import parse_architecture
 from sheafnet.dynamics import (
+    ACTIVATIONS,
     BraidRep,
     CubicCellParams,
     GRUParams,
@@ -29,6 +31,7 @@ from sheafnet.dynamics import (
     lstm_step,
     mgu2_param_count,
     mgu2_step,
+    network_from_architecture,
     random_fork_network,
 )
 from sheafnet.errors import ArchitectureError, NondifferentiablePoint
@@ -80,17 +83,113 @@ def test_join_value_is_tuple_of_tips():
     net = WeightedNetwork([
         Node("a", "input", 1),
         Node("b", "input", 2),
-        Node("j", "affine", 1, ("a", "b"), "identity",
-             weight=np.array([[1.0, 1.0, 1.0]])),
+        Node("j", "affine", 3, ("a", "b"), "identity", weight=np.eye(3)),
     ])
     acts, _ = net.feedforward({"a": [2.0], "b": [3.0, 4.0]})
-    assert np.allclose(net._concat(net.nodes["j"], acts), [2.0, 3.0, 4.0])
+    assert acts["j"].tolist() == [2.0, 3.0, 4.0]
+
+
+def reference_feedforward(net, inputs):
+    """The reference for `feedforward`: each node's value computed by its own
+    branch, every affine node on the np.concatenate of its parents."""
+    acts, pre = {}, {}
+    for name in net.order:
+        n = net.nodes[name]
+        if n.op == "input":
+            v = np.asarray(inputs[name], dtype=float)
+            if v.shape != (n.dim,):
+                raise ArchitectureError(f"input {name!r} has wrong dimension")
+            acts[name] = v
+        elif n.op == "affine":
+            z = n.weight @ np.concatenate([acts[p] for p in n.parents])
+            if n.bias is not None:
+                z = z + n.bias
+            pre[name] = z
+            acts[name] = ACTIVATIONS[n.activation][0](z)
+        elif n.op == "hadamard":
+            a, b = (acts[p] for p in n.parents)
+            acts[name] = a * b
+        else:
+            a, b = (acts[p] for p in n.parents)
+            acts[name] = a + b
+    return acts, pre
+
+
+def assert_same_values(got, want):
+    assert got.keys() == want.keys()
+    for name, value in want.items():
+        assert got[name].shape == value.shape and got[name].tobytes() == value.tobytes()
+
+
+def assert_feedforward_is_the_reference(net, inputs):
+    acts, pre = net.feedforward(inputs)
+    want_acts, want_pre = reference_feedforward(net, inputs)
+    assert_same_values(acts, want_acts)
+    assert_same_values(pre, want_pre)
+
+
+def random_inputs(rng, net):
+    return {name: [rng.uniform(-1, 1) for _ in range(net.nodes[name].dim)]
+            for name in net.inputs}
+
+
+def test_feedforward_is_bit_identical_to_the_reference():
+    """On criterion 8's networks, on the gated network with biases, a
+    product and a sum, and on larger networks with Fortran-ordered weights."""
+    rng = random.Random(0)     # criterion 8 draws its 100 networks like this
+    for _ in range(100):
+        net = random_fork_network(rng, max_layers=6, max_units=4)
+        assert_feedforward_is_the_reference(net, random_inputs(rng, net))
+    assert_feedforward_is_the_reference(gated_network(), {"x": [0.3, -0.6]})
+    rng = random.Random("F-ordered")
+    for _ in range(30):
+        net = random_fork_network(rng, max_layers=8, max_units=6)
+        for node in net.nodes.values():
+            if node.weight is not None:
+                node.weight = np.asarray(node.weight, order="F")
+        assert_feedforward_is_the_reference(net, random_inputs(rng, net))
+
+
+def test_feedforward_of_strided_input_views():
+    """An input given as a strided view reaches a one-parent node's matmul as
+    a C-contiguous copy, as through np.concatenate.  The one-row product of
+    ``y`` is a BLAS dot, which rounds a strided vector differently."""
+    rng = random.Random(9)
+    mat = lambda rows, cols: np.array([[rng.uniform(-1, 1) for _ in range(cols)]
+                                       for _ in range(rows)])
+    views = [np.arange(6.0)[::2]]
+    views += [np.array([rng.uniform(-1, 1) for _ in range(3 * n)])[::3] for n in range(8, 28)]
+    for x in views:
+        net = WeightedNetwork([
+            Node("x", "input", len(x)),
+            Node("h", "affine", 4, ("x",), "tanh", weight=mat(4, len(x))),
+            Node("y", "affine", 1, ("x",), "identity", weight=mat(1, len(x))),
+            Node("out", "affine", 2, ("h", "y"), "identity", weight=mat(2, 5)),
+        ])
+        assert_feedforward_is_the_reference(net, {"x": x})
+        assert_same_bits(net.finite_difference({"x": x}, SumLoss()),
+                         full_forward_differences(net, {"x": x}, SumLoss()))
 
 
 def test_dimension_mismatch():
     net = identity_chain()
     with pytest.raises(ArchitectureError):
         net.feedforward({"x": [1.0]})
+
+
+@pytest.mark.parametrize("op", ["affine", "hadamard"])
+def test_a_parent_named_twice_is_refused(op):
+    """An affine node on ("a", "a") would keep one Jacobian per parent name,
+    and its path sum would disagree with finite differences."""
+    weight = np.array([[1.0, 2.0]]) if op == "affine" else None
+    with pytest.raises(ArchitectureError, match="names a parent twice"):
+        WeightedNetwork([Node("a", "input", 1),
+                         Node("j", op, 1, ("a", "a"), weight=weight)])
+
+
+def test_an_unknown_op_is_refused():
+    with pytest.raises(ArchitectureError, match="unknown op 'conv'"):
+        WeightedNetwork([Node("a", "input", 1), Node("j", "conv", 1, ("a",))])
 
 
 # -- gradients --------------------------------------------------------------------
@@ -138,20 +237,64 @@ def test_gradients_match_reverse_and_fd_on_random_networks():
 
 
 def recursive_paths(net, start):
-    """The reference for `_paths_to_output`: a recursive depth-first walk,
-    each node's children in `order`."""
+    """Every directed path from ``start`` to the output: a recursive
+    depth-first walk, each node's children in `order`."""
     if start == net.output:
         return [(start,)]
     return [(start,) + rest for child in net.order if start in net.nodes[child].parents
             for rest in recursive_paths(net, child)]
 
 
-def test_paths_to_output_match_the_recursive_walk_in_order():
+def per_path_backprop(net, inputs, loss):
+    """The reference for `backprop_paths`: the paths of `recursive_paths`,
+    each path's Jacobian product taken again from the identity, and the
+    path counts."""
+    acts, pre = reference_feedforward(net, inputs)
+    jac, _ = net._edge_jacobians(acts, pre)
+    dF = loss.grad(acts[net.output])
+    grads, path_counts = {}, {}
+    for name in net.order:
+        n = net.nodes[name]
+        if n.op != "affine":
+            continue
+        paths = recursive_paths(net, name)
+        path_counts[name] = len(paths)
+        total = np.zeros((net.nodes[net.output].dim, n.dim))
+        for path in paths:
+            m = np.eye(n.dim)
+            for a, b in zip(path, path[1:]):
+                m = jac[(b, a)] @ m
+            total += m
+        g = (total.T @ dF) * ACTIVATIONS[n.activation][1](pre[name])
+        grads[name] = (np.outer(g, np.concatenate([acts[p] for p in n.parents])),
+                       g if n.bias is not None else None)
+    return grads, path_counts
+
+
+def diamond_stack(k):
+    """The architecture v_i -> a_i, b_i -> v_(i+1) for i < k: 2^(k-1) paths
+    from a0 to v_k."""
+    return parse_architecture({
+        "nodes": [f"v{i}" for i in range(k + 1)] + [f"{c}{i}" for i in range(k) for c in "ab"],
+        "edges": [[f"v{i}", f"{c}{i}"] for i in range(k) for c in "ab"]
+        + [[f"{c}{i}", f"v{i + 1}"] for i in range(k) for c in "ab"]})
+
+
+def test_backprop_paths_match_the_per_path_loop():
+    """Bit for bit, path counts included, on random fork networks and on
+    stacks of 4, 8 and 11 diamonds (8, 128 and 1024 paths from a0)."""
     rng = random.Random(12)
-    for _ in range(30):
-        net = random_fork_network(rng, max_layers=7, max_units=2)
-        for name in net.order:
-            assert net._paths_to_output(name) == recursive_paths(net, name)
+    nets = [random_fork_network(rng, max_layers=7, max_units=2) for _ in range(30)]
+    nets += [network_from_architecture(diamond_stack(k), rng) for k in (4, 8, 11)]
+    for i, net in enumerate(nets):
+        inputs = random_inputs(rng, net)
+        loss = SumLoss() if i % 2 else \
+            QuadraticLoss([rng.uniform(-1, 1) for _ in range(net.nodes[net.output].dim)])
+        res = net.backprop_paths(inputs, loss)
+        grads, path_counts = per_path_backprop(net, inputs, loss)
+        assert res.path_counts == path_counts
+        assert_same_bits(res.grads, grads)
+    assert path_counts["a0"] == 1024
 
 
 def test_backprop_paths_deeper_than_the_recursion_limit():
@@ -211,14 +354,14 @@ def test_finite_difference_is_bit_identical_to_full_forward_on_criterion_08_netw
                          full_forward_differences(net, inputs, SumLoss()))
 
 
-def test_finite_difference_is_bit_identical_with_bias_hadamard_and_hadsum():
+def gated_network():
     """Branches ``cand`` and ``side`` are not descendants of ``gate``; the
-    perturbed weight reaches the output through a product and a sum."""
+    weights of ``gate`` reach the output through a product and a sum."""
     rng = random.Random(11)
     mat = lambda rows, cols: np.array([[rng.uniform(-1, 1) for _ in range(cols)]
                                        for _ in range(rows)])
     vec = lambda rows: np.array([rng.uniform(-1, 1) for _ in range(rows)])
-    net = WeightedNetwork([
+    return WeightedNetwork([
         Node("x", "input", 2),
         Node("gate", "affine", 2, ("x",), "sigmoid", weight=mat(2, 2), bias=vec(2)),
         Node("cand", "affine", 2, ("x",), "tanh", weight=mat(2, 2)),
@@ -227,6 +370,10 @@ def test_finite_difference_is_bit_identical_with_bias_hadamard_and_hadsum():
         Node("side", "affine", 3, ("x",), "tanh", weight=mat(3, 2), bias=vec(3)),
         Node("out", "affine", 2, ("mix", "side"), "identity", weight=mat(2, 5), bias=vec(2)),
     ])
+
+
+def test_finite_difference_is_bit_identical_with_bias_hadamard_and_hadsum():
+    net = gated_network()
     inputs = {"x": [0.3, -0.6]}
     for loss in (SumLoss(), QuadraticLoss([0.2, -0.1])):
         assert_same_bits(net.finite_difference(inputs, loss),
