@@ -10,6 +10,13 @@ weight block is the sum over all directed paths from that node to the
 output of the chain-rule Jacobian product; `backprop_paths` computes it
 literally, in one depth-first walk that holds the product of each path
 prefix, and `reverse_mode` / `finite_difference` are the cross-checks.
+All three differentiate one linearization of the network at the inputs,
+`_linearize`: the activations, the edge Jacobians, one activation slope
+per affine node, taken from its value (sigmoid' = a (1 - a), tanh' = 1 -
+a^2, the bits of the same expressions in z), and the saturated nodes.
+`gradient_agreement` evaluates the network once and hands that point to
+all three, and compares their blocks in one vectorized pass.  The children
+lists and each affine node's descendants are built once per network.
 `finite_difference` stacks the perturbed copies of a weight block along a
 leading axis, in blocks of at most `FD_ROW_BLOCK` rows, and evaluates the
 perturbed node and its descendants once per block from one base forward
@@ -33,6 +40,7 @@ sign separates the one-root and three-root regimes of z^3 + u z + v.
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -54,12 +62,15 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
+# name -> (f, f' as a function of the value a = f(z)).  Each slope has the
+# bits of the same expression in z: sigmoid'(z) = s(z) (1 - s(z)), tanh'(z) =
+# 1 - tanh(z)^2, and a > 0 exactly when z > 0 for a = max(z, 0).
 ACTIVATIONS = {
-    "identity": (lambda z: z, lambda z: np.ones_like(z)),
-    "sigmoid": (_sigmoid, lambda z: _sigmoid(z) * (1.0 - _sigmoid(z))),
-    "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
+    "identity": (lambda z: z, lambda a: np.ones_like(a)),
+    "sigmoid": (_sigmoid, lambda a: a * (1.0 - a)),
+    "tanh": (np.tanh, lambda a: 1.0 - a ** 2),
     "relu": (lambda z: np.maximum(z, 0.0),
-             lambda z: (z > 0).astype(float)),
+             lambda a: (a > 0).astype(float)),
 }
 
 _KINKED = {"relu"}
@@ -113,6 +124,33 @@ class WeightedNetwork:
             raise ArchitectureError(f"expected exactly one output node, found {outs}")
         self.output = outs[0]
 
+    # -- adjacency, built once per network on a gradient engine's first call
+
+    @cached_property
+    def _children(self):
+        """Each node's children, in `order`."""
+        children = {name: [] for name in self.order}
+        for name in self.order:
+            for p in self.nodes[name].parents:
+                children[p].append(name)
+        return children
+
+    @cached_property
+    def _below(self):
+        """Each affine node, in `order`, followed by its descendants in
+        `order`: the nodes that its weights reach."""
+        nodes = [self.nodes[name] for name in self.order]
+        below_of = {}
+        for pos, n in enumerate(nodes):
+            if n.op == "affine":
+                below, seen = [n], {n.name}
+                for later in nodes[pos + 1:]:
+                    if seen.intersection(later.parents):
+                        below.append(later)
+                        seen.add(later.name)
+                below_of[n.name] = below
+        return below_of
+
     # -- evaluation ----------------------------------------------------------
 
     def feedforward(self, inputs):
@@ -162,10 +200,16 @@ class WeightedNetwork:
             else:
                 acts[n.name] = values[0] + values[1]
 
-    def _edge_jacobians(self, acts, pre):
-        """J[(child, parent)] = d child / d parent at the evaluated point."""
-        jac = {}
-        saturated = []
+    def _linearize(self, inputs):
+        """The evaluated point that the three gradient engines differentiate:
+        ``(acts, jac, slopes, saturated)``.  ``acts`` is `feedforward`'s;
+        ``jac[(child, parent)]`` is d child / d parent there; ``slopes``
+        holds each affine node's activation slope f'(z), taken from its
+        value f(z) (`ACTIVATIONS`); ``saturated`` names the sigmoid and tanh
+        nodes with some |z| > `SATURATION_THRESHOLD`.  A relu node at its
+        kink raises `NondifferentiablePoint`."""
+        acts, pre = self.feedforward(inputs)
+        jac, slopes, saturated = {}, {}, []
         for name in self.order:
             n = self.nodes[name]
             if n.op == "input":
@@ -178,7 +222,7 @@ class WeightedNetwork:
                 if n.activation in ("sigmoid", "tanh") and \
                         np.any(np.abs(z) > SATURATION_THRESHOLD):
                     saturated.append(name)
-                d = ACTIVATIONS[n.activation][1](z)
+                d = slopes[name] = ACTIVATIONS[n.activation][1](acts[name])
                 offset = 0
                 for p in n.parents:
                     w = n.weight[:, offset:offset + self.nodes[p].dim]
@@ -191,9 +235,9 @@ class WeightedNetwork:
             else:
                 for p in n.parents:
                     jac[(name, p)] = np.eye(n.dim)
-        return jac, saturated
+        return acts, jac, slopes, tuple(saturated)
 
-    def _path_sum(self, start, jac, children):
+    def _path_sum(self, start, jac):
         """The sum, over the directed paths from ``start`` to the output, of
         the product of the edge Jacobians along the path, and the number of
         those paths.
@@ -203,6 +247,7 @@ class WeightedNetwork:
         current path (``J @ prefix``, from the identity), so each step is one
         matmul, and one iterator over the unvisited children of each node on
         the path, so its depth is not bounded by Python's recursion limit."""
+        children = self._children
         dim = self.nodes[start].dim
         total = np.zeros((self.nodes[self.output].dim, dim))
         if start == self.output:
@@ -223,46 +268,44 @@ class WeightedNetwork:
                 stack.append((child, product, iter(children[child])))
         return total, count
 
-    def _block_grads(self, n, acts, pre, adjoint):
+    def _block_grads(self, n, acts, slopes, adjoint):
         """The weight and bias gradients of affine node ``n``, given the
-        adjoint (the loss gradient) of its output."""
-        g = adjoint * ACTIVATIONS[n.activation][1](pre[n.name])
+        adjoint (the loss gradient) of its output, through the slope that
+        `_linearize` took from its activation value."""
+        g = adjoint * slopes[n.name]
         return (np.outer(g, np.concatenate([acts[p] for p in n.parents])),
                 g if n.bias is not None else None)
 
     def backprop_paths(self, inputs, loss):
         """Gradients per affine weight block via the literal path sum, one
         prefix-sharing walk (`_path_sum`) per block."""
-        acts, pre = self.feedforward(inputs)
-        jac, saturated = self._edge_jacobians(acts, pre)
+        return self._backprop_paths(self._linearize(inputs), loss)
+
+    def _backprop_paths(self, point, loss):
+        acts, jac, slopes, saturated = point
         dF = loss.grad(acts[self.output])
-        children = {name: [] for name in self.order}
-        for name in self.order:
-            for p in self.nodes[name].parents:
-                children[p].append(name)
         grads = {}
         path_counts = {}
-        for name in self.order:
-            n = self.nodes[name]
-            if n.op != "affine":
-                continue
-            total, path_counts[name] = self._path_sum(name, jac, children)
-            grads[name] = self._block_grads(n, acts, pre, total.T @ dF)
-        return BackpropResult(grads, tuple(saturated), path_counts,
+        for name in self._below:
+            total, path_counts[name] = self._path_sum(name, jac)
+            grads[name] = self._block_grads(self.nodes[name], acts, slopes, total.T @ dF)
+        return BackpropResult(grads, saturated, path_counts,
                               float(loss.value(acts[self.output])))
 
     def reverse_mode(self, inputs, loss):
         """Standard adjoint accumulation; must agree with the path sum."""
-        acts, pre = self.feedforward(inputs)
-        jac, _ = self._edge_jacobians(acts, pre)
+        return self._reverse_mode(self._linearize(inputs), loss)
+
+    def _reverse_mode(self, point, loss):
+        acts, jac, slopes, _ = point
         adj = {name: np.zeros(self.nodes[name].dim) for name in self.order}
         adj[self.output] = loss.grad(acts[self.output])
         for name in reversed(self.order):
             n = self.nodes[name]
             for p in n.parents:
                 adj[p] = adj[p] + jac[(name, p)].T @ adj[name]
-        return {name: self._block_grads(n, acts, pre, adj[name])
-                for name, n in self.nodes.items() if n.op == "affine"}
+        return {name: self._block_grads(self.nodes[name], acts, slopes, adj[name])
+                for name in self._below}
 
     def finite_difference(self, inputs, loss, h=1e-5):
         """Central differences on every affine weight and bias entry, from one
@@ -284,18 +327,16 @@ class WeightedNetwork:
         copies of a weight keep its C or Fortran order (a weight with any
         other strides, such as a strided slice, is copied in C order, and its
         rows may then differ in the last bits).  Activations, bias addition
-        and the Hadamard product and sum work element by element."""
-        acts, _ = self.feedforward(inputs)
+        and the Hadamard product and sum work element by element.
+
+        It reads only the activations, so it runs `feedforward`, not
+        `_linearize`, and a relu kink does not stop it."""
+        return self._finite_difference(self.feedforward(inputs)[0], loss, h)
+
+    def _finite_difference(self, acts, loss, h):
         grads = {}
-        for pos, name in enumerate(self.order):
-            n = self.nodes[name]
-            if n.op != "affine":
-                continue
-            below, seen = [n], {name}
-            for later in self.order[pos + 1:]:
-                if seen.intersection(self.nodes[later].parents):
-                    below.append(self.nodes[later])
-                    seen.add(later)
+        for name, below in self._below.items():
+            n = below[0]
             blocks = []
             for field in ("weight", "bias"):
                 array = getattr(n, field)
@@ -360,19 +401,34 @@ class SumLoss:
 
 def gradient_agreement(net, inputs, loss, h=1e-5):
     """Max relative error of the path sum against reverse mode and against
-    central finite differences."""
-    paths = net.backprop_paths(inputs, loss)
-    errors = []
-    for other in (net.reverse_mode(inputs, loss), net.finite_difference(inputs, loss, h)):
-        worst = 0.0
-        for name, blocks in paths.grads.items():
-            for mine, theirs in zip(blocks, other[name]):
-                if mine is None:
-                    continue
-                scale = max(1.0, float(np.max(np.abs(mine))))
-                worst = max(worst, float(np.max(np.abs(mine - theirs))) / scale)
-        errors.append(worst)
-    return errors[0], errors[1], paths
+    central finite differences.  The three engines differentiate one
+    linearization (`WeightedNetwork._linearize`), so the network is
+    evaluated once.  A block's error is max|mine - theirs| / max(1,
+    max|mine|), and a NaN entry makes the error NaN, which fails any
+    tolerance."""
+    point = net._linearize(inputs)
+    paths = net._backprop_paths(point, loss)
+    others = (net._reverse_mode(point, loss), net._finite_difference(point[0], loss, h))
+    return (*_relative_errors(paths.grads, others), paths)
+
+
+def _relative_errors(mine, others):
+    """For each gradient dict in ``others``, the largest over the blocks of
+    ``mine`` of max|mine - theirs| / max(1, max|mine|), in one pass over all
+    blocks.  That equals the per-block quotients' maximum bit for bit: for
+    s > 0, rounding x / s is monotone in x, so max(|d|) / s == max(|d| / s).
+    NaN propagates through np.max, where the builtin max would drop it."""
+    keys = [(name, i) for name, blocks in mine.items()
+            for i, block in enumerate(blocks) if block is not None]
+    if not keys:
+        return [0.0] * len(others)
+    sizes = [mine[name][i].size for name, i in keys]
+    flat = np.concatenate([mine[name][i].ravel() for name, i in keys])
+    theirs = np.array([np.concatenate([other[name][i].ravel() for name, i in keys])
+                       for other in others])
+    starts = np.cumsum([0] + sizes[:-1])
+    scale = np.maximum(np.maximum.reduceat(np.abs(flat), starts), 1.0)
+    return [float(e) for e in np.max(np.abs(flat - theirs) / np.repeat(scale, sizes), axis=1)]
 
 
 def random_fork_network(rng, max_layers=6, max_units=4):

@@ -458,14 +458,14 @@ def criterion_07(seed=0):
 def criterion_08(seed=0):
     """Path-sum gradients vs reverse mode (1e-12) and central differences (1e-6)."""
     rng = random.Random(seed)
-    worst_rev = worst_fd = 0.0
+    errors = []
     for _ in range(100):
         net = random_fork_network(rng, max_layers=6, max_units=4)
         inputs = {name: [rng.uniform(-1, 1) for _ in range(net.nodes[name].dim)]
                   for name in net.inputs}
-        vs_rev, vs_fd, _ = gradient_agreement(net, inputs, SumLoss(), h=1e-5)
-        worst_rev = max(worst_rev, vs_rev)
-        worst_fd = max(worst_fd, vs_fd)
+        errors.append(gradient_agreement(net, inputs, SumLoss(), h=1e-5)[:2])
+    # np.max keeps a NaN error, which the builtin max would drop
+    worst_rev, worst_fd = (float(np.max(column)) for column in zip(*errors))
     ok = worst_rev <= 1e-12 and worst_fd <= 1e-6
     return (ok,
             f"100 networks, max err vs reverse {worst_rev:.2e}, "
@@ -483,7 +483,7 @@ def _random_layered_architecture(rng, max_layers=10, max_width=2):
         layer = []
         for k in range(width):
             name = f"v{d}_{k}"
-            parents = rng.sample(layers[-1], rng.randint(1, len(layers[-1])))
+            parents = sample(rng, layers[-1], 1, len(layers[-1]))
             edges.extend((p, name) for p in parents)
             layer.append(name)
         layers.append(layer)

@@ -137,6 +137,28 @@ def test_criterion(criterion):
         assert result.detail == SEED_0_DETAILS[result.number]
 
 
+@pytest.mark.parametrize("which", [0, 1])
+def test_criterion_08_fails_on_a_nan_error(monkeypatch, which):
+    """A NaN error of one network, against reverse mode (``which`` 0) or
+    against finite differences (1), fails the criterion and shows in its
+    detail; a builtin max over the networks would keep the finite worst."""
+    agreement = verify.gradient_agreement
+    calls = []
+
+    def nan_at_50(*args, **kwargs):
+        errors = list(agreement(*args, **kwargs))
+        calls.append(args[0])
+        if len(calls) == 50:
+            errors[which] = float("nan")
+        return tuple(errors)
+
+    monkeypatch.setattr(verify, "gradient_agreement", nan_at_50)
+    result = verify.criterion_08(seed=0)
+    assert len(calls) == 100
+    assert not result.passed
+    assert ("reverse nan," if which == 0 else "differences nan") in result.detail
+
+
 def test_array_sup_scan_equals_scalar_oracle_on_small_lattices():
     """Criterion 2's literal sup-scan of the shapes with at most 32 opens,
     one array scan per shape, against the scalar oracle pair by pair."""

@@ -245,12 +245,64 @@ def recursive_paths(net, start):
             for rest in recursive_paths(net, child)]
 
 
+# Each activation's derivative as a function of the pre-activation z: the
+# reference for the slopes `WeightedNetwork` takes from the activation values.
+Z_SLOPES = {
+    "identity": lambda z: np.ones_like(z),
+    "sigmoid": lambda z: 1.0 / (1.0 + np.exp(-z)) * (1.0 - 1.0 / (1.0 + np.exp(-z))),
+    "tanh": lambda z: 1.0 - np.tanh(z) ** 2,
+    "relu": lambda z: (z > 0).astype(float),
+}
+
+
+def reference_jacobians(net, acts, pre):
+    """J[(child, parent)] = d child / d parent at the point of
+    `reference_feedforward`, each affine slope taken from z (`Z_SLOPES`)."""
+    jac = {}
+    for name in net.order:
+        n = net.nodes[name]
+        if n.op == "affine":
+            d = Z_SLOPES[n.activation](pre[name])
+            offset = 0
+            for p in n.parents:
+                dim = net.nodes[p].dim
+                jac[(name, p)] = d[:, None] * n.weight[:, offset:offset + dim]
+                offset += dim
+        elif n.op == "hadamard":
+            a, b = n.parents
+            jac[(name, a)] = np.diag(acts[b])
+            jac[(name, b)] = np.diag(acts[a])
+        elif n.op == "hadsum":
+            for p in n.parents:
+                jac[(name, p)] = np.eye(n.dim)
+    return jac
+
+
+def test_slopes_from_values_equal_the_z_form_derivatives():
+    """Bit for bit, for each activation, at saturated pre-activations
+    (|z| > 4 up to z = +-40) and close to the relu kink (|z| > 1e-9, the
+    kink test's tolerance)."""
+    rng = random.Random(29)
+    z = np.array([-40.0, 40.0, -4.000001, 4.000001, -1.5e-9, 1.5e-9, -1e-8, 1e-8, 2.5, -0.3]
+                 + [rng.uniform(-40, 40) for _ in range(200)]
+                 + [rng.choice((-1, 1)) * rng.uniform(4, 40) for _ in range(200)]
+                 + [rng.choice((-1, 1)) * 10 ** rng.uniform(-8.9, -1) for _ in range(200)])
+    for activation, slope in Z_SLOPES.items():
+        net = WeightedNetwork([
+            Node("x", "input", len(z)),
+            Node("h", "affine", len(z), ("x",), activation, weight=np.eye(len(z))),
+        ])
+        _, _, slopes, saturated = net._linearize({"x": z})
+        assert slopes["h"].tobytes() == slope(z).tobytes()
+        assert saturated == (("h",) if activation in ("sigmoid", "tanh") else ())
+
+
 def per_path_backprop(net, inputs, loss):
     """The reference for `backprop_paths`: the paths of `recursive_paths`,
-    each path's Jacobian product taken again from the identity, and the
-    path counts."""
+    each path's Jacobian product taken again from the identity, with slopes
+    in z form (`reference_jacobians`), and the path counts."""
     acts, pre = reference_feedforward(net, inputs)
-    jac, _ = net._edge_jacobians(acts, pre)
+    jac = reference_jacobians(net, acts, pre)
     dF = loss.grad(acts[net.output])
     grads, path_counts = {}, {}
     for name in net.order:
@@ -265,7 +317,7 @@ def per_path_backprop(net, inputs, loss):
             for a, b in zip(path, path[1:]):
                 m = jac[(b, a)] @ m
             total += m
-        g = (total.T @ dF) * ACTIVATIONS[n.activation][1](pre[name])
+        g = (total.T @ dF) * Z_SLOPES[n.activation](pre[name])
         grads[name] = (np.outer(g, np.concatenate([acts[p] for p in n.parents])),
                        g if n.bias is not None else None)
     return grads, path_counts
@@ -438,6 +490,72 @@ def test_finite_difference_without_affine_nodes_is_empty():
 def test_finite_difference_checks_input_dimension():
     with pytest.raises(ArchitectureError, match="wrong dimension"):
         identity_chain().finite_difference({"x": [1.0, 2.0, 3.0]}, SumLoss())
+
+
+def per_block_agreement(net, inputs, loss, h=1e-5):
+    """The reference for `gradient_agreement`'s errors: the three public
+    engines, and a loop over the blocks that takes each block's
+    max|mine - theirs| / max(1, max|mine|) and keeps the largest."""
+    paths = net.backprop_paths(inputs, loss)
+    errors = []
+    for other in (net.reverse_mode(inputs, loss), net.finite_difference(inputs, loss, h)):
+        worst = 0.0
+        for name, blocks in paths.grads.items():
+            for mine, theirs in zip(blocks, other[name]):
+                if mine is None:
+                    continue
+                scale = max(1.0, float(np.max(np.abs(mine))))
+                worst = max(worst, float(np.max(np.abs(mine - theirs))) / scale)
+        errors.append(worst)
+    return errors
+
+
+def test_gradient_agreement_evaluates_the_network_once(monkeypatch):
+    """One `feedforward` per check, and the errors of the per-block loop, by
+    their bits, on criterion 8's 100 networks and on 50 small ones."""
+    calls = []
+    feedforward = WeightedNetwork.feedforward
+
+    def spy(self, inputs):
+        calls.append(self)
+        return feedforward(self, inputs)
+
+    monkeypatch.setattr(WeightedNetwork, "feedforward", spy)
+    rng = random.Random(0)     # criterion 8 draws its 100 networks like this
+    cases = []
+    for _ in range(100):
+        net = random_fork_network(rng, max_layers=6, max_units=4)
+        cases.append((net, random_inputs(rng, net)))
+    rng = random.Random("small")
+    for _ in range(50):
+        net = random_fork_network(rng, 3, 2)
+        cases.append((net, random_inputs(rng, net)))
+    for net, inputs in cases:
+        calls.clear()
+        vs_rev, vs_fd, _ = gradient_agreement(net, inputs, SumLoss())
+        assert calls == [net]
+        want = per_block_agreement(net, inputs, SumLoss())
+        assert [vs_rev.hex(), vs_fd.hex()] == [w.hex() for w in want]
+
+
+@pytest.mark.parametrize("x, nan_path_sum", [([1e308, 1e308], False), ([math.inf, 1.0], True)])
+def test_a_nan_error_fails_the_gradient_check(x, nan_path_sum):
+    """Every central difference here is inf - inf = NaN; the errors must be
+    NaN, not the 0.0 that a builtin max over the blocks keeps."""
+    net = WeightedNetwork([
+        Node("x", "input", 2),
+        Node("h", "affine", 1, ("x",), "tanh", weight=np.array([[1.0, -1.0]])),
+        Node("out", "affine", 1, ("h", "x"), "identity", weight=np.array([[1.0, 1.0, 1.0]])),
+    ])
+    with np.errstate(over="ignore", invalid="ignore"):
+        fd = net.finite_difference({"x": x}, SumLoss())
+        vs_rev, vs_fd, res = gradient_agreement(net, {"x": x}, SumLoss())
+    assert all(np.isnan(block).all() for block, _ in fd.values())
+    assert math.isnan(vs_fd) and not vs_fd <= 1e-6
+    # at x = (inf, 1) the path sum is NaN too (slope 0 times inf), and so is
+    # its error against reverse mode
+    assert bool(np.isnan(res.grads["h"][0]).any()) == nan_path_sum
+    assert math.isnan(vs_rev) == nan_path_sum and (vs_rev <= 1e-12) != nan_path_sum
 
 
 def test_hadamard_gate_composition_gradcheck():
