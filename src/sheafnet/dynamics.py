@@ -15,8 +15,7 @@ All three differentiate one linearization of the network at the inputs,
 per affine node, taken from its value (sigmoid' = a (1 - a), tanh' = 1 -
 a^2, the bits of the same expressions in z), and the saturated nodes.
 `gradient_agreement` evaluates the network once and hands that point to
-all three, and compares their blocks in one vectorized pass.  The children
-lists and each affine node's descendants are built once per network.
+all three.
 `finite_difference` stacks the perturbed copies of a weight block along a
 leading axis, in blocks of at most `FD_ROW_BLOCK` rows, and evaluates the
 perturbed node and its descendants once per block from one base forward
@@ -40,7 +39,6 @@ sign separates the one-root and three-root regimes of z^3 + u z + v.
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 
 import numpy as np
 
@@ -123,33 +121,6 @@ class WeightedNetwork:
         if len(outs) != 1:
             raise ArchitectureError(f"expected exactly one output node, found {outs}")
         self.output = outs[0]
-
-    # -- adjacency, built once per network on a gradient engine's first call
-
-    @cached_property
-    def _children(self):
-        """Each node's children, in `order`."""
-        children = {name: [] for name in self.order}
-        for name in self.order:
-            for p in self.nodes[name].parents:
-                children[p].append(name)
-        return children
-
-    @cached_property
-    def _below(self):
-        """Each affine node, in `order`, followed by its descendants in
-        `order`: the nodes that its weights reach."""
-        nodes = [self.nodes[name] for name in self.order]
-        below_of = {}
-        for pos, n in enumerate(nodes):
-            if n.op == "affine":
-                below, seen = [n], {n.name}
-                for later in nodes[pos + 1:]:
-                    if seen.intersection(later.parents):
-                        below.append(later)
-                        seen.add(later.name)
-                below_of[n.name] = below
-        return below_of
 
     # -- evaluation ----------------------------------------------------------
 
@@ -237,7 +208,7 @@ class WeightedNetwork:
                     jac[(name, p)] = np.eye(n.dim)
         return acts, jac, slopes, tuple(saturated)
 
-    def _path_sum(self, start, jac):
+    def _path_sum(self, start, jac, children):
         """The sum, over the directed paths from ``start`` to the output, of
         the product of the edge Jacobians along the path, and the number of
         those paths.
@@ -247,7 +218,6 @@ class WeightedNetwork:
         current path (``J @ prefix``, from the identity), so each step is one
         matmul, and one iterator over the unvisited children of each node on
         the path, so its depth is not bounded by Python's recursion limit."""
-        children = self._children
         dim = self.nodes[start].dim
         total = np.zeros((self.nodes[self.output].dim, dim))
         if start == self.output:
@@ -284,11 +254,18 @@ class WeightedNetwork:
     def _backprop_paths(self, point, loss):
         acts, jac, slopes, saturated = point
         dF = loss.grad(acts[self.output])
+        children = {name: [] for name in self.order}
+        for name in self.order:
+            for p in self.nodes[name].parents:
+                children[p].append(name)
         grads = {}
         path_counts = {}
-        for name in self._below:
-            total, path_counts[name] = self._path_sum(name, jac)
-            grads[name] = self._block_grads(self.nodes[name], acts, slopes, total.T @ dF)
+        for name in self.order:
+            n = self.nodes[name]
+            if n.op != "affine":
+                continue
+            total, path_counts[name] = self._path_sum(name, jac, children)
+            grads[name] = self._block_grads(n, acts, slopes, total.T @ dF)
         return BackpropResult(grads, saturated, path_counts,
                               float(loss.value(acts[self.output])))
 
@@ -304,8 +281,8 @@ class WeightedNetwork:
             n = self.nodes[name]
             for p in n.parents:
                 adj[p] = adj[p] + jac[(name, p)].T @ adj[name]
-        return {name: self._block_grads(self.nodes[name], acts, slopes, adj[name])
-                for name in self._below}
+        return {name: self._block_grads(n, acts, slopes, adj[name])
+                for name, n in self.nodes.items() if n.op == "affine"}
 
     def finite_difference(self, inputs, loss, h=1e-5):
         """Central differences on every affine weight and bias entry, from one
@@ -335,8 +312,15 @@ class WeightedNetwork:
 
     def _finite_difference(self, acts, loss, h):
         grads = {}
-        for name, below in self._below.items():
-            n = below[0]
+        for pos, name in enumerate(self.order):
+            n = self.nodes[name]
+            if n.op != "affine":
+                continue
+            below, seen = [n], {name}
+            for later in self.order[pos + 1:]:
+                if seen.intersection(self.nodes[later].parents):
+                    below.append(self.nodes[later])
+                    seen.add(later)
             blocks = []
             for field in ("weight", "bias"):
                 array = getattr(n, field)
@@ -408,27 +392,18 @@ def gradient_agreement(net, inputs, loss, h=1e-5):
     tolerance."""
     point = net._linearize(inputs)
     paths = net._backprop_paths(point, loss)
-    others = (net._reverse_mode(point, loss), net._finite_difference(point[0], loss, h))
-    return (*_relative_errors(paths.grads, others), paths)
-
-
-def _relative_errors(mine, others):
-    """For each gradient dict in ``others``, the largest over the blocks of
-    ``mine`` of max|mine - theirs| / max(1, max|mine|), in one pass over all
-    blocks.  That equals the per-block quotients' maximum bit for bit: for
-    s > 0, rounding x / s is monotone in x, so max(|d|) / s == max(|d| / s).
-    NaN propagates through np.max, where the builtin max would drop it."""
-    keys = [(name, i) for name, blocks in mine.items()
-            for i, block in enumerate(blocks) if block is not None]
-    if not keys:
-        return [0.0] * len(others)
-    sizes = [mine[name][i].size for name, i in keys]
-    flat = np.concatenate([mine[name][i].ravel() for name, i in keys])
-    theirs = np.array([np.concatenate([other[name][i].ravel() for name, i in keys])
-                       for other in others])
-    starts = np.cumsum([0] + sizes[:-1])
-    scale = np.maximum(np.maximum.reduceat(np.abs(flat), starts), 1.0)
-    return [float(e) for e in np.max(np.abs(flat - theirs) / np.repeat(scale, sizes), axis=1)]
+    errors = []
+    for other in (net._reverse_mode(point, loss), net._finite_difference(point[0], loss, h)):
+        worst = [0.0]
+        for name, blocks in paths.grads.items():
+            for mine, theirs in zip(blocks, other[name]):
+                if mine is None:
+                    continue
+                scale = max(1.0, float(np.max(np.abs(mine))))
+                worst.append(float(np.max(np.abs(mine - theirs))) / scale)
+        # np.max keeps a NaN error, which the builtin max would drop
+        errors.append(float(np.max(worst)))
+    return errors[0], errors[1], paths
 
 
 def random_fork_network(rng, max_layers=6, max_units=4):
