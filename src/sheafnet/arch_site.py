@@ -38,8 +38,6 @@ import numpy as np
 from .errors import ArchitectureError, BoundExceeded, PosetError
 from .unionfind import UnionFind
 
-import json
-
 #: Default ceiling, in poset elements, for whole-topology enumeration.
 DEFAULT_ENUM_BOUND = 20
 
@@ -146,18 +144,16 @@ def _kahn_levels(preds):
 
 
 def parse_architecture(document):
-    """Parse an architecture description into a validated :class:`SiteGraph`.
+    """Parse a decoded architecture document into a validated
+    :class:`SiteGraph`.
 
-    ``document`` may be a JSON string or an already-decoded dict with keys
-    ``nodes`` (list of ids or of ``{"id":..., "role":...}`` objects) and
-    ``edges`` (list of ``[src, dst]`` pairs).  A stated role must be the
-    one the vertex's edges give (see `SiteGraph.build`).
+    ``document`` is a dict (decoded JSON, not its text) with keys ``nodes``
+    (list of ids or of ``{"id":..., "role":...}`` objects) and ``edges``
+    (list of ``[src, dst]`` pairs).  A vertex is named by a JSON string or
+    number, read as its ``str``; any other value is an `ArchitectureError`.
+    A stated role must be the one the vertex's edges give (see
+    `SiteGraph.build`).
     """
-    if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise ArchitectureError(f"malformed JSON document: {exc}") from exc
     if not isinstance(document, dict):
         raise ArchitectureError("architecture document must be a JSON object")
     if "nodes" not in document or "edges" not in document:
@@ -169,22 +165,24 @@ def parse_architecture(document):
         if isinstance(node, dict):
             if "id" not in node:
                 raise ArchitectureError(f"node object without 'id': {node!r}")
-            vertices.append(str(node["id"]))
+            vertices.append(_vertex_name(node["id"]))
             if node.get("role") is not None:
-                roles[str(node["id"])] = node["role"]
+                roles[vertices[-1]] = node["role"]
         else:
-            vertices.append(str(node))
+            vertices.append(_vertex_name(node))
     edges = []
     for e in document["edges"]:
         if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise ArchitectureError(f"edge must be a [src, dst] pair: {e!r}")
-        edges.append((str(e[0]), str(e[1])))
+        edges.append((_vertex_name(e[0]), _vertex_name(e[1])))
     return SiteGraph.build(vertices, edges, roles)
 
 
-def load_architecture(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_architecture(fh.read())
+def _vertex_name(value):
+    """The ``str`` of a JSON string or number naming a vertex."""
+    if not isinstance(value, (str, int, float)):
+        raise ArchitectureError(f"vertex name must be a string or a number: {value!r}")
+    return str(value)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,16 @@ Subcommands: site, sections, cats-manifold, heyting, stack, info, carnap,
 dyn, verify.  Every subcommand takes --out.  Only the commands that read a
 flag take it, so a flag a command would ignore exits 2: --bound goes on
 sections, cats-manifold, heyting and carnap, --seed on info, dyn and verify.
-An absent --bound takes the SHEAFNET_BOUND environment variable (unset or
-empty: the library's default); `main` is the one place that reads it.
-Reports are JSON, except the CSV table of `dyn cusp`.  Exit codes: 0
-success, 1 check failure, 2 input error.  Reports are stable-ordered (sorted
-JSON keys, fixed row order) so identical configurations diff byte-identically.
+Each `dyn` mode takes only its own flags (`DYN_FLAGS`): --cell, --m, --n and
+--steps go on cell, --arch on gradcheck, --grid on cusp, --seed on cell and
+gradcheck.  An absent --bound takes the SHEAFNET_BOUND environment variable
+(unset or empty: the library's default); `main` is the one place that reads
+it.  Reports are JSON, except the CSV table of `dyn cusp`.  Exit codes: 0
+success, 1 check failure, 2 input error.  An input file that cannot be read,
+is not UTF-8 JSON or nests too deep to parse, and an --out that cannot be
+written, are input errors: `_load_json` and `_write` are the only places
+that open files.  Reports are stable-ordered (sorted JSON keys, fixed row
+order) so identical configurations diff byte-identically.
 """
 
 import argparse
@@ -26,7 +31,7 @@ from .arch_site import (
     FinitePoset,
     build_poset,
     fork_surgery,
-    load_architecture,
+    parse_architecture,
     site_report,
 )
 from .carnap import (
@@ -87,18 +92,24 @@ def emit_report(data, out=None):
 
 
 def _write(text, out):
-    if out:
+    """``text`` to the file ``out``, or to stdout if ``out`` is empty."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise SheafnetError(f"cannot write {out!r}: {exc}") from exc
 
 
 def _load_json(path):
+    """The JSON object in the UTF-8 file ``path``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers JSONDecodeError and UnicodeDecodeError
+    except (OSError, ValueError, RecursionError) as exc:
         raise SheafnetError(f"cannot read {path!r}: {exc}") from exc
     if not isinstance(doc, dict):
         raise SheafnetError(f"{path!r} must hold a JSON object, not {type(doc).__name__}")
@@ -231,7 +242,7 @@ def _states(text):
 # ---------------------------------------------------------------------------
 
 def cmd_site(args):
-    g = load_architecture(args.infile)
+    g = parse_architecture(_load_json(args.infile))
     emit_report(site_report(g), args.out)
     return 0
 
@@ -260,7 +271,7 @@ def _emit_sections(secs, args):
 
 def cmd_heyting(args):
     if args.arch is not None:
-        poset = build_poset(fork_surgery(load_architecture(args.arch)))
+        poset = build_poset(fork_surgery(parse_architecture(_load_json(args.arch))))
     else:
         poset = _load_poset(_load_json(args.infile))
     emit_report(hey.implication_table(poset, bound=args.bound), args.out)
@@ -386,7 +397,26 @@ def cmd_carnap(args):
     return 0
 
 
+#: Each `dyn` flag that not every mode reads: flag -> (the modes that read
+#: it, its default).  Their parser default is None, so `cmd_dyn` can tell a
+#: flag given to a mode that does not read it from one left out.
+DYN_FLAGS = {
+    "cell": (("cell",), "lstm"),
+    "m": (("cell",), 2),
+    "n": (("cell",), 2),
+    "steps": (("cell",), 3),
+    "arch": (("gradcheck",), None),
+    "grid": (("cusp",), 100),
+    "seed": (("cell", "gradcheck"), 0),
+}
+
+
 def cmd_dyn(args):
+    for flag, (modes, default) in DYN_FLAGS.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+        elif args.dyn_cmd not in modes:
+            raise SheafnetError(f"dyn {args.dyn_cmd} does not take --{flag}")
     rng = random.Random(args.seed)
     if args.dyn_cmd == "cusp":
         rows = cusp_scan(grid=args.grid)
@@ -396,7 +426,7 @@ def cmd_dyn(args):
     if args.dyn_cmd == "gradcheck":
         if args.arch is None:
             raise SheafnetError("dyn gradcheck needs --arch, an architecture file")
-        g = load_architecture(args.arch)
+        g = parse_architecture(_load_json(args.arch))
         net = network_from_architecture(g, rng)
         inputs = {name: [rng.uniform(-1, 1) for _ in range(net.nodes[name].dim)]
                   for name in net.inputs}
@@ -535,15 +565,17 @@ def make_parser():
     p.add_argument("--subjects", type=int, required=True)
     p.add_argument("--attributes", required=True, help='e.g. "2,2"')
 
-    p = add_parser("dyn", [seeded], help="cells, gradient checks, cusp scans")
+    # defaults in DYN_FLAGS
+    p = add_parser("dyn", help="cells, gradient checks, cusp scans")
     p.add_argument("dyn_cmd", nargs="?", default="cell",
                    choices=("cell", "gradcheck", "cusp"))
-    p.add_argument("--cell", choices=tuple(CELLS), default="lstm")
-    p.add_argument("--m", type=_int_at_least(1), default=2)
-    p.add_argument("--n", type=_int_at_least(1), default=2)
-    p.add_argument("--steps", type=_int_at_least(0), default=3)
-    p.add_argument("--arch", default=None)
-    p.add_argument("--grid", type=_int_at_least(2), default=100)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--cell", choices=tuple(CELLS))
+    p.add_argument("--m", type=_int_at_least(1))
+    p.add_argument("--n", type=_int_at_least(1))
+    p.add_argument("--steps", type=_int_at_least(0))
+    p.add_argument("--arch")
+    p.add_argument("--grid", type=_int_at_least(2))
 
     p = add_parser("verify", [seeded], help="run the acceptance suite")
     p.add_argument("--all", action="store_true")
@@ -569,9 +601,6 @@ def main(argv=None):
             args.bound = _environment_bound()
         return command(args)
     except SheafnetError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except FileNotFoundError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

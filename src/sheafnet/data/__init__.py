@@ -19,4 +19,4 @@ def fixture_document(name):
 def fixture_graph(name):
     from ..arch_site import parse_architecture
 
-    return parse_architecture(fixture_text(name))
+    return parse_architecture(fixture_document(name))

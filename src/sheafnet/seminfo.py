@@ -126,12 +126,6 @@ def content(lang, t):
     return lang.m(set(lang.states) - t)
 
 
-def psi_cbh(lang, t):
-    """psi_bottom(T) = ln((c(bottom) - c(T)) / c(bottom)) = ln(m(T)/m(E))."""
-    mt = lang.m(frozenset(t))
-    return NEG_INF if mt == 0 else math.log(mt / lang.total)
-
-
 @dataclass
 class PrecisionFunction:
     """An evaluation contract psi: theory -> extended real.  `of_mask`
@@ -183,6 +177,7 @@ class _LogMeasure(PrecisionFunction):
 
 
 def cbh_precision(lang):
+    """psi_bottom(T) = ln((c(bottom) - c(T)) / c(bottom)) = ln(m(T)/m(E))."""
     return _LogMeasure(lang, frozenset(), lang.total)
 
 

@@ -1,5 +1,5 @@
-import json
 import random
+import re
 import sys
 from itertools import chain, combinations
 
@@ -53,32 +53,49 @@ def random_dag(rng, n):
 # -- parsing ---------------------------------------------------------------
 
 def test_parse_smallest_chain():
-    g = parse_architecture('{"nodes":["x","h","y"],"edges":[["x","h"],["h","y"]]}')
+    g = parse_architecture({"nodes": ["x", "h", "y"], "edges": [["x", "h"], ["h", "y"]]})
     assert g.vertices == ("x", "h", "y")
     assert g.roles == {"x": "input", "h": "ordinary", "y": "output"}
 
 
 def test_parse_rejects_self_loop():
     with pytest.raises(ArchitectureError):
-        parse_architecture('{"nodes":["y"],"edges":[["y","y"]]}')
+        parse_architecture({"nodes": ["y"], "edges": [["y", "y"]]})
 
 
 def test_parse_rejects_duplicate_id_and_unknown_vertex():
     with pytest.raises(ArchitectureError):
-        parse_architecture('{"nodes":["a","a"],"edges":[]}')
+        parse_architecture({"nodes": ["a", "a"], "edges": []})
     with pytest.raises(ArchitectureError):
-        parse_architecture('{"nodes":["a"],"edges":[["a","b"]]}')
-    with pytest.raises(ArchitectureError):
-        parse_architecture("not json at all {")
+        parse_architecture({"nodes": ["a"], "edges": [["a", "b"]]})
+
+
+#: JSON values that are neither strings nor numbers, as vertex names
+NON_SCALAR_NAMES = {"nodes": [None, [1], {"id": {"k": 2}}], "edges": [[None, [1]]]}
+
+
+def test_parse_rejects_vertex_names_that_are_not_strings_or_numbers():
+    with pytest.raises(ArchitectureError, match="vertex name must be a string or a number: None"):
+        parse_architecture(NON_SCALAR_NAMES)
+    for nodes, edges, value in [(["a", [1]], [], "[1]"), ([{"id": {"k": 2}}], [], "{'k': 2}"),
+                                (["a", "b"], [["a", None]], "None")]:
+        with pytest.raises(ArchitectureError, match=re.escape(f"number: {value}")):
+            parse_architecture({"nodes": nodes, "edges": edges})
+
+
+def test_parse_reads_number_vertex_names_as_their_str():
+    g = parse_architecture({"nodes": [1, {"id": 2.5, "role": "output"}], "edges": [[1, 2.5]]})
+    assert g.vertices == ("1", "2.5") and g.edges == (("1", "2.5"),)
+    assert g.roles == {"1": "input", "2.5": "output"}
 
 
 def test_parse_role_objects_and_role_contradiction():
     doc = {"nodes": [{"id": "a", "role": "input"}, "b"], "edges": [["a", "b"]]}
-    g = parse_architecture(json.dumps(doc))
+    g = parse_architecture(doc)
     assert g.roles["a"] == "input"
     bad = {"nodes": [{"id": "a", "role": "output"}, "b"], "edges": [["a", "b"]]}
     with pytest.raises(ArchitectureError):
-        parse_architecture(json.dumps(bad))
+        parse_architecture(bad)
 
 
 def test_parse_lstm_fixture_is_fork_ready():
@@ -152,7 +169,7 @@ def test_deeper_than_the_recursion_limit():
     assert fg.arrows == tuple(chain_edges) and fg.forks == ()
     cycle = {"nodes": names, "edges": [list(e) for e in chain_edges + [(names[-1], names[0])]]}
     with pytest.raises(ArchitectureError, match="oriented cycle is forbidden: 'v0' -> 'v1'"):
-        parse_architecture(json.dumps(cycle))
+        parse_architecture(cycle)
 
 
 # -- fork surgery ------------------------------------------------------------

@@ -686,6 +686,17 @@ def test_cyclic_architecture_exit_2_naming_the_cycle(capsys, tmp_path, argv):
     assert err == "error: oriented cycle is forbidden: 'a' -> 'b' -> 'c' -> 'a'\n"
 
 
+@pytest.mark.parametrize("argv", [["site", "--in"], ["heyting", "--arch"],
+                                  ["dyn", "gradcheck", "--arch"]],
+                         ids=["site", "heyting", "gradcheck"])
+def test_architecture_vertex_names_must_be_strings_or_numbers(capsys, tmp_path, argv):
+    path = tmp_path / "arch.json"
+    path.write_text(json.dumps({"nodes": [None, [1], {"id": {"k": 2}}], "edges": [[None, [1]]]}))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert err == "error: vertex name must be a string or a number: None\n"
+
+
 _GROUPOID = {"objects": ["a"]}
 _ADJUNCTION = {"source": _GROUPOID, "target": _GROUPOID, "object_map": {"a": "a"}}
 
@@ -1134,3 +1145,84 @@ def test_missing_input_exits_2_without_traceback(argv, says):
     assert proc.returncode == 2 and proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert says in proc.stderr
+
+
+# The IO edge: every flag that names an input file, on files that cannot be
+# opened, decoded or parsed.  Each run is an input error, said on one line.
+READING_FLAGS = {
+    "site --in": ["site", "--in", "{bad}"],
+    "sections --in": ["sections", "--in", "{bad}"],
+    "cats-manifold --in": ["cats-manifold", "--in", "{bad}",
+                           "--predicate", "{tmp}/predicate.json"],
+    "cats-manifold --predicate": ["cats-manifold", "--in", "{tmp}/presheaf.json",
+                                  "--predicate", "{bad}"],
+    "heyting --in": ["heyting", "--in", "{bad}"],
+    "heyting --arch": ["heyting", "--arch", "{bad}"],
+    "stack check-fibrant --in": ["stack", "check-fibrant", "--in", "{bad}"],
+    "stack adjunction --in": ["stack", "adjunction", "--in", "{bad}"],
+    "info --in": ["info", "--in", "{bad}"],
+    "dyn gradcheck --arch": ["dyn", "gradcheck", "--arch", "{bad}"],
+}
+BAD_FILES = {
+    "missing": None,
+    "directory": None,
+    "not-utf-8": b"\xff\xfe{",
+    "not-json": b"not json at all {",
+    "too-deep": b"[" * 200_000,
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_FILES))
+@pytest.mark.parametrize("flag", sorted(READING_FLAGS))
+def test_unreadable_input_files_exit_2(capsys, tmp_path, flag, bad):
+    for name in ("presheaf.json", "predicate.json"):
+        (tmp_path / name).write_text(json.dumps(MANIFEST_DOCUMENTS[name]))
+    path = tmp_path / bad
+    if bad == "directory":
+        path.mkdir()
+    elif BAD_FILES[bad] is not None:
+        path.write_bytes(BAD_FILES[bad])
+    argv = [a.format(tmp=tmp_path, bad=path) for a in READING_FLAGS[flag]]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {str(path)!r}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["site", "--in", "{tmp}/chain.json"],
+                                  ["dyn", "cusp", "--grid", "2"]], ids=["json", "csv"])
+@pytest.mark.parametrize("out", ["", "missing/"], ids=["directory", "missing-parent"])
+def test_unwritable_out_exits_2(capsys, datadir, argv, out):
+    target = datadir / out / "report"
+    if not out:
+        target.mkdir()
+    code, stdout, err = run(capsys, *(a.format(tmp=datadir) for a in argv),
+                            "--out", str(target))
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: cannot write {str(target)!r}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["dyn", "cusp", "--grid", "3", "--cell", "gru", "--m", "4"], "--cell"),
+    (["dyn", "gradcheck", "--arch", "{tmp}/diamond.json", "--grid", "5", "--steps", "9"],
+     "--steps"),
+    (["dyn", "--cell", "gru", "--grid", "7", "--arch", "nothing.json"], "--arch"),
+    (["dyn", "cusp", "--seed", "5"], "--seed"),
+    (["dyn", "--steps", "2", "gradcheck", "--arch", "{tmp}/diamond.json"], "--steps"),
+    (["dyn", "cusp", "--arch", "{tmp}/diamond.json"], "--arch"),
+    (["dyn", "gradcheck", "--arch", "{tmp}/diamond.json", "--cell", "lstm"], "--cell"),
+], ids=["cusp-cell-m", "gradcheck-grid-steps", "cell-grid-arch", "cusp-seed",
+        "steps-before-gradcheck", "cusp-arch", "gradcheck-default-cell"])
+def test_dyn_modes_refuse_the_flags_of_other_modes(capsys, datadir, argv, flag):
+    code, out, err = run(capsys, *(a.format(tmp=datadir) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: dyn ") and f"does not take {flag}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["dyn", "--m", "3", "cell"],
+    ["dyn", "--seed", "1", "gradcheck", "--arch", "{tmp}/chain.json"],
+    ["dyn", "--grid", "3", "cusp"],
+], ids=["m-before-cell", "seed-before-gradcheck", "grid-before-cusp"])
+def test_dyn_modes_take_their_own_flags_before_the_mode_word(capsys, datadir, argv):
+    code, out, err = run(capsys, *(a.format(tmp=datadir) for a in argv))
+    assert code == 0 and out and err == ""

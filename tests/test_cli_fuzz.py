@@ -245,12 +245,13 @@ def test_carnap_options_keep_the_exit_code_contract(subjects, attributes, bound)
 # argv tokens per subcommand.  A run starts from a well-formed command line,
 # one token in four of which is swapped for a drawn one, and appends up to
 # three drawn (token, value) pairs.  Tokens are the subcommand's flags and
-# positional choices, the shared flags but --out (a drawn path would be
-# written), and values: junk, small and negative numbers, and the paths of
-# the documents below.  Each run also sets SHEAFNET_BOUND to a drawn value,
-# or leaves it unset.  Every number drawn is at most 3, which caps the work
-# of --m, --n, --steps, --grid, --subjects and --bound.  `verify` is left
-# out: each run is the whole acceptance suite.
+# positional choices, the shared flags but --out, and values: junk, small
+# and negative numbers, and the paths of the documents below and of files
+# no command can read (`UNREADABLE`).  --out comes only as a drawn pair with
+# the unreadable directory, so no run writes a file.  Each run also sets
+# SHEAFNET_BOUND to a drawn value, or leaves it unset.  Every number drawn
+# is at most 3, which caps the work of --m, --n, --steps, --grid, --subjects
+# and --bound.  `verify` is left out: each run is the whole acceptance suite.
 SUBCOMMANDS = {
     "site": (["--in", "arch.json"], []),
     "sections": (["--in", "presheaf.json"], ["--limit"]),
@@ -276,6 +277,9 @@ ARGV_DOCUMENTS = {
                      "object_map": {"x": "u"}},
     "lang.json": {"states": ["00", "01", "10", "11"]},
 }
+# a directory, bytes that are not UTF-8, and JSON nested past the parser's
+# recursion limit
+UNREADABLE = {"folder.json": None, "not-utf-8.json": b"\xff\xfe{", "deep.json": b"[" * 200_000}
 
 
 def either_token(kept, drawn):
@@ -288,7 +292,12 @@ def argv_documents(tmp_path_factory):
     folder = tmp_path_factory.mktemp("argv")
     for name, doc in ARGV_DOCUMENTS.items():
         (folder / name).write_text(json.dumps(doc))
-    return {name: str(folder / name) for name in ARGV_DOCUMENTS}
+    for name, data in UNREADABLE.items():
+        if data is None:
+            (folder / name).mkdir()
+        else:
+            (folder / name).write_bytes(data)
+    return {name: str(folder / name) for name in [*ARGV_DOCUMENTS, *UNREADABLE]}
 
 
 @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
@@ -301,7 +310,8 @@ def test_argv_tokens_keep_the_exit_code_contract(argv_documents, command, data):
         st.sampled_from(sorted(argv_documents.values()))
     tokens = st.sampled_from(base + flags + ["--seed", "--bound"]) | values
     argv = [command] + [data.draw(either_token(st.just(t), tokens)) for t in base]
-    for flag, value in data.draw(st.lists(st.tuples(tokens, values), max_size=3)):
+    out = st.just(("--out", argv_documents["folder.json"]))
+    for flag, value in data.draw(st.lists(st.tuples(tokens, values) | out, max_size=3)):
         argv += [flag, value]
     bound = data.draw(st.none() | values)       # SHEAFNET_BOUND, or unset
     err = io.StringIO()

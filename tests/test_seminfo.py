@@ -22,7 +22,6 @@ from sheafnet.seminfo import (
     kl_divergence,
     localized_precision,
     mutual_information,
-    psi_cbh,
     sample,
 )
 
@@ -96,18 +95,20 @@ def test_content_values_64_states():
 
 def test_psi_cbh_values():
     lang = lang_of(64)
-    assert psi_cbh(lang, frozenset(lang.states)) == 0.0
-    assert psi_cbh(lang, frozenset({"s0"})) == pytest.approx(LN(1 / 64))
-    lang4 = lang_of(4)
-    assert psi_cbh(lang4, frozenset({"s0", "s1"})) == pytest.approx(LN(1 / 2))
-    assert psi_cbh(lang4, frozenset()) == float("-inf")
+    psi = cbh_precision(lang)
+    assert psi(frozenset(lang.states)) == 0.0
+    assert psi(frozenset({"s0"})) == pytest.approx(LN(1 / 64))
+    psi4 = cbh_precision(lang_of(4))
+    assert psi4(frozenset({"s0", "s1"})) == pytest.approx(LN(1 / 2))
+    assert psi4(frozenset()) == float("-inf")
 
 
 def test_psi_cbh_strictly_increasing():
     lang = lang_of(5)
+    psi = cbh_precision(lang)
     for t in subsets(lang):
         for extra in set(lang.states) - t:
-            assert psi_cbh(lang, t | {extra}) > psi_cbh(lang, t)
+            assert psi(t | {extra}) > psi(t)
 
 
 def test_psi_localized():
@@ -117,8 +118,7 @@ def test_psi_localized():
     psi = localized_precision(lang, p)
     assert psi(notp) == 0.0
     assert psi(frozenset({"s0"})) == pytest.approx(LN(1 / 3))
-    assert localized_precision(lang, frozenset())(frozenset({"s0"})) == \
-        psi_cbh(lang, frozenset({"s0"}))
+    assert localized_precision(lang, frozenset())(frozenset({"s0"})) == math.log(1 / 4)
     with pytest.raises(LanguageError):
         psi(frozenset({"s3"}))
     with pytest.raises(LanguageError):
@@ -421,7 +421,7 @@ def test_independence_without_a_common_state():
 def test_measure_shares_must_not_round_to_zero():
     with pytest.raises(LanguageError, match="rounds to 0"):
         BooleanLanguage(["a", "b"], {"a": 5e-324, "b": 2.0})
-    assert psi_cbh(BooleanLanguage(["a", "b"], {"a": 5e-324, "b": 1.0}), {"a"}) < -744
+    assert cbh_precision(BooleanLanguage(["a", "b"], {"a": 5e-324, "b": 1.0}))({"a"}) < -744
 
 
 # -- exclusion preservation ---------------------------------------------------------
@@ -456,7 +456,7 @@ def test_conditioning_preserves_exclusion_heyting_two_chain():
 
 def test_degree_zero_invariance_reported_empirically():
     """A constant psi is a degree-zero cocycle: conditioning any theory T
-    excluding P by any Q >= P leaves psi(T) unchanged.  psi_cbh is not: it
+    excluding P by any Q >= P leaves psi(T) unchanged.  cbh_precision is not: it
     moves under conditioning and differs between such theories."""
     lang = lang_of(3)
     p = frozenset({"s0"})
