@@ -16,9 +16,10 @@ from sheafnet.groupoids import (
 
 src = discrete_groupoid(["x", "y", "z"])
 dst = discrete_groupoid(["u", "v"])
+# each object is the base of its own component, with the trivial vertex group
+# {()}: every arrow image is (), and each homomorphism sends () to ()
 f = GroupoidFunctor.of(src, dst, {"x": "u", "y": "u", "z": "v"},
-                       {("id", o): ("id", m) for o, m in
-                        {"x": "u", "y": "u", "z": "v"}.items()})
+                       dict.fromkeys("xyz", ()), dict.fromkeys("xyz", {(): ()}))
 
 cx, cy, cz = src.components()
 cu, cv = dst.components()

@@ -179,8 +179,9 @@ def parse_architecture(document):
 
 
 def _vertex_name(value):
-    """The ``str`` of a JSON string or number naming a vertex."""
-    if not isinstance(value, (str, int, float)):
+    """The ``str`` of a JSON string or number naming a vertex (JSON true and
+    false are neither, though Python's bool is an int)."""
+    if not isinstance(value, (str, int, float)) or isinstance(value, bool):
         raise ArchitectureError(f"vertex name must be a string or a number: {value!r}")
     return str(value)
 

@@ -11,7 +11,8 @@ are constant along orbits.
 Every permutation of the symmetry path is an index array over
 ``lang.states``.  A state's index is its value digits read in mixed radix,
 so each generator is computed by index arithmetic on one digit array of
-all states.  The group is closed once on these arrays (`_close_group`), and
+all states.  The group is closed once on these arrays (`_close_group`, the
+group closure that `groupoids` also closes vertex groups with), and
 its (order, |E|) element matrix `SymmetryGroup.perms` is the one stored form
 of the elements; `SymmetryGroup.elements` decodes it into state dicts each
 time it is read.  Column ``i`` of the matrix is the orbit of state ``i``, so
@@ -32,10 +33,10 @@ from itertools import product as iproduct
 import numpy as np
 
 from .errors import BoundExceeded, GroupoidError, LanguageError
+from .groupoids import DEFAULT_GROUP_BOUND, _close_group
 from .seminfo import BooleanLanguage
 
 DEFAULT_STATE_BOUND = 10**6
-DEFAULT_GROUP_BOUND = 10_000
 
 _SUBJECT_NAMES = "abcdefghijklmnopqrstuvwxyz"
 _ATTR_NAMES = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -61,8 +62,9 @@ class CarnapLanguage:
         """2**|E|, reported symbolically (exact integer), never enumerated."""
         return 2 ** len(self.states)
 
-    def to_boolean_language(self, measure=None):
-        return BooleanLanguage(self.states, measure)
+    def to_boolean_language(self):
+        """The states under the uniform measure."""
+        return BooleanLanguage(self.states)
 
 
 def build_language(n_subjects, value_counts, bound=DEFAULT_STATE_BOUND):
@@ -175,33 +177,6 @@ def _generator_indices(lang):
             gens[f"exch_{lang.attributes[a][0]}{lang.attributes[a + 1][0]}"] = \
                 image(attr_perm=swapped(a, k))
     return gens
-
-
-def _close_group(gens, bound):
-    """The group generated by the index arrays ``gens`` (one dtype), as an
-    (order, n) matrix of index arrays: row 0 is the identity ``e``, then the
-    elements ``g1``, ``g2``, ... in breadth-first order, multiplying each
-    frontier element by every generator in turn.  The product "p, then q"
-    is ``q[p]``, and a new element is one hash lookup of its bytes."""
-    ident = np.arange(len(gens[0]), dtype=gens[0].dtype)
-    width = ident.nbytes
-    found = {ident.tobytes(): None}
-    frontier = ident[None, :]
-    while len(frontier):
-        # row r * len(gens) + j is frontier element r times generator j
-        products = np.stack([q[frontier] for q in gens], axis=1).reshape(
-            len(frontier) * len(gens), len(ident))
-        raw = products.tobytes()
-        new = []
-        for row in range(len(products)):
-            key = raw[row * width:(row + 1) * width]
-            if key not in found:
-                found[key] = None
-                new.append(row)
-                if len(found) > bound:
-                    raise BoundExceeded(f"group closure exceeds bound {bound}")
-        frontier = products[new]
-    return np.frombuffer(b"".join(found), dtype=ident.dtype).reshape(len(found), len(ident))
 
 
 def build_symmetry_group(lang, bound=None):
@@ -384,13 +359,14 @@ def simples_form_single_orbit(lang, group=None, simples=None):
     return len(reached) == len(ids)
 
 
-def simple_content_report(lang, measure=None):
-    """Enumerated content of a simple proposition, with the figure reported
+def simple_content_report(lang):
+    """Enumerated content of a simple proposition under the uniform
+    measure, with the figure reported
     in the literature for the three-subject two-attribute case (58), which
     direct counting does not reproduce."""
     from .seminfo import content
 
-    blang = lang.to_boolean_language(measure)
+    blang = lang.to_boolean_language()
     simples = simple_propositions(lang)
     computed = sorted({content(blang, s.truth_set) for s in simples})
     report = {"computed_contents": computed}

@@ -15,7 +15,7 @@ the negation (Q => bottom, `chain_implication` with T = 0) is the running
 intersection of the level complements, and the precision of a subobject
 against a dominated weight sequence delta is
 
-    psi_delta(T) = sum_k delta_k * mu(T_k),
+    psi_delta(T) = sum_k delta_k * |T_k|,
 
 which is strictly increasing.  It is concave for the conditioning
 T -> (Q => T) when Q is asserted at full depth, Q_k = Q_0 & E_k at every
@@ -159,12 +159,11 @@ class DeltaSequence:
         return DeltaSequence(tuple(2.0 ** -k for k in range(n + 1)))
 
 
-def psi_delta(chain, t, delta, mu=None):
-    """sum_k delta_k * mu(T_k) for a subobject mask; mu defaults to the
-    counting measure."""
+def psi_delta(chain, t, delta):
+    """sum_k delta_k * |T_k| for a subobject mask."""
     if len(delta.values) != chain.n + 1:
         raise LanguageError("delta length does not match the chain height")
     total = 0.0
     for d, level in zip(delta.values, chain.levels_of(t)):
-        total += d * (len(level) if mu is None else sum(mu[x] for x in level))
+        total += d * len(level)
     return total

@@ -63,7 +63,6 @@ from .groupoids import (
     StackOverPoset,
     check_adjunction_and_section,
     check_fibrant_injective,
-    pair_groupoid,
 )
 from .presheaf import Presheaf, cats_manifold, sections
 from .seminfo import (
@@ -103,6 +102,13 @@ def _write(text, out):
         raise SheafnetError(f"cannot write {out!r}: {exc}") from exc
 
 
+def _check_out(out):
+    """Refuse, before any work, an ``out`` that `_write` could not open: an
+    existing directory, or a file in a directory that does not exist."""
+    if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or os.curdir)):
+        raise SheafnetError(f"cannot write {out!r}: not a file in an existing directory")
+
+
 def _load_json(path):
     """The JSON object in the UTF-8 file ``path``."""
     try:
@@ -131,14 +137,21 @@ def _field(doc, key, what="document"):
 
 
 def _scalars(xs):
-    """Are all of ``xs`` JSON strings or numbers?"""
+    """Are all of ``xs`` JSON strings or numbers?  A state may also be JSON
+    true or false (Python's bool is an int), named by its key text."""
     return all(isinstance(x, (str, int, float)) for x in xs)
 
 
-def _scalar_list(value, what):
-    """``value`` if it is a JSON list of strings or numbers, else an input
-    error naming ``what``."""
-    if not isinstance(value, list) or not _scalars(value):
+def _names(xs):
+    """Are all of ``xs`` JSON strings or numbers, never true or false, as
+    the names of poset elements and groupoid objects must be?"""
+    return _scalars(xs) and not any(isinstance(x, bool) for x in xs)
+
+
+def _scalar_list(value, what, test):
+    """``value`` if it is a JSON list that passes ``test`` (`_scalars` or
+    `_names`), else an input error naming ``what``."""
+    if not isinstance(value, list) or not test(value):
         raise SheafnetError(f"{what} must be a list of strings or numbers")
     return value
 
@@ -146,10 +159,10 @@ def _scalar_list(value, what):
 def _load_poset(doc):
     """The poset of a document.  Its elements are JSON strings or numbers,
     named in the document by their ``str``, so the names must differ."""
-    elements = _scalar_list(_field(doc, "elements", "poset"), "poset 'elements'")
+    elements = _scalar_list(_field(doc, "elements", "poset"), "poset 'elements'", _names)
     leq = doc.get("leq", [])
     if not isinstance(leq, list) or \
-            not all(isinstance(p, list) and len(p) == 2 and _scalars(p) for p in leq):
+            not all(isinstance(p, list) and len(p) == 2 and _names(p) for p in leq):
         raise SheafnetError("poset 'leq' must be a list of [x, y] pairs of elements")
     if len(set(map(str, elements))) != len(elements):
         raise SheafnetError("poset elements must have distinct names")
@@ -168,7 +181,8 @@ def _load_presheaf(doc):
     must differ."""
     poset = _load_poset(_field(doc, "poset"))
     table = _field(doc, "carriers")
-    carriers = {x: _scalar_list(_field(table, str(x), "'carriers'"), f"carrier {str(x)!r}")
+    carriers = {x: _scalar_list(_field(table, str(x), "'carriers'"), f"carrier {str(x)!r}",
+                                 _scalars)
                 for x in poset.elements}
     states_by_key = {x: {} for x in carriers}
     for x, states in carriers.items():
@@ -209,15 +223,18 @@ def _component_functor(source, target, table, what):
     if missing:
         raise SheafnetError(f"{what} leaves out objects {missing}")
     omap = {o: str(table[str(o)]) for o in source.objects}
-    return GroupoidFunctor.of(source, target, omap,
-                              {(a, b): (omap[a], omap[b]) for a, b in source.morphisms})
+    # every vertex group is trivial: its one element is ()
+    return GroupoidFunctor.of(source, target, omap, dict.fromkeys(omap, ()),
+                              {part[0]: {(): ()} for part in source.components()})
 
 
-def _simple_component_groupoid(doc):
-    """Pair groupoid per generated component, with plain object names."""
+def _component_groupoid(doc):
+    """One codiscrete component per class of the generated relation, with
+    the trivial vertex group, objects named by their ``str``."""
     objects = [str(o) for o in _scalar_list(_field(doc, "objects", "groupoid"),
-                                            "groupoid 'objects'")]
-    known, uf = set(objects), UnionFind(objects)
+                                            "groupoid 'objects'", _names)]
+    # a repeated name is one object
+    known, uf = set(objects), UnionFind(dict.fromkeys(objects))
     generators = doc.get("generators", [])
     if not isinstance(generators, list):
         raise SheafnetError("groupoid 'generators' must be a list")
@@ -226,11 +243,7 @@ def _simple_component_groupoid(doc):
         if not known.issuperset(ends):
             raise GroupoidError(f"generator {ends} names an object missing from 'objects'")
         uf.union(*ends)
-    # the components are disjoint, so their pair groupoids merge untagged
-    parts = [pair_groupoid(members) for members in uf.groups()]
-    tables = [{k: v for g in parts for k, v in getattr(g, name).items()}
-              for name in ("src", "dst", "comp", "inv", "ident")]
-    return FiniteGroupoid(tuple(objects), sum((g.morphisms for g in parts), ()), *tables)
+    return FiniteGroupoid.of((members, ()) for members in uf.groups())
 
 
 def _states(text):
@@ -255,7 +268,7 @@ def cmd_sections(args):
 def cmd_cats_manifold(args):
     p = _load_presheaf(_load_json(args.infile))
     names = {str(x): x for x in p.poset.elements}      # as in `_covering_pair`
-    predicate = {names.get(k, k): _scalar_list(v, f"predicate on {k!r}")
+    predicate = {names.get(k, k): _scalar_list(v, f"predicate on {k!r}", _scalars)
                  for k, v in _load_json(args.predicate).items()}
     return _emit_sections(cats_manifold(p, predicate, args.bound), args)
 
@@ -286,7 +299,7 @@ def cmd_stack(args):
         else:
             poset = _load_poset(_field(doc, "poset"))
             table = _field(doc, "fibers")
-            fibers = {x: _simple_component_groupoid(_field(table, str(x), "'fibers'"))
+            fibers = {x: _component_groupoid(_field(table, str(x), "'fibers'"))
                       for x in poset.elements}
             glue = {}
             for key, omap in _json_object(_field(doc, "glue"), "'glue'").items():
@@ -298,8 +311,8 @@ def cmd_stack(args):
         emit_report(report.as_dict(), args.out)
         return 0 if report.fibrant else 1
     # adjunction
-    src = _simple_component_groupoid(_field(doc, "source"))
-    dst = _simple_component_groupoid(_field(doc, "target"))
+    src = _component_groupoid(_field(doc, "source"))
+    dst = _component_groupoid(_field(doc, "target"))
     report = check_adjunction_and_section(
         _component_functor(src, dst, _field(doc, "object_map"), "object_map"))
     emit_report(dict(vars(report), failures=[str(f) for f in report.failures]), args.out)
@@ -308,7 +321,7 @@ def cmd_stack(args):
 
 def cmd_info(args):
     doc = _load_json(args.infile)
-    states = [str(s) for s in _scalar_list(_field(doc, "states"), "'states'")]
+    states = [str(s) for s in _scalar_list(_field(doc, "states"), "'states'", _scalars)]
     measure = doc.get("measure")
     if measure is not None and not isinstance(measure, dict):
         raise SheafnetError("'measure' must be a JSON object of state weights")
@@ -597,6 +610,7 @@ def main(argv=None):
     args = make_parser().parse_args(argv)
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
+        _check_out(args.out)
         if "bound" in vars(args) and args.bound is None:
             args.bound = _environment_bound()
         return command(args)

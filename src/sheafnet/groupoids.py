@@ -1,14 +1,25 @@
 """Finite groupoids, gluing functors, and two-way logic transport.
 
+Up to isomorphism a finite groupoid is its components with one vertex group
+each (Brown, *Topology and Groupoids*, ch. 6), and `FiniteGroupoid` is
+stored so.  A component's base is its `str`-least object b, and its vertex
+group is a permutation group closed by `_close_group`.  A morphism x -> y
+is a triple (x, y, g) with g in that group, standing for t_y g t_x^-1,
+where t_x = (b, x, e) is the arrow from the base.  Composition is the
+group's multiplication: (y, z, h) after (x, y, g) is (x, z, g then h).  So
+the groupoid laws hold by construction and no composition table is kept.
+A functor is its object map, the images of the arrows t_x and one
+homomorphism per source vertex group.
+
 The subobject classifier of a finite groupoid (at the level of subobjects
 of the terminal object) is the Boolean algebra of subsets of its set of
-connected components, computed once per groupoid.  A functor F: G' -> G
-moves component sets by one image/preimage pair of bit masks along its map
-pi0(G') -> pi0(G): forward by image (`lambda_transport`), backward by
-preimage (`tau_transport`).  The two are adjoint, the backward transport is
-a section of the forward one exactly when F is surjective on components,
-and both checks run exhaustively.  Transport on general subobject algebras
-Omega^X is out of scope; the component level is finitely checkable.
+connected components.  A functor F: G' -> G moves component sets by one
+image/preimage pair of bit masks along its map pi0(G') -> pi0(G): forward
+by image (`lambda_transport`), backward by preimage (`tau_transport`).  The
+two are adjoint, the backward transport is a section of the forward one
+exactly when F is surjective on components, and both checks run
+exhaustively.  Transport on general subobject algebras Omega^X is out of
+scope; the component level is finitely checkable.
 
 A `StackOverPoset` is closed like a presheaf, by `FinitePoset.extend_covering`.
 `check_fibrant_injective` tests diagrams of sets or of groupoids over a
@@ -20,13 +31,73 @@ is surjectivity, resp. the isofibration condition.
 """
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
+import numpy as np
+
 from .errors import BoundExceeded, GroupoidError
 from .presheaf import Presheaf
-from .unionfind import UnionFind
+
+DEFAULT_GROUP_BOUND = 10_000
+
+
+# ---------------------------------------------------------------------------
+# Vertex groups
+# ---------------------------------------------------------------------------
+
+def _close_group(gens, bound):
+    """The group generated by the index arrays ``gens`` (one dtype), as an
+    (order, n) matrix of index arrays: row 0 is the identity ``e``, then the
+    elements ``g1``, ``g2``, ... in breadth-first order, multiplying each
+    frontier element by every generator in turn.  The product "p, then q"
+    is ``q[p]``, and a new element is one hash lookup of its bytes."""
+    ident = np.arange(len(gens[0]), dtype=gens[0].dtype)
+    width = ident.nbytes
+    found = {ident.tobytes(): None}
+    frontier = ident[None, :]
+    while len(frontier):
+        # row r * len(gens) + j is frontier element r times generator j
+        products = np.stack([q[frontier] for q in gens], axis=1).reshape(
+            len(frontier) * len(gens), len(ident))
+        raw = products.tobytes()
+        new = []
+        for row in range(len(products)):
+            key = raw[row * width:(row + 1) * width]
+            if key not in found:
+                found[key] = None
+                new.append(row)
+                if len(found) > bound:
+                    raise BoundExceeded(f"group closure exceeds bound {bound}")
+        frontier = products[new]
+    return np.frombuffer(b"".join(found), dtype=ident.dtype).reshape(len(found), len(ident))
+
+
+def _then(g, h):
+    """The permutation tuple "g, then h"."""
+    return tuple([h[i] for i in g])
+
+
+def _inverse(g):
+    """The inverse of the permutation tuple ``g``."""
+    return tuple(sorted(range(len(g)), key=g.__getitem__))
+
+
+def _unit(group):
+    """The identity of a group of permutation tuples."""
+    return tuple(range(len(next(iter(group)))))
+
+
+def _vertex_group(generators):
+    """The group of permutation tuples closed from ``generators``, all over
+    one range(n); with none, the trivial group {()}."""
+    if not generators:
+        return frozenset({()})
+    n = len(generators[0])
+    if any(sorted(g) != list(range(n)) for g in generators):
+        raise GroupoidError(f"vertex group generators must permute one range(n): {generators}")
+    gens = [np.array(g, dtype=np.min_scalar_type(n - 1)) for g in generators]
+    return frozenset(map(tuple, _close_group(gens, DEFAULT_GROUP_BOUND).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -35,84 +106,39 @@ from .unionfind import UnionFind
 
 @dataclass(frozen=True)
 class FiniteGroupoid:
-    objects: tuple
-    morphisms: tuple                    # ids
-    src: dict = field(compare=False)
-    dst: dict = field(compare=False)
-    comp: dict = field(compare=False)   # (g, f) -> g after f, when dst(f) == src(g)
-    inv: dict = field(compare=False)
-    ident: dict = field(compare=False)  # object -> identity morphism id
+    """``parts``: the components, each sorted by `str` so that its base
+    comes first, in order of their bases' `str`.  ``groups``: the vertex
+    group at each base, a frozenset of permutation tuples."""
+    parts: tuple
+    groups: tuple
 
-    def validate(self):
-        for o in self.objects:
-            e = self.ident.get(o)
-            if e is None or self.src[e] != o or self.dst[e] != o:
-                raise GroupoidError(f"missing or ill-typed identity at {o!r}")
-        for f in self.morphisms:
-            if self.src[f] not in self.objects or self.dst[f] not in self.objects:
-                raise GroupoidError(f"morphism {f!r} has unknown endpoints")
-            fi = self.inv.get(f)
-            if fi is None:
-                raise GroupoidError(f"morphism {f!r} has no inverse")
-            if self.comp[(fi, f)] != self.ident[self.src[f]]:
-                raise GroupoidError(f"inverse law fails at {f!r}")
-            if self.comp[(f, fi)] != self.ident[self.dst[f]]:
-                raise GroupoidError(f"inverse law fails at {f!r}")
-        for f in self.morphisms:
-            for g in self.morphisms:
-                if self.dst[f] == self.src[g]:
-                    h = self.comp.get((g, f))
-                    if h is None or self.src[h] != self.src[f] or self.dst[h] != self.dst[g]:
-                        raise GroupoidError(f"composition missing or ill-typed for ({g!r}, {f!r})")
-        for f in self.morphisms:
-            for g in self.morphisms:
-                if self.dst[f] != self.src[g]:
-                    continue
-                for h in self.morphisms:
-                    if self.dst[g] != self.src[h]:
-                        continue
-                    if self.comp[(h, self.comp[(g, f)])] != self.comp[(self.comp[(h, g)], f)]:
-                        raise GroupoidError("associativity failure")
-        return self
-
-    # -- components ---------------------------------------------------------
+    @staticmethod
+    def of(parts):
+        """The groupoid with one component per (objects, generators) pair,
+        its vertex group generated by ``generators`` (`_vertex_group`)."""
+        parts = [(tuple(sorted(objs, key=str)), tuple(gens)) for objs, gens in parts]
+        objects = [o for objs, _ in parts for o in objs]
+        if not all(objs for objs, _ in parts) or len(set(objects)) != len(objects):
+            raise GroupoidError("components must be non-empty and disjoint")
+        parts.sort(key=lambda part: str(part[0][0]))
+        return FiniteGroupoid(tuple(objs for objs, _ in parts),
+                              tuple(_vertex_group(gens) for _, gens in parts))
 
     def components(self):
-        """Partition of the objects under "there exists a morphism", built once."""
-        return self._components
+        return self.parts
 
     @cached_property
-    def _components(self):
-        uf = UnionFind(self.objects)
-        for f in self.morphisms:
-            uf.union(self.src[f], self.dst[f])
-        return tuple(tuple(sorted(g, key=str)) for g in
-                     sorted(uf.groups(), key=lambda c: str(min(c, key=str))))
+    def objects(self):
+        return tuple(o for part in self.parts for o in part)
 
+    @cached_property
+    def component_of(self):
+        """Each object's component index."""
+        return {o: i for i, part in enumerate(self.parts) for o in part}
 
-# -- constructors -------------------------------------------------------------
 
 def discrete_groupoid(objects):
-    objects = tuple(objects)
-    ident = {o: ("id", o) for o in objects}
-    morphisms = tuple(ident.values())
-    src = {m: m[1] for m in morphisms}
-    dst = dict(src)
-    comp = {(m, m): m for m in morphisms}
-    inv = {m: m for m in morphisms}
-    return FiniteGroupoid(objects, morphisms, src, dst, comp, inv, ident)
-
-
-def pair_groupoid(objects):
-    """The codiscrete groupoid: exactly one morphism between any two objects."""
-    objects = tuple(objects)
-    morphisms = tuple((a, b) for a in objects for b in objects)
-    src = {m: m[0] for m in morphisms}
-    dst = {m: m[1] for m in morphisms}
-    comp = {((b, c), (a, b)): (a, c) for a in objects for b in objects for c in objects}
-    inv = {(a, b): (b, a) for a, b in morphisms}
-    ident = {o: (o, o) for o in objects}
-    return FiniteGroupoid(objects, morphisms, src, dst, comp, inv, ident)
+    return FiniteGroupoid.of(((o,), ()) for o in objects)
 
 
 # ---------------------------------------------------------------------------
@@ -121,42 +147,74 @@ def pair_groupoid(objects):
 
 @dataclass(frozen=True)
 class GroupoidFunctor:
+    """F: source -> target.  ``arrows[x]`` is the group element of F(t_x) =
+    (F b, F x, arrows[x]), and ``homs[b]`` maps the vertex group at the base
+    b into the one at the base of F(b)'s component.  Equal data, equal
+    functors."""
     source: FiniteGroupoid
     target: FiniteGroupoid
-    object_map: dict = field(compare=False)
-    morphism_map: dict = field(compare=False)
+    object_map: dict
+    arrows: dict
+    homs: dict
 
     @staticmethod
-    def of(source, target, object_map, morphism_map):
-        f = GroupoidFunctor(source, target, dict(object_map), dict(morphism_map))
+    def of(source, target, object_map, arrows, homs):
+        f = GroupoidFunctor(source, target, dict(object_map), dict(arrows), dict(homs))
         f.validate()
         return f
 
     def validate(self):
-        om, mm = self.object_map, self.morphism_map
-        for o in self.source.objects:
-            if om.get(o) not in self.target.objects:
-                raise GroupoidError(f"object map undefined or foreign at {o!r}")
-        for m in self.source.morphisms:
-            fm = mm.get(m)
-            if fm not in self.target.morphisms:
-                raise GroupoidError(f"morphism map undefined or foreign at {m!r}")
-            if self.target.src[fm] != om[self.source.src[m]] or \
-               self.target.dst[fm] != om[self.source.dst[m]]:
-                raise GroupoidError(f"functor breaks source/target at {m!r}")
-        for o in self.source.objects:
-            if mm[self.source.ident[o]] != self.target.ident[om[o]]:
-                raise GroupoidError(f"functor breaks identity at {o!r}")
-        for (g, f), h in self.source.comp.items():
-            if self.target.comp[(mm[g], mm[f])] != mm[h]:
-                raise GroupoidError(f"functor breaks composition at ({g!r}, {f!r})")
+        """Each source component lands in one target component, with arrows
+        in its vertex group, t_b sent to the identity, and a homomorphism
+        on each vertex group: O(objects + |V|^2)."""
+        om, index = self.object_map, self.target.component_of
+        for part, group in zip(self.source.parts, self.source.groups):
+            b = part[0]
+            j = index.get(om.get(b))
+            for x in part:
+                if om.get(x) not in index:
+                    raise GroupoidError(f"object map undefined or foreign at {x!r}")
+                if index[om[x]] != j:
+                    raise GroupoidError(f"object map splits the component of {b!r}: "
+                                        f"{om[b]!r} and {om[x]!r} are not connected")
+                if self.arrows.get(x) not in self.target.groups[j]:
+                    raise GroupoidError(f"arrow image undefined or foreign at {x!r}")
+            hom = self.homs.get(b)
+            if self.arrows[b] != _unit(self.target.groups[j]) or not isinstance(hom, dict) \
+                    or hom.keys() != group or not self.target.groups[j].issuperset(hom.values()):
+                raise GroupoidError(f"functor breaks identity or is undefined at {b!r}")
+            if any(hom[_then(g, h)] != _then(hom[g], hom[h]) for g in group for h in group):
+                raise GroupoidError(f"functor breaks composition at {b!r}")
         return self
+
+    def __call__(self, x, y, g):
+        """The image of the morphism (x, y, g)."""
+        b = self.source.parts[self.source.component_of[x]][0]
+        return (self.object_map[x], self.object_map[y],
+                _then(_then(_inverse(self.arrows[x]), self.homs[b][g]), self.arrows[y]))
+
+    def then(self, other):
+        """The functor ``other`` after this one."""
+        om = self.object_map
+        return GroupoidFunctor(
+            self.source, other.target, {x: other.object_map[om[x]] for x in om},
+            {x: other(om[part[0]], om[x], self.arrows[x])[2]
+             for part in self.source.parts for x in part},
+            {b: {g: other(om[b], om[b], h)[2] for g, h in hom.items()}
+             for b, hom in self.homs.items()})
 
     @cached_property
     def pi0(self):
         """The map on components, as the index of each source component's image."""
-        index = {o: i for i, comp in enumerate(self.target.components()) for o in comp}
-        return tuple(index[self.object_map[comp[0]]] for comp in self.source.components())
+        return tuple(self.target.component_of[self.object_map[part[0]]]
+                     for part in self.source.parts)
+
+
+def identity_functor(g):
+    pairs = list(zip(g.parts, g.groups))
+    return GroupoidFunctor(g, g, {o: o for o in g.objects},
+                           {o: _unit(group) for part, group in pairs for o in part},
+                           {part[0]: {h: h for h in group} for part, group in pairs})
 
 
 # ---------------------------------------------------------------------------
@@ -251,60 +309,51 @@ def is_multifibration(functors):
     """A family of functors F_i with common source G is a multi-fibration
     when its pairing G -> prod_i target(F_i) is a fibration: at every object
     x, the tuples (F_i(m))_i over the morphisms m out of x are all the
-    tuples (phi_i)_i of target morphisms with src(phi_i) = F_i(x).  They
-    always lie among them, so counting the distinct ones suffices.  For one
+    tuples (phi_i)_i of target morphisms out of F_i(x).  They always lie
+    among them, so counting the distinct ones suffices, and only at each
+    component's base b: composing with F_i(t_x) permutes the tuples at x
+    onto those at b.  Out of F_i(b) there are as many target morphisms as
+    its component has objects times its vertex group's order.  For one
     functor this is the isofibration condition: every target morphism out
     of F(x) lifts to a morphism out of x."""
     functors = list(functors)
     g = functors[0].source
     if any(f.source is not g and f.source != g for f in functors):
         raise GroupoidError("pairing needs a common source")
-    out_of = [Counter(f.target.src[phi] for phi in f.target.morphisms) for f in functors]
-    lifts = {x: set() for x in g.objects}
-    for m in g.morphisms:
-        lifts[g.src[m]].add(tuple(f.morphism_map[m] for f in functors))
-    return all(len(lifts[x]) == math.prod(n[f.object_map[x]] for f, n in zip(functors, out_of))
-               for x in g.objects)
+    for part, group in zip(g.parts, g.groups):
+        b = part[0]
+        lifts = {tuple(f(b, y, h) for f in functors) for y in part for h in group}
+        images = [f.target.component_of[f.object_map[b]] for f in functors]
+        if len(lifts) != math.prod(len(f.target.parts[j]) * len(f.target.groups[j])
+                                   for f, j in zip(functors, images)):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
 # Stacks over posets and the fibrancy checker
 # ---------------------------------------------------------------------------
 
-def _compose_maps(lower, f):
-    """The (object_map, morphism_map) of ``lower`` after the functor ``f``."""
-    objects, morphisms = lower
-    return ({o: objects[f.object_map[o]] for o in f.source.objects},
-            {m: morphisms[f.morphism_map[m]] for m in f.source.morphisms})
-
-
 class StackOverPoset:
     """A contravariant assignment of groupoids to poset elements: a fiber per
-    element, a gluing functor fiber(y) -> fiber(x) per covering pair x < y."""
+    element, a gluing functor fiber(y) -> fiber(x) per covering pair x < y.
+    The composites along the order are built only to check that they agree."""
 
     def __init__(self, poset, fibers, glue):
         self.poset = poset
         self.fibers = dict(fibers)
-        self.glue, full = poset.extend_covering(
+        self.glue, _ = poset.extend_covering(
             glue, self._checked_glue,
-            identity=lambda x: ({o: o for o in self.fibers[x].objects},
-                                {m: m for m in self.fibers[x].morphisms}),
-            compose=_compose_maps,
+            identity=lambda x: identity_functor(self.fibers[x]),
+            compose=lambda lower, step: step.then(lower),
             error=GroupoidError, noun="gluing functor",
             clash="gluing functors do not compose functorially between {x!r} and {y!r}")
-        # compared as (object_map, morphism_map) pairs above: functor
-        # equality ignores both maps
-        self._full = {(x, y): GroupoidFunctor.of(self.fibers[y], self.fibers[x], *maps)
-                      for (x, y), maps in full.items()}
 
     def _checked_glue(self, pair, f):
         x, y = pair
         if f.source != self.fibers[y] or f.target != self.fibers[x]:
             raise GroupoidError(f"gluing functor for {pair!r} has wrong endpoints")
         return f
-
-    def restriction(self, x, y):
-        return self._full[(x, y)]
 
 
 @dataclass(frozen=True)

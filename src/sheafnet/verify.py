@@ -599,8 +599,9 @@ def criterion_15(seed=0):
         src = discrete_groupoid([f"s{i}" for i in range(n_src)])
         dst = discrete_groupoid([f"d{i}" for i in range(n_dst)])
         omap = {f"s{i}": f"d{rng.randrange(n_dst)}" for i in range(n_src)}
-        f = GroupoidFunctor.of(src, dst, omap,
-                               {("id", o): ("id", omap[o]) for o in src.objects})
+        # discrete groupoids: every object is a base, every vertex group {()}
+        f = GroupoidFunctor.of(src, dst, omap, dict.fromkeys(omap, ()),
+                               dict.fromkeys(omap, {(): ()}))
         report = check_adjunction_and_section(f)
         if not (report.adjunction_ok and report.unit_ok):
             return False, "adjunction failed"

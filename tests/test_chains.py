@@ -201,8 +201,7 @@ def test_psi_delta_examples():
     d = DeltaSequence.of([1.0, 0.5])
     assert psi_delta(e, 0, d) == 0.0
     assert psi_delta(e, top_of(e), d) == 2.5
-    mu = {"x": 2.0, "y": 1.0}
-    assert psi_delta(e, top_of(e), d, mu) == 3.0 + 1.0
+    assert psi_delta(e, e.mask_of({"x", "y"}, set()), d) == 2.0
 
 
 def test_psi_delta_strictly_increasing():

@@ -1226,3 +1226,89 @@ def test_dyn_modes_refuse_the_flags_of_other_modes(capsys, datadir, argv, flag):
 def test_dyn_modes_take_their_own_flags_before_the_mode_word(capsys, datadir, argv):
     code, out, err = run(capsys, *(a.format(tmp=datadir) for a in argv))
     assert code == 0 and out and err == ""
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["site", "--in"], {"nodes": [True, False], "edges": [[True, False]]}),
+    (["heyting", "--in"], {"elements": [True, "x"], "leq": [[True, "x"]]}),
+    (["stack", "adjunction", "--in"], {"source": {"objects": [True]},
+                                       "target": {"objects": ["z"]}, "object_map": {"True": "z"}}),
+], ids=["site", "heyting", "groupoid"])
+def test_json_true_and_false_are_not_names(capsys, tmp_path, argv, doc):
+    """Python's bool is an int, but JSON true and false are neither strings
+    nor numbers."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert "must be a " in err and "string" in err and err.count("\n") == 1
+
+
+def test_unwritable_out_is_refused_before_the_command_runs(capsys, tmp_path, monkeypatch):
+    from sheafnet import cli
+
+    def run_all(seed):
+        raise AssertionError("verify ran although --out cannot be written")
+
+    monkeypatch.setattr(cli, "run_all", run_all)
+    code, out, err = run(capsys, "verify", "--all", "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {str(tmp_path)!r}: ")
+
+
+def _split_component_doc(command):
+    """An object map sending the connected objects a and b to the two
+    unconnected objects y and z."""
+    source = {"objects": ["a", "b"], "generators": [{"src": "a", "dst": "b"}]}
+    target = {"objects": ["y", "z"]}
+    object_map = {"a": "y", "b": "z"}
+    if command == "adjunction":
+        return {"source": source, "target": target, "object_map": object_map}
+    return groupoid_stack_doc({"elements": ["0", "1"], "leq": [["0", "1"]]},
+                              {"1": (source["objects"], [("a", "b")]), "0": (["y", "z"], [])},
+                              {"0<=1": object_map})
+
+
+@pytest.mark.parametrize("command", ["adjunction", "check-fibrant"])
+def test_object_map_splitting_a_component_exits_2(capsys, tmp_path, command):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_split_component_doc(command)))
+    code, out, err = run(capsys, "stack", command, "--in", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: object map splits the component of 'a': " \
+                  "'y' and 'z' are not connected\n"
+
+
+def _capped(limit_bytes):
+    """A preexec function that caps the child's address space."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
+    return cap
+
+
+@pytest.mark.parametrize("command", ["adjunction", "check-fibrant"])
+def test_ten_thousand_object_component_under_a_memory_cap(tmp_path, command):
+    """One connected component of 10**4 objects (a chain of generators),
+    mapped by the identity, in a child process capped at 1 GiB of address
+    space: the groupoid is its components and vertex groups, so no table
+    grows with the square of the objects."""
+    objects = [f"o{i}" for i in range(10**4)]
+    groupoid = {"objects": objects,
+                "generators": [{"src": a, "dst": b} for a, b in zip(objects, objects[1:])]}
+    identity = {o: o for o in objects}
+    if command == "adjunction":
+        doc = {"source": groupoid, "target": groupoid, "object_map": identity}
+    else:
+        doc = {"poset": {"elements": ["0", "1"], "leq": [["0", "1"]]},
+               "fibers": {"0": groupoid, "1": groupoid}, "glue": {"0<=1": identity}}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-m", "sheafnet.cli", "stack", command,
+                           "--in", str(path)], env=env, capture_output=True, timeout=30,
+                          preexec_fn=_capped(2**30))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report.get("fibrant", report.get("adjunction_ok")) is True
