@@ -809,10 +809,10 @@ def test_identity_is_fibration():
     assert identity_functor(g) == to_library_functor(table_identity(t))
 
 
-def test_proper_subgroup_inclusion_is_not_fibration():
-    big = group_as_groupoid({"r": cyclic_perm([0, 1, 2, 3])})        # C4
-    sub = group_as_groupoid({"r": {0: 2, 2: 0, 1: 3, 3: 1}})          # squares: C2
-    # embed C2 = {e, (02)(13)} into C4's morphisms
+def subgroup_inclusion():
+    """The table inclusion of the squares C2 = {e, (02)(13)} into C4."""
+    big = group_as_groupoid({"r": cyclic_perm([0, 1, 2, 3])})
+    sub = group_as_groupoid({"r": {0: 2, 2: 0, 1: 3, 3: 1}})
     name_of = {}
     big_elems = {k: dict(p) for k, p in reference_close_permutation_group(
         {"r": cyclic_perm([0, 1, 2, 3])}).items()}
@@ -820,7 +820,17 @@ def test_proper_subgroup_inclusion_is_not_fibration():
         {"r": {0: 2, 2: 0, 1: 3, 3: 1}}).items()}
     for sk, sp in sub_elems.items():
         name_of[sk] = next(bk for bk, bp in big_elems.items() if bp == sp)
-    f = TableFunctor.of(sub, big, {"*": "*"}, name_of)
+    return TableFunctor.of(sub, big, {"*": "*"}, name_of)
+
+
+def projection(prod, factor, k):
+    """The table projection of a product groupoid onto its factor ``k``."""
+    return TableFunctor.of(prod, factor, {o: o[k] for o in prod.objects},
+                           {m: m[k] for m in prod.morphisms})
+
+
+def test_proper_subgroup_inclusion_is_not_fibration():
+    f = subgroup_inclusion()
     assert not is_fibration(f)
     assert_agrees_with_tables(f, to_library_functor(f))
 
@@ -829,10 +839,7 @@ def test_product_projection_is_fibration_and_multifibration():
     g1 = group_as_groupoid({"r": cyclic_perm([0, 1])})
     g2 = group_as_groupoid({"r": cyclic_perm(["a", "b", "c"])})
     prod = product_groupoid(g1, g2)
-    proj1 = TableFunctor.of(prod, g1, {o: o[0] for o in prod.objects},
-                            {m: m[0] for m in prod.morphisms})
-    proj2 = TableFunctor.of(prod, g2, {o: o[1] for o in prod.objects},
-                            {m: m[1] for m in prod.morphisms})
+    proj1, proj2 = projection(prod, g1, 0), projection(prod, g2, 1)
     assert is_fibration(proj1) and is_fibration(proj2)
     assert reference_is_multifibration([proj1, proj2])
     framed = to_library(prod)
@@ -897,11 +904,8 @@ def test_multifibration_of_groups_matches_pairing():
     c2 = group_as_groupoid({"r": cyclic_perm([0, 1])})
     c3 = group_as_groupoid({"r": cyclic_perm(["a", "b", "c"])})
     c6, disc = product_groupoid(c2, c3), discrete_table(["*"])
-    choices = [TableFunctor.of(c6, c2, {o: o[0] for o in c6.objects},
-                               {m: m[0] for m in c6.morphisms}),
-               TableFunctor.of(c6, c3, {o: o[1] for o in c6.objects},
-                               {m: m[1] for m in c6.morphisms}),
-               table_identity(c6), constant_functor(c6, disc, "*")]
+    choices = [projection(c6, c2, 0), projection(c6, c3, 1), table_identity(c6),
+               constant_functor(c6, disc, "*")]
     framed = to_library(c6)
     verdicts = []
     for _ in range(30):
@@ -925,15 +929,9 @@ def test_composition_of_fibrations_is_fibration():
     g3 = group_as_groupoid({"r": cyclic_perm(["p", "q", "s"])})
     inner = product_groupoid(g2, g3)
     outer = product_groupoid(g1, inner)
-    proj_inner = TableFunctor.of(outer, inner, {o: o[1] for o in outer.objects},
-                                 {m: m[1] for m in outer.morphisms})
-    proj_g2 = TableFunctor.of(inner, g2, {o: o[0] for o in inner.objects},
-                              {m: m[0] for m in inner.morphisms})
+    proj_inner, proj_g2 = projection(outer, inner, 1), projection(inner, g2, 0)
     assert is_fibration(proj_inner) and is_fibration(proj_g2)
-    composed = TableFunctor.of(
-        outer, g2,
-        {o: proj_g2.object_map[proj_inner.object_map[o]] for o in outer.objects},
-        {m: proj_g2.morphism_map[proj_inner.morphism_map[m]] for m in outer.morphisms})
+    composed = table_then(proj_inner, proj_g2)
     assert is_fibration(composed)
     framed = to_library(inner)
     lib_inner = to_library_functor(proj_inner, target=framed)
@@ -1065,6 +1063,32 @@ def test_stack_verdicts_match_the_tables():
         assert report.verdicts == reference_stack_verdicts(poset, glue)
         seen.add(report.fibrant)
     assert seen == {True, False}
+
+
+def test_stack_verdicts_on_groups_match_the_tables():
+    """Stacks of one-object groups: a confluence glued by the two
+    projections of C2 x C3 (fibrant), by one projection twice (not), and a
+    chain glued by the inclusion of C2 into C4 (not)."""
+    c2 = group_as_groupoid({"r": cyclic_perm([0, 1])})
+    c3 = group_as_groupoid({"r": cyclic_perm(["a", "b", "c"])})
+    prod = product_groupoid(c2, c3)
+    conf = FinitePoset(["l", "r", "t"], [("l", "t"), ("r", "t")])
+    inclusion = subgroup_inclusion()
+    cases = [
+        (conf, {"l": c2, "r": c3, "t": prod},
+         {("l", "t"): projection(prod, c2, 0), ("r", "t"): projection(prod, c3, 1)}, True),
+        (conf, {"l": c2, "r": c2, "t": prod},
+         {("l", "t"): projection(prod, c2, 0), ("r", "t"): projection(prod, c2, 0)}, False),
+        (FinitePoset.chain(1), {0: inclusion.target, 1: inclusion.source},
+         {(0, 1): inclusion}, False)]
+    for poset, fibers, glue, fibrant in cases:
+        framed = {x: to_library(g) for x, g in fibers.items()}
+        stack = StackOverPoset(poset, {x: f.lib for x, f in framed.items()},
+                               {(x, y): to_library_functor(f, framed[y], framed[x])
+                                for (x, y), f in glue.items()})
+        report = check_fibrant_injective(stack)
+        assert report.fibrant == fibrant
+        assert report.verdicts == reference_stack_verdicts(poset, glue)
 
 
 def test_stack_functoriality_clash_matches_the_tables():
