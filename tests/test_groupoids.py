@@ -229,17 +229,20 @@ def to_library(t):
     return Framed(FiniteGroupoid.of(parts), t, arrow, perm)
 
 
-def to_library_functor(f, source=None, target=None):
+def to_library_functor(f, source, target):
     """The library form of the table functor ``f`` between the framed
-    ``source`` and ``target`` (framed here when not given)."""
-    source = source or to_library(f.source)
-    target = target or to_library(f.target)
+    ``source`` and ``target``."""
     s, mm = f.source, f.morphism_map
     arrows = {x: target.element(mm[source.arrow[x]]) for x in s.objects}
     homs = {part[0]: {source.perm[m]: target.element(mm[m]) for m in s.morphisms
                       if s.src[m] == s.dst[m] == part[0]}
             for part in source.lib.components()}
     return GroupoidFunctor.of(source.lib, target.lib, f.object_map, arrows, homs)
+
+
+def lib_functor(f):
+    """The library form of ``f``, its source and target framed afresh."""
+    return to_library_functor(f, to_library(f.source), to_library(f.target))
 
 
 # -- groupoids and functors built for the tests ------------------------------------
@@ -444,7 +447,8 @@ def random_cocycle_functor(rng, pair, group):
     goes to c_b after c_a^-1 for random elements c."""
     c = {o: rng.choice(group.morphisms) for o in pair.objects}
     return TableFunctor.of(pair, group, dict.fromkeys(pair.objects, "*"),
-                           {(a, b): group.comp[(c[b], group.inv[c[a]])] for a, b in pair.morphisms})
+                           {(a, b): group.comp[(c[b], group.inv[c[a]])]
+                            for a, b in pair.morphisms})
 
 
 def conjugation_functor(group, c):
@@ -715,7 +719,8 @@ def random_functor(rng, max_components=5):
     """Each source component goes into one random target component, its
     objects onto random objects there."""
     src = random_component_groupoid(rng, "s", max_components)
-    return random_functor_from(rng, src, "d", max_components, onto=False)
+    dst = random_component_groupoid(rng, "d", max_components)
+    return random_functor_between(rng, src, dst, False)
 
 
 def test_transports_match_frozenset_reference_on_random_functors():
@@ -723,7 +728,7 @@ def test_transports_match_frozenset_reference_on_random_functors():
     surjective = set()
     for _ in range(40):
         f = random_functor(rng)
-        surjective.add(assert_agrees_with_tables(f, to_library_functor(f))
+        surjective.add(assert_agrees_with_tables(f, lib_functor(f))
                        .surjective_on_components)
     assert surjective == {True, False}
 
@@ -763,7 +768,7 @@ def test_transports_reject_unknown_components():
 def test_components_computed_once_per_groupoid():
     """Components are stored, and each groupoid builds its object index
     once, however often the checks run."""
-    f = to_library_functor(random_functor(random.Random(2)))
+    f = lib_functor(random_functor(random.Random(2)))
     parts = f.source.components()
     for _ in range(3):
         check_adjunction_and_section(f)
@@ -774,7 +779,7 @@ def test_components_computed_once_per_groupoid():
 
 
 def test_adjunction_check_bound():
-    f = to_library_functor(random_functor(random.Random(0)))
+    f = lib_functor(random_functor(random.Random(0)))
     with pytest.raises(BoundExceeded):
         check_adjunction_and_section(f, component_bound=0)
 
@@ -797,7 +802,7 @@ def test_one_functor_multifibration_is_the_isofibration_test():
     functors += [random_cocycle_functor(rng, pair_groupoid(["a", "b"]), c2) for _ in range(4)]
     verdicts = [is_fibration(f) for f in functors]
     assert [reference_is_multifibration([f]) for f in functors] == verdicts
-    assert [is_multifibration([to_library_functor(f)]) for f in functors] == verdicts
+    assert [is_multifibration([lib_functor(f)]) for f in functors] == verdicts
     assert 0 < sum(verdicts) < len(verdicts)
 
 
@@ -806,7 +811,7 @@ def test_identity_is_fibration():
     assert is_fibration(table_identity(t))
     g = to_library(t).lib
     assert is_multifibration([identity_functor(g)])
-    assert identity_functor(g) == to_library_functor(table_identity(t))
+    assert identity_functor(g) == lib_functor(table_identity(t))
 
 
 def subgroup_inclusion():
@@ -832,7 +837,7 @@ def projection(prod, factor, k):
 def test_proper_subgroup_inclusion_is_not_fibration():
     f = subgroup_inclusion()
     assert not is_fibration(f)
-    assert_agrees_with_tables(f, to_library_functor(f))
+    assert_agrees_with_tables(f, lib_functor(f))
 
 
 def test_product_projection_is_fibration_and_multifibration():
@@ -843,7 +848,7 @@ def test_product_projection_is_fibration_and_multifibration():
     assert is_fibration(proj1) and is_fibration(proj2)
     assert reference_is_multifibration([proj1, proj2])
     framed = to_library(prod)
-    lib1, lib2 = (to_library_functor(p, framed) for p in (proj1, proj2))
+    lib1, lib2 = (to_library_functor(p, framed, to_library(p.target)) for p in (proj1, proj2))
     assert lib1.source is lib2.source
     assert_agrees_with_tables(proj1, lib1)
     assert_agrees_with_tables(proj2, lib2)
@@ -853,16 +858,18 @@ def test_product_projection_is_fibration_and_multifibration():
     assert not is_multifibration([lib1, lib1])
 
 
-def random_functor_from(rng, src, name, max_components, onto=True):
+def random_functor_from(rng, src, name, max_components):
     """A functor from ``src`` into a random groupoid of pair groupoids: each
     source component goes into one target component, half the time onto all
-    of its objects when it has enough of them (when ``onto``)."""
+    of its objects when it has enough of them."""
     dst = random_component_groupoid(rng, name, max_components)
-    return random_functor_between(rng, src, dst, onto)
+    return random_functor_between(rng, src, dst, True)
 
 
-def random_functor_between(rng, src, dst, onto=True):
-    """``dst`` is a union of pair groupoids."""
+def random_functor_between(rng, src, dst, onto):
+    """A functor from ``src`` into the union of pair groupoids ``dst``, as
+    `random_functor_from` draws it when ``onto``; without, each source
+    object goes to a random object of its component's target."""
     targets = dst.components()
     omap = {}
     for comp in src.components():
@@ -890,7 +897,8 @@ def test_multifibration_matches_pairing_into_the_product_groupoid():
         width = rng.randint(2, 3)
         functors = [random_functor_from(rng, src, f"t{k}", 4 - width) for k in range(width)]
         framed = to_library(src)
-        verdicts.append(is_multifibration([to_library_functor(f, framed) for f in functors]))
+        verdicts.append(is_multifibration([to_library_functor(f, framed, to_library(f.target))
+                                           for f in functors]))
         assert verdicts[-1] == reference_is_multifibration(functors)
         assert verdicts[-1] == is_fibration(pairing_functor(functors))
     assert 0 < sum(verdicts) < len(verdicts)
@@ -910,7 +918,8 @@ def test_multifibration_of_groups_matches_pairing():
     verdicts = []
     for _ in range(30):
         functors = [rng.choice(choices) for _ in range(rng.randint(1, 3))]
-        verdicts.append(is_multifibration([to_library_functor(f, framed) for f in functors]))
+        verdicts.append(is_multifibration([to_library_functor(f, framed, to_library(f.target))
+                                           for f in functors]))
         assert verdicts[-1] == reference_is_multifibration(functors)
         assert verdicts[-1] == is_fibration(pairing_functor(functors))
     assert 0 < sum(verdicts) < len(verdicts)
@@ -934,9 +943,10 @@ def test_composition_of_fibrations_is_fibration():
     composed = table_then(proj_inner, proj_g2)
     assert is_fibration(composed)
     framed = to_library(inner)
-    lib_inner = to_library_functor(proj_inner, target=framed)
-    lib_g2 = to_library_functor(proj_g2, framed)
-    assert lib_inner.then(lib_g2) == to_library_functor(composed, to_library(outer))
+    lib_inner = to_library_functor(proj_inner, to_library(outer), framed)
+    lib_g2 = to_library_functor(proj_g2, framed, to_library(g2))
+    assert lib_inner.then(lib_g2) == \
+        to_library_functor(composed, to_library(outer), to_library(g2))
     assert is_multifibration([lib_inner.then(lib_g2)])
 
 
@@ -1053,7 +1063,7 @@ def test_stack_verdicts_match_the_tables():
     for _ in range(60):
         poset = rng.choice(posets)
         fibers = {x: random_component_groupoid(rng, f"{x}.", 3) for x in poset.elements}
-        glue = {(x, y): random_functor_between(rng, fibers[y], fibers[x])
+        glue = {(x, y): random_functor_between(rng, fibers[y], fibers[x], True)
                 for x, y in poset.covering()}
         framed = {x: to_library(g) for x, g in fibers.items()}
         stack = StackOverPoset(poset, {x: f.lib for x, f in framed.items()},
@@ -1106,7 +1116,7 @@ def test_stack_functoriality_clash_matches_the_tables():
         for x, y in poset.covering():
             src, dst = fibers[y], fibers[x]
             if len(dst.objects) == 2:
-                glue[(x, y)] = random_functor_between(rng, src, dst)
+                glue[(x, y)] = random_functor_between(rng, src, dst, True)
             elif len(src.objects) == 2:
                 glue[(x, y)] = random_cocycle_functor(rng, src, dst)
             else:
@@ -1281,7 +1291,7 @@ def test_group_as_groupoid_where_str_and_natural_order_differ():
     g = group_as_groupoid({"r": cyclic_perm(list(range(11)))})    # "10" sorts before "2"
     assert len(g.morphisms) == 11
     g.validate()
-    assert is_multifibration([to_library_functor(table_identity(g))])
+    assert is_multifibration([lib_functor(table_identity(g))])
 
 
 def closed_form_order(subjects, counts):
