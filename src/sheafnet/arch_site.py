@@ -31,6 +31,7 @@ takes its layer order from the same levels.
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from types import MappingProxyType
 
 import numpy as np
@@ -313,6 +314,16 @@ def fork_surgery(g):
 # FinitePoset
 # ---------------------------------------------------------------------------
 
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bits(mask):
+    """The binary digits of a mask (a Python or numpy integer), least
+    significant first, as 0/1 bytes: the selectors of `itertools.compress`,
+    which stops at the shorter of its two arguments."""
+    return bin(mask)[:1:-1].encode().translate(_BITS)
+
+
 class FinitePoset:
     """A finite poset with O(1) order queries via cached down-set bit masks.
 
@@ -330,10 +341,15 @@ class FinitePoset:
     its open masks (one read-only numpy array, handed out by `open_masks`,
     which checks the caller's enumeration bound on every call), `covering()`
     (a tuple of pairs), `lower_covers()` (a read-only mapping to tuples),
-    `strict_sets()` (read-only mappings to frozensets, for
-    `heyting.OpenAlgebra`), for `heyting.implies_mask` the mask of its
-    non-maximal elements and, for the batched form, its up-closure tables
+    the masks of its non-minimal elements (for the openness test of
+    `heyting.mask_of_open`) and of its non-maximal ones (for
+    `heyting.implies_mask`) and, for the batched form, its up-closure tables
     per byte of a mask, in its `mask_dtype`.
+
+    A subset of the elements is a mask with bit i for ``elements[i]``:
+    `mask_of` encodes it (a repeated element sets its bit once) and `set_of`
+    decodes a mask, through its binary digits (`_bits`), which is also how
+    `seminfo` reads the states of a mask.
     """
 
     def __init__(self, elements, relations, fork_graph=None):
@@ -344,6 +360,7 @@ class FinitePoset:
         self.index = {x: i for i, x in enumerate(self.elements)}
         if len(self.index) != len(self.elements):
             raise PosetError("duplicate elements")
+        self._bit = {x: 1 << i for x, i in self.index.items()}
         preds = [[] for _ in self.elements]     # preds[j]: i for each x_i <= x_j given
         for x, y in relations:
             if x not in self.index or y not in self.index:
@@ -378,14 +395,16 @@ class FinitePoset:
         return self._down[self.index[x]]
 
     def mask_of(self, subset):
+        bit = self._bit
         m = 0
         for x in subset:
-            m |= 1 << self.index[x]
+            m |= bit[x]
         return m
 
     def set_of(self, mask):
-        mask = int(mask)
-        return frozenset(self.elements[i] for i in range(len(self.elements)) if (mask >> i) & 1)
+        """The frozenset of the elements whose bits are set in ``mask``, a
+        Python or numpy integer; bits past the last element are ignored."""
+        return frozenset(compress(self.elements, _bits(mask)))
 
     def down_set(self, x):
         """U_x = {y : y <= x}, the basis open at x."""
@@ -396,6 +415,11 @@ class FinitePoset:
 
     def maximal(self):
         return tuple(x for i, x in enumerate(self.elements) if self._up[i] == (1 << i))
+
+    @cached_property
+    def _nonminimal(self):
+        """The mask of the elements that are not minimal."""
+        return sum(1 << i for i, down in enumerate(self._down) if down != 1 << i)
 
     @cached_property
     def _nonmaximal(self):
@@ -426,18 +450,6 @@ class FinitePoset:
         for x, y in self.covering():
             covers[y].append(x)
         return MappingProxyType({y: tuple(xs) for y, xs in covers.items()})
-
-    def strict_sets(self):
-        """Each element's strict down-set and up-set as frozensets, in two
-        read-only mappings ``(below, above)`` that leave out the empty ones."""
-        return self._strict_sets
-
-    @cached_property
-    def _strict_sets(self):
-        def strict(masks):
-            return MappingProxyType({x: self.set_of(masks[i] & ~(1 << i))
-                                     for i, x in enumerate(self.elements) if masks[i] != 1 << i})
-        return strict(self._down), strict(self._up)
 
     def extend_covering(self, data, check, identity, compose, error, noun, clash):
         """Check ``data``, keyed by exactly the covering pairs, and extend it

@@ -175,6 +175,15 @@ def _key_text(state):
     return state if isinstance(state, str) else json.dumps(state)
 
 
+def _state_names(states, what):
+    """The key texts (`_key_text`) of a JSON list of states; a state that is
+    not a finite number is an input error naming ``what``."""
+    for s in states:
+        if isinstance(s, float) and not math.isfinite(s):
+            raise SheafnetError(f"{what} holds {_key_text(s)}, which is not a finite number")
+    return [_key_text(s) for s in states]
+
+
 def _load_presheaf(doc):
     """The presheaf of a document.  A map names each state of its domain
     carrier by its key text (`_key_text`), so the key texts of a carrier
@@ -186,13 +195,10 @@ def _load_presheaf(doc):
                 for x in poset.elements}
     states_by_key = {x: {} for x in carriers}
     for x, states in carriers.items():
-        for s in states:
-            if isinstance(s, float) and not math.isfinite(s):
-                raise SheafnetError(f"carrier {str(x)!r} holds {_key_text(s)}, "
-                                    "which is not a finite number")
-            if states_by_key[x].setdefault(_key_text(s), s) != s:
+        for key, s in zip(_state_names(states, f"carrier {str(x)!r}"), states):
+            if states_by_key[x].setdefault(key, s) != s:
                 raise SheafnetError(f"carrier {str(x)!r} has two states named by the key "
-                                    f"{_key_text(s)!r}")
+                                    f"{key!r}")
     maps = doc.get("maps", {})
     if not isinstance(maps, dict) or not all(
             isinstance(m, dict) and _scalars(m.values()) for m in maps.values()):
@@ -321,12 +327,14 @@ def cmd_stack(args):
 
 def cmd_info(args):
     doc = _load_json(args.infile)
-    states = [str(s) for s in _scalar_list(_field(doc, "states"), "'states'", _scalars)]
+    states = _state_names(_scalar_list(_field(doc, "states"), "'states'", _scalars), "'states'")
     measure = doc.get("measure")
     if measure is not None and not isinstance(measure, dict):
         raise SheafnetError("'measure' must be a JSON object of state weights")
     lang = BooleanLanguage(states, measure)
     alg = hey.OpenAlgebra.discrete(lang.states)
+    if args.theory is not None and not _states(args.theory):
+        raise SheafnetError("--theory names no state: the empty theory has precision -inf")
     theory = alg.check(_states(args.theory)) if args.theory else alg.top
     q = alg.check(_states(args.q)) if args.q else alg.top
     q2 = alg.check(_states(args.q2)) if args.q2 else alg.top

@@ -14,9 +14,8 @@ that is, the complement of the up-closure of Q - T.  `oracle_implies_mask`
 recomputes it as the literal union of all qualifying opens, which is the
 definition; it is the only brute-force supremum oracle.  It scans the
 poset's opens (`arch_site.open_masks`, one read-only numpy array of masks)
-in one pass.  Negation is Q => bottom (on masks,
-``implies_mask(poset, q, 0)``).  The operations have bit-mask twins (suffix
-``_mask``) used by the exhaustive harnesses.  A scalar mask may be a Python
+in one pass.  `implies_mask` is the one implication formula; negation is
+Q => bottom, ``implies_mask(poset, q, 0)``.  A scalar mask may be a Python
 or a numpy integer, such as an element of the opens array, and is read as
 a Python int.  `implies_mask` and `oracle_implies_mask` also evaluate
 elementwise on numpy arrays of masks, in the poset's `mask_dtype`
@@ -25,16 +24,10 @@ There `implies_mask`, which refuses a poset of over 64 elements, reads the
 up-closure of Q - T one byte at a time from the poset's 256-entry tables
 (a table lookup per byte instead of a pass per element).
 
-Each representation has one engine, and each serves its own traffic.
-Masks serve the bulk sweeps: the acceptance harnesses evaluate millions of
-pairs as ints or arrays and never leave masks, and the semantic-information
-sweeps (`seminfo.check_cocycle`, `seminfo.check_concavity`) condition
-thousands of sampled masks.  Frozensets serve per-call work, such as
-conditioning in the per-call semantic-information measures and the
-module-level `implies`, `neg` and `oracle_implies`: `OpenAlgebra` evaluates
-Q => T with a few C-level set operations, which costs less than turning
-each argument into a mask and back (a Python loop over its elements).  The
-tests check the two engines against each other and against the oracle.
+A proposition is stored as a mask.  The frozenset forms (`implies`,
+`neg`, `oracle_implies` and `OpenAlgebra`'s methods) encode each set
+argument once (`mask_of_open`, which also checks that it is an open),
+evaluate on masks and decode a set result once (`FinitePoset.set_of`).
 """
 
 import numpy as np
@@ -52,11 +45,10 @@ def implies_mask(poset, q, t):
     masks may be Python or numpy integers, or numpy arrays of unsigned
     masks evaluated elementwise (with broadcasting) and returned in their
     dtype.  On integers Q - T is cleared at once, and then the up-sets of
-    its non-maximal elements, as `OpenAlgebra.implies` does (on a discrete
-    poset there are none); on arrays the up-closure of Q - T is the union of
-    one per-byte table entry for each byte of the mask.  T is complemented
-    within the top mask, so a Python-int T stays non-negative and mixes with
-    mask arrays."""
+    its non-maximal elements (on a discrete poset there are none); on
+    arrays the up-closure of Q - T is the union of one per-byte table entry
+    for each byte of the mask.  T is complemented within the top mask, so a
+    Python-int T stays non-negative and mixes with mask arrays."""
     top = top_mask(poset)
     if not (isinstance(q, np.ndarray) or isinstance(t, np.ndarray)):
         bad = int(q) & (top ^ int(t))
@@ -100,19 +92,38 @@ def oracle_implies_mask(poset, q, t, opens=None):
     return int(np.bitwise_or.reduce(v[(v & bad) == 0]))
 
 
+def mask_of_open(poset, t):
+    """The mask of ``t``, a set of elements that must be an open: else
+    `PosetError`, naming the elements foreign to the poset, or ``t`` when it
+    is not downward closed (only its non-minimal elements are tested)."""
+    t = frozenset(t)
+    try:
+        m = poset.mask_of(t)
+    except KeyError:
+        raise PosetError(f"{sorted(map(str, t - set(poset.elements)))} "
+                         "are not elements of the poset") from None
+    down = poset._down
+    rest = m & poset._nonminimal
+    while rest:
+        low = rest & -rest
+        if down[low.bit_length() - 1] & ~m:
+            raise PosetError(f"{sorted(map(str, t))} is not downward closed")
+        rest ^= low
+    return m
+
+
 def implies(poset, q, t):
-    """Q => T on opens, by `OpenAlgebra`'s set formula."""
-    return OpenAlgebra(poset).implies(q, t)
+    """Q => T on opens given as sets, by `implies_mask`."""
+    return poset.set_of(implies_mask(poset, mask_of_open(poset, q), mask_of_open(poset, t)))
 
 
 def neg(poset, q):
-    return OpenAlgebra(poset).neg(q)
+    return poset.set_of(implies_mask(poset, mask_of_open(poset, q), 0))
 
 
 def oracle_implies(poset, q, t, bound=None):
     """Q => T recomputed as the union of every open V with V /\\ Q <= T."""
-    alg = OpenAlgebra(poset)
-    qm, tm = poset.mask_of(alg.check(q)), poset.mask_of(alg.check(t))
+    qm, tm = mask_of_open(poset, q), mask_of_open(poset, t)
     return poset.set_of(oracle_implies_mask(poset, qm, tm, open_masks(poset, bound)))
 
 
@@ -144,21 +155,15 @@ def implication_table(poset, bound=None):
 
 
 class OpenAlgebra:
-    """The opens of a finite poset as frozensets of its elements: the
-    frozenset engine, for per-call work (see the module docstring).
-
-    Every argument is checked to be an open.  The operations work on the
-    sets directly, through the poset's `strict_sets()`, with no round trip
-    through masks: one call costs a few C-level set operations, where a
-    conversion to a mask and back runs a Python loop."""
+    """The opens of a finite poset as frozensets of its elements, for
+    per-call work.  Every argument is checked to be an open (`mask_of_open`);
+    each operation runs on the masks of its arguments and decodes its
+    result once."""
 
     def __init__(self, poset):
         self.poset = poset
         self.top = frozenset(poset.elements)
         self.bottom = frozenset()
-        self._below, self._above = poset.strict_sets()
-        # intersecting with a frozenset is faster than with a keys view
-        self._nonminimal, self._nonmaximal = frozenset(self._below), frozenset(self._above)
 
     @staticmethod
     def discrete(states):
@@ -167,32 +172,23 @@ class OpenAlgebra:
 
     def check(self, t):
         t = frozenset(t)
-        if not t <= self.top:
-            raise PosetError(f"{sorted(map(str, t - self.top))} are not elements of the poset")
-        for x in t & self._nonminimal:
-            if not self._below[x] <= t:
-                raise PosetError(f"{sorted(map(str, t))} is not downward closed")
+        mask_of_open(self.poset, t)
         return t
 
     def meet(self, a, b):
-        return self.check(a) & self.check(b)
+        return self.poset.set_of(mask_of_open(self.poset, a) & mask_of_open(self.poset, b))
 
     def join(self, a, b):
-        return self.check(a) | self.check(b)
+        return self.poset.set_of(mask_of_open(self.poset, a) | mask_of_open(self.poset, b))
 
     def leq(self, a, b):
-        return self.check(a) <= self.check(b)
+        return not mask_of_open(self.poset, a) & ~mask_of_open(self.poset, b)
 
     def implies(self, q, t):
-        """Q => T as the complement of the up-closure of Q - T."""
-        bad = self.check(q) - self.check(t)
-        out = self.top - bad
-        for x in bad & self._nonmaximal:
-            out -= self._above[x]
-        return out
+        return implies(self.poset, q, t)
 
     def neg(self, q):
-        return self.implies(q, self.bottom)
+        return neg(self.poset, q)
 
     def elements(self, bound=None):
         """Every open, in increasing mask order."""

@@ -6,8 +6,8 @@ of the discrete poset on the states (every subset), an open of a site is
 itself, and a chain subobject is an open of the chain's poset of elements
 (as is any presheaf subobject); `heyting.oracle_implies_mask` is the one
 supremum oracle behind all three.  Conditioning is the implication
-T|Q = (Q => T); it is a monoid action, (T|Q)|R = T|(Q and R), and always
-weakens: T <= T|Q.
+T|Q = (Q => T) (`heyting.implies_mask`); it is a monoid action,
+(T|Q)|R = T|(Q and R), and always weakens: T <= T|Q.
 
 Precision functions psi grade theories (increasing, ideally concave);
 the ambiguity of S against a counterexample Q is phi^Q(S) = psi(S|Q) -
@@ -15,24 +15,30 @@ psi(S), a cocycle: phi^{Q and R}(S) = phi^Q(S) + phi^R(S|Q).  Mutual
 information, the divergence analog and the independence/additivity checks
 are algebraic combinations of the same four-point evaluations.
 
-The per-call measures (`condition`, `ambiguity`, `mutual_information`,
-`kl_divergence`, `concavity_defect` and psi itself) take frozensets.  The
-sweeps over many samples, `check_cocycle` and `check_concavity`, take masks
-of ``psi.algebra.poset`` instead: they condition with
-`heyting.implies_mask` and grade each distinct mask once per sweep.
-`sample` draws the sampled propositions, as `random.Random.sample` would.
+Inside, a proposition is a mask of ``psi.algebra.poset`` (bit i for its
+i-th element), and psi grades masks (`PrecisionFunction.of_mask`).  The
+per-call measures (`condition`, `ambiguity`, `mutual_information`,
+`kl_divergence`, `concavity_defect` and psi itself) take frozensets: each
+encodes its arguments once, checking that they are opens
+(`heyting.mask_of_open`), and evaluates on masks.  The sweeps over many
+samples, `check_cocycle` and `check_concavity`, take masks and grade each
+distinct mask once per sweep; `check_concavity` shares `concavity_defect`'s
+body.  `sample` draws the sampled propositions, as `random.Random.sample`
+would.
 
 psi(bottom) = -inf is a legal value; any expression that would subtract
 two infinities raises InfinityArithmetic instead of returning NaN.
 """
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
 from itertools import compress
 
+from .arch_site import _bits
 from .errors import InfinityArithmetic, LanguageError
-from .heyting import OpenAlgebra, implies_mask
+from .heyting import OpenAlgebra, implies_mask, mask_of_open
 
 NEG_INF = float("-inf")
 
@@ -122,57 +128,46 @@ def condition(algebra, t, q):
 
 def content(lang, t):
     """c(T): total measure of the elementary states excluded by T."""
-    t = frozenset(t)
-    return lang.m(set(lang.states) - t)
+    return lang.m(set(lang.states).difference(t))
 
 
 @dataclass
 class PrecisionFunction:
     """An evaluation contract psi: theory -> extended real.  `of_mask`
-    grades the open of ``algebra.poset`` with a given mask, as the sweeps
-    do; here by calling ``fn`` on its set of elements."""
+    grades the open of ``algebra.poset`` with a given mask, here by calling
+    ``fn`` on its set of elements; psi(T) of a set T is `of_mask` of its
+    mask."""
 
     fn: object
     algebra: object
 
     def __call__(self, t):
-        return self.fn(t)
+        return self.of_mask(self.algebra.poset.mask_of(t))
 
     def of_mask(self, mask):
         return self.fn(self.algebra.poset.set_of(mask))
 
 
 _NOT_EXCLUDED = "theory does not exclude the localizing proposition"
-_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class _LogMeasure(PrecisionFunction):
     """psi(T) = ln(m(T) / denom) on a Boolean language, -inf where m(T) = 0,
     for theories that exclude the states ``p``.  `of_mask` reads a mask of
-    the discrete poset on the states directly: m is the `math.fsum` of the
-    measures of its set bits, correctly rounded like `BooleanLanguage.m`,
-    so a mask and its set get the same bits."""
+    the discrete poset on the states directly (it has no ``fn``): m is the
+    `math.fsum` of the measures of its set bits, correctly rounded like
+    `BooleanLanguage.m`."""
 
     def __init__(self, lang, p, denom):
-        super().__init__(self._of_set, OpenAlgebra.discrete(lang.states))
+        super().__init__(None, OpenAlgebra.discrete(lang.states))
         self.lang, self.p, self.denom = lang, p, denom
         self.p_mask = self.algebra.poset.mask_of(p.intersection(lang.states))
         self.weights = [lang.measure[s] for s in lang.states]
 
-    def _of_set(self, t):
-        t = frozenset(t)
-        if t & self.p:
-            raise LanguageError(_NOT_EXCLUDED)
-        return self._log(self.lang.m(t))
-
     def of_mask(self, mask):
         if mask & self.p_mask:
             raise LanguageError(_NOT_EXCLUDED)
-        # the binary digits of the mask, least significant first, as 0/1 bytes
-        return self._log(math.fsum(compress(self.weights,
-                                            bin(mask)[:1:-1].encode().translate(_BITS))))
-
-    def _log(self, mt):
+        mt = math.fsum(compress(self.weights, _bits(mask)))
         return NEG_INF if mt == 0 else math.log(mt / self.denom)
 
 
@@ -211,28 +206,26 @@ def _diff(pos, neg, what):
 
 def ambiguity(psi, s, q):
     """phi^Q(S) = psi(S|Q) - psi(S); nonnegative for increasing psi."""
-    alg = psi.algebra
-    return _diff(psi(condition(alg, s, q)), psi(s), _AMBIGUITY_INF)
+    poset = psi.algebra.poset
+    q, s = mask_of_open(poset, q), mask_of_open(poset, s)
+    return _diff(psi.of_mask(implies_mask(poset, q, s)), psi.of_mask(s), _AMBIGUITY_INF)
 
 
 def mutual_information(psi, t, q1, q2):
     """I(Q1;Q2)(T) = psi(T|Q1) + psi(T|Q2) - psi(T|Q1 and Q2) - psi(T)."""
-    alg = psi.algebra
-    a = psi(condition(alg, t, q1))
-    b = psi(condition(alg, t, q2))
-    c = psi(condition(alg, t, alg.meet(q1, q2)))
-    d = psi(t)
+    poset = psi.algebra.poset
+    q1, t, q2 = mask_of_open(poset, q1), mask_of_open(poset, t), mask_of_open(poset, q2)
+    a, b, c, d = map(psi.of_mask, (implies_mask(poset, q1, t), implies_mask(poset, q2, t),
+                                   implies_mask(poset, q1 & q2, t), t))
     return _diff(a + b, c + d, "mutual information mixes infinities")
 
 
 def kl_divergence(psi, q, s0, s1):
     """D^Q(S0;S1) = psi(S0 and S1|Q) - psi(S0 and S1) - psi(S0|Q) + psi(S0)."""
-    alg = psi.algebra
-    meet = alg.meet(s0, s1)
-    a = psi(condition(alg, meet, q))
-    b = psi(meet)
-    c = psi(condition(alg, s0, q))
-    d = psi(s0)
+    poset = psi.algebra.poset
+    s0, s1, q = mask_of_open(poset, s0), mask_of_open(poset, s1), mask_of_open(poset, q)
+    a, b, c, d = map(psi.of_mask, (implies_mask(poset, q, s0 & s1), s0 & s1,
+                                   implies_mask(poset, q, s0), s0))
     return _diff(a + d, b + c, "divergence mixes infinities")
 
 
@@ -249,21 +242,6 @@ class CocycleReport:
         return self.samples > 0 and self.max_residual <= tol
 
 
-def _memo_grade(psi):
-    """psi on masks of ``psi.algebra.poset``, by `PrecisionFunction.of_mask`,
-    each distinct mask graded once; the memo lives as long as the function."""
-    memo = {}
-    of_mask = psi.of_mask
-
-    def grade(mask):
-        value = memo.get(mask)
-        if value is None:
-            value = memo[mask] = of_mask(mask)
-        return value
-
-    return grade
-
-
 def check_cocycle(psi, triples):
     """The largest residual of phi^{Q and R}(S) = phi^Q(S) + phi^R(S|Q) over
     the (S, Q, R) triples, read once (a generator will do).  A triple where
@@ -277,7 +255,7 @@ def check_cocycle(psi, triples):
     the same guards and float operations, in the same order, so the report
     is theirs bit for bit."""
     poset = psi.algebra.poset
-    grade = _memo_grade(psi)
+    grade = functools.cache(psi.of_mask)
     worst = 0.0
     n = 0
     for s, q, r in triples:
@@ -309,23 +287,30 @@ class ConcavityReport:
 _CONCAVITY_INF = "concavity defect mixes infinities"
 
 
+def _defect(poset, grade, q, t, t2):
+    """psi(T|Q) + psi(T') - (psi(T) + psi(T'|Q)) on masks, psi by ``grade``,
+    evaluated in that order."""
+    return _diff(grade(implies_mask(poset, q, t)) + grade(t2),
+                 grade(t) + grade(implies_mask(poset, q, t2)), _CONCAVITY_INF)
+
+
 def concavity_defect(psi, q, t, t_weaker):
     """I_P(Q; T, T') = psi(T|Q) - psi(T) - psi(T'|Q) + psi(T'); nonnegative
     for a concave psi when T <= T'."""
-    alg = psi.algebra
-    return _diff(psi(condition(alg, t, q)) + psi(t_weaker),
-                 psi(t) + psi(condition(alg, t_weaker, q)), _CONCAVITY_INF)
+    poset = psi.algebra.poset
+    q, t, t2 = mask_of_open(poset, q), mask_of_open(poset, t), mask_of_open(poset, t_weaker)
+    return _defect(poset, psi.of_mask, q, t, t2)
 
 
 def check_concavity(psi, domain):
     """Minimum of the double difference over (Q, T, T') samples with
     T <= T' (others are skipped); the sampler supplies the admissible
     triples, as masks of opens of ``psi.algebra.poset`` (Python ints).  Each
-    sample takes `concavity_defect`'s evaluations and float operations, in
-    its order, with psi memoized by mask for the sweep; the witness is the
-    first sample that reaches the minimum, as given."""
+    sample is `concavity_defect`'s body, with psi memoized by mask for the
+    sweep; the witness is the first sample that reaches the minimum, as
+    given."""
     poset = psi.algebra.poset
-    grade = _memo_grade(psi)
+    grade = functools.cache(psi.of_mask)
     minimum = math.inf
     witness = None
     n = 0
@@ -333,8 +318,7 @@ def check_concavity(psi, domain):
         if t & ~t2:
             continue
         try:
-            value = _diff(grade(implies_mask(poset, q, t)) + grade(t2),
-                          grade(t) + grade(implies_mask(poset, q, t2)), _CONCAVITY_INF)
+            value = _defect(poset, grade, q, t, t2)
         except InfinityArithmetic:
             continue
         n += 1

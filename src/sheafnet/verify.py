@@ -61,7 +61,6 @@ from .seminfo import (
     BooleanLanguage,
     cbh_precision,
     check_cocycle,
-    condition,
     content,
     kl_divergence,
     localized_precision,
@@ -644,18 +643,18 @@ def criterion_15(seed=0):
 @criterion(16, "conditioning monoid action")
 def criterion_16(seed=0):
     """Conditioning is a monoid action: Boolean |E|<=5 and opens of the
-    two-chain, exhaustively."""
-    boolean = hey.OpenAlgebra.discrete([f"s{i}" for i in range(5)])
-    chain = hey.OpenAlgebra(FinitePoset.chain(1))
-    subs, opens = list(boolean.elements(bound=5)), list(chain.elements(bound=2))
-    for alg, props, kind in ((boolean, subs, "Boolean"), (chain, opens, "Heyting")):
+    two-chain, exhaustively, on masks: T|Q is Q => T (`implies_mask`)."""
+    boolean = FinitePoset([f"s{i}" for i in range(5)], ())
+    chain = FinitePoset.chain(1)
+    subs, opens = open_masks(boolean, 5).tolist(), open_masks(chain, 2).tolist()
+    for poset, props, kind in ((boolean, subs, "Boolean"), (chain, opens, "Heyting")):
         for t in props:
-            if condition(alg, t, alg.top) != t:
+            if hey.implies_mask(poset, hey.top_mask(poset), t) != t:
                 return False, "unit fails"
             for q in props:
-                tq = condition(alg, t, q)
+                tq = hey.implies_mask(poset, q, t)
                 for r in props:
-                    if condition(alg, tq, r) != condition(alg, t, alg.meet(q, r)):
+                    if hey.implies_mask(poset, r, tq) != hey.implies_mask(poset, q & r, t):
                         return False, f"{kind} associativity fails"
     return True, f"Boolean: {len(subs)}^3 triples; two-chain opens: {len(opens)}^3; exact"
 

@@ -44,7 +44,7 @@ from sheafnet import verify
 from sheafnet.arch_site import open_masks
 from sheafnet.chains import ChainObject, DeltaSequence, chain_implication, psi_delta
 from sheafnet.presheaf import elements_poset
-from sheafnet.seminfo import InfinityArithmetic, ambiguity, condition
+from test_seminfo import oracle_cocycle
 
 # Criterion 3 sweeps every chain of height n <= 3 with 1 <= |E_0| <= 4.
 SWEEP_MAX_N = 3
@@ -184,23 +184,6 @@ def test_array_sup_scan_equals_scalar_oracle_on_small_lattices():
 CRITERION_04_TRIPLES_SHA256 = "5c4b08bfb3ab078d3399b9dddb6bde72bf0e0084ccf37550a4cd45c587f5b1a5"
 
 
-def _three_ambiguity_cocycle(psi, triples):
-    """Samples and largest residual of phi^{Q and R}(S) = phi^Q(S) +
-    phi^R(S|Q), each phi one `ambiguity` call: the oracle of `check_cocycle`,
-    which evaluates each precision once per triple."""
-    alg = psi.algebra
-    worst, n = 0.0, 0
-    for s, q, r in triples:
-        try:
-            lhs = ambiguity(psi, s, alg.meet(q, r))
-            rhs = ambiguity(psi, s, q) + ambiguity(psi, condition(alg, s, q), r)
-        except InfinityArithmetic:
-            continue
-        n += 1
-        worst = max(worst, abs(lhs - rhs))
-    return n, worst
-
-
 def test_criterion_04_draws_and_residuals(monkeypatch):
     checked = []
     check_cocycle = verify.check_cocycle
@@ -220,7 +203,7 @@ def test_criterion_04_draws_and_residuals(monkeypatch):
     assert [len(triples) for _, triples, _ in checked] == [5000, 5000]
     assert hashlib.sha256(text.encode()).hexdigest() == CRITERION_04_TRIPLES_SHA256
     for psi, triples, report in checked:
-        samples, worst = _three_ambiguity_cocycle(psi, triples)
+        samples, worst = oracle_cocycle(psi, triples)
         assert (report.samples, report.max_residual.hex()) == (samples, worst.hex())
 
 

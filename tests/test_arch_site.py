@@ -547,18 +547,11 @@ def test_cached_structure_matches_fresh_computation_and_is_read_only():
         poset = FinitePoset(range(n), relations)
         covering, covers, linear = (poset.covering(), poset.lower_covers(),
                                     poset.linear_extension())
-        strict = poset.strict_sets()
         assert poset.covering() is covering and poset.lower_covers() is covers
-        assert poset.linear_extension() is linear and poset.strict_sets() is strict
+        assert poset.linear_extension() is linear
         fresh = FinitePoset(range(n), relations)
         assert covering == fresh.covering() and set(covering) == _covering_oracle(poset)
         assert dict(covers) == dict(fresh.lower_covers())
-        below = {y: frozenset(x for x in poset.elements if x != y and poset.leq(x, y))
-                 for y in poset.elements}
-        above = {x: frozenset(y for y in poset.elements if y != x and poset.leq(x, y))
-                 for x in poset.elements}
-        assert [dict(m) for m in strict] == [{x: s for x, s in brute.items() if s}
-                                             for brute in (below, above)]
         assert all(covers[y] == tuple(x for x, z in covering if z == y) for y in poset.elements)
         assert linear == fresh.linear_extension()
         assert sorted(linear) == list(range(n))
@@ -570,14 +563,49 @@ def test_cached_structure_matches_fresh_computation_and_is_read_only():
             covers[0] = ()
         with pytest.raises(TypeError):
             del covers[0]
-        for mapping in strict:
-            with pytest.raises(TypeError):
-                mapping[0] = frozenset()
 
 
 def test_linear_extension_never_compares_elements():
     poset = FinitePoset([0, "a", 1.5, ("t",)], [("a", 0)])
     assert poset.linear_extension() == ("a", 1.5, ("t",), 0)
+
+
+# -- masks of subsets ---------------------------------------------------------
+
+def test_set_of_and_mask_of_are_inverse_for_every_kind_of_integer():
+    """A subset goes to its mask and back, and a mask to its subset and
+    back, for masks held as Python ints, numpy uint32 and uint64 scalars (as
+    in `open_masks` arrays) and Python ints in an object array past 64
+    elements."""
+    rng = random.Random(8)
+    for n in (0, 1, 5, 31, 32, 33, 63, 64, 65, 100):
+        poset = FinitePoset([f"e{i}" for i in range(n)], ())
+        kinds = [int] + [np.uint32] * (n <= 32) + [np.uint64] * (n <= 64) + [object] * (n > 64)
+        for _ in range(40):
+            subset = frozenset(rng.sample(poset.elements, rng.randint(0, n)))
+            m = sum(1 << poset.index[x] for x in subset)
+            assert poset.mask_of(subset) == m and poset.set_of(m) == subset
+            for kind in kinds:
+                scalar = np.array([m], dtype=kind)[0] if kind is not int else m
+                assert type(scalar) is (int if kind in (int, object) else kind)
+                got = poset.set_of(scalar)
+                assert type(got) is frozenset and got == subset
+                assert poset.mask_of(got) == m
+
+
+def test_set_of_ignores_bits_past_the_elements_and_mask_of_ors_repeats():
+    poset = FinitePoset("abcde", ())
+    assert poset.set_of(0b10110 | 1 << 5 | 1 << 70) == frozenset("bce")
+    assert poset.set_of(np.uint32(0b10110 | 1 << 5 | 1 << 31)) == frozenset("bce")
+    assert poset.set_of(np.uint64(1 << 63 | 1)) == frozenset("a")
+    assert poset.mask_of(["b", "b", "e", "b"]) == 0b10010
+    assert poset.mask_of(iter("cc")) == 0b100
+    chain = FinitePoset.chain(69)
+    opens = open_masks(chain, bound=70)
+    assert opens.dtype == object
+    for m in opens.tolist()[::7]:
+        assert chain.mask_of(chain.set_of(m)) == m
+        assert chain.set_of(m | 1 << 75) == chain.set_of(m) == frozenset(range(m.bit_length()))
 
 
 # -- loop rank ----------------------------------------------------------------

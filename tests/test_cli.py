@@ -631,6 +631,44 @@ def test_info_p_naming_every_state_exit_2(capsys, tmp_path):
     assert out == "" and err.startswith("error:") and "not P has measure zero" in err
 
 
+def test_info_names_its_states_by_their_key_text(capsys, tmp_path):
+    """As `sections` does: JSON true is the state "true", in --theory and in
+    'measure' alike, and a number is named by its JSON text."""
+    path = tmp_path / "lang.json"
+    path.write_text(json.dumps({"states": [True, False, 1.5, 2],
+                                "measure": {"true": 1, "false": 2, "1.5": 3, "2": 4}}))
+    code, out, err = run(capsys, "info", "--in", str(path), "--theory", "true,2",
+                         "--q", "false,1.5", "--seed", "1")
+    assert code == 0 and err == ""
+    assert json.loads(out)["content"] == 5.0
+    for theory in ("True", "1.5,True"):
+        code, out, err = run(capsys, "info", "--in", str(path), "--theory", theory)
+        assert code == 2 and out == ""
+        assert err == "error: ['True'] are not elements of the poset\n"
+
+
+@pytest.mark.parametrize("state, text", [(float("nan"), "NaN"), (float("inf"), "Infinity"),
+                                         (float("-inf"), "-Infinity")])
+def test_info_non_finite_states_exit_2(capsys, tmp_path, state, text):
+    path = tmp_path / "lang.json"
+    path.write_text(json.dumps({"states": ["a", state]}))
+    code, out, err = run(capsys, "info", "--in", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: 'states' holds {text}, which is not a finite number\n"
+
+
+@pytest.mark.parametrize("theory", [",", "", ",,"])
+def test_info_theory_naming_no_state_exit_2(capsys, tmp_path, theory):
+    """The empty theory has precision -inf, and its ambiguity and mutual
+    information would print as Infinity, which is not JSON."""
+    path = tmp_path / "lang.json"
+    path.write_text(json.dumps({"states": ["a", "b", "c"]}))
+    code, out, err = run(capsys, "info", "--in", str(path), "--theory", theory,
+                         "--q", "a,b", "--q2", "a,c")
+    assert code == 2 and out == ""
+    assert err == "error: --theory names no state: the empty theory has precision -inf\n"
+
+
 _TWO = {"elements": ["a", "b"], "leq": [["a", "b"]]}
 
 

@@ -18,12 +18,31 @@ def random_poset(rng, n, density=0.4):
     return FinitePoset(range(n), rel)
 
 
+def strict_up_sets(poset):
+    """Each element's strict up-set, as a frozenset, from pairwise order
+    queries alone."""
+    return {x: frozenset(y for y in poset.elements if y != x and poset.leq(x, y))
+            for x in poset.elements}
+
+
+def set_implies(poset, q, t, above=None):
+    """Q => T on opens as frozensets: the top open with Q - T and the strict
+    up-set of each of its elements removed, that is, the complement of the
+    up-closure of Q - T.  ``above`` is `strict_up_sets` of the poset."""
+    above = strict_up_sets(poset) if above is None else above
+    bad = frozenset(q) - frozenset(t)
+    out = frozenset(poset.elements) - bad
+    for x in bad:
+        out -= above[x]
+    return out
+
+
 def random_opens(rng, poset, count):
     """Unions of up to four down-sets: opens, without enumerating them all."""
     opens = []
     for _ in range(count):
         mask = 0
-        for x in rng.sample(poset.elements, rng.randint(0, 4)):
+        for x in rng.sample(poset.elements, rng.randint(0, min(4, len(poset.elements)))):
             mask |= poset.down_mask(x)
         opens.append(mask)
     return opens
@@ -75,6 +94,26 @@ def test_rejects_foreign_elements_like_open_algebra(call):
         assert str(error.value) == text
 
 
+def test_mask_of_open_is_the_mask_of_an_open_and_refuses_any_other_set():
+    """Against the definition (every element's down-set inside the set) on
+    every subset of random posets; a set listed with repeats is read as a
+    set."""
+    rng = random.Random(21)
+    for _ in range(40):
+        p = random_poset(rng, rng.randint(1, 7))
+        for m in range(1 << len(p.elements)):
+            subset = p.set_of(m)
+            if all(p.down_mask(x) & ~m == 0 for x in subset):
+                assert hey.mask_of_open(p, subset) == m
+                assert hey.mask_of_open(p, list(subset) * 2) == m
+            else:
+                with pytest.raises(PosetError) as error:
+                    hey.mask_of_open(p, subset)
+                assert str(error.value) == f"{sorted(map(str, subset))} is not downward closed"
+    with pytest.raises(PosetError, match=re.escape("['x', 'y'] are not elements of the poset")):
+        hey.mask_of_open(FinitePoset.chain(2), ["y", 0, "x", "y"])
+
+
 def test_vacuous_and_equal_cases():
     p = FinitePoset.chain(2)
     top = frozenset(p.elements)
@@ -84,19 +123,46 @@ def test_vacuous_and_equal_cases():
 
 
 def test_pointwise_equals_oracle_exhaustive_small():
-    """The mask engine, the frozenset engine and the oracle agree on every
-    pair of opens: on random posets, on an antichain (where the scalar
-    `implies_mask` walks no up-set) and on a chain."""
+    """The mask engine, its frozenset forms, the oracle and the set formula
+    agree on every pair of opens: on random posets, on an antichain (where
+    the scalar `implies_mask` walks no up-set) and on a chain."""
     rng = random.Random(11)
     posets = [random_poset(rng, rng.randint(2, 6)) for _ in range(12)]
     for p in posets + [FinitePoset(range(6), ()), FinitePoset.chain(5)]:
         opens = open_masks(p)
+        above = strict_up_sets(p)
         for q in opens:
             for t in opens:
                 mask = hey.implies_mask(p, q, t)
                 assert mask == hey.oracle_implies_mask(p, q, t, opens)
                 qs, ts = p.set_of(q), p.set_of(t)
-                assert hey.implies(p, qs, ts) == p.set_of(mask) == hey.oracle_implies(p, qs, ts)
+                assert hey.implies(p, qs, ts) == p.set_of(mask) == \
+                    hey.oracle_implies(p, qs, ts) == set_implies(p, qs, ts, above)
+
+
+def test_set_forms_equal_the_set_formula_on_random_posets():
+    """On 500 random posets of up to 12 elements, and one of 70 elements
+    (past the 64 of a mask array), every frozenset operation of `heyting`
+    and `OpenAlgebra` gives the set formula's result on random opens, and
+    `implies_mask` its mask."""
+    rng = random.Random(4000)
+    posets = [random_poset(rng, rng.randint(1, 12), rng.choice((0.1, 0.3, 0.6)))
+              for _ in range(500)]
+    for p in posets + [random_poset(rng, 70, 0.05)]:
+        algebra, above = hey.OpenAlgebra(p), strict_up_sets(p)
+        opens = [p.set_of(m) for m in random_opens(rng, p, 6)] + [algebra.top, algebra.bottom]
+        for q in opens:
+            assert hey.neg(p, q) == algebra.neg(q) == set_implies(p, q, (), above)
+            for t in opens:
+                want = set_implies(p, q, t, above)
+                assert hey.implies(p, q, t) == algebra.implies(q, t) == want
+                assert hey.implies_mask(p, p.mask_of(q), p.mask_of(t)) == p.mask_of(want)
+                assert algebra.meet(q, t) == q & t and algebra.join(q, t) == q | t
+                assert algebra.leq(q, t) is (q <= t)
+        if len(p.elements) <= 12:
+            for q in opens[:3]:
+                for t in opens[3:]:
+                    assert hey.oracle_implies(p, q, t) == set_implies(p, q, t, above)
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 25])
@@ -162,9 +228,8 @@ def test_mask_arrays_are_refused_past_64_elements():
     top = hey.top_mask(p)
     assert hey.implies_mask(p, 1, 0) == 0
     assert hey.implies_mask(p, top, top >> 1) == top >> 1
-    algebra = hey.OpenAlgebra(p)
     assert p.set_of(hey.implies_mask(p, top, top >> 1)) == \
-        algebra.implies(p.set_of(top), p.set_of(top >> 1))
+        set_implies(p, p.set_of(top), p.set_of(top >> 1))
 
 
 @pytest.mark.parametrize("n", [32, 33])
@@ -175,9 +240,9 @@ def test_mask_arrays_at_the_width_boundary(n):
     p = random_poset(rng, n, 0.1)
     qs, ts = random_opens(rng, p, 12), random_opens(rng, p, 16) + [0, hey.top_mask(p)]
     want = [[hey.implies_mask(p, q, t) for t in ts] for q in qs]
-    algebra = hey.OpenAlgebra(p)
+    above = strict_up_sets(p)
     assert [[p.set_of(u) for u in row] for row in want] == \
-        [[algebra.implies(p.set_of(q), p.set_of(t)) for t in ts] for q in qs]
+        [[set_implies(p, p.set_of(q), p.set_of(t), above) for t in ts] for q in qs]
     for dtype in {p.mask_dtype, np.dtype(np.uint64)}:
         q, t = np.array(qs, dtype=dtype), np.array(ts, dtype=dtype)
         got = hey.implies_mask(p, q[:, None], t)
@@ -193,9 +258,11 @@ def test_oracle_equals_implies_on_a_chain_past_64_elements():
     assert open_masks(p, bound=100).dtype == object
     opens = list(hey.OpenAlgebra(p).elements(bound=100))
     assert len(opens) == 101
+    above = strict_up_sets(p)
     for q in opens:
         for t in opens:
-            assert hey.oracle_implies(p, q, t, bound=100) == hey.implies(p, q, t)
+            assert hey.oracle_implies(p, q, t, bound=100) == hey.implies(p, q, t) == \
+                set_implies(p, q, t, above)
 
 
 def test_heyting_adjunction_and_lattice_laws():

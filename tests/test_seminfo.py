@@ -24,6 +24,7 @@ from sheafnet.seminfo import (
     mutual_information,
     sample,
 )
+from test_heyting import set_implies
 
 LN = math.log
 
@@ -248,16 +249,73 @@ def test_delta_precision_concavity_reported_negative():
     assert report.minimum == -0.5  # the frozen counterexample
 
 
-# -- the sweeps on masks against the per-call measures ------------------------------
+# -- the mask code against the set formulas ----------------------------------------
+#
+# The oracle: every measure on opens as frozensets, conditioning by the set
+# implication (`set_implies`) and psi of a set by its set formula.
+
+def set_psi(psi):
+    """psi on sets: ``psi.fn`` for a precision of a set function; for a log
+    measure ln(m(T) / denom), m by `BooleanLanguage.m`, -inf where m(T) = 0,
+    and a theory meeting P refused."""
+    if psi.fn is not None:
+        return psi.fn
+
+    def grade(t):
+        if frozenset(t) & psi.p:
+            raise LanguageError("theory does not exclude the localizing proposition")
+        mt = psi.lang.m(t)
+        return -math.inf if mt == 0 else LN(mt / psi.denom)
+
+    return grade
+
+
+def diff(pos, neg, what):
+    if math.isinf(pos) and math.isinf(neg):
+        raise InfinityArithmetic(what)
+    return pos - neg
+
+
+def set_condition(psi, t, q):
+    return set_implies(psi.algebra.poset, q, t)
+
+
+def set_ambiguity(psi, s, q):
+    grade = set_psi(psi)
+    return diff(grade(set_condition(psi, s, q)), grade(s),
+                "difference of two infinite precisions")
+
+
+def set_mutual_information(psi, t, q1, q2):
+    grade = set_psi(psi)
+    a = grade(set_condition(psi, t, q1))
+    b = grade(set_condition(psi, t, q2))
+    c = grade(set_condition(psi, t, q1 & q2))
+    return diff(a + b, c + grade(t), "mutual information mixes infinities")
+
+
+def set_kl_divergence(psi, q, s0, s1):
+    grade = set_psi(psi)
+    meet = s0 & s1
+    a = grade(set_condition(psi, meet, q))
+    b = grade(meet)
+    c = grade(set_condition(psi, s0, q))
+    return diff(a + grade(s0), b + c, "divergence mixes infinities")
+
+
+def set_concavity_defect(psi, q, t, t2):
+    grade = set_psi(psi)
+    return diff(grade(set_condition(psi, t, q)) + grade(t2),
+                grade(t) + grade(set_condition(psi, t2, q)), "concavity defect mixes infinities")
+
 
 def oracle_cocycle(psi, triples):
-    """`check_cocycle` on opens as sets, each phi one `ambiguity` call."""
-    alg = psi.algebra
+    """`check_cocycle` on opens as sets, each phi one `set_ambiguity`."""
     worst, n = 0.0, 0
     for s, q, r in triples:
         try:
-            lhs = ambiguity(psi, s, alg.meet(q, r))
-            rhs = ambiguity(psi, s, q) + ambiguity(psi, condition(alg, s, q), r)
+            lhs = set_ambiguity(psi, s, q & r)
+            rhs = set_ambiguity(psi, s, q) + set_ambiguity(psi, set_condition(psi, s, q), r)
         except InfinityArithmetic:
             continue
         n += 1
@@ -266,20 +324,88 @@ def oracle_cocycle(psi, triples):
 
 
 def oracle_concavity(psi, domain):
-    """`check_concavity` on opens as sets, one `concavity_defect` call per
+    """`check_concavity` on opens as sets, one `set_concavity_defect` per
     admissible sample."""
     minimum, witness, n = math.inf, None, 0
     for q, t, t2 in domain:
-        if not psi.algebra.leq(t, t2):
+        if not t <= t2:
             continue
         try:
-            value = concavity_defect(psi, q, t, t2)
+            value = set_concavity_defect(psi, q, t, t2)
         except InfinityArithmetic:
             continue
         n += 1
         if value < minimum:
             minimum, witness = value, (q, t, t2)
     return n, minimum, witness
+
+
+def outcome_of(call):
+    """A float's hex, a frozenset, or the type and text of the error."""
+    try:
+        value = call()
+    except (InfinityArithmetic, LanguageError) as error:
+        return type(error).__name__, str(error)
+    return value.hex() if isinstance(value, float) else value
+
+
+def random_language(rng, n, localized):
+    """n states with random weights, and a random P (empty unless
+    ``localized``), with its log measure."""
+    states = [f"s{i}" for i in range(n)]
+    lang = BooleanLanguage(states, {s: rng.uniform(0.01, 100.0) for s in states})
+    p = frozenset(rng.sample(states, rng.randint(1, n - 1))) if localized else frozenset()
+    return states, p, localized_precision(lang, p)
+
+
+@pytest.mark.parametrize("localized", [False, True])
+def test_per_call_measures_equal_the_set_formulas(localized):
+    """Each measure on sets, psi included, gives the set formula's value bit
+    for bit, or raises its error, on random languages with non-uniform
+    measures (one of 70 states, past a 64-bit mask) and on arbitrary
+    theories, which may be empty or meet P."""
+    rng = random.Random(71 + localized)
+    for n in [rng.randint(2, 12) for _ in range(40)] + [70]:
+        states, p, psi = random_language(rng, n, localized)
+
+        def prop():
+            return frozenset(rng.sample(states, rng.randint(0, n)))
+
+        for _ in range(25):
+            t, q, q2, t2 = prop() - p, prop() | p, prop(), prop()
+            for mine, theirs, args in (
+                    (psi, set_psi(psi), (t,)), (psi, set_psi(psi), (t2,)),
+                    (lambda *a: condition(psi.algebra, *a), lambda *a: set_condition(psi, *a),
+                     (t2, q2)),
+                    (ambiguity, set_ambiguity, (psi, t, q)),
+                    (ambiguity, set_ambiguity, (psi, t2, q2)),
+                    (mutual_information, set_mutual_information, (psi, t, q, q2)),
+                    (kl_divergence, set_kl_divergence, (psi, q, t, t2 - p)),
+                    (concavity_defect, set_concavity_defect, (psi, q, t, t | (t2 - p)))):
+                assert outcome_of(lambda: mine(*args)) == outcome_of(lambda: theirs(*args))
+
+
+def test_per_call_measures_on_a_chain_equal_the_set_formulas():
+    """The same on the opens of a Heyting poset, with precisions of set
+    functions (cardinality, and psi_delta on a chain object)."""
+    e = ChainObject.of({0, 1}, {0})
+    alg = OpenAlgebra(elements_poset(e.as_presheaf()))
+    delta = DeltaSequence.dyadic(1)
+    opens = list(alg.elements())
+    for psi in (PrecisionFunction(lambda t: float(len(t)), alg),
+                PrecisionFunction(lambda t: psi_delta(e, alg.poset.mask_of(t), delta), alg)):
+        for q in opens:
+            for t in opens:
+                assert condition(alg, t, q) == set_condition(psi, t, q)
+                assert outcome_of(lambda: ambiguity(psi, t, q)) == \
+                    outcome_of(lambda: set_ambiguity(psi, t, q))
+                for u in opens:
+                    for mine, theirs, args in (
+                            (mutual_information, set_mutual_information, (psi, t, q, u)),
+                            (kl_divergence, set_kl_divergence, (psi, q, t, u)),
+                            (concavity_defect, set_concavity_defect, (psi, q, t, u))):
+                        assert outcome_of(lambda: mine(*args)) == \
+                            outcome_of(lambda: theirs(*args))
 
 
 @pytest.mark.parametrize("localized", [False, True])
@@ -291,10 +417,7 @@ def test_mask_sweeps_equal_the_per_call_measures(localized):
     skipped = 0
     for _ in range(60):
         n = rng.randint(2 if localized else 1, 12)
-        states = [f"s{i}" for i in range(n)]
-        lang = BooleanLanguage(states, {s: rng.uniform(0.01, 100.0) for s in states})
-        p = frozenset(rng.sample(states, rng.randint(1, n - 1))) if localized else frozenset()
-        psi = localized_precision(lang, p)
+        states, p, psi = random_language(rng, n, localized)
         poset = psi.algebra.poset
 
         def theory():
@@ -322,7 +445,7 @@ def test_mask_sweeps_equal_the_per_call_measures(localized):
         if n <= 8:
             for mask in range(1 << n):
                 if not poset.set_of(mask) & p:
-                    assert psi.of_mask(mask).hex() == psi(poset.set_of(mask)).hex()
+                    assert psi.of_mask(mask).hex() == set_psi(psi)(poset.set_of(mask)).hex()
     assert skipped > 0
 
 
