@@ -16,10 +16,8 @@ from sheafnet.groupoids import (
 
 src = discrete_groupoid(["x", "y", "z"])
 dst = discrete_groupoid(["u", "v"])
-# each object is the base of its own component, with the trivial vertex group
-# {()}: every arrow image is (), and each homomorphism sends () to ()
-f = GroupoidFunctor.of(src, dst, {"x": "u", "y": "u", "z": "v"},
-                       dict.fromkeys("xyz", ()), dict.fromkeys("xyz", {(): ()}))
+# every vertex group is trivial, so the object map is the whole functor
+f = GroupoidFunctor.of_object_map(src, dst, {"x": "u", "y": "u", "z": "v"})
 
 cx, cy, cz = src.components()
 cu, cv = dst.components()

@@ -27,6 +27,7 @@ simple propositions "subject s has value v" are self-dual under negation
 and form a single orbit.
 """
 
+import decimal
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 
@@ -61,6 +62,15 @@ class CarnapLanguage:
     def proposition_count(self):
         """2**|E|, reported symbolically (exact integer), never enumerated."""
         return 2 ** len(self.states)
+
+    @property
+    def proposition_count_text(self):
+        """2**|E| in decimal digits, computed in `decimal` at maximal
+        precision: exact, and free of Python's limit on the digits of an
+        int-to-str conversion (4,300 by default, passed at 14,285 states)."""
+        with decimal.localcontext() as ctx:
+            ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+            return str(decimal.Decimal(2) ** len(self.states))
 
     def to_boolean_language(self):
         """The states under the uniform measure."""

@@ -3,11 +3,12 @@
 A chain object is a nested family E_n <= ... <= E_1 <= E_0 of finite sets,
 i.e. a presheaf on the total order 0 -> 1 -> ... -> n whose restriction
 maps are inclusions.  Its subobjects are the nested families T with
-T_k <= E_k, i.e. the opens of the poset of elements of that presheaf, and
-they are handled as bit masks over it (`ChainObject.mask_of` and
-`levels_of` convert); the generic calculus of `heyting` and its supremum
-oracle apply unchanged.  The implication U = (Q => T) satisfies the
-inductive formulas
+T_k <= E_k, i.e. the opens of its poset of elements (`ChainObject.poset`),
+and they are handled as bit masks over that poset: `ChainObject.mask_of`
+and `levels_of` convert through `heyting.mask_of_open` and
+`FinitePoset.set_of`, and the generic calculus of `heyting` and its
+supremum oracle apply unchanged.  The implication U = (Q => T) satisfies
+the inductive formulas
 
     U_0 = T_0 or (E_0 - Q_0),      U_k = U_{k-1} and (T_k or (E_k - Q_k)),
 
@@ -25,12 +26,14 @@ at depth 1 with Q = ({x}, {}) gives a double difference of -0.5).
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .arch_site import FinitePoset
 from .errors import LanguageError, PresheafError
-from .presheaf import Presheaf
+from .heyting import mask_of_open
+from .presheaf import Presheaf, elements_poset
 
 
 @dataclass(frozen=True)
@@ -61,42 +64,36 @@ class ChainObject:
                 d = k
         return d
 
-    def _level_points(self):
-        """Each level's points, deepest first: E_k is a prefix of E_{k-1}."""
-        order = sorted(self.levels[0], key=lambda x: (-self.depth(x), str(x)))
-        return [tuple(x for x in order if x in level) for level in self.levels]
-
     def as_presheaf(self):
-        """The presheaf on 0 <= ... <= n.  Its poset of elements lists level
-        0, then level 1, ..., each deepest first, so in a mask over it a
-        point's bit at level k sits |E_{k-1}| places above its bit at k-1."""
-        poset = FinitePoset.chain(self.n)
-        carriers = dict(enumerate(self._level_points()))
+        """The presheaf on 0 <= ... <= n, each level's points deepest first,
+        so E_k is a prefix of E_{k-1}.  Its poset of elements (`poset`)
+        lists level 0, then level 1, ..., so in a mask over it a point's bit
+        at level k sits |E_{k-1}| places above its bit at k-1."""
+        order = sorted(self.levels[0], key=lambda x: (-self.depth(x), str(x)))
+        carriers = {k: tuple(x for x in order if x in level)
+                    for k, level in enumerate(self.levels)}
         maps = {(k, k + 1): {s: s for s in carriers[k + 1]} for k in range(self.n)}
-        return Presheaf(poset, carriers, maps)
+        return Presheaf(FinitePoset.chain(self.n), carriers, maps)
+
+    @cached_property
+    def poset(self):
+        """The poset of elements of `as_presheaf`: the pairs (k, x) with x in
+        E_k, where (k, x) <= (k + 1, x).  Its opens are the subobjects."""
+        return elements_poset(self.as_presheaf())
 
     def mask_of(self, *levels):
-        """The mask of the subobject T_0 >= ... >= T_n."""
-        levels = tuple(frozenset(l) for l in levels)
+        """The mask of the subobject T_0 >= ... >= T_n: `PosetError` when
+        some T_k holds a point outside E_k or outside T_{k-1}."""
         if len(levels) != self.n + 1:
             raise PresheafError(f"expected {self.n + 1} levels, got {len(levels)}")
-        mask = offset = 0
-        for k, (t, points) in enumerate(zip(levels, self._level_points())):
-            if not t <= self.levels[k]:
-                raise PresheafError(f"T_{k} is not a subset of E_{k}")
-            if k and not t <= levels[k - 1]:
-                raise PresheafError(f"T_{k} is not included in T_{k - 1}")
-            mask |= sum(1 << (offset + j) for j, x in enumerate(points) if x in t)
-            offset += len(points)
-        return mask
+        return mask_of_open(self.poset, {(k, x) for k, t in enumerate(levels) for x in t})
 
     def levels_of(self, mask):
         """The levels T_0, ..., T_n of a subobject mask."""
-        out, offset = [], 0
-        for points in self._level_points():
-            out.append(frozenset(x for j, x in enumerate(points) if mask >> (offset + j) & 1))
-            offset += len(points)
-        return tuple(out)
+        out = [set() for _ in self.levels]
+        for k, x in self.poset.set_of(mask):
+            out[k].add(x)
+        return tuple(map(frozenset, out))
 
 
 def _running_intersection(chain, layer):

@@ -228,10 +228,8 @@ def _component_functor(source, target, table, what):
     missing = sorted(str(o) for o in source.objects if str(o) not in _json_object(table, what))
     if missing:
         raise SheafnetError(f"{what} leaves out objects {missing}")
-    omap = {o: str(table[str(o)]) for o in source.objects}
-    # every vertex group is trivial: its one element is ()
-    return GroupoidFunctor.of(source, target, omap, dict.fromkeys(omap, ()),
-                              {part[0]: {(): ()} for part in source.components()})
+    return GroupoidFunctor.of_object_map(source, target,
+                                         {o: str(table[str(o)]) for o in source.objects})
 
 
 def _component_groupoid(doc):
@@ -335,10 +333,11 @@ def cmd_info(args):
     alg = hey.OpenAlgebra.discrete(lang.states)
     if args.theory is not None and not _states(args.theory):
         raise SheafnetError("--theory names no state: the empty theory has precision -inf")
-    theory = alg.check(_states(args.theory)) if args.theory else alg.top
+    p = alg.check(_states(args.p)) if args.p else frozenset()
+    # by default the largest theory psi grades: every state, or not P
+    theory = alg.check(_states(args.theory)) if args.theory else alg.top - p
     q = alg.check(_states(args.q)) if args.q else alg.top
     q2 = alg.check(_states(args.q2)) if args.q2 else alg.top
-    p = alg.check(_states(args.p)) if args.p else frozenset()
     psi = localized_precision(lang, p) if p else cbh_precision(lang)
     rng = random.Random(args.seed)
     # the sweeps take masks of the discrete poset: state i is bit i
@@ -403,7 +402,7 @@ def cmd_carnap(args):
     simples = simple_propositions(lang)
     out = {
         "states": len(lang.states),
-        "proposition_count": str(lang.proposition_count),
+        "proposition_count": lang.proposition_count_text,
         "group_order": group.order,
         "orbits": report.as_dict(lang)["orbits"],
         "simples": {
@@ -574,7 +573,8 @@ def make_parser():
 
     p = add_parser("info", [seeded], help="semantic information report")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--theory", default=None, help="comma-separated states")
+    p.add_argument("--theory", default=None,
+                   help="comma-separated states (default: every state, or not P with --p)")
     p.add_argument("--q", default=None, help="conditioning proposition")
     p.add_argument("--q2", default=None, help="second proposition")
     p.add_argument("--p", default=None, help="localizing proposition")

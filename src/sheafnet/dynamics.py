@@ -106,11 +106,16 @@ class WeightedNetwork:
                     raise ArchitectureError(f"node {n.name!r} used before parent {p!r}")
             seen.add(n.name)
             if n.op == "affine":
+                if n.activation not in ACTIVATIONS:
+                    raise ArchitectureError(f"unknown activation {n.activation!r} at {n.name!r}")
                 want = sum(self.nodes[p].dim for p in n.parents)
-                if n.weight.shape != (n.dim, want):
-                    raise ArchitectureError(f"weight shape mismatch at {n.name!r}")
-                if n.bias is not None and n.bias.shape != (n.dim,):
-                    raise ArchitectureError(f"bias shape mismatch at {n.name!r}")
+                if not isinstance(n.weight, np.ndarray) or n.weight.shape != (n.dim, want):
+                    raise ArchitectureError(f"weight at {n.name!r} is not a numpy array "
+                                            f"of shape {(n.dim, want)}")
+                if n.bias is not None and (not isinstance(n.bias, np.ndarray)
+                                           or n.bias.shape != (n.dim,)):
+                    raise ArchitectureError(f"bias at {n.name!r} is not a numpy array "
+                                            f"of shape {(n.dim,)}")
             elif n.op in ("hadamard", "hadsum"):
                 dims = {self.nodes[p].dim for p in n.parents}
                 if len(n.parents) != 2 or dims != {n.dim}:

@@ -18,7 +18,7 @@ class PresheafError(SheafnetError):
 
 
 class GroupoidError(SheafnetError):
-    """Composition-table or functor axiom violation."""
+    """Malformed groupoid, functor or stack data, or a broken functor axiom."""
 
 
 class LanguageError(SheafnetError):

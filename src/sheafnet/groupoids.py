@@ -163,6 +163,16 @@ class GroupoidFunctor:
         f.validate()
         return f
 
+    @staticmethod
+    def of_object_map(source, target, object_map):
+        """The functor sending each object ``o`` to ``object_map[o]``,
+        between groupoids whose vertex groups are all trivial: every arrow
+        image is (), and each homomorphism sends () to ().  A non-trivial
+        vertex group on either side fails `validate`."""
+        return GroupoidFunctor.of(source, target, object_map,
+                                  dict.fromkeys(source.objects, ()),
+                                  {part[0]: {(): ()} for part in source.parts})
+
     def validate(self):
         """Each source component lands in one target component, with arrows
         in its vertex group, t_b sent to the identity, and a homomorphism

@@ -13,6 +13,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from itertools import product as iproduct
 
 import numpy as np
@@ -56,7 +57,7 @@ from .groupoids import (
     check_fibrant_injective,
     discrete_groupoid,
 )
-from .presheaf import Presheaf, elements_poset, sections, standard_feedforward_presheaf
+from .presheaf import Presheaf, sections, standard_feedforward_presheaf
 from .seminfo import (
     BooleanLanguage,
     cbh_precision,
@@ -128,19 +129,11 @@ def _random_dag(rng, n):
 
 
 def _chain_shapes(max_n, max_e0):
-    """All nonincreasing level-size tuples (s_0 >= ... >= s_n)."""
-    shapes = []
-    for n in range(max_n + 1):
-        def rec(prefix):
-            if len(prefix) == n + 1:
-                shapes.append(tuple(prefix))
-                return
-            top = prefix[-1] if prefix else max_e0
-            lo = 0 if prefix else 1
-            for s in range(lo, top + 1):
-                rec(prefix + [s])
-        rec([])
-    return sorted(shapes)
+    """All level-size tuples s_0 >= ... >= s_n with n <= max_n and
+    1 <= s_0 <= max_e0, sorted."""
+    return sorted(shape for n in range(max_n + 1)
+                  for shape in combinations_with_replacement(range(max_e0, -1, -1), n + 1)
+                  if shape[0])
 
 
 def _chain_of_shape(shape):
@@ -148,31 +141,13 @@ def _chain_of_shape(shape):
     return ChainObject.of(*[set(points[:s]) for s in shape])
 
 
-def _randranges(rng, n, count):
-    """``[rng.randrange(n) for _ in range(count)]`` as an array, drawn in bulk:
-    the same integers, and ``rng`` is left in the same state.
-
-    `random.Random` draws each ``randrange(n)`` as the top k = n.bit_length()
-    bits of one 32-bit word, rejected until below n, and ``getrandbits(32 m)``
-    returns the next m words, the first in the lowest bits.  So the words are
-    drawn in bulk and filtered by the same rule; then the state is restored
-    and advanced by exactly the number of words used."""
-    k = n.bit_length()
-    if k > 32:
-        return np.array([rng.randrange(n) for _ in range(count)])
-    state = rng.getstate()
-    picks, used = [np.zeros(0, dtype=np.intp)], 0
-    while count:
-        m = 2 * count + 64      # at least half the words are accepted
-        words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), dtype="<u4")
-        r = (words >> (32 - k)).astype(np.intp)
-        kept = np.flatnonzero(r < n)[:count]
-        picks.append(r[kept])
-        used += int(kept[-1]) + 1 if len(kept) == count else m
-        count -= len(kept)
-    rng.setstate(state)
-    rng.getrandbits(32 * used)
-    return np.concatenate(picks)
+def _draws(rng, n, shape):
+    """An array of ``shape`` indices below ``n``, from ``rng``'s next random
+    bytes.  The modulo bias, below n / 2**32, does not matter for a sample
+    of test pairs; numpy's own generators would import `numpy.random`,
+    which the library uses nowhere else, for 5 MB more resident memory."""
+    count = math.prod(shape)
+    return (np.frombuffer(rng.randbytes(4 * count), "<u4") % n).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +205,7 @@ def criterion_02(seed=0):
     vector_budget = 20_000_000
     for shape in shapes:
         chain = _chain_of_shape(shape)
-        poset = elements_poset(chain.as_presheaf())
+        poset = chain.poset
         masks = open_masks(poset, bound=25)
         n_subs = len(masks)
         if n_subs <= 32:
@@ -241,11 +216,10 @@ def criterion_02(seed=0):
             exhaustive_small += n_subs * n_subs
             continue
         # validate the batched evaluations against single pairs on samples
-        samples = [(rng.randrange(n_subs), rng.randrange(n_subs)) for _ in range(30)]
-        ti, qi = (np.array(i) for i in zip(*samples))
+        ti, qi = _draws(rng, n_subs, (2, 30))
         batched = chain_implication(chain, masks[ti], masks[qi])
         generic = hey.implies_mask(poset, masks[qi], masks[ti])
-        for (t, q), ker, gen in zip(samples, batched.tolist(), generic.tolist()):
+        for t, q, ker, gen in zip(ti, qi, batched.tolist(), generic.tolist()):
             u = chain_implication(chain, masks[t], masks[q])
             if not u == ker == gen == hey.implies_mask(poset, masks[q], masks[t]):
                 return False, f"kernel disagrees with chain_implication on {shape}"
@@ -257,8 +231,7 @@ def criterion_02(seed=0):
         # all pairs through the batched evaluations, within the global budget
         todo = n_subs * n_subs
         if vector_pairs + todo > vector_budget:
-            idx = _randranges(rng, n_subs, 4000)
-            jdx = _randranges(rng, n_subs, 4000)
+            idx, jdx = _draws(rng, n_subs, (2, 4000))
             got = chain_implication(chain, masks[idx], masks[jdx])
             want = hey.implies_mask(poset, masks[jdx], masks[idx])
             if not np.array_equal(got, want):
@@ -293,7 +266,7 @@ def criterion_03(seed=0):
     for shape in shapes:
         chain = _chain_of_shape(shape)
         delta = DeltaSequence.dyadic(chain.n)
-        poset = elements_poset(chain.as_presheaf())
+        poset = chain.poset
         masks = open_masks(poset, bound=16)
         n_subs = len(masks)
         # psi of a mask in eighths: the element (k, x) of the poset of
@@ -598,9 +571,7 @@ def criterion_15(seed=0):
         src = discrete_groupoid([f"s{i}" for i in range(n_src)])
         dst = discrete_groupoid([f"d{i}" for i in range(n_dst)])
         omap = {f"s{i}": f"d{rng.randrange(n_dst)}" for i in range(n_src)}
-        # discrete groupoids: every object is a base, every vertex group {()}
-        f = GroupoidFunctor.of(src, dst, omap, dict.fromkeys(omap, ()),
-                               dict.fromkeys(omap, {(): ()}))
+        f = GroupoidFunctor.of_object_map(src, dst, omap)
         report = check_adjunction_and_section(f)
         if not (report.adjunction_ok and report.unit_ok):
             return False, "adjunction failed"

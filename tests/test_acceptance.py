@@ -29,7 +29,6 @@ tests/test_chains.py verifies that exhaustively on small chains.
 import dataclasses
 import hashlib
 import os
-import random
 import re
 import subprocess
 import sys
@@ -43,7 +42,6 @@ from sheafnet import heyting as hey
 from sheafnet import verify
 from sheafnet.arch_site import open_masks
 from sheafnet.chains import ChainObject, DeltaSequence, chain_implication, psi_delta
-from sheafnet.presheaf import elements_poset
 from test_seminfo import oracle_cocycle
 
 # Criterion 3 sweeps every chain of height n <= 3 with 1 <= |E_0| <= 4.
@@ -94,7 +92,7 @@ def _minimal_counterexample():
     """
     e = ChainObject.of({"p0"}, {"p0"})
     d = DeltaSequence.dyadic(e.n)
-    poset = elements_poset(e.as_presheaf())
+    poset = e.poset
     opens = open_masks(poset)
     bottom, top = 0, hey.top_mask(poset)
     q = e.mask_of({"p0"}, set())
@@ -164,7 +162,7 @@ def test_array_sup_scan_equals_scalar_oracle_on_small_lattices():
     one array scan per shape, against the scalar oracle pair by pair."""
     pairs = 0
     for shape in verify._chain_shapes(4, 5):
-        poset = elements_poset(verify._chain_of_shape(shape).as_presheaf())
+        poset = verify._chain_of_shape(shape).poset
         opens = open_masks(poset, bound=25)
         if len(opens) > 32:
             continue
@@ -329,17 +327,7 @@ for subjects, counts in [(3, (2, 2)), (2, (2, 2, 2)), (3, (3, 2)), (4, (2, 2)), 
 
 
 def test_carnap_symmetry_runs_in_bounded_memory():
-    """Each group element is built once, as a dict over the states.  This
-    path reads about 39 MB; importing the library alone takes about 30 MB."""
+    """Each group is closed once, as one matrix of index arrays over the
+    states.  This path reads about 39 MB; importing the library alone takes
+    about 30 MB."""
     assert _peak_mb(_CARNAP_SYMMETRY) < 44.0
-
-
-@pytest.mark.parametrize("count", [1, 4000])
-@pytest.mark.parametrize("n", [1, 2, 3, 33, 64, 4096, 4097, 2 ** 20, 3 * 10 ** 6])
-def test_randranges_equals_one_by_one_randrange(n, count):
-    """Criterion 2's bulk draws: the same integers as ``randrange`` one at a
-    time, and the generator left where those calls leave it."""
-    one, bulk = random.Random(f"{n}:{count}"), random.Random(f"{n}:{count}")
-    want = [one.randrange(n) for _ in range(count)]
-    assert verify._randranges(bulk, n, count).tolist() == want
-    assert bulk.random() == one.random()

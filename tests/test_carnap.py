@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -42,6 +43,27 @@ def test_state_counts():
 
 def test_proposition_count_symbolic():
     assert l23().proposition_count == 2 ** 64
+
+
+def _digits_value(text):
+    """The integer of a decimal text, read in chunks below the int-to-str limit."""
+    value = 0
+    for i in range(0, len(text), 1000):
+        chunk = text[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 1000, 14284, 14285, 200_000])
+def test_proposition_count_text_is_the_exact_decimal_count(n):
+    """Past 14,284 states 2**|E| has more digits than `str` converts by
+    default; the text stays exact there, and equals `str` below."""
+    lang = dataclasses.replace(l23(), states=(None,) * n)
+    text = lang.proposition_count_text
+    assert text.isdigit() and text[0] != "0"
+    assert _digits_value(text) == lang.proposition_count == 2 ** n
+    if n < 14000:
+        assert text == str(2 ** n)
 
 
 def test_state_bound():

@@ -12,18 +12,18 @@ from sheafnet.chains import (
     chain_implication,
     psi_delta,
 )
-from sheafnet.errors import LanguageError, PresheafError
+from sheafnet.errors import LanguageError, PosetError, PresheafError
 from sheafnet.presheaf import elements_poset
 
 
 def subs_of(e):
     """Every subobject of a chain: the opens of its poset of elements."""
-    return open_masks(elements_poset(e.as_presheaf()))
+    return open_masks(e.poset)
 
 
 def oracle(e, t, q):
     """Literal supremum of every V with V /\\ Q <= T."""
-    poset = elements_poset(e.as_presheaf())
+    poset = e.poset
     return hey.oracle_implies_mask(poset, q, t, open_masks(poset))
 
 
@@ -36,6 +36,34 @@ def test_chain_object_validation():
         ChainObject.of({"x"}, {"x", "y"})
     c = ChainObject.of({"x", "y"}, {"x"})
     assert c.n == 1 and c.depth("x") == 1 and c.depth("y") == 0
+
+
+def test_masks_are_the_opens_of_the_poset_of_elements():
+    """A subobject's mask is the mask of its elements (k, x) in `poset`,
+    built once from the presheaf, and `levels_of` inverts `mask_of`."""
+    e = ChainObject.of({"x", "y", "z"}, {"x", "y"}, {"x"})
+    assert e.poset is e.poset
+    assert e.poset.elements == elements_poset(e.as_presheaf()).elements
+    for m in subs_of(e):
+        levels = e.levels_of(m)
+        assert e.poset.set_of(m) == {(k, x) for k, t in enumerate(levels) for x in t}
+        assert e.mask_of(*levels) == m
+
+
+def test_mask_of_refuses_a_point_outside_its_level():
+    e = ChainObject.of({"x", "y"}, {"x"})
+    with pytest.raises(PosetError, match=r"\[\"\(1, 'y'\)\"\] are not elements"):
+        e.mask_of({"x", "y"}, {"y"})
+    with pytest.raises(PosetError, match="are not elements"):
+        e.mask_of({"w"}, set())
+
+
+def test_mask_of_refuses_a_level_not_inside_the_one_above():
+    e = ChainObject.of({"x", "y"}, {"x", "y"})
+    with pytest.raises(PosetError, match="not downward closed"):
+        e.mask_of({"y"}, {"x"})
+    with pytest.raises(PresheafError, match="expected 2 levels, got 1"):
+        e.mask_of({"x"})
 
 
 def test_boolean_case_is_classical_formula():
@@ -102,7 +130,7 @@ def test_implication_equals_oracle_exhaustive_small_chains():
 
 def test_implication_agrees_with_generic_presheaf_calculus():
     e = ChainObject.of({0, 1, 2}, {0, 1}, {0})
-    poset = elements_poset(e.as_presheaf())
+    poset = e.poset
     for t in subs_of(e):
         for q in subs_of(e):
             u = chain_implication(e, t, q)
@@ -114,7 +142,7 @@ def test_batched_formulas_match_single_pairs_and_generic_calculus():
     # depth order (d, c, a/b) differs from str order, so the level shifts
     # only line up if the presheaf lists deepest points first
     e = ChainObject.of({"a", "b", "c", "d"}, {"c", "d"}, {"d"})
-    poset = elements_poset(e.as_presheaf())
+    poset = e.poset
     subs = subs_of(e)
     masks = np.array(subs, dtype=np.uint64)
     batched = chain_implication(e, masks[:, None], masks[None, :])
@@ -135,7 +163,7 @@ def test_batched_formulas_at_the_width_boundary(shape):
     rng = random.Random(len(shape) + sum(shape))
     points = [f"p{i}" for i in range(shape[0])]
     e = ChainObject.of(*[set(points[:s]) for s in shape])
-    poset = elements_poset(e.as_presheaf())
+    poset = e.poset
     assert len(poset.elements) == sum(shape)
     subs = []
     for _ in range(24):
@@ -162,7 +190,7 @@ def test_scalar_entry_points_mix_array_elements_with_python_ints():
     """An element of the opens array (a numpy scalar) next to Python ints,
     such as the bottom 0, gives the all-int result, as a Python int."""
     e = ChainObject.of({"x", "y", "z"}, {"x", "y"}, {"x"})
-    poset = elements_poset(e.as_presheaf())
+    poset = e.poset
     opens = open_masks(poset)
     delta = DeltaSequence.dyadic(e.n)
     calls = [lambda t, q: chain_implication(e, t, q),

@@ -631,6 +631,20 @@ def test_info_p_naming_every_state_exit_2(capsys, tmp_path):
     assert out == "" and err.startswith("error:") and "not P has measure zero" in err
 
 
+def test_info_p_without_theory_grades_not_p(capsys, tmp_path):
+    """With --p and no --theory the theory is not P, the largest theory
+    psi_P grades, where psi_P is 0; a theory meeting P still exits 2."""
+    path = tmp_path / "lang.json"
+    path.write_text(json.dumps({"states": ["a", "b", "c"]}))
+    code, out, err = run(capsys, "info", "--in", str(path), "--p", "a")
+    assert code == 0 and err == ""
+    assert json.loads(out)["psi"] == 0.0
+    assert run(capsys, "info", "--in", str(path), "--p", "a", "--theory", "b,c")[1] == out
+    code, out, err = run(capsys, "info", "--in", str(path), "--p", "a", "--theory", "a,b")
+    assert code == 2 and out == ""
+    assert err == "error: theory does not exclude the localizing proposition\n"
+
+
 def test_info_names_its_states_by_their_key_text(capsys, tmp_path):
     """As `sections` does: JSON true is the state "true", in --theory and in
     'measure' alike, and a number is named by its JSON text."""

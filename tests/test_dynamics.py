@@ -192,6 +192,27 @@ def test_an_unknown_op_is_refused():
         WeightedNetwork([Node("a", "input", 1), Node("j", "conv", 1, ("a",))])
 
 
+def test_an_unknown_activation_is_refused():
+    with pytest.raises(ArchitectureError, match="unknown activation 'softplus' at 'j'"):
+        WeightedNetwork([Node("a", "input", 1),
+                         Node("j", "affine", 1, ("a",), "softplus", weight=np.ones((1, 1)))])
+
+
+@pytest.mark.parametrize("weight", [None, [[1.0]], np.ones((1, 2))])
+def test_an_affine_weight_that_is_not_an_array_of_its_shape_is_refused(weight):
+    message = r"weight at 'j' is not a numpy array of shape \(1, 1\)"
+    with pytest.raises(ArchitectureError, match=message):
+        WeightedNetwork([Node("a", "input", 1), Node("j", "affine", 1, ("a",), weight=weight)])
+
+
+@pytest.mark.parametrize("bias", [[0.0], np.zeros(2)])
+def test_an_affine_bias_that_is_not_an_array_of_its_shape_is_refused(bias):
+    message = r"bias at 'j' is not a numpy array of shape \(1,\)"
+    with pytest.raises(ArchitectureError, match=message):
+        WeightedNetwork([Node("a", "input", 1),
+                         Node("j", "affine", 1, ("a",), weight=np.ones((1, 1)), bias=bias)])
+
+
 # -- gradients --------------------------------------------------------------------
 
 def test_single_path_chain_rule():

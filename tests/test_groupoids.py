@@ -362,13 +362,6 @@ def codiscrete(*parts):
     return FiniteGroupoid.of((part, ()) for part in parts)
 
 
-def trivial_functor(source, target, object_map):
-    """The functor between groupoids with trivial vertex groups given by
-    ``object_map``, as the CLI builds it."""
-    return GroupoidFunctor.of(source, target, object_map, dict.fromkeys(object_map, ()),
-                              {part[0]: {(): ()} for part in source.components()})
-
-
 # -- components ------------------------------------------------------------
 
 def test_discrete_groupoid_components():
@@ -526,11 +519,17 @@ def test_library_composes_and_maps_morphisms_as_the_tables():
 def test_validate_refuses_what_is_not_a_functor():
     src, dst = codiscrete(["a", "b"]), codiscrete(["x"], ["y"])
     with pytest.raises(GroupoidError, match="object map undefined or foreign at 'b'"):
-        trivial_functor(src, dst, {"a": "x", "b": "w"})
+        GroupoidFunctor.of_object_map(src, dst, {"a": "x", "b": "w"})
     with pytest.raises(GroupoidError, match="splits the component of 'a'"):
-        trivial_functor(src, dst, {"a": "x", "b": "y"})
-    assert trivial_functor(src, dst, {"a": "y", "b": "y"}).pi0 == (1,)
+        GroupoidFunctor.of_object_map(src, dst, {"a": "x", "b": "y"})
+    assert GroupoidFunctor.of_object_map(src, dst, {"a": "y", "b": "y"}).pi0 == (1,)
     c2 = to_library(group_as_groupoid({"r": cyclic_perm([0, 1])})).lib
+    point = discrete_groupoid(["p"])
+    # the object map alone is a functor only between trivial vertex groups
+    with pytest.raises(GroupoidError, match="breaks identity or is undefined at '\\*'"):
+        GroupoidFunctor.of_object_map(c2, point, {"*": "p"})
+    with pytest.raises(GroupoidError, match="arrow image undefined or foreign at 'p'"):
+        GroupoidFunctor.of_object_map(point, c2, {"p": "*"})
     e, r = (0, 1), (1, 0)
     assert c2.groups == (frozenset({e, r}),)
     GroupoidFunctor.of(c2, c2, {"*": "*"}, {"*": e}, {"*": {e: e, r: r}})
@@ -559,8 +558,8 @@ def powerset(items):
 
 
 def two_over_one_functor():
-    return trivial_functor(discrete_groupoid(["x", "y"]), discrete_groupoid(["z"]),
-                           {"x": "z", "y": "z"})
+    return GroupoidFunctor.of_object_map(discrete_groupoid(["x", "y"]),
+                                         discrete_groupoid(["z"]), {"x": "z", "y": "z"})
 
 
 def test_lambda_identity_and_collapse():
@@ -590,7 +589,8 @@ def test_adjunction_exhaustive_and_section():
 
 
 def test_non_surjective_functor_breaks_section_with_witness():
-    f = trivial_functor(discrete_groupoid(["x"]), discrete_groupoid(["u", "v"]), {"x": "u"})
+    f = GroupoidFunctor.of_object_map(discrete_groupoid(["x"]), discrete_groupoid(["u", "v"]),
+                                      {"x": "u"})
     report = check_adjunction_and_section(f)
     assert report.adjunction_ok and report.unit_ok
     assert not report.surjective_on_components
@@ -625,8 +625,8 @@ def test_lambda_meet_preservation_fails_for_collapsing_functors():
 
 
 def test_lambda_meet_preserved_for_component_injective_functors():
-    f = trivial_functor(discrete_groupoid(["x", "y"]), discrete_groupoid(["u", "v", "w"]),
-                        {"x": "u", "y": "w"})
+    f = GroupoidFunctor.of_object_map(discrete_groupoid(["x", "y"]),
+                                      discrete_groupoid(["u", "v", "w"]), {"x": "u", "y": "w"})
     comps = f.source.components()
     for p in powerset(comps):
         for q in powerset(comps):
@@ -750,7 +750,8 @@ def test_criterion_15_functors_match_the_tables():
 
 
 def test_failures_list_components_in_components_order():
-    f = trivial_functor(discrete_groupoid(["x"]), discrete_groupoid(["w", "v", "u"]), {"x": "u"})
+    f = GroupoidFunctor.of_object_map(discrete_groupoid(["x"]),
+                                      discrete_groupoid(["w", "v", "u"]), {"x": "u"})
     failures = check_adjunction_and_section(f).failures
     assert failures[:3] == (("section", (("v",),)), ("section", (("u",), ("v",))),
                             ("section", (("w",),)))
@@ -1154,7 +1155,7 @@ def test_stack_rejects_functor_on_non_covering_pair():
 def test_stack_rejects_functor_with_wrong_endpoints():
     small, big = discrete_groupoid(["*"]), codiscrete(["a", "b"])
     # fiber(1) -> fiber(0) is required; this one runs fiber(0) -> fiber(1)
-    backwards = trivial_functor(small, big, {"*": "a"})
+    backwards = GroupoidFunctor.of_object_map(small, big, {"*": "a"})
     with pytest.raises(GroupoidError, match="has wrong endpoints"):
         StackOverPoset(FinitePoset.chain(1), {0: small, 1: big}, {(0, 1): backwards})
 
@@ -1166,7 +1167,8 @@ def test_stack_functoriality_clash_on_diamond():
               2: discrete_groupoid(["v"]), 3: discrete_groupoid(["t"])}
 
     def glue(y, x, obj):
-        return trivial_functor(fibers[y], fibers[x], dict.fromkeys(fibers[y].objects, obj))
+        return GroupoidFunctor.of_object_map(fibers[y], fibers[x],
+                                             dict.fromkeys(fibers[y].objects, obj))
 
     agreeing = {(0, 1): glue(1, 0, "x"), (0, 2): glue(2, 0, "x"),
                 (1, 3): glue(3, 1, "u"), (2, 3): glue(3, 2, "v")}

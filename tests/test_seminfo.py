@@ -7,7 +7,6 @@ from sheafnet.arch_site import FinitePoset
 from sheafnet.chains import ChainObject, DeltaSequence, psi_delta
 from sheafnet.errors import InfinityArithmetic, LanguageError
 from sheafnet.heyting import OpenAlgebra
-from sheafnet.presheaf import elements_poset
 from sheafnet.seminfo import (
     BooleanLanguage,
     PrecisionFunction,
@@ -240,7 +239,7 @@ def test_cardinality_on_opens_is_not_concave():
 
 def test_delta_precision_concavity_reported_negative():
     e = ChainObject.of({0, 1}, {0})
-    alg = OpenAlgebra(elements_poset(e.as_presheaf()))
+    alg = OpenAlgebra(e.poset)
     delta = DeltaSequence.dyadic(1)
     psi = PrecisionFunction(lambda t: psi_delta(e, alg.poset.mask_of(t), delta), alg)
     subs = list(alg.elements())
@@ -389,7 +388,7 @@ def test_per_call_measures_on_a_chain_equal_the_set_formulas():
     """The same on the opens of a Heyting poset, with precisions of set
     functions (cardinality, and psi_delta on a chain object)."""
     e = ChainObject.of({0, 1}, {0})
-    alg = OpenAlgebra(elements_poset(e.as_presheaf()))
+    alg = OpenAlgebra(e.poset)
     delta = DeltaSequence.dyadic(1)
     opens = list(alg.elements())
     for psi in (PrecisionFunction(lambda t: float(len(t)), alg),
