@@ -12,13 +12,16 @@ Every permutation of the symmetry path is an index array over
 ``lang.states``.  A state's index is its value digits read in mixed radix,
 so each generator is computed by index arithmetic on one digit array of
 all states.  The group is closed once on these arrays (`_close_group`, the
-group closure that `groupoids` also closes vertex groups with), and
-its (order, |E|) element matrix `SymmetryGroup.perms` is the one stored form
-of the elements; `SymmetryGroup.elements` decodes it into state dicts each
-time it is read.  Column ``i`` of the matrix is the orbit of state ``i``, so
-the orbits are the classes of the column minima, each stabilizer is counted
-on one column, and the search over simple propositions moves index sets
-through the generators.
+group closure that `groupoids` also closes vertex groups with, in chunks of
+one fixed size, so that its working memory beyond the elements is one
+chunk), and its (order, |E|) element matrix `SymmetryGroup.perms` is the
+one stored form of the elements; `SymmetryGroup.elements` decodes it into
+state dicts each time it is read.  Column ``i`` of the matrix is the orbit
+of state ``i``, so the orbits are the classes of the column minima, each
+stabilizer is counted on one column, and the search over simple
+propositions moves index sets through the generators.  A simple's index
+set is read off the same digit array, as the states whose digit at its
+(subject, attribute) is its value.
 
 For three subjects and two binary attributes the group has order 48
 (subject permutations times the dihedral symmetry of the value square),
@@ -337,17 +340,21 @@ def simples_form_single_orbit(lang, group=None, simples=None):
     """Does the symmetry group act transitively on the simple truth sets?
 
     Each distinct truth set is an index set, held as a row of booleans over
-    the state indices; a generator's index array ``g`` carries row ``r`` to
+    the state indices and read off the digit array of the states: the row of
+    "subject s has value v of attribute a" is ``digits[:, s, a] == v - 1``
+    (`_state_digits`).  A generator's index array ``g`` carries row ``r`` to
     the row that is true at ``g[i]`` wherever ``r`` is true at ``i``.  The
     search walks these images from the first truth set and counts the sets
     it reaches.  Every generator is an involution, so where the walk starts
     does not change the answer."""
     group = group or build_symmetry_group(lang)
     simples = simples or simple_propositions(lang)
-    index = {s: i for i, s in enumerate(lang.states)}
-    rows = np.zeros((len(simples), len(lang.states)), dtype=bool)
-    for row, simple in zip(rows, simples):
-        row[list(map(index.__getitem__, simple.truth_set))] = True
+    digits, _ = _state_digits(lang)
+    subject = {name: s for s, name in enumerate(lang.subjects)}
+    attribute = {name: a for a, (name, _) in enumerate(lang.attributes)}
+    s, a, v = np.array([(subject[p.subject], attribute[p.attribute], p.value - 1)
+                        for p in simples]).T
+    rows = np.ascontiguousarray((digits[:, s, a] == v).T)
     ids = {}
     for row in rows:
         ids.setdefault(row.tobytes(), len(ids))

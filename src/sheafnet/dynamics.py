@@ -99,6 +99,11 @@ class WeightedNetwork:
         for n in nodes:
             if n.op not in ("input", "affine", "hadamard", "hadsum"):
                 raise ArchitectureError(f"unknown op {n.op!r} at {n.name!r}")
+            if not isinstance(n.dim, (int, np.integer)) or isinstance(n.dim, bool) or n.dim < 1:
+                raise ArchitectureError(f"dim at {n.name!r} is not a positive int: {n.dim!r}")
+            if isinstance(n.parents, str):
+                raise ArchitectureError(f"parents of {n.name!r} are a string, "
+                                        f"not a sequence of names: {n.parents!r}")
             if len(set(n.parents)) != len(n.parents):
                 raise ArchitectureError(f"node {n.name!r} names a parent twice")
             for p in n.parents:
@@ -116,6 +121,11 @@ class WeightedNetwork:
                                            or n.bias.shape != (n.dim,)):
                     raise ArchitectureError(f"bias at {n.name!r} is not a numpy array "
                                             f"of shape {(n.dim,)}")
+                for field_name in ("weight", "bias"):
+                    array = getattr(n, field_name)
+                    if array is not None and array.dtype.kind not in "iuf":
+                        raise ArchitectureError(f"{field_name} at {n.name!r} has dtype "
+                                                f"{array.dtype}, not a real one")
             elif n.op in ("hadamard", "hadsum"):
                 dims = {self.nodes[p].dim for p in n.parents}
                 if len(n.parents) != 2 or dims != {n.dim}:

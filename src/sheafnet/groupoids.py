@@ -46,31 +46,49 @@ DEFAULT_GROUP_BOUND = 10_000
 # Vertex groups
 # ---------------------------------------------------------------------------
 
+# Most bytes of generator products that `_close_group` holds at once: one
+# (rows, generators, states) buffer, allocated once per closure and refilled
+# for each chunk of rows.  Chunks are taken in order, so the elements, their
+# order and the point where the bound is passed do not depend on the size.
+_CLOSE_CHUNK_BYTES = 1 << 20
+
+
 def _close_group(gens, bound):
     """The group generated by the index arrays ``gens`` (one dtype), as an
     (order, n) matrix of index arrays: row 0 is the identity ``e``, then the
     elements ``g1``, ``g2``, ... in breadth-first order, multiplying each
-    frontier element by every generator in turn.  The product "p, then q"
-    is ``q[p]``, and a new element is one hash lookup of its bytes."""
+    found element by every generator in turn.  The product "p, then q" is
+    ``q[p]``, and a new element is one hash lookup of its bytes.
+
+    The found elements, in order, are the breadth-first queue.  They are
+    multiplied out a chunk of rows at a time, each chunk into the same
+    buffer of `_CLOSE_CHUNK_BYTES`, so the working memory is the found
+    elements plus one chunk, never a whole layer times the generators,
+    until the found elements are joined into the returned matrix."""
     ident = np.arange(len(gens[0]), dtype=gens[0].dtype)
     width = ident.nbytes
-    found = {ident.tobytes(): None}
-    frontier = ident[None, :]
-    while len(frontier):
-        # row r * len(gens) + j is frontier element r times generator j
-        products = np.stack([q[frontier] for q in gens], axis=1).reshape(
-            len(frontier) * len(gens), len(ident))
+    rows = max(1, _CLOSE_CHUNK_BYTES // (width * len(gens)))
+    buffer = np.empty((rows, len(gens), len(ident)), dtype=ident.dtype)
+    order = [ident.tobytes()]
+    found = set(order)
+    done = 0
+    while done < len(order):
+        chunk = np.frombuffer(b"".join(order[done:done + rows]), dtype=ident.dtype)
+        chunk = chunk.reshape(-1, len(ident))
+        done += len(chunk)
+        # row r * len(gens) + j of the products is chunk row r times generator j
+        products = buffer[:len(chunk)]
+        for j, q in enumerate(gens):
+            np.take(q, chunk, out=products[:, j])
         raw = products.tobytes()
-        new = []
-        for row in range(len(products)):
-            key = raw[row * width:(row + 1) * width]
+        for at in range(0, len(raw), width):
+            key = raw[at:at + width]
             if key not in found:
-                found[key] = None
-                new.append(row)
+                found.add(key)
+                order.append(key)
                 if len(found) > bound:
                     raise BoundExceeded(f"group closure exceeds bound {bound}")
-        frontier = products[new]
-    return np.frombuffer(b"".join(found), dtype=ident.dtype).reshape(len(found), len(ident))
+    return np.frombuffer(b"".join(order), dtype=ident.dtype).reshape(len(order), len(ident))
 
 
 def _then(g, h):

@@ -359,6 +359,40 @@ def test_symmetry_path_matches_per_state_oracles(subjects, counts):
 
 @pytest.mark.parametrize("subjects,counts", ORACLE_LANGUAGES,
                          ids=[f"{s}x{','.join(map(str, c))}" for s, c in ORACLE_LANGUAGES])
+def test_simple_truth_sets_are_their_digit_rows(subjects, counts):
+    """A simple's truth set is the set of states whose digit at its
+    (subject, attribute) is its value less one: the row that
+    `simples_form_single_orbit` reads off `_state_digits`."""
+    lang = build_language(subjects, counts)
+    digits, _ = carnap._state_digits(lang)
+    simples = simple_propositions(lang)
+    assert len(simples) == subjects * sum(counts)
+    for simple in simples:
+        s = lang.subjects.index(simple.subject)
+        a = [name for name, _ in lang.attributes].index(simple.attribute)
+        row = digits[:, s, a] == simple.value - 1
+        assert simple.truth_set == {lang.states[i] for i in np.flatnonzero(row)}
+
+
+@pytest.mark.parametrize("subjects,counts", ORACLE_LANGUAGES,
+                         ids=[f"{s}x{','.join(map(str, c))}" for s, c in ORACLE_LANGUAGES])
+def test_single_orbit_matches_reference_on_random_families(subjects, counts):
+    """Families of two to four simples, where a set reached by no generator
+    from inside the family splits it, so that reading a simple's row at the
+    wrong subject or attribute changes the answer."""
+    lang = build_language(subjects, counts)
+    group = build_symmetry_group(lang)
+    gens = generator_dicts(group)
+    simples = simple_propositions(lang)
+    rng = random.Random(f"{subjects}x{counts}")
+    for _ in range(20):
+        family = rng.sample(simples, min(len(simples), rng.randint(2, 4)))
+        assert simples_form_single_orbit(lang, group, family) == \
+            reference_single_orbit(gens, family)
+
+
+@pytest.mark.parametrize("subjects,counts", ORACLE_LANGUAGES,
+                         ids=[f"{s}x{','.join(map(str, c))}" for s, c in ORACLE_LANGUAGES])
 def test_orbits_partition_the_states_with_orbit_stabilizer(subjects, counts):
     """The orbits, recomputed by closing each state under the group's
     elements, partition the states; |orbit| * |stabilizer| = |G| with the

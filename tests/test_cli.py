@@ -1364,3 +1364,20 @@ def test_ten_thousand_object_component_under_a_memory_cap(tmp_path, command):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report.get("fibrant", report.get("adjunction_ok")) is True
+
+
+def test_carnap_group_closure_past_its_bound_under_a_memory_cap():
+    """Seven subjects over two binary attributes: 16,384 states and a group
+    of order 40,320, closed in a child process capped at 600 MB of address
+    space.  The closure multiplies each breadth-first layer out in chunks of
+    one fixed size, so it reaches the bound of 2,000 elements and exits 2,
+    where stacking a whole layer times the generators ran out of memory in
+    numpy and ended in a traceback."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-m", "sheafnet.cli", "carnap", "--subjects", "7",
+                           "--attributes", "2,2", "--bound", "2000"], env=env,
+                          capture_output=True, text=True, timeout=30,
+                          preexec_fn=_capped(600 * 2**20))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "error: group closure exceeds bound 2000\n"

@@ -213,6 +213,32 @@ def test_an_affine_bias_that_is_not_an_array_of_its_shape_is_refused(bias):
                          Node("j", "affine", 1, ("a",), weight=np.ones((1, 1)), bias=bias)])
 
 
+@pytest.mark.parametrize("field", ["weight", "bias"])
+@pytest.mark.parametrize("value", [np.array(["x"]), np.array([1j]), np.array([None])],
+                         ids=["str", "complex", "object"])
+def test_an_affine_array_of_non_real_dtype_is_refused(field, value):
+    """Such an array has its node's shape, and `feedforward` then failed in
+    numpy (a bare `UFuncTypeError` from matmul for the strings)."""
+    arrays = {"weight": np.ones((1, 1)), "bias": np.zeros(1)}
+    arrays[field] = value.reshape(arrays[field].shape)
+    with pytest.raises(ArchitectureError, match=f"^{field} at 'j' has dtype .*, not a real one$"):
+        WeightedNetwork([Node("a", "input", 1), Node("j", "affine", 1, ("a",), **arrays)])
+
+
+def test_parents_given_as_a_string_are_refused():
+    """"ab" is not read as the parents "a" and "b", although both exist."""
+    with pytest.raises(ArchitectureError, match="^parents of 'j' are a string"):
+        WeightedNetwork([Node("a", "input", 1), Node("b", "input", 1),
+                         Node("j", "affine", 1, "ab", weight=np.ones((1, 2)))])
+
+
+@pytest.mark.parametrize("dim", [-1, 0, 1.0, True, "1"])
+def test_a_dim_that_is_not_a_positive_int_is_refused(dim):
+    with pytest.raises(ArchitectureError, match="^dim at 'a' is not a positive int: "):
+        WeightedNetwork([Node("a", "input", dim),
+                         Node("j", "affine", 1, ("a",), weight=np.ones((1, 1)))])
+
+
 # -- gradients --------------------------------------------------------------------
 
 def test_single_path_chain_rule():

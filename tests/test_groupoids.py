@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import random
 from collections import Counter
@@ -9,7 +10,7 @@ from itertools import product as iproduct
 import numpy as np
 import pytest
 
-from sheafnet import groupoids
+from sheafnet import carnap, groupoids
 from sheafnet.arch_site import FinitePoset
 from sheafnet.carnap import build_language, build_symmetry_group
 from sheafnet.errors import BoundExceeded, GroupoidError
@@ -1246,15 +1247,15 @@ DOMAINS = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(DOMAINS))
-def test_closure_matches_reference_on_random_generators(kind):
-    """`groupoids._close_group` on random index-array generators over range(n)
-    against the dict closure on the same permutations of named points: the
-    same elements, named in the same breadth-first order, or the same
-    `BoundExceeded`."""
+@functools.cache
+def random_closure_cases(kind):
+    """25 (generators, bound, reference outcome) cases over range(n), the
+    generators index arrays of 1 to 3 random permutations, the bound 60 or
+    10,000."""
     rng = random.Random(sorted(DOMAINS).index(kind))
     points = DOMAINS[kind]
     n = len(points)
+    cases = []
     for _ in range(25):
         gens = [np.array(rng.sample(range(n), n), dtype=np.min_scalar_type(n - 1))
                 for _ in range(rng.randint(1, 3))]
@@ -1262,15 +1263,73 @@ def test_closure_matches_reference_on_random_generators(kind):
         want = closure_outcome(reference_close_permutation_group,
                                {f"q{k}": dict(zip(points, (points[i] for i in g.tolist())))
                                 for k, g in enumerate(gens)}, bound)
-        got = closure_outcome(_close_group, gens, bound)
-        if isinstance(got, np.ndarray):
-            assert got.dtype == gens[0].dtype and got.shape == (len(got), n)
-            got = {f"g{r}" if r else "e": tuple(sorted(
-                       ((points[i], points[j]) for i, j in enumerate(row)),
-                       key=lambda kv: str(kv[0])))
-                   for r, row in enumerate(got.tolist())}
-            assert list(got) == list(want)      # names in breadth-first order
-        assert got == want
+        cases.append((gens, bound, want))
+    return cases
+
+
+def assert_closure_is(got, want, gens, points):
+    """``got``, an outcome of `_close_group`, is ``want``, one of the
+    reference: the same elements, named in the same breadth-first order, or
+    `BoundExceeded` on both sides."""
+    if isinstance(got, np.ndarray):
+        assert got.dtype == gens[0].dtype and got.shape == (len(got), len(points))
+        got = {f"g{r}" if r else "e": tuple(sorted(
+                   ((points[i], points[j]) for i, j in enumerate(row)),
+                   key=lambda kv: str(kv[0])))
+               for r, row in enumerate(got.tolist())}
+        assert list(got) == list(want)      # names in breadth-first order
+    assert got == want
+
+
+@pytest.mark.parametrize("kind", sorted(DOMAINS))
+def test_closure_matches_reference_on_random_generators(kind):
+    """`groupoids._close_group` on random index-array generators over range(n)
+    against the dict closure on the same permutations of named points: the
+    same elements, named in the same breadth-first order, or the same
+    `BoundExceeded`."""
+    for gens, bound, want in random_closure_cases(kind):
+        assert_closure_is(closure_outcome(_close_group, gens, bound), want, gens, DOMAINS[kind])
+
+
+# (subjects, attribute arities) of the ``symmetry`` benchmark workload
+BENCHMARK_LANGUAGES = [(3, (2, 2)), (2, (2, 2, 2)), (3, (3, 2)), (4, (2, 2)), (3, (2, 2, 2))]
+
+
+@functools.cache
+def language_closure_cases(subjects, counts):
+    """A language's generators over its state indices and the reference
+    closure as an element matrix, rows in its breadth-first order."""
+    gens = list(carnap._generator_indices(build_language(subjects, counts)).values())
+    want = reference_close_permutation_group({k: dict(enumerate(g.tolist()))
+                                              for k, g in enumerate(gens)})
+    return gens, np.array([[image for _, image in sorted(perm)] for perm in want.values()])
+
+
+def close_in_chunks(monkeypatch, gens, bound, rows):
+    """`_close_group` with its product buffer cut down to ``rows`` rows of
+    the breadth-first queue, so that a layer spans chunks and a chunk may
+    end in the next layer."""
+    monkeypatch.setattr(groupoids, "_CLOSE_CHUNK_BYTES", rows * len(gens) * gens[0].nbytes)
+    return closure_outcome(_close_group, gens, bound)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5])
+def test_closure_across_chunk_boundaries_matches_reference(monkeypatch, rows):
+    """Chunks of a few queue rows give the reference's elements in its
+    breadth-first order, and pass the bound where it does: on the random
+    generators above, and on the five languages of the ``symmetry``
+    benchmark, closed in full and cut at half their order and one below it
+    (where the reference, which counts the same elements, raises too)."""
+    for kind, points in DOMAINS.items():
+        for gens, bound, want in random_closure_cases(kind):
+            assert_closure_is(close_in_chunks(monkeypatch, gens, bound, rows), want, gens, points)
+    for subjects, counts in BENCHMARK_LANGUAGES:
+        gens, want = language_closure_cases(subjects, counts)
+        order = len(want)
+        got = close_in_chunks(monkeypatch, gens, order, rows)
+        assert got.dtype == gens[0].dtype and np.array_equal(got, want)
+        assert close_in_chunks(monkeypatch, gens, order // 2, rows) is BoundExceeded
+        assert close_in_chunks(monkeypatch, gens, order - 1, rows) is BoundExceeded
 
 
 @pytest.mark.parametrize("generators", [
