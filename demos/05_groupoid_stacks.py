@@ -19,8 +19,8 @@ dst = discrete_groupoid(["u", "v"])
 # every vertex group is trivial, so the object map is the whole functor
 f = GroupoidFunctor.of_object_map(src, dst, {"x": "u", "y": "u", "z": "v"})
 
-cx, cy, cz = src.components()
-cu, cv = dst.components()
+cx, cy, cz = src.parts
+cu, cv = dst.parts
 print("lambda({x})        =", sorted(map(str, lambda_transport(f, {cx}))))
 print("tau({u})           =", sorted(map(str, tau_transport(f, {cu}))))
 print("lambda(tau({u,v})) =", sorted(map(str, lambda_transport(f, tau_transport(f, {cu, cv})))))

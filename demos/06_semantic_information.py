@@ -7,7 +7,8 @@ cocycle identity chains conditionings together.
 
 import random
 
-from sheafnet.heyting import OpenAlgebra
+from sheafnet.arch_site import lower_open_sets
+from sheafnet.heyting import OpenAlgebra, neg
 from sheafnet.seminfo import (
     BooleanLanguage,
     ambiguity,
@@ -30,11 +31,11 @@ print("content c(T)      =", content(lang, t))
 print("T | Q             =", sorted(condition(alg, t, q)))
 print("psi(T)            =", psi(t))
 print("ambiguity phi^Q(T)=", ambiguity(psi, t, q))
-print("I(Q; not-Q)(T)    =", mutual_information(psi, t, q, alg.neg(q)))
+print("I(Q; not-Q)(T)    =", mutual_information(psi, t, q, neg(alg.poset, q)))
 print("D^Q(T; T|Q)       =", kl_divergence(psi, q, t, condition(alg, t, q)))
 
 rng = random.Random(0)
-subs = [s for s in alg.elements() if s]
+subs = [s for s in lower_open_sets(alg.poset) if s]
 triples = [(rng.choice(subs), rng.choice(subs), rng.choice(subs)) for _ in range(500)]
 # the sweeps take each proposition as a mask of the discrete poset on the states
 mask_of = psi.algebra.poset.mask_of

@@ -406,10 +406,6 @@ class FinitePoset:
         Python or numpy integer; bits past the last element are ignored."""
         return frozenset(compress(self.elements, _bits(mask)))
 
-    def down_set(self, x):
-        """U_x = {y : y <= x}, the basis open at x."""
-        return self.set_of(self.down_mask(x))
-
     def minimal(self):
         return tuple(x for i, x in enumerate(self.elements) if self._down[i] == (1 << i))
 
@@ -657,7 +653,7 @@ def lower_open_sets(poset, bound=None):
 
 def basis(poset, x):
     """U_x = {y : y <= x}; unbounded, works for any poset size."""
-    return poset.down_set(x)
+    return poset.set_of(poset.down_mask(x))
 
 
 # ---------------------------------------------------------------------------

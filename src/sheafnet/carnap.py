@@ -11,17 +11,19 @@ are constant along orbits.
 Every permutation of the symmetry path is an index array over
 ``lang.states``.  A state's index is its value digits read in mixed radix,
 so each generator is computed by index arithmetic on one digit array of
-all states.  The group is closed once on these arrays (`_close_group`, the
-group closure that `groupoids` also closes vertex groups with, in chunks of
-one fixed size, so that its working memory beyond the elements is one
-chunk), and its (order, |E|) element matrix `SymmetryGroup.perms` is the
-one stored form of the elements; `SymmetryGroup.elements` decodes it into
-state dicts each time it is read.  Column ``i`` of the matrix is the orbit
+all states, computed once per language (`CarnapLanguage._digits`).  The
+group is closed once on these arrays (`_close_group`, the group closure
+that `groupoids` also closes vertex groups with, in chunks of one fixed
+size, so that its working memory beyond the elements is one chunk), and
+its (order, |E|) element matrix `SymmetryGroup.perms` is the one stored
+form of the elements; `SymmetryGroup.elements` decodes it into state dicts
+each time it is read.  Column ``i`` of the matrix is the orbit
 of state ``i``, so the orbits are the classes of the column minima, each
 stabilizer is counted on one column, and the search over simple
 propositions moves index sets through the generators.  A simple's index
-set is read off the same digit array, as the states whose digit at its
-(subject, attribute) is its value.
+set is read off the same digit array, as the row of states whose digit at
+its (subject, attribute) is its value, and its truth set is decoded from
+that row.
 
 For three subjects and two binary attributes the group has order 48
 (subject permutations times the dihedral symmetry of the value square),
@@ -32,6 +34,8 @@ and form a single orbit.
 
 import decimal
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import compress
 from itertools import product as iproduct
 
 import numpy as np
@@ -79,9 +83,30 @@ class CarnapLanguage:
         """The states under the uniform measure."""
         return BooleanLanguage(self.states)
 
+    @cached_property
+    def _digits(self):
+        """The states as one read-only (|E|, subjects, attributes) array of
+        value digits, with the mixed-radix weight of each digit:
+        ``states[i]`` has index ``i = sum(digits[i] * weights)``, the last
+        attribute of the last subject varying fastest."""
+        counts = [c for _, c in self.attributes]
+        n, k = len(self.subjects), len(counts)
+        index = np.arange(len(self.states))
+        digits = np.empty((len(index), n, k), dtype=np.min_scalar_type(max(counts) - 1))
+        weights = np.empty((n, k), dtype=np.int64)
+        weight = 1
+        for s in reversed(range(n)):
+            for a in reversed(range(k)):
+                index, digits[:, s, a] = np.divmod(index, counts[a])
+                weights[s, a] = weight
+                weight *= counts[a]
+        digits.flags.writeable = weights.flags.writeable = False
+        return digits, weights
 
-def build_language(n_subjects, value_counts, bound=DEFAULT_STATE_BOUND):
-    """All assignments of one value per (subject, attribute)."""
+
+def build_language(n_subjects, value_counts, bound=None):
+    """All assignments of one value per (subject, attribute): at most
+    ``bound`` (else `DEFAULT_STATE_BOUND`) states."""
     if n_subjects < 1:
         raise LanguageError("need at least one subject")
     counts = tuple(int(c) for c in value_counts)
@@ -91,6 +116,7 @@ def build_language(n_subjects, value_counts, bound=DEFAULT_STATE_BOUND):
     for c in counts:
         size *= c
     size **= n_subjects
+    bound = DEFAULT_STATE_BOUND if bound is None else bound
     if size > bound:
         raise BoundExceeded(f"{size} states exceeds bound {bound}")
     subjects = tuple(_SUBJECT_NAMES[i] if n_subjects <= 26 else f"s{i}"
@@ -130,25 +156,6 @@ class SymmetryGroup:
                 for r, row in enumerate(self.perms[:, by_str].tolist())}
 
 
-def _state_digits(lang):
-    """The states as one (|E|, subjects, attributes) array of value digits,
-    with the mixed-radix weight of each digit: ``states[i]`` has index
-    ``i = sum(digits[i] * weights)``, the last attribute of the last subject
-    varying fastest."""
-    counts = [c for _, c in lang.attributes]
-    n, k = len(lang.subjects), len(counts)
-    index = np.arange(len(lang.states))
-    digits = np.empty((len(index), n, k), dtype=np.min_scalar_type(max(counts) - 1))
-    weights = np.empty((n, k), dtype=np.int64)
-    weight = 1
-    for s in reversed(range(n)):
-        for a in reversed(range(k)):
-            index, digits[:, s, a] = np.divmod(index, counts[a])
-            weights[s, a] = weight
-            weight *= counts[a]
-    return digits, weights
-
-
 def _generator_indices(lang):
     """Named generators as index arrays ``g`` over the states, ``states[g[i]]``
     the image of ``states[i]``: adjacent subject swaps, value swaps per
@@ -160,7 +167,7 @@ def _generator_indices(lang):
     then swaps two values of one attribute; the image's index is the
     weighted sum of its digits.
     """
-    digits, weights = _state_digits(lang)
+    digits, weights = lang._digits
     n, k = len(lang.subjects), len(lang.attributes)
     flat_weights = weights.ravel()
     dtype = np.min_scalar_type(len(lang.states) - 1)
@@ -266,9 +273,10 @@ def orbit_report(lang, group=None):
     so it is the orbit of state ``i``, and its minimum labels that orbit by
     its least state index; the orbits are the classes of equal column
     minima, read off one stable sort of the labels.  Members are sorted by
-    ``str``.  Each stabilizer is that of the orbit's ``str``-least
-    member ``r``, counted as the elements fixing ``r`` on column ``r`` of
-    ``group.perms``, and |orbit| * |stabilizer| = |G| is checked.  The group
+    ``str``, and the orbits by size, type and members.  Each stabilizer is
+    that of the orbit's ``str``-least member ``r``, counted as the elements
+    fixing ``r`` on column ``r`` of ``group.perms``, and |orbit| *
+    |stabilizer| = |G| is checked.  The group
     is closed once: a given ``group`` (else one built here) is reused.
     """
     group = group or build_symmetry_group(lang)
@@ -289,8 +297,7 @@ def orbit_report(lang, group=None):
         if len(labels) != 1:
             raise LanguageError("structural type is not constant on an orbit")
         orbits.append((len(members), stab, labels.pop(), members))
-    orbits.sort(key=lambda o: (o[0], o[3]))
-    orbits.sort(key=lambda o: (o[0], o[2] or ""))
+    orbits.sort(key=lambda o: (o[0], o[2] or "", o[3]))
     return CarnapOrbitReport(group.order, tuple(orbits))
 
 
@@ -304,6 +311,7 @@ class SimpleProposition:
     attribute: str
     value: int                 # 1-based, matching the labels
     truth_set: frozenset
+    row: np.ndarray = field(compare=False, repr=False)   # truth_set as booleans over the states
 
     @property
     def label(self):
@@ -311,13 +319,17 @@ class SimpleProposition:
 
 
 def simple_propositions(lang):
-    """The propositions "subject s takes value v of attribute A"."""
+    """The propositions "subject s takes value v of attribute A", each with
+    its row ``digits[:, s, a] == v`` over the states (`CarnapLanguage._digits`)
+    and the truth set decoded from that row."""
+    digits, _ = lang._digits
     out = []
     for si, subj in enumerate(lang.subjects):
         for ai, (name, count) in enumerate(lang.attributes):
             for v in range(count):
-                truth = frozenset(s for s in lang.states if s[si][ai] == v)
-                out.append(SimpleProposition(subj, name, v + 1, truth))
+                row = digits[:, si, ai] == v
+                truth = frozenset(compress(lang.states, row.tolist()))
+                out.append(SimpleProposition(subj, name, v + 1, truth, row))
     return out
 
 
@@ -327,11 +339,9 @@ def self_duality_holds(lang, simples=None):
     if any(c != 2 for _, c in lang.attributes):
         return None
     simples = simples or simple_propositions(lang)
-    full = frozenset(lang.states)
-    by_key = {(s.subject, s.attribute, s.value): s for s in simples}
+    by_key = {(s.subject, s.attribute, s.value): s.row for s in simples}
     for s in simples:
-        dual = by_key[(s.subject, s.attribute, 3 - s.value)]
-        if full - s.truth_set != dual.truth_set:
+        if not np.array_equal(~s.row, by_key[(s.subject, s.attribute, 3 - s.value)]):
             return False
     return True
 
@@ -339,25 +349,17 @@ def self_duality_holds(lang, simples=None):
 def simples_form_single_orbit(lang, group=None, simples=None):
     """Does the symmetry group act transitively on the simple truth sets?
 
-    Each distinct truth set is an index set, held as a row of booleans over
-    the state indices and read off the digit array of the states: the row of
-    "subject s has value v of attribute a" is ``digits[:, s, a] == v - 1``
-    (`_state_digits`).  A generator's index array ``g`` carries row ``r`` to
-    the row that is true at ``g[i]`` wherever ``r`` is true at ``i``.  The
-    search walks these images from the first truth set and counts the sets
-    it reaches.  Every generator is an involution, so where the walk starts
-    does not change the answer."""
+    Each distinct truth set is an index set, held as its simple's ``row`` of
+    booleans over the state indices (`simple_propositions`).  A generator's
+    index array ``g`` carries row ``r`` to the row that is true at ``g[i]``
+    wherever ``r`` is true at ``i``.  The search walks these images from the
+    first truth set and counts the sets it reaches.  Every generator is an
+    involution, so where the walk starts does not change the answer."""
     group = group or build_symmetry_group(lang)
     simples = simples or simple_propositions(lang)
-    digits, _ = _state_digits(lang)
-    subject = {name: s for s, name in enumerate(lang.subjects)}
-    attribute = {name: a for a, (name, _) in enumerate(lang.attributes)}
-    s, a, v = np.array([(subject[p.subject], attribute[p.attribute], p.value - 1)
-                        for p in simples]).T
-    rows = np.ascontiguousarray((digits[:, s, a] == v).T)
     ids = {}
-    for row in rows:
-        ids.setdefault(row.tobytes(), len(ids))
+    for p in simples:
+        ids.setdefault(p.row.tobytes(), len(ids))
     rows = np.frombuffer(b"".join(ids), dtype=bool).reshape(len(ids), -1)
     images = np.empty_like(rows)
     steps = []

@@ -48,8 +48,10 @@ from .errors import ArchitectureError, NondifferentiablePoint, SheafnetError
 SATURATION_THRESHOLD = 4.0
 
 # Most perturbed copies that `WeightedNetwork.finite_difference` evaluates
-# together (two per weight entry, an even number).
+# together (two per weight entry, an even number), and the step h by which
+# each copy moves one entry.
 FD_ROW_BLOCK = 128
+FD_STEP = 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -299,18 +301,18 @@ class WeightedNetwork:
         return {name: self._block_grads(n, acts, slopes, adj[name])
                 for name, n in self.nodes.items() if n.op == "affine"}
 
-    def finite_difference(self, inputs, loss, h=1e-5):
+    def finite_difference(self, inputs, loss):
         """Central differences on every affine weight and bias entry, from one
         base forward pass and batched re-evaluation through `_forward`.
 
         Each entry gives two rows: the weight (or bias) with that entry moved
-        by +h, and by -h.  A block of at most `FD_ROW_BLOCK` rows stacks
-        these copies along a leading axis and evaluates the perturbed node
-        and its descendants once for the whole block, over a copy of the base
-        activations, then calls ``loss.value`` once on the block's output
-        rows; every other node keeps its base activation.  So memory grows
-        with the block times the largest weight, not with the square of the
-        parameter count.
+        by +h, and by -h, for h = `FD_STEP`.  A block of at most
+        `FD_ROW_BLOCK` rows stacks these copies along a leading axis and
+        evaluates the perturbed node and its descendants once for the whole
+        block, over a copy of the base activations, then calls ``loss.value``
+        once on the block's output rows; every other node keeps its base
+        activation.  So memory grows with the block times the largest
+        weight, not with the square of the parameter count.
 
         Each row is bit-identical to re-running `feedforward` on the
         perturbed network.  A stacked ``np.matmul`` makes the same per-item
@@ -323,9 +325,10 @@ class WeightedNetwork:
 
         It reads only the activations, so it runs `feedforward`, not
         `_linearize`, and a relu kink does not stop it."""
-        return self._finite_difference(self.feedforward(inputs)[0], loss, h)
+        return self._finite_difference(self.feedforward(inputs)[0], loss)
 
-    def _finite_difference(self, acts, loss, h):
+    def _finite_difference(self, acts, loss):
+        h = FD_STEP
         grads = {}
         for pos, name in enumerate(self.order):
             n = self.nodes[name]
@@ -398,7 +401,7 @@ class SumLoss:
         return np.ones_like(y)
 
 
-def gradient_agreement(net, inputs, loss, h=1e-5):
+def gradient_agreement(net, inputs, loss):
     """Max relative error of the path sum against reverse mode and against
     central finite differences.  The three engines differentiate one
     linearization (`WeightedNetwork._linearize`), so the network is
@@ -408,7 +411,7 @@ def gradient_agreement(net, inputs, loss, h=1e-5):
     point = net._linearize(inputs)
     paths = net._backprop_paths(point, loss)
     errors = []
-    for other in (net._reverse_mode(point, loss), net._finite_difference(point[0], loss, h)):
+    for other in (net._reverse_mode(point, loss), net._finite_difference(point[0], loss)):
         worst = [0.0]
         for name, blocks in paths.grads.items():
             for mine, theirs in zip(blocks, other[name]):
@@ -702,13 +705,14 @@ def cubic_residual(z, u, v):
     return abs(z ** 3 + u * z + v)
 
 
-def cusp_scan(grid=100, extent=2.0):
-    """CSV-ready rows (u, v, delta, root_count) over a square grid."""
+def cusp_scan(grid=100):
+    """CSV-ready rows (u, v, delta, root_count) over a square grid on
+    [-2, 2]^2."""
     rows = []
     for i in range(grid):
         for j in range(grid):
-            u = -extent + 2 * extent * i / (grid - 1)
-            v = -extent + 2 * extent * j / (grid - 1)
+            u = -2.0 + 4.0 * i / (grid - 1)
+            v = -2.0 + 4.0 * j / (grid - 1)
             kind, delta = discriminant(u, v)
             rows.append((u, v, delta, len(cubic_roots(u, v))))
     return rows

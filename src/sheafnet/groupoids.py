@@ -40,6 +40,7 @@ from .errors import BoundExceeded, GroupoidError
 from .presheaf import Presheaf
 
 DEFAULT_GROUP_BOUND = 10_000
+DEFAULT_COMPONENT_BOUND = 8
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +142,6 @@ class FiniteGroupoid:
         parts.sort(key=lambda part: str(part[0][0]))
         return FiniteGroupoid(tuple(objs for objs, _ in parts),
                               tuple(_vertex_group(gens) for _, gens in parts))
-
-    def components(self):
-        return self.parts
 
     @cached_property
     def objects(self):
@@ -265,12 +263,12 @@ def _members(components, mask):
 
 def _transport(move, functor, domain, codomain, comps, name):
     """The components of ``codomain`` that ``move`` sends ``comps`` to."""
-    bit = {c: 1 << i for i, c in enumerate(domain.components())}
+    bit = {c: 1 << i for i, c in enumerate(domain.parts)}
     comps = frozenset(comps)
     if not comps <= bit.keys():
         raise GroupoidError(f"unknown component in {name}")
     mask = move(functor.pi0, sum(bit[c] for c in comps))
-    return frozenset(_members(codomain.components(), mask))
+    return frozenset(_members(codomain.parts, mask))
 
 
 def lambda_transport(functor, comps):
@@ -297,14 +295,16 @@ class AdjunctionReport:
             (self.section_ok or not self.surjective_on_components)
 
 
-def check_adjunction_and_section(functor, component_bound=8):
+def check_adjunction_and_section(functor, bound=None):
     """Exhaustively verify lambda -| tau, the unit, and whether the forward
     transport retracts the backward one (it must iff the functor is
-    surjective on components), over all bit masks of components.  The first
-    eight failures are kept, with components in ``components()`` order."""
-    src_comps = functor.source.components()
-    dst_comps = functor.target.components()
-    if len(src_comps) > component_bound or len(dst_comps) > component_bound:
+    surjective on components), over all bit masks of components: at most
+    ``bound`` (else `DEFAULT_COMPONENT_BOUND`) on each side.  The first
+    eight failures are kept, with components in ``parts`` order."""
+    bound = DEFAULT_COMPONENT_BOUND if bound is None else bound
+    src_comps = functor.source.parts
+    dst_comps = functor.target.parts
+    if len(src_comps) > bound or len(dst_comps) > bound:
         raise BoundExceeded("too many components for the exhaustive check")
     m = functor.pi0
     lam = [_image(m, p) for p in range(1 << len(src_comps))]

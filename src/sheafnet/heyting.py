@@ -25,14 +25,17 @@ up-closure of Q - T one byte at a time from the poset's 256-entry tables
 (a table lookup per byte instead of a pass per element).
 
 A proposition is stored as a mask.  The frozenset forms (`implies`,
-`neg`, `oracle_implies` and `OpenAlgebra`'s methods) encode each set
-argument once (`mask_of_open`, which also checks that it is an open),
-evaluate on masks and decode a set result once (`FinitePoset.set_of`).
+`neg` and `oracle_implies`) encode each set argument once (`mask_of_open`,
+which also checks that it is an open), evaluate on masks and decode a set
+result once (`FinitePoset.set_of`).  On opens as frozensets, meet, join
+and order are ``&``, ``|`` and ``<=``, the bottom is ``frozenset()`` and
+the opens are `arch_site.lower_open_sets`.  `OpenAlgebra` names the poset
+a family of propositions lives in, with its top and `check`.
 """
 
 import numpy as np
 
-from .arch_site import DEFAULT_ENUM_BOUND, FinitePoset, lower_open_sets, open_masks
+from .arch_site import DEFAULT_ENUM_BOUND, FinitePoset, open_masks
 from .errors import BoundExceeded, PosetError
 
 
@@ -74,14 +77,12 @@ def implies_mask(poset, q, t):
     return up
 
 
-def oracle_implies_mask(poset, q, t, opens=None):
+def oracle_implies_mask(poset, q, t, opens):
     """Q => T as the union of every open V with V /\\ Q <= T, that is, V
-    disjoint from Q - T: one scan of the opens (`open_masks`, or ``opens``).
-    Scalar masks, Python or numpy integers, give a Python int.  On numpy
-    arrays of masks (broadcast against each other) the opens lie along one
-    more, last axis, and the result keeps the dtype of Q - T."""
-    if opens is None:
-        opens = open_masks(poset)
+    disjoint from Q - T: one scan of ``opens``, the masks of every open
+    (`open_masks`).  Scalar masks, Python or numpy integers, give a Python
+    int.  On numpy arrays of masks (broadcast against each other) the opens
+    lie along one more, last axis, and the result keeps the dtype of Q - T."""
     top = top_mask(poset)
     if isinstance(q, np.ndarray) or isinstance(t, np.ndarray):
         bad = (q & (top ^ t))[..., None]
@@ -155,15 +156,13 @@ def implication_table(poset, bound=None):
 
 
 class OpenAlgebra:
-    """The opens of a finite poset as frozensets of its elements, for
-    per-call work.  Every argument is checked to be an open (`mask_of_open`);
-    each operation runs on the masks of its arguments and decodes its
-    result once."""
+    """The opens of a finite poset as frozensets of its elements: the poset,
+    its top open and `check`, which refuses a set that is not an open
+    (`mask_of_open`)."""
 
     def __init__(self, poset):
         self.poset = poset
         self.top = frozenset(poset.elements)
-        self.bottom = frozenset()
 
     @staticmethod
     def discrete(states):
@@ -174,22 +173,3 @@ class OpenAlgebra:
         t = frozenset(t)
         mask_of_open(self.poset, t)
         return t
-
-    def meet(self, a, b):
-        return self.poset.set_of(mask_of_open(self.poset, a) & mask_of_open(self.poset, b))
-
-    def join(self, a, b):
-        return self.poset.set_of(mask_of_open(self.poset, a) | mask_of_open(self.poset, b))
-
-    def leq(self, a, b):
-        return not mask_of_open(self.poset, a) & ~mask_of_open(self.poset, b)
-
-    def implies(self, q, t):
-        return implies(self.poset, q, t)
-
-    def neg(self, q):
-        return neg(self.poset, q)
-
-    def elements(self, bound=None):
-        """Every open, in increasing mask order."""
-        return iter(lower_open_sets(self.poset, bound))

@@ -6,15 +6,15 @@ order paths must agree (built and checked at construction by
 `FinitePoset.extend_covering`, as for groupoid stacks).  Inside, a state is
 its index in its carrier and a restriction is one tuple of indices; the
 states themselves are labels, read only by `restrict` and in the sections
-handed out.  Global sections (the limit H0) are listed exactly by one
-join over the maximal elements, so the work follows the partial sections
-joined, not the product of the carriers.  `sheafify_at_forks` extends a
-presheaf on the star-free poset to the full fork site, putting the
-product of the tip carriers on each star.  A cat's manifold is the
-preimage of an output predicate along the projection H0 -> prod
-F(outputs): `cats_manifold` keeps the sections whose output states are
-accepted.  The paper's construction, sections of the site extended by a
-terminal fork, is the reference the tests check it against.
+handed out.  Global sections (the limit H0) are listed exactly by
+`sections`, one join over the maximal elements, so the work follows the
+partial sections joined, not the product of the carriers.
+`sheafify_at_forks` extends a presheaf on the star-free poset to the full
+fork site, putting the product of the tip carriers on each star.  A cat's
+manifold is the preimage of an output predicate along the projection H0 ->
+prod F(outputs): `cats_manifold` keeps the sections whose output states
+are accepted.  The paper's construction, sections of the site extended by
+a terminal fork, is the reference the tests check it against.
 
 A subobject (a stable family of subsets) is an open of the poset of
 elements `elements_poset(F)`, so subobjects are computed with the one
@@ -67,42 +67,6 @@ class Presheaf:
         """Image of ``state`` in F(x) along x <= y, decoded to its label."""
         return self.carriers[x][self.index_maps[(x, y)][self.index[y][state]]]
 
-    # -- sections ----------------------------------------------------------
-
-    def sections(self, bound=None):
-        """Exact enumeration of the limit over the poset: one join over the
-        maximal elements on state indices, each one's states bucketed by
-        their restrictions to the elements that earlier ones assigned.
-        ``bound`` (else `DEFAULT_SECTION_BOUND`) counts the joined
-        candidates (a partial row and a state of its bucket); BoundExceeded
-        is raised once there are more.  Each row is decoded once, into a
-        dict in assignment order, sorted by `str`."""
-        bound = DEFAULT_SECTION_BOUND if bound is None else bound
-        poset, rows, slot, joined = self.poset, [()], {}, 0
-        for m in poset.maximal():
-            down = poset.down_mask(m)
-            below = [x for i, x in enumerate(poset.elements) if down >> i & 1]
-            shared = [x for x in below if x in slot]
-            fresh = [x for x in below if x not in slot]      # holds m: zip runs over F(m)
-            buckets, cut = {}, len(shared)
-            for image in zip(*[self.index_maps[(x, m)] for x in shared + fresh]):
-                buckets.setdefault(image[:cut], []).append(image[cut:])
-            shared_at = [slot[x] for x in shared]
-            extended = []
-            for row in rows:
-                bucket = buckets.get(tuple([row[p] for p in shared_at]), ())
-                joined += len(bucket)
-                if joined > bound:
-                    raise BoundExceeded(
-                        f"section search explored more than {bound} candidates")
-                extended += [row + new for new in bucket]
-            rows = extended
-            slot.update({x: len(slot) + j for j, x in enumerate(fresh)})
-        labels = [self.carriers[x] for x in slot]
-        decoded = [dict(zip(slot, map(tuple.__getitem__, labels, row))) for row in rows]
-        decoded.sort(key=lambda s: tuple([str(s[x]) for x in poset.elements]))
-        return SectionSet(tuple(poset.elements), tuple(decoded))
-
 
 @dataclass(frozen=True)
 class SectionSet:
@@ -115,13 +79,40 @@ class SectionSet:
     def __iter__(self):
         return iter(self.tuples)
 
-    def project(self, elements):
-        elements = tuple(elements)
-        return [tuple(s[e] for e in elements) for s in self.tuples]
-
 
 def sections(presheaf, bound=None):
-    return presheaf.sections(bound)
+    """Exact enumeration of the limit over the poset: one join over the
+    maximal elements on state indices, each one's states bucketed by
+    their restrictions to the elements that earlier ones assigned.
+    ``bound`` (else `DEFAULT_SECTION_BOUND`) counts the joined
+    candidates (a partial row and a state of its bucket); BoundExceeded
+    is raised once there are more.  Each row is decoded once, into a
+    dict in assignment order, sorted by `str`."""
+    bound = DEFAULT_SECTION_BOUND if bound is None else bound
+    poset, rows, slot, joined = presheaf.poset, [()], {}, 0
+    for m in poset.maximal():
+        down = poset.down_mask(m)
+        below = [x for i, x in enumerate(poset.elements) if down >> i & 1]
+        shared = [x for x in below if x in slot]
+        fresh = [x for x in below if x not in slot]      # holds m: zip runs over F(m)
+        buckets, cut = {}, len(shared)
+        for image in zip(*[presheaf.index_maps[(x, m)] for x in shared + fresh]):
+            buckets.setdefault(image[:cut], []).append(image[cut:])
+        shared_at = [slot[x] for x in shared]
+        extended = []
+        for row in rows:
+            bucket = buckets.get(tuple([row[p] for p in shared_at]), ())
+            joined += len(bucket)
+            if joined > bound:
+                raise BoundExceeded(
+                    f"section search explored more than {bound} candidates")
+            extended += [row + new for new in bucket]
+        rows = extended
+        slot.update({x: len(slot) + j for j, x in enumerate(fresh)})
+    labels = [presheaf.carriers[x] for x in slot]
+    decoded = [dict(zip(slot, map(tuple.__getitem__, labels, row))) for row in rows]
+    decoded.sort(key=lambda s: tuple([str(s[x]) for x in poset.elements]))
+    return SectionSet(tuple(poset.elements), tuple(decoded))
 
 
 def elements_poset(presheaf):
@@ -252,9 +243,9 @@ def cats_manifold(presheaf, out_predicate, bound=None):
 
     ``out_predicate`` maps output elements to the accepted subset of their
     carrier; omitted outputs accept everything.  The result is the preimage
-    of the accepted output tuples along the projection of ``sections(bound)``
-    onto the outputs, which the paper builds as the sections of the site
-    extended by a terminal fork.
+    of the accepted output tuples along the projection of
+    ``sections(presheaf, bound)`` onto the outputs, which the paper builds
+    as the sections of the site extended by a terminal fork.
     """
     outputs = _output_elements(presheaf)
     for el in out_predicate:
@@ -265,7 +256,6 @@ def cats_manifold(presheaf, out_predicate, bound=None):
         bad = acc - set(presheaf.carriers[el])
         if bad:
             raise PresheafError(f"predicate states {sorted(map(str, bad))} not in F({el!r})")
-    secs = presheaf.sections(bound)
-    kept = tuple(s for s, image in zip(secs, secs.project(outputs))
-                 if all(v in acc for v, acc in zip(image, accepted)))
+    secs = sections(presheaf, bound)
+    kept = tuple(s for s in secs if all(s[el] in acc for el, acc in zip(outputs, accepted)))
     return SectionSet(secs.elements, kept)

@@ -1,13 +1,14 @@
 """Semantic information measures over Boolean and Heyting languages.
 
 A theory is represented by the conjunction of its axioms, an open of a
-finite poset in one algebra, `heyting.OpenAlgebra`: a truth set is an open
-of the discrete poset on the states (every subset), an open of a site is
-itself, and a chain subobject is an open of the chain's poset of elements
-(as is any presheaf subobject); `heyting.oracle_implies_mask` is the one
-supremum oracle behind all three.  Conditioning is the implication
-T|Q = (Q => T) (`heyting.implies_mask`); it is a monoid action,
-(T|Q)|R = T|(Q and R), and always weakens: T <= T|Q.
+finite poset (the ``poset`` of a `heyting.OpenAlgebra`): a truth set is an
+open of the discrete poset on the states (every subset), an open of a site
+is itself, and a chain subobject is an open of the chain's poset of
+elements (as is any presheaf subobject); `heyting.oracle_implies_mask` is
+the one supremum oracle behind all three.  Conditioning is the implication
+T|Q = (Q => T) (`heyting.implies` on sets, `heyting.implies_mask` on
+masks); it is a monoid action, (T|Q)|R = T|(Q and R), and always weakens:
+T <= T|Q.
 
 Precision functions psi grade theories (increasing, ideally concave);
 the ambiguity of S against a counterexample Q is phi^Q(S) = psi(S|Q) -
@@ -38,7 +39,7 @@ from itertools import compress
 
 from .arch_site import _bits
 from .errors import InfinityArithmetic, LanguageError
-from .heyting import OpenAlgebra, implies_mask, mask_of_open
+from .heyting import OpenAlgebra, implies, implies_mask, mask_of_open
 
 NEG_INF = float("-inf")
 
@@ -119,7 +120,7 @@ class BooleanLanguage:
 
 def condition(algebra, t, q):
     """T|Q = (Q => T), the largest theory whose meet with Q implies T."""
-    return algebra.implies(q, t)
+    return implies(algebra.poset, q, t)
 
 
 # ---------------------------------------------------------------------------
@@ -327,13 +328,14 @@ def check_concavity(psi, domain):
     return ConcavityReport(n, minimum if n else math.inf, witness)
 
 
-def check_independence(lang, q, r, tol=1e-12):
-    """Inductive independence m(Q and R) = m(Q) m(R) / m(E), with the
-    additivity residual of inf = -ln(m(.)/m(E)) when it holds and
-    m(Q and R) > 0 (within the tolerance, m(Q and R) may be 0)."""
+def check_independence(lang, q, r):
+    """Inductive independence m(Q and R) = m(Q) m(R) / m(E), to within
+    1e-12 of max(1, m(E)), with the additivity residual of inf =
+    -ln(m(.)/m(E)) when it holds and m(Q and R) > 0 (within that
+    tolerance, m(Q and R) may be 0)."""
     q, r = frozenset(q), frozenset(r)
     mq, mr, mqr = lang.m(q), lang.m(r), lang.m(q & r)
-    independent = abs(mqr - mq * mr / lang.total) <= tol * max(1.0, lang.total)
+    independent = abs(mqr - mq * mr / lang.total) <= 1e-12 * max(1.0, lang.total)
     residual = None
     if independent and mqr > 0:
         inf_q = -math.log(mq / lang.total)

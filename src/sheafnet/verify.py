@@ -435,7 +435,7 @@ def criterion_08(seed=0):
         net = random_fork_network(rng, max_layers=6, max_units=4)
         inputs = {name: [rng.uniform(-1, 1) for _ in range(net.nodes[name].dim)]
                   for name in net.inputs}
-        errors.append(gradient_agreement(net, inputs, SumLoss(), h=1e-5)[:2])
+        errors.append(gradient_agreement(net, inputs, SumLoss())[:2])
     # np.max keeps a NaN error, which the builtin max would drop
     worst_rev, worst_fd = (float(np.max(column)) for column in zip(*errors))
     ok = worst_rev <= 1e-12 and worst_fd <= 1e-6

@@ -289,7 +289,7 @@ def test_closure_matches_warshall_on_random_relation_lists():
         leq = warshall_closure(elements, relations)
         assert {(x, y) for x in elements for y in elements if poset.leq(x, y)} == leq
         for y in elements:
-            assert poset.down_set(y) == {x for x in elements if (x, y) in leq}
+            assert basis(poset, y) == {x for x in elements if (x, y) in leq}
         height = {}
         for y in ranked:
             height[y] = max((height[x] + 1 for x in ranked if x != y and (x, y) in leq),

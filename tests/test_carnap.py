@@ -360,18 +360,21 @@ def test_symmetry_path_matches_per_state_oracles(subjects, counts):
 @pytest.mark.parametrize("subjects,counts", ORACLE_LANGUAGES,
                          ids=[f"{s}x{','.join(map(str, c))}" for s, c in ORACLE_LANGUAGES])
 def test_simple_truth_sets_are_their_digit_rows(subjects, counts):
-    """A simple's truth set is the set of states whose digit at its
-    (subject, attribute) is its value less one: the row that
-    `simples_form_single_orbit` reads off `_state_digits`."""
+    """A simple's row is the digit row of its (subject, attribute) equal to
+    its value less one, on the one digit array of the language, which holds
+    every state's value digits; its truth set is the set of states that
+    take its value there."""
     lang = build_language(subjects, counts)
-    digits, _ = carnap._state_digits(lang)
+    digits, _ = lang._digits
+    assert lang._digits[0] is digits and not digits.flags.writeable
+    assert np.array_equal(digits, np.array(lang.states))
     simples = simple_propositions(lang)
     assert len(simples) == subjects * sum(counts)
     for simple in simples:
         s = lang.subjects.index(simple.subject)
         a = [name for name, _ in lang.attributes].index(simple.attribute)
-        row = digits[:, s, a] == simple.value - 1
-        assert simple.truth_set == {lang.states[i] for i in np.flatnonzero(row)}
+        assert np.array_equal(simple.row, digits[:, s, a] == simple.value - 1)
+        assert simple.truth_set == {st for st in lang.states if st[s][a] == simple.value - 1}
 
 
 @pytest.mark.parametrize("subjects,counts", ORACLE_LANGUAGES,

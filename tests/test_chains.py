@@ -195,8 +195,7 @@ def test_scalar_entry_points_mix_array_elements_with_python_ints():
     delta = DeltaSequence.dyadic(e.n)
     calls = [lambda t, q: chain_implication(e, t, q),
              lambda q, t: hey.implies_mask(poset, q, t),
-             lambda q, t: hey.oracle_implies_mask(poset, q, t, opens),
-             lambda q, t: hey.oracle_implies_mask(poset, q, t)]
+             lambda q, t: hey.oracle_implies_mask(poset, q, t, opens)]
     for i in range(len(opens)):
         m, v = opens[i], int(opens[i])
         for other in (0, hey.top_mask(poset), int(opens[-1 - i])):

@@ -539,13 +539,13 @@ def test_finite_difference_checks_input_dimension():
         identity_chain().finite_difference({"x": [1.0, 2.0, 3.0]}, SumLoss())
 
 
-def per_block_agreement(net, inputs, loss, h=1e-5):
+def per_block_agreement(net, inputs, loss):
     """The reference for `gradient_agreement`'s errors: the three public
     engines, and a loop over the blocks that takes each block's
     max|mine - theirs| / max(1, max|mine|) and keeps the largest."""
     paths = net.backprop_paths(inputs, loss)
     errors = []
-    for other in (net.reverse_mode(inputs, loss), net.finite_difference(inputs, loss, h)):
+    for other in (net.reverse_mode(inputs, loss), net.finite_difference(inputs, loss)):
         worst = 0.0
         for name, blocks in paths.grads.items():
             for mine, theirs in zip(blocks, other[name]):
@@ -796,7 +796,7 @@ def test_cubic_roots_residuals_and_count_agreement():
 
 
 def test_cusp_scan_rows():
-    rows = cusp_scan(grid=5, extent=1.0)
+    rows = cusp_scan(grid=5)
     assert len(rows) == 25
     for u, v, delta, count in rows:
         assert count in (1, 3)

@@ -28,6 +28,7 @@ from sheafnet.arch_site import (
 from sheafnet.data import FIXTURES, fixture_graph
 from sheafnet.presheaf import (
     Presheaf,
+    sections,
     sheafify_at_forks,
     standard_feedforward_presheaf,
     star_site_poset,
@@ -300,7 +301,7 @@ def assert_same_presheaf(got, want):
     assert got.carriers == want.carriers
     for x, y in leq_pairs(want.poset):
         assert got.index_maps[(x, y)] == want.index_maps[(x, y)]
-    assert got.sections().tuples == want.sections().tuples
+    assert sections(got).tuples == sections(want).tuples
 
 
 def test_sheafify_at_forks_matches_the_arrow_pattern():
@@ -323,4 +324,4 @@ def test_sheafify_at_forks_on_a_tip_below_another_tip():
         p = random_standard_presheaf(fg, rng)
         big = sheafify_at_forks(p, fg)
         assert_same_presheaf(big, ArrowPattern(fg).sheafify(p))
-        assert len(big.sections()) == len(p.sections())
+        assert len(sections(big)) == len(sections(p))

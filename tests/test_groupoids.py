@@ -237,7 +237,7 @@ def to_library_functor(f, source, target):
     arrows = {x: target.element(mm[source.arrow[x]]) for x in s.objects}
     homs = {part[0]: {source.perm[m]: target.element(mm[m]) for m in s.morphisms
                       if s.src[m] == s.dst[m] == part[0]}
-            for part in source.lib.components()}
+            for part in source.lib.parts}
     return GroupoidFunctor.of(source.lib, target.lib, f.object_map, arrows, homs)
 
 
@@ -367,14 +367,14 @@ def codiscrete(*parts):
 
 def test_discrete_groupoid_components():
     g = discrete_groupoid(["a", "b", "c"])
-    assert g.components() == (("a",), ("b",), ("c",))
+    assert g.parts == (("a",), ("b",), ("c",))
     assert g.groups == (frozenset({()}),) * 3
 
 
 def test_one_object_group_single_component():
     t = group_as_groupoid({"r": cyclic_perm([0, 1, 2])})
     g = to_library(t).lib
-    assert g.components() == t.components() == (("*",),)
+    assert g.parts == t.components() == (("*",),)
     assert len(g.groups[0]) == len(t.morphisms) == 3  # C3
 
 
@@ -396,12 +396,12 @@ def test_components_match_reachability_oracle():
         for piece in pieces[1:]:
             g = disjoint_union(g, piece, tags=(f"t{id(piece) % 97}", f"u{id(piece) % 89}"))
         assert g.components() == reachability_components_oracle(g)
-        assert to_library(g).lib.components() == g.components()
+        assert to_library(g).lib.parts == g.components()
 
 
 def test_components_are_sorted_by_str_with_the_least_object_as_base():
     g = codiscrete([3, "b", 10], ["z"], ["a", 2])
-    assert g.components() == ((10, 3, "b"), (2, "a"), ("z",))
+    assert g.parts == ((10, 3, "b"), (2, "a"), ("z",))
     assert g.objects == (10, 3, "b", 2, "a", "z")
     assert g.component_of == {10: 0, 3: 0, "b": 0, 2: 1, "a": 1, "z": 2}
 
@@ -430,8 +430,8 @@ def test_vertex_group_closure_is_bounded():
 
 def composable_pair(rng, g):
     """Two random morphisms (x, y, g) and (y, z, h) of the library groupoid ``g``."""
-    i = rng.randrange(len(g.components()))
-    part, group = g.components()[i], sorted(g.groups[i])
+    i = rng.randrange(len(g.parts))
+    part, group = g.parts[i], sorted(g.groups[i])
     x, y, z = (rng.choice(part) for _ in range(3))
     return (x, y, rng.choice(group)), (y, z, rng.choice(group))
 
@@ -566,19 +566,19 @@ def two_over_one_functor():
 def test_lambda_identity_and_collapse():
     g = discrete_groupoid(["a", "b"])
     ident = identity_functor(g)
-    comps = g.components()
+    comps = g.parts
     for p in powerset(comps):
         assert lambda_transport(ident, p) == p
         assert tau_transport(ident, p) == p
     f = two_over_one_functor()
-    cx, cy = f.source.components()
+    cx, cy = f.source.parts
     assert lambda_transport(f, {cx}) == lambda_transport(f, {cy})
 
 
 def test_tau_preimage_and_empty():
     f = two_over_one_functor()
-    cz = f.target.components()[0]
-    assert tau_transport(f, {cz}) == frozenset(f.source.components())
+    cz = f.target.parts[0]
+    assert tau_transport(f, {cz}) == frozenset(f.source.parts)
     assert tau_transport(f, frozenset()) == frozenset()
 
 
@@ -601,8 +601,8 @@ def test_non_surjective_functor_breaks_section_with_witness():
 
 def test_lambda_tau_preserve_boolean_operations():
     f = two_over_one_functor()
-    src_comps = f.source.components()
-    dst_comps = f.target.components()
+    src_comps = f.source.parts
+    dst_comps = f.target.parts
     for p in powerset(src_comps):
         for q in powerset(src_comps):
             assert lambda_transport(f, p | q) == lambda_transport(f, p) | lambda_transport(f, q)
@@ -619,7 +619,7 @@ def test_lambda_meet_preservation_fails_for_collapsing_functors():
     """Direct images preserve joins but not meets: collapsing two components
     onto one is the witness, so only the join law is asserted above."""
     f = two_over_one_functor()
-    cx, cy = f.source.components()
+    cx, cy = f.source.parts
     lhs = lambda_transport(f, frozenset({cx}) & frozenset({cy}))
     rhs = lambda_transport(f, {cx}) & lambda_transport(f, {cy})
     assert lhs == frozenset() and rhs != frozenset()
@@ -628,7 +628,7 @@ def test_lambda_meet_preservation_fails_for_collapsing_functors():
 def test_lambda_meet_preserved_for_component_injective_functors():
     f = GroupoidFunctor.of_object_map(discrete_groupoid(["x", "y"]),
                                       discrete_groupoid(["u", "v", "w"]), {"x": "u", "y": "w"})
-    comps = f.source.components()
+    comps = f.source.parts
     for p in powerset(comps):
         for q in powerset(comps):
             assert lambda_transport(f, p & q) == \
@@ -659,12 +659,12 @@ def reference_tau_transport(functor, comps):
                      if reference_component_image(functor, c) in comps)
 
 
-def reference_check_adjunction_and_section(functor, component_bound=8):
+def reference_check_adjunction_and_section(functor, bound=8):
     """Every pair of component sets as frozensets; failures hold frozensets."""
     lam, tau = reference_lambda_transport, reference_tau_transport
     src_comps = functor.source.components()
     dst_comps = functor.target.components()
-    if len(src_comps) > component_bound or len(dst_comps) > component_bound:
+    if len(src_comps) > bound or len(dst_comps) > bound:
         raise BoundExceeded("too many components for the exhaustive check")
     failures = []
     adj = unit = True
@@ -691,8 +691,8 @@ def assert_agrees_with_tables(table, lib):
     """The library functor ``lib`` against the table functor ``table`` it
     was built from: components, pi0, both transports, the adjunction check
     and the one-functor lift count.  Returns the adjunction report."""
-    assert lib.source.components() == table.source.components()
-    assert lib.target.components() == table.target.components()
+    assert lib.source.parts == table.source.components()
+    assert lib.target.parts == table.target.components()
     assert lib.pi0 == table.pi0
     for p in powerset(table.source.components()):
         assert lambda_transport(lib, p) == reference_lambda_transport(table, p)
@@ -771,19 +771,19 @@ def test_components_computed_once_per_groupoid():
     """Components are stored, and each groupoid builds its object index
     once, however often the checks run."""
     f = lib_functor(random_functor(random.Random(2)))
-    parts = f.source.components()
+    parts = f.source.parts
     for _ in range(3):
         check_adjunction_and_section(f)
-        lambda_transport(f, f.source.components())
-        tau_transport(f, f.target.components())
+        lambda_transport(f, f.source.parts)
+        tau_transport(f, f.target.parts)
     index = f.target.component_of
-    assert f.source.components() is parts and f.target.component_of is index
+    assert f.source.parts is parts and f.target.component_of is index
 
 
 def test_adjunction_check_bound():
     f = lib_functor(random_functor(random.Random(0)))
     with pytest.raises(BoundExceeded):
-        check_adjunction_and_section(f, component_bound=0)
+        check_adjunction_and_section(f, bound=0)
 
 
 # -- fibrations ---------------------------------------------------------------

@@ -477,7 +477,7 @@ def terminal_fork_cats_manifold(presheaf, out_predicate, bound=10**6):
         else:
             maps[(x, y)] = restriction_map(presheaf, x, y)
     extended = Presheaf(big, carriers, maps)
-    secs = extended.sections(bound)
+    secs = sections(extended, bound)
     kept = [{x: s[x] for x in poset.elements} for s in secs]
     kept.sort(key=lambda s: tuple(str(s[x]) for x in poset.elements))
     return SectionSet(tuple(poset.elements), tuple(kept))
