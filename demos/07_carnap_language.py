@@ -27,4 +27,4 @@ for size, stab, label, members in report.orbits:
 simples = simple_propositions(lang)
 print(f"simple propositions: {len(simples)}  "
       f"({', '.join(s.label for s in simples[:6])}, ...)")
-print("content of a simple:", simple_content_report(lang))
+print("content of a simple:", simple_content_report(lang, simples))

@@ -103,9 +103,6 @@ class SiteGraph:
     def inputs(self):
         return tuple(v for v in self.vertices if self.roles[v] == "input")
 
-    def outputs(self):
-        return tuple(v for v in self.vertices if self.roles[v] == "output")
-
 
 def _kahn_levels(preds):
     """Kahn's levels of the digraph on ``range(len(preds))`` whose arrows
@@ -262,19 +259,17 @@ class ForkGraph:
 
 
 def fork_surgery(g):
-    """Insert a fork at every vertex with two or more in-edges.
+    """Insert a fork at every vertex of the `SiteGraph` ``g`` with two or
+    more in-edges.
 
-    Accepts a :class:`SiteGraph`; a :class:`ForkGraph` has no join left and
-    is returned unchanged.  One pass builds each vertex's senders (the
-    sources of its in-edges, in edge order); the joins are the vertices
-    with two or more.  Each input that feeds a join gets one primed tip, in
-    vertex order, which takes over its edges into joins.  A join's tips are
-    its senders that are not inputs, in edge order, then the tips of its
-    inputs, in vertex order.  Names are minted tips first, then a star and
-    a tang per join, each primed until it is new.
+    One pass builds each vertex's senders (the sources of its in-edges, in
+    edge order); the joins are the vertices with two or more.  Each input
+    that feeds a join gets one primed tip, in vertex order, which takes over
+    its edges into joins.  A join's tips are its senders that are not
+    inputs, in edge order, then the tips of its inputs, in vertex order.
+    Names are minted tips first, then a star and a tang per join, each
+    primed until it is new.
     """
-    if isinstance(g, ForkGraph):
-        return g
     senders = {v: [] for v in g.vertices}
     for s, d in g.edges:
         senders[d].append(s)
@@ -600,6 +595,9 @@ def classify_vertices(poset):
 
     minimal elements are outputs or tips, maximal ones inputs or tangs, and
     deleting tangs (and stars) from the surgered graph leaves a forest.
+    Each of the three is reported as a flag of the `Classification`, false
+    where it fails, and ``ok`` is their conjunction; a failed one does not
+    raise.
     """
     fg = poset.fork_graph
     if fg is None:
@@ -618,8 +616,6 @@ def classify_vertices(poset):
     kept = [v for v in fg.vertices if v not in removed]
     kept_edges = [(s, d) for s, d in fg.arrows if s not in removed and d not in removed]
     forest_ok = _is_forest(kept, kept_edges)
-    if not (minimal_ok and maximal_ok):
-        raise PosetError("classification contradiction: extremal element with wrong role")
     return Classification(primary, role_sets, minimal_ok, maximal_ok, forest_ok)
 
 
@@ -662,11 +658,10 @@ def basis(poset, x):
 
 def loop_rank(g):
     """First Betti number |E| - |V| + #components of the underlying
-    undirected graph."""
-    edges = g.arrows if isinstance(g, ForkGraph) else g.edges
+    undirected graph of the `SiteGraph` ``g``."""
     uf = UnionFind(g.vertices)
     # |V| - #components is the number of edges that merge two components
-    return len(edges) - sum(uf.union(s, d) for s, d in edges)
+    return len(g.edges) - sum(uf.union(s, d) for s, d in g.edges)
 
 
 def site_report(g):

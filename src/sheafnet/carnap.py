@@ -62,14 +62,6 @@ class CarnapLanguage:
                     for a, (name, _) in enumerate(self.attributes))
             for s in range(len(self.subjects)))
 
-    def labels(self):
-        return tuple(self.state_label(s) for s in self.states)
-
-    @property
-    def proposition_count(self):
-        """2**|E|, reported symbolically (exact integer), never enumerated."""
-        return 2 ** len(self.states)
-
     @property
     def proposition_count_text(self):
         """2**|E| in decimal digits, computed in `decimal` at maximal
@@ -201,17 +193,14 @@ def _generator_indices(lang):
 
 def build_symmetry_group(lang, bound=None):
     """The group generated by `_generator_indices`, closed once by
-    `_close_group` (at most ``bound`` elements, else `DEFAULT_GROUP_BOUND`)
-    into the element matrix ``perms``, rows in closure order.  No element is
-    decoded here: `SymmetryGroup.elements` decodes the rows into state dicts
-    when it is read.  A language with no generator (one subject, one
-    attribute, one value) has the trivial group, its one row of the
-    generators' dtype."""
+    `_close_group` from the identity (at most ``bound`` elements, else
+    `DEFAULT_GROUP_BOUND`, the identity counted) into the element matrix
+    ``perms``, rows in closure order, in the generators' dtype.  No element
+    is decoded here: `SymmetryGroup.elements` decodes the rows into state
+    dicts when it is read."""
     gens = _generator_indices(lang)
-    n = len(lang.states)
     bound = DEFAULT_GROUP_BOUND if bound is None else bound
-    perms = _close_group(list(gens.values()), bound) if gens else \
-        np.arange(n, dtype=np.min_scalar_type(n - 1))[None, :]
+    perms = _close_group(len(lang.states), list(gens.values()), bound)
     return SymmetryGroup(lang, gens, len(perms), perms)
 
 
@@ -245,28 +234,20 @@ def state_type(lang, state):
 
 @dataclass(frozen=True)
 class CarnapOrbitReport:
-    group_order: int
     orbits: tuple              # (size, stabilizer_order, type_label, members)
 
     def sizes(self):
         return tuple(o[0] for o in self.orbits)
 
-    def stabilizers(self):
-        return tuple(o[1] for o in self.orbits)
-
-    def as_dict(self, lang):
-        return {
-            "group_order": self.group_order,
-            "orbits": [
-                {"size": size, "stabilizer": stab, "type": label or "-",
+    def orbit_rows(self, lang):
+        """One JSON-able row per orbit, as `sheafnet carnap` reports it."""
+        return [{"size": size, "stabilizer": stab, "type": label or "-",
                  "sentence": _TYPE_SENTENCES.get(label, "-"),
                  "example": lang.state_label(members[0])}
-                for size, stab, label, members in self.orbits
-            ],
-        }
+                for size, stab, label, members in self.orbits]
 
 
-def orbit_report(lang, group=None):
+def orbit_report(lang, group):
     """Orbits of the states with stabilizer orders and structural types.
 
     Column ``i`` of ``group.perms`` lists ``g(i)`` for every element ``g``,
@@ -276,10 +257,9 @@ def orbit_report(lang, group=None):
     ``str``, and the orbits by size, type and members.  Each stabilizer is
     that of the orbit's ``str``-least member ``r``, counted as the elements
     fixing ``r`` on column ``r`` of ``group.perms``, and |orbit| *
-    |stabilizer| = |G| is checked.  The group
-    is closed once: a given ``group`` (else one built here) is reused.
+    |stabilizer| = |G| is checked.  ``group`` is the language's
+    `build_symmetry_group`, read and not closed again.
     """
-    group = group or build_symmetry_group(lang)
     states = lang.states
     names = [str(s) for s in states]
     label = group.perms.min(axis=0)
@@ -298,7 +278,7 @@ def orbit_report(lang, group=None):
             raise LanguageError("structural type is not constant on an orbit")
         orbits.append((len(members), stab, labels.pop(), members))
     orbits.sort(key=lambda o: (o[0], o[2] or "", o[3]))
-    return CarnapOrbitReport(group.order, tuple(orbits))
+    return CarnapOrbitReport(tuple(orbits))
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +313,11 @@ def simple_propositions(lang):
     return out
 
 
-def self_duality_holds(lang, simples=None):
+def self_duality_holds(lang, simples):
     """For binary attributes: the complement of each simple is the simple
     with the opposite value."""
     if any(c != 2 for _, c in lang.attributes):
         return None
-    simples = simples or simple_propositions(lang)
     by_key = {(s.subject, s.attribute, s.value): s.row for s in simples}
     for s in simples:
         if not np.array_equal(~s.row, by_key[(s.subject, s.attribute, 3 - s.value)]):
@@ -346,7 +325,7 @@ def self_duality_holds(lang, simples=None):
     return True
 
 
-def simples_form_single_orbit(lang, group=None, simples=None):
+def simples_form_single_orbit(lang, group, simples):
     """Does the symmetry group act transitively on the simple truth sets?
 
     Each distinct truth set is an index set, held as its simple's ``row`` of
@@ -355,8 +334,6 @@ def simples_form_single_orbit(lang, group=None, simples=None):
     wherever ``r`` is true at ``i``.  The search walks these images from the
     first truth set and counts the sets it reaches.  Every generator is an
     involution, so where the walk starts does not change the answer."""
-    group = group or build_symmetry_group(lang)
-    simples = simples or simple_propositions(lang)
     ids = {}
     for p in simples:
         ids.setdefault(p.row.tobytes(), len(ids))
@@ -378,15 +355,14 @@ def simples_form_single_orbit(lang, group=None, simples=None):
     return len(reached) == len(ids)
 
 
-def simple_content_report(lang):
-    """Enumerated content of a simple proposition under the uniform
-    measure, with the figure reported
+def simple_content_report(lang, simples):
+    """Enumerated content of the ``simples`` (`simple_propositions`) under
+    the uniform measure, with the figure reported
     in the literature for the three-subject two-attribute case (58), which
     direct counting does not reproduce."""
     from .seminfo import content
 
     blang = lang.to_boolean_language()
-    simples = simple_propositions(lang)
     computed = sorted({content(blang, s.truth_set) for s in simples})
     report = {"computed_contents": computed}
     if len(lang.subjects) == 3 and [c for _, c in lang.attributes] == [2, 2]:

@@ -68,7 +68,6 @@ from .presheaf import Presheaf, cats_manifold, sections
 from .seminfo import (
     BooleanLanguage,
     ambiguity,
-    cbh_precision,
     check_cocycle,
     check_concavity,
     check_independence,
@@ -338,7 +337,7 @@ def cmd_info(args):
     theory = alg.check(_states(args.theory)) if args.theory else alg.top - p
     q = alg.check(_states(args.q)) if args.q else alg.top
     q2 = alg.check(_states(args.q2)) if args.q2 else alg.top
-    psi = localized_precision(lang, p) if p else cbh_precision(lang)
+    psi = localized_precision(lang, p)
     rng = random.Random(args.seed)
     # the sweeps take masks of the discrete poset: state i is bit i
     bits = [1 << i for i in range(len(lang.states))]
@@ -404,13 +403,13 @@ def cmd_carnap(args):
         "states": len(lang.states),
         "proposition_count": lang.proposition_count_text,
         "group_order": group.order,
-        "orbits": report.as_dict(lang)["orbits"],
+        "orbits": report.orbit_rows(lang),
         "simples": {
             "count": len(simples),
             "labels": sorted(s.label for s in simples),
             "self_dual": self_duality_holds(lang, simples),
             "single_orbit": simples_form_single_orbit(lang, group, simples),
-            "content": simple_content_report(lang),
+            "content": simple_content_report(lang, simples),
         },
     }
     emit_report(out, args.out)

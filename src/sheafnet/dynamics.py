@@ -283,8 +283,7 @@ class WeightedNetwork:
                 continue
             total, path_counts[name] = self._path_sum(name, jac, children)
             grads[name] = self._block_grads(n, acts, slopes, total.T @ dF)
-        return BackpropResult(grads, saturated, path_counts,
-                              float(loss.value(acts[self.output])))
+        return BackpropResult(grads, saturated, path_counts)
 
     def reverse_mode(self, inputs, loss):
         """Standard adjoint accumulation; must agree with the path sum."""
@@ -383,7 +382,6 @@ class BackpropResult:
     grads: dict
     saturated: tuple
     path_counts: dict = field(compare=False)
-    loss: float = 0.0
 
 
 class SumLoss:

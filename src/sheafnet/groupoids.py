@@ -54,26 +54,35 @@ DEFAULT_COMPONENT_BOUND = 8
 _CLOSE_CHUNK_BYTES = 1 << 20
 
 
-def _close_group(gens, bound):
-    """The group generated by the index arrays ``gens`` (one dtype), as an
-    (order, n) matrix of index arrays: row 0 is the identity ``e``, then the
+def _close_group(n, gens, bound):
+    """The group generated by the index arrays ``gens`` over range(n), of
+    the smallest unsigned dtype that holds n - 1 (``gens`` possibly empty),
+    as an (order, n) matrix of index arrays: row 0 is the identity ``e``, then the
     elements ``g1``, ``g2``, ... in breadth-first order, multiplying each
     found element by every generator in turn.  The product "p, then q" is
-    ``q[p]``, and a new element is one hash lookup of its bytes.
+    ``q[p]``, and a new element is one hash lookup of its bytes.  Every
+    element counts against ``bound``, the identity too.
 
-    The found elements, in order, are the breadth-first queue.  They are
-    multiplied out a chunk of rows at a time, each chunk into the same
-    buffer of `_CLOSE_CHUNK_BYTES`, so the working memory is the found
-    elements plus one chunk, never a whole layer times the generators,
-    until the found elements are joined into the returned matrix."""
-    ident = np.arange(len(gens[0]), dtype=gens[0].dtype)
+    The found elements, in order, are the breadth-first queue, which starts
+    as the identity alone.  They are multiplied out a chunk of rows at a
+    time, each chunk into the same buffer of `_CLOSE_CHUNK_BYTES`, so the
+    working memory is the found elements plus one chunk, never a whole
+    layer times the generators, until the found elements are joined into
+    the returned matrix."""
+    ident = np.arange(n, dtype=np.min_scalar_type(n - 1))
     width = ident.nbytes
-    rows = max(1, _CLOSE_CHUNK_BYTES // (width * len(gens)))
+    rows = max(1, _CLOSE_CHUNK_BYTES // (width * max(1, len(gens))))
     buffer = np.empty((rows, len(gens), len(ident)), dtype=ident.dtype)
-    order = [ident.tobytes()]
-    found = set(order)
-    done = 0
-    while done < len(order):
+    order, found, done = [], set(), 0
+    raw = ident.tobytes()
+    while raw:
+        for at in range(0, len(raw), width):
+            key = raw[at:at + width]
+            if key not in found:
+                found.add(key)
+                order.append(key)
+                if len(found) > bound:
+                    raise BoundExceeded(f"group closure exceeds bound {bound}")
         chunk = np.frombuffer(b"".join(order[done:done + rows]), dtype=ident.dtype)
         chunk = chunk.reshape(-1, len(ident))
         done += len(chunk)
@@ -82,13 +91,6 @@ def _close_group(gens, bound):
         for j, q in enumerate(gens):
             np.take(q, chunk, out=products[:, j])
         raw = products.tobytes()
-        for at in range(0, len(raw), width):
-            key = raw[at:at + width]
-            if key not in found:
-                found.add(key)
-                order.append(key)
-                if len(found) > bound:
-                    raise BoundExceeded(f"group closure exceeds bound {bound}")
     return np.frombuffer(b"".join(order), dtype=ident.dtype).reshape(len(order), len(ident))
 
 
@@ -116,7 +118,7 @@ def _vertex_group(generators):
     if any(sorted(g) != list(range(n)) for g in generators):
         raise GroupoidError(f"vertex group generators must permute one range(n): {generators}")
     gens = [np.array(g, dtype=np.min_scalar_type(n - 1)) for g in generators]
-    return frozenset(map(tuple, _close_group(gens, DEFAULT_GROUP_BOUND).tolist()))
+    return frozenset(map(tuple, _close_group(n, gens, DEFAULT_GROUP_BOUND).tolist()))
 
 
 # ---------------------------------------------------------------------------

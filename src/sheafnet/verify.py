@@ -358,7 +358,6 @@ def criterion_05(seed=0):
     rng = random.Random(seed)
     lang = BooleanLanguage([f"s{i}" for i in range(8)])
     psi = cbh_precision(lang)
-    alg = psi.algebra
     states = list(lang.states)
     sym_exact = True
     min_mi = math.inf
@@ -417,7 +416,7 @@ def criterion_07(seed=0):
     e0 = lang.states[0]
     c_single = content(blang, frozenset({e0}))
     c_neg = content(blang, frozenset(lang.states) - {e0})
-    report = simple_content_report(lang)
+    report = simple_content_report(lang, simple_propositions(lang))
     ok = c_single == 63.0 and c_neg == 1.0 and report["computed_contents"] == [32.0]
     return (ok,
             f"c(|-e)={c_single}, c(not e)={c_neg}, "

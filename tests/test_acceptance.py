@@ -322,7 +322,8 @@ for subjects, counts in [(3, (2, 2)), (2, (2, 2, 2)), (3, (3, 2)), (4, (2, 2)), 
     lang = carnap.build_language(subjects, counts)
     group = carnap.build_symmetry_group(lang)
     carnap.orbit_report(lang, group)
-    assert carnap.simples_form_single_orbit(lang, group) == (len(set(counts)) == 1)
+    simples = carnap.simple_propositions(lang)
+    assert carnap.simples_form_single_orbit(lang, group, simples) == (len(set(counts)) == 1)
 """
 
 

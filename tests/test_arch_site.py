@@ -17,6 +17,7 @@ from sheafnet.arch_site import (
     lower_open_sets,
     open_masks,
     parse_architecture,
+    site_relations,
     site_report,
 )
 from sheafnet.data import fixture_graph
@@ -102,7 +103,7 @@ def test_parse_lstm_fixture_is_fork_ready():
     g = fixture_graph("lstm")
     assert len(g.vertices) == 20
     assert set(g.inputs()) == {"x_t", "h_tm1", "c_tm1"}
-    assert set(g.outputs()) == {"c_t", "y_t"}
+    assert {v for v, role in g.roles.items() if role == "output"} == {"c_t", "y_t"}
 
 
 # -- classical check --------------------------------------------------------
@@ -122,7 +123,8 @@ def test_check_unfolded_rnn_ok():
     nodes = ["x1", "x2", "h0", "h1", "h2", "y1", "y2"]
     edges = [("x1", "h1"), ("h0", "h1"), ("x2", "h2"), ("h1", "h2"),
              ("h1", "y1"), ("h2", "y2")]
-    assert SiteGraph.build(nodes, edges).outputs() == ("y1", "y2")
+    roles = SiteGraph.build(nodes, edges).roles
+    assert tuple(v for v in nodes if roles[v] == "output") == ("y1", "y2")
 
 
 def reaches(edges, a, b):
@@ -188,14 +190,6 @@ def test_surgery_diamond_hand_trace():
     assert set(fg.tips_of("b^")) == {"a1", "a2"}
     assert ("a1", "b*") in fg.arrows and ("a2", "b*") in fg.arrows
     assert ("b*", "b^") in fg.arrows and ("b^", "b") in fg.arrows
-
-
-def test_surgery_idempotent_in_effect():
-    for name in ("diamond", "lstm", "gru"):
-        fg = fork_surgery(fixture_graph(name))
-        again = fork_surgery(fg)
-        assert set(again.arrows) == set(fg.arrows)
-        assert set(again.vertices) == set(fg.vertices)
 
 
 def test_surgery_duplicates_input_feeding_join():
@@ -341,6 +335,21 @@ def test_classify_diamond():
     assert cls.primary["b"] == "output"
     assert cls.primary["x0"] == "input"
     assert cls.ok
+
+
+def test_classify_reports_failed_extremal_roles_as_flags():
+    """On the diamond's fork graph with every site relation reversed, the
+    inputs are minimal and the output maximal: `classify_vertices` returns
+    both extremal flags false, and ``ok`` false, without raising."""
+    fg = fork_surgery(fixture_graph("diamond"))
+    stars = set(fg.stars())
+    elements = [v for v in fg.vertices if v not in stars]
+    poset = FinitePoset(elements, [(y, x) for x, y in site_relations(fg)], fork_graph=fg)
+    cls = classify_vertices(poset)
+    assert "x0" in poset.minimal() and "b" in poset.maximal()
+    assert not cls.minimal_ok and not cls.maximal_ok and cls.forest_ok
+    assert not cls.ok
+    assert cls.as_dict()["minimal_ok"] is False
 
 
 def test_classify_fuzz_no_contradictions():

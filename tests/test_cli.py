@@ -1116,6 +1116,16 @@ def test_carnap_bound_limits_the_group(capsys):
     assert run(capsys, *argv, "--bound", "48") == run(capsys, *argv)
 
 
+def test_carnap_bound_counts_the_identity(capsys):
+    """One state has the trivial group, the identity alone, with no
+    generator: --bound 0 refuses it as --bound 47 refuses |G| = 48."""
+    argv = ("carnap", "--subjects", "1", "--attributes", "1")
+    code, out, err = run(capsys, *argv, "--bound", "0")
+    assert code == 2
+    assert out == "" and err == "error: group closure exceeds bound 0\n"
+    assert run(capsys, *argv, "--bound", "1") == run(capsys, *argv)
+
+
 def test_carnap_non_integer_attributes_exit_2(capsys):
     code, out, err = run(capsys, "carnap", "--subjects", "3", "--attributes", "x")
     assert code == 2

@@ -1240,6 +1240,11 @@ def closure_outcome(close, generators, bound):
         return type(exc)
 
 
+def close_indices(gens, bound):
+    """`_close_group` of the index arrays ``gens`` over their range."""
+    return _close_group(len(gens[0]), gens, bound)
+
+
 # how the reference names the points 0..n-1 of the index-array generators
 DOMAINS = {
     "int": list(range(7)),
@@ -1288,7 +1293,7 @@ def test_closure_matches_reference_on_random_generators(kind):
     same elements, named in the same breadth-first order, or the same
     `BoundExceeded`."""
     for gens, bound, want in random_closure_cases(kind):
-        assert_closure_is(closure_outcome(_close_group, gens, bound), want, gens, DOMAINS[kind])
+        assert_closure_is(closure_outcome(close_indices, gens, bound), want, gens, DOMAINS[kind])
 
 
 # (subjects, attribute arities) of the ``symmetry`` benchmark workload
@@ -1310,7 +1315,7 @@ def close_in_chunks(monkeypatch, gens, bound, rows):
     the breadth-first queue, so that a layer spans chunks and a chunk may
     end in the next layer."""
     monkeypatch.setattr(groupoids, "_CLOSE_CHUNK_BYTES", rows * len(gens) * gens[0].nbytes)
-    return closure_outcome(_close_group, gens, bound)
+    return closure_outcome(close_indices, gens, bound)
 
 
 @pytest.mark.parametrize("rows", [1, 2, 5])

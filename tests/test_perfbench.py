@@ -16,7 +16,7 @@ import pytest
 RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 
 
-@pytest.mark.parametrize("workload", ["symmetry", "pipeline"])
+@pytest.mark.parametrize("workload", ["acceptance", "symmetry", "pipeline"])
 def test_perfbench_workload_runs_correctly(workload):
     proc = subprocess.run([sys.executable, str(RUN), "--workload", workload, "--seconds", "0.1"],
                           capture_output=True, text=True, timeout=300)
