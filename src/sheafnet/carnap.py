@@ -12,18 +12,22 @@ Every permutation of the symmetry path is an index array over
 ``lang.states``.  A state's index is its value digits read in mixed radix,
 so each generator is computed by index arithmetic on one digit array of
 all states, computed once per language (`CarnapLanguage._digits`).  The
-group is closed once on these arrays (`_close_group`, the group closure
-that `groupoids` also closes vertex groups with, in chunks of one fixed
-size, so that its working memory beyond the elements is one chunk), and
-its (order, |E|) element matrix `SymmetryGroup.perms` is the one stored
-form of the elements; `SymmetryGroup.elements` decodes it into state dicts
-each time it is read.  Column ``i`` of the matrix is the orbit
-of state ``i``, so the orbits are the classes of the column minima, each
-stabilizer is counted on one column, and the search over simple
-propositions moves index sets through the generators.  A simple's index
-set is read off the same digit array, as the row of states whose digit at
-its (subject, attribute) is its value, and its truth set is decoded from
-that row.
+group is known: it is S_n x prod over maximal runs of m adjacent
+attributes of arity c of (S_c wr S_m), in the product action (Cameron,
+*Permutation Groups*, 1999), less the factors that move no state (S_n
+when a subject has one state, the runs with c = 1).  So its order is a
+formula, tested against the group bound before any generator array is
+built; its orbits are the connected classes of the generators, found by
+min-label propagation along their index arrays; and each stabilizer has
+order |G| / |orbit|.  The search over simple propositions moves index
+sets through the generators too.  A simple's index set is read off the
+same digit array, as the row of states whose digit at its (subject,
+attribute) is its value, and its truth set is decoded from that row.  No
+path of the library closes the group: its (order, |E|) element matrix
+`SymmetryGroup.perms` is closed by `_close_group` (the group closure that
+`groupoids` also closes vertex groups with) only when it is read, and
+`SymmetryGroup.elements` decodes that matrix into state dicts each time
+it is read.
 
 For three subjects and two binary attributes the group has order 48
 (subject permutations times the dihedral symmetry of the value square),
@@ -35,7 +39,7 @@ and form a single orbit.
 import decimal
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress, groupby
 from itertools import product as iproduct
 
 import numpy as np
@@ -126,14 +130,29 @@ def build_language(n_subjects, value_counts, bound=None):
 
 @dataclass(frozen=True)
 class SymmetryGroup:
-    """The symmetry group of ``language``, stored as its element matrix
-    ``perms``: row ``r`` is an index array over ``language.states``, row 0
-    the identity.  A group is a function of its language, so two groups
-    compare equal on ``(language, order)``."""
+    """The symmetry group of ``language``: its named generators, index
+    arrays over ``language.states``, and its order, given by formula
+    (`build_symmetry_group`).  A group is a function of its language, so two
+    groups compare equal on ``(language, order)``."""
     language: CarnapLanguage
     generators: dict = field(compare=False)     # name -> index array over the states
     order: int
-    perms: np.ndarray = field(compare=False)    # (order, |E|) index arrays, row 0 = e
+
+    @cached_property
+    def perms(self):
+        """The (order, |E|) element matrix, closed from the generators by
+        `_close_group` on the first read and kept: row ``r`` is an index
+        array over the states, row 0 the identity, rows in closure order, in
+        the generators' dtype.  A closure of another size than ``order``
+        raises `GroupoidError`."""
+        try:
+            perms = _close_group(len(self.language.states), list(self.generators.values()),
+                                 self.order)
+            if len(perms) == self.order:
+                return perms
+        except BoundExceeded:
+            pass
+        raise GroupoidError(f"the generators do not close to the group order {self.order}")
 
     @property
     def elements(self):
@@ -192,16 +211,30 @@ def _generator_indices(lang):
 
 
 def build_symmetry_group(lang, bound=None):
-    """The group generated by `_generator_indices`, closed once by
-    `_close_group` from the identity (at most ``bound`` elements, else
-    `DEFAULT_GROUP_BOUND`, the identity counted) into the element matrix
-    ``perms``, rows in closure order, in the generators' dtype.  No element
-    is decoded here: `SymmetryGroup.elements` decodes the rows into state
-    dicts when it is read."""
-    gens = _generator_indices(lang)
+    """The group generated by `_generator_indices`, of at most ``bound``
+    elements (else `DEFAULT_GROUP_BOUND`, the identity counted).
+
+    Its order is tested against the bound before any generator array is
+    built: n! (when a subject has at least two states) times (c!)^m * m!
+    for each maximal run of m adjacent attributes of arity c >= 2, the
+    order of S_n x prod (S_c wr S_m).  The subject permutations commute
+    with the value and attribute permutations, which act on every subject
+    alike; both act faithfully, and an attribute of one value moves nothing.
+    The product is multiplied up factor by factor, so a refusal costs no
+    more factors than the bound allows.  Nothing is closed here: the
+    element matrix `SymmetryGroup.perms` is closed when it is read."""
     bound = DEFAULT_GROUP_BOUND if bound is None else bound
-    perms = _close_group(len(lang.states), list(gens.values()), bound)
-    return SymmetryGroup(lang, gens, len(perms), perms)
+    counts = [c for _, c in lang.attributes]
+    runs = [(c, len(list(run))) for c, run in groupby(counts) if c >= 2]
+    factors = [range(2, len(lang.subjects) + 1)] if runs else []
+    for c, m in runs:
+        factors += [range(2, c + 1)] * m + [range(2, m + 1)]
+    order = 1
+    for k in chain((1,), *factors):        # the identity alone counts too
+        order *= k
+        if order > bound:
+            raise BoundExceeded(f"group closure exceeds bound {bound}")
+    return SymmetryGroup(lang, _generator_indices(lang), order)
 
 
 # ---------------------------------------------------------------------------
@@ -247,36 +280,48 @@ class CarnapOrbitReport:
                 for size, stab, label, members in self.orbits]
 
 
+def _orbit_labels(n, generators):
+    """Each of the n states labelled by the least index of its orbit under
+    the group of the index arrays ``generators``, by min-label propagation:
+    every label takes the least label of its images, then the label of its
+    label, until a pass changes nothing.  A label stays an index in its own
+    orbit, and at the fixpoint it is constant along every generator, so
+    constant on each orbit, where it equals the orbit's least index."""
+    label = np.arange(n, dtype=np.min_scalar_type(n - 1))
+    while generators:
+        before = label.copy()
+        for g in generators:
+            np.minimum(label, label[g], out=label)
+        label = label[label]
+        if np.array_equal(label, before):
+            break
+    return label
+
+
 def orbit_report(lang, group):
     """Orbits of the states with stabilizer orders and structural types.
 
-    Column ``i`` of ``group.perms`` lists ``g(i)`` for every element ``g``,
-    so it is the orbit of state ``i``, and its minimum labels that orbit by
-    its least state index; the orbits are the classes of equal column
-    minima, read off one stable sort of the labels.  Members are sorted by
-    ``str``, and the orbits by size, type and members.  Each stabilizer is
-    that of the orbit's ``str``-least member ``r``, counted as the elements
-    fixing ``r`` on column ``r`` of ``group.perms``, and |orbit| *
-    |stabilizer| = |G| is checked.  ``group`` is the language's
-    `build_symmetry_group`, read and not closed again.
+    The orbits are the classes of equal `_orbit_labels` over the group's
+    generators, each state labelled by its orbit's least index, read off one
+    stable sort of the labels.  Members are sorted by ``str``, and the
+    orbits by size, type and members.  Each stabilizer has order |G| /
+    |orbit|, and that the orbit's size divides |G| is checked.  ``group`` is
+    the language's `build_symmetry_group`; its element matrix is not read.
     """
     states = lang.states
     names = [str(s) for s in states]
-    label = group.perms.min(axis=0)
+    label = _orbit_labels(len(states), list(group.generators.values()))
     by_label = np.argsort(label, kind="stable")
     cuts = np.flatnonzero(np.diff(label[by_label])) + 1
     orbits = []
     for cls in np.split(by_label, cuts):
-        cls = sorted(cls.tolist(), key=names.__getitem__)
-        r = cls[0]
-        stab = int(np.count_nonzero(group.perms[:, r] == r))
-        if len(cls) * stab != group.order:
+        if group.order % len(cls):
             raise GroupoidError("orbit-stabilizer identity failed; generators inconsistent")
-        members = tuple(states[i] for i in cls)
+        members = tuple(states[i] for i in sorted(cls.tolist(), key=names.__getitem__))
         labels = {state_type(lang, s) for s in members}
         if len(labels) != 1:
             raise LanguageError("structural type is not constant on an orbit")
-        orbits.append((len(members), stab, labels.pop(), members))
+        orbits.append((len(members), group.order // len(members), labels.pop(), members))
     orbits.sort(key=lambda o: (o[0], o[2] or "", o[3]))
     return CarnapOrbitReport(tuple(orbits))
 

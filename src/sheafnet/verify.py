@@ -385,19 +385,33 @@ def criterion_05(seed=0):
 @criterion(6, "Carnap language L^2_3")
 def criterion_06(seed=0):
     """The three-subject two-binary-attribute language: counts, orbits,
-    stabilizers, simples."""
+    stabilizers, simples.  The order, the orbits and the stabilizers come by
+    structure (`build_symmetry_group`, `orbit_report`); the closed element
+    matrix ``group.perms`` checks each of them: its row count is the order,
+    its column minima give the same orbits, and the elements fixing each
+    orbit's first member are counted on that member's column."""
     start = time.perf_counter()
     lang = build_language(3, [2, 2])
     group = build_symmetry_group(lang)
     report = orbit_report(lang, group)
     simples = simple_propositions(lang)
     by_type = {label: (size, stab) for size, stab, label, _ in report.orbits}
+    perms = group.perms
+    index = {s: i for i, s in enumerate(lang.states)}
+    least = np.full(len(lang.states), len(lang.states))    # each state's orbit's least index
+    reps = []
+    for _, stab, _, members in report.orbits:
+        at = [index[s] for s in members]
+        least[at] = min(at)
+        reps.append((stab, at[0]))
     checks = {
         "|E|=64": len(lang.states) == 64,
-        "|G|=48": group.order == 48,
-        "orbit sizes": report.sizes() == (4, 12, 24, 24),
+        "|G|=48": group.order == 48 and len(perms) == 48,
+        "orbit sizes": report.sizes() == (4, 12, 24, 24)
+                       and np.array_equal(least, perms.min(axis=0)),
         "stabilizers": by_type.get("I") == (4, 12) and by_type.get("III") == (12, 4)
-                        and by_type.get("II") == (24, 2) and by_type.get("IV") == (24, 2),
+                        and by_type.get("II") == (24, 2) and by_type.get("IV") == (24, 2)
+                        and all(stab == np.count_nonzero(perms[:, r] == r) for stab, r in reps),
         "12 simples": len(simples) == 12,
         "self-dual": self_duality_holds(lang, simples) is True,
         "single orbit": simples_form_single_orbit(lang, group, simples),

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import random
@@ -20,6 +21,7 @@ from sheafnet.carnap import (
 )
 from sheafnet.cli import main
 from sheafnet.errors import BoundExceeded, GroupoidError, LanguageError
+from sheafnet.groupoids import DEFAULT_GROUP_BOUND
 from sheafnet.seminfo import cbh_precision, content
 
 
@@ -427,31 +429,41 @@ def test_burnside_counts_the_orbits(subjects, counts):
 
 
 def test_library_paths_never_decode_the_elements(monkeypatch, capsys):
-    """The group, its orbits, the simples' orbit, criterion 6 and `sheafnet
-    carnap` run on the element matrix; none reads `SymmetryGroup.elements`."""
+    """The group, its orbits, the simples' orbit and `sheafnet carnap` run on
+    the generators alone: none reads `SymmetryGroup.perms`, so none closes
+    the group.  Criterion 6 reads the closed matrix as its oracle, and no
+    path reads `SymmetryGroup.elements`."""
     reads = []
 
-    def refuse(group):
-        reads.append(group.order)
-        raise AssertionError("SymmetryGroup.elements was read")
+    def refuse(name):
+        def read(group):
+            reads.append((name, group.order))
+            raise AssertionError(f"SymmetryGroup.{name} was read")
+        return property(read)
 
-    monkeypatch.setattr(carnap.SymmetryGroup, "elements", property(refuse))
+    monkeypatch.setattr(carnap.SymmetryGroup, "elements", refuse("elements"))
     lang = l23()
-    group = build_symmetry_group(lang)
-    assert orbit_report(lang, group).sizes() == (4, 12, 24, 24)
-    assert simples_form_single_orbit(lang, group, simple_propositions(lang))
+    with monkeypatch.context() as m:
+        m.setattr(carnap.SymmetryGroup, "perms", refuse("perms"))
+        group = build_symmetry_group(lang)
+        assert orbit_report(lang, group).sizes() == (4, 12, 24, 24)
+        assert simples_form_single_orbit(lang, group, simple_propositions(lang))
+        assert main(["carnap", "--subjects", "3", "--attributes", "2,2"]) == 0
+        assert json.loads(capsys.readouterr().out)["group_order"] == 48
+        assert reads == []
+        with pytest.raises(AssertionError, match="perms was read"):
+            group.perms
     assert verify.criterion_06(0).passed
-    assert main(["carnap", "--subjects", "3", "--attributes", "2,2"]) == 0
-    assert json.loads(capsys.readouterr().out)["group_order"] == 48
-    assert reads == []
-    with pytest.raises(AssertionError, match="was read"):
+    assert reads == [("perms", 48)]
+    with pytest.raises(AssertionError, match="elements was read"):
         group.elements
-    assert reads == [48]
+    assert reads == [("perms", 48), ("elements", 48)]
 
 
-def test_build_symmetry_group_closes_each_group_once(monkeypatch):
-    """`build_symmetry_group` closes through `carnap._close_group`, once per
-    group, and the orbit and simples steps reuse its elements."""
+def test_the_element_matrix_is_closed_once_and_only_when_read(monkeypatch):
+    """No library path closes through `carnap._close_group` on the five
+    benchmark languages; the first read of ``perms`` closes once and keeps
+    the matrix, and criterion 6, which reads it, closes once."""
     calls = []
     close = carnap._close_group
 
@@ -462,12 +474,54 @@ def test_build_symmetry_group_closes_each_group_once(monkeypatch):
     monkeypatch.setattr(carnap, "_close_group", counted)
     for subjects, counts in ORACLE_LANGUAGES[:5]:
         lang = build_language(subjects, counts)
-        before = len(calls)
         group = carnap.build_symmetry_group(lang)
         carnap.orbit_report(lang, group)
         carnap.simples_form_single_orbit(lang, group, carnap.simple_propositions(lang))
-        assert len(calls) == before + 1
-    assert len(calls) == 5
+        assert calls == []
+    perms = group.perms
+    assert len(calls) == 1 and len(perms) == group.order
+    assert group.perms is perms and len(calls) == 1
+    calls.clear()
+    assert verify.criterion_06(0).passed
+    assert len(calls) == 1
+
+
+def test_a_closure_off_the_order_raises_groupoid_error():
+    """``perms`` closes to at most the order: generators that close to more
+    elements, or to fewer, raise `GroupoidError`, not `BoundExceeded`."""
+    group = build_symmetry_group(l23())
+    for order in (47, 49):
+        wrong = carnap.SymmetryGroup(group.language, group.generators, order)
+        with pytest.raises(GroupoidError, match=f"group order {order}"):
+            wrong.perms
+
+
+SWEEP_LANGUAGES = [(n, counts) for n in (1, 2, 3) for k in (1, 2, 3)
+                   for counts in itertools.product((1, 2, 3), repeat=k)
+                   if math.prod(counts) ** n <= 3000]
+
+
+def test_structure_matches_the_closure_on_every_small_language():
+    """Every language of 1-3 subjects and 1-3 attributes of arity 1-3 with
+    at most 3,000 states: the order by formula is the size of the
+    `_close_group` closure of the generators, each state's orbit is the
+    class of its column minimum in the closed matrix, and each stabilizer
+    is the count of elements fixing the orbit's first member."""
+    assert len(SWEEP_LANGUAGES) == 113
+    for subjects, counts in SWEEP_LANGUAGES:
+        lang = build_language(subjects, counts)
+        group = build_symmetry_group(lang)
+        closed = carnap._close_group(len(lang.states), list(group.generators.values()),
+                                     DEFAULT_GROUP_BOUND)
+        assert group.order == len(closed), (subjects, counts)
+        index = {s: i for i, s in enumerate(lang.states)}
+        label = np.full(len(lang.states), -1)
+        for _, stab, _, members in orbit_report(lang, group).orbits:
+            at = [index[s] for s in members]
+            assert (label[at] == -1).all()
+            label[at] = min(at)
+            assert stab == np.count_nonzero(closed[:, at[0]] == at[0]), (subjects, counts)
+        assert np.array_equal(label, closed.min(axis=0)), (subjects, counts)
 
 
 def test_build_symmetry_group_bound():

@@ -1378,11 +1378,11 @@ def test_ten_thousand_object_component_under_a_memory_cap(tmp_path, command):
 
 def test_carnap_group_closure_past_its_bound_under_a_memory_cap():
     """Seven subjects over two binary attributes: 16,384 states and a group
-    of order 40,320, closed in a child process capped at 600 MB of address
-    space.  The closure multiplies each breadth-first layer out in chunks of
-    one fixed size, so it reaches the bound of 2,000 elements and exits 2,
-    where stacking a whole layer times the generators ran out of memory in
-    numpy and ended in a traceback."""
+    of order 7! * 8 = 40,320, in a child process capped at 600 MB of address
+    space.  The order is known by formula and tested against the bound of
+    2,000 before any generator array is built, so the command exits 2
+    without closing the group, where closing it past the bound once ran out
+    of memory in numpy and ended in a traceback."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run([sys.executable, "-m", "sheafnet.cli", "carnap", "--subjects", "7",
                            "--attributes", "2,2", "--bound", "2000"], env=env,
@@ -1391,3 +1391,22 @@ def test_carnap_group_closure_past_its_bound_under_a_memory_cap():
     assert (proc.returncode, proc.stdout) == (2, "")
     assert "Traceback" not in proc.stderr
     assert proc.stderr == "error: group closure exceeds bound 2000\n"
+
+
+@pytest.mark.parametrize("subjects,attributes", [("2", "300"), ("1", "30000")])
+def test_carnap_group_order_past_the_default_bound_under_a_memory_cap(subjects, attributes):
+    """One attribute of 300 values on two subjects (90,000 states, order
+    2 * 300!) and one of 30,000 values on one subject (order 30,000!), each
+    inside the default state bound, in a child process capped at 1.5 GB of
+    address space: both exit 2 on the group bound before any generator or
+    product array is built, where the closure once ended in a memory
+    error."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.pop("SHEAFNET_BOUND", None)
+    proc = subprocess.run([sys.executable, "-m", "sheafnet.cli", "carnap", "--subjects", subjects,
+                           "--attributes", attributes], env=env,
+                          capture_output=True, text=True, timeout=30,
+                          preexec_fn=_capped(1536 * 2**20))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "error: group closure exceeds bound 10000\n"

@@ -1184,7 +1184,8 @@ def test_stack_functoriality_clash_on_diamond():
 
 def reference_close_permutation_group(generators, bound=10_000):
     """The closure as first written: every permutation a tuple of (x, image)
-    pairs sorted by str, re-sorted after every product."""
+    pairs sorted by str, re-sorted after every product.  Every element
+    counts against ``bound``, the identity too."""
     domain = None
     gens = {}
     for name, p in generators.items():
@@ -1196,6 +1197,8 @@ def reference_close_permutation_group(generators, bound=10_000):
         gens[name] = tuple(sorted(p.items(), key=lambda kv: str(kv[0])))
     ident = tuple(sorted(((x, x) for x in domain), key=lambda kv: str(kv[0])))
     found = {ident: "e"}
+    if len(found) > bound:
+        raise BoundExceeded(f"group closure exceeds bound {bound}")
     frontier = [ident]
     while frontier:
         nxt = []
@@ -1294,6 +1297,22 @@ def test_closure_matches_reference_on_random_generators(kind):
     `BoundExceeded`."""
     for gens, bound, want in random_closure_cases(kind):
         assert_closure_is(closure_outcome(close_indices, gens, bound), want, gens, DOMAINS[kind])
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2])
+@pytest.mark.parametrize("images,order", [([0, 1], 1), ([1, 0], 2)],
+                         ids=["trivial", "two-element"])
+def test_closure_counts_the_identity_against_the_bound_as_the_reference_does(
+        images, order, bound):
+    """The trivial group, from one identity generator, and a two-element
+    group: the reference and `_close_group` both count the identity as an
+    element, so both refuse every bound below the order and close from it on."""
+    points = DOMAINS["int"][:2]
+    gens = [np.array(images, dtype=np.uint8)]
+    want = closure_outcome(reference_close_permutation_group,
+                           {"q0": dict(zip(points, images))}, bound)
+    assert (want is BoundExceeded) == (bound < order)
+    assert_closure_is(closure_outcome(close_indices, gens, bound), want, gens, points)
 
 
 # (subjects, attribute arities) of the ``symmetry`` benchmark workload
