@@ -1,7 +1,7 @@
 """The three-subject, two-binary-attribute language.
 
 Sixty-four states, a symmetry group of order 48, four orbits, and twelve
-self-dual simple propositions forming a single orbit.  The enumerated
+self-dual simple propositions forming a single orbit.  The counted
 content of a simple is printed next to the figure reported in the
 literature, which direct counting does not reproduce.
 """

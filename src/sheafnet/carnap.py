@@ -19,11 +19,14 @@ when a subject has one state, the runs with c = 1).  So its order is a
 formula, tested against the group bound before any generator array is
 built; its orbits are the connected classes of the generators, found by
 min-label propagation along their index arrays; and each stabilizer has
-order |G| / |orbit|.  The search over simple propositions moves index
-sets through the generators too.  A simple's index set is read off the
-same digit array, as the row of states whose digit at its (subject,
-attribute) is its value, and its truth set is decoded from that row.  No
-path of the library closes the group: its (order, |E|) element matrix
+order |G| / |orbit|.  A simple proposition is its row: the booleans over
+the states whose digit at its (subject, attribute) is its value, read off
+the same digit array.  The search over simples moves these rows through
+the generators, and under the uniform measure a simple's content is |E|
+less its row's count, so no truth set of states is built.  The states'
+``str`` order, by which orbit members and element dicts are listed, is
+sorted once per language (`CarnapLanguage._str_order`).  No path of the
+library closes the group: its (order, |E|) element matrix
 `SymmetryGroup.perms` is closed by `_close_group` (the group closure that
 `groupoids` also closes vertex groups with) only when it is read, and
 `SymmetryGroup.elements` decodes that matrix into state dicts each time
@@ -39,14 +42,13 @@ and form a single orbit.
 import decimal
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress, groupby
+from itertools import chain, groupby, repeat
 from itertools import product as iproduct
 
 import numpy as np
 
 from .errors import BoundExceeded, GroupoidError, LanguageError
 from .groupoids import DEFAULT_GROUP_BOUND, _close_group
-from .seminfo import BooleanLanguage
 
 DEFAULT_STATE_BOUND = 10**6
 
@@ -75,10 +77,6 @@ class CarnapLanguage:
             ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
             return str(decimal.Decimal(2) ** len(self.states))
 
-    def to_boolean_language(self):
-        """The states under the uniform measure."""
-        return BooleanLanguage(self.states)
-
     @cached_property
     def _digits(self):
         """The states as one read-only (|E|, subjects, attributes) array of
@@ -99,6 +97,17 @@ class CarnapLanguage:
         digits.flags.writeable = weights.flags.writeable = False
         return digits, weights
 
+    @cached_property
+    def _str_order(self):
+        """The state indices, read-only, in ``str`` order of the states: the
+        order in which orbit members and element dicts are listed.  It is
+        not index order once an attribute has 11 values or more, where the
+        digit 10 sorts before 2."""
+        states = self.states
+        order = np.array(sorted(range(len(states)), key=lambda i: str(states[i])), dtype=np.intp)
+        order.flags.writeable = False
+        return order
+
 
 def build_language(n_subjects, value_counts, bound=None):
     """All assignments of one value per (subject, attribute): at most
@@ -108,13 +117,12 @@ def build_language(n_subjects, value_counts, bound=None):
     counts = tuple(int(c) for c in value_counts)
     if not counts or any(c < 1 for c in counts):
         raise LanguageError("every attribute needs at least one value")
-    size = 1
-    for c in counts:
-        size *= c
-    size **= n_subjects
     bound = DEFAULT_STATE_BOUND if bound is None else bound
-    if size > bound:
-        raise BoundExceeded(f"{size} states exceeds bound {bound}")
+    size = 1
+    for c in chain.from_iterable(repeat(counts, n_subjects)):   # stops past the bound
+        size *= c
+        if size > bound:
+            raise BoundExceeded(f"state count exceeds bound {bound}")
     subjects = tuple(_SUBJECT_NAMES[i] if n_subjects <= 26 else f"s{i}"
                      for i in range(n_subjects))
     attributes = tuple((_ATTR_NAMES[a] if len(counts) <= 26 else f"P{a}", c)
@@ -159,10 +167,11 @@ class SymmetryGroup:
         """The elements as state dicts, decoded from ``perms`` on each read
         (nothing is cached; bind the result to read it more than once):
         named ``e``, ``g1``, ... in row order, each a dict from every state,
-        in ``str`` order of the states, to its image."""
+        in ``str`` order of the states (`CarnapLanguage._str_order`), to its
+        image."""
         states = self.language.states
-        by_str = sorted(range(len(states)), key=lambda i: str(states[i]))
-        keys = [states[i] for i in by_str]
+        by_str = self.language._str_order
+        keys = [states[i] for i in by_str.tolist()]
         return {f"g{r}" if r else "e": dict(zip(keys, map(states.__getitem__, row)))
                 for r, row in enumerate(self.perms[:, by_str].tolist())}
 
@@ -303,21 +312,23 @@ def orbit_report(lang, group):
 
     The orbits are the classes of equal `_orbit_labels` over the group's
     generators, each state labelled by its orbit's least index, read off one
-    stable sort of the labels.  Members are sorted by ``str``, and the
-    orbits by size, type and members.  Each stabilizer has order |G| /
-    |orbit|, and that the orbit's size divides |G| is checked.  ``group`` is
-    the language's `build_symmetry_group`; its element matrix is not read.
+    stable sort of the labels taken in ``str`` order of the states
+    (`CarnapLanguage._str_order`), so each orbit's members come out in
+    ``str`` order.  The orbits are sorted by size, type and members.  Each
+    stabilizer has order |G| / |orbit|, and that the orbit's size divides
+    |G| is checked.  ``group`` is the language's `build_symmetry_group`; its
+    element matrix is not read.
     """
     states = lang.states
-    names = [str(s) for s in states]
     label = _orbit_labels(len(states), list(group.generators.values()))
-    by_label = np.argsort(label, kind="stable")
+    by_str = lang._str_order
+    by_label = by_str[np.argsort(label[by_str], kind="stable")]
     cuts = np.flatnonzero(np.diff(label[by_label])) + 1
     orbits = []
     for cls in np.split(by_label, cuts):
         if group.order % len(cls):
             raise GroupoidError("orbit-stabilizer identity failed; generators inconsistent")
-        members = tuple(states[i] for i in sorted(cls.tolist(), key=names.__getitem__))
+        members = tuple(map(states.__getitem__, cls.tolist()))
         labels = {state_type(lang, s) for s in members}
         if len(labels) != 1:
             raise LanguageError("structural type is not constant on an orbit")
@@ -335,8 +346,7 @@ class SimpleProposition:
     subject: str
     attribute: str
     value: int                 # 1-based, matching the labels
-    truth_set: frozenset
-    row: np.ndarray = field(compare=False, repr=False)   # truth_set as booleans over the states
+    row: np.ndarray = field(compare=False, repr=False)   # true at the states it holds in
 
     @property
     def label(self):
@@ -344,18 +354,14 @@ class SimpleProposition:
 
 
 def simple_propositions(lang):
-    """The propositions "subject s takes value v of attribute A", each with
-    its row ``digits[:, s, a] == v`` over the states (`CarnapLanguage._digits`)
-    and the truth set decoded from that row."""
+    """The propositions "subject s takes value v of attribute A", each held
+    as its row ``digits[:, s, a] == v`` of booleans over the states
+    (`CarnapLanguage._digits`)."""
     digits, _ = lang._digits
-    out = []
-    for si, subj in enumerate(lang.subjects):
-        for ai, (name, count) in enumerate(lang.attributes):
-            for v in range(count):
-                row = digits[:, si, ai] == v
-                truth = frozenset(compress(lang.states, row.tolist()))
-                out.append(SimpleProposition(subj, name, v + 1, truth, row))
-    return out
+    return [SimpleProposition(subj, name, v + 1, digits[:, si, ai] == v)
+            for si, subj in enumerate(lang.subjects)
+            for ai, (name, count) in enumerate(lang.attributes)
+            for v in range(count)]
 
 
 def self_duality_holds(lang, simples):
@@ -373,7 +379,7 @@ def self_duality_holds(lang, simples):
 def simples_form_single_orbit(lang, group, simples):
     """Does the symmetry group act transitively on the simple truth sets?
 
-    Each distinct truth set is an index set, held as its simple's ``row`` of
+    Each distinct truth set is an index set, its simple's ``row`` of
     booleans over the state indices (`simple_propositions`).  A generator's
     index array ``g`` carries row ``r`` to the row that is true at ``g[i]``
     wherever ``r`` is true at ``i``.  The search walks these images from the
@@ -401,14 +407,15 @@ def simples_form_single_orbit(lang, group, simples):
 
 
 def simple_content_report(lang, simples):
-    """Enumerated content of the ``simples`` (`simple_propositions`) under
-    the uniform measure, with the figure reported
-    in the literature for the three-subject two-attribute case (58), which
-    direct counting does not reproduce."""
-    from .seminfo import content
-
-    blang = lang.to_boolean_language()
-    computed = sorted({content(blang, s.truth_set) for s in simples})
+    """The distinct contents of the ``simples`` (`simple_propositions`)
+    under the uniform measure, counted: a simple excludes the states where
+    its row is false, |E| less the row's count, reported as a float, or as
+    the int 0 when it excludes none (the bytes of `seminfo.content`, a
+    `math.fsum` of ones).  For the three-subject two-attribute case the
+    figure reported in the literature (58), which direct counting does not
+    reproduce, is given next to it."""
+    computed = sorted({float(len(lang.states) - np.count_nonzero(s.row)) or 0
+                       for s in simples})
     report = {"computed_contents": computed}
     if len(lang.subjects) == 3 and [c for _, c in lang.attributes] == [2, 2]:
         report["literature_value"] = 58

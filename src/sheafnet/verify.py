@@ -424,9 +424,9 @@ def criterion_06(seed=0):
 @criterion(7, "content values")
 def criterion_07(seed=0):
     """Content values on 64 states; the simple-proposition content is
-    enumerated and the literature figure is reported, not asserted."""
+    counted and the literature figure is reported, not asserted."""
     lang = build_language(3, [2, 2])
-    blang = lang.to_boolean_language()
+    blang = BooleanLanguage(lang.states)
     e0 = lang.states[0]
     c_single = content(blang, frozenset({e0}))
     c_neg = content(blang, frozenset(lang.states) - {e0})

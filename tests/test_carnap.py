@@ -3,11 +3,12 @@ import itertools
 import json
 import math
 import random
+from itertools import compress
 
 import numpy as np
 import pytest
 
-from sheafnet import carnap, verify
+from sheafnet import carnap, seminfo, verify
 from sheafnet.carnap import (
     CarnapOrbitReport,
     build_language,
@@ -22,11 +23,16 @@ from sheafnet.carnap import (
 from sheafnet.cli import main
 from sheafnet.errors import BoundExceeded, GroupoidError, LanguageError
 from sheafnet.groupoids import DEFAULT_GROUP_BOUND
-from sheafnet.seminfo import cbh_precision, content
+from sheafnet.seminfo import BooleanLanguage, cbh_precision, content
 
 
 def l23():
     return build_language(3, [2, 2])
+
+
+def truth_set(lang, simple):
+    """The states a simple holds in, decoded from its row."""
+    return frozenset(compress(lang.states, simple.row))
 
 
 def generator_dicts(group):
@@ -71,6 +77,9 @@ def test_proposition_count_text_is_the_exact_decimal_count(n):
 def test_state_bound():
     with pytest.raises(BoundExceeded):
         build_language(10, [4, 4], bound=10**5)
+    assert len(build_language(2, [4, 4], bound=256).states) == 256
+    with pytest.raises(BoundExceeded, match="state count exceeds bound 255"):
+        build_language(2, [4, 4], bound=255)
 
 
 def test_labels_deterministic():
@@ -164,7 +173,7 @@ def test_twelve_simples_self_dual_single_orbit():
     lang = l23()
     simples = simple_propositions(lang)
     assert len(simples) == 12
-    assert all(len(s.truth_set) == 32 for s in simples)
+    assert all(np.count_nonzero(s.row) == 32 for s in simples)
     assert self_duality_holds(lang, simples) is True
     assert simples_form_single_orbit(lang, build_symmetry_group(lang), simples)
 
@@ -187,7 +196,7 @@ def test_simple_content_report_documents_discrepancy():
 def test_uniform_measure_invariant_under_group():
     lang = l23()
     group = build_symmetry_group(lang)
-    blang = lang.to_boolean_language()
+    blang = BooleanLanguage(lang.states)
     rng = random.Random(29)
     states = list(lang.states)
     for _ in range(20):
@@ -200,7 +209,7 @@ def test_uniform_measure_invariant_under_group():
 def test_psi_cbh_constant_on_orbits_of_theories():
     lang = l23()
     group = build_symmetry_group(lang)
-    blang = lang.to_boolean_language()
+    blang = BooleanLanguage(lang.states)
     psi = cbh_precision(blang)
     rng = random.Random(31)
     states = list(lang.states)
@@ -304,9 +313,9 @@ def reference_orbit_report(lang, generators, elements):
     return CarnapOrbitReport(tuple(typed))
 
 
-def reference_single_orbit(generators, simples):
+def reference_single_orbit(lang, generators, simples):
     """The frozenset search as first written: images of whole truth sets."""
-    sets = {s.truth_set for s in simples}
+    sets = {truth_set(lang, s) for s in simples}
     start = next(iter(sets))
     reached, frontier = {start}, [start]
     while frontier:
@@ -357,7 +366,7 @@ def test_symmetry_path_matches_per_state_oracles(subjects, counts):
                 [s for s in simples if s.value == 1]]
     for family in families:
         assert simples_form_single_orbit(lang, group, family) == \
-            reference_single_orbit(want_gens, family)
+            reference_single_orbit(lang, want_gens, family)
 
 
 @pytest.mark.parametrize("subjects,counts", ORACLE_LANGUAGES,
@@ -365,8 +374,8 @@ def test_symmetry_path_matches_per_state_oracles(subjects, counts):
 def test_simple_truth_sets_are_their_digit_rows(subjects, counts):
     """A simple's row is the digit row of its (subject, attribute) equal to
     its value less one, on the one digit array of the language, which holds
-    every state's value digits; its truth set is the set of states that
-    take its value there."""
+    every state's value digits; decoded, it is the set of states that take
+    its value there.  Simples compare on (subject, attribute, value)."""
     lang = build_language(subjects, counts)
     digits, _ = lang._digits
     assert lang._digits[0] is digits and not digits.flags.writeable
@@ -377,7 +386,8 @@ def test_simple_truth_sets_are_their_digit_rows(subjects, counts):
         s = lang.subjects.index(simple.subject)
         a = [name for name, _ in lang.attributes].index(simple.attribute)
         assert np.array_equal(simple.row, digits[:, s, a] == simple.value - 1)
-        assert simple.truth_set == {st for st in lang.states if st[s][a] == simple.value - 1}
+        assert truth_set(lang, simple) == {st for st in lang.states if st[s][a] == simple.value - 1}
+        assert simple == dataclasses.replace(simple, row=~simple.row)
 
 
 @pytest.mark.parametrize("subjects,counts", ORACLE_LANGUAGES,
@@ -394,7 +404,7 @@ def test_single_orbit_matches_reference_on_random_families(subjects, counts):
     for _ in range(20):
         family = rng.sample(simples, min(len(simples), rng.randint(2, 4)))
         assert simples_form_single_orbit(lang, group, family) == \
-            reference_single_orbit(gens, family)
+            reference_single_orbit(lang, gens, family)
 
 
 @pytest.mark.parametrize("subjects,counts", ORACLE_LANGUAGES,
@@ -432,7 +442,9 @@ def test_library_paths_never_decode_the_elements(monkeypatch, capsys):
     """The group, its orbits, the simples' orbit and `sheafnet carnap` run on
     the generators alone: none reads `SymmetryGroup.perms`, so none closes
     the group.  Criterion 6 reads the closed matrix as its oracle, and no
-    path reads `SymmetryGroup.elements`."""
+    path reads `SymmetryGroup.elements`.  The simples, their contents and
+    `sheafnet carnap` run on the simples' rows: none builds a
+    `BooleanLanguage` or calls `seminfo.content`."""
     reads = []
 
     def refuse(name):
@@ -441,13 +453,22 @@ def test_library_paths_never_decode_the_elements(monkeypatch, capsys):
             raise AssertionError(f"SymmetryGroup.{name} was read")
         return property(read)
 
+    def refuse_call(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} was called")
+        return call
+
     monkeypatch.setattr(carnap.SymmetryGroup, "elements", refuse("elements"))
     lang = l23()
     with monkeypatch.context() as m:
         m.setattr(carnap.SymmetryGroup, "perms", refuse("perms"))
+        m.setattr(seminfo.BooleanLanguage, "__init__", refuse_call("BooleanLanguage"))
+        m.setattr(seminfo, "content", refuse_call("content"))
         group = build_symmetry_group(lang)
         assert orbit_report(lang, group).sizes() == (4, 12, 24, 24)
-        assert simples_form_single_orbit(lang, group, simple_propositions(lang))
+        simples = simple_propositions(lang)
+        assert simples_form_single_orbit(lang, group, simples)
+        assert simple_content_report(lang, simples)["computed_contents"] == [32.0]
         assert main(["carnap", "--subjects", "3", "--attributes", "2,2"]) == 0
         assert json.loads(capsys.readouterr().out)["group_order"] == 48
         assert reads == []
@@ -522,6 +543,45 @@ def test_structure_matches_the_closure_on_every_small_language():
             label[at] = min(at)
             assert stab == np.count_nonzero(closed[:, at[0]] == at[0]), (subjects, counts)
         assert np.array_equal(label, closed.min(axis=0)), (subjects, counts)
+
+
+def test_counted_contents_match_seminfo_content_on_every_small_language():
+    """On the 113 sweep languages the counted contents are those of
+    `seminfo.content` over each simple's decoded truth set, in value and in
+    type: the int 0 where a simple excludes nothing, floats elsewhere."""
+    for subjects, counts in SWEEP_LANGUAGES:
+        lang = build_language(subjects, counts)
+        simples = simple_propositions(lang)
+        blang = BooleanLanguage(lang.states)
+        want = sorted({content(blang, truth_set(lang, s)) for s in simples})
+        got = simple_content_report(lang, simples)["computed_contents"]
+        assert [(type(c), c) for c in got] == [(type(c), c) for c in want], (subjects, counts)
+
+
+def test_orbit_members_and_element_keys_are_in_str_order_past_arity_ten():
+    """On two subjects over attributes of 11 and 2 values the states' ``str``
+    order is not their index order (the digit 10 sorts before 2): every
+    orbit lists its members in ``str`` order, which differs from index
+    order in all four orbits, and the element dicts key the states in
+    ``str`` order.  The elements are read on the subgroup of the subject
+    swap, since the whole group has order 2 * 11! * 2."""
+    lang = build_language(2, [11, 2])
+    group = build_symmetry_group(lang, 10**9)
+    index = {s: i for i, s in enumerate(lang.states)}
+    orbits = orbit_report(lang, group).orbits
+    assert len(orbits) == 4
+    for _, _, _, members in orbits:
+        assert list(members) == sorted(members, key=str)
+        assert list(members) != sorted(members, key=index.__getitem__)
+    by_str = sorted(lang.states, key=str)
+    assert by_str != list(lang.states)
+    swap = carnap.SymmetryGroup(lang, {"swap_ab": group.generators["swap_ab"]}, 2)
+    elements = swap.elements
+    assert list(elements) == ["e", "g1"]
+    assert all(list(perm) == by_str for perm in elements.values())
+    assert all(elements["g1"][(a, b)] == (b, a) for a, b in lang.states)
+    assert list(lang._str_order) == [index[s] for s in by_str]
+    assert not lang._str_order.flags.writeable
 
 
 def test_build_symmetry_group_bound():

@@ -947,6 +947,12 @@ REPORT_MANIFEST = {
                   "36712460cfb19e47e8ae0f0b20dee3f2c56eaa2e6ace67c6bed34afaa2a7478d"),
         "4x2,2": ("carnap --subjects 4 --attributes 2,2", 0,
                   "64663988bcb33cdf6785cf3f3fdfc261ed06113f742386b2d6c15144e86e585b"),
+        # a content of int 0: the simples of the one-value attribute exclude nothing
+        "2x3,1": ("carnap --subjects 2 --attributes 3,1", 0,
+                  "f69610570161d2f52ff236f3160f5cb289a8d1ed0bf735de7d60ac66f914d6b8"),
+        # an arity of 11, where the states' str order is not their index order
+        "2x11,2": ("carnap --subjects 2 --attributes 11,2 --bound 1000000000", 0,
+                   "626a2eccf086e9bc2998d160f6e89415ecde723f47fb202a1ba5a84c95998f5c"),
     },
     "other": {
         "verify-all-seed-0": ("verify --all --seed 0", 1,
@@ -1410,3 +1416,34 @@ def test_carnap_group_order_past_the_default_bound_under_a_memory_cap(subjects, 
     assert (proc.returncode, proc.stdout) == (2, "")
     assert "Traceback" not in proc.stderr
     assert proc.stderr == "error: group closure exceeds bound 10000\n"
+
+
+def _capped_carnap(*argv):
+    """``sheafnet carnap argv`` in a child process capped at 1.5 GB of
+    address space, under the default bounds."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.pop("SHEAFNET_BOUND", None)
+    return subprocess.run([sys.executable, "-m", "sheafnet.cli", "carnap", *argv], env=env,
+                          capture_output=True, timeout=60, preexec_fn=_capped(1536 * 2**20))
+
+
+def test_carnap_sixty_five_thousand_states_under_a_memory_cap():
+    """Four subjects over four binary attributes: 65,536 states and a group
+    of order 4! * 2^4 * 4! = 9,216, inside both default bounds.  The report
+    is built from the generators and the simples' digit rows, so it exits 0
+    under the cap with its pinned bytes."""
+    proc = _capped_carnap("--subjects", "4", "--attributes", "2,2,2,2")
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == \
+        "a051950d31c2279dc29149feddb577b83b0c97ab01329a0ed459ab9d887aba4a"
+
+
+def test_carnap_state_count_past_its_bound_under_a_memory_cap():
+    """Twenty million subjects over one ternary attribute: 3^20,000,000
+    states.  The count is multiplied up factor by factor and refused once it
+    passes the state bound, so the command exits 2 with one error line,
+    with no 9.5-million-digit integer computed or printed."""
+    proc = _capped_carnap("--subjects", "20000000", "--attributes", "3")
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
